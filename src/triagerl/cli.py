@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from . import evaluate as evaluate_mod
 from . import features as features_mod
 from . import fuzz as fuzz_mod
 from . import metrics as metrics_mod
-from . import trainer as trainer_mod
 from . import warnings as warn_mod
 from .env import RewardSpec, TriageEnv
 from .errors import (
@@ -37,7 +35,7 @@ from .errors import (
 )
 from .features import MANIFEST, Mode, extract_features, manifest_export, package_of
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
-from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
+from .trainer import TrainConfig, feature_matrix, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split
 
 _VALIDATION_ERRORS = (
@@ -169,7 +167,7 @@ def _make_backend(cfg: RunConfig):
         return RecordedBackend.from_file(cfg.recorded_path)
     if cfg.backend == "external":
         templates = load_templates(cfg.templates_dir) if cfg.templates_dir else load_templates()
-        return ExternalBackend(cfg.external_command, templates=templates)
+        return ExternalBackend(cfg.external_command, templates=templates, budget=cfg.fuzz_budget)
     raise SchemaError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
 
@@ -189,7 +187,7 @@ def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
     records = warn_mod.apply_labels(records, labels)
     assignment, seed, _ = warn_mod.read_split_file(_read_bytes(args.splits))
     records = [r for r in records if r.id in assignment]
-    vectors = features_mod.read_feature_sidecar(_read_bytes(args.features))
+    vectors = features_mod.read_feature_sidecar(_read_bytes(args.features), source=args.features)
     return Dataset(records, assignment, seed), vectors
 
 
@@ -228,7 +226,7 @@ def cmd_featurize(args) -> int:
         if not args.sidecar:
             print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
             return 2
-        sidecar = features_mod.read_feature_sidecar(_read_bytes(args.sidecar))
+        sidecar = features_mod.read_feature_sidecar(_read_bytes(args.sidecar), source=args.sidecar)
         vectors = {}
         for r in records:
             if r.id not in sidecar:
@@ -265,7 +263,7 @@ def cmd_evaluate(args) -> int:
         raise EmptySplit(f"split {args.split!r} has no records")
     backend = _make_backend(cfg)
     report, predictions = evaluate_mod.evaluate_checkpoint(
-        checkpoint, records, vectors, backend, mask_fuzz=args.mask_fuzz
+        checkpoint, records, vectors, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs
     )
     _write(args.out, metrics_mod.write_report(report))
     if args.verdicts:
@@ -283,22 +281,10 @@ def cmd_triage(args) -> int:
     vectors = _featurize_records(records, metadata, cfg.cluster_radius)
     backend = _make_backend(cfg)
     env = TriageEnv(feature_dim=len(MANIFEST), reward_spec=checkpoint.reward_spec)
-    episodes = [
-        (r, features_mod.normalize(vectors[r.id], checkpoint.normalizer).values)
-        for r in records
-    ]
-
-    def play(ep):
-        rec, feats = ep
-        return trainer_mod.play_episode(
-            checkpoint.params, env, rec, feats, backend, mask_fuzz=args.mask_fuzz
-        )
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            predictions = list(pool.map(play, episodes))
-    else:
-        predictions = [play(ep) for ep in episodes]
+    feats = feature_matrix(records, vectors, checkpoint.normalizer)
+    _, predictions = run_episodes(
+        checkpoint.params, env, feats, records, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs
+    )
     _write(args.out, metrics_mod.write_verdicts(predictions))
     return 0
 
@@ -315,11 +301,10 @@ def cmd_fuzz_validate(args) -> int:
     if missing:
         raise MissingRecording(f"warnings not in store: {', '.join(missing)}")
     backend = _make_backend(cfg)
-    outcomes = {
-        wid: fuzz_mod.run_fuzz(backend, by_id[wid], labels.get(wid), cfg.fuzz_budget)
-        for wid in ids
-    }
-    _write(args.out, fuzz_mod.write_recorded_outcomes(outcomes))
+    results = fuzz_mod.run_many(
+        lambda wid: fuzz_mod.run_fuzz(backend, by_id[wid], labels.get(wid)), ids, cfg.jobs
+    )
+    _write(args.out, fuzz_mod.write_recorded_outcomes(dict(zip(ids, results))))
     return 0
 
 
@@ -357,7 +342,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=["simulated", "recorded", "external"])
     p.add_argument("--recorded", help="recorded outcomes file for the recorded backend")
     p.add_argument("--templates", help="harness template directory")
-    p.add_argument("--jobs", type=int, help="worker fan-out cap")
+    p.add_argument("--jobs", type=int, help="cap on concurrent fuzz-backend calls")
 
 
 def build_parser() -> argparse.ArgumentParser:

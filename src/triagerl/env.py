@@ -1,8 +1,9 @@
-"""The triage MDP: states, the three-action space, dynamics, and rewards.
+"""The triage MDP: the three-action space, rewards, and the fuzz step.
 
 Episodes are at most two steps: the agent may fuzz once, after which
-classification is mandatory. Fuzz outcomes are folded into the state as a
-six-slot one-hot; backends never raise into the agent.
+classification is mandatory. A state is the warning's features followed by
+a six-slot one-hot of the fuzz outcome (NotRun before fuzzing); backends
+never raise into the agent. `trainer.run_episodes` plays the episodes.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-import numpy as np
-
-from .errors import IllegalAction, LengthMismatch
+from .errors import IllegalAction
 from .fuzz import CRASH_GRADE, FUZZ_SLOTS, FuzzKind, FuzzOutcome, run_fuzz
 from .warnings import Label, WarningRecord
 
@@ -40,29 +39,6 @@ class RewardSpec:
     bonus_clean_fp: float = 8.0
     bonus_inconclusive: float = 3.0
     discount: float = 1.0
-
-
-@dataclass
-class TriageState:
-    features: np.ndarray
-    fuzz: FuzzKind = FuzzKind.NOT_RUN
-
-    @property
-    def fuzz_encoding(self) -> np.ndarray:
-        enc = np.zeros(FUZZ_STATE_SLOTS)
-        enc[FUZZ_SLOTS.index(self.fuzz)] = 1.0
-        return enc
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.features, self.fuzz_encoding])
-
-    def __len__(self) -> int:
-        return len(self.features) + FUZZ_STATE_SLOTS
-
-
-@dataclass
-class Terminal:
-    prediction: Label
 
 
 def _prior_kind(prior_fuzz: FuzzOutcome | FuzzKind | None) -> FuzzKind:
@@ -109,7 +85,7 @@ def reward_of(
 
 @dataclass
 class TriageEnv:
-    """Per-warning episode dynamics over normalized feature vectors."""
+    """Episode settings: the feature width and the reward constants."""
 
     feature_dim: int
     reward_spec: RewardSpec = field(default_factory=RewardSpec)
@@ -118,40 +94,11 @@ class TriageEnv:
     def state_dim(self) -> int:
         return self.feature_dim + FUZZ_STATE_SLOTS
 
-    def reset(self, warning_features: np.ndarray) -> TriageState:
-        if len(warning_features) != self.feature_dim:
-            raise LengthMismatch(
-                f"features have length {len(warning_features)}, expected {self.feature_dim}"
-            )
-        return TriageState(np.asarray(warning_features, dtype=np.float64))
 
-    def step(
-        self,
-        state: TriageState,
-        action: TriageAction,
-        true_label: Label,
-        backend=None,
-        warning: WarningRecord | None = None,
-        budget: float = 45.0,
-    ) -> tuple[TriageState | Terminal, float]:
-        """Apply one action; fuzzing returns a successor state, classifying ends.
-
-        Backend failures of any kind become an InfrastructureFailure outcome
-        in the successor state, never an exception.
-        """
-        if action is TriageAction.FUZZ:
-            if state.fuzz is not FuzzKind.NOT_RUN:
-                raise IllegalAction("fuzz may run at most once per warning")
-            try:
-                outcome = run_fuzz(backend, warning, true_label, budget)
-            except Exception as exc:  # noqa: BLE001 - contract: never raise to the agent
-                outcome = FuzzOutcome(
-                    FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}"
-                )
-            return TriageState(state.features, outcome.kind), self.reward_spec.fuzz_cost
-
-        reward = reward_of(action, true_label, state.fuzz, self.reward_spec)
-        prediction = (
-            Label.TRUE_POSITIVE if action is TriageAction.CLASSIFY_TP else Label.FALSE_POSITIVE
-        )
-        return Terminal(prediction), reward
+def fuzz_step(backend, warning: WarningRecord) -> FuzzOutcome:
+    """One fuzz action's outcome; backend failures of any kind become an
+    InfrastructureFailure outcome, never an exception."""
+    try:
+        return run_fuzz(backend, warning, warning.label)
+    except Exception as exc:  # noqa: BLE001 - contract: never raise to the agent
+        return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}")

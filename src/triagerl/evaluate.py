@@ -12,13 +12,11 @@ import numpy as np
 
 from .env import TriageAction, TriageEnv
 from .errors import DigestMismatch
-from .features import MANIFEST, FeatureManifest, FeatureVector, normalize
+from .features import MANIFEST, FeatureManifest, FeatureVector
 from .metrics import EvalReport, PredictionRecord, compute_metrics
-from .policy import SelectMode, forward_cache, softmax
-from .trainer import PolicyCheckpoint, play_episode
+from .policy import SelectMode
+from .trainer import PolicyCheckpoint, feature_matrix, run_episodes
 from .warnings import Label, WarningRecord
-
-FUZZ_NOT_RUN_ONEHOT = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _check_digests(ckpt: PolicyCheckpoint, vectors: dict[str, FeatureVector], manifest):
@@ -33,10 +31,6 @@ def _check_digests(ckpt: PolicyCheckpoint, vectors: dict[str, FeatureVector], ma
             )
 
 
-def _normalized_episodes(ckpt, records, vectors, manifest):
-    return [(r, normalize(vectors[r.id], ckpt.normalizer, manifest).values) for r in records]
-
-
 def evaluate_checkpoint(
     ckpt: PolicyCheckpoint,
     records: list[WarningRecord],
@@ -46,48 +40,17 @@ def evaluate_checkpoint(
     mask_fuzz: bool = False,
     rng=None,
     manifest: FeatureManifest = MANIFEST,
+    jobs: int = 1,
 ) -> tuple[EvalReport, list[PredictionRecord]]:
     """Play every warning (greedy by default) and report metrics plus verdicts."""
     _check_digests(ckpt, vectors, manifest)
-    episodes = _normalized_episodes(ckpt, records, vectors, manifest)
+    feats = feature_matrix(records, vectors, ckpt.normalizer, manifest)
     env = TriageEnv(feature_dim=len(manifest), reward_spec=ckpt.reward_spec)
-    predictions = [
-        play_episode(ckpt.params, env, rec, feats, backend, mask_fuzz, mode, rng)
-        for rec, feats in episodes
-    ]
+    _, predictions = run_episodes(
+        ckpt.params, env, feats, records, backend, mode, mask_fuzz, rng, jobs
+    )
     labels = {r.id: r.label for r in records}
     return compute_metrics(predictions, labels), predictions
-
-
-def masked_batch_predictions(
-    params, features_matrix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized fuzz-masked greedy decisions for many warnings at once.
-
-    Returns (predicted_tp bool array, tp-probability scores). Equivalent to
-    running mask-fuzz greedy episodes one at a time.
-    """
-    n = features_matrix.shape[0]
-    states = np.hstack([features_matrix, np.tile(FUZZ_NOT_RUN_ONEHOT, (n, 1))])
-    probs = softmax(forward_cache(params, states)["logits"])
-    p_tp = probs[:, TriageAction.CLASSIFY_TP]
-    p_fp = probs[:, TriageAction.CLASSIFY_FP]
-    scores = p_tp / (p_tp + p_fp)
-    # Greedy tie-break matches the fixed action order: TP wins ties.
-    predicted_tp = p_tp >= p_fp
-    return predicted_tp, scores
-
-
-def _masked_f1(params, features_matrix: np.ndarray, positives: np.ndarray) -> float:
-    predicted_tp, _ = masked_batch_predictions(params, features_matrix)
-    tp = int(np.sum(predicted_tp & positives))
-    fp = int(np.sum(predicted_tp & ~positives))
-    fn = int(np.sum(~predicted_tp & positives))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
 
 
 def permutation_importance(
@@ -107,20 +70,30 @@ def permutation_importance(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     _check_digests(ckpt, vectors, manifest)
-    episodes = _normalized_episodes(ckpt, records, vectors, manifest)
-    matrix = np.stack([feats for _, feats in episodes])
-    positives = np.array([r.label is Label.TRUE_POSITIVE for r, _ in episodes], dtype=bool)
+    matrix = feature_matrix(records, vectors, ckpt.normalizer, manifest)
+    env = TriageEnv(feature_dim=len(manifest), reward_spec=ckpt.reward_spec)
+    positives = np.array([r.label is Label.TRUE_POSITIVE for r in records], dtype=bool)
 
-    baseline = _masked_f1(ckpt.params, matrix, positives)
+    def masked_f1(feats: np.ndarray) -> float:
+        # Fuzzing is masked: one decision per warning, and the backend is never called.
+        batch, _ = run_episodes(ckpt.params, env, feats, records, None, mask_fuzz=True)
+        predicted = batch.actions == TriageAction.CLASSIFY_TP
+        tp = int(np.sum(predicted & positives))
+        if tp == 0:
+            return 0.0
+        precision, recall = tp / int(predicted.sum()), tp / int(positives.sum())
+        return 2 * precision * recall / (precision + recall)
+
+    baseline = masked_f1(matrix)
     rng = np.random.default_rng(seed)
     results = []
     for j, entry in enumerate(manifest.entries):
         drops = []
         for _ in range(repeats):
-            perm = rng.permutation(len(episodes))
+            perm = rng.permutation(len(records))
             shuffled = matrix.copy()
             shuffled[:, j] = matrix[perm, j]
-            drops.append(baseline - _masked_f1(ckpt.params, shuffled, positives))
+            drops.append(baseline - masked_f1(shuffled))
         results.append({"feature": entry.name, "mean_drop": float(np.mean(drops))})
     results.sort(key=lambda r: -r["mean_drop"])
     return results

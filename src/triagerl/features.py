@@ -615,17 +615,22 @@ def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def read_feature_sidecar(data: bytes) -> dict[str, FeatureVector]:
+def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[str, FeatureVector]:
+    """Parse a sidecar; a malformed line raises FeatureValidationError naming `source`."""
     vectors: dict[str, FeatureVector] = {}
-    for line in data.decode("utf-8").split("\n"):
+    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        vectors[obj["warning_id"]] = FeatureVector(
-            obj["warning_id"],
-            np.array(obj["values"], dtype=np.float64),
-            obj["manifest_digest"],
-        )
+        try:
+            obj = json.loads(line)
+            vector = FeatureVector(
+                obj["warning_id"],
+                np.array(obj["values"], dtype=np.float64),
+                obj["manifest_digest"],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FeatureValidationError(f"{source} line {n}: {type(exc).__name__}: {exc}") from exc
+        vectors[vector.warning_id] = vector
     return vectors
 
 

@@ -12,10 +12,11 @@ import hashlib
 import os
 import re
 import shlex
+import signal
 import subprocess
 import tempfile
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -170,12 +171,12 @@ class SimulatedBackend:
 
     Draws Crash with the label-conditioned crash probability, otherwise
     Inconclusive with p_inconclusive, otherwise Clean. Each warning id sees
-    the same outcome for a given config and seed. Budget is ignored.
+    the same outcome for a given config and seed.
     """
 
     config: SimOracleConfig = field(default_factory=SimOracleConfig)
 
-    def run(self, warning: WarningRecord, true_label: Label | None, budget: float) -> FuzzOutcome:
+    def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         if true_label is None:
             return FuzzOutcome(
                 FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
@@ -204,9 +205,9 @@ class RecordedBackend:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "RecordedBackend":
-        return cls(read_recorded_outcomes(Path(path).read_bytes()))
+        return cls(read_recorded_outcomes(Path(path).read_bytes(), source=str(path)))
 
-    def run(self, warning: WarningRecord, true_label: Label | None, budget: float) -> FuzzOutcome:
+    def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         if warning.id not in self.outcomes:
             raise MissingRecording(f"no recorded outcome for warning {warning.id}")
         return self.outcomes[warning.id]
@@ -216,11 +217,12 @@ class RecordedBackend:
 class ExternalBackend:
     """Adapter for a real fuzzing command.
 
-    Invoked as `<cmd> <harness-path> --budget <seconds>`. The budget is
-    clamped to [30, 60] seconds and the process is terminated at budget+5 s
-    (outcome Inconclusive, detail "timeout"). The TRIAGE_FUZZ_CMD environment
-    variable overrides the configured command. Marker regexes map output to
-    outcome kinds; any setup failure is InfrastructureFailure, never raised.
+    Invoked as `<cmd> <harness-path> --budget <seconds>` in a new session.
+    The budget is clamped to [30, 60] seconds; at budget+5 s the command's
+    whole process group is killed (outcome Inconclusive, detail "timeout").
+    The TRIAGE_FUZZ_CMD environment variable overrides the configured
+    command. Marker regexes map output to outcome kinds; any setup failure
+    is InfrastructureFailure, never raised.
     """
 
     command: str
@@ -228,18 +230,14 @@ class ExternalBackend:
     sanitizer_marker: str = r"ERROR: (Address|Memory|Thread)Sanitizer|SUMMARY: \w+Sanitizer"
     crash_marker: str = r"panicked at|SIG(SEGV|ABRT|ILL)|libfuzzer: deadly signal|== ERROR"
     build_failure_marker: str = r"error\[E\d+\]|could not compile|build failed"
+    budget: float = 45.0
     budget_bounds: tuple[float, float] = (30.0, 60.0)
-    pool_size: int = 4
     workdir: Path | None = None
-    _gate: threading.Semaphore = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._gate = threading.Semaphore(self.pool_size)
-
-    def run(self, warning: WarningRecord, true_label: Label | None, budget: float) -> FuzzOutcome:
+    def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         start = time.monotonic()
         lo, hi = self.budget_bounds
-        budget = min(max(budget, lo), hi)
+        budget = min(max(self.budget, lo), hi)
         try:
             harness = generate_harness(warning, self.templates)
         except (UnknownPattern, UnresolvableTarget) as exc:
@@ -252,22 +250,24 @@ class ExternalBackend:
             workdir.mkdir(parents=True, exist_ok=True)
             harness_path.write_text(harness, encoding="utf-8")
             argv = shlex.split(command) + [str(harness_path), "--budget", str(int(budget))]
-            with self._gate:
-                proc = subprocess.run(
-                    argv,
-                    capture_output=True,
-                    text=True,
-                    timeout=budget + BUDGET_GRACE_SECONDS,
-                )
-        except subprocess.TimeoutExpired:
-            return FuzzOutcome(FuzzKind.INCONCLUSIVE, time.monotonic() - start, "timeout")
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True,
+            )
         except OSError as exc:
             return FuzzOutcome(
                 FuzzKind.INFRASTRUCTURE_FAILURE, time.monotonic() - start, f"spawn failed: {exc}"
             )
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=budget + BUDGET_GRACE_SECONDS)
+            except subprocess.TimeoutExpired:
+                # The session's group holds every child the command started.
+                os.killpg(proc.pid, signal.SIGKILL)
+                return FuzzOutcome(FuzzKind.INCONCLUSIVE, time.monotonic() - start, "timeout")
 
         elapsed = time.monotonic() - start
-        output = proc.stdout + "\n" + proc.stderr
+        output = stdout + "\n" + stderr
         if re.search(self.build_failure_marker, output):
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, elapsed, "build failure")
         if re.search(self.sanitizer_marker, output):
@@ -283,13 +283,23 @@ Backend = SimulatedBackend | RecordedBackend | ExternalBackend
 
 
 def run_fuzz(
-    backend: Backend,
-    warning: WarningRecord,
-    true_label: Label | None = None,
-    budget: float = 45.0,
+    backend: Backend, warning: WarningRecord, true_label: Label | None = None
 ) -> FuzzOutcome:
     """Run one dynamic validation through the given backend."""
-    return backend.run(warning, true_label, budget)
+    return backend.run(warning, true_label)
+
+
+def run_many(call, items: list, jobs: int) -> list:
+    """`call` on every item, results in input order, at most `jobs` in flight.
+
+    The one place that starts worker threads: jobs <= 1 runs the calls
+    inline and builds no pool. Threads pay off only for backends that wait
+    on a subprocess; the first exception a call raises propagates.
+    """
+    if jobs <= 1:
+        return [call(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(call, items))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +314,19 @@ def write_recorded_outcomes(outcomes: dict[str, FuzzOutcome]) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def read_recorded_outcomes(data: bytes) -> dict[str, FuzzOutcome]:
+def read_recorded_outcomes(data: bytes, source: str = "recorded outcomes") -> dict[str, FuzzOutcome]:
+    """Parse an outcomes file; a malformed line raises MissingRecording naming `source`."""
     outcomes: dict[str, FuzzOutcome] = {}
     for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t", 3)
         if len(parts) < 3:
-            raise MissingRecording(f"recorded outcomes line {n}: expected id<TAB>kind<TAB>elapsed")
-        wid, kind, elapsed = parts[0], parts[1], float(parts[2])
-        detail = parts[3] if len(parts) > 3 else ""
-        outcomes[wid] = FuzzOutcome(FuzzKind(kind), elapsed, detail)
+            raise MissingRecording(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
+        try:
+            detail = parts[3] if len(parts) > 3 else ""
+            outcome = FuzzOutcome(FuzzKind(parts[1]), float(parts[2]), detail)
+        except ValueError as exc:
+            raise MissingRecording(f"{source} line {n}: {exc}") from exc
+        outcomes[parts[0]] = outcome
     return outcomes

@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDistribution, DimensionMismatch
-from .env import ACTION_COUNT, TriageAction
+from .errors import DimensionMismatch
+from .env import ACTION_COUNT
 
 HIDDEN_SIZES = (256, 128)
 DEFAULT_DROPOUT = 0.2
@@ -82,20 +82,6 @@ def init_params(
     )
 
 
-@dataclass
-class ActionDistribution:
-    probs: np.ndarray
-    value: float
-
-
-@dataclass
-class ConfidenceSignals:
-    """Decision-confidence readouts computed from one action distribution."""
-
-    top2_gap: float
-    entropy: float
-
-
 class SelectMode(Enum):
     SAMPLE = "sample"
     GREEDY = "greedy"
@@ -107,17 +93,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def entropy_of(probs: np.ndarray) -> float:
-    p = probs[probs > 0]
-    return float(-(p * np.log(p)).sum())
-
-
 def draw_dropout_masks(
-    rng: np.random.Generator, sizes: tuple[int, int], rate: float, n: int | None = None
+    rng: np.random.Generator, sizes: tuple[int, int], rate: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted-dropout masks: keep with prob 1-rate, scaled by 1/(1-rate)."""
-    shape1 = (sizes[0],) if n is None else (n, sizes[0])
-    shape2 = (sizes[1],) if n is None else (n, sizes[1])
+    """Inverted-dropout masks for n rows: keep with prob 1-rate, scaled by 1/(1-rate)."""
+    shape1, shape2 = (n, sizes[0]), (n, sizes[1])
     if rate == 0.0:
         return np.ones(shape1), np.ones(shape2)
     keep = 1.0 - rate
@@ -149,70 +129,6 @@ def forward_cache(
         "states": states, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
         "logits": logits, "probs": probs, "values": values, "masks": masks,
     }
-
-
-def policy_forward(
-    params: PolicyParams,
-    state: np.ndarray,
-    training_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> ActionDistribution:
-    """Single-state forward pass; dropout only in training mode.
-
-    Evaluation mode is a pure function of (params, state).
-    """
-    masks = None
-    if training_mode and params.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training_mode forward needs an rng for dropout")
-        masks = draw_dropout_masks(rng, params.hidden_sizes, params.dropout_rate)
-    cache = forward_cache(params, np.asarray(state, dtype=np.float64), masks)
-    return ActionDistribution(probs=cache["probs"][0], value=float(cache["values"][0]))
-
-
-def confidence_signals(probs: np.ndarray) -> ConfidenceSignals:
-    ordered = np.sort(probs)[::-1]
-    return ConfidenceSignals(
-        top2_gap=float(ordered[0] - ordered[1]), entropy=entropy_of(probs)
-    )
-
-
-def select_action(
-    dist: ActionDistribution,
-    mode: SelectMode = SelectMode.GREEDY,
-    mask_fuzz: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[TriageAction, ConfidenceSignals]:
-    """Pick an action and report confidence on the post-mask distribution.
-
-    Greedy ties resolve by fixed action order (TP, FP, Fuzz). Masking zeroes
-    the fuzz probability and renormalizes the rest.
-    """
-    probs = np.array(dist.probs, dtype=np.float64)
-    if mask_fuzz:
-        probs[TriageAction.FUZZ] = 0.0
-        total = probs.sum()
-        if total <= 0.0:
-            raise DegenerateDistribution("all probability mass was on the masked action")
-        probs = probs / total
-    signals = confidence_signals(probs)
-    if mode is SelectMode.GREEDY:
-        action = TriageAction(int(np.argmax(probs)))
-    else:
-        if rng is None:
-            raise ValueError("sampling needs an rng")
-        action = TriageAction(int(rng.choice(ACTION_COUNT, p=probs)))
-    return action, signals
-
-
-def classify_probability(dist: ActionDistribution) -> float:
-    """P(true positive) among the two classification actions."""
-    p_tp = float(dist.probs[TriageAction.CLASSIFY_TP])
-    p_fp = float(dist.probs[TriageAction.CLASSIFY_FP])
-    total = p_tp + p_fp
-    if total <= 0.0:
-        raise DegenerateDistribution("no probability mass on classification actions")
-    return p_tp / total
 
 
 def flatten_params(params: PolicyParams) -> np.ndarray:

@@ -1,44 +1,45 @@
-"""PPO training over labeled warnings, with checkpointing.
+"""The episode engine, PPO training over labeled warnings, and checkpointing.
 
-Rollouts run one episode per training warning; advantages are Monte-Carlo
-returns minus the value baseline (episodes are at most two steps, so no
-bootstrapping). Updates maximize the clipped surrogate with a value-loss
-penalty and an entropy bonus; gradients are hand-derived backpropagation
-through the two-layer network, optimized by an in-tree Adam.
+`run_episodes` plays one episode per warning for rollouts, validation,
+evaluation, importance and triage. Advantages are Monte-Carlo returns minus
+the value baseline (episodes are at most two steps, so no bootstrapping).
+Updates maximize the clipped surrogate with a value-loss penalty and an
+entropy bonus; gradients are hand-derived backpropagation through the
+two-layer network, optimized by an in-tree Adam.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
-from .env import ACTION_COUNT, RewardSpec, Terminal, TriageAction, TriageEnv
+from .env import ACTION_COUNT, RewardSpec, TriageAction, TriageEnv, fuzz_step, reward_of
 from .errors import (
+    DegenerateDistribution,
     DigestMismatch,
     EmptySplit,
     FeatureValidationError,
+    LengthMismatch,
     NonFiniteLoss,
     UnlabeledRecordError,
 )
 from .features import FeatureManifest, FeatureVector, MANIFEST, NormalizerStats, fit_normalizer, normalize
-from .fuzz import FuzzKind
+from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import PredictionRecord, compute_metrics
 from .policy import (
     PolicyParams,
     SelectMode,
-    classify_probability,
     draw_dropout_masks,
     flatten_params,
     forward_cache,
     init_params,
-    policy_forward,
-    select_action,
     softmax,
     unflatten_params,
 )
-from .warnings import Dataset, Split, WarningRecord
+from .warnings import Dataset, Label, Split, WarningRecord
 
 CHECKPOINT_FORMAT_VERSION = 1
 _MASK_PENALTY = -1e9
@@ -72,15 +73,18 @@ class TrainConfig:
 
 @dataclass
 class TrajectoryBatch:
+    """Decisions played by `run_episodes`, one row each, interleaved in
+    episode order: episode i's first decision, then its second if it fuzzed,
+    then episode i+1."""
+
     states: np.ndarray        # (n, state_dim)
     actions: np.ndarray       # (n,) int
-    behavior_logp: np.ndarray  # (n,)
+    behavior_logp: np.ndarray  # (n,) log-probability of the action taken
     rewards: np.ndarray       # (n,)
     values: np.ndarray        # (n,)
     episode_ids: np.ndarray   # (n,) int
-    terminal: np.ndarray      # (n,) bool
     returns: np.ndarray       # (n,)
-    advantages: np.ndarray    # (n,) normalized
+    advantages: np.ndarray    # (n,) returns - values; collect_rollouts normalizes them
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -90,91 +94,142 @@ class TrajectoryBatch:
                                  TrajectoryBatch.__dataclass_fields__.values()])  # type: ignore[arg-type]
 
 
-def discounted_returns(rewards: list[float], gamma: float) -> list[float]:
-    """G_t = sum_{k>=t} gamma^(k-t) r_k within one episode."""
-    out = [0.0] * len(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
+def _mask_fuzz(probs: np.ndarray) -> np.ndarray:
+    """Rows with the fuzz probability zeroed and the rest renormalized."""
+    probs = probs.copy()
+    probs[:, TriageAction.FUZZ] = 0.0
+    total = probs.sum(axis=1, keepdims=True)
+    if (total <= 0.0).any():
+        raise DegenerateDistribution("all probability mass was on the masked action")
+    return probs / total
 
 
-def clipped_surrogate(rho: np.ndarray, adv: np.ndarray, eps: float) -> np.ndarray:
-    """min(rho*A, clip(rho, 1-eps, 1+eps)*A), elementwise."""
-    return np.minimum(rho * adv, np.clip(rho, 1.0 - eps, 1.0 + eps) * adv)
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Row cumulative probabilities as Generator.choice builds them: u picks count(cdf <= u)."""
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+def run_episodes(
+    params: PolicyParams,
+    env: TriageEnv,
+    feats: np.ndarray,
+    records: list[WarningRecord],
+    backend,
+    mode: SelectMode = SelectMode.GREEDY,
+    mask_fuzz: bool = False,
+    rng: np.random.Generator | None = None,
+    jobs: int = 1,
+    gamma: float = 1.0,
+) -> tuple[TrajectoryBatch, list[PredictionRecord]]:
+    """Play one episode per warning, all of them side by side.
+
+    `feats` holds the normalized feature rows of `records`. One forward pass
+    covers every first decision; only the warnings that chose to fuzz reach
+    the backend (at most `jobs` calls at a time), and one more pass covers
+    their second decision with fuzzing masked. Greedy ties resolve by the
+    fixed action order (TP, FP, Fuzz). SAMPLE draws one rng.random() per
+    decision in episode order, the stream that playing the episodes one
+    after another would consume. A fuzzing episode's first step returns
+    r1 + gamma*r2. Each verdict's score is P(TP) among the two classify
+    actions at the episode's final decision state.
+    """
+    n, fd = len(records), env.feature_dim
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.shape != (n, fd):
+        raise LengthMismatch(f"features have shape {feats.shape}, expected {(n, fd)}")
+    first = np.zeros((n, env.state_dim))
+    first[:, :fd] = feats
+    first[:, fd] = 1.0  # the NotRun slot
+    cache1 = forward_cache(params, first)
+    probs1 = _mask_fuzz(cache1["probs"]) if mask_fuzz else cache1["probs"]
+    second_draws = []
+    if mode is SelectMode.GREEDY:
+        act1 = probs1.argmax(axis=1)
+    else:
+        act1 = np.empty(n, dtype=np.int64)
+        for i, (c_tp, c_fp, c_fuzz) in enumerate(_cdf(probs1).tolist()):
+            u = rng.random()
+            act1[i] = (u >= c_tp) + (u >= c_fp) + (u >= c_fuzz)
+            if act1[i] == TriageAction.FUZZ:
+                second_draws.append(rng.random())
+
+    fuzzed = act1 == TriageAction.FUZZ
+    idx = np.flatnonzero(fuzzed)
+    outcomes = run_many(partial(fuzz_step, backend), [records[i] for i in idx], jobs)
+    kinds = np.full(n, None)  # each episode's fuzz outcome kind, None if it did not fuzz
+    kinds[idx] = [o.kind for o in outcomes]
+    second = first[idx]
+    second[:, fd:] = np.eye(len(FUZZ_SLOTS))[[FUZZ_SLOTS.index(k) for k in kinds[idx]]]
+    cache2 = forward_cache(params, second)
+    probs2 = _mask_fuzz(cache2["probs"])
+    if mode is SelectMode.GREEDY:
+        act2 = probs2.argmax(axis=1)
+    else:
+        act2 = (np.array(second_draws)[:, None] >= _cdf(probs2)).sum(axis=1)
+
+    final = act1.copy()
+    final[idx] = act2
+    decision = cache1["probs"].copy()
+    decision[idx] = cache2["probs"]
+    p_tp, p_fp = decision[:, TriageAction.CLASSIFY_TP], decision[:, TriageAction.CLASSIFY_FP]
+    predictions = [
+        PredictionRecord(r.id, Label.TRUE_POSITIVE if a == TriageAction.CLASSIFY_TP
+                         else Label.FALSE_POSITIVE, score, k is not None, k)
+        for r, a, score, k in zip(records, final.tolist(), (p_tp / (p_tp + p_fp)).tolist(), kinds)
+    ]
+    # Memoized: at most 2 x 3 x 6 distinct (action, label, outcome) triples occur.
+    reward = cache(lambda a, label, kind: reward_of(TriageAction(a), label, kind, env.reward_spec))
+    terminal = np.array([reward(a, r.label, k) for a, r, k in zip(final.tolist(), records, kinds)])
+    reward1 = np.where(fuzzed, env.reward_spec.fuzz_cost, terminal)
+    reward2 = terminal[idx]
+    return1 = reward1 + gamma * np.where(fuzzed, terminal, 0.0)
+
+    # Episode order: episode i's first decision sorts at i, its second at i + 0.5.
+    order = np.argsort(np.concatenate([np.arange(n), idx + 0.5]), kind="stable")
+
+    def interleave(first_rows: np.ndarray, second_rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([first_rows, second_rows])[order]
+
+    values = interleave(cache1["values"], cache2["values"])
+    returns = interleave(return1, reward2)
+    return TrajectoryBatch(
+        states=interleave(first, second),
+        actions=interleave(act1, act2),
+        behavior_logp=interleave(np.log(probs1[np.arange(n), act1]),
+                                 np.log(probs2[np.arange(len(idx)), act2])),
+        rewards=interleave(reward1, reward2),
+        values=values,
+        episode_ids=interleave(np.arange(n), idx),
+        returns=returns,
+        advantages=returns - values,
+    ), predictions
 
 
 def collect_rollouts(
     params: PolicyParams,
-    episodes: list[tuple[WarningRecord, np.ndarray]],
+    records: list[WarningRecord],
+    feats: np.ndarray,
     env: TriageEnv,
     backend,
-    batch_size: int | None,
     rng: np.random.Generator,
     gamma: float = 1.0,
 ) -> TrajectoryBatch:
-    """One sampled episode per warning; actions drawn from the current policy.
+    """One sampled episode per warning, played in an order shuffled by rng,
+    with advantages normalized over the batch.
 
-    batch_size None walks the whole set once in shuffled order; an explicit
-    size samples warnings with replacement. Backend trouble never escapes an
-    episode; it shows up as outcome encodings.
+    Backend trouble never escapes an episode; it shows up as outcome
+    encodings.
     """
-    n = len(episodes)
-    if n == 0:
+    if not records:
         raise EmptySplit("no episodes to collect")
-    if batch_size is None:
-        indices = rng.permutation(n)
-    else:
-        indices = rng.choice(n, size=batch_size, replace=True)
-
-    states, actions, logps, rewards, values, episode_ids, terminal = [], [], [], [], [], [], []
-    for episode_id, idx in enumerate(indices):
-        record, feats = episodes[int(idx)]
-        state = env.reset(feats)
-        for _ in range(2):  # fuzz at most once, then classification is mandatory
-            vec = state.vector()
-            dist = policy_forward(params, vec)
-            masked = state.fuzz is not FuzzKind.NOT_RUN
-            action, _ = select_action(dist, SelectMode.SAMPLE, mask_fuzz=masked, rng=rng)
-            if masked:
-                two_way = np.array([dist.probs[0], dist.probs[1], 0.0])
-                prob = two_way[action] / two_way.sum()
-            else:
-                prob = dist.probs[action]
-            nxt, reward = env.step(state, action, record.label, backend, record)
-            states.append(vec)
-            actions.append(int(action))
-            logps.append(float(np.log(prob)))
-            rewards.append(reward)
-            values.append(dist.value)
-            episode_ids.append(episode_id)
-            terminal.append(isinstance(nxt, Terminal))
-            if isinstance(nxt, Terminal):
-                break
-            state = nxt
-
-    rewards = np.array(rewards, dtype=np.float64)
-    episode_ids = np.array(episode_ids, dtype=np.int64)
-    returns = np.zeros_like(rewards)
-    for eid in np.unique(episode_ids):
-        mask = episode_ids == eid
-        returns[mask] = discounted_returns(list(rewards[mask]), gamma)
-    values = np.array(values, dtype=np.float64)
-    raw_adv = returns - values
-    advantages = (raw_adv - raw_adv.mean()) / (raw_adv.std() + 1e-8)
-
-    return TrajectoryBatch(
-        states=np.array(states, dtype=np.float64),
-        actions=np.array(actions, dtype=np.int64),
-        behavior_logp=np.array(logps, dtype=np.float64),
-        rewards=rewards,
-        values=values,
-        episode_ids=episode_ids,
-        terminal=np.array(terminal, dtype=bool),
-        returns=returns,
-        advantages=advantages,
-    )
+    order = rng.permutation(len(records))
+    batch, _ = run_episodes(params, env, feats[order], [records[i] for i in order], backend,
+                            SelectMode.SAMPLE, rng=rng, gamma=gamma)
+    adv = batch.advantages
+    batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
+    return batch
 
 
 def _fuzz_mask_penalty(states: np.ndarray, feature_dim: int) -> np.ndarray:
@@ -342,61 +397,19 @@ class PolicyCheckpoint:
     history: list[dict] = field(default_factory=list)
 
 
-def play_episode(
-    params,
-    env,
-    record,
-    feats,
-    backend,
-    mask_fuzz=False,
-    mode: SelectMode = SelectMode.GREEDY,
-    rng=None,
-) -> PredictionRecord:
-    """One evaluation episode; the score is P(TP) among the two classify
-    actions at the terminal decision state."""
-    state = env.reset(feats)
-    fuzz_used = False
-    fuzz_kind = None
-    for _ in range(2):
-        masked = mask_fuzz or state.fuzz is not FuzzKind.NOT_RUN
-        dist = policy_forward(params, state.vector())
-        action, _ = select_action(dist, mode, mask_fuzz=masked, rng=rng)
-        nxt, _ = env.step(state, action, record.label, backend, record)
-        if isinstance(nxt, Terminal):
-            return PredictionRecord(
-                warning_id=record.id,
-                predicted=nxt.prediction,
-                score=classify_probability(dist),
-                fuzz_used=fuzz_used,
-                fuzz_kind=fuzz_kind,
-            )
-        fuzz_used = True
-        fuzz_kind = nxt.fuzz
-        state = nxt
-    raise AssertionError("episode did not terminate in two steps")
-
-
-def greedy_predictions(
-    params, env, episodes, backend, mask_fuzz=False
-) -> list[PredictionRecord]:
-    return [
-        play_episode(params, env, rec, feats, backend, mask_fuzz)
-        for rec, feats in episodes
-    ]
-
-
-def _prepare_episodes(
+def feature_matrix(
     records: list[WarningRecord],
     vectors: dict[str, FeatureVector],
     stats: NormalizerStats,
-    manifest: FeatureManifest,
-) -> list[tuple[WarningRecord, np.ndarray]]:
-    episodes = []
+    manifest: FeatureManifest = MANIFEST,
+) -> np.ndarray:
+    """Normalized feature rows of `records`, in order: shape (len(records), len(manifest))."""
+    rows = []
     for r in records:
         if r.id not in vectors:
             raise FeatureValidationError(f"no feature vector for warning {r.id}")
-        episodes.append((r, normalize(vectors[r.id], stats, manifest).values))
-    return episodes
+        rows.append(normalize(vectors[r.id], stats, manifest).values)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(manifest))
 
 
 def train(
@@ -427,8 +440,8 @@ def train(
         raise UnlabeledRecordError(f"unlabeled records in splits: {', '.join(unlabeled)}")
 
     stats = fit_normalizer([vectors[r.id] for r in train_records if r.id in vectors], manifest)
-    train_eps = _prepare_episodes(train_records, vectors, stats, manifest)
-    val_eps = _prepare_episodes(val_records, vectors, stats, manifest)
+    train_feats = feature_matrix(train_records, vectors, stats, manifest)
+    val_feats = feature_matrix(val_records, vectors, stats, manifest)
     val_labels = {r.id: r.label for r in val_records}
 
     env = TriageEnv(feature_dim=len(manifest), reward_spec=reward_spec)
@@ -442,19 +455,17 @@ def train(
     stale = 0
     history: list[dict] = []
     for epoch in range(1, config.epochs_max + 1):
-        batch = collect_rollouts(params, train_eps, env, backend, None, rng_rollout, config.gamma)
+        batch = collect_rollouts(
+            params, train_records, train_feats, env, backend, rng_rollout, config.gamma
+        )
         params, _ = ppo_update(params, batch, config, rng_update, len(manifest), optimizer)
 
-        episode_returns = [
-            float(batch.rewards[batch.episode_ids == eid].sum())
-            for eid in np.unique(batch.episode_ids)
-        ]
-        preds = greedy_predictions(params, env, val_eps, backend)
+        _, preds = run_episodes(params, env, val_feats, val_records, backend)
         report = compute_metrics(preds, val_labels)
         val_f1 = report.f1 if report.f1 is not None else 0.0
         entry = {
             "epoch": epoch,
-            "mean_return": float(np.mean(episode_returns)),
+            "mean_return": float(np.bincount(batch.episode_ids, weights=batch.rewards).mean()),
             "val_accuracy": report.accuracy,
             "val_f1": val_f1,
             "fuzz_rate": report.fuzz_invocation_rate,

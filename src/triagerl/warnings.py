@@ -95,7 +95,6 @@ class WarningRecord:
     end_col: int
     code_snippet: str
     label: Label | None = None
-    cluster_id: int | None = None
 
     def with_label(self, label: Label | None) -> "WarningRecord":
         return replace(self, label=label)

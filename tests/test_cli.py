@@ -2,12 +2,30 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from triagerl import fuzz as fuzz_mod
 from triagerl.cli import build_run_config, config_digest, parse_config_file, run_cli
+from triagerl.env import RewardSpec
 from triagerl.errors import SchemaError
+from triagerl.features import MANIFEST, NormalizerStats
+from triagerl.policy import init_params
+from triagerl.trainer import PolicyCheckpoint, TrainConfig, save_checkpoint
 
 from conftest import run_demo_pipeline, sha256, write_demo_inputs
+from test_fuzz import fake_cmd
+
+# Stand-in fuzzer: logs its arguments, then reports an outcome chosen by the
+# last hex digit of the harness file name (harness_<id>.rs).
+FAKE_FUZZER = """\
+echo "$@" >> {log}
+case "$1" in
+    *[0-5].rs) echo "thread 'main' panicked at src/lib.rs:3:5"; exit 101 ;;
+    *[6-9].rs) exit 0 ;;
+    *) exit 3 ;;
+esac
+"""
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +81,93 @@ class TestPipeline:
                      "trainlog", "reportfile", "verdicts", "recomputed",
                      "importance", "outcomes", "triage"):
             assert a[name].read_bytes() == b[name].read_bytes(), f"{name} differs"
+
+
+def always_fuzz_checkpoint(path):
+    """A checkpoint whose policy fuzzes every warning, then calls it a TP."""
+    params = init_params(len(MANIFEST) + 6, hidden=(8, 6), dropout_rate=0.0, seed=0)
+    for a in params.arrays():
+        a[:] = 0.0
+    params.b_pi[:] = [1.0, 0.0, 5.0]
+    normalizer = NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)),
+                                 fitted_on="train", manifest_digest=MANIFEST.digest)
+    path.write_bytes(save_checkpoint(PolicyCheckpoint(
+        params, normalizer, MANIFEST.digest, TrainConfig(), RewardSpec())))
+    return path
+
+
+class TestFuzzFanOut:
+    def triage(self, pipeline, tmp_path, name, **config):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        out = tmp_path / f"{name}.txt"
+        code = run_cli([
+            "triage", "--report", str(pipeline["report"]),
+            "--checkpoint", str(always_fuzz_checkpoint(tmp_path / "fuzz.ckpt")),
+            "--meta", str(pipeline["meta"]), "--out", str(out), "--config", str(cfg),
+        ])
+        assert code == 0
+        return out.read_bytes()
+
+    def external(self, tmp_path, log):
+        return {"backend": "external",
+                "external_command": fake_cmd(tmp_path, "fuzzer.sh", FAKE_FUZZER.format(log=log))}
+
+    def test_fuzz_budget_reaches_triage_fuzz_calls(self, pipeline, tmp_path):
+        log = tmp_path / "args.log"
+        self.triage(pipeline, tmp_path, "budget", fuzz_budget=33, **self.external(tmp_path, log))
+        calls = log.read_text().splitlines()
+        assert calls and all(line.endswith("--budget 33") for line in calls)
+
+    def test_verdicts_identical_for_one_and_four_jobs(self, pipeline, tmp_path):
+        backends = {
+            "recorded": {"backend": "recorded", "recorded_path": pipeline["outcomes"]},
+            "external": self.external(tmp_path, tmp_path / "args.log"),
+        }
+        for name, backend in backends.items():
+            one = self.triage(pipeline, tmp_path, f"{name}1", jobs=1, **backend)
+            four = self.triage(pipeline, tmp_path, f"{name}4", jobs=4, **backend)
+            assert one == four, name
+            kinds = {line.split("\t")[4] for line in one.decode().splitlines()}
+            assert len(kinds) >= 2 and "-" not in kinds, name
+
+    def test_one_job_builds_no_pool(self, pipeline, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(fuzz_mod, "ThreadPoolExecutor", no_pool)
+        self.triage(pipeline, tmp_path, "inline", jobs=1, **self.external(tmp_path, tmp_path / "a"))
+
+
+class TestMalformedInputs:
+    def test_bad_recorded_outcome_line_names_file_and_line(self, pipeline, tmp_path, capsys):
+        lines = pipeline["outcomes"].read_text().splitlines()
+        wid = lines[1].split("\t", 1)[0]
+        for bad_line in (f"{wid}\tcrash\tsoon\tx", f"{wid}\texploded\t1.0\tx"):
+            bad = tmp_path / "outcomes.txt"
+            bad.write_text("\n".join([lines[0], bad_line, *lines[2:]]) + "\n")
+            code = run_cli([
+                "triage", "--report", str(pipeline["report"]),
+                "--checkpoint", str(pipeline["checkpoint"]), "--backend", "recorded",
+                "--recorded", str(bad), "--out", str(tmp_path / "v.txt"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 3, err
+            assert f"{bad} line 2" in err
+
+    def test_truncated_feature_sidecar_line_names_file_and_line(self, pipeline, tmp_path, capsys):
+        lines = pipeline["features"].read_text().splitlines()
+        bad = tmp_path / "features.jsonl"
+        bad.write_text("\n".join([*lines[:2], lines[2][: len(lines[2]) // 2], *lines[3:]]) + "\n")
+        code = run_cli([
+            "evaluate", "--checkpoint", str(pipeline["checkpoint"]),
+            "--warnings", str(pipeline["warnings"]), "--labels", str(pipeline["labels"]),
+            "--splits", str(pipeline["splits"]), "--features", str(bad),
+            "--out", str(tmp_path / "r.txt"), "--config", str(pipeline["config"]),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert f"{bad} line 3" in err
 
 
 class TestExitCodes:

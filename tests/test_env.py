@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triagerl.env import (
-    RewardSpec,
-    Terminal,
-    TriageAction,
-    TriageEnv,
-    reward_of,
-)
+from triagerl.env import RewardSpec, TriageAction, TriageEnv, reward_of
 from triagerl.errors import IllegalAction, LengthMismatch
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
-from triagerl.trainer import discounted_returns
+from triagerl.policy import SelectMode, init_params
+from triagerl.trainer import collect_rollouts, run_episodes
 from triagerl.warnings import Label
 
 from test_warnings import make_record
@@ -63,10 +58,32 @@ class ForcedBackend:
         self.kind = kind
         self.raise_error = raise_error
 
-    def run(self, warning, true_label, budget):
+    def run(self, warning, true_label):
         if self.raise_error is not None:
             raise self.raise_error
         return FuzzOutcome(self.kind, 1.0, "forced")
+
+
+def biased_params(feature_dim, logits):
+    """A policy whose action logits are `logits` in every state."""
+    params = init_params(feature_dim + len(FUZZ_SLOTS), hidden=(3, 2), dropout_rate=0.0, seed=0)
+    for a in params.arrays():
+        a[:] = 0.0
+    params.b_pi[:] = logits
+    return params
+
+
+# Greedy first choices; after a fuzz the larger of the first two logits wins.
+THEN_TP, THEN_FP = [2.0, 1.0, 10.0], [1.0, 2.0, 10.0]
+FIRST = {A_TP: [2.0, 1.0, 0.0], A_FP: [1.0, 2.0, 0.0]}
+
+
+def play(feats, logits, labels, backend=None, **kw):
+    """One episode per label, on feature rows `feats`, under `biased_params`."""
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    env = TriageEnv(feature_dim=feats.shape[1])
+    records = [make_record(i, label=label) for i, label in enumerate(labels)]
+    return run_episodes(biased_params(feats.shape[1], logits), env, feats, records, backend, **kw)
 
 
 class TestRewardOf:
@@ -81,7 +98,7 @@ class TestRewardOf:
         # Terminal +25; whole-episode return at gamma=1 is -5 + 25 = +20.
         terminal = reward_of(A_TP, TP, FuzzKind.CRASH)
         assert terminal == 25.0
-        assert sum(discounted_returns([-5.0, terminal], 1.0)[:1]) == 20.0
+        assert reward_of(A_FUZZ, TP) + terminal == 20.0
 
     def test_full_hand_table(self):
         for (action, label, prior), expected in HAND_REWARD_TABLE.items():
@@ -111,86 +128,72 @@ class TestRewardOf:
 
 class TestEnv:
     def test_reset_appends_not_run_one_hot(self):
-        env = TriageEnv(feature_dim=4)
-        state = env.reset(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert state.vector().tolist() == [1.0, 2.0, 3.0, 4.0, 1, 0, 0, 0, 0, 0]
+        batch, _ = play([1.0, 2.0, 3.0, 4.0], FIRST[A_TP], [TP])
+        assert batch.states.tolist() == [[1.0, 2.0, 3.0, 4.0, 1, 0, 0, 0, 0, 0]]
 
     def test_state_length_arithmetic(self):
-        env = TriageEnv(feature_dim=87)
-        state = env.reset(np.zeros(87))
-        assert len(state.vector()) == 93
-        assert len(state) == 93
+        assert TriageEnv(feature_dim=87).state_dim == 93
+        batch, _ = play(np.zeros(87), THEN_TP, [TP], ForcedBackend())
+        assert batch.states.shape == (2, 93)
 
     def test_reset_is_pure(self):
-        env = TriageEnv(feature_dim=3)
-        v = np.array([0.5, -0.5, 2.0])
-        assert env.reset(v).vector().tolist() == env.reset(v).vector().tolist()
+        v = np.array([[0.5, -0.5, 2.0]])
+        a, _ = play(v, FIRST[A_FP], [FP])
+        b, _ = play(v, FIRST[A_FP], [FP])
+        assert a.states.tolist() == b.states.tolist()
+        assert v.tolist() == [[0.5, -0.5, 2.0]]
 
     def test_length_mismatch(self):
-        env = TriageEnv(feature_dim=3)
+        params = biased_params(3, FIRST[A_TP])
         with pytest.raises(LengthMismatch):
-            env.reset(np.zeros(4))
+            run_episodes(params, TriageEnv(feature_dim=3), np.zeros((1, 4)),
+                         [make_record(0, label=TP)], None)
 
     def test_fuzz_step_encodes_outcome_and_costs(self):
-        env = TriageEnv(feature_dim=2)
-        record = make_record(0, label=TP)
-        s0 = env.reset(np.zeros(2))
-        s1, reward = env.step(s0, A_FUZZ, TP, ForcedBackend(FuzzKind.CRASH), record)
-        assert reward == -5.0
-        assert s1.fuzz is FuzzKind.CRASH
-        assert s1.fuzz_encoding.tolist() == [0, 1, 0, 0, 0, 0]
+        batch, preds = play(np.zeros(2), THEN_TP, [TP], ForcedBackend(FuzzKind.CRASH))
+        assert batch.actions.tolist() == [A_FUZZ, A_TP]
+        assert batch.rewards.tolist() == [-5.0, 25.0]
+        assert batch.states[1, 2:].tolist() == [0, 1, 0, 0, 0, 0]
+        assert preds[0].fuzz_kind is FuzzKind.CRASH
 
     def test_classification_terminates(self):
-        env = TriageEnv(feature_dim=2)
-        record = make_record(0, label=FP)
-        s0 = env.reset(np.zeros(2))
-        terminal, reward = env.step(s0, A_FP, FP, None, record)
-        assert isinstance(terminal, Terminal)
-        assert terminal.prediction is FP
-        assert reward == 15.0
+        batch, preds = play(np.zeros(2), FIRST[A_FP], [FP])
+        assert batch.actions.tolist() == [A_FP]
+        assert preds[0].predicted is FP
+        assert not preds[0].fuzz_used
+        assert batch.rewards.tolist() == [15.0]
 
     def test_fuzz_twice_is_illegal(self):
-        env = TriageEnv(feature_dim=2)
-        record = make_record(0, label=TP)
-        s1, _ = env.step(env.reset(np.zeros(2)), A_FUZZ, TP, ForcedBackend(), record)
-        with pytest.raises(IllegalAction):
-            env.step(s1, A_FUZZ, TP, ForcedBackend(), record)
+        # The policy prefers fuzzing in every state; the second decision is
+        # masked, so each episode fuzzes once and then classifies.
+        for mode, rng in ((SelectMode.GREEDY, None), (SelectMode.SAMPLE, np.random.default_rng(0))):
+            batch, _ = play(np.zeros((5, 2)), [0.0, 0.0, 3.0], [TP] * 5, ForcedBackend(),
+                            mode=mode, rng=rng)
+            for eid in range(5):
+                actions = batch.actions[batch.episode_ids == eid].tolist()
+                assert actions.count(A_FUZZ) <= 1
+                assert actions[-1] != A_FUZZ
 
     def test_backend_errors_become_infrastructure_failure(self):
-        env = TriageEnv(feature_dim=2)
-        record = make_record(0, label=TP)
-        s1, reward = env.step(
-            env.reset(np.zeros(2)), A_FUZZ, TP,
-            ForcedBackend(raise_error=RuntimeError("toolchain missing")), record,
-        )
-        assert reward == -5.0
-        assert s1.fuzz is FuzzKind.INFRASTRUCTURE_FAILURE
+        batch, preds = play(np.zeros(2), THEN_TP, [TP],
+                  ForcedBackend(raise_error=RuntimeError("toolchain missing")))
+        assert batch.rewards[0] == -5.0
+        assert preds[0].fuzz_kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
     def test_exactly_one_fuzz_slot_always(self):
-        env = TriageEnv(feature_dim=2)
-        record = make_record(0, label=TP)
-        state = env.reset(np.zeros(2))
-        assert state.fuzz_encoding.sum() == 1.0
         for kind in (FuzzKind.CRASH, FuzzKind.CLEAN, FuzzKind.INCONCLUSIVE):
-            nxt, _ = env.step(state, A_FUZZ, TP, ForcedBackend(kind), record)
-            assert nxt.fuzz_encoding.sum() == 1.0
+            batch, _ = play(np.zeros((3, 2)), THEN_TP, [TP] * 3, ForcedBackend(kind))
+            assert batch.states[:, 2:].sum(axis=1).tolist() == [1.0] * 6
 
 
 class TestEpisodeReturns:
     def episode_return(self, label, first_action, outcome_kind, final_action):
-        env = TriageEnv(feature_dim=1)
-        record = make_record(0, label=label)
-        state = env.reset(np.zeros(1))
-        total = 0.0
         if first_action is A_FUZZ:
-            state, r = env.step(state, A_FUZZ, label, ForcedBackend(outcome_kind), record)
-            total += r
-            _, r = env.step(state, final_action, label, None, record)
-            total += r
+            logits = THEN_TP if final_action is A_TP else THEN_FP
         else:
-            _, r = env.step(state, first_action, label, None, record)
-            total += r
-        return total
+            logits = FIRST[first_action]
+        batch, _ = play(np.zeros(1), logits, [label], ForcedBackend(outcome_kind))
+        return float(batch.rewards.sum())
 
     def test_no_fuzz_returns(self):
         seen = {
@@ -210,15 +213,31 @@ class TestEpisodeReturns:
         assert seen == {-20.0, 10.0, 13.0, 18.0, 20.0}
 
     @given(
-        rewards=st.lists(st.floats(-30, 30, allow_nan=False), min_size=1, max_size=6),
+        fuzz_cost=st.floats(-30, 30, allow_nan=False),
+        correct=st.floats(-30, 30, allow_nan=False),
+        bonus=st.floats(-30, 30, allow_nan=False),
         gamma=st.floats(0.05, 1.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_discounted_sum_oracle(self, rewards, gamma):
-        got = discounted_returns(rewards, gamma)
-        for t in range(len(rewards)):
-            oracle = sum(gamma ** (k - t) * rewards[k] for k in range(t, len(rewards)))
-            assert got[t] == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+    def test_discounted_sum_oracle(self, fuzz_cost, correct, bonus, gamma):
+        # A fuzz-then-classify episode: its first return is r1 + gamma*r2.
+        spec = RewardSpec(correct=correct, fuzz_cost=fuzz_cost, bonus_crash_tp=bonus)
+        env = TriageEnv(feature_dim=1, reward_spec=spec)
+        batch = collect_rollouts(biased_params(1, [0.0, -50.0, 50.0]), [make_record(0, label=TP)],
+                                 np.zeros((1, 1)), env, ForcedBackend(), np.random.default_rng(0),
+                                 gamma)
+        rewards = [fuzz_cost, correct + bonus]
+        assert batch.rewards.tolist() == rewards
+        for t in range(2):
+            oracle = sum(gamma ** (k - t) * rewards[k] for k in range(t, 2))
+            assert batch.returns[t] == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_gamma_one_return_is_plain_sum(self):
-        assert discounted_returns([-5.0, 25.0], 1.0) == [20.0, 25.0]
+        batch = collect_rollouts(biased_params(1, [0.0, 0.0, 0.0]),
+                                 [make_record(i, label=TP) for i in range(40)], np.zeros((40, 1)),
+                                 TriageEnv(feature_dim=1), ForcedBackend(),
+                                 np.random.default_rng(1), 1.0)
+        starts = np.flatnonzero(np.diff(batch.episode_ids, prepend=-1))
+        sums = np.bincount(batch.episode_ids, weights=batch.rewards)
+        assert batch.returns[starts].tolist() == sums.tolist()
+        assert len(batch) > 40  # some episodes fuzzed

@@ -11,13 +11,12 @@ from triagerl.metrics import compute_metrics, read_verdicts, write_verdicts
 from triagerl.policy import init_params
 from triagerl.synthetic import SIGNAL_FEATURE, separable_task
 from triagerl.trainer import PolicyCheckpoint, TrainConfig, train
-from triagerl.evaluate import (
-    evaluate_checkpoint,
-    masked_batch_predictions,
-    permutation_importance,
-    write_importance,
-)
+from triagerl.evaluate import evaluate_checkpoint, permutation_importance, write_importance
+from triagerl.env import TriageEnv
+from triagerl.trainer import feature_matrix
 from triagerl.warnings import Label, Split
+
+import episode_oracle
 
 UNINFORMATIVE_ORACLE = SimOracleConfig(
     p_crash_given_tp=0.3, p_crash_given_fp=0.3, p_inconclusive=0.25, seed=3
@@ -120,16 +119,15 @@ class TestEvaluateCheckpoint:
     def test_batched_masked_path_matches_episode_path(self, trained_separable):
         dataset, vectors, ckpt = trained_separable
         records = dataset.split_records(Split.VAL)
-        _, episode_preds = evaluate_checkpoint(
-            ckpt, records, vectors, SimulatedBackend(UNINFORMATIVE_ORACLE), mask_fuzz=True
+        backend = SimulatedBackend(UNINFORMATIVE_ORACLE)
+        _, batched = evaluate_checkpoint(ckpt, records, vectors, backend, mask_fuzz=True)
+        oracle = episode_oracle.play_all(
+            ckpt.params, TriageEnv(len(MANIFEST), ckpt.reward_spec),
+            feature_matrix(records, vectors, ckpt.normalizer), records, backend, mask_fuzz=True,
         )
-        from triagerl.features import normalize
-
-        matrix = np.stack([normalize(vectors[r.id], ckpt.normalizer).values for r in records])
-        predicted_tp, scores = masked_batch_predictions(ckpt.params, matrix)
-        for i, p in enumerate(episode_preds):
-            assert (p.predicted is Label.TRUE_POSITIVE) == bool(predicted_tp[i])
-            assert p.score == pytest.approx(float(scores[i]), abs=1e-12)
+        for b, o in zip(batched, oracle, strict=True):
+            assert (b.warning_id, b.predicted, b.fuzz_used) == (o.warning_id, o.predicted, False)
+            assert b.score == pytest.approx(o.score, abs=1e-12)
 
 
 class TestPermutationImportance:

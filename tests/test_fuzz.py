@@ -1,12 +1,15 @@
 """Backends: simulated oracle statistics, recorded replay, external adapter."""
 
+import os
 import stat
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from triagerl import fuzz as fuzz_mod
 from triagerl.errors import MissingRecording, UnknownPattern, UnresolvableTarget
 from triagerl.fuzz import (
     ExternalBackend,
@@ -19,6 +22,7 @@ from triagerl.fuzz import (
     load_templates,
     read_recorded_outcomes,
     run_fuzz,
+    run_many,
     write_recorded_outcomes,
 )
 from triagerl.warnings import BugPattern, Label, Level, WarningRecord, warning_id
@@ -182,42 +186,42 @@ class TestExternalBackend:
 
     def test_exit_zero_is_clean(self, tmp_path):
         backend = self.make(tmp_path, "exit 0\n")
-        assert run_fuzz(backend, panic_warning(), TP, 45).kind is FuzzKind.CLEAN
+        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.CLEAN
 
     def test_sanitizer_marker(self, tmp_path):
         backend = self.make(tmp_path, 'echo "ERROR: AddressSanitizer heap-use-after-free"\nexit 1\n')
-        assert run_fuzz(backend, panic_warning(), TP, 45).kind is FuzzKind.SANITIZER_VIOLATION
+        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.SANITIZER_VIOLATION
 
     def test_crash_marker(self, tmp_path):
         backend = self.make(tmp_path, 'echo "thread panicked at lib.rs:4"\nexit 101\n')
-        assert run_fuzz(backend, panic_warning(), TP, 45).kind is FuzzKind.CRASH
+        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.CRASH
 
     def test_build_failure_marker(self, tmp_path):
         backend = self.make(tmp_path, 'echo "error[E0308] mismatched types"\nexit 1\n')
-        assert run_fuzz(backend, panic_warning(), TP, 45).kind is FuzzKind.INFRASTRUCTURE_FAILURE
+        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
     def test_unparsable_nonzero_is_inconclusive(self, tmp_path):
         backend = self.make(tmp_path, 'echo "nothing to see"\nexit 7\n')
-        outcome = run_fuzz(backend, panic_warning(), TP, 45)
+        outcome = run_fuzz(backend, panic_warning(), TP)
         assert outcome.kind is FuzzKind.INCONCLUSIVE
 
     def test_missing_command_is_infrastructure_failure(self, tmp_path):
         backend = ExternalBackend(str(tmp_path / "does-not-exist"), workdir=tmp_path / "w")
-        outcome = run_fuzz(backend, panic_warning(), TP, 45)
+        outcome = run_fuzz(backend, panic_warning(), TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
     def test_budget_clamped_to_default_range(self, tmp_path):
         log = tmp_path / "args.txt"
-        backend = self.make(tmp_path, f'echo "$@" > {log}\nexit 0\n')
-        run_fuzz(backend, panic_warning(), TP, budget=5)
+        script = f'echo "$@" > {log}\nexit 0\n'
+        run_fuzz(self.make(tmp_path, script, budget=5), panic_warning(), TP)
         assert "--budget 30" in log.read_text()
-        run_fuzz(backend, panic_warning(), TP, budget=500)
+        run_fuzz(self.make(tmp_path, script, budget=500), panic_warning(), TP)
         assert "--budget 60" in log.read_text()
 
     def test_timeout_kills_within_grace(self, tmp_path):
-        backend = self.make(tmp_path, "sleep 30\n", budget_bounds=(0.2, 0.4))
+        backend = self.make(tmp_path, "sleep 30\n", budget=0.3, budget_bounds=(0.2, 0.4))
         start = time.monotonic()
-        outcome = run_fuzz(backend, panic_warning(), TP, budget=0.3)
+        outcome = run_fuzz(backend, panic_warning(), TP)
         elapsed = time.monotonic() - start
         assert outcome.kind is FuzzKind.INCONCLUSIVE
         assert outcome.detail == "timeout"
@@ -228,12 +232,61 @@ class TestExternalBackend:
         override = fake_cmd(tmp_path, "override.sh", "exit 0\n")
         backend = ExternalBackend(default, workdir=tmp_path / "w")
         monkeypatch.setenv("TRIAGE_FUZZ_CMD", override)
-        assert run_fuzz(backend, panic_warning(), TP, 45).kind is FuzzKind.CLEAN
+        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.CLEAN
 
     def test_ungeneratable_harness_is_infrastructure_failure(self, tmp_path):
         backend = self.make(tmp_path, "exit 0\n")
         warning = make_record(0, analyzer="Mystery")
         warning = warning.__class__(**{**warning.__dict__, "description": "odd"})
-        outcome = run_fuzz(backend, warning, TP, 45)
+        outcome = run_fuzz(backend, warning, TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
         assert "harness" in outcome.detail
+
+    def test_timeout_kills_whole_process_group(self, tmp_path):
+        pidfile = tmp_path / "child.pid"
+        script = f"sleep 30 &\necho $! > {pidfile}\nwait\n"
+        backend = self.make(tmp_path, script, budget=0.3, budget_bounds=(0.2, 0.4))
+        outcome = run_fuzz(backend, panic_warning(), TP)
+        assert outcome.detail == "timeout"
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 5.0
+        while process_running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_running(pid)
+
+
+def process_running(pid):
+    """True while `pid` exists and is not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat_path = Path(f"/proc/{pid}/stat")
+    return not (stat_path.exists() and stat_path.read_text().rsplit(")", 1)[1].split()[0] == "Z")
+
+
+class TestRunMany:
+    def test_results_keep_input_order(self):
+        items = list(range(20))
+        for jobs in (0, 1, 4):
+            assert run_many(lambda x: x * x, items, jobs) == [x * x for x in items]
+
+    def test_jobs_at_most_one_builds_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(fuzz_mod, "ThreadPoolExecutor", no_pool)
+        for jobs in (-1, 0, 1):
+            assert run_many(str, [1, 2], jobs) == ["1", "2"]
+        with pytest.raises(AssertionError, match="pool"):
+            run_many(str, [1, 2], 2)
+
+    def test_first_error_propagates(self):
+        def call(x):
+            if x == 3:
+                raise MissingRecording("no outcome for 3")
+            return x
+
+        for jobs in (1, 3):
+            with pytest.raises(MissingRecording):
+                run_many(call, list(range(6)), jobs)

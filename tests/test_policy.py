@@ -1,4 +1,4 @@
-"""Forward pass, action selection, and confidence signals."""
+"""Forward pass, and how the episode engine chooses actions from it."""
 
 import math
 
@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 from triagerl.env import TriageAction
 from triagerl.errors import DegenerateDistribution, DimensionMismatch
 from triagerl.policy import (
-    ActionDistribution,
     PolicyParams,
     SelectMode,
-    classify_probability,
-    confidence_signals,
     draw_dropout_masks,
     flatten_params,
+    forward_cache,
     init_params,
-    policy_forward,
-    select_action,
     softmax,
     unflatten_params,
 )
+from triagerl.trainer import TrainConfig, TrajectoryBatch, ppo_loss_and_grads
+from triagerl.warnings import Label
+
+from test_env import play
 
 # Pinned first-run golden output: init seed 0, hidden (6, 4), probe state
 # linspace(-1, 1, 10). Cross-checked below against a loop-based oracle.
@@ -54,47 +54,55 @@ def loop_forward(params: PolicyParams, state):
     return [e / total for e in exps], value
 
 
+def forward(params, state, masks=None):
+    """Action probabilities and value for one state."""
+    cache = forward_cache(params, np.asarray(state, dtype=np.float64), masks)
+    return cache["probs"][0], float(cache["values"][0])
+
+
+def play_probs(probs, **kw):
+    """One episode (greedy unless told otherwise) of a policy whose action
+    probabilities are `probs` in every state."""
+    with np.errstate(divide="ignore"):
+        logits = np.log(np.asarray(probs, dtype=np.float64))
+    return play(np.zeros(2), np.maximum(logits, -1e3), [Label.TRUE_POSITIVE], **kw)
+
+
 class TestForward:
     def test_all_zero_weights_uniform(self):
-        dist = policy_forward(zeroed_params(), np.ones(4))
-        assert dist.probs.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
-        assert dist.value == 0.0
+        probs, value = forward(zeroed_params(), np.ones(4))
+        assert probs.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+        assert value == 0.0
 
     def test_eval_mode_deterministic(self):
         params = init_params(8, hidden=(5, 4), seed=3)
         state = np.arange(8.0) / 8.0
-        a = policy_forward(params, state)
-        b = policy_forward(params, state)
-        assert a.probs.tolist() == b.probs.tolist()
-        assert a.value == b.value
+        a = forward(params, state)
+        b = forward(params, state)
+        assert a[0].tolist() == b[0].tolist()
+        assert a[1] == b[1]
 
     def test_golden_probe_pinned(self):
         params = init_params(10, hidden=(6, 4), dropout_rate=0.2, seed=0)
-        state = np.linspace(-1.0, 1.0, 10)
-        dist = policy_forward(params, state)
-        assert dist.probs.tolist() == pytest.approx(GOLDEN_PROBE_PROBS, abs=1e-12)
-        assert dist.value == pytest.approx(GOLDEN_PROBE_VALUE, abs=1e-12)
+        probs, value = forward(params, np.linspace(-1.0, 1.0, 10))
+        assert probs.tolist() == pytest.approx(GOLDEN_PROBE_PROBS, abs=1e-12)
+        assert value == pytest.approx(GOLDEN_PROBE_VALUE, abs=1e-12)
 
     def test_golden_probe_matches_loop_oracle(self):
         params = init_params(10, hidden=(6, 4), dropout_rate=0.2, seed=0)
         state = np.linspace(-1.0, 1.0, 10)
-        probs, value = loop_forward(params, state.tolist())
-        dist = policy_forward(params, state)
-        assert dist.probs.tolist() == pytest.approx(probs, abs=1e-12)
-        assert dist.value == pytest.approx(value, abs=1e-12)
+        oracle_probs, oracle_value = loop_forward(params, state.tolist())
+        probs, value = forward(params, state)
+        assert probs.tolist() == pytest.approx(oracle_probs, abs=1e-12)
+        assert value == pytest.approx(oracle_value, abs=1e-12)
 
     def test_dimension_mismatch(self):
         params = init_params(8, hidden=(5, 4), seed=3)
         with pytest.raises(DimensionMismatch):
-            policy_forward(params, np.zeros(9))
-
-    def test_dropout_requires_rng(self):
-        params = init_params(4, hidden=(3, 2), dropout_rate=0.5, seed=0)
-        with pytest.raises(ValueError):
-            policy_forward(params, np.zeros(4), training_mode=True)
+            forward(params, np.zeros(9))
 
     def test_dropout_masks_scale(self):
-        masks = draw_dropout_masks(np.random.default_rng(0), (50, 40), 0.25)
+        masks = draw_dropout_masks(np.random.default_rng(0), (50, 40), 0.25, n=3)
         for m in masks:
             assert set(np.unique(m)).issubset({0.0, 1.0 / 0.75})
 
@@ -103,53 +111,45 @@ class TestForward:
     def test_dropout_off_is_pure(self, seed):
         params = init_params(6, hidden=(4, 3), dropout_rate=0.0, seed=seed)
         state = np.random.default_rng(seed).normal(size=6)
-        rng = np.random.default_rng(99)
-        a = policy_forward(params, state, training_mode=True, rng=rng)
-        b = policy_forward(params, state)
-        assert a.probs.tolist() == b.probs.tolist()
+        masks = draw_dropout_masks(np.random.default_rng(99), params.hidden_sizes, 0.0, n=1)
+        assert forward(params, state, masks)[0].tolist() == forward(params, state)[0].tolist()
 
 
 class TestSelectAction:
     def test_uniform_signals(self):
-        dist = ActionDistribution(np.array([1 / 3, 1 / 3, 1 / 3]), 0.0)
-        action, signals = select_action(dist, SelectMode.GREEDY)
-        assert action is TriageAction.CLASSIFY_TP  # tie-break by fixed order
-        assert signals.entropy == pytest.approx(math.log(3))
-        assert signals.top2_gap == pytest.approx(0.0)
+        batch, preds = play_probs([1 / 3, 1 / 3, 1 / 3])
+        assert batch.actions.tolist() == [TriageAction.CLASSIFY_TP]  # tie-break by fixed order
+        assert batch.behavior_logp[0] == pytest.approx(-math.log(3))
+        assert preds[0].score == pytest.approx(0.5)
 
     def test_confident_distribution(self):
-        dist = ActionDistribution(np.array([0.9, 0.05, 0.05]), 0.0)
-        action, signals = select_action(dist, SelectMode.GREEDY)
-        assert action is TriageAction.CLASSIFY_TP
-        assert signals.top2_gap == pytest.approx(0.85)
+        batch, preds = play_probs([0.9, 0.05, 0.05])
+        assert batch.actions.tolist() == [TriageAction.CLASSIFY_TP]
+        assert preds[0].score == pytest.approx(0.9 / 0.95)
 
     def test_one_hot_distribution(self):
-        dist = ActionDistribution(np.array([1.0, 0.0, 0.0]), 0.0)
-        _, signals = select_action(dist, SelectMode.GREEDY)
-        assert signals.entropy == 0.0
-        assert signals.top2_gap == 1.0
+        batch, preds = play_probs([1.0, 0.0, 0.0])
+        assert batch.actions.tolist() == [TriageAction.CLASSIFY_TP]
+        assert batch.behavior_logp[0] == 0.0
+        assert preds[0].score == 1.0
 
     def test_mask_renormalizes(self):
-        dist = ActionDistribution(np.array([0.2, 0.2, 0.6]), 0.0)
-        action, signals = select_action(dist, SelectMode.GREEDY, mask_fuzz=True)
-        assert action is TriageAction.CLASSIFY_TP
-        assert signals.top2_gap == pytest.approx(0.0)
-        assert signals.entropy == pytest.approx(math.log(2))
+        batch, _ = play_probs([0.2, 0.2, 0.6], mask_fuzz=True)
+        assert batch.actions.tolist() == [TriageAction.CLASSIFY_TP]
+        assert batch.behavior_logp[0] == pytest.approx(math.log(0.5))
 
     def test_degenerate_after_mask(self):
-        dist = ActionDistribution(np.array([0.0, 0.0, 1.0]), 0.0)
         with pytest.raises(DegenerateDistribution):
-            select_action(dist, SelectMode.GREEDY, mask_fuzz=True)
+            play_probs([0.0, 0.0, 1.0], mask_fuzz=True)
 
     def test_sampling_respects_probabilities(self):
-        dist = ActionDistribution(np.array([0.0, 1.0, 0.0]), 0.0)
-        rng = np.random.default_rng(0)
-        action, _ = select_action(dist, SelectMode.SAMPLE, rng=rng)
-        assert action is TriageAction.CLASSIFY_FP
+        batch, _ = play_probs([0.0, 1.0, 0.0], mode=SelectMode.SAMPLE,
+                              rng=np.random.default_rng(0))
+        assert batch.actions.tolist() == [TriageAction.CLASSIFY_FP]
 
     def test_classify_probability_renormalizes(self):
-        dist = ActionDistribution(np.array([0.3, 0.1, 0.6]), 0.0)
-        assert classify_probability(dist) == pytest.approx(0.75)
+        _, preds = play_probs([0.3, 0.1, 0.6], mask_fuzz=True)
+        assert preds[0].score == pytest.approx(0.75)
 
 
 class TestDistributionProperties:
@@ -166,9 +166,9 @@ class TestDistributionProperties:
     def test_shift_invariance_through_policy_head_bias(self):
         params = init_params(6, hidden=(4, 3), dropout_rate=0.0, seed=1)
         state = np.linspace(0, 1, 6)
-        before = policy_forward(params, state).probs
+        before = forward(params, state)[0]
         params.b_pi += 17.5
-        after = policy_forward(params, state).probs
+        after = forward(params, state)[0]
         assert np.abs(before - after).max() < 1e-9
 
     @given(
@@ -179,17 +179,23 @@ class TestDistributionProperties:
     def test_greedy_argmax_scale_invariant(self, probs, scale):
         p = np.array(probs)
         p = p / p.sum()
-        a1, _ = select_action(ActionDistribution(p, 0.0), SelectMode.GREEDY)
-        a2, _ = select_action(ActionDistribution(p * scale, 0.0), SelectMode.GREEDY)
+        a1 = play_probs(p)[0].actions[0]
+        a2 = play_probs(p * scale)[0].actions[0]
         assert a1 == a2
 
     @given(logits=st.lists(st.floats(-30, 30, allow_nan=False), min_size=3, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_entropy_bounds(self, logits):
-        probs = softmax(np.array(logits))
-        signals = confidence_signals(probs)
-        assert -1e-12 <= signals.entropy <= math.log(3) + 1e-12
-        assert 0.0 <= signals.top2_gap <= 1.0
+        # The entropy the PPO loss rewards, for one state under these logits.
+        params = zeroed_params(input_dim=3)
+        params.b_pi[:] = logits
+        batch = TrajectoryBatch(
+            states=np.array([[1.0, 0.0, 0.0]]), actions=np.array([0]),
+            behavior_logp=np.zeros(1), rewards=np.zeros(1), values=np.zeros(1),
+            episode_ids=np.zeros(1, dtype=int), returns=np.zeros(1), advantages=np.zeros(1),
+        )
+        _, _, parts = ppo_loss_and_grads(params, batch, TrainConfig(), feature_dim=0)
+        assert -1e-12 <= parts["entropy"] <= math.log(3) + 1e-12
 
 
 class TestFlattening:

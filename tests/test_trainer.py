@@ -9,6 +9,7 @@ from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.policy import (
     draw_dropout_masks,
     flatten_params,
+    forward_cache,
     init_params,
     unflatten_params,
 )
@@ -18,9 +19,7 @@ from triagerl.trainer import (
     TrainConfig,
     TrajectoryBatch,
     _flat_grads,
-    clipped_surrogate,
     collect_rollouts,
-    discounted_returns,
     load_checkpoint,
     ppo_loss_and_grads,
     ppo_update,
@@ -30,6 +29,7 @@ from triagerl.trainer import (
 from triagerl.evaluate import evaluate_checkpoint
 from triagerl.warnings import Label, Split
 
+from test_env import ForcedBackend, biased_params
 from test_warnings import make_record
 
 UNINFORMATIVE_ORACLE = SimOracleConfig(
@@ -38,12 +38,11 @@ UNINFORMATIVE_ORACLE = SimOracleConfig(
 
 
 def tiny_episodes(n=6, feature_dim=4, seed=0):
+    """(records, feature rows) for n warnings with alternating labels."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        label = Label.TRUE_POSITIVE if i % 2 == 0 else Label.FALSE_POSITIVE
-        out.append((make_record(i, label=label), rng.normal(size=feature_dim)))
-    return out
+    records = [make_record(i, label=Label.TRUE_POSITIVE if i % 2 == 0 else Label.FALSE_POSITIVE)
+               for i in range(n)]
+    return records, rng.normal(size=(n, feature_dim))
 
 
 def toy_batch(feature_dim=5, n=12, seed=0):
@@ -59,7 +58,6 @@ def toy_batch(feature_dim=5, n=12, seed=0):
         rewards=rng.normal(size=n),
         values=rng.normal(size=n),
         episode_ids=np.arange(n),
-        terminal=np.ones(n, dtype=bool),
         returns=rng.normal(size=n) * 10,
         advantages=rng.normal(size=n),
     )
@@ -71,25 +69,28 @@ class TestCollectRollouts:
         self.backend = SimulatedBackend(SimOracleConfig(seed=0))
         self.params = init_params(self.env.state_dim, hidden=(8, 6), seed=1)
 
+    def collect(self, seed, gamma=1.0, n=6):
+        return collect_rollouts(self.params, *tiny_episodes(n), self.env, self.backend,
+                                np.random.default_rng(seed), gamma)
+
     def test_returns_are_suffix_sums_within_episodes(self):
-        batch = collect_rollouts(
-            self.params, tiny_episodes(), self.env, self.backend, None,
-            np.random.default_rng(0), gamma=1.0,
-        )
+        batch = self.collect(0, gamma=0.9, n=40)
+        assert len(batch) > 40  # some episodes fuzzed
         for eid in np.unique(batch.episode_ids):
-            rewards = batch.rewards[batch.episode_ids == eid]
-            returns = batch.returns[batch.episode_ids == eid]
-            assert returns.tolist() == pytest.approx(discounted_returns(list(rewards), 1.0))
-        assert bool(batch.terminal[-1])
+            rewards = batch.rewards[batch.episode_ids == eid].tolist()
+            returns = batch.returns[batch.episode_ids == eid].tolist()
+            suffix = [sum(0.9 ** (k - t) * rewards[k] for k in range(t, len(rewards)))
+                      for t in range(len(rewards))]
+            assert returns == pytest.approx(suffix)
 
     def test_fuzz_episode_return_example(self):
-        assert discounted_returns([-5.0, 25.0], 1.0) == [20.0, 25.0]
+        batch = collect_rollouts(biased_params(4, [0.0, -50.0, 50.0]), *tiny_episodes(1),
+                                 self.env, ForcedBackend(), np.random.default_rng(0), 1.0)
+        assert batch.rewards.tolist() == [-5.0, 25.0]
+        assert batch.returns.tolist() == [20.0, 25.0]
 
     def test_single_step_advantage_is_return_minus_value(self):
-        batch = collect_rollouts(
-            self.params, tiny_episodes(), self.env, self.backend, None,
-            np.random.default_rng(3), gamma=1.0,
-        )
+        batch = self.collect(3)
         raw = batch.returns - batch.values
         normalized = (raw - raw.mean()) / (raw.std() + 1e-8)
         assert batch.advantages.tolist() == pytest.approx(normalized.tolist())
@@ -97,46 +98,66 @@ class TestCollectRollouts:
         assert abs(batch.advantages.std() - 1.0) < 1e-6
 
     def test_deterministic_for_fixed_seed(self):
-        a = collect_rollouts(self.params, tiny_episodes(), self.env, self.backend,
-                             None, np.random.default_rng(7), 1.0)
-        b = collect_rollouts(self.params, tiny_episodes(), self.env, self.backend,
-                             None, np.random.default_rng(7), 1.0)
+        a = self.collect(7)
+        b = self.collect(7)
         assert a.states.tobytes() == b.states.tobytes()
         assert a.actions.tolist() == b.actions.tolist()
         assert a.rewards.tolist() == b.rewards.tolist()
 
-    def test_sampled_batch_size(self):
-        batch = collect_rollouts(self.params, tiny_episodes(), self.env, self.backend,
-                                 10, np.random.default_rng(0), 1.0)
-        assert len(np.unique(batch.episode_ids)) == 10
+    def test_one_episode_per_warning(self):
+        records, feats = tiny_episodes(10)
+        batch = collect_rollouts(self.params, records, feats, self.env, self.backend,
+                                 np.random.default_rng(0), 1.0)
+        assert np.unique(batch.episode_ids).tolist() == list(range(10))
+        first_rows = np.flatnonzero(np.diff(batch.episode_ids, prepend=-1))
+        assert sorted(map(tuple, batch.states[first_rows, :4])) == sorted(map(tuple, feats))
 
     def test_empty_episodes_rejected(self):
         with pytest.raises(EmptySplit):
-            collect_rollouts(self.params, [], self.env, self.backend, None,
+            collect_rollouts(self.params, [], np.zeros((0, 4)), self.env, self.backend,
                              np.random.default_rng(0), 1.0)
+
+
+def surrogate_objective(rho, adv, eps):
+    """The policy loss of one minibatch whose probability ratios are `rho`,
+    negated back to the mean clipped surrogate."""
+    n = len(rho)
+    params = init_params(4 + 6, hidden=(4, 3), dropout_rate=0.0, seed=0)
+    states = np.hstack([np.random.default_rng(0).normal(size=(n, 4)), np.zeros((n, 6))])
+    states[:, 4] = 1.0
+    actions = np.zeros(n, dtype=int)
+    logp_new = np.log(forward_cache(params, states)["probs"][:, 0])
+    batch = TrajectoryBatch(
+        states=states, actions=actions, behavior_logp=logp_new - np.log(rho),
+        rewards=np.zeros(n), values=np.zeros(n), episode_ids=np.arange(n),
+        returns=np.zeros(n), advantages=np.asarray(adv, dtype=np.float64),
+    )
+    config = TrainConfig(clip_epsilon=eps, value_loss_weight=0.0, entropy_weight=0.0)
+    _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4)
+    return -parts["policy_loss"]
 
 
 class TestPPOObjective:
     def test_clip_formula_by_hand(self):
         # rho=2, A=1, eps=0.2: the clipped branch caps the ratio at 1.2.
-        assert clipped_surrogate(np.array([2.0]), np.array([1.0]), 0.2).tolist() == [1.2]
+        assert surrogate_objective(np.array([2.0]), [1.0], 0.2) == pytest.approx(1.2)
 
     def test_ratio_one_equals_unclipped(self):
-        rho = np.ones(5)
         adv = np.array([1.0, -2.0, 0.5, 3.0, -0.1])
-        assert clipped_surrogate(rho, adv, 0.2).tolist() == (rho * adv).tolist()
+        assert surrogate_objective(np.ones(5), adv, 0.2) == pytest.approx(adv.mean())
 
     def test_huge_epsilon_never_clips(self):
+        # The widest band the config allows; no ratio drawn here leaves it.
         rng = np.random.default_rng(0)
-        rho = rng.uniform(0.05, 20.0, size=200)
+        rho = rng.uniform(0.05, 1.95, size=200)
         adv = rng.normal(size=200)
-        assert np.abs(clipped_surrogate(rho, adv, 1e9) - rho * adv).max() < 1e-9
+        assert surrogate_objective(rho, adv, 0.99) == pytest.approx((rho * adv).mean(), abs=1e-9)
 
     def test_same_params_give_unit_ratio_objective(self):
         env = TriageEnv(feature_dim=4)
         backend = SimulatedBackend(SimOracleConfig(seed=0))
         params = init_params(env.state_dim, hidden=(8, 6), dropout_rate=0.0, seed=1)
-        batch = collect_rollouts(params, tiny_episodes(), env, backend, None,
+        batch = collect_rollouts(params, *tiny_episodes(), env, backend,
                                  np.random.default_rng(0), 1.0)
         config = TrainConfig(seed=0, dropout_rate=0.0)
         _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4)
