@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,21 @@ class FeatureManifest:
     @property
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
+
+    @cached_property
+    def binary_mask(self) -> np.ndarray:
+        """Flag and one-hot columns: each must hold 0 or 1."""
+        return np.array([e.kind in (Kind.FLAG, Kind.ONE_HOT) for e in self.entries])
+
+    @cached_property
+    def ratio_mask(self) -> np.ndarray:
+        """Ratio columns: each must lie in [0, 1]."""
+        return np.array([e.kind is Kind.RATIO for e in self.entries])
+
+    @cached_property
+    def one_hot_mask(self) -> np.ndarray:
+        """One-hot columns: normalization passes them through."""
+        return np.array([e.kind is Kind.ONE_HOT for e in self.entries])
 
 
 @dataclass
@@ -236,12 +252,16 @@ def validate_vector(vec: FeatureVector, manifest: FeatureManifest = MANIFEST) ->
     if not np.all(np.isfinite(vec.values)):
         bad = int(np.flatnonzero(~np.isfinite(vec.values))[0])
         raise FeatureValidationError(f"non-finite value in slot {manifest.entries[bad].name}")
-    for i, e in enumerate(manifest.entries):
-        v = float(vec.values[i])
-        if e.kind in (Kind.FLAG, Kind.ONE_HOT) and v not in (0.0, 1.0):
-            raise FeatureValidationError(f"{e.name}: flag must be 0 or 1, got {v}")
-        if e.kind is Kind.RATIO and not 0.0 <= v <= 1.0:
-            raise FeatureValidationError(f"{e.name}: ratio must be in [0,1], got {v}")
+    values = vec.values
+    bad_flag = manifest.binary_mask & (values != 0.0) & (values != 1.0)
+    bad_ratio = manifest.ratio_mask & ((values < 0.0) | (values > 1.0))
+    bad = bad_flag | bad_ratio
+    if bad.any():
+        i = int(bad.argmax())  # the first bad slot in manifest order
+        name, v = manifest.entries[i].name, float(values[i])
+        if bad_flag[i]:
+            raise FeatureValidationError(f"{name}: flag must be 0 or 1, got {v}")
+        raise FeatureValidationError(f"{name}: ratio must be in [0,1], got {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +593,17 @@ def fit_normalizer(
 
 
 def normalize(
-    vector: FeatureVector, stats: NormalizerStats, manifest: FeatureManifest = MANIFEST
-) -> FeatureVector:
-    """z-score each column; zero-std columns map to 0; one-hots pass through."""
-    if vector.manifest_digest != stats.manifest_digest:
-        raise DigestMismatch(
-            f"vector digest {vector.manifest_digest} != stats digest {stats.manifest_digest}"
-        )
+    matrix: np.ndarray, stats: NormalizerStats, manifest: FeatureManifest = MANIFEST
+) -> np.ndarray:
+    """z-score each column of an (N, len(manifest)) matrix of raw rows;
+    zero-std columns map to 0; one-hots pass through."""
     if stats.manifest_digest != manifest.digest:
         raise DigestMismatch(
             f"stats digest {stats.manifest_digest} != manifest digest {manifest.digest}"
         )
-    out = np.zeros_like(vector.values)
-    for i, e in enumerate(manifest.entries):
-        if e.kind is Kind.ONE_HOT:
-            out[i] = vector.values[i]
-        elif stats.std[i] > 0:
-            out[i] = (vector.values[i] - stats.mean[i]) / stats.std[i]
-        else:
-            out[i] = 0.0
-    return FeatureVector(vector.warning_id, out, vector.manifest_digest)
+    scaled = np.divide(matrix - stats.mean, stats.std, out=np.zeros_like(matrix),
+                       where=stats.std > 0)
+    return np.where(manifest.one_hot_mask, matrix, scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ checkable against finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -19,11 +18,24 @@ from .env import ACTION_COUNT
 HIDDEN_SIZES = (256, 128)
 DEFAULT_DROPOUT = 0.2
 
-_PARAM_ORDER = ("w1", "b1", "w2", "b2", "w_pi", "b_pi", "w_v", "b_v")
+
+def param_layout(input_dim: int, hidden: tuple[int, int]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Each parameter's name and shape, in the order they sit in the flat buffer."""
+    h1, h2 = hidden
+    return (
+        ("w1", (input_dim, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)),
+        ("w_pi", (h2, ACTION_COUNT)), ("b_pi", (ACTION_COUNT,)), ("w_v", (h2, 1)), ("b_v", (1,)),
+    )
 
 
-@dataclass
 class PolicyParams:
+    """The network's parameters in one contiguous float64 vector, `flat`.
+
+    `w1 ... b_v` are reshaped views into `flat`, laid out by `param_layout`,
+    so writing through either one changes both. Without `flat` the buffer
+    starts at zero; a gradient is held the same way.
+    """
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -32,24 +44,29 @@ class PolicyParams:
     b_pi: np.ndarray
     w_v: np.ndarray
     b_v: np.ndarray
-    dropout_rate: float
-    seed: int
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
+    def __init__(self, input_dim: int, hidden_sizes: tuple[int, int], dropout_rate: float,
+                 seed: int, flat: np.ndarray | None = None):
+        layout = param_layout(input_dim, hidden_sizes)
+        size = sum(math.prod(shape) for _, shape in layout)
+        self.flat = np.zeros(size) if flat is None else np.ascontiguousarray(flat, dtype=np.float64)
+        if self.flat.shape != (size,):
+            raise DimensionMismatch(f"flat vector has shape {self.flat.shape}, expected ({size},)")
+        self.input_dim = input_dim
+        self.hidden_sizes = tuple(hidden_sizes)
+        self.dropout_rate = dropout_rate
+        self.seed = seed
+        pos = 0
+        for name, shape in layout:
+            setattr(self, name, self.flat[pos : pos + math.prod(shape)].reshape(shape))
+            pos += math.prod(shape)
 
-    @property
-    def hidden_sizes(self) -> tuple[int, int]:
-        return (self.w1.shape[1], self.w2.shape[1])
-
-    def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in _PARAM_ORDER]
+    def zeros_like(self) -> "PolicyParams":
+        return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate, self.seed)
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            *[a.copy() for a in self.arrays()], dropout_rate=self.dropout_rate, seed=self.seed
-        )
+        return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate, self.seed,
+                            self.flat.copy())
 
 
 def init_params(
@@ -62,24 +79,12 @@ def init_params(
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must be in [0,1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
-
-    def layer(fan_in, fan_out):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    h1, h2 = hidden
-    return PolicyParams(
-        w1=layer(input_dim, h1),
-        b1=np.zeros(h1),
-        w2=layer(h1, h2),
-        b2=np.zeros(h2),
-        w_pi=layer(h2, ACTION_COUNT),
-        b_pi=np.zeros(ACTION_COUNT),
-        w_v=layer(h2, 1),
-        b_v=np.zeros(1),
-        dropout_rate=dropout_rate,
-        seed=seed,
-    )
+    params = PolicyParams(input_dim, hidden, dropout_rate, seed)
+    for name, shape in param_layout(input_dim, hidden):
+        if len(shape) == 2:  # weights, drawn in layout order
+            bound = math.sqrt(6.0 / sum(shape))
+            getattr(params, name)[:] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
 class SelectMode(Enum):
@@ -129,32 +134,3 @@ def forward_cache(
         "states": states, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
         "logits": logits, "probs": probs, "values": values, "masks": masks,
     }
-
-
-def flatten_params(params: PolicyParams) -> np.ndarray:
-    """Row-major float64 flattening in fixed parameter order."""
-    return np.concatenate([a.ravel() for a in params.arrays()])
-
-
-def unflatten_params(
-    flat: np.ndarray,
-    input_dim: int,
-    hidden: tuple[int, int],
-    dropout_rate: float,
-    seed: int,
-) -> PolicyParams:
-    h1, h2 = hidden
-    shapes = [
-        (input_dim, h1), (h1,), (h1, h2), (h2,),
-        (h2, ACTION_COUNT), (ACTION_COUNT,), (h2, 1), (1,),
-    ]
-    expected = sum(int(np.prod(shape)) for shape in shapes)
-    if len(flat) != expected:
-        raise DimensionMismatch(f"flat vector has {len(flat)} values, expected {expected}")
-    arrays = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(np.asarray(flat[pos : pos + size], dtype=np.float64).reshape(shape))
-        pos += size
-    return PolicyParams(*arrays, dropout_rate=dropout_rate, seed=seed)

@@ -33,11 +33,10 @@ from .policy import (
     PolicyParams,
     SelectMode,
     draw_dropout_masks,
-    flatten_params,
     forward_cache,
     init_params,
+    param_layout,
     softmax,
-    unflatten_params,
 )
 from .warnings import Dataset, Label, Split, WarningRecord
 
@@ -250,10 +249,13 @@ def ppo_loss_and_grads(
     config: TrainConfig,
     feature_dim: int,
     dropout_masks: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
+    grads: PolicyParams | None = None,
+) -> tuple[float, PolicyParams | None, dict[str, float]]:
     """Total PPO loss and its analytic gradients on one minibatch.
 
     Loss = -mean(clipped surrogate) + c_v * value MSE - c_e * mean entropy.
+    The gradients are written into `grads` (a new zero buffer when it is
+    None), laid out like `params`; they are None when the loss is not finite.
     """
     n = len(batch)
     cache = forward_cache(params, batch.states, dropout_masks)
@@ -283,7 +285,7 @@ def ppo_loss_and_grads(
              "entropy": entropy_mean, "total": total}
     if not np.isfinite(total):
         # The caller aborts on a non-finite loss; gradients would be garbage.
-        return total, {}, parts
+        return total, None, parts
 
     # d(surrogate)/d(rho): the active min branch; the clip is flat outside the band.
     unclipped_active = unclipped <= clipped
@@ -301,28 +303,27 @@ def ppo_loss_and_grads(
 
     dvalues = 2.0 * config.value_loss_weight * value_err / n
 
+    g = grads if grads is not None else params.zeros_like()
     h2, h1 = cache["h2"], cache["h1"]
-    grads: dict[str, np.ndarray] = {
-        "w_pi": h2.T @ dlogits,
-        "b_pi": dlogits.sum(axis=0),
-        "w_v": (h2.T @ dvalues)[:, None],
-        "b_v": np.array([dvalues.sum()]),
-    }
+    np.matmul(h2.T, dlogits, out=g.w_pi)
+    dlogits.sum(axis=0, out=g.b_pi)
+    np.matmul(h2.T, dvalues, out=g.w_v[:, 0])
+    g.b_v[0] = dvalues.sum()
     dh2 = dlogits @ params.w_pi.T + np.outer(dvalues, params.w_v.ravel())
     da2 = dh2 * dropout_masks[1] if dropout_masks is not None else dh2
     dz2 = da2 * (cache["z2"] > 0)
-    grads["w2"] = h1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
+    np.matmul(h1.T, dz2, out=g.w2)
+    dz2.sum(axis=0, out=g.b2)
     dh1 = dz2 @ params.w2.T
     da1 = dh1 * dropout_masks[0] if dropout_masks is not None else dh1
     dz1 = da1 * (cache["z1"] > 0)
-    grads["w1"] = cache["states"].T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return total, grads, parts
+    np.matmul(cache["states"].T, dz1, out=g.w1)
+    dz1.sum(axis=0, out=g.b1)
+    return total, g, parts
 
 
 class Adam:
-    """Adaptive moment estimation over the flattened parameter vector."""
+    """Adaptive moment estimation over a flat parameter vector, updated in place."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -333,21 +334,26 @@ class Adam:
         self.v: np.ndarray | None = None
         self.t = 0
 
-    def step(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """flat -= lr * m_hat / (sqrt(v_hat) + eps), with no new arrays after the first step."""
         if self.m is None:
-            self.m = np.zeros_like(flat)
-            self.v = np.zeros_like(flat)
+            self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
+            self._scratch = np.empty_like(flat), np.empty_like(flat)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        return flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _flat_grads(params: PolicyParams, grads: dict[str, np.ndarray]) -> np.ndarray:
-    order = ("w1", "b1", "w2", "b2", "w_pi", "b_pi", "w_v", "b_v")
-    return np.concatenate([grads[name].ravel() for name in order])
+        a, b = self._scratch
+        self.m *= self.beta1
+        self.m += np.multiply(1 - self.beta1, grad, out=a)
+        self.v *= self.beta2
+        np.square(grad, out=a)
+        a *= 1 - self.beta2
+        self.v += a
+        np.divide(self.m, 1 - self.beta1**self.t, out=a)  # m_hat
+        a *= self.lr
+        np.divide(self.v, 1 - self.beta2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        flat -= a
 
 
 def ppo_update(
@@ -357,10 +363,13 @@ def ppo_update(
     rng: np.random.Generator,
     feature_dim: int,
     optimizer: Adam | None = None,
-) -> tuple[PolicyParams, dict[str, float]]:
-    """Several passes of shuffled minibatch updates on one rollout batch."""
+) -> dict[str, float]:
+    """Several passes of shuffled minibatch updates on one rollout batch.
+
+    Updates `params` in place and returns the last minibatch's loss parts.
+    """
     optimizer = optimizer or Adam(config.learning_rate)
-    working = params.copy()
+    grads = params.zeros_like()
     last_parts: dict[str, float] = {}
     for _ in range(config.ppo_inner_epochs):
         perm = rng.permutation(len(batch))
@@ -368,23 +377,19 @@ def ppo_update(
             mb_idx = perm[start : start + config.minibatch_size]
             mb = batch.take(mb_idx)
             masks = None
-            if working.dropout_rate > 0.0:
+            if params.dropout_rate > 0.0:
                 masks = draw_dropout_masks(
-                    rng, working.hidden_sizes, working.dropout_rate, n=len(mb)
+                    rng, params.hidden_sizes, params.dropout_rate, n=len(mb)
                 )
-            total, grads, parts = ppo_loss_and_grads(working, mb, config, feature_dim, masks)
+            total, _, parts = ppo_loss_and_grads(params, mb, config, feature_dim, masks, grads)
             if not np.isfinite(total):
                 raise NonFiniteLoss(
                     f"non-finite loss on minibatch starting at {start} "
                     f"(episode ids {sorted(set(mb.episode_ids.tolist()))[:5]}...)"
                 )
-            flat = optimizer.step(flatten_params(working), _flat_grads(working, grads))
-            working = unflatten_params(
-                flat, working.input_dim, working.hidden_sizes,
-                working.dropout_rate, working.seed,
-            )
+            optimizer.step(params.flat, grads.flat)
             last_parts = parts
-    return working, last_parts
+    return last_parts
 
 
 @dataclass
@@ -406,10 +411,20 @@ def feature_matrix(
     """Normalized feature rows of `records`, in order: shape (len(records), len(manifest))."""
     rows = []
     for r in records:
-        if r.id not in vectors:
+        vec = vectors.get(r.id)
+        if vec is None:
             raise FeatureValidationError(f"no feature vector for warning {r.id}")
-        rows.append(normalize(vectors[r.id], stats, manifest).values)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(manifest))
+        if vec.manifest_digest != stats.manifest_digest:
+            raise DigestMismatch(
+                f"vector digest {vec.manifest_digest} != stats digest {stats.manifest_digest}"
+            )
+        if vec.values.shape != (len(manifest),):
+            raise FeatureValidationError(
+                f"warning {r.id}: vector length {len(vec.values)} != manifest length {len(manifest)}"
+            )
+        rows.append(vec.values)
+    raw = np.array(rows, dtype=np.float64).reshape(len(rows), len(manifest))
+    return normalize(raw, stats, manifest)
 
 
 def train(
@@ -458,7 +473,7 @@ def train(
         batch = collect_rollouts(
             params, train_records, train_feats, env, backend, rng_rollout, config.gamma
         )
-        params, _ = ppo_update(params, batch, config, rng_update, len(manifest), optimizer)
+        ppo_update(params, batch, config, rng_update, len(manifest), optimizer)
 
         _, preds = run_episodes(params, env, val_feats, val_records, backend)
         report = compute_metrics(preds, val_labels)
@@ -510,7 +525,7 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
         "dropout_rate": p.dropout_rate,
         "seed": p.seed,
         "weights": {name: getattr(p, name).ravel().tolist()
-                    for name in ("w1", "b1", "w2", "b2", "w_pi", "b_pi", "w_v", "b_v")},
+                    for name, _ in param_layout(p.input_dim, p.hidden_sizes)},
         "normalizer": {
             "mean": ckpt.normalizer.mean.tolist(),
             "std": ckpt.normalizer.std.tolist(),
@@ -534,8 +549,8 @@ def load_checkpoint(data: bytes, manifest: FeatureManifest = MANIFEST) -> Policy
         )
     input_dim, h1, h2 = doc["layer_dims"]
     flat = np.concatenate([np.array(doc["weights"][name], dtype=np.float64)
-                           for name in ("w1", "b1", "w2", "b2", "w_pi", "b_pi", "w_v", "b_v")])
-    params = unflatten_params(flat, input_dim, (h1, h2), doc["dropout_rate"], doc["seed"])
+                           for name, _ in param_layout(input_dim, (h1, h2))])
+    params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"], doc["seed"], flat)
     normalizer = NormalizerStats(
         mean=np.array(doc["normalizer"]["mean"], dtype=np.float64),
         std=np.array(doc["normalizer"]["std"], dtype=np.float64),

@@ -16,11 +16,10 @@ from triagerl.env import reward_of
 from triagerl.errors import IllegalAction
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, SimOracleConfig, SimulatedBackend, run_fuzz
 from triagerl.metrics import compute_metrics
-from triagerl.policy import draw_dropout_masks, flatten_params, init_params, unflatten_params
+from triagerl.policy import draw_dropout_masks, init_params
 from triagerl.synthetic import SIGNAL_FEATURE, ambiguity_task, separable_task
 from triagerl.trainer import (
     TrainConfig,
-    _flat_grads,
     ppo_loss_and_grads,
     save_checkpoint,
     train,
@@ -143,20 +142,17 @@ def test_criterion_6_gradient_correctness():
         masks = draw_dropout_masks(np.random.default_rng(5), (4, 3), 0.3, n=len(batch))
         for mask_set in (None, masks):
             _, grads, _ = ppo_loss_and_grads(params, batch, config, feature_dim, mask_set)
-            analytic = _flat_grads(params, grads)
-            flat = flatten_params(params)
+            analytic = grads.flat
+            flat = params.flat
             eps = 1e-6
             fd = np.zeros_like(flat)
             for i in range(len(flat)):
-                up, dn = flat.copy(), flat.copy()
-                up[i] += eps
-                dn[i] -= eps
-                lu, _, _ = ppo_loss_and_grads(
-                    unflatten_params(up, state_dim, (4, 3), 0.0, 1),
-                    batch, config, feature_dim, mask_set)
-                ld, _, _ = ppo_loss_and_grads(
-                    unflatten_params(dn, state_dim, (4, 3), 0.0, 1),
-                    batch, config, feature_dim, mask_set)
+                x = flat[i]
+                flat[i] = x + eps
+                lu, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, mask_set)
+                flat[i] = x - eps
+                ld, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, mask_set)
+                flat[i] = x
                 fd[i] = (lu - ld) / (2 * eps)
             significant = np.abs(fd) > 1e-7
             rel = np.abs(analytic - fd)[significant] / np.abs(fd)[significant]

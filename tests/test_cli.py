@@ -86,8 +86,7 @@ class TestPipeline:
 def always_fuzz_checkpoint(path):
     """A checkpoint whose policy fuzzes every warning, then calls it a TP."""
     params = init_params(len(MANIFEST) + 6, hidden=(8, 6), dropout_rate=0.0, seed=0)
-    for a in params.arrays():
-        a[:] = 0.0
+    params.flat[:] = 0.0
     params.b_pi[:] = [1.0, 0.0, 5.0]
     normalizer = NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)),
                                  fitted_on="train", manifest_digest=MANIFEST.digest)

@@ -67,8 +67,7 @@ class ForcedBackend:
 def biased_params(feature_dim, logits):
     """A policy whose action logits are `logits` in every state."""
     params = init_params(feature_dim + len(FUZZ_SLOTS), hidden=(3, 2), dropout_rate=0.0, seed=0)
-    for a in params.arrays():
-        a[:] = 0.0
+    params.flat[:] = 0.0
     params.b_pi[:] = logits
     return params
 

@@ -34,8 +34,7 @@ def identity_normalizer():
 
 def uniform_checkpoint():
     params = init_params(len(MANIFEST) + 6, hidden=(8, 6), dropout_rate=0.0, seed=0)
-    for a in params.arrays():
-        a[:] = 0.0
+    params.flat[:] = 0.0
     return PolicyCheckpoint(
         params=params,
         normalizer=identity_normalizer(),

@@ -24,6 +24,7 @@ from triagerl.features import (
     read_feature_sidecar,
     write_feature_sidecar,
 )
+from triagerl.trainer import feature_matrix
 from triagerl.warnings import Level, WarningRecord, warning_id
 
 from test_warnings import AARC_REPORT_OBJECT, make_record
@@ -211,9 +212,26 @@ class TestPrecomputedMode:
         with pytest.raises(FeatureValidationError, match="borrow_ratio"):
             extract_features(rec, sidecar=bad, mode=Mode.PRECOMPUTED)
 
+    def test_first_bad_slot_in_manifest_order_is_reported(self):
+        rec = snippet_record("fn f() {}")
+        values = extract_features(rec).values.copy()
+        values[MANIFEST.index_of("public_api_flag")] = 0.5
+        values[MANIFEST.index_of("borrow_ratio")] = 2.0
+        bad = FeatureVector(rec.id, values, MANIFEST.digest)
+        with pytest.raises(FeatureValidationError, match=r"^borrow_ratio: ratio must be in \[0,1\], got 2.0$"):
+            extract_features(rec, sidecar=bad, mode=Mode.PRECOMPUTED)
+        values[MANIFEST.index_of("trait_bound_flag")] = 0.5
+        with pytest.raises(FeatureValidationError, match="^trait_bound_flag: flag must be 0 or 1, got 0.5$"):
+            extract_features(rec, sidecar=bad, mode=Mode.PRECOMPUTED)
+
     def test_sidecar_required(self):
         with pytest.raises(FeatureValidationError, match="sidecar"):
             extract_features(snippet_record("fn f() {}"), mode=Mode.PRECOMPUTED)
+
+
+def normalized(vectors, stats):
+    """The normalized matrix of `vectors`' raw rows."""
+    return normalize(np.stack([v.values for v in vectors]), stats)
 
 
 def column_vectors(column_name, column_values):
@@ -233,25 +251,24 @@ class TestNormalizer:
         col = MANIFEST.index_of("lines_of_code")
         assert stats.mean[col] == pytest.approx(2.0)
         assert stats.std[col] == pytest.approx(1.0)  # ddof=1
-        normalized = [normalize(v, stats).values[col] for v in vectors]
-        assert normalized == pytest.approx([-1.0, 0.0, 1.0])
+        assert normalized(vectors, stats)[:, col].tolist() == pytest.approx([-1.0, 0.0, 1.0])
 
     def test_constant_column_maps_to_zero(self):
         vectors = column_vectors("lines_of_code", [7.0, 7.0, 7.0])
         stats = fit_normalizer(vectors)
         col = MANIFEST.index_of("lines_of_code")
-        assert all(normalize(v, stats).values[col] == 0.0 for v in vectors)
+        assert (normalized(vectors, stats)[:, col] == 0.0).all()
 
     def test_apply_to_unseen_value(self):
         stats = fit_normalizer(column_vectors("lines_of_code", [1.0, 2.0, 3.0]))
         unseen = column_vectors("lines_of_code", [4.0])[0]
-        assert normalize(unseen, stats).values[MANIFEST.index_of("lines_of_code")] == pytest.approx(2.0)
+        assert normalized([unseen], stats)[0, MANIFEST.index_of("lines_of_code")] == pytest.approx(2.0)
 
     def test_one_hot_bypasses_z_score(self):
         vectors = column_vectors("checker_unsafe_dataflow", [1.0, 0.0, 1.0])
         stats = fit_normalizer(vectors)
         col = MANIFEST.index_of("checker_unsafe_dataflow")
-        assert [normalize(v, stats).values[col] for v in vectors] == [1.0, 0.0, 1.0]
+        assert normalized(vectors, stats)[:, col].tolist() == [1.0, 0.0, 1.0]
 
     def test_empty_train_set(self):
         with pytest.raises(EmptyTrainSet):
@@ -262,7 +279,10 @@ class TestNormalizer:
         stats = fit_normalizer(vectors)
         stranger = FeatureVector("x", np.zeros(len(MANIFEST)), "f" * 16)
         with pytest.raises(DigestMismatch):
-            normalize(stranger, stats)
+            feature_matrix([make_record(0)], {make_record(0).id: stranger}, stats)
+        stats.manifest_digest = "f" * 16
+        with pytest.raises(DigestMismatch):
+            normalized(vectors, stats)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 24))
     @settings(max_examples=30, deadline=None)
@@ -278,7 +298,7 @@ class TestNormalizer:
                     values[j] = rng.random()
             vectors.append(FeatureVector(f"w{i}", values, MANIFEST.digest))
         stats = fit_normalizer(vectors)
-        matrix = np.stack([normalize(v, stats).values for v in vectors])
+        matrix = normalized(vectors, stats)
         for j, entry in enumerate(MANIFEST.entries):
             if entry.kind is Kind.ONE_HOT:
                 continue

@@ -13,11 +13,10 @@ from triagerl.policy import (
     PolicyParams,
     SelectMode,
     draw_dropout_masks,
-    flatten_params,
     forward_cache,
     init_params,
+    param_layout,
     softmax,
-    unflatten_params,
 )
 from triagerl.trainer import TrainConfig, TrajectoryBatch, ppo_loss_and_grads
 from triagerl.warnings import Label
@@ -32,8 +31,7 @@ GOLDEN_PROBE_VALUE = 0.6839513586429133
 
 def zeroed_params(input_dim=4, hidden=(3, 2)):
     params = init_params(input_dim, hidden=hidden, dropout_rate=0.0, seed=0)
-    for a in params.arrays():
-        a[:] = 0.0
+    params.flat[:] = 0.0
     return params
 
 
@@ -200,16 +198,19 @@ class TestDistributionProperties:
 
 class TestFlattening:
     def test_round_trip(self):
+        # The named arrays are views into `flat`, in layout order, row-major.
         params = init_params(7, hidden=(5, 3), dropout_rate=0.1, seed=4)
-        flat = flatten_params(params)
-        back = unflatten_params(flat, 7, (5, 3), 0.1, 4)
-        for a, b in zip(params.arrays(), back.arrays()):
-            assert np.array_equal(a, b)
+        named = np.concatenate([getattr(params, name).ravel() for name, _ in param_layout(7, (5, 3))])
+        assert np.array_equal(named, params.flat)
+        back = PolicyParams(7, (5, 3), 0.1, 4, params.flat.copy())
+        assert np.array_equal(back.w2, params.w2)
+        back.flat[:] = 0.0
+        assert not back.w1.any() and params.w1.any()
 
     def test_wrong_length_rejected(self):
         params = init_params(7, hidden=(5, 3), seed=4)
         with pytest.raises(DimensionMismatch):
-            unflatten_params(flatten_params(params)[:-1], 7, (5, 3), 0.0, 4)
+            PolicyParams(7, (5, 3), 0.0, 4, params.flat[:-1])
 
     def test_init_bounds_follow_fan_sums(self):
         params = init_params(100, hidden=(50, 20), seed=9)

@@ -6,19 +6,12 @@ import pytest
 from triagerl.env import TriageEnv
 from triagerl.errors import EmptySplit, NonFiniteLoss
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
-from triagerl.policy import (
-    draw_dropout_masks,
-    flatten_params,
-    forward_cache,
-    init_params,
-    unflatten_params,
-)
+from triagerl.policy import draw_dropout_masks, forward_cache, init_params
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
     Adam,
     TrainConfig,
     TrajectoryBatch,
-    _flat_grads,
     collect_rollouts,
     load_checkpoint,
     ppo_loss_and_grads,
@@ -172,18 +165,17 @@ class TestPPOObjective:
         config = TrainConfig(seed=0, dropout_rate=0.0)
         for masks in (None, draw_dropout_masks(np.random.default_rng(5), (4, 3), 0.3, n=len(batch))):
             _, grads, _ = ppo_loss_and_grads(params, batch, config, feature_dim, masks)
-            analytic = _flat_grads(params, grads)
-            flat = flatten_params(params)
+            analytic = grads.flat
+            flat = params.flat
             eps = 1e-6
             fd = np.zeros_like(flat)
             for i in range(len(flat)):
-                up, dn = flat.copy(), flat.copy()
-                up[i] += eps
-                dn[i] -= eps
-                lu, _, _ = ppo_loss_and_grads(
-                    unflatten_params(up, state_dim, (4, 3), 0.0, 1), batch, config, feature_dim, masks)
-                ld, _, _ = ppo_loss_and_grads(
-                    unflatten_params(dn, state_dim, (4, 3), 0.0, 1), batch, config, feature_dim, masks)
+                x = flat[i]
+                flat[i] = x + eps
+                lu, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, masks)
+                flat[i] = x - eps
+                ld, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, masks)
+                flat[i] = x
                 fd[i] = (lu - ld) / (2 * eps)
             significant = np.abs(fd) > 1e-7
             rel = np.abs(analytic - fd)[significant] / np.abs(fd)[significant]
@@ -196,8 +188,8 @@ class TestPPOObjective:
         config = TrainConfig(seed=0, learning_rate=1e-3, minibatch_size=32,
                              ppo_inner_epochs=1, dropout_rate=0.0)
         before, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim)
-        updated, _ = ppo_update(params, batch, config, np.random.default_rng(0), feature_dim)
-        after, _, _ = ppo_loss_and_grads(updated, batch, config, feature_dim)
+        ppo_update(params, batch, config, np.random.default_rng(0), feature_dim)
+        after, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim)
         assert after < before
 
     def test_non_finite_loss_aborts_with_minibatch(self):
@@ -216,15 +208,15 @@ class TestAdam:
         adam = Adam(lr=0.01)
         flat = np.zeros(4)
         grad = np.array([1.0, -2.0, 0.5, 0.0])
-        stepped = adam.step(flat, grad)
+        adam.step(flat, grad)
         expected = -0.01 * np.sign(grad) * (np.abs(grad) / (np.abs(grad) + 1e-8))
-        assert stepped == pytest.approx(expected, abs=1e-6)
+        assert flat == pytest.approx(expected, abs=1e-6)
 
     def test_state_accumulates(self):
         adam = Adam(lr=0.1)
         flat = np.zeros(2)
         for _ in range(3):
-            flat = adam.step(flat, np.array([1.0, 1.0]))
+            adam.step(flat, np.array([1.0, 1.0]))
         assert adam.t == 3
         assert flat[0] < 0
 
