@@ -70,48 +70,60 @@ class RunConfig:
     sim: SimOracleConfig = field(default_factory=SimOracleConfig)
 
 
-def parse_config_file(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
+def parse_config_file(text: str, source: str = "config") -> dict[str, str]:
+    """Flat `key = value` lines; '#' starts a comment; blank lines ignored.
+
+    A line that is not `key = value`, names no config key, or holds a value
+    of the wrong type raises SchemaError naming `source` and the line.
+    """
     out: dict[str, str] = {}
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SchemaError(f"config line {n}: expected 'key = value', got {raw!r}")
+            raise SchemaError(f"{source} line {n}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
+        try:
+            _apply(RunConfig(), key.strip(), value.strip())
+        except SchemaError as exc:
+            raise SchemaError(f"{source} line {n}: {exc}") from None
         out[key.strip()] = value.strip()
     return out
 
 
-def _coerce(current, raw: str):
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
+def _apply(cfg: RunConfig, key: str, raw: str) -> None:
+    """Set config key `key` (`name` or `section.name`) from its text `raw`."""
+    section, _, name = key.rpartition(".")
+    target = getattr(cfg, section, None) if section else cfg
+    current = getattr(target, name) if name in getattr(target, "__dataclass_fields__", ()) else None
+    if not isinstance(current, (int, float, str)):  # sections are not keys
+        raise SchemaError(f"unknown config key {key!r}")
+    try:
+        setattr(target, name, type(current)(raw))
+    except ValueError:
+        raise SchemaError(f"{key}: expected {type(current).__name__}, got {raw!r}") from None
 
 
 def build_run_config(file_values: dict[str, str], overrides: dict[str, str]) -> RunConfig:
+    """Defaults, overlaid by `file_values`, then `overrides`. `train.seed` and
+    `sim.seed` follow `seed` unless they are set themselves."""
     cfg = RunConfig()
     merged = dict(file_values)
     merged.update(overrides)
     for key, raw in merged.items():
-        if "." in key:
-            section, name = key.split(".", 1)
-            target = getattr(cfg, section, None)
-            if target is None or not hasattr(target, name):
-                raise SchemaError(f"unknown config key {key!r}")
-            setattr(target, name, _coerce(getattr(target, name), raw))
-        else:
-            if not hasattr(cfg, key):
-                raise SchemaError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(getattr(cfg, key), raw))
+        _apply(cfg, key, raw)
+    for section in ("train", "sim"):
+        if f"{section}.seed" not in merged:
+            getattr(cfg, section).seed = cfg.seed
     # Re-run the dataclass validators on the merged values.
-    cfg.train = TrainConfig(**asdict(cfg.train))
-    cfg.sim = SimOracleConfig(**asdict(cfg.sim))
+    try:
+        cfg.train = TrainConfig(**asdict(cfg.train))
+        cfg.sim = SimOracleConfig(**asdict(cfg.sim))
+    except ValueError as exc:
+        raise SchemaError(f"config: {exc}") from None
+    if cfg.cluster_radius < 0:
+        raise SchemaError(f"config: cluster_radius must be >= 0, got {cfg.cluster_radius}")
     return cfg
 
 
@@ -123,7 +135,7 @@ def config_digest(cfg: RunConfig) -> str:
 def _load_config(args) -> RunConfig:
     file_values = {}
     if getattr(args, "config", None):
-        file_values = parse_config_file(_read_text(args.config))
+        file_values = parse_config_file(_read_bytes(args.config).decode("utf-8"), args.config)
     overrides: dict[str, str] = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = str(args.seed)
@@ -141,14 +153,22 @@ def _load_config(args) -> RunConfig:
 
 
 def _read_bytes(path: str) -> bytes:
+    """An input file's bytes, which must be UTF-8 text."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"input file does not exist: {path}")
-    return p.read_bytes()
+    data = p.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path} line {line}: not UTF-8: {exc.reason}") from None
+    return data
 
 
-def _read_text(path: str) -> str:
-    return _read_bytes(path).decode("utf-8")
+def _load(reader, path: str):
+    """`reader` applied to the input file at `path`; its errors name the file."""
+    return reader(_read_bytes(path), source=path)
 
 
 def _write(path: str, data: bytes) -> None:
@@ -164,7 +184,7 @@ def _make_backend(cfg: RunConfig):
     if cfg.backend == "recorded":
         if not cfg.recorded_path:
             raise SchemaError("backend 'recorded' needs recorded_path (or --recorded)")
-        return RecordedBackend.from_file(cfg.recorded_path)
+        return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path))
     if cfg.backend == "external":
         templates = load_templates(cfg.templates_dir) if cfg.templates_dir else load_templates()
         return ExternalBackend(cfg.external_command, templates=templates, budget=cfg.fuzz_budget)
@@ -182,12 +202,12 @@ def _featurize_records(records, metadata, radius):
 
 
 def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
-    records = warn_mod.read_warning_store(_read_bytes(args.warnings))
-    labels = warn_mod.read_label_sidecar(_read_bytes(args.labels))
+    records = _load(warn_mod.read_warning_store, args.warnings)
+    labels = _load(warn_mod.read_label_sidecar, args.labels)
     records = warn_mod.apply_labels(records, labels)
-    assignment, seed, _ = warn_mod.read_split_file(_read_bytes(args.splits))
+    assignment, seed, _ = _load(warn_mod.read_split_file, args.splits)
     records = [r for r in records if r.id in assignment]
-    vectors = features_mod.read_feature_sidecar(_read_bytes(args.features), source=args.features)
+    vectors = _load(features_mod.read_feature_sidecar, args.features)
     return Dataset(records, assignment, seed), vectors
 
 
@@ -198,7 +218,7 @@ def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
 
 def cmd_ingest(args) -> int:
     _load_config(args)
-    records = warn_mod.parse_report(_read_bytes(args.report))
+    records = _load(warn_mod.parse_report, args.report)
     _write(args.out, warn_mod.write_warning_store(records))
     print(f"ingested {len(records)} warnings")
     return 0
@@ -206,8 +226,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_split(args) -> int:
     cfg = _load_config(args)
-    records = warn_mod.read_warning_store(_read_bytes(args.warnings))
-    labels = warn_mod.read_label_sidecar(_read_bytes(args.labels))
+    records = _load(warn_mod.read_warning_store, args.warnings)
+    labels = _load(warn_mod.read_label_sidecar, args.labels)
     records = warn_mod.apply_labels(records, labels)
     labeled = [r for r in records if r.label is not None]
     ratios = tuple(float(x) for x in args.ratios.split(","))
@@ -218,15 +238,15 @@ def cmd_split(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
-    records = warn_mod.read_warning_store(_read_bytes(args.warnings))
+    records = _load(warn_mod.read_warning_store, args.warnings)
     metadata = (
-        features_mod.read_package_metadata(_read_bytes(args.meta)) if args.meta else {}
+        _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
     )
     if args.mode == "precomputed":
         if not args.sidecar:
             print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
             return 2
-        sidecar = features_mod.read_feature_sidecar(_read_bytes(args.sidecar), source=args.sidecar)
+        sidecar = _load(features_mod.read_feature_sidecar, args.sidecar)
         vectors = {}
         for r in records:
             if r.id not in sidecar:
@@ -256,7 +276,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    checkpoint = load_checkpoint(_read_bytes(args.checkpoint))
+    checkpoint = _load(load_checkpoint, args.checkpoint)
     dataset, vectors = _load_dataset(args, cfg)
     records = dataset.split_records(Split(args.split))
     if not records:
@@ -273,10 +293,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_triage(args) -> int:
     cfg = _load_config(args)
-    records = warn_mod.parse_report(_read_bytes(args.report))
-    checkpoint = load_checkpoint(_read_bytes(args.checkpoint))
+    records = _load(warn_mod.parse_report, args.report)
+    checkpoint = _load(load_checkpoint, args.checkpoint)
     metadata = (
-        features_mod.read_package_metadata(_read_bytes(args.meta)) if args.meta else {}
+        _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
     )
     vectors = _featurize_records(records, metadata, cfg.cluster_radius)
     backend = _make_backend(cfg)
@@ -291,9 +311,9 @@ def cmd_triage(args) -> int:
 
 def cmd_fuzz_validate(args) -> int:
     cfg = _load_config(args)
-    records = warn_mod.read_warning_store(_read_bytes(args.warnings))
+    records = _load(warn_mod.read_warning_store, args.warnings)
     labels = (
-        warn_mod.read_label_sidecar(_read_bytes(args.labels)) if args.labels else {}
+        _load(warn_mod.read_label_sidecar, args.labels) if args.labels else {}
     )
     by_id = {r.id: r for r in records}
     ids = args.ids.split(",") if args.ids else list(by_id)
@@ -310,7 +330,7 @@ def cmd_fuzz_validate(args) -> int:
 
 def cmd_importance(args) -> int:
     cfg = _load_config(args)
-    checkpoint = load_checkpoint(_read_bytes(args.checkpoint))
+    checkpoint = _load(load_checkpoint, args.checkpoint)
     dataset, vectors = _load_dataset(args, cfg)
     records = dataset.split_records(Split(args.split))
     if not records:
@@ -324,8 +344,8 @@ def cmd_importance(args) -> int:
 
 def cmd_report(args) -> int:
     _load_config(args)
-    predictions = metrics_mod.read_verdicts(_read_bytes(args.verdicts))
-    labels = warn_mod.read_label_sidecar(_read_bytes(args.labels))
+    predictions = _load(metrics_mod.read_verdicts, args.verdicts)
+    labels = _load(warn_mod.read_label_sidecar, args.labels)
     report = metrics_mod.compute_metrics(predictions, labels)
     _write(args.out, metrics_mod.write_report(report))
     return 0

@@ -38,7 +38,6 @@ class RewardSpec:
     bonus_crash_tp: float = 10.0
     bonus_clean_fp: float = 8.0
     bonus_inconclusive: float = 3.0
-    discount: float = 1.0
 
 
 def _prior_kind(prior_fuzz: FuzzOutcome | FuzzKind | None) -> FuzzKind:

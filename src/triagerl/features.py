@@ -26,6 +26,7 @@ from .errors import (
     DigestMismatch,
     EmptyTrainSet,
     FeatureValidationError,
+    SchemaError,
     SnippetTooLarge,
 )
 from .warnings import BugPattern, Level, WarningRecord, classify_bug_pattern
@@ -80,19 +81,17 @@ class FeatureManifest:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
+    # Boolean column masks by kind, computed once per manifest.
     @cached_property
-    def binary_mask(self) -> np.ndarray:
-        """Flag and one-hot columns: each must hold 0 or 1."""
+    def binary_mask(self) -> np.ndarray:  # flags and one-hots: 0 or 1
         return np.array([e.kind in (Kind.FLAG, Kind.ONE_HOT) for e in self.entries])
 
     @cached_property
-    def ratio_mask(self) -> np.ndarray:
-        """Ratio columns: each must lie in [0, 1]."""
+    def ratio_mask(self) -> np.ndarray:  # in [0, 1]
         return np.array([e.kind is Kind.RATIO for e in self.entries])
 
     @cached_property
-    def one_hot_mask(self) -> np.ndarray:
-        """One-hot columns: normalization passes them through."""
+    def one_hot_mask(self) -> np.ndarray:  # normalization passes these through
         return np.array([e.kind is Kind.ONE_HOT for e in self.entries])
 
 
@@ -639,23 +638,33 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
                 np.array(obj["values"], dtype=np.float64),
                 obj["manifest_digest"],
             )
+            if not np.isfinite(vector.values).all():
+                raise ValueError("values must be finite numbers")
         except (ValueError, KeyError, TypeError) as exc:
             raise FeatureValidationError(f"{source} line {n}: {type(exc).__name__}: {exc}") from exc
         vectors[vector.warning_id] = vector
     return vectors
 
 
-def read_package_metadata(data: bytes) -> dict[str, PackageMetadata]:
-    """Package metadata file: JSON map package -> {downloads, unsafe_prevalence, loc}."""
-    doc = json.loads(data.decode("utf-8"))
+def read_package_metadata(data: bytes, source: str = "package metadata") -> dict[str, PackageMetadata]:
+    """Package metadata file: JSON map package -> {downloads, unsafe_prevalence, loc}.
+
+    A malformed file raises SchemaError naming `source` and the line of a
+    JSON syntax error, or the package whose entry is bad.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{source} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     out = {}
     for name, m in doc.items():
-        out[name] = PackageMetadata(
-            name=name,
-            download_count=int(m.get("downloads", 0)),
-            unsafe_prevalence=float(m.get("unsafe_prevalence", 0.0)),
-            total_loc=int(m.get("loc", 0)),
-        )
+        try:
+            out[name] = PackageMetadata(name, int(m.get("downloads", 0)),
+                                        float(m.get("unsafe_prevalence", 0.0)), int(m.get("loc", 0)))
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{source}: package {name!r}: {exc} in {m!r}") from None
     return out
 
 

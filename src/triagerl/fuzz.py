@@ -203,10 +203,6 @@ class RecordedBackend:
 
     outcomes: dict[str, FuzzOutcome]
 
-    @classmethod
-    def from_file(cls, path: Path | str) -> "RecordedBackend":
-        return cls(read_recorded_outcomes(Path(path).read_bytes(), source=str(path)))
-
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         if warning.id not in self.outcomes:
             raise MissingRecording(f"no recorded outcome for warning {warning.id}")
@@ -217,7 +213,9 @@ class RecordedBackend:
 class ExternalBackend:
     """Adapter for a real fuzzing command.
 
-    Invoked as `<cmd> <harness-path> --budget <seconds>` in a new session.
+    Invoked as `<cmd> <harness-path> --budget <seconds>` in a new session,
+    with the harness written to a private directory under TMPDIR that is
+    removed when the call ends, so concurrent calls never share a file.
     The budget is clamped to [30, 60] seconds; at budget+5 s the command's
     whole process group is killed (outcome Inconclusive, detail "timeout").
     The TRIAGE_FUZZ_CMD environment variable overrides the configured
@@ -232,7 +230,6 @@ class ExternalBackend:
     build_failure_marker: str = r"error\[E\d+\]|could not compile|build failed"
     budget: float = 45.0
     budget_bounds: tuple[float, float] = (30.0, 60.0)
-    workdir: Path | None = None
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         start = time.monotonic()
@@ -242,23 +239,22 @@ class ExternalBackend:
             harness = generate_harness(warning, self.templates)
         except (UnknownPattern, UnresolvableTarget) as exc:
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"harness generation: {exc}")
-
-        command = os.environ.get("TRIAGE_FUZZ_CMD", self.command)
-        workdir = self.workdir or Path(tempfile.gettempdir())
-        harness_path = workdir / f"harness_{warning.id}.rs"
         try:
-            workdir.mkdir(parents=True, exist_ok=True)
-            harness_path.write_text(harness, encoding="utf-8")
-            argv = shlex.split(command) + [str(harness_path), "--budget", str(int(budget))]
-            proc = subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                start_new_session=True,
-            )
+            with tempfile.TemporaryDirectory(prefix="triagerl-", ignore_cleanup_errors=True) as workdir:
+                harness_path = Path(workdir) / f"harness_{warning.id}.rs"
+                harness_path.write_text(harness, encoding="utf-8")
+                return self._fuzz(harness_path, budget, start)
         except OSError as exc:
             return FuzzOutcome(
                 FuzzKind.INFRASTRUCTURE_FAILURE, time.monotonic() - start, f"spawn failed: {exc}"
             )
-        with proc:
+
+    def _fuzz(self, harness_path: Path, budget: float, start: float) -> FuzzOutcome:
+        command = os.environ.get("TRIAGE_FUZZ_CMD", self.command)
+        argv = shlex.split(command) + [str(harness_path), "--budget", str(int(budget))]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        ) as proc:
             try:
                 stdout, stderr = proc.communicate(timeout=budget + BUDGET_GRACE_SECONDS)
             except subprocess.TimeoutExpired:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, UnlabeledRecordError
+from .errors import EmptyInput, SchemaError, UnlabeledRecordError
 from .fuzz import FuzzKind
 from .warnings import Label
 
@@ -46,17 +46,11 @@ class EvalReport:
 
 
 def _auc_roc(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Rank statistic (Mann-Whitney U) with tied scores contributing 1/2."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    """Rank statistic (Mann-Whitney U) with tied scores sharing their mean rank."""
+    ordered = np.sort(scores)
+    first = np.searchsorted(ordered, scores, "left")  # 0-based sorted positions of each
+    last = np.searchsorted(ordered, scores, "right") - 1  # score's tie group
+    ranks = (first + last) / 2.0 + 1.0
     n_pos = int(positive.sum())
     n_neg = len(scores) - n_pos
     u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
@@ -66,28 +60,16 @@ def _auc_roc(scores: np.ndarray, positive: np.ndarray) -> float:
 def _auc_pr(scores: np.ndarray, positive: np.ndarray) -> float:
     """Average precision: step-wise sum of precision at each recall increment.
 
-    Tied scores are folded into one threshold step, no interpolation.
+    Tied scores are folded into one threshold step, no interpolation. The
+    steps are summed one after another, in descending score order.
     """
     order = np.argsort(-scores, kind="stable")
-    n_pos = int(positive.sum())
-    ap = 0.0
-    cum_tp = 0
-    cum_fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        group = order[i : j + 1]
-        cum_tp += int(positive[group].sum())
-        cum_fp += len(group) - int(positive[group].sum())
-        recall = cum_tp / n_pos
-        precision = cum_tp / (cum_tp + cum_fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(ap)
+    ordered = scores[order]
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))  # each tie group's last
+    cum_tp = np.cumsum(positive[order])[ends]
+    recall = cum_tp / int(positive.sum())
+    precision = cum_tp / (ends + 1)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def compute_metrics(
@@ -103,19 +85,10 @@ def compute_metrics(
         if not 0.0 <= p.score <= 1.0:
             raise ValueError(f"score for {p.warning_id} must be in [0,1], got {p.score}")
 
-    tp = fp = fn = tn = 0
-    for p in predictions:
-        actual = labels[p.warning_id]
-        if p.predicted is Label.TRUE_POSITIVE:
-            if actual is Label.TRUE_POSITIVE:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if actual is Label.TRUE_POSITIVE:
-                fn += 1
-            else:
-                tn += 1
+    positive = np.array([labels[p.warning_id] is Label.TRUE_POSITIVE for p in predictions])
+    called = np.array([p.predicted is Label.TRUE_POSITIVE for p in predictions])
+    tp, fp = int((called & positive).sum()), int((called & ~positive).sum())
+    fn, tn = int((~called & positive).sum()), int((~called & ~positive).sum())
 
     n = len(predictions)
     undefined: dict[str, str] = {}
@@ -141,9 +114,6 @@ def compute_metrics(
     mcc = 0.0 if factors == 0 else (tp * tn - fp * fn) / math.sqrt(factors)
 
     scores = np.array([p.score for p in predictions], dtype=np.float64)
-    positive = np.array(
-        [labels[p.warning_id] is Label.TRUE_POSITIVE for p in predictions], dtype=bool
-    )
     auc_roc = auc_pr = None
     if positive.all() or not positive.any():
         undefined["auc_roc"] = "only one class present"
@@ -198,19 +168,24 @@ def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def read_verdicts(data: bytes) -> list[PredictionRecord]:
+def read_verdicts(data: bytes, source: str = "verdicts") -> list[PredictionRecord]:
+    """Parse a verdicts file; a malformed line raises SchemaError naming `source` and the line."""
     out = []
-    for line in data.decode("utf-8").split("\n"):
+    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
-        wid, predicted, score, fuzz_used, fuzz_kind = line.split("\t")
-        out.append(
-            PredictionRecord(
+        try:
+            wid, predicted, score, fuzz_used, fuzz_kind = line.split("\t")
+            record = PredictionRecord(
                 warning_id=wid,
                 predicted=Label(predicted),
                 score=float(score),
                 fuzz_used=fuzz_used == "1",
                 fuzz_kind=None if fuzz_kind == "-" else FuzzKind(fuzz_kind),
             )
-        )
+            if not 0.0 <= record.score <= 1.0:
+                raise ValueError(f"score must be in [0,1], got {score}")
+        except ValueError as exc:
+            raise SchemaError(f"{source} line {n}: {exc}") from exc
+        out.append(record)
     return out

@@ -36,15 +36,6 @@ class PolicyParams:
     starts at zero; a gradient is held the same way.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w_pi: np.ndarray
-    b_pi: np.ndarray
-    w_v: np.ndarray
-    b_v: np.ndarray
-
     def __init__(self, input_dim: int, hidden_sizes: tuple[int, int], dropout_rate: float,
                  seed: int, flat: np.ndarray | None = None):
         layout = param_layout(input_dim, hidden_sizes)

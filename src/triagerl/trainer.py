@@ -20,10 +20,12 @@ from .env import ACTION_COUNT, RewardSpec, TriageAction, TriageEnv, fuzz_step, r
 from .errors import (
     DegenerateDistribution,
     DigestMismatch,
+    DimensionMismatch,
     EmptySplit,
     FeatureValidationError,
     LengthMismatch,
     NonFiniteLoss,
+    SchemaError,
     UnlabeledRecordError,
 )
 from .features import FeatureManifest, FeatureVector, MANIFEST, NormalizerStats, fit_normalizer, normalize
@@ -526,12 +528,8 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
         "seed": p.seed,
         "weights": {name: getattr(p, name).ravel().tolist()
                     for name, _ in param_layout(p.input_dim, p.hidden_sizes)},
-        "normalizer": {
-            "mean": ckpt.normalizer.mean.tolist(),
-            "std": ckpt.normalizer.std.tolist(),
-            "fitted_on": ckpt.normalizer.fitted_on,
-            "manifest_digest": ckpt.normalizer.manifest_digest,
-        },
+        "normalizer": {**vars(ckpt.normalizer), "mean": ckpt.normalizer.mean.tolist(),
+                       "std": ckpt.normalizer.std.tolist()},
         "config": asdict(ckpt.config),
         "reward_spec": asdict(ckpt.reward_spec),
         "history": ckpt.history,
@@ -539,29 +537,43 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     return json.dumps(doc, sort_keys=False, separators=(",", ":")).encode("utf-8")
 
 
-def load_checkpoint(data: bytes, manifest: FeatureManifest = MANIFEST) -> PolicyCheckpoint:
-    doc = json.loads(data.decode("utf-8"))
-    if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format {doc['format_version']}")
-    if doc["manifest_digest"] != manifest.digest:
-        raise DigestMismatch(
-            f"checkpoint digest {doc['manifest_digest']} != manifest digest {manifest.digest}"
+def load_checkpoint(
+    data: bytes, manifest: FeatureManifest = MANIFEST, source: str = "checkpoint"
+) -> PolicyCheckpoint:
+    """Parse a checkpoint; a malformed one raises SchemaError naming `source`
+    (and the line of a JSON syntax error). A `reward_spec.discount` key, which
+    older checkpoints carry, is dropped: `train.gamma` is the discount."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+        if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format {doc['format_version']}")
+        if doc["manifest_digest"] != manifest.digest:
+            raise DigestMismatch(
+                f"checkpoint digest {doc['manifest_digest']} != manifest digest {manifest.digest}"
+            )
+        input_dim, h1, h2 = doc["layer_dims"]
+        if input_dim != TriageEnv(len(manifest)).state_dim:
+            raise ValueError(f"input dimension {input_dim} does not fit the manifest")
+        flat = np.concatenate([np.array(doc["weights"][name], dtype=np.float64)
+                               for name, _ in param_layout(input_dim, (h1, h2))])
+        params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"], doc["seed"], flat)
+        stats = doc["normalizer"]
+        normalizer = NormalizerStats(**{**stats, "mean": np.array(stats["mean"], dtype=np.float64),
+                                        "std": np.array(stats["std"], dtype=np.float64)})
+        if normalizer.mean.shape != (len(manifest),) or normalizer.std.shape != (len(manifest),):
+            raise ValueError(f"normalizer statistics must have {len(manifest)} entries each")
+        if not all(np.isfinite(v).all() for v in (flat, normalizer.mean, normalizer.std)):
+            raise ValueError("weights and normalizer statistics must be finite")
+        reward = {k: v for k, v in doc["reward_spec"].items() if k != "discount"}
+        return PolicyCheckpoint(
+            params=params,
+            normalizer=normalizer,
+            manifest_digest=doc["manifest_digest"],
+            config=TrainConfig(**doc["config"]),
+            reward_spec=RewardSpec(**reward),
+            history=doc["history"],
         )
-    input_dim, h1, h2 = doc["layer_dims"]
-    flat = np.concatenate([np.array(doc["weights"][name], dtype=np.float64)
-                           for name, _ in param_layout(input_dim, (h1, h2))])
-    params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"], doc["seed"], flat)
-    normalizer = NormalizerStats(
-        mean=np.array(doc["normalizer"]["mean"], dtype=np.float64),
-        std=np.array(doc["normalizer"]["std"], dtype=np.float64),
-        fitted_on=doc["normalizer"]["fitted_on"],
-        manifest_digest=doc["normalizer"]["manifest_digest"],
-    )
-    return PolicyCheckpoint(
-        params=params,
-        normalizer=normalizer,
-        manifest_digest=doc["manifest_digest"],
-        config=TrainConfig(**doc["config"]),
-        reward_spec=RewardSpec(**doc["reward_spec"]),
-        history=doc["history"],
-    )
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{source} line {exc.lineno}: {exc.msg}") from exc
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise SchemaError(f"{source}: {type(exc).__name__}: {exc}") from exc

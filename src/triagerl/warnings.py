@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -112,108 +113,89 @@ class Dataset:
         return [r for r in self.records if self.split_assignment.get(r.id) == split]
 
 
-def _field_error(index: int, name: str, why: str) -> SchemaError:
-    return SchemaError(f"report[{index}].{name}: {why}")
+def _field_error(where: str, name: str, why: str) -> SchemaError:
+    return SchemaError(f"{where}.{name}: {why}")
 
 
-def _require_str(obj: dict, index: int, name: str) -> str:
+def _require_str(obj: dict, where: str, name: str) -> str:
     v = obj[name]
     if not isinstance(v, str):
-        raise _field_error(index, name, f"expected string, got {type(v).__name__}")
+        raise _field_error(where, name, f"expected string, got {type(v).__name__}")
     return v
 
 
-def _require_coord(obj: dict, index: int, name: str) -> int:
+def _require_coord(obj: dict, where: str, name: str) -> int:
     v = obj[name]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise _field_error(index, name, f"expected integer, got {type(v).__name__}")
+        raise _field_error(where, name, f"expected integer, got {type(v).__name__}")
     if v < 1:
-        raise _field_error(index, name, f"coordinates are 1-based, got {v}")
+        raise _field_error(where, name, f"coordinates are 1-based, got {v}")
     return v
 
 
-def parse_report(data: bytes) -> list[WarningRecord]:
+def parse_warning(obj, where: str) -> WarningRecord:
+    """One report object as a record with its id assigned and no label.
+
+    The object must carry exactly the ten schema keys. The first missing,
+    mistyped, or unknown field raises SchemaError naming `where` and the field.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected object, got {type(obj).__name__}")
+    for name in REPORT_FIELDS:
+        if name not in obj:
+            raise _field_error(where, name, "missing field")
+    for name in obj:
+        if name not in REPORT_FIELDS:
+            raise _field_error(where, name, "unknown field")
+
+    level = _require_str(obj, where, "level")
+    if level not in _LEVELS:
+        raise _field_error(where, "level", f"expected one of {_LEVELS}, got {level!r}")
+    op_type = obj["op_type"]
+    if op_type is not None and not isinstance(op_type, str):
+        raise _field_error(where, "op_type", f"expected string or null, got {type(op_type).__name__}")
+
+    analyzer = _require_str(obj, where, "analyzer")
+    description = _require_str(obj, where, "description")
+    file = _require_str(obj, where, "file")
+    snippet = _require_str(obj, where, "code_snippet")
+    start_line = _require_coord(obj, where, "start_line")
+    start_col = _require_coord(obj, where, "start_col")
+    end_line = _require_coord(obj, where, "end_line")
+    end_col = _require_coord(obj, where, "end_col")
+    if start_line > end_line:
+        raise _field_error(where, "end_line", f"start_line {start_line} > end_line {end_line}")
+    if start_line == end_line and start_col > end_col:
+        raise _field_error(where, "end_col", f"start_col {start_col} > end_col {end_col} on one line")
+
+    return WarningRecord(
+        id=warning_id(file, start_line, start_col, end_line, end_col, analyzer, description),
+        level=Level(level),
+        analyzer=analyzer,
+        op_type=op_type,
+        description=description,
+        file=file,
+        start_line=start_line,
+        start_col=start_col,
+        end_line=end_line,
+        end_col=end_col,
+        code_snippet=snippet,
+    )
+
+
+def parse_report(data: bytes, source: str = "report") -> list[WarningRecord]:
     """Parse a report file into records with ids assigned and labels unset.
 
-    The report must be a JSON array of objects carrying exactly the ten
-    schema keys. The first missing, mistyped, or unknown field raises
-    SchemaError naming the field and its array index. Input order is kept.
+    The report must be a JSON array of report objects (see `parse_warning`);
+    errors name `source` and the object's array index. Input order is kept.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"report is not well-formed JSON: {exc}") from exc
+        raise SchemaError(f"{source} is not well-formed JSON: {exc}") from exc
     if not isinstance(doc, list):
-        raise SchemaError(f"report must be a JSON array, got {type(doc).__name__}")
-
-    records = []
-    for i, obj in enumerate(doc):
-        if not isinstance(obj, dict):
-            raise SchemaError(f"report[{i}]: expected object, got {type(obj).__name__}")
-        for name in REPORT_FIELDS:
-            if name not in obj:
-                raise _field_error(i, name, "missing field")
-        for name in obj:
-            if name not in REPORT_FIELDS:
-                raise _field_error(i, name, "unknown field")
-
-        level = _require_str(obj, i, "level")
-        if level not in _LEVELS:
-            raise _field_error(i, "level", f"expected one of {_LEVELS}, got {level!r}")
-        op_type = obj["op_type"]
-        if op_type is not None and not isinstance(op_type, str):
-            raise _field_error(i, "op_type", f"expected string or null, got {type(op_type).__name__}")
-
-        analyzer = _require_str(obj, i, "analyzer")
-        description = _require_str(obj, i, "description")
-        file = _require_str(obj, i, "file")
-        snippet = _require_str(obj, i, "code_snippet")
-        start_line = _require_coord(obj, i, "start_line")
-        start_col = _require_coord(obj, i, "start_col")
-        end_line = _require_coord(obj, i, "end_line")
-        end_col = _require_coord(obj, i, "end_col")
-        if start_line > end_line:
-            raise _field_error(i, "end_line", f"start_line {start_line} > end_line {end_line}")
-        if start_line == end_line and start_col > end_col:
-            raise _field_error(i, "end_col", f"start_col {start_col} > end_col {end_col} on one line")
-
-        records.append(
-            WarningRecord(
-                id=warning_id(file, start_line, start_col, end_line, end_col, analyzer, description),
-                level=Level(level),
-                analyzer=analyzer,
-                op_type=op_type,
-                description=description,
-                file=file,
-                start_line=start_line,
-                start_col=start_col,
-                end_line=end_line,
-                end_col=end_col,
-                code_snippet=snippet,
-            )
-        )
-    return records
-
-
-def serialize_report(records: list[WarningRecord]) -> bytes:
-    """Emit records back into report-file form (the ten schema keys only)."""
-    out = []
-    for r in records:
-        out.append(
-            {
-                "level": r.level.value,
-                "analyzer": r.analyzer,
-                "op_type": r.op_type,
-                "description": r.description,
-                "file": r.file,
-                "start_line": r.start_line,
-                "start_col": r.start_col,
-                "end_line": r.end_line,
-                "end_col": r.end_col,
-                "code_snippet": r.code_snippet,
-            }
-        )
-    return json.dumps(out, indent=1, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        raise SchemaError(f"{source} must be a JSON array, got {type(doc).__name__}")
+    return [parse_warning(obj, f"{source}[{i}]") for i, obj in enumerate(doc)]
 
 
 def classify_bug_pattern(record: WarningRecord) -> BugPattern:
@@ -377,9 +359,7 @@ def cluster_warnings(records: list[WarningRecord], radius: int = 10) -> dict[str
 
 def cluster_sizes(clusters: dict[str, int]) -> dict[str, int]:
     """Per-warning size of the cluster it belongs to."""
-    counts: dict[int, int] = {}
-    for cid in clusters.values():
-        counts[cid] = counts.get(cid, 0) + 1
+    counts = Counter(clusters.values())
     return {wid: counts[cid] for wid, cid in clusters.items()}
 
 
@@ -389,26 +369,31 @@ def cluster_sizes(clusters: dict[str, int]) -> dict[str, int]:
 
 
 def write_warning_store(records: list[WarningRecord]) -> bytes:
-    """Warning store: one JSON object per line, id first, then schema keys."""
+    """Warning store: one JSON object per line, id first, then the schema keys sorted."""
     lines = []
     for r in records:
-        obj = {"id": r.id}
-        obj.update(json.loads(serialize_report([r]).decode("utf-8"))[0])
-        lines.append(json.dumps(obj, sort_keys=False, ensure_ascii=False))
+        obj = {"id": r.id, **{name: getattr(r, name) for name in sorted(REPORT_FIELDS)}}
+        obj["level"] = r.level.value  # keeps its sorted place
+        lines.append(json.dumps(obj, ensure_ascii=False))
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def read_warning_store(data: bytes) -> list[WarningRecord]:
+def read_warning_store(data: bytes, source: str = "warning store") -> list[WarningRecord]:
+    """Parse a warning store; a malformed line raises SchemaError naming `source` and the line."""
     records = []
-    for line in data.decode("utf-8").split("\n"):
+    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        stored_id = obj.pop("id", None)
-        parsed = parse_report(json.dumps([obj]).encode("utf-8"))[0]
-        if stored_id is not None and stored_id != parsed.id:
-            raise SchemaError(f"stored id {stored_id} disagrees with content id {parsed.id}")
-        records.append(parsed)
+        where = f"{source} line {n}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        stored_id = obj.pop("id", None) if isinstance(obj, dict) else None
+        record = parse_warning(obj, where + ": warning")
+        if stored_id is not None and stored_id != record.id:
+            raise SchemaError(f"{where}: stored id {stored_id} disagrees with content id {record.id}")
+        records.append(record)
     return records
 
 
@@ -420,17 +405,17 @@ def write_label_sidecar(labels: dict[str, Label], sources: dict[str, str] | None
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def read_label_sidecar(data: bytes) -> dict[str, Label]:
+def read_label_sidecar(data: bytes, source: str = "label sidecar") -> dict[str, Label]:
     labels: dict[str, Label] = {}
     for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t", 2)
         if len(parts) < 2:
-            raise SchemaError(f"label sidecar line {n}: expected 'id<TAB>label<TAB>source'")
+            raise SchemaError(f"{source} line {n}: expected 'id<TAB>label<TAB>source'")
         wid, token = parts[0], parts[1]
         if token not in ("tp", "fp"):
-            raise SchemaError(f"label sidecar line {n}: label must be tp or fp, got {token!r}")
+            raise SchemaError(f"{source} line {n}: label must be tp or fp, got {token!r}")
         labels[wid] = Label(token)
     return labels
 
@@ -447,19 +432,28 @@ def write_split_file(
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def read_split_file(data: bytes) -> tuple[dict[str, Split], int, tuple[float, float, float]]:
+def read_split_file(
+    data: bytes, source: str = "split file"
+) -> tuple[dict[str, Split], int, tuple[float, float, float]]:
+    """Parse a split file; a malformed line raises SchemaError naming `source` and the line."""
     lines = data.decode("utf-8").splitlines()
-    if not lines or not lines[0].startswith("# seed="):
-        raise SchemaError("split file must start with '# seed=<n> ratios=<a>,<b>,<c>'")
-    head = lines[0][2:].split()
-    seed = int(head[0].split("=", 1)[1])
-    ratios = tuple(float(x) for x in head[1].split("=", 1)[1].split(","))
+    header = lines[0] if lines else ""
+    try:
+        if not header.startswith("# seed="):
+            raise ValueError(header)
+        seed_field, ratios_field = header[2:].split()[:2]
+        seed = int(seed_field.split("=", 1)[1])
+        ratios = tuple(float(x) for x in ratios_field.split("=", 1)[1].split(","))
+    except (IndexError, ValueError):
+        raise SchemaError(
+            f"{source} line 1: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
+        ) from None
     assignment = {}
     for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         wid, _, token = line.partition("\t")
         if token not in ("train", "val", "test"):
-            raise SchemaError(f"split file line {n}: split must be train/val/test, got {token!r}")
+            raise SchemaError(f"{source} line {n}: split must be train/val/test, got {token!r}")
         assignment[wid] = Split(token)
     return assignment, seed, ratios

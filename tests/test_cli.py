@@ -1,9 +1,12 @@
 """Command-line surface: pipeline wiring, exit codes, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triagerl import fuzz as fuzz_mod
 from triagerl.cli import build_run_config, config_digest, parse_config_file, run_cli
@@ -138,7 +141,70 @@ class TestFuzzFanOut:
         self.triage(pipeline, tmp_path, "inline", jobs=1, **self.external(tmp_path, tmp_path / "a"))
 
 
+def reading_command(paths, name, out):
+    """argv of a subcommand that reads the pipeline file `name` from `paths`."""
+    p = {k: str(v) for k, v in paths.items()}
+    evaluate = ["evaluate", "--checkpoint", p["checkpoint"], "--warnings", p["warnings"],
+                "--labels", p["labels"], "--splits", p["splits"], "--features", p["features"]]
+    report = ["report", "--verdicts", p["verdicts"], "--labels", p["labels"]]
+    argv = {
+        "report": ["ingest", "--report", p["report"]],
+        "warnings": ["split", "--warnings", p["warnings"], "--labels", p["labels"]],
+        "labels": report, "verdicts": report, "config": report,
+        "splits": evaluate, "features": evaluate, "checkpoint": evaluate,
+        "outcomes": ["triage", "--report", p["report"], "--checkpoint", p["checkpoint"],
+                     "--backend", "recorded", "--recorded", p["outcomes"]],
+        "meta": ["featurize", "--warnings", p["warnings"], "--meta", p["meta"]],
+    }[name]
+    return argv + ["--out", str(out), "--config", p["config"]]
+
+
+CORRUPTIBLE = ("report", "warnings", "labels", "splits", "features", "checkpoint",
+               "verdicts", "outcomes", "meta", "config")
+
+
+def run_with(pipeline, tmp_path, name, data):
+    """Exit code of the subcommand reading `data` in place of pipeline file `name`."""
+    bad = tmp_path / f"bad_{pipeline[name].name}"
+    bad.write_bytes(data)
+    return run_cli(reading_command({**pipeline, name: bad}, name, tmp_path / "out")), bad
+
+
 class TestMalformedInputs:
+    @pytest.mark.parametrize("name, corrupt, where", [
+        ("warnings", lambda lines: [lines[0], lines[1][:-9], *lines[2:]], "line 2"),
+        ("splits", lambda lines: ["# seed=abc ratios=0.7,0.15,0.15", *lines[1:]], "line 1"),
+        ("verdicts", lambda lines: [*lines[:2], "\t".join(lines[2].split("\t")[:2]), *lines[3:]],
+         "line 3"),
+        ("checkpoint", lambda lines: [lines[0][:5000]], "line 1"),
+        ("checkpoint", lambda lines: [lines[0].replace('"weights"', '"wheights"')], "'weights'"),
+        ("meta", lambda lines: [re.sub(r'"downloads": \d+', '"downloads": "many"', "\n".join(lines),
+                                       count=1)], "downloads"),
+        ("config", lambda lines: ["seed = x", *lines[1:]], "line 1"),
+    ])
+    def test_malformed_file_exits_3_naming_file_and_place(self, pipeline, tmp_path, capsys,
+                                                           name, corrupt, where):
+        lines = pipeline[name].read_text().split("\n")
+        code, bad = run_with(pipeline, tmp_path, name, "\n".join(corrupt(lines)).encode())
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert str(bad) in err and where in err, err
+
+    @pytest.mark.parametrize("name", CORRUPTIBLE)
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_corrupted_file_exits_0_or_3(self, pipeline, tmp_path_factory, name, data):
+        original = pipeline[name].read_bytes()
+        pos = data.draw(st.integers(0, len(original) - 1), label="position")
+        byte = data.draw(st.sampled_from(b'x{}[]",:\t\n#=.-9 \\'), label="byte")
+        corrupted = data.draw(st.sampled_from([
+            original[:pos],
+            original[:pos] + original[pos + 1:],
+            original[:pos] + bytes([byte]) + original[pos + 1:],
+        ]), label="corrupted")
+        code, _ = run_with(pipeline, tmp_path_factory.mktemp("corrupt"), name, corrupted)
+        assert code in (0, 3)
+
     def test_bad_recorded_outcome_line_names_file_and_line(self, pipeline, tmp_path, capsys):
         lines = pipeline["outcomes"].read_text().splitlines()
         wid = lines[1].split("\t", 1)[0]
@@ -216,6 +282,27 @@ class TestExitCodes:
 
 
 class TestRunConfig:
+    def test_seed_reaches_training_unless_train_seed_is_set(self, pipeline, tmp_path):
+        def checkpoint(name, seed, config):
+            out = tmp_path / f"{name}.ckpt"
+            assert run_cli([
+                "train", "--warnings", str(pipeline["warnings"]), "--labels", str(pipeline["labels"]),
+                "--splits", str(pipeline["splits"]), "--features", str(pipeline["features"]),
+                "--out", str(out), "--config", str(config), "--seed", str(seed),
+            ]) == 0
+            return out.read_bytes()
+
+        assert checkpoint("a1", 1, pipeline["config"]) != checkpoint("a2", 2, pipeline["config"])
+        pinned = tmp_path / "pinned.cfg"
+        pinned.write_text(pipeline["config"].read_text() + "train.seed = 3\n")
+        assert checkpoint("b1", 1, pinned) == checkpoint("b2", 2, pinned)
+
+    def test_seed_sets_train_and_sim_seeds_unless_they_are_set(self):
+        cfg = build_run_config({"seed": "4"}, {})
+        assert (cfg.train.seed, cfg.sim.seed) == (4, 4)
+        cfg = build_run_config({"seed": "4", "sim.seed": "9"}, {"seed": "5"})
+        assert (cfg.seed, cfg.train.seed, cfg.sim.seed) == (5, 5, 9)
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         inputs = write_demo_inputs(tmp_path / "cfg")
         run_cli([

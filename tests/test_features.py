@@ -284,6 +284,23 @@ class TestNormalizer:
         with pytest.raises(DigestMismatch):
             normalized(vectors, stats)
 
+    def test_matrix_matches_per_slot_reference(self):
+        # The per-slot rule the column operations replace, compared exactly.
+        rng = np.random.default_rng(3)
+        vectors = [FeatureVector(f"w{i}", rng.integers(0, 2, len(MANIFEST)) * rng.normal(size=len(MANIFEST)),
+                                 MANIFEST.digest) for i in range(9)]
+        vectors[0].values[:] = vectors[1].values  # rows 0 and 1 agree ...
+        stats = fit_normalizer(vectors)
+        stats.std[::7] = 0.0  # ... and some columns are constant
+        expected = np.zeros((len(vectors), len(MANIFEST)))
+        for r, v in enumerate(vectors):
+            for i, entry in enumerate(MANIFEST.entries):
+                if entry.kind is Kind.ONE_HOT:
+                    expected[r, i] = v.values[i]
+                elif stats.std[i] > 0:
+                    expected[r, i] = (v.values[i] - stats.mean[i]) / stats.std[i]
+        assert np.array_equal(normalized(vectors, stats), expected)
+
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 24))
     @settings(max_examples=30, deadline=None)
     def test_normalized_train_matrix_is_standard(self, seed, n):

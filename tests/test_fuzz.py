@@ -2,6 +2,7 @@
 
 import os
 import stat
+import tempfile
 import time
 from pathlib import Path
 
@@ -180,9 +181,7 @@ def fake_cmd(tmp_path, name, script):
 
 class TestExternalBackend:
     def make(self, tmp_path, script, **kw):
-        cmd = fake_cmd(tmp_path, "fuzzer.sh", script)
-        kw.setdefault("workdir", tmp_path / "work")
-        return ExternalBackend(cmd, **kw)
+        return ExternalBackend(fake_cmd(tmp_path, "fuzzer.sh", script), **kw)
 
     def test_exit_zero_is_clean(self, tmp_path):
         backend = self.make(tmp_path, "exit 0\n")
@@ -206,7 +205,7 @@ class TestExternalBackend:
         assert outcome.kind is FuzzKind.INCONCLUSIVE
 
     def test_missing_command_is_infrastructure_failure(self, tmp_path):
-        backend = ExternalBackend(str(tmp_path / "does-not-exist"), workdir=tmp_path / "w")
+        backend = ExternalBackend(str(tmp_path / "does-not-exist"))
         outcome = run_fuzz(backend, panic_warning(), TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
@@ -230,7 +229,7 @@ class TestExternalBackend:
     def test_env_var_overrides_command(self, tmp_path, monkeypatch):
         default = fake_cmd(tmp_path, "default.sh", "exit 1\n")
         override = fake_cmd(tmp_path, "override.sh", "exit 0\n")
-        backend = ExternalBackend(default, workdir=tmp_path / "w")
+        backend = ExternalBackend(default)
         monkeypatch.setenv("TRIAGE_FUZZ_CMD", override)
         assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.CLEAN
 
@@ -241,6 +240,21 @@ class TestExternalBackend:
         outcome = run_fuzz(backend, warning, TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
         assert "harness" in outcome.detail
+
+    def test_concurrent_calls_on_one_warning_use_private_directories(self, tmp_path):
+        # The fake fuzzer logs its harness path if the file is there, and
+        # sleeps so that the two calls overlap.
+        log = tmp_path / "paths.txt"
+        backend = self.make(tmp_path, f'test -f "$1" && echo "$1" >> {log}\nsleep 0.5\nexit 0\n')
+        warning = panic_warning()
+        outcomes = run_many(lambda w: run_fuzz(backend, w, TP), [warning, warning], jobs=2)
+        assert [o.kind for o in outcomes] == [FuzzKind.CLEAN, FuzzKind.CLEAN]
+        paths = [Path(line) for line in log.read_text().splitlines()]
+        assert len(paths) == 2 and paths[0] != paths[1]
+        for path in paths:
+            assert path.name == f"harness_{warning.id}.rs"
+            assert path.parent.parent == Path(tempfile.gettempdir())
+            assert not path.parent.exists()
 
     def test_timeout_kills_whole_process_group(self, tmp_path):
         pidfile = tmp_path / "child.pid"

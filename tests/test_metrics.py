@@ -124,6 +124,15 @@ class TestOracleEquivalence:
             else:
                 assert report.auc_roc is None
 
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 6)), min_size=2, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_average_precision_sums_steps_in_oracle_order(self, cases):
+        # Exact, not approximate: report files must not change in the last digit.
+        rows = [(TP, TP if positive else FP, level / 6.0) for positive, level in cases]
+        if all(a is TP for _, a, _ in rows) or all(a is FP for _, a, _ in rows):
+            return
+        assert compute_metrics(*build(rows)).auc_pr == oracle_average_precision(rows)
+
     def test_random_scores_auc_near_half(self):
         rng = np.random.default_rng(7)
         rows = [

@@ -1,5 +1,7 @@
 """Rollout collection, the PPO objective, and the training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,19 @@ class TestAdam:
         expected = -0.01 * np.sign(grad) * (np.abs(grad) / (np.abs(grad) + 1e-8))
         assert flat == pytest.approx(expected, abs=1e-6)
 
+    def test_in_place_step_matches_the_textbook_update(self):
+        rng = np.random.default_rng(0)
+        adam, flat = Adam(lr=0.01), rng.normal(size=50)
+        m = v = np.zeros(50)
+        expected = flat.copy()
+        for t in range(1, 6):
+            grad = rng.normal(size=50)
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad**2
+            expected = expected - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            adam.step(flat, grad)
+            assert np.array_equal(flat, expected)
+
     def test_state_accumulates(self):
         adam = Adam(lr=0.1)
         flat = np.zeros(2)
@@ -250,6 +265,17 @@ class TestTrainLoop:
         _, after = evaluate_checkpoint(restored, val, vectors, backend)
         assert before == after
         assert save_checkpoint(restored) == save_checkpoint(ckpt)
+
+    def test_checkpoint_with_a_discount_key_loads_without_it(self):
+        dataset, vectors = self.make_task()
+        ckpt = train(dataset, vectors, TrainConfig(epochs_max=1, patience=1, seed=5),
+                     SimulatedBackend(UNINFORMATIVE_ORACLE))
+        data = save_checkpoint(ckpt)
+        doc = json.loads(data)
+        assert "discount" not in doc["reward_spec"]
+        doc["reward_spec"]["discount"] = 1.0  # as checkpoints of format 1 used to carry it
+        restored = load_checkpoint(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+        assert save_checkpoint(restored) == data
 
     def test_history_has_required_log_fields(self):
         dataset, vectors = self.make_task()
