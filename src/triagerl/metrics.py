@@ -47,9 +47,10 @@ class EvalReport:
 
 def _auc_roc(scores: np.ndarray, positive: np.ndarray) -> float:
     """Rank statistic (Mann-Whitney U) with tied scores sharing their mean rank."""
+    # Each score's tie group spans 0-based sorted positions first..last.
     ordered = np.sort(scores)
-    first = np.searchsorted(ordered, scores, "left")  # 0-based sorted positions of each
-    last = np.searchsorted(ordered, scores, "right") - 1  # score's tie group
+    first = np.searchsorted(ordered, scores, "left")
+    last = np.searchsorted(ordered, scores, "right") - 1
     ranks = (first + last) / 2.0 + 1.0
     n_pos = int(positive.sum())
     n_neg = len(scores) - n_pos
@@ -65,7 +66,7 @@ def _auc_pr(scores: np.ndarray, positive: np.ndarray) -> float:
     """
     order = np.argsort(-scores, kind="stable")
     ordered = scores[order]
-    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))  # each tie group's last
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))  # last of each tie group
     cum_tp = np.cumsum(positive[order])[ends]
     recall = cum_tp / int(positive.sum())
     precision = cum_tp / (ends + 1)
