@@ -19,7 +19,7 @@ from . import features as features_mod
 from . import fuzz as fuzz_mod
 from . import metrics as metrics_mod
 from . import warnings as warn_mod
-from .env import RewardSpec, TriageEnv
+from .env import RewardSpec
 from .errors import (
     DigestMismatch,
     EmptyInput,
@@ -33,7 +33,7 @@ from .errors import (
     TriageError,
     UnlabeledRecordError,
 )
-from .features import MANIFEST, Mode, extract_features, manifest_export, package_of
+from .features import extract_features, manifest_export, normalize, package_of
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
 from .trainer import TrainConfig, feature_matrix, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split
@@ -246,12 +246,10 @@ def cmd_featurize(args) -> int:
         if not args.sidecar:
             print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
             return 2
-        sidecar = _load(features_mod.read_feature_sidecar, args.sidecar)
-        vectors = {}
-        for r in records:
-            if r.id not in sidecar:
-                raise FeatureValidationError(f"sidecar has no vector for warning {r.id}")
-            vectors[r.id] = extract_features(r, sidecar=sidecar[r.id], mode=Mode.PRECOMPUTED)
+        vectors = _load(features_mod.read_feature_sidecar, args.sidecar)
+        missing = [r.id for r in records if r.id not in vectors]
+        if missing:
+            raise FeatureValidationError(f"sidecar has no vector for warning {missing[0]}")
     else:
         vectors = _featurize_records(records, metadata, cfg.cluster_radius)
     _write(args.out, features_mod.write_feature_sidecar([vectors[r.id] for r in records]))
@@ -300,11 +298,9 @@ def cmd_triage(args) -> int:
     )
     vectors = _featurize_records(records, metadata, cfg.cluster_radius)
     backend = _make_backend(cfg)
-    env = TriageEnv(feature_dim=len(MANIFEST), reward_spec=checkpoint.reward_spec)
-    feats = feature_matrix(records, vectors, checkpoint.normalizer)
-    _, predictions = run_episodes(
-        checkpoint.params, env, feats, records, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs
-    )
+    feats = normalize(feature_matrix(records, vectors), checkpoint.normalizer)
+    _, predictions = run_episodes(checkpoint.params, checkpoint.reward_spec, feats, records,
+                                  backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
     _write(args.out, metrics_mod.write_verdicts(predictions))
     return 0
 

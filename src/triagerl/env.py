@@ -8,14 +8,12 @@ never raise into the agent. `trainer.run_episodes` plays the episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import IllegalAction
-from .fuzz import CRASH_GRADE, FUZZ_SLOTS, FuzzKind, FuzzOutcome, run_fuzz
+from .fuzz import CRASH_GRADE, FuzzKind, FuzzOutcome, run_fuzz
 from .warnings import Label, WarningRecord
-
-FUZZ_STATE_SLOTS = len(FUZZ_SLOTS)
 
 
 class TriageAction(IntEnum):
@@ -80,18 +78,6 @@ def reward_of(
     elif prior is FuzzKind.INCONCLUSIVE:
         reward += spec.bonus_inconclusive
     return reward
-
-
-@dataclass
-class TriageEnv:
-    """Episode settings: the feature width and the reward constants."""
-
-    feature_dim: int
-    reward_spec: RewardSpec = field(default_factory=RewardSpec)
-
-    @property
-    def state_dim(self) -> int:
-        return self.feature_dim + FUZZ_STATE_SLOTS
 
 
 def fuzz_step(backend, warning: WarningRecord) -> FuzzOutcome:

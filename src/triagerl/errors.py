@@ -46,10 +46,6 @@ class DimensionMismatch(TriageError):
     """Network parameters and input state disagree on dimensions."""
 
 
-class DegenerateDistribution(TriageError):
-    """All action probabilities are zero after masking."""
-
-
 class NonFiniteLoss(TriageError):
     """A PPO update produced a non-finite loss; the update is aborted."""
 

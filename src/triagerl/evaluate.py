@@ -10,25 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import TriageAction, TriageEnv
-from .errors import DigestMismatch
-from .features import MANIFEST, FeatureManifest, FeatureVector
+from .env import TriageAction
+from .features import MANIFEST, FeatureVector, normalize
 from .metrics import EvalReport, PredictionRecord, compute_metrics
-from .policy import SelectMode
 from .trainer import PolicyCheckpoint, feature_matrix, run_episodes
 from .warnings import Label, WarningRecord
-
-
-def _check_digests(ckpt: PolicyCheckpoint, vectors: dict[str, FeatureVector], manifest):
-    if ckpt.manifest_digest != manifest.digest:
-        raise DigestMismatch(
-            f"checkpoint digest {ckpt.manifest_digest} != manifest digest {manifest.digest}"
-        )
-    for v in vectors.values():
-        if v.manifest_digest != ckpt.manifest_digest:
-            raise DigestMismatch(
-                f"feature digest {v.manifest_digest} != checkpoint digest {ckpt.manifest_digest}"
-            )
 
 
 def evaluate_checkpoint(
@@ -36,18 +22,13 @@ def evaluate_checkpoint(
     records: list[WarningRecord],
     vectors: dict[str, FeatureVector],
     backend,
-    mode: SelectMode = SelectMode.GREEDY,
     mask_fuzz: bool = False,
-    rng=None,
-    manifest: FeatureManifest = MANIFEST,
     jobs: int = 1,
 ) -> tuple[EvalReport, list[PredictionRecord]]:
-    """Play every warning (greedy by default) and report metrics plus verdicts."""
-    _check_digests(ckpt, vectors, manifest)
-    feats = feature_matrix(records, vectors, ckpt.normalizer, manifest)
-    env = TriageEnv(feature_dim=len(manifest), reward_spec=ckpt.reward_spec)
+    """Play every warning greedily and report metrics plus verdicts."""
+    feats = normalize(feature_matrix(records, vectors), ckpt.normalizer)
     _, predictions = run_episodes(
-        ckpt.params, env, feats, records, backend, mode, mask_fuzz, rng, jobs
+        ckpt.params, ckpt.reward_spec, feats, records, backend, mask_fuzz=mask_fuzz, jobs=jobs
     )
     labels = {r.id: r.label for r in records}
     return compute_metrics(predictions, labels), predictions
@@ -59,7 +40,6 @@ def permutation_importance(
     vectors: dict[str, FeatureVector],
     repeats: int = 1,
     seed: int = 0,
-    manifest: FeatureManifest = MANIFEST,
 ) -> list[dict]:
     """Rank features by mean F1 drop when their column is shuffled.
 
@@ -69,14 +49,12 @@ def permutation_importance(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    _check_digests(ckpt, vectors, manifest)
-    matrix = feature_matrix(records, vectors, ckpt.normalizer, manifest)
-    env = TriageEnv(feature_dim=len(manifest), reward_spec=ckpt.reward_spec)
+    matrix = normalize(feature_matrix(records, vectors), ckpt.normalizer)
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records], dtype=bool)
 
     def masked_f1(feats: np.ndarray) -> float:
         # Fuzzing is masked: one decision per warning, and the backend is never called.
-        batch, _ = run_episodes(ckpt.params, env, feats, records, None, mask_fuzz=True)
+        batch, _ = run_episodes(ckpt.params, ckpt.reward_spec, feats, records, None, mask_fuzz=True)
         predicted = batch.actions == TriageAction.CLASSIFY_TP
         tp = int(np.sum(predicted & positives))
         if tp == 0:
@@ -87,7 +65,7 @@ def permutation_importance(
     baseline = masked_f1(matrix)
     rng = np.random.default_rng(seed)
     results = []
-    for j, entry in enumerate(manifest.entries):
+    for j, entry in enumerate(MANIFEST.entries):
         drops = []
         for _ in range(repeats):
             perm = rng.permutation(len(records))

@@ -1,10 +1,11 @@
 """Feature extraction and normalization for analyzer warnings.
 
 Every warning maps to a fixed-order vector described by a versioned manifest
-of 87 named slots in three families. Heuristic mode derives code-level
-features from the warning's snippet by documented lexical rules; Precomputed
-mode passes through exact values produced out-of-band (e.g. by a compiler
-plugin) after validating them against the manifest digest.
+of 87 named slots in three families. `extract_features` derives code-level
+features from the warning's snippet by documented lexical rules; a feature
+sidecar can instead carry exact values produced out-of-band (e.g. by a
+compiler plugin). Vectors are checked against the manifest where they enter
+the program: `read_feature_sidecar` and `validate_vector`.
 
 Lexical rules are approximations by design: they keep the engine testable on
 snippets alone while the sidecar path carries exact values when available.
@@ -48,11 +49,6 @@ class Kind(Enum):
     FLAG = "flag"
     ONE_HOT = "categorical-one-hot"
     LOG_SCALED = "log-scaled"
-
-
-class Mode(Enum):
-    HEURISTIC = "heuristic"
-    PRECOMPUTED = "precomputed"
 
 
 @dataclass(frozen=True)
@@ -231,40 +227,51 @@ def build_manifest() -> FeatureManifest:
 MANIFEST = build_manifest()
 
 
-def manifest_export(manifest: FeatureManifest = MANIFEST) -> str:
+def manifest_export() -> str:
     """Human-readable listing of the manifest for audit."""
-    lines = [f"# manifest version={manifest.version} digest={manifest.digest}"]
-    for i, e in enumerate(manifest.entries):
+    lines = [f"# manifest version={MANIFEST.version} digest={MANIFEST.digest}"]
+    for i, e in enumerate(MANIFEST.entries):
         lines.append(f"{i}\t{e.name}\t{e.family.value}\t{e.kind.value}")
     return "\n".join(lines) + "\n"
 
 
-def validate_vector(vec: FeatureVector, manifest: FeatureManifest = MANIFEST) -> None:
-    if vec.manifest_digest != manifest.digest:
-        raise DigestMismatch(
-            f"vector digest {vec.manifest_digest} != manifest digest {manifest.digest}"
-        )
-    if len(vec.values) != len(manifest):
-        raise FeatureValidationError(
-            f"vector length {len(vec.values)} != manifest length {len(manifest)}"
-        )
-    if not np.all(np.isfinite(vec.values)):
-        bad = int(np.flatnonzero(~np.isfinite(vec.values))[0])
-        raise FeatureValidationError(f"non-finite value in slot {manifest.entries[bad].name}")
-    values = vec.values
-    bad_flag = manifest.binary_mask & (values != 0.0) & (values != 1.0)
-    bad_ratio = manifest.ratio_mask & ((values < 0.0) | (values > 1.0))
-    bad = bad_flag | bad_ratio
+def validate_vector(vectors: list[FeatureVector], where) -> np.ndarray:
+    """The vectors' values stacked into a (len(vectors), len(MANIFEST)) matrix.
+
+    Each vector must carry the manifest digest and one value per slot, every
+    value must be finite, flags and one-hots 0 or 1, ratios in [0, 1]. The
+    first bad vector raises DigestMismatch or FeatureValidationError, named
+    by `where(i)`, with its first bad slot in manifest order.
+    """
+    size = len(MANIFEST)
+    for i, v in enumerate(vectors):
+        if v.manifest_digest != MANIFEST.digest:
+            raise DigestMismatch(f"{where(i)}: vector digest {v.manifest_digest} "
+                                 f"!= manifest digest {MANIFEST.digest}")
+        if v.values.shape != (size,):
+            raise FeatureValidationError(
+                f"{where(i)}: vector has shape {v.values.shape}, the manifest has {size} slots"
+            )
+    matrix = np.array([v.values for v in vectors], dtype=np.float64).reshape(len(vectors), size)
+    non_finite = ~np.isfinite(matrix)
+    bad_flag = MANIFEST.binary_mask & (matrix != 0.0) & (matrix != 1.0)
+    bad_ratio = MANIFEST.ratio_mask & ((matrix < 0.0) | (matrix > 1.0))
+    bad = non_finite | bad_flag | bad_ratio
     if bad.any():
-        i = int(bad.argmax())  # the first bad slot in manifest order
-        name, v = manifest.entries[i].name, float(values[i])
-        if bad_flag[i]:
-            raise FeatureValidationError(f"{name}: flag must be 0 or 1, got {v}")
-        raise FeatureValidationError(f"{name}: ratio must be in [0,1], got {v}")
+        row, i = divmod(int(bad.argmax()), size)
+        name, value = MANIFEST.entries[i].name, float(matrix[row, i])
+        if non_finite[row, i]:
+            problem = f"non-finite value in slot {name}"
+        elif bad_flag[row, i]:
+            problem = f"{name}: flag must be 0 or 1, got {value}"
+        else:
+            problem = f"{name}: ratio must be in [0,1], got {value}"
+        raise FeatureValidationError(f"{where(row)}: {problem}")
+    return matrix
 
 
 # ---------------------------------------------------------------------------
-# Lexical rules (Heuristic mode). Each helper documents its exact rule.
+# Lexical rules. Each helper documents its exact rule.
 # ---------------------------------------------------------------------------
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
@@ -506,24 +513,13 @@ def extract_features(
     meta: PackageMetadata | None = None,
     *,
     cluster_size: int | None = None,
-    sidecar: FeatureVector | None = None,
-    mode: Mode = Mode.HEURISTIC,
-    manifest: FeatureManifest = MANIFEST,
 ) -> FeatureVector:
     """Build the warning's raw feature vector in manifest order.
 
-    Heuristic mode computes snippet features by the lexical rules above and
-    fills package and analysis features from the inputs; missing metadata
-    imputes neutral defaults (0 for counts/flags, 0.5 for ratios) and sets
-    the imputation flag. Precomputed mode validates and passes the sidecar
-    values through unchanged.
+    Snippet features follow the lexical rules above; package and analysis
+    features come from the inputs. Missing metadata imputes neutral defaults
+    (0 for counts/flags, 0.5 for ratios) and sets the imputation flag.
     """
-    if mode is Mode.PRECOMPUTED:
-        if sidecar is None:
-            raise FeatureValidationError("Precomputed mode requires a sidecar vector")
-        validate_vector(sidecar, manifest)
-        return FeatureVector(record.id, np.array(sidecar.values, dtype=np.float64), manifest.digest)
-
     snippet = record.code_snippet
     if len(snippet.encode("utf-8")) > MAX_SNIPPET_BYTES:
         raise SnippetTooLarge(f"snippet is {len(snippet.encode('utf-8'))} bytes (cap 1 MiB)")
@@ -565,44 +561,28 @@ def extract_features(
     for name in _MIR_PAIRED_COUNTS + _STRUCTURAL_PAIRED_COUNTS + ("cluster_size",):
         feats[name + "_log"] = math.log1p(max(0.0, feats[name]))
 
-    values = np.array([feats[e.name] for e in manifest.entries], dtype=np.float64)
-    vec = FeatureVector(record.id, values, manifest.digest)
-    validate_vector(vec, manifest)
-    return vec
+    values = np.array([feats[e.name] for e in MANIFEST.entries], dtype=np.float64)
+    return FeatureVector(record.id, values, MANIFEST.digest)
 
 
-def fit_normalizer(
-    vectors: list[FeatureVector], manifest: FeatureManifest = MANIFEST
-) -> NormalizerStats:
-    """Per-column mean and sample standard deviation (ddof=1) on Train vectors."""
-    if len(vectors) < 2:
-        raise EmptyTrainSet(f"need >= 2 training vectors, got {len(vectors)}")
-    for v in vectors:
-        if v.manifest_digest != manifest.digest:
-            raise DigestMismatch(
-                f"vector digest {v.manifest_digest} != manifest digest {manifest.digest}"
-            )
-    matrix = np.stack([v.values for v in vectors])
+def fit_normalizer(matrix: np.ndarray) -> NormalizerStats:
+    """Per-column mean and sample standard deviation (ddof=1) of the raw Train rows."""
+    if len(matrix) < 2:
+        raise EmptyTrainSet(f"need >= 2 training vectors, got {len(matrix)}")
     return NormalizerStats(
         mean=matrix.mean(axis=0),
         std=matrix.std(axis=0, ddof=1),
         fitted_on="train",
-        manifest_digest=manifest.digest,
+        manifest_digest=MANIFEST.digest,
     )
 
 
-def normalize(
-    matrix: np.ndarray, stats: NormalizerStats, manifest: FeatureManifest = MANIFEST
-) -> np.ndarray:
-    """z-score each column of an (N, len(manifest)) matrix of raw rows;
+def normalize(matrix: np.ndarray, stats: NormalizerStats) -> np.ndarray:
+    """z-score each column of an (N, len(MANIFEST)) matrix of raw rows;
     zero-std columns map to 0; one-hots pass through."""
-    if stats.manifest_digest != manifest.digest:
-        raise DigestMismatch(
-            f"stats digest {stats.manifest_digest} != manifest digest {manifest.digest}"
-        )
     scaled = np.divide(matrix - stats.mean, stats.std, out=np.zeros_like(matrix),
                        where=stats.std > 0)
-    return np.where(manifest.one_hot_mask, matrix, scaled)
+    return np.where(MANIFEST.one_hot_mask, matrix, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -626,24 +606,24 @@ def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
 
 
 def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[str, FeatureVector]:
-    """Parse a sidecar; a malformed line raises FeatureValidationError naming `source`."""
-    vectors: dict[str, FeatureVector] = {}
+    """Parse a sidecar and check its vectors with `validate_vector`; a
+    malformed or invalid line raises naming `source` and the line."""
+    vectors, line_numbers = [], []
     for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            vector = FeatureVector(
+            vectors.append(FeatureVector(
                 obj["warning_id"],
                 np.array(obj["values"], dtype=np.float64),
                 obj["manifest_digest"],
-            )
-            if not np.isfinite(vector.values).all():
-                raise ValueError("values must be finite numbers")
+            ))
         except (ValueError, KeyError, TypeError) as exc:
             raise FeatureValidationError(f"{source} line {n}: {type(exc).__name__}: {exc}") from exc
-        vectors[vector.warning_id] = vector
-    return vectors
+        line_numbers.append(n)
+    validate_vector(vectors, lambda i: f"{source} line {line_numbers[i]}")
+    return {v.warning_id: v for v in vectors}
 
 
 def read_package_metadata(data: bytes, source: str = "package metadata") -> dict[str, PackageMetadata]:

@@ -240,18 +240,23 @@ class ExternalBackend:
         except (UnknownPattern, UnresolvableTarget) as exc:
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"harness generation: {exc}")
         try:
+            command = shlex.split(os.environ.get("TRIAGE_FUZZ_CMD", self.command))
+        except ValueError as exc:
+            return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
+                               f"spawn failed: command: {exc}")
+        try:
             with tempfile.TemporaryDirectory(prefix="triagerl-", ignore_cleanup_errors=True) as workdir:
                 harness_path = Path(workdir) / f"harness_{warning.id}.rs"
                 harness_path.write_text(harness, encoding="utf-8")
-                return self._fuzz(harness_path, budget, start)
+                return self._fuzz(command, harness_path, budget, start)
         except OSError as exc:
             return FuzzOutcome(
                 FuzzKind.INFRASTRUCTURE_FAILURE, time.monotonic() - start, f"spawn failed: {exc}"
             )
 
-    def _fuzz(self, harness_path: Path, budget: float, start: float) -> FuzzOutcome:
-        command = os.environ.get("TRIAGE_FUZZ_CMD", self.command)
-        argv = shlex.split(command) + [str(harness_path), "--budget", str(int(budget))]
+    def _fuzz(self, command: list[str], harness_path: Path, budget: float,
+              start: float) -> FuzzOutcome:
+        argv = command + [str(harness_path), "--budget", str(int(budget))]
         with subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
         ) as proc:

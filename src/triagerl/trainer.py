@@ -16,9 +16,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .env import ACTION_COUNT, RewardSpec, TriageAction, TriageEnv, fuzz_step, reward_of
+from .env import RewardSpec, TriageAction, fuzz_step, reward_of
 from .errors import (
-    DegenerateDistribution,
     DigestMismatch,
     DimensionMismatch,
     EmptySplit,
@@ -28,7 +27,14 @@ from .errors import (
     SchemaError,
     UnlabeledRecordError,
 )
-from .features import FeatureManifest, FeatureVector, MANIFEST, NormalizerStats, fit_normalizer, normalize
+from .features import (
+    MANIFEST,
+    FeatureVector,
+    NormalizerStats,
+    fit_normalizer,
+    normalize,
+    validate_vector,
+)
 from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import PredictionRecord, compute_metrics
 from .policy import (
@@ -43,7 +49,8 @@ from .policy import (
 from .warnings import Dataset, Label, Split, WarningRecord
 
 CHECKPOINT_FORMAT_VERSION = 1
-_MASK_PENALTY = -1e9
+# A state: the manifest's features, then a one-hot of the fuzz outcome slots.
+STATE_DIM = len(MANIFEST) + len(FUZZ_SLOTS)
 
 
 @dataclass
@@ -95,14 +102,15 @@ class TrajectoryBatch:
                                  TrajectoryBatch.__dataclass_fields__.values()])  # type: ignore[arg-type]
 
 
-def _mask_fuzz(probs: np.ndarray) -> np.ndarray:
-    """Rows with the fuzz probability zeroed and the rest renormalized."""
-    probs = probs.copy()
-    probs[:, TriageAction.FUZZ] = 0.0
-    total = probs.sum(axis=1, keepdims=True)
-    if (total <= 0.0).any():
-        raise DegenerateDistribution("all probability mass was on the masked action")
-    return probs / total
+def _fuzz_masked_probs(logits: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Action probabilities with fuzzing masked in `rows` (default: all).
+
+    The fuzz logit is set to -inf before the softmax, so the classify
+    probabilities stay well-defined however large the fuzz logit was.
+    """
+    logits = logits.copy()
+    logits[rows, TriageAction.FUZZ] = -np.inf
+    return softmax(logits)
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -114,7 +122,7 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 def run_episodes(
     params: PolicyParams,
-    env: TriageEnv,
+    reward_spec: RewardSpec,
     feats: np.ndarray,
     records: list[WarningRecord],
     backend,
@@ -133,18 +141,20 @@ def run_episodes(
     fixed action order (TP, FP, Fuzz). SAMPLE draws one rng.random() per
     decision in episode order, the stream that playing the episodes one
     after another would consume. A fuzzing episode's first step returns
-    r1 + gamma*r2. Each verdict's score is P(TP) among the two classify
-    actions at the episode's final decision state.
+    r1 + gamma*r2. Each verdict's score is P(TP) with fuzzing masked at the
+    episode's final decision state.
     """
-    n, fd = len(records), env.feature_dim
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.shape != (n, fd):
-        raise LengthMismatch(f"features have shape {feats.shape}, expected {(n, fd)}")
-    first = np.zeros((n, env.state_dim))
+    n = len(records)
+    if feats.ndim != 2 or len(feats) != n:
+        raise LengthMismatch(f"features have shape {feats.shape}, expected {n} rows")
+    fd = feats.shape[1]
+    first = np.zeros((n, fd + len(FUZZ_SLOTS)))
     first[:, :fd] = feats
     first[:, fd] = 1.0  # the NotRun slot
     cache1 = forward_cache(params, first)
-    probs1 = _mask_fuzz(cache1["probs"]) if mask_fuzz else cache1["probs"]
+    classify1 = _fuzz_masked_probs(cache1["logits"])
+    probs1 = classify1 if mask_fuzz else cache1["probs"]
     second_draws = []
     if mode is SelectMode.GREEDY:
         act1 = probs1.argmax(axis=1)
@@ -164,7 +174,7 @@ def run_episodes(
     second = first[idx]
     second[:, fd:] = np.eye(len(FUZZ_SLOTS))[[FUZZ_SLOTS.index(k) for k in kinds[idx]]]
     cache2 = forward_cache(params, second)
-    probs2 = _mask_fuzz(cache2["probs"])
+    probs2 = _fuzz_masked_probs(cache2["logits"])
     if mode is SelectMode.GREEDY:
         act2 = probs2.argmax(axis=1)
     else:
@@ -172,18 +182,17 @@ def run_episodes(
 
     final = act1.copy()
     final[idx] = act2
-    decision = cache1["probs"].copy()
-    decision[idx] = cache2["probs"]
-    p_tp, p_fp = decision[:, TriageAction.CLASSIFY_TP], decision[:, TriageAction.CLASSIFY_FP]
+    score = classify1[:, TriageAction.CLASSIFY_TP].copy()
+    score[idx] = probs2[:, TriageAction.CLASSIFY_TP]
     predictions = [
         PredictionRecord(r.id, Label.TRUE_POSITIVE if a == TriageAction.CLASSIFY_TP
-                         else Label.FALSE_POSITIVE, score, k is not None, k)
-        for r, a, score, k in zip(records, final.tolist(), (p_tp / (p_tp + p_fp)).tolist(), kinds)
+                         else Label.FALSE_POSITIVE, p, k is not None, k)
+        for r, a, p, k in zip(records, final.tolist(), score.tolist(), kinds)
     ]
     # Memoized: at most 2 x 3 x 6 distinct (action, label, outcome) triples occur.
-    reward = cache(lambda a, label, kind: reward_of(TriageAction(a), label, kind, env.reward_spec))
+    reward = cache(lambda a, label, kind: reward_of(TriageAction(a), label, kind, reward_spec))
     terminal = np.array([reward(a, r.label, k) for a, r, k in zip(final.tolist(), records, kinds)])
-    reward1 = np.where(fuzzed, env.reward_spec.fuzz_cost, terminal)
+    reward1 = np.where(fuzzed, reward_spec.fuzz_cost, terminal)
     reward2 = terminal[idx]
     return1 = reward1 + gamma * np.where(fuzzed, terminal, 0.0)
 
@@ -212,7 +221,7 @@ def collect_rollouts(
     params: PolicyParams,
     records: list[WarningRecord],
     feats: np.ndarray,
-    env: TriageEnv,
+    reward_spec: RewardSpec,
     backend,
     rng: np.random.Generator,
     gamma: float = 1.0,
@@ -226,23 +235,11 @@ def collect_rollouts(
     if not records:
         raise EmptySplit("no episodes to collect")
     order = rng.permutation(len(records))
-    batch, _ = run_episodes(params, env, feats[order], [records[i] for i in order], backend,
+    batch, _ = run_episodes(params, reward_spec, feats[order], [records[i] for i in order], backend,
                             SelectMode.SAMPLE, rng=rng, gamma=gamma)
     adv = batch.advantages
     batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
     return batch
-
-
-def _fuzz_mask_penalty(states: np.ndarray, feature_dim: int) -> np.ndarray:
-    """Additive logit penalty rows for states where fuzzing is illegal.
-
-    A state whose NotRun slot is 0 has already fuzzed; its Fuzz logit is
-    pushed to -inf so the update distribution matches the behavior one.
-    """
-    penalty = np.zeros((states.shape[0], ACTION_COUNT))
-    already_fuzzed = states[:, feature_dim] == 0.0
-    penalty[already_fuzzed, TriageAction.FUZZ] = _MASK_PENALTY
-    return penalty
 
 
 def ppo_loss_and_grads(
@@ -256,13 +253,14 @@ def ppo_loss_and_grads(
     """Total PPO loss and its analytic gradients on one minibatch.
 
     Loss = -mean(clipped surrogate) + c_v * value MSE - c_e * mean entropy.
-    The gradients are written into `grads` (a new zero buffer when it is
-    None), laid out like `params`; they are None when the loss is not finite.
+    A state whose NotRun slot (column `feature_dim`) is 0 has already fuzzed,
+    so fuzzing is masked there, as it was when the state was played. The
+    gradients are written into `grads` (a new zero buffer when it is None),
+    laid out like `params`; they are None when the loss is not finite.
     """
     n = len(batch)
     cache = forward_cache(params, batch.states, dropout_masks)
-    logits = cache["logits"] + _fuzz_mask_penalty(batch.states, feature_dim)
-    probs = softmax(logits)
+    probs = _fuzz_masked_probs(cache["logits"], batch.states[:, feature_dim] == 0.0)
     values = cache["values"]
 
     idx = np.arange(n)
@@ -404,29 +402,13 @@ class PolicyCheckpoint:
     history: list[dict] = field(default_factory=list)
 
 
-def feature_matrix(
-    records: list[WarningRecord],
-    vectors: dict[str, FeatureVector],
-    stats: NormalizerStats,
-    manifest: FeatureManifest = MANIFEST,
-) -> np.ndarray:
-    """Normalized feature rows of `records`, in order: shape (len(records), len(manifest))."""
-    rows = []
-    for r in records:
-        vec = vectors.get(r.id)
-        if vec is None:
-            raise FeatureValidationError(f"no feature vector for warning {r.id}")
-        if vec.manifest_digest != stats.manifest_digest:
-            raise DigestMismatch(
-                f"vector digest {vec.manifest_digest} != stats digest {stats.manifest_digest}"
-            )
-        if vec.values.shape != (len(manifest),):
-            raise FeatureValidationError(
-                f"warning {r.id}: vector length {len(vec.values)} != manifest length {len(manifest)}"
-            )
-        rows.append(vec.values)
-    raw = np.array(rows, dtype=np.float64).reshape(len(rows), len(manifest))
-    return normalize(raw, stats, manifest)
+def feature_matrix(records: list[WarningRecord], vectors: dict[str, FeatureVector]) -> np.ndarray:
+    """Raw feature rows of `records`, in order, checked by `validate_vector`:
+    shape (len(records), len(MANIFEST))."""
+    missing = [r.id for r in records if r.id not in vectors]
+    if missing:
+        raise FeatureValidationError(f"no feature vector for warning {missing[0]}")
+    return validate_vector([vectors[r.id] for r in records], lambda i: f"warning {records[i].id}")
 
 
 def train(
@@ -435,7 +417,6 @@ def train(
     config: TrainConfig,
     backend,
     reward_spec: RewardSpec | None = None,
-    manifest: FeatureManifest = MANIFEST,
     log_lines: list[str] | None = None,
 ) -> PolicyCheckpoint:
     """Full training loop with validation-F1 model selection.
@@ -456,13 +437,13 @@ def train(
     if unlabeled:
         raise UnlabeledRecordError(f"unlabeled records in splits: {', '.join(unlabeled)}")
 
-    stats = fit_normalizer([vectors[r.id] for r in train_records if r.id in vectors], manifest)
-    train_feats = feature_matrix(train_records, vectors, stats, manifest)
-    val_feats = feature_matrix(val_records, vectors, stats, manifest)
+    train_raw = feature_matrix(train_records, vectors)
+    stats = fit_normalizer(train_raw)
+    train_feats = normalize(train_raw, stats)
+    val_feats = normalize(feature_matrix(val_records, vectors), stats)
     val_labels = {r.id: r.label for r in val_records}
 
-    env = TriageEnv(feature_dim=len(manifest), reward_spec=reward_spec)
-    params = init_params(env.state_dim, dropout_rate=config.dropout_rate, seed=config.seed)
+    params = init_params(STATE_DIM, dropout_rate=config.dropout_rate, seed=config.seed)
     rng_rollout = np.random.default_rng([config.seed, 1])
     rng_update = np.random.default_rng([config.seed, 2])
     optimizer = Adam(config.learning_rate)
@@ -473,11 +454,11 @@ def train(
     history: list[dict] = []
     for epoch in range(1, config.epochs_max + 1):
         batch = collect_rollouts(
-            params, train_records, train_feats, env, backend, rng_rollout, config.gamma
+            params, train_records, train_feats, reward_spec, backend, rng_rollout, config.gamma
         )
-        ppo_update(params, batch, config, rng_update, len(manifest), optimizer)
+        ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
 
-        _, preds = run_episodes(params, env, val_feats, val_records, backend)
+        _, preds = run_episodes(params, reward_spec, val_feats, val_records, backend)
         report = compute_metrics(preds, val_labels)
         val_f1 = report.f1 if report.f1 is not None else 0.0
         entry = {
@@ -506,7 +487,7 @@ def train(
     return PolicyCheckpoint(
         params=best_params,
         normalizer=stats,
-        manifest_digest=manifest.digest,
+        manifest_digest=MANIFEST.digest,
         config=config,
         reward_spec=reward_spec,
         history=history,
@@ -537,22 +518,23 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     return json.dumps(doc, sort_keys=False, separators=(",", ":")).encode("utf-8")
 
 
-def load_checkpoint(
-    data: bytes, manifest: FeatureManifest = MANIFEST, source: str = "checkpoint"
-) -> PolicyCheckpoint:
+def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint:
     """Parse a checkpoint; a malformed one raises SchemaError naming `source`
-    (and the line of a JSON syntax error). A `reward_spec.discount` key, which
-    older checkpoints carry, is dropped: `train.gamma` is the discount."""
+    (and the line of a JSON syntax error), one whose policy or normalizer was
+    built for another manifest DigestMismatch. A `reward_spec.discount` key,
+    which older checkpoints carry, is dropped: `train.gamma` is the discount."""
     try:
         doc = json.loads(data.decode("utf-8"))
         if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {doc['format_version']}")
-        if doc["manifest_digest"] != manifest.digest:
-            raise DigestMismatch(
-                f"checkpoint digest {doc['manifest_digest']} != manifest digest {manifest.digest}"
-            )
+        for part, digest in (("checkpoint", doc["manifest_digest"]),
+                             ("normalizer", doc["normalizer"]["manifest_digest"])):
+            if digest != MANIFEST.digest:
+                raise DigestMismatch(
+                    f"{source}: {part} digest {digest} != manifest digest {MANIFEST.digest}"
+                )
         input_dim, h1, h2 = doc["layer_dims"]
-        if input_dim != TriageEnv(len(manifest)).state_dim:
+        if input_dim != STATE_DIM:
             raise ValueError(f"input dimension {input_dim} does not fit the manifest")
         flat = np.concatenate([np.array(doc["weights"][name], dtype=np.float64)
                                for name, _ in param_layout(input_dim, (h1, h2))])
@@ -560,8 +542,8 @@ def load_checkpoint(
         stats = doc["normalizer"]
         normalizer = NormalizerStats(**{**stats, "mean": np.array(stats["mean"], dtype=np.float64),
                                         "std": np.array(stats["std"], dtype=np.float64)})
-        if normalizer.mean.shape != (len(manifest),) or normalizer.std.shape != (len(manifest),):
-            raise ValueError(f"normalizer statistics must have {len(manifest)} entries each")
+        if normalizer.mean.shape != (len(MANIFEST),) or normalizer.std.shape != (len(MANIFEST),):
+            raise ValueError(f"normalizer statistics must have {len(MANIFEST)} entries each")
         if not all(np.isfinite(v).all() for v in (flat, normalizer.mean, normalizer.std)):
             raise ValueError("weights and normalizer statistics must be finite")
         reward = {k: v for k, v in doc["reward_spec"].items() if k != "discount"}

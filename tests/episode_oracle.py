@@ -8,7 +8,6 @@ the batched engine against it on the same parameters and seeds.
 import numpy as np
 
 from triagerl.env import TriageAction, reward_of
-from triagerl.errors import DegenerateDistribution
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
 from triagerl.metrics import PredictionRecord
 from triagerl.policy import SelectMode, forward_cache
@@ -25,10 +24,7 @@ def select_action(probs, mode, masked, rng):
     probs = np.array(probs, dtype=np.float64)
     if masked:
         probs[TriageAction.FUZZ] = 0.0
-        total = probs.sum()
-        if total <= 0.0:
-            raise DegenerateDistribution("all probability mass was on the masked action")
-        probs = probs / total
+        probs = probs / probs.sum()
     if mode is SelectMode.GREEDY:
         return TriageAction(int(np.argmax(probs)))
     return TriageAction(int(rng.choice(len(TriageAction), p=probs)))
@@ -41,7 +37,7 @@ def fuzz(backend, record):
         return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}")
 
 
-def play_episode(params, env, record, feats, backend, mask_fuzz=False,
+def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False,
                  mode=SelectMode.GREEDY, rng=None):
     """One episode; returns its verdict and its steps as
     (state, action, logp, reward, value) tuples."""
@@ -61,9 +57,9 @@ def play_episode(params, env, record, feats, backend, mask_fuzz=False,
         logp = float(np.log(prob))
         if action is TriageAction.FUZZ:
             kind = fuzz(backend, record).kind
-            steps.append((state, int(action), logp, env.reward_spec.fuzz_cost, value))
+            steps.append((state, int(action), logp, reward_spec.fuzz_cost, value))
             continue
-        reward = reward_of(action, record.label, kind, env.reward_spec)
+        reward = reward_of(action, record.label, kind, reward_spec)
         steps.append((state, int(action), logp, reward, value))
         fuzzed = kind is not FuzzKind.NOT_RUN
         p_tp, p_fp = float(probs[0]), float(probs[1])
@@ -79,19 +75,19 @@ def play_episode(params, env, record, feats, backend, mask_fuzz=False,
     raise AssertionError("episode did not terminate in two steps")
 
 
-def play_all(params, env, feats, records, backend, mask_fuzz=False,
+def play_all(params, reward_spec, feats, records, backend, mask_fuzz=False,
              mode=SelectMode.GREEDY, rng=None):
-    return [play_episode(params, env, r, f, backend, mask_fuzz, mode, rng)[0]
+    return [play_episode(params, reward_spec, r, f, backend, mask_fuzz, mode, rng)[0]
             for r, f in zip(records, feats)]
 
 
-def collect_rollouts(params, records, feats, env, backend, rng, gamma=1.0):
+def collect_rollouts(params, records, feats, reward_spec, backend, rng, gamma=1.0):
     """Shuffle, then one sampled episode per warning; per-step arrays with
     returns as discounted suffix sums within each episode."""
     rows = {k: [] for k in ("states", "actions", "logp", "rewards", "values",
                             "episode_ids", "returns")}
     for episode_id, i in enumerate(rng.permutation(len(records))):
-        _, steps = play_episode(params, env, records[i], feats[i], backend,
+        _, steps = play_episode(params, reward_spec, records[i], feats[i], backend,
                                 mode=SelectMode.SAMPLE, rng=rng)
         acc, returns = 0.0, []
         for step in reversed(steps):

@@ -86,16 +86,21 @@ class TestPipeline:
             assert a[name].read_bytes() == b[name].read_bytes(), f"{name} differs"
 
 
-def always_fuzz_checkpoint(path):
-    """A checkpoint whose policy fuzzes every warning, then calls it a TP."""
+def biased_checkpoint(path, logits):
+    """A checkpoint whose policy has the action logits `logits` in every state."""
     params = init_params(len(MANIFEST) + 6, hidden=(8, 6), dropout_rate=0.0, seed=0)
     params.flat[:] = 0.0
-    params.b_pi[:] = [1.0, 0.0, 5.0]
+    params.b_pi[:] = logits
     normalizer = NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)),
                                  fitted_on="train", manifest_digest=MANIFEST.digest)
     path.write_bytes(save_checkpoint(PolicyCheckpoint(
         params, normalizer, MANIFEST.digest, TrainConfig(), RewardSpec())))
     return path
+
+
+def always_fuzz_checkpoint(path):
+    """A checkpoint whose policy fuzzes every warning, then calls it a TP."""
+    return biased_checkpoint(path, [1.0, 0.0, 5.0])
 
 
 class TestFuzzFanOut:
@@ -139,6 +144,35 @@ class TestFuzzFanOut:
 
         monkeypatch.setattr(fuzz_mod, "ThreadPoolExecutor", no_pool)
         self.triage(pipeline, tmp_path, "inline", jobs=1, **self.external(tmp_path, tmp_path / "a"))
+
+    def test_fuzz_dominant_checkpoint_fuzzes_every_warning(self, pipeline, tmp_path):
+        # The fuzz logit exceeds both classify logits by more than exp() spans.
+        out = tmp_path / "v.txt"
+        code = run_cli([
+            "triage", "--report", str(pipeline["report"]),
+            "--checkpoint", str(biased_checkpoint(tmp_path / "c.ckpt", [0.0, 0.0, 800.0])),
+            "--backend", "recorded", "--recorded", str(pipeline["outcomes"]), "--out", str(out),
+        ])
+        assert code == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()]
+        assert rows and all(r[3] == "1" and float(r[2]) == 0.5 for r in rows)
+
+    @pytest.mark.parametrize("via", ["config", "environment"])
+    def test_unsplittable_command_records_infrastructure_failures(self, pipeline, tmp_path,
+                                                                   monkeypatch, via):
+        command = '"unclosed'
+        if via == "environment":
+            monkeypatch.setenv("TRIAGE_FUZZ_CMD", command)
+            command = "cargo-fuzz-triage"
+        cfg = tmp_path / "external.cfg"
+        cfg.write_text(f"backend = external\nexternal_command = {command}\n")
+        out = tmp_path / "outcomes.txt"
+        code = run_cli(["fuzz-validate", "--warnings", str(pipeline["warnings"]),
+                        "--out", str(out), "--config", str(cfg)])
+        assert code == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()]
+        assert rows and {r[1] for r in rows} == {"infrastructure_failure"}
+        assert any("No closing quotation" in r[3] for r in rows)
 
 
 def reading_command(paths, name, out):
@@ -220,6 +254,32 @@ class TestMalformedInputs:
             assert code == 3, err
             assert f"{bad} line 2" in err
 
+    @pytest.mark.parametrize("slot, value, named", [
+        ("public_api_flag", 0.5, "public_api_flag: flag must be 0 or 1, got 0.5"),
+        ("borrow_ratio", 1.5, "borrow_ratio: ratio must be in [0,1], got 1.5"),
+        (None, None, "vector has shape (88,), the manifest has 87 slots"),
+    ], ids=["flag", "ratio", "length"])
+    def test_bad_sidecar_values_exit_3_in_train_and_evaluate(self, pipeline, tmp_path, capsys,
+                                                             slot, value, named):
+        lines = pipeline["features"].read_text().splitlines()
+        obj = json.loads(lines[2])
+        if slot is None:
+            obj["values"].append(0.0)
+        else:
+            obj["values"][MANIFEST.index_of(slot)] = value
+        bad = tmp_path / "features.jsonl"
+        bad.write_text("\n".join([*lines[:2], json.dumps(obj), *lines[3:]]) + "\n")
+        p = {k: str(v) for k, v in pipeline.items()}
+        data = ["--warnings", p["warnings"], "--labels", p["labels"], "--splits", p["splits"],
+                "--features", str(bad), "--config", p["config"]]
+        for argv in (["train", *data, "--out", str(tmp_path / "m.ckpt")],
+                     ["evaluate", "--checkpoint", p["checkpoint"], *data,
+                      "--out", str(tmp_path / "r.txt")]):
+            code = run_cli(argv)
+            err = capsys.readouterr().err
+            assert code == 3, (argv[0], err)
+            assert f"{bad} line 3: {named}" in err, (argv[0], err)
+
     def test_truncated_feature_sidecar_line_names_file_and_line(self, pipeline, tmp_path, capsys):
         lines = pipeline["features"].read_text().splitlines()
         bad = tmp_path / "features.jsonl"
@@ -276,8 +336,7 @@ class TestExitCodes:
         ])
         err = capsys.readouterr().err
         assert code == 3
-        assert "feedfacefeedface" in err
-        from triagerl.features import MANIFEST
+        assert f"{corrupted} line 1: vector digest feedfacefeedface" in err
         assert MANIFEST.digest in err
 
 

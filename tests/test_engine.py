@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from triagerl import trainer
-from triagerl.env import TriageEnv
-from triagerl.features import MANIFEST, fit_normalizer
+from triagerl.env import RewardSpec
+from triagerl.features import fit_normalizer, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.policy import SelectMode, init_params
 from triagerl.synthetic import separable_task
-from triagerl.trainer import collect_rollouts, feature_matrix, run_episodes
+from triagerl.trainer import STATE_DIM, collect_rollouts, feature_matrix, run_episodes
 from triagerl.warnings import Split
 
 import episode_oracle
 
-ENV = TriageEnv(feature_dim=len(MANIFEST))
+SPEC = RewardSpec()
 BACKEND = SimulatedBackend(SimOracleConfig(0.6, 0.1, 0.3, seed=2))
 
 
@@ -22,21 +22,21 @@ BACKEND = SimulatedBackend(SimOracleConfig(0.6, 0.1, 0.3, seed=2))
 def task():
     dataset, vectors = separable_task(n=200, seed=3)
     records = dataset.split_records(Split.TRAIN)
-    stats = fit_normalizer([vectors[r.id] for r in records])
-    return records, feature_matrix(records, vectors, stats)
+    raw = feature_matrix(records, vectors)
+    return records, normalize(raw, fit_normalizer(raw))
 
 
 def policies():
     """Untrained policies: greedy play fuzzes some warnings and not others."""
-    return [init_params(ENV.state_dim, seed=seed) for seed in range(3)]
+    return [init_params(STATE_DIM, seed=seed) for seed in range(3)]
 
 
 def test_greedy_matches_reference_loop(task):
     records, feats = task
     for params in policies():
         for mask_fuzz in (False, True):
-            _, batched = run_episodes(params, ENV, feats, records, BACKEND, mask_fuzz=mask_fuzz)
-            oracle = episode_oracle.play_all(params, ENV, feats, records, BACKEND, mask_fuzz)
+            _, batched = run_episodes(params, SPEC, feats, records, BACKEND, mask_fuzz=mask_fuzz)
+            oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND, mask_fuzz)
             assert len(batched) == len(oracle)
             for b, o in zip(batched, oracle):
                 assert (b.warning_id, b.predicted, b.fuzz_used, b.fuzz_kind) == (
@@ -50,8 +50,8 @@ def test_sampled_rollouts_match_reference_loop(task):
     records, feats = task
     for params in policies():
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        batch = collect_rollouts(params, records, feats, ENV, BACKEND, rng_a, gamma=0.9)
-        oracle = episode_oracle.collect_rollouts(params, records, feats, ENV, BACKEND, rng_b, 0.9)
+        batch = collect_rollouts(params, records, feats, SPEC, BACKEND, rng_a, gamma=0.9)
+        oracle = episode_oracle.collect_rollouts(params, records, feats, SPEC, BACKEND, rng_b, 0.9)
         assert batch.actions.tolist() == oracle["actions"].tolist()
         assert batch.episode_ids.tolist() == oracle["episode_ids"].tolist()
         assert batch.states.tolist() == oracle["states"].tolist()
@@ -65,9 +65,9 @@ def test_sampled_rollouts_match_reference_loop(task):
 def test_sampled_verdicts_match_reference_loop(task):
     records, feats = task
     params = policies()[0]
-    _, batched = run_episodes(params, ENV, feats, records, BACKEND, SelectMode.SAMPLE,
+    _, batched = run_episodes(params, SPEC, feats, records, BACKEND, SelectMode.SAMPLE,
                               rng=np.random.default_rng(4))
-    oracle = episode_oracle.play_all(params, ENV, feats, records, BACKEND,
+    oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND,
                                      mode=SelectMode.SAMPLE, rng=np.random.default_rng(4))
     assert [(p.predicted, p.fuzz_kind) for p in batched] == [(p.predicted, p.fuzz_kind) for p in oracle]
 
@@ -86,6 +86,6 @@ def test_at_most_two_forward_passes(task, monkeypatch):
     for n in (0, 1, 7, len(records)):
         for mode, rng in ((SelectMode.GREEDY, None), (SelectMode.SAMPLE, np.random.default_rng(0))):
             calls.clear()
-            batch, _ = run_episodes(params, ENV, feats[:n], records[:n], BACKEND, mode, rng=rng)
+            batch, _ = run_episodes(params, SPEC, feats[:n], records[:n], BACKEND, mode, rng=rng)
             assert len(calls) <= 2
             assert sum(calls) == len(batch)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triagerl.env import RewardSpec, TriageAction, TriageEnv, reward_of
-from triagerl.errors import IllegalAction, LengthMismatch
+from triagerl.env import RewardSpec, TriageAction, reward_of
+from triagerl.errors import DimensionMismatch, IllegalAction, LengthMismatch
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
 from triagerl.policy import SelectMode, init_params
-from triagerl.trainer import collect_rollouts, run_episodes
+from triagerl.trainer import STATE_DIM, collect_rollouts, run_episodes
 from triagerl.warnings import Label
 
 from test_warnings import make_record
@@ -80,9 +80,9 @@ FIRST = {A_TP: [2.0, 1.0, 0.0], A_FP: [1.0, 2.0, 0.0]}
 def play(feats, logits, labels, backend=None, **kw):
     """One episode per label, on feature rows `feats`, under `biased_params`."""
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-    env = TriageEnv(feature_dim=feats.shape[1])
     records = [make_record(i, label=label) for i, label in enumerate(labels)]
-    return run_episodes(biased_params(feats.shape[1], logits), env, feats, records, backend, **kw)
+    return run_episodes(biased_params(feats.shape[1], logits), RewardSpec(), feats, records,
+                        backend, **kw)
 
 
 class TestRewardOf:
@@ -131,7 +131,7 @@ class TestEnv:
         assert batch.states.tolist() == [[1.0, 2.0, 3.0, 4.0, 1, 0, 0, 0, 0, 0]]
 
     def test_state_length_arithmetic(self):
-        assert TriageEnv(feature_dim=87).state_dim == 93
+        assert STATE_DIM == 93
         batch, _ = play(np.zeros(87), THEN_TP, [TP], ForcedBackend())
         assert batch.states.shape == (2, 93)
 
@@ -145,8 +145,9 @@ class TestEnv:
     def test_length_mismatch(self):
         params = biased_params(3, FIRST[A_TP])
         with pytest.raises(LengthMismatch):
-            run_episodes(params, TriageEnv(feature_dim=3), np.zeros((1, 4)),
-                         [make_record(0, label=TP)], None)
+            run_episodes(params, RewardSpec(), np.zeros((2, 3)), [make_record(0, label=TP)], None)
+        with pytest.raises(DimensionMismatch):
+            run_episodes(params, RewardSpec(), np.zeros((1, 4)), [make_record(0, label=TP)], None)
 
     def test_fuzz_step_encodes_outcome_and_costs(self):
         batch, preds = play(np.zeros(2), THEN_TP, [TP], ForcedBackend(FuzzKind.CRASH))
@@ -221,9 +222,8 @@ class TestEpisodeReturns:
     def test_discounted_sum_oracle(self, fuzz_cost, correct, bonus, gamma):
         # A fuzz-then-classify episode: its first return is r1 + gamma*r2.
         spec = RewardSpec(correct=correct, fuzz_cost=fuzz_cost, bonus_crash_tp=bonus)
-        env = TriageEnv(feature_dim=1, reward_spec=spec)
         batch = collect_rollouts(biased_params(1, [0.0, -50.0, 50.0]), [make_record(0, label=TP)],
-                                 np.zeros((1, 1)), env, ForcedBackend(), np.random.default_rng(0),
+                                 np.zeros((1, 1)), spec, ForcedBackend(), np.random.default_rng(0),
                                  gamma)
         rewards = [fuzz_cost, correct + bonus]
         assert batch.rewards.tolist() == rewards
@@ -234,7 +234,7 @@ class TestEpisodeReturns:
     def test_gamma_one_return_is_plain_sum(self):
         batch = collect_rollouts(biased_params(1, [0.0, 0.0, 0.0]),
                                  [make_record(i, label=TP) for i in range(40)], np.zeros((40, 1)),
-                                 TriageEnv(feature_dim=1), ForcedBackend(),
+                                 RewardSpec(), ForcedBackend(),
                                  np.random.default_rng(1), 1.0)
         starts = np.flatnonzero(np.diff(batch.episode_ids, prepend=-1))
         sums = np.bincount(batch.episode_ids, weights=batch.rewards)

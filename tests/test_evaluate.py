@@ -5,14 +5,13 @@ import pytest
 
 from triagerl.env import RewardSpec
 from triagerl.errors import DigestMismatch
-from triagerl.features import MANIFEST, FeatureVector, NormalizerStats
+from triagerl.features import MANIFEST, FeatureVector, NormalizerStats, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.metrics import compute_metrics, read_verdicts, write_verdicts
 from triagerl.policy import init_params
 from triagerl.synthetic import SIGNAL_FEATURE, separable_task
 from triagerl.trainer import PolicyCheckpoint, TrainConfig, train
 from triagerl.evaluate import evaluate_checkpoint, permutation_importance, write_importance
-from triagerl.env import TriageEnv
 from triagerl.trainer import feature_matrix
 from triagerl.warnings import Label, Split
 
@@ -103,26 +102,15 @@ class TestEvaluateCheckpoint:
         assert report.fuzz_invocation_rate == 0.0
         assert not any(p.fuzz_used for p in preds)
 
-    def test_sample_mode_is_seed_deterministic(self, trained_separable):
-        dataset, vectors, ckpt = trained_separable
-        records = dataset.split_records(Split.VAL)
-        backend = SimulatedBackend(UNINFORMATIVE_ORACLE)
-        from triagerl.policy import SelectMode
-
-        _, a = evaluate_checkpoint(ckpt, records, vectors, backend,
-                                   mode=SelectMode.SAMPLE, rng=np.random.default_rng(4))
-        _, b = evaluate_checkpoint(ckpt, records, vectors, backend,
-                                   mode=SelectMode.SAMPLE, rng=np.random.default_rng(4))
-        assert a == b
-
     def test_batched_masked_path_matches_episode_path(self, trained_separable):
         dataset, vectors, ckpt = trained_separable
         records = dataset.split_records(Split.VAL)
         backend = SimulatedBackend(UNINFORMATIVE_ORACLE)
         _, batched = evaluate_checkpoint(ckpt, records, vectors, backend, mask_fuzz=True)
         oracle = episode_oracle.play_all(
-            ckpt.params, TriageEnv(len(MANIFEST), ckpt.reward_spec),
-            feature_matrix(records, vectors, ckpt.normalizer), records, backend, mask_fuzz=True,
+            ckpt.params, ckpt.reward_spec,
+            normalize(feature_matrix(records, vectors), ckpt.normalizer), records, backend,
+            mask_fuzz=True,
         )
         for b, o in zip(batched, oracle, strict=True):
             assert (b.warning_id, b.predicted, b.fuzz_used) == (o.warning_id, o.predicted, False)

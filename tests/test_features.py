@@ -13,7 +13,6 @@ from triagerl.features import (
     MANIFEST,
     FeatureVector,
     Kind,
-    Mode,
     PackageMetadata,
     _digest,
     build_manifest,
@@ -24,8 +23,9 @@ from triagerl.features import (
     read_feature_sidecar,
     write_feature_sidecar,
 )
+from triagerl.cli import run_cli
 from triagerl.trainer import feature_matrix
-from triagerl.warnings import Level, WarningRecord, warning_id
+from triagerl.warnings import Level, WarningRecord, warning_id, write_warning_store
 
 from test_warnings import AARC_REPORT_OBJECT, make_record
 
@@ -191,26 +191,37 @@ class TestHeuristicExtraction:
                 assert 0.0 <= vec.values[i] <= 1.0
 
 
+def read_back(*vectors):
+    """Vectors written to a sidecar and read back, the way precomputed ones enter."""
+    return read_feature_sidecar(write_feature_sidecar(list(vectors)), source="f.jsonl")
+
+
 class TestPrecomputedMode:
-    def test_passthrough_exact(self):
+    def test_passthrough_exact(self, tmp_path):
         rec = snippet_record("fn f() {}")
         base = extract_features(rec)
-        out = extract_features(rec, sidecar=base, mode=Mode.PRECOMPUTED)
-        assert np.array_equal(out.values, base.values)
+        assert np.array_equal(read_back(base)[rec.id].values, base.values)
+        store, sidecar, out = tmp_path / "w.jsonl", tmp_path / "s.jsonl", tmp_path / "f.jsonl"
+        store.write_bytes(write_warning_store([rec]))
+        sidecar.write_bytes(write_feature_sidecar([base]))
+        assert run_cli(["featurize", "--warnings", str(store), "--mode", "precomputed",
+                        "--sidecar", str(sidecar), "--out", str(out)]) == 0
+        assert out.read_bytes() == sidecar.read_bytes()
 
     def test_digest_mismatch(self):
         rec = snippet_record("fn f() {}")
         bad = FeatureVector(rec.id, np.zeros(len(MANIFEST)), "0" * 16)
-        with pytest.raises(DigestMismatch):
-            extract_features(rec, sidecar=bad, mode=Mode.PRECOMPUTED)
+        with pytest.raises(DigestMismatch, match=f"^f.jsonl line 2: vector digest {'0' * 16} "
+                                                 f"!= manifest digest {MANIFEST.digest}$"):
+            read_back(extract_features(rec), bad)
 
     def test_invalid_values_rejected(self):
         rec = snippet_record("fn f() {}")
         values = np.zeros(len(MANIFEST))
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
         bad = FeatureVector(rec.id, values, MANIFEST.digest)
-        with pytest.raises(FeatureValidationError, match="borrow_ratio"):
-            extract_features(rec, sidecar=bad, mode=Mode.PRECOMPUTED)
+        with pytest.raises(FeatureValidationError, match="^f.jsonl line 1: borrow_ratio"):
+            read_back(bad)
 
     def test_first_bad_slot_in_manifest_order_is_reported(self):
         rec = snippet_record("fn f() {}")
@@ -218,15 +229,29 @@ class TestPrecomputedMode:
         values[MANIFEST.index_of("public_api_flag")] = 0.5
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
         bad = FeatureVector(rec.id, values, MANIFEST.digest)
-        with pytest.raises(FeatureValidationError, match=r"^borrow_ratio: ratio must be in \[0,1\], got 2.0$"):
-            extract_features(rec, sidecar=bad, mode=Mode.PRECOMPUTED)
+        ratio = r"^f.jsonl line 1: borrow_ratio: ratio must be in \[0,1\], got 2.0$"
+        with pytest.raises(FeatureValidationError, match=ratio):
+            read_back(bad)
         values[MANIFEST.index_of("trait_bound_flag")] = 0.5
-        with pytest.raises(FeatureValidationError, match="^trait_bound_flag: flag must be 0 or 1, got 0.5$"):
-            extract_features(rec, sidecar=bad, mode=Mode.PRECOMPUTED)
+        flag = "^f.jsonl line 1: trait_bound_flag: flag must be 0 or 1, got 0.5$"
+        with pytest.raises(FeatureValidationError, match=flag):
+            read_back(bad)
 
-    def test_sidecar_required(self):
-        with pytest.raises(FeatureValidationError, match="sidecar"):
-            extract_features(snippet_record("fn f() {}"), mode=Mode.PRECOMPUTED)
+    def test_sidecar_required(self, tmp_path, capsys):
+        rec = snippet_record("fn f() {}")
+        store, sidecar = tmp_path / "w.jsonl", tmp_path / "s.jsonl"
+        store.write_bytes(write_warning_store([rec]))
+        sidecar.write_bytes(b"")
+        argv = ["featurize", "--warnings", str(store), "--mode", "precomputed",
+                "--out", str(tmp_path / "f.jsonl")]
+        assert run_cli(argv) == 2
+        assert "--sidecar" in capsys.readouterr().err
+        assert run_cli(argv + ["--sidecar", str(sidecar)]) == 3
+        assert f"sidecar has no vector for warning {rec.id}" in capsys.readouterr().err
+
+
+def fit(vectors):
+    return fit_normalizer(np.stack([v.values for v in vectors]))
 
 
 def normalized(vectors, stats):
@@ -247,7 +272,7 @@ def column_vectors(column_name, column_values):
 class TestNormalizer:
     def test_hand_computed_sample_sd(self):
         vectors = column_vectors("lines_of_code", [1.0, 2.0, 3.0])
-        stats = fit_normalizer(vectors)
+        stats = fit(vectors)
         col = MANIFEST.index_of("lines_of_code")
         assert stats.mean[col] == pytest.approx(2.0)
         assert stats.std[col] == pytest.approx(1.0)  # ddof=1
@@ -255,34 +280,33 @@ class TestNormalizer:
 
     def test_constant_column_maps_to_zero(self):
         vectors = column_vectors("lines_of_code", [7.0, 7.0, 7.0])
-        stats = fit_normalizer(vectors)
+        stats = fit(vectors)
         col = MANIFEST.index_of("lines_of_code")
         assert (normalized(vectors, stats)[:, col] == 0.0).all()
 
     def test_apply_to_unseen_value(self):
-        stats = fit_normalizer(column_vectors("lines_of_code", [1.0, 2.0, 3.0]))
+        stats = fit(column_vectors("lines_of_code", [1.0, 2.0, 3.0]))
         unseen = column_vectors("lines_of_code", [4.0])[0]
         assert normalized([unseen], stats)[0, MANIFEST.index_of("lines_of_code")] == pytest.approx(2.0)
 
     def test_one_hot_bypasses_z_score(self):
         vectors = column_vectors("checker_unsafe_dataflow", [1.0, 0.0, 1.0])
-        stats = fit_normalizer(vectors)
+        stats = fit(vectors)
         col = MANIFEST.index_of("checker_unsafe_dataflow")
         assert normalized(vectors, stats)[:, col].tolist() == [1.0, 0.0, 1.0]
 
     def test_empty_train_set(self):
         with pytest.raises(EmptyTrainSet):
-            fit_normalizer(column_vectors("lines_of_code", [1.0]))
+            fit(column_vectors("lines_of_code", [1.0]))
 
     def test_digest_mismatch(self):
-        vectors = column_vectors("lines_of_code", [1.0, 2.0])
-        stats = fit_normalizer(vectors)
+        # In-memory vectors are checked where they meet the policy; a
+        # normalizer's digest is checked when its checkpoint is loaded.
         stranger = FeatureVector("x", np.zeros(len(MANIFEST)), "f" * 16)
-        with pytest.raises(DigestMismatch):
-            feature_matrix([make_record(0)], {make_record(0).id: stranger}, stats)
-        stats.manifest_digest = "f" * 16
-        with pytest.raises(DigestMismatch):
-            normalized(vectors, stats)
+        rec = make_record(0)
+        with pytest.raises(DigestMismatch, match=f"^warning {rec.id}: vector digest {'f' * 16} "
+                                                 f"!= manifest digest {MANIFEST.digest}$"):
+            feature_matrix([rec], {rec.id: stranger})
 
     def test_matrix_matches_per_slot_reference(self):
         # The per-slot rule the column operations replace, compared exactly.
@@ -290,7 +314,7 @@ class TestNormalizer:
         vectors = [FeatureVector(f"w{i}", rng.integers(0, 2, len(MANIFEST)) * rng.normal(size=len(MANIFEST)),
                                  MANIFEST.digest) for i in range(9)]
         vectors[0].values[:] = vectors[1].values  # rows 0 and 1 agree ...
-        stats = fit_normalizer(vectors)
+        stats = fit(vectors)
         stats.std[::7] = 0.0  # ... and some columns are constant
         expected = np.zeros((len(vectors), len(MANIFEST)))
         for r, v in enumerate(vectors):
@@ -314,7 +338,7 @@ class TestNormalizer:
                 elif entry.kind is Kind.RATIO:
                     values[j] = rng.random()
             vectors.append(FeatureVector(f"w{i}", values, MANIFEST.digest))
-        stats = fit_normalizer(vectors)
+        stats = fit(vectors)
         matrix = normalized(vectors, stats)
         for j, entry in enumerate(MANIFEST.entries):
             if entry.kind is Kind.ONE_HOT:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triagerl.env import TriageAction
-from triagerl.errors import DegenerateDistribution, DimensionMismatch
+from triagerl.errors import DimensionMismatch
 from triagerl.policy import (
     PolicyParams,
     SelectMode,
@@ -135,10 +135,6 @@ class TestSelectAction:
         batch, _ = play_probs([0.2, 0.2, 0.6], mask_fuzz=True)
         assert batch.actions.tolist() == [TriageAction.CLASSIFY_TP]
         assert batch.behavior_logp[0] == pytest.approx(math.log(0.5))
-
-    def test_degenerate_after_mask(self):
-        with pytest.raises(DegenerateDistribution):
-            play_probs([0.0, 0.0, 1.0], mask_fuzz=True)
 
     def test_sampling_respects_probabilities(self):
         batch, _ = play_probs([0.0, 1.0, 0.0], mode=SelectMode.SAMPLE,

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from triagerl.env import TriageEnv
-from triagerl.errors import EmptySplit, NonFiniteLoss
+from triagerl.env import RewardSpec
+from triagerl.errors import DigestMismatch, EmptySplit, NonFiniteLoss
+from triagerl.features import MANIFEST
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.policy import draw_dropout_masks, forward_cache, init_params
 from triagerl.synthetic import separable_task
@@ -60,12 +61,12 @@ def toy_batch(feature_dim=5, n=12, seed=0):
 
 class TestCollectRollouts:
     def setup_method(self):
-        self.env = TriageEnv(feature_dim=4)
+        self.spec = RewardSpec()
         self.backend = SimulatedBackend(SimOracleConfig(seed=0))
-        self.params = init_params(self.env.state_dim, hidden=(8, 6), seed=1)
+        self.params = init_params(4 + 6, hidden=(8, 6), seed=1)
 
     def collect(self, seed, gamma=1.0, n=6):
-        return collect_rollouts(self.params, *tiny_episodes(n), self.env, self.backend,
+        return collect_rollouts(self.params, *tiny_episodes(n), self.spec, self.backend,
                                 np.random.default_rng(seed), gamma)
 
     def test_returns_are_suffix_sums_within_episodes(self):
@@ -80,7 +81,7 @@ class TestCollectRollouts:
 
     def test_fuzz_episode_return_example(self):
         batch = collect_rollouts(biased_params(4, [0.0, -50.0, 50.0]), *tiny_episodes(1),
-                                 self.env, ForcedBackend(), np.random.default_rng(0), 1.0)
+                                 self.spec, ForcedBackend(), np.random.default_rng(0), 1.0)
         assert batch.rewards.tolist() == [-5.0, 25.0]
         assert batch.returns.tolist() == [20.0, 25.0]
 
@@ -101,7 +102,7 @@ class TestCollectRollouts:
 
     def test_one_episode_per_warning(self):
         records, feats = tiny_episodes(10)
-        batch = collect_rollouts(self.params, records, feats, self.env, self.backend,
+        batch = collect_rollouts(self.params, records, feats, self.spec, self.backend,
                                  np.random.default_rng(0), 1.0)
         assert np.unique(batch.episode_ids).tolist() == list(range(10))
         first_rows = np.flatnonzero(np.diff(batch.episode_ids, prepend=-1))
@@ -109,7 +110,7 @@ class TestCollectRollouts:
 
     def test_empty_episodes_rejected(self):
         with pytest.raises(EmptySplit):
-            collect_rollouts(self.params, [], np.zeros((0, 4)), self.env, self.backend,
+            collect_rollouts(self.params, [], np.zeros((0, 4)), self.spec, self.backend,
                              np.random.default_rng(0), 1.0)
 
 
@@ -149,10 +150,9 @@ class TestPPOObjective:
         assert surrogate_objective(rho, adv, 0.99) == pytest.approx((rho * adv).mean(), abs=1e-9)
 
     def test_same_params_give_unit_ratio_objective(self):
-        env = TriageEnv(feature_dim=4)
         backend = SimulatedBackend(SimOracleConfig(seed=0))
-        params = init_params(env.state_dim, hidden=(8, 6), dropout_rate=0.0, seed=1)
-        batch = collect_rollouts(params, *tiny_episodes(), env, backend,
+        params = init_params(4 + 6, hidden=(8, 6), dropout_rate=0.0, seed=1)
+        batch = collect_rollouts(params, *tiny_episodes(), RewardSpec(), backend,
                                  np.random.default_rng(0), 1.0)
         config = TrainConfig(seed=0, dropout_rate=0.0)
         _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4)
@@ -276,6 +276,18 @@ class TestTrainLoop:
         doc["reward_spec"]["discount"] = 1.0  # as checkpoints of format 1 used to carry it
         restored = load_checkpoint(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
         assert save_checkpoint(restored) == data
+
+    def test_policy_or_normalizer_of_another_manifest_is_rejected(self):
+        dataset, vectors = self.make_task()
+        ckpt = train(dataset, vectors, TrainConfig(epochs_max=1, patience=1, seed=5),
+                     SimulatedBackend(UNINFORMATIVE_ORACLE))
+        for part in ("checkpoint", "normalizer"):
+            doc = json.loads(save_checkpoint(ckpt))
+            section = doc if part == "checkpoint" else doc["normalizer"]
+            section["manifest_digest"] = "feedfacefeedface"
+            with pytest.raises(DigestMismatch, match=f"^model.ckpt: {part} digest feedfacefeedface "
+                                                     f"!= manifest digest {MANIFEST.digest}$"):
+                load_checkpoint(json.dumps(doc).encode("utf-8"), source="model.ckpt")
 
     def test_history_has_required_log_fields(self):
         dataset, vectors = self.make_task()
