@@ -35,7 +35,7 @@ class EmptyTrainSet(TriageError):
 
 
 class LengthMismatch(TriageError):
-    """A state or vector length disagrees with the manifest."""
+    """Feature rows and warnings disagree in number."""
 
 
 class IllegalAction(TriageError):
