@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import evaluate as evaluate_mod
@@ -19,38 +19,21 @@ from . import features as features_mod
 from . import fuzz as fuzz_mod
 from . import metrics as metrics_mod
 from . import warnings as warn_mod
-from .env import RewardSpec
+from .env import RewardSpec, check_finite
 from .errors import (
-    DigestMismatch,
-    EmptyInput,
     EmptySplit,
     FeatureValidationError,
-    LengthMismatch,
+    InputError,
     MissingRecording,
-    RatioError,
     SchemaError,
-    SnippetTooLarge,
     TriageError,
-    UnlabeledRecordError,
 )
 from .features import extract_features, manifest_export, normalize, package_of
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
 from .trainer import TrainConfig, feature_matrix, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split
 
-_VALIDATION_ERRORS = (
-    SchemaError,
-    DigestMismatch,
-    RatioError,
-    UnlabeledRecordError,
-    MissingRecording,
-    FeatureValidationError,
-    EmptyInput,
-    EmptySplit,
-    SnippetTooLarge,
-    LengthMismatch,
-    FileNotFoundError,
-)
+_SECTIONS = {"train": TrainConfig, "reward": RewardSpec, "sim": SimOracleConfig}
 
 
 @dataclass
@@ -69,62 +52,65 @@ class RunConfig:
     reward: RewardSpec = field(default_factory=RewardSpec)
     sim: SimOracleConfig = field(default_factory=SimOracleConfig)
 
+    def __post_init__(self):
+        check_finite(self)
+        if self.cluster_radius < 0:
+            raise ValueError(f"cluster_radius must be >= 0, got {self.cluster_radius}")
 
-def parse_config_file(text: str, source: str = "config") -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; blank lines ignored.
+
+# Each config key (`name` or `section.name`) and the type of its value.
+CONFIG_KEYS: dict[str, type] = {
+    **{f.name: type(f.default) for f in fields(RunConfig) if f.name not in _SECTIONS},
+    **{f"{s}.{f.name}": type(f.default) for s, cls in _SECTIONS.items() for f in fields(cls)},
+}
+
+
+def parse_config_file(text: str, source: str = "config") -> dict[str, object]:
+    """Flat `key = value` lines, each value converted to its key's type;
+    '#' starts a comment; blank lines ignored.
 
     A line that is not `key = value`, names no config key, or holds a value
     of the wrong type raises SchemaError naming `source` and the line.
     """
-    out: dict[str, str] = {}
+    out: dict[str, object] = {}
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise SchemaError(f"{source} line {n}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        if key not in CONFIG_KEYS:
+            raise SchemaError(f"{source} line {n}: unknown config key {key!r}")
         try:
-            _apply(RunConfig(), key.strip(), value.strip())
-        except SchemaError as exc:
-            raise SchemaError(f"{source} line {n}: {exc}") from None
-        out[key.strip()] = value.strip()
+            out[key] = CONFIG_KEYS[key](value)
+        except ValueError:
+            raise SchemaError(f"{source} line {n}: {key}: expected "
+                              f"{CONFIG_KEYS[key].__name__}, got {value!r}") from None
     return out
 
 
-def _apply(cfg: RunConfig, key: str, raw: str) -> None:
-    """Set config key `key` (`name` or `section.name`) from its text `raw`."""
-    section, _, name = key.rpartition(".")
-    target = getattr(cfg, section, None) if section else cfg
-    current = getattr(target, name) if name in getattr(target, "__dataclass_fields__", ()) else None
-    if not isinstance(current, (int, float, str)):  # sections are not keys
-        raise SchemaError(f"unknown config key {key!r}")
-    try:
-        setattr(target, name, type(current)(raw))
-    except ValueError:
-        raise SchemaError(f"{key}: expected {type(current).__name__}, got {raw!r}") from None
-
-
-def build_run_config(file_values: dict[str, str], overrides: dict[str, str]) -> RunConfig:
-    """Defaults, overlaid by `file_values`, then `overrides`. `train.seed` and
-    `sim.seed` follow `seed` unless they are set themselves."""
-    cfg = RunConfig()
-    merged = dict(file_values)
-    merged.update(overrides)
-    for key, raw in merged.items():
-        _apply(cfg, key, raw)
+def build_run_config(values: dict[str, object], source: str = "config") -> RunConfig:
+    """The run config from typed `values` keyed as in CONFIG_KEYS; keys not
+    given keep their defaults. `train.seed` and `sim.seed` follow `seed`
+    unless they are given. An out-of-range or non-finite value raises
+    SchemaError naming `source` and the key."""
+    kwargs: dict[str, dict] = {"": {}, **{s: {} for s in _SECTIONS}}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        kwargs[section][name] = value
     for section in ("train", "sim"):
-        if f"{section}.seed" not in merged:
-            getattr(cfg, section).seed = cfg.seed
-    # Re-run the dataclass validators on the merged values.
-    try:
-        cfg.train = TrainConfig(**asdict(cfg.train))
-        cfg.sim = SimOracleConfig(**asdict(cfg.sim))
-    except ValueError as exc:
-        raise SchemaError(f"config: {exc}") from None
-    if cfg.cluster_radius < 0:
-        raise SchemaError(f"config: cluster_radius must be >= 0, got {cfg.cluster_radius}")
-    return cfg
+        kwargs[section].setdefault("seed", kwargs[""].get("seed", RunConfig.seed))
+
+    def build(cls, section: str):
+        try:
+            return cls(**kwargs[section])
+        except ValueError as exc:
+            raise SchemaError(f"{source}: {section + '.' if section else ''}{exc}") from None
+
+    for section, cls in _SECTIONS.items():
+        kwargs[""][section] = build(cls, section)
+    return build(RunConfig, "")
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -133,21 +119,12 @@ def config_digest(cfg: RunConfig) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = parse_config_file(_read_bytes(args.config).decode("utf-8"), args.config)
-    overrides: dict[str, str] = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
-    if getattr(args, "backend", None):
-        overrides["backend"] = args.backend
-    if getattr(args, "recorded", None):
-        overrides["recorded_path"] = args.recorded
-    if getattr(args, "templates", None):
-        overrides["templates_dir"] = args.templates
-    if getattr(args, "jobs", None):
-        overrides["jobs"] = str(args.jobs)
-    cfg = build_run_config(file_values, overrides)
+    values = {}
+    if args.config:
+        values = parse_config_file(_read_bytes(args.config).decode("utf-8"), args.config)
+    # A flag whose dest is a config key overrides that key when it is given.
+    values.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
+    cfg = build_run_config(values, args.config or "config")
     print(f"config-digest {config_digest(cfg)}")
     return cfg
 
@@ -192,13 +169,9 @@ def _make_backend(cfg: RunConfig):
 
 
 def _featurize_records(records, metadata, radius):
-    clusters = warn_mod.cluster_warnings(records, radius)
-    sizes = warn_mod.cluster_sizes(clusters)
-    vectors = {}
-    for r in records:
-        meta = metadata.get(package_of(r)) if metadata else None
-        vectors[r.id] = extract_features(r, meta, cluster_size=sizes.get(r.id, 1))
-    return vectors
+    sizes = warn_mod.cluster_sizes(records, radius)
+    return {r.id: extract_features(r, metadata.get(package_of(r)), cluster_size=sizes[r.id])
+            for r in records}
 
 
 def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
@@ -230,9 +203,8 @@ def cmd_split(args) -> int:
     labels = _load(warn_mod.read_label_sidecar, args.labels)
     records = warn_mod.apply_labels(records, labels)
     labeled = [r for r in records if r.label is not None]
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    assignment = warn_mod.stratified_split(labeled, ratios, cfg.seed)
-    _write(args.out, warn_mod.write_split_file(assignment, cfg.seed, ratios))
+    assignment = warn_mod.stratified_split(labeled, args.ratios, cfg.seed)
+    _write(args.out, warn_mod.write_split_file(assignment, cfg.seed, args.ratios))
     return 0
 
 
@@ -352,12 +324,25 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ratios(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """The common flags; each dest is the config key the flag overrides."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="overrides config seed")
     p.add_argument("--backend", choices=["simulated", "recorded", "external"])
-    p.add_argument("--recorded", help="recorded outcomes file for the recorded backend")
-    p.add_argument("--templates", help="harness template directory")
+    p.add_argument("--recorded", dest="recorded_path",
+                   help="recorded outcomes file for the recorded backend")
+    p.add_argument("--templates", dest="templates_dir", help="harness template directory")
     p.add_argument("--jobs", type=int, help="cap on concurrent fuzz-backend calls")
 
 
@@ -377,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="stratified train/val/test assignment")
     p.add_argument("--warnings", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--ratios", default="0.70,0.15,0.15")
+    p.add_argument("--ratios", type=_ratios, default="0.70,0.15,0.15")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
     _add_common(p)
@@ -439,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_importance)
     _add_common(p)
@@ -461,7 +446,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except TriageError as exc:

@@ -8,7 +8,8 @@ never raise into the agent. `trainer.run_episodes` plays the episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 from .errors import IllegalAction
@@ -37,19 +38,23 @@ class RewardSpec:
     bonus_clean_fp: float = 8.0
     bonus_inconclusive: float = 3.0
 
+    def __post_init__(self):
+        check_finite(self)
 
-def _prior_kind(prior_fuzz: FuzzOutcome | FuzzKind | None) -> FuzzKind:
-    if prior_fuzz is None:
-        return FuzzKind.NOT_RUN
-    if isinstance(prior_fuzz, FuzzOutcome):
-        return prior_fuzz.kind
-    return prior_fuzz
+
+def check_finite(config) -> None:
+    """Raise ValueError naming the first float field of dataclass `config`
+    that is not finite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def reward_of(
     action: TriageAction,
     true_label: Label,
-    prior_fuzz: FuzzOutcome | FuzzKind | None = None,
+    prior_fuzz: FuzzKind | None = None,
     spec: RewardSpec | None = None,
 ) -> float:
     """Reward for one step under the configured constants.
@@ -61,7 +66,7 @@ def reward_of(
     failures and evidence-inconsistent calls earn no bonus.
     """
     spec = spec or RewardSpec()
-    prior = _prior_kind(prior_fuzz)
+    prior = FuzzKind.NOT_RUN if prior_fuzz is None else prior_fuzz
     if action is TriageAction.FUZZ:
         if prior is not FuzzKind.NOT_RUN:
             raise IllegalAction("fuzz may run at most once per warning")

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -110,6 +111,8 @@ class PackageMetadata:
             raise ValueError(f"download_count must be >= 0, got {self.download_count}")
         if not 0.0 <= self.unsafe_prevalence <= 1.0:
             raise ValueError(f"unsafe_prevalence must be in [0,1], got {self.unsafe_prevalence}")
+        if abs(self.total_loc) > sys.float_info.max:
+            raise ValueError("loc does not fit a float")
 
 
 @dataclass

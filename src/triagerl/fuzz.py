@@ -78,7 +78,7 @@ class SimOracleConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
         if self.p_crash_given_fp > self.p_crash_given_tp:
-            raise ValueError("oracle fidelity requires p_crash_given_fp <= p_crash_given_tp")
+            raise ValueError("p_crash_given_fp must be <= p_crash_given_tp (oracle fidelity)")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ checkable against finite differences.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -67,8 +66,6 @@ def init_params(
     seed: int = 0,
 ) -> PolicyParams:
     """Seeded symmetric-uniform init: U(±sqrt(6/(fan_in+fan_out))), zero biases."""
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout_rate must be in [0,1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
     params = PolicyParams(input_dim, hidden, dropout_rate, seed)
     for name, shape in param_layout(input_dim, hidden):
@@ -76,11 +73,6 @@ def init_params(
             bound = math.sqrt(6.0 / sum(shape))
             getattr(params, name)[:] = rng.uniform(-bound, bound, size=shape)
     return params
-
-
-class SelectMode(Enum):
-    SAMPLE = "sample"
-    GREEDY = "greedy"
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

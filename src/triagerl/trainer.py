@@ -16,7 +16,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .env import RewardSpec, TriageAction, fuzz_step, reward_of
+from .env import RewardSpec, TriageAction, check_finite, fuzz_step, reward_of
 from .errors import (
     DigestMismatch,
     DimensionMismatch,
@@ -39,7 +39,6 @@ from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import PredictionRecord, compute_metrics
 from .policy import (
     PolicyParams,
-    SelectMode,
     draw_dropout_masks,
     forward_cache,
     init_params,
@@ -68,6 +67,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError(f"clip_epsilon must be in (0,1), got {self.clip_epsilon}")
         if not 0.0 < self.gamma <= 1.0:
@@ -77,6 +77,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
 
 
 @dataclass
@@ -126,7 +128,6 @@ def run_episodes(
     feats: np.ndarray,
     records: list[WarningRecord],
     backend,
-    mode: SelectMode = SelectMode.GREEDY,
     mask_fuzz: bool = False,
     rng: np.random.Generator | None = None,
     jobs: int = 1,
@@ -138,11 +139,12 @@ def run_episodes(
     covers every first decision; only the warnings that chose to fuzz reach
     the backend (at most `jobs` calls at a time), and one more pass covers
     their second decision with fuzzing masked. Greedy ties resolve by the
-    fixed action order (TP, FP, Fuzz). SAMPLE draws one rng.random() per
-    decision in episode order, the stream that playing the episodes one
-    after another would consume. A fuzzing episode's first step returns
-    r1 + gamma*r2. Each verdict's score is P(TP) with fuzzing masked at the
-    episode's final decision state.
+    fixed action order (TP, FP, Fuzz). Actions are greedy when `rng` is
+    None; given `rng`, they are sampled with one rng.random() per decision
+    in episode order, the stream that playing the episodes one after another
+    would consume. A fuzzing episode's first step returns r1 + gamma*r2.
+    Each verdict's score is P(TP) with fuzzing masked at the episode's final
+    decision state.
     """
     feats = np.asarray(feats, dtype=np.float64)
     n = len(records)
@@ -156,7 +158,7 @@ def run_episodes(
     classify1 = _fuzz_masked_probs(cache1["logits"])
     probs1 = classify1 if mask_fuzz else cache1["probs"]
     second_draws = []
-    if mode is SelectMode.GREEDY:
+    if rng is None:
         act1 = probs1.argmax(axis=1)
     else:
         act1 = np.empty(n, dtype=np.int64)
@@ -175,7 +177,7 @@ def run_episodes(
     second[:, fd:] = np.eye(len(FUZZ_SLOTS))[[FUZZ_SLOTS.index(k) for k in kinds[idx]]]
     cache2 = forward_cache(params, second)
     probs2 = _fuzz_masked_probs(cache2["logits"])
-    if mode is SelectMode.GREEDY:
+    if rng is None:
         act2 = probs2.argmax(axis=1)
     else:
         act2 = (np.array(second_draws)[:, None] >= _cdf(probs2)).sum(axis=1)
@@ -236,7 +238,7 @@ def collect_rollouts(
         raise EmptySplit("no episodes to collect")
     order = rng.permutation(len(records))
     batch, _ = run_episodes(params, reward_spec, feats[order], [records[i] for i in order], backend,
-                            SelectMode.SAMPLE, rng=rng, gamma=gamma)
+                            rng=rng, gamma=gamma)
     adv = batch.advantages
     batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
     return batch

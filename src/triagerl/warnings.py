@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -82,7 +81,7 @@ def warning_id(
 
 @dataclass
 class WarningRecord:
-    """One analyzer warning plus optional ground truth and cluster identity."""
+    """One analyzer warning plus optional ground truth."""
 
     id: str
     level: Level
@@ -250,7 +249,7 @@ def stratified_split(
         raise RatioError(f"expected 3 ratios, got {len(ratios)}")
     if any(r <= 0 for r in ratios):
         raise RatioError(f"ratios must be > 0, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # also rejects nan
         raise RatioError(f"ratios must sum to 1, got sum {sum(ratios)!r}")
     unlabeled = [r.id for r in records if r.label is None]
     if unlabeled:
@@ -324,43 +323,25 @@ def _repair_empty_splits(buckets: dict[Split, dict[Label, list[str]]]) -> None:
         buckets[empty][cls].append(buckets[donor][cls].pop())
 
 
-def cluster_warnings(records: list[WarningRecord], radius: int = 10) -> dict[str, int]:
-    """Group warnings into same-file proximity clusters.
+def cluster_sizes(records: list[WarningRecord], radius: int = 10) -> dict[str, int]:
+    """Per-warning size of its same-file proximity cluster.
 
-    Two warnings share a cluster iff a chain of same-file pairs connects
-    them with consecutive start_line gaps <= radius. Cluster ids are dense
-    integers in order of first appearance in the input.
+    Two warnings share a cluster iff a chain of same-file warnings connects
+    them with consecutive start_line gaps <= radius. Records with one id
+    count once.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    by_file: dict[str, list[WarningRecord]] = {}
+    by_file: dict[str, dict[str, int]] = {}
     for r in records:
-        by_file.setdefault(r.file, []).append(r)
-
-    component: dict[str, tuple[str, int]] = {}
-    for file, group in by_file.items():
-        comp = 0
-        prev_line = None
-        for r in sorted(group, key=lambda r: r.start_line):
-            if prev_line is not None and r.start_line - prev_line > radius:
-                comp += 1
-            component[r.id] = (file, comp)
-            prev_line = r.start_line
-
-    clusters: dict[str, int] = {}
-    dense: dict[tuple[str, int], int] = {}
-    for r in records:
-        key = component[r.id]
-        if key not in dense:
-            dense[key] = len(dense)
-        clusters[r.id] = dense[key]
-    return clusters
-
-
-def cluster_sizes(clusters: dict[str, int]) -> dict[str, int]:
-    """Per-warning size of the cluster it belongs to."""
-    counts = Counter(clusters.values())
-    return {wid: counts[cid] for wid, cid in clusters.items()}
+        by_file.setdefault(r.file, {})[r.id] = r.start_line
+    sizes: dict[str, int] = {}
+    for lines in by_file.values():
+        ids = sorted(lines, key=lines.get)
+        start = 0
+        for i in range(1, len(ids) + 1):
+            if i == len(ids) or lines[ids[i]] - lines[ids[i - 1]] > radius:
+                sizes.update(dict.fromkeys(ids[start:i], i - start))
+                start = i
+    return sizes
 
 
 # ---------------------------------------------------------------------------

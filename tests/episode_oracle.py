@@ -1,8 +1,9 @@
 """Reference oracle: the per-warning episode loop that `run_episodes` replaced.
 
 Each decision is one single-row forward pass followed by one action choice
-(`Generator.choice` when sampling), one warning after another. Tests compare
-the batched engine against it on the same parameters and seeds.
+(`Generator.choice` when an rng is given, else argmax), one warning after
+another. Tests compare the batched engine against it on the same parameters
+and seeds.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from triagerl.env import TriageAction, reward_of
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
 from triagerl.metrics import PredictionRecord
-from triagerl.policy import SelectMode, forward_cache
+from triagerl.policy import forward_cache
 from triagerl.warnings import Label
 
 
@@ -20,12 +21,12 @@ def state_vector(feats, kind):
     return np.concatenate([feats, enc])
 
 
-def select_action(probs, mode, masked, rng):
+def select_action(probs, masked, rng):
     probs = np.array(probs, dtype=np.float64)
     if masked:
         probs[TriageAction.FUZZ] = 0.0
         probs = probs / probs.sum()
-    if mode is SelectMode.GREEDY:
+    if rng is None:
         return TriageAction(int(np.argmax(probs)))
     return TriageAction(int(rng.choice(len(TriageAction), p=probs)))
 
@@ -37,8 +38,7 @@ def fuzz(backend, record):
         return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}")
 
 
-def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False,
-                 mode=SelectMode.GREEDY, rng=None):
+def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False, rng=None):
     """One episode; returns its verdict and its steps as
     (state, action, logp, reward, value) tuples."""
     kind = FuzzKind.NOT_RUN
@@ -48,7 +48,7 @@ def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False,
         cache = forward_cache(params, state)
         probs, value = cache["probs"][0], float(cache["values"][0])
         masked = mask_fuzz or kind is not FuzzKind.NOT_RUN
-        action = select_action(probs, mode, masked, rng)
+        action = select_action(probs, masked, rng)
         if masked:
             two_way = np.array([probs[0], probs[1], 0.0])
             prob = two_way[action] / two_way.sum()
@@ -75,9 +75,8 @@ def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False,
     raise AssertionError("episode did not terminate in two steps")
 
 
-def play_all(params, reward_spec, feats, records, backend, mask_fuzz=False,
-             mode=SelectMode.GREEDY, rng=None):
-    return [play_episode(params, reward_spec, r, f, backend, mask_fuzz, mode, rng)[0]
+def play_all(params, reward_spec, feats, records, backend, mask_fuzz=False, rng=None):
+    return [play_episode(params, reward_spec, r, f, backend, mask_fuzz, rng)[0]
             for r, f in zip(records, feats)]
 
 
@@ -87,8 +86,7 @@ def collect_rollouts(params, records, feats, reward_spec, backend, rng, gamma=1.
     rows = {k: [] for k in ("states", "actions", "logp", "rewards", "values",
                             "episode_ids", "returns")}
     for episode_id, i in enumerate(rng.permutation(len(records))):
-        _, steps = play_episode(params, reward_spec, records[i], feats[i], backend,
-                                mode=SelectMode.SAMPLE, rng=rng)
+        _, steps = play_episode(params, reward_spec, records[i], feats[i], backend, rng=rng)
         acc, returns = 0.0, []
         for step in reversed(steps):
             acc = step[3] + gamma * acc

@@ -175,33 +175,45 @@ class TestFuzzFanOut:
         assert any("No closing quotation" in r[3] for r in rows)
 
 
-def reading_command(paths, name, out):
-    """argv of a subcommand that reads the pipeline file `name` from `paths`."""
+def subcommand(paths, command, out):
+    """argv of `command` run on the pipeline files in `paths`."""
     p = {k: str(v) for k, v in paths.items()}
-    evaluate = ["evaluate", "--checkpoint", p["checkpoint"], "--warnings", p["warnings"],
-                "--labels", p["labels"], "--splits", p["splits"], "--features", p["features"]]
-    report = ["report", "--verdicts", p["verdicts"], "--labels", p["labels"]]
+    data = ["--warnings", p["warnings"], "--labels", p["labels"], "--splits", p["splits"],
+            "--features", p["features"]]
     argv = {
-        "report": ["ingest", "--report", p["report"]],
-        "warnings": ["split", "--warnings", p["warnings"], "--labels", p["labels"]],
-        "labels": report, "verdicts": report, "config": report,
-        "splits": evaluate, "features": evaluate, "checkpoint": evaluate,
-        "outcomes": ["triage", "--report", p["report"], "--checkpoint", p["checkpoint"],
-                     "--backend", "recorded", "--recorded", p["outcomes"]],
-        "meta": ["featurize", "--warnings", p["warnings"], "--meta", p["meta"]],
-    }[name]
-    return argv + ["--out", str(out), "--config", p["config"]]
+        "ingest": ["--report", p["report"]],
+        "split": ["--warnings", p["warnings"], "--labels", p["labels"]],
+        "featurize": ["--warnings", p["warnings"], "--meta", p["meta"]],
+        "train": data,
+        "evaluate": ["--checkpoint", p["checkpoint"], *data],
+        "importance": ["--checkpoint", p["checkpoint"], *data],
+        "report": ["--verdicts", p["verdicts"], "--labels", p["labels"]],
+        "triage": ["--report", p["report"], "--checkpoint", p["checkpoint"],
+                   "--backend", "recorded", "--recorded", p["outcomes"]],
+        "fuzz-validate": ["--warnings", p["warnings"]],
+    }[command]
+    return [command, *argv, "--out", str(out), "--config", p["config"]]
 
 
-CORRUPTIBLE = ("report", "warnings", "labels", "splits", "features", "checkpoint",
-               "verdicts", "outcomes", "meta", "config")
+# The subcommand that reads each pipeline file.
+READER = {"report": "ingest", "warnings": "split", "labels": "report", "verdicts": "report",
+          "config": "report", "splits": "evaluate", "features": "evaluate",
+          "checkpoint": "evaluate", "outcomes": "triage", "meta": "featurize"}
 
 
-def run_with(pipeline, tmp_path, name, data):
-    """Exit code of the subcommand reading `data` in place of pipeline file `name`."""
+def run_with(pipeline, tmp_path, name, data, command=None, flags=()):
+    """Exit code of `command` (default: the reader of pipeline file `name`)
+    run with `data` in place of that file and `flags` appended, and the path
+    of the stand-in."""
     bad = tmp_path / f"bad_{pipeline[name].name}"
     bad.write_bytes(data)
-    return run_cli(reading_command({**pipeline, name: bad}, name, tmp_path / "out")), bad
+    argv = subcommand({**pipeline, name: bad}, command or READER[name], tmp_path / "out")
+    return run_cli([*argv, *flags]), bad
+
+
+def keep_one_train_record(text):
+    first, rest = text.split("\ttrain", 1)
+    return first + "\ttrain" + rest.replace("\ttrain", "\tval")
 
 
 class TestMalformedInputs:
@@ -215,6 +227,8 @@ class TestMalformedInputs:
         ("meta", lambda lines: [re.sub(r'"downloads": \d+', '"downloads": "many"', "\n".join(lines),
                                        count=1)], "downloads"),
         ("config", lambda lines: ["seed = x", *lines[1:]], "line 1"),
+        ("checkpoint", lambda lines: [re.sub(r'"learning_rate":[^,]+', '"learning_rate":NaN',
+                                             lines[0])], "learning_rate must be finite"),
     ])
     def test_malformed_file_exits_3_naming_file_and_place(self, pipeline, tmp_path, capsys,
                                                            name, corrupt, where):
@@ -224,7 +238,7 @@ class TestMalformedInputs:
         assert code == 3, err
         assert str(bad) in err and where in err, err
 
-    @pytest.mark.parametrize("name", CORRUPTIBLE)
+    @pytest.mark.parametrize("name", list(READER))
     @given(data=st.data())
     @settings(max_examples=12, deadline=None)
     def test_corrupted_file_exits_0_or_3(self, pipeline, tmp_path_factory, name, data):
@@ -238,6 +252,36 @@ class TestMalformedInputs:
         ]), label="corrupted")
         code, _ = run_with(pipeline, tmp_path_factory.mktemp("corrupt"), name, corrupted)
         assert code in (0, 3)
+
+    @pytest.mark.parametrize("command, name, edit, flags, code, named", [
+        ("train", "config", lambda t: t + "train.dropout_rate = 1.5\n", [], 3,
+         "{bad}: train.dropout_rate must be in [0,1), got 1.5"),
+        ("train", "config", lambda t: t + "train.dropout_rate = nan\n", [], 3,
+         "{bad}: train.dropout_rate must be finite, got nan"),
+        ("train", "config", lambda t: t + "train.learning_rate = nan\n", [], 3,
+         "{bad}: train.learning_rate must be finite, got nan"),
+        ("train", "config", lambda t: t + "reward.correct = nan\n", [], 3,
+         "{bad}: reward.correct must be finite, got nan"),
+        ("fuzz-validate", "config", lambda t: t + "backend = external\nfuzz_budget = nan\n", [],
+         3, "{bad}: fuzz_budget must be finite, got nan"),
+        ("fuzz-validate", "config", lambda t: t + "backend = external\nfuzz_budget = inf\n", [],
+         3, "{bad}: fuzz_budget must be finite, got inf"),
+        ("split", "config", str, ["--ratios", "abc"], 2,
+         "argument --ratios: invalid _ratios value: 'abc'"),
+        ("importance", "config", str, ["--repeats", "0"], 2,
+         "argument --repeats: must be >= 1, got 0"),
+        ("train", "splits", keep_one_train_record, [], 3, "need >= 2 training vectors, got 1"),
+        ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 1' + "0" * 400, t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc does not fit a float"),
+    ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
+            "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc"])
+    def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
+                                           command, name, edit, flags, code, named):
+        data = edit(pipeline[name].read_text()).encode()
+        got, bad = run_with(pipeline, tmp_path, name, data, command, flags)
+        err = capsys.readouterr().err
+        assert got == code, err
+        assert named.format(bad=bad) in err, err
 
     def test_bad_recorded_outcome_line_names_file_and_line(self, pipeline, tmp_path, capsys):
         lines = pipeline["outcomes"].read_text().splitlines()
@@ -357,9 +401,9 @@ class TestRunConfig:
         assert checkpoint("b1", 1, pinned) == checkpoint("b2", 2, pinned)
 
     def test_seed_sets_train_and_sim_seeds_unless_they_are_set(self):
-        cfg = build_run_config({"seed": "4"}, {})
+        cfg = build_run_config({"seed": 4})
         assert (cfg.train.seed, cfg.sim.seed) == (4, 4)
-        cfg = build_run_config({"seed": "4", "sim.seed": "9"}, {"seed": "5"})
+        cfg = build_run_config({"seed": 5, "sim.seed": 9})
         assert (cfg.seed, cfg.train.seed, cfg.sim.seed) == (5, 5, 9)
 
     def test_flags_override_config_file(self, tmp_path, capsys):
@@ -384,19 +428,20 @@ class TestRunConfig:
         assert "config-digest " in capsys.readouterr().out
 
     def test_unknown_config_key_rejected(self):
-        with pytest.raises(SchemaError, match="unknown config key"):
-            build_run_config({"no_such_knob": "1"}, {})
+        with pytest.raises(SchemaError, match="run.cfg line 2: unknown config key 'no_such_knob'"):
+            parse_config_file("seed = 1\nno_such_knob = 1\n", "run.cfg")
 
     def test_parse_config_file_comments_and_blanks(self):
         values = parse_config_file("# comment\n\nseed = 4  # trailing\ntrain.gamma = 0.9\n")
-        assert values == {"seed": "4", "train.gamma": "0.9"}
+        assert values == {"seed": 4, "train.gamma": 0.9}
+        assert [type(v) for v in values.values()] == [int, float]
 
     def test_digest_stable_under_key_order(self):
-        a = build_run_config({"seed": "5", "cluster_radius": "3"}, {})
-        b = build_run_config({"cluster_radius": "3", "seed": "5"}, {})
+        a = build_run_config({"seed": 5, "cluster_radius": 3})
+        b = build_run_config({"cluster_radius": 3, "seed": 5})
         assert config_digest(a) == config_digest(b)
 
     def test_reward_spec_loadable_from_config(self):
-        cfg = build_run_config({"reward.correct": "20", "reward.fuzz_cost": "-2.5"}, {})
+        cfg = build_run_config(parse_config_file("reward.correct = 20\nreward.fuzz_cost = -2.5\n"))
         assert cfg.reward.correct == 20.0
         assert cfg.reward.fuzz_cost == -2.5

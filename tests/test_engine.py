@@ -7,7 +7,7 @@ from triagerl import trainer
 from triagerl.env import RewardSpec
 from triagerl.features import fit_normalizer, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
-from triagerl.policy import SelectMode, init_params
+from triagerl.policy import init_params
 from triagerl.synthetic import separable_task
 from triagerl.trainer import STATE_DIM, collect_rollouts, feature_matrix, run_episodes
 from triagerl.warnings import Split
@@ -65,10 +65,9 @@ def test_sampled_rollouts_match_reference_loop(task):
 def test_sampled_verdicts_match_reference_loop(task):
     records, feats = task
     params = policies()[0]
-    _, batched = run_episodes(params, SPEC, feats, records, BACKEND, SelectMode.SAMPLE,
-                              rng=np.random.default_rng(4))
+    _, batched = run_episodes(params, SPEC, feats, records, BACKEND, rng=np.random.default_rng(4))
     oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND,
-                                     mode=SelectMode.SAMPLE, rng=np.random.default_rng(4))
+                                     rng=np.random.default_rng(4))
     assert [(p.predicted, p.fuzz_kind) for p in batched] == [(p.predicted, p.fuzz_kind) for p in oracle]
 
 
@@ -84,8 +83,8 @@ def test_at_most_two_forward_passes(task, monkeypatch):
     monkeypatch.setattr(trainer, "forward_cache", counting)
     params = policies()[0]
     for n in (0, 1, 7, len(records)):
-        for mode, rng in ((SelectMode.GREEDY, None), (SelectMode.SAMPLE, np.random.default_rng(0))):
+        for rng in (None, np.random.default_rng(0)):
             calls.clear()
-            batch, _ = run_episodes(params, SPEC, feats[:n], records[:n], BACKEND, mode, rng=rng)
+            batch, _ = run_episodes(params, SPEC, feats[:n], records[:n], BACKEND, rng=rng)
             assert len(calls) <= 2
             assert sum(calls) == len(batch)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from triagerl.env import RewardSpec, TriageAction, reward_of
 from triagerl.errors import DimensionMismatch, IllegalAction, LengthMismatch
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
-from triagerl.policy import SelectMode, init_params
+from triagerl.policy import init_params
 from triagerl.trainer import STATE_DIM, collect_rollouts, run_episodes
 from triagerl.warnings import Label
 
@@ -116,9 +116,6 @@ class TestRewardOf:
                     else:
                         assert key in legal
 
-    def test_accepts_outcome_objects(self):
-        assert reward_of(A_FP, FP, FuzzOutcome(FuzzKind.CLEAN, 2.0)) == 23.0
-
     def test_custom_spec(self):
         spec = RewardSpec(correct=1.0, incorrect=-1.0, fuzz_cost=-0.5, bonus_crash_tp=2.0)
         assert reward_of(A_TP, TP, FuzzKind.CRASH, spec) == 3.0
@@ -166,9 +163,8 @@ class TestEnv:
     def test_fuzz_twice_is_illegal(self):
         # The policy prefers fuzzing in every state; the second decision is
         # masked, so each episode fuzzes once and then classifies.
-        for mode, rng in ((SelectMode.GREEDY, None), (SelectMode.SAMPLE, np.random.default_rng(0))):
-            batch, _ = play(np.zeros((5, 2)), [0.0, 0.0, 3.0], [TP] * 5, ForcedBackend(),
-                            mode=mode, rng=rng)
+        for rng in (None, np.random.default_rng(0)):
+            batch, _ = play(np.zeros((5, 2)), [0.0, 0.0, 3.0], [TP] * 5, ForcedBackend(), rng=rng)
             for eid in range(5):
                 actions = batch.actions[batch.episode_ids == eid].tolist()
                 assert actions.count(A_FUZZ) <= 1

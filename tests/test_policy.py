@@ -11,7 +11,6 @@ from triagerl.env import TriageAction
 from triagerl.errors import DimensionMismatch
 from triagerl.policy import (
     PolicyParams,
-    SelectMode,
     draw_dropout_masks,
     forward_cache,
     init_params,
@@ -137,8 +136,7 @@ class TestSelectAction:
         assert batch.behavior_logp[0] == pytest.approx(math.log(0.5))
 
     def test_sampling_respects_probabilities(self):
-        batch, _ = play_probs([0.0, 1.0, 0.0], mode=SelectMode.SAMPLE,
-                              rng=np.random.default_rng(0))
+        batch, _ = play_probs([0.0, 1.0, 0.0], rng=np.random.default_rng(0))
         assert batch.actions.tolist() == [TriageAction.CLASSIFY_FP]
 
     def test_classify_probability_renormalizes(self):

@@ -16,7 +16,6 @@ from triagerl.warnings import (
     SPLITS,
     WarningRecord,
     cluster_sizes,
-    cluster_warnings,
     parse_report,
     read_label_sidecar,
     read_split_file,
@@ -231,6 +230,8 @@ class TestStratifiedSplit:
             stratified_split(records, (1.0, 0.0, 0.0), seed=0)
         with pytest.raises(RatioError):
             stratified_split(records, (0.5, 0.5), seed=0)  # type: ignore[arg-type]
+        with pytest.raises(RatioError, match="sum nan"):
+            stratified_split(records, (float("nan"), 0.5, 0.5), seed=0)
 
     @given(
         n_pos=st.integers(1, 40),
@@ -279,32 +280,30 @@ def brute_force_clusters(records, radius):
 class TestClusterWarnings:
     def test_adjacent_same_file(self):
         records = [make_record(0, line=10), make_record(1, line=12)]
-        clusters = cluster_warnings(records, radius=5)
-        assert clusters[records[0].id] == clusters[records[1].id]
+        assert cluster_sizes(records, radius=5) == {r.id: 2 for r in records}
 
     def test_different_files_distinct(self):
         records = [make_record(0, file="a/x.rs", line=10), make_record(1, file="b/x.rs", line=10)]
-        clusters = cluster_warnings(records, radius=5)
-        assert clusters[records[0].id] != clusters[records[1].id]
+        assert cluster_sizes(records, radius=5) == {r.id: 1 for r in records}
 
     def test_transitive_chain(self):
+        # 10 and 18 are further apart than the radius, but 14 links them.
         records = [make_record(i, line=ln) for i, ln in enumerate((10, 14, 18))]
-        clusters = cluster_warnings(records, radius=5)
-        assert len(set(clusters.values())) == 1
+        assert cluster_sizes(records, radius=5) == {r.id: 3 for r in records}
 
-    def test_dense_ids_by_first_appearance(self):
-        records = [
-            make_record(0, file="b/x.rs", line=10),
-            make_record(1, file="a/x.rs", line=10),
-            make_record(2, file="b/x.rs", line=11),
-        ]
-        clusters = cluster_warnings(records, radius=5)
-        assert clusters[records[0].id] == 0
-        assert clusters[records[1].id] == 1
-        assert clusters[records[2].id] == 0
+    def test_gap_equal_to_radius_joins(self):
+        records = [make_record(i, line=ln) for i, ln in enumerate((10, 15, 21))]
+        sizes = cluster_sizes(records, radius=5)
+        assert [sizes[r.id] for r in records] == [2, 2, 1]
+        assert set(cluster_sizes(records, radius=6).values()) == {3}
+        assert set(cluster_sizes(records, radius=0).values()) == {1}
+
+    def test_duplicate_ids_count_once(self):
+        a, b = make_record(0, line=10), make_record(1, line=12)
+        assert cluster_sizes([a, b, a, a], radius=5) == {a.id: 2, b.id: 2}
 
     def test_empty_input(self):
-        assert cluster_warnings([], radius=5) == {}
+        assert cluster_sizes([], radius=5) == {}
 
     @given(
         lines=st.lists(st.integers(1, 60), min_size=1, max_size=50),
@@ -321,20 +320,16 @@ class TestClusterWarnings:
             )
             for i, line in enumerate(lines)
         ]
-        # Content-identical records collapse to one id; drop duplicates.
-        unique = list({r.id: r for r in records}.values())
-        clusters = cluster_warnings(unique, radius=radius)
-        assert set(clusters) == {r.id for r in unique}
-        blocks = {}
-        for wid, cid in clusters.items():
-            blocks.setdefault(cid, set()).add(wid)
-        assert {frozenset(b) for b in blocks.values()} == brute_force_clusters(unique, radius)
+        records += records[: len(records) // 2]  # repeated ids count once
+        sizes = cluster_sizes(records, radius=radius)
+        expected = {wid: len(group) for group in brute_force_clusters(records, radius)
+                    for wid in group}
+        assert sizes == expected
 
     def test_cluster_sizes(self):
         records = [make_record(i, line=ln) for i, ln in enumerate((10, 12, 400))]
-        sizes = cluster_sizes(cluster_warnings(records, radius=5))
-        assert sizes[records[0].id] == 2
-        assert sizes[records[2].id] == 1
+        sizes = cluster_sizes(records, radius=5)
+        assert [sizes[r.id] for r in records] == [2, 2, 1]
 
 
 class TestFileInterfaces:
