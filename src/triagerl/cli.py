@@ -211,9 +211,7 @@ def cmd_split(args) -> int:
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
     records = _load(warn_mod.read_warning_store, args.warnings)
-    metadata = (
-        _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
-    )
+    metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
     if args.mode == "precomputed":
         if not args.sidecar:
             print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
@@ -265,33 +263,29 @@ def cmd_triage(args) -> int:
     cfg = _load_config(args)
     records = _load(warn_mod.parse_report, args.report)
     checkpoint = _load(load_checkpoint, args.checkpoint)
-    metadata = (
-        _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
-    )
+    metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
     vectors = _featurize_records(records, metadata, cfg.cluster_radius)
     backend = _make_backend(cfg)
     feats = normalize(feature_matrix(records, vectors), checkpoint.normalizer)
-    _, predictions = run_episodes(checkpoint.params, checkpoint.reward_spec, feats, records,
-                                  backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
-    _write(args.out, metrics_mod.write_verdicts(predictions))
+    played = run_episodes(checkpoint.params, feats, records, backend, mask_fuzz=args.mask_fuzz,
+                          jobs=cfg.jobs)
+    verdicts = metrics_mod.prediction_records([r.id for r in records], played.called, played.score,
+                                              played.fuzzed, played.outcome)
+    _write(args.out, metrics_mod.write_verdicts(verdicts))
     return 0
 
 
 def cmd_fuzz_validate(args) -> int:
     cfg = _load_config(args)
     records = _load(warn_mod.read_warning_store, args.warnings)
-    labels = (
-        _load(warn_mod.read_label_sidecar, args.labels) if args.labels else {}
-    )
+    labels = _load(warn_mod.read_label_sidecar, args.labels) if args.labels else {}
     by_id = {r.id: r for r in records}
     ids = args.ids.split(",") if args.ids else list(by_id)
     missing = [w for w in ids if w not in by_id]
     if missing:
         raise MissingRecording(f"warnings not in store: {', '.join(missing)}")
     backend = _make_backend(cfg)
-    results = fuzz_mod.run_many(
-        lambda wid: fuzz_mod.run_fuzz(backend, by_id[wid], labels.get(wid)), ids, cfg.jobs
-    )
+    results = fuzz_mod.run_many(lambda wid: backend.run(by_id[wid], labels.get(wid)), ids, cfg.jobs)
     _write(args.out, fuzz_mod.write_recorded_outcomes(dict(zip(ids, results))))
     return 0
 
@@ -353,89 +347,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse a report file into the warning store")
-    p.add_argument("--report", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
-    _add_common(p)
+    def command(name: str, func, summary: str, *required: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        return p
 
-    p = sub.add_parser("split", help="stratified train/val/test assignment")
-    p.add_argument("--warnings", required=True)
-    p.add_argument("--labels", required=True)
+    dataset = ("--warnings", "--labels", "--splits", "--features")
+    p = command("ingest", cmd_ingest, "parse a report file into the warning store", "--report")
+    p.add_argument("--out", required=True)
+
+    p = command("split", cmd_split, "stratified train/val/test assignment", "--warnings",
+                "--labels")
     p.add_argument("--ratios", type=_ratios, default="0.70,0.15,0.15")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
-    _add_common(p)
 
-    p = sub.add_parser("featurize", help="compute or validate feature vectors")
-    p.add_argument("--warnings", required=True)
+    p = command("featurize", cmd_featurize, "compute or validate feature vectors", "--warnings")
     p.add_argument("--meta", help="package metadata JSON")
     p.add_argument("--mode", choices=["heuristic", "precomputed"], default="heuristic")
     p.add_argument("--sidecar", help="precomputed feature sidecar")
     p.add_argument("--out", required=True)
     p.add_argument("--export-manifest", help="also write the manifest audit listing")
-    p.set_defaults(func=cmd_featurize)
-    _add_common(p)
 
-    p = sub.add_parser("train", help="train a policy checkpoint")
-    p.add_argument("--warnings", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
+    p = command("train", cmd_train, "train a policy checkpoint", *dataset, "--out")
     p.add_argument("--log", help="training log file (one line per epoch)")
-    p.set_defaults(func=cmd_train)
-    _add_common(p)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--warnings", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--features", required=True)
+    p = command("evaluate", cmd_evaluate, "score a checkpoint on a split", "--checkpoint", *dataset)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--mask-fuzz", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--verdicts", help="also persist per-warning verdicts")
-    p.set_defaults(func=cmd_evaluate)
-    _add_common(p)
 
-    p = sub.add_parser("triage", help="classify a raw report with a checkpoint")
-    p.add_argument("--report", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p = command("triage", cmd_triage, "classify a raw report with a checkpoint", "--report",
+                "--checkpoint")
     p.add_argument("--meta", help="package metadata JSON")
     p.add_argument("--mask-fuzz", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_triage)
-    _add_common(p)
 
-    p = sub.add_parser("fuzz-validate", help="run the fuzz backend on listed warnings")
-    p.add_argument("--warnings", required=True)
+    p = command("fuzz-validate", cmd_fuzz_validate, "run the fuzz backend on listed warnings",
+                "--warnings")
     p.add_argument("--ids", help="comma-separated warning ids (default: all)")
     p.add_argument("--labels", help="label sidecar (needed by the simulated backend)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuzz_validate)
-    _add_common(p)
 
-    p = sub.add_parser("importance", help="permutation feature importance")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--warnings", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--features", required=True)
+    p = command("importance", cmd_importance, "permutation feature importance", "--checkpoint",
+                *dataset)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_importance)
-    _add_common(p)
 
-    p = sub.add_parser("report", help="recompute metrics from persisted verdicts")
-    p.add_argument("--verdicts", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-    _add_common(p)
+    command("report", cmd_report, "recompute metrics from persisted verdicts", "--verdicts",
+            "--labels", "--out")
 
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from enum import IntEnum
 
 from .errors import IllegalAction
-from .fuzz import CRASH_GRADE, FuzzKind, FuzzOutcome, run_fuzz
+from .fuzz import CRASH_GRADE, FuzzKind, FuzzOutcome
 from .warnings import Label, WarningRecord
 
 
@@ -89,6 +89,6 @@ def fuzz_step(backend, warning: WarningRecord) -> FuzzOutcome:
     """One fuzz action's outcome; backend failures of any kind become an
     InfrastructureFailure outcome, never an exception."""
     try:
-        return run_fuzz(backend, warning, warning.label)
+        return backend.run(warning, warning.label)
     except Exception as exc:  # noqa: BLE001 - contract: never raise to the agent
         return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}")

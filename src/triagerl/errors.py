@@ -51,8 +51,9 @@ class DimensionMismatch(TriageError):
     """Network parameters and input state disagree on dimensions."""
 
 
-class NonFiniteLoss(TriageError):
-    """A PPO update produced a non-finite loss; the update is aborted."""
+class NonFiniteLoss(InputError):
+    """A PPO update produced a non-finite loss, so training diverged under the
+    hyperparameters and reward constants given; the update is aborted."""
 
 
 class EmptySplit(InputError):

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import TriageAction
 from .features import MANIFEST, FeatureVector, normalize
-from .metrics import EvalReport, PredictionRecord, compute_metrics
+from .metrics import EvalReport, PredictionRecord, prediction_records, report_from_arrays
 from .trainer import PolicyCheckpoint, feature_matrix, run_episodes
 from .warnings import Label, WarningRecord
 
@@ -27,11 +26,11 @@ def evaluate_checkpoint(
 ) -> tuple[EvalReport, list[PredictionRecord]]:
     """Play every warning greedily and report metrics plus verdicts."""
     feats = normalize(feature_matrix(records, vectors), ckpt.normalizer)
-    _, predictions = run_episodes(
-        ckpt.params, ckpt.reward_spec, feats, records, backend, mask_fuzz=mask_fuzz, jobs=jobs
-    )
-    labels = {r.id: r.label for r in records}
-    return compute_metrics(predictions, labels), predictions
+    played = run_episodes(ckpt.params, feats, records, backend, mask_fuzz=mask_fuzz, jobs=jobs)
+    positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
+    report = report_from_arrays(played.called, positives, played.score, played.fuzzed)
+    return report, prediction_records([r.id for r in records], played.called, played.score,
+                                      played.fuzzed, played.outcome)
 
 
 def permutation_importance(
@@ -44,25 +43,21 @@ def permutation_importance(
     """Rank features by mean F1 drop when their column is shuffled.
 
     Evaluation runs with fuzzing masked so the ranking reflects the static
-    decision surface only. Shuffles are seeded; identical seeds give
-    identical rankings. Constant columns drop exactly 0.
+    decision surface only, and an undefined F1 counts as 0. Shuffles are
+    seeded; identical seeds give identical rankings. Constant columns drop
+    exactly 0.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     matrix = normalize(feature_matrix(records, vectors), ckpt.normalizer)
-    positives = np.array([r.label is Label.TRUE_POSITIVE for r in records], dtype=bool)
+    positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
 
-    def masked_f1(feats: np.ndarray) -> float:
+    def f1(feats: np.ndarray) -> float:
         # Fuzzing is masked: one decision per warning, and the backend is never called.
-        batch, _ = run_episodes(ckpt.params, ckpt.reward_spec, feats, records, None, mask_fuzz=True)
-        predicted = batch.actions == TriageAction.CLASSIFY_TP
-        tp = int(np.sum(predicted & positives))
-        if tp == 0:
-            return 0.0
-        precision, recall = tp / int(predicted.sum()), tp / int(positives.sum())
-        return 2 * precision * recall / (precision + recall)
+        played = run_episodes(ckpt.params, feats, records, None, mask_fuzz=True)
+        return report_from_arrays(played.called, positives, played.score, played.fuzzed).f1 or 0.0
 
-    baseline = masked_f1(matrix)
+    baseline = f1(matrix)
     rng = np.random.default_rng(seed)
     results = []
     for j, entry in enumerate(MANIFEST.entries):
@@ -71,7 +66,7 @@ def permutation_importance(
             perm = rng.permutation(len(records))
             shuffled = matrix.copy()
             shuffled[:, j] = matrix[perm, j]
-            drops.append(baseline - masked_f1(shuffled))
+            drops.append(baseline - f1(shuffled))
         results.append({"feature": entry.name, "mean_drop": float(np.mean(drops))})
     results.sort(key=lambda r: -r["mean_drop"])
     return results

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -74,10 +73,6 @@ class FeatureManifest:
                 return i
         raise KeyError(name)
 
-    @property
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
     # Boolean column masks by kind, computed once per manifest.
     @cached_property
     def binary_mask(self) -> np.ndarray:  # flags and one-hots: 0 or 1
@@ -111,8 +106,10 @@ class PackageMetadata:
             raise ValueError(f"download_count must be >= 0, got {self.download_count}")
         if not 0.0 <= self.unsafe_prevalence <= 1.0:
             raise ValueError(f"unsafe_prevalence must be in [0,1], got {self.unsafe_prevalence}")
-        if abs(self.total_loc) > sys.float_info.max:
-            raise ValueError("loc does not fit a float")
+        # Above 2**53, float64 no longer holds every integer exactly.
+        for key, value in (("downloads", self.download_count), ("loc", self.total_loc)):
+            if abs(value) > 2**53:
+                raise ValueError(f"{key} does not fit a float exactly: |{key}| must be <= 2**53")
 
 
 @dataclass

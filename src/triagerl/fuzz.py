@@ -280,16 +280,6 @@ class ExternalBackend:
         return FuzzOutcome(FuzzKind.INCONCLUSIVE, elapsed, f"exit {proc.returncode}, no marker")
 
 
-Backend = SimulatedBackend | RecordedBackend | ExternalBackend
-
-
-def run_fuzz(
-    backend: Backend, warning: WarningRecord, true_label: Label | None = None
-) -> FuzzOutcome:
-    """Run one dynamic validation through the given backend."""
-    return backend.run(warning, true_label)
-
-
 def run_many(call, items: list, jobs: int) -> list:
     """`call` on every item, results in input order, at most `jobs` in flight.
 

@@ -1,20 +1,21 @@
-"""Classification metrics over per-warning predictions.
+"""Classification metrics over per-warning arrays, and the verdict files.
 
 All seven metrics are computed from the confusion counts and the ranked
 TP-probability scores. Metrics whose denominators vanish are reported as
 absent with a reason, never as NaN; MCC follows the zero-when-any-factor-
-is-zero convention.
+is-zero convention. `PredictionRecord`s exist only where verdicts are
+written, read or checked against labels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import EmptyInput, SchemaError, UnlabeledRecordError
-from .fuzz import FuzzKind
+from .fuzz import FUZZ_SLOTS, FuzzKind
 from .warnings import Label
 
 
@@ -29,6 +30,8 @@ class PredictionRecord:
 
 @dataclass
 class EvalReport:
+    """Every field but `undefined` is a line of the report file, in field order."""
+
     n: int
     tp: int
     fp: int
@@ -73,48 +76,34 @@ def _auc_pr(scores: np.ndarray, positive: np.ndarray) -> float:
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def compute_metrics(
-    predictions: list[PredictionRecord], labels: dict[str, Label]
-) -> EvalReport:
-    """Build the full report from per-warning predictions and ground truth."""
-    if not predictions:
+def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
+    """The full report from per-warning arrays: whether each warning was
+    called a true positive, whether it is one, its P(TP) score, and whether
+    it was fuzzed."""
+    called, positive = np.asarray(called, dtype=bool), np.asarray(positive, dtype=bool)
+    n = len(called)
+    if n == 0:
         raise EmptyInput("no predictions to score")
-    missing = [p.warning_id for p in predictions if p.warning_id not in labels]
-    if missing:
-        raise UnlabeledRecordError(f"no label for: {', '.join(missing)}")
-    for p in predictions:
-        if not 0.0 <= p.score <= 1.0:
-            raise ValueError(f"score for {p.warning_id} must be in [0,1], got {p.score}")
-
-    positive = np.array([labels[p.warning_id] is Label.TRUE_POSITIVE for p in predictions])
-    called = np.array([p.predicted is Label.TRUE_POSITIVE for p in predictions])
     tp, fp = int((called & positive).sum()), int((called & ~positive).sum())
     fn, tn = int((~called & positive).sum()), int((~called & ~positive).sum())
 
-    n = len(predictions)
     undefined: dict[str, str] = {}
-    accuracy = (tp + tn) / n
-
-    precision = recall = f1 = None
     if tp + fp == 0:
         undefined["precision"] = "no positive predictions (TP+FP = 0)"
-    else:
-        precision = tp / (tp + fp)
     if tp + fn == 0:
         undefined["recall"] = "no positive labels (TP+FN = 0)"
-    else:
-        recall = tp / (tp + fn)
-    if precision is None or recall is None:
+    if undefined:
         undefined["f1"] = "precision or recall undefined"
-    elif precision + recall == 0:
+    elif tp == 0:
         undefined["f1"] = "precision and recall both 0"
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
+    precision = None if "precision" in undefined else tp / (tp + fp)
+    recall = None if "recall" in undefined else tp / (tp + fn)
+    f1 = None if "f1" in undefined else 2 * precision * recall / (precision + recall)
 
     factors = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     mcc = 0.0 if factors == 0 else (tp * tn - fp * fn) / math.sqrt(factors)
 
-    scores = np.array([p.score for p in predictions], dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     auc_roc = auc_pr = None
     if positive.all() or not positive.any():
         undefined["auc_roc"] = "only one class present"
@@ -123,25 +112,49 @@ def compute_metrics(
         auc_roc = _auc_roc(scores, positive)
         auc_pr = _auc_pr(scores, positive)
 
-    fuzz_rate = sum(1 for p in predictions if p.fuzz_used) / n
     return EvalReport(
         n=n, tp=tp, fp=fp, fn=fn, tn=tn,
-        accuracy=accuracy, precision=precision, recall=recall, f1=f1, mcc=mcc,
-        auc_roc=auc_roc, auc_pr=auc_pr, fuzz_invocation_rate=fuzz_rate,
+        accuracy=(tp + tn) / n, precision=precision, recall=recall, f1=f1, mcc=mcc,
+        auc_roc=auc_roc, auc_pr=auc_pr, fuzz_invocation_rate=int(np.count_nonzero(fuzzed)) / n,
         undefined=undefined,
     )
 
 
-_REPORT_KEYS = (
-    "n", "tp", "fp", "fn", "tn", "accuracy", "precision", "recall", "f1",
-    "mcc", "auc_roc", "auc_pr", "fuzz_invocation_rate",
-)
+def compute_metrics(
+    predictions: list[PredictionRecord], labels: dict[str, Label]
+) -> EvalReport:
+    """The full report from per-warning predictions and ground truth, once
+    every prediction has a label and a score in [0,1]."""
+    missing = [p.warning_id for p in predictions if p.warning_id not in labels]
+    if missing:
+        raise UnlabeledRecordError(f"no label for: {', '.join(missing)}")
+    for p in predictions:
+        if not 0.0 <= p.score <= 1.0:
+            raise ValueError(f"score for {p.warning_id} must be in [0,1], got {p.score}")
+    return report_from_arrays(
+        [p.predicted is Label.TRUE_POSITIVE for p in predictions],
+        [labels[p.warning_id] is Label.TRUE_POSITIVE for p in predictions],
+        [p.score for p in predictions],
+        [p.fuzz_used for p in predictions],
+    )
+
+
+def prediction_records(ids: list[str], called: np.ndarray, scores: np.ndarray,
+                       fuzzed: np.ndarray, outcomes: np.ndarray) -> list[PredictionRecord]:
+    """One verdict per id from per-warning arrays; `outcomes` holds FUZZ_SLOTS
+    indices, read only where `fuzzed`."""
+    return [
+        PredictionRecord(wid, Label.TRUE_POSITIVE if c else Label.FALSE_POSITIVE, s, f,
+                         FUZZ_SLOTS[o] if f else None)
+        for wid, c, s, f, o in zip(ids, called.tolist(), scores.tolist(), fuzzed.tolist(),
+                                   outcomes.tolist())
+    ]
 
 
 def write_report(report: EvalReport) -> bytes:
-    """Flat key-value document in stable key order."""
+    """Flat key-value document, one line per metric in field order."""
     lines = []
-    for key in _REPORT_KEYS:
+    for key in [f.name for f in fields(EvalReport) if f.name != "undefined"]:
         value = getattr(report, key)
         if value is None:
             lines.append(f"{key} = undefined ({report.undefined[key]})")
@@ -154,18 +167,8 @@ def write_report(report: EvalReport) -> bytes:
 
 def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
     """Verdicts file: id, predicted label, score, fuzz flag, fuzz kind."""
-    lines = [
-        "\t".join(
-            [
-                p.warning_id,
-                p.predicted.value,
-                repr(p.score),
-                "1" if p.fuzz_used else "0",
-                p.fuzz_kind.value if p.fuzz_kind is not None else "-",
-            ]
-        )
-        for p in predictions
-    ]
+    lines = [f"{p.warning_id}\t{p.predicted.value}\t{p.score!r}\t{int(p.fuzz_used)}\t"
+             f"{p.fuzz_kind.value if p.fuzz_kind is not None else '-'}" for p in predictions]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 

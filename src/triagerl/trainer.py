@@ -1,8 +1,9 @@
 """The episode engine, PPO training over labeled warnings, and checkpointing.
 
 `run_episodes` plays one episode per warning for rollouts, validation,
-evaluation, importance and triage. Advantages are Monte-Carlo returns minus
-the value baseline (episodes are at most two steps, so no bootstrapping).
+evaluation, importance and triage, and returns arrays; only rollouts turn
+them into rewards. Advantages are Monte-Carlo returns minus the value
+baseline (episodes are at most two steps, so no bootstrapping).
 Updates maximize the clipped surrogate with a value-loss penalty and an
 entropy bonus; gradients are hand-derived backpropagation through the
 two-layer network, optimized by an in-tree Adam.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .features import (
     validate_vector,
 )
 from .fuzz import FUZZ_SLOTS, run_many
-from .metrics import PredictionRecord, compute_metrics
+from .metrics import report_from_arrays
 from .policy import (
     PolicyParams,
     draw_dropout_masks,
@@ -75,10 +76,42 @@ class TrainConfig:
         for name in ("epochs_max", "minibatch_size", "learning_rate", "ppo_inner_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("value_loss_weight", "entropy_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+
+
+@dataclass
+class Episodes:
+    """What `run_episodes` played.
+
+    Per episode, in input order: the final (classify) action, its score, and
+    the fuzz outcome's slot in FUZZ_SLOTS (0 when the episode did not fuzz).
+    Per decision: every episode's first decision, then the second decisions
+    of the episodes that fuzzed, both in episode order.
+    """
+
+    action: np.ndarray   # (n,) int
+    score: np.ndarray    # (n,) P(TP) with fuzzing masked, at the final decision state
+    outcome: np.ndarray  # (n,) int
+    states: np.ndarray   # (n + m, state_dim)
+    actions: np.ndarray  # (n + m,) int
+    logp: np.ndarray     # (n + m,) log-probability of the action taken
+    values: np.ndarray   # (n + m,)
+
+    @property
+    def called(self) -> np.ndarray:
+        """Whether each episode called its warning a true positive."""
+        return self.action == TriageAction.CLASSIFY_TP
+
+    @property
+    def fuzzed(self) -> np.ndarray:
+        """Whether each episode fuzzed: a fuzz outcome is never NotRun."""
+        return self.outcome > 0
 
 
 @dataclass
@@ -103,6 +136,39 @@ class TrajectoryBatch:
         return TrajectoryBatch(*[getattr(self, f.name)[idx] for f in
                                  TrajectoryBatch.__dataclass_fields__.values()])  # type: ignore[arg-type]
 
+    @classmethod
+    def from_episodes(cls, episodes: Episodes, labels: list[Label | None],
+                      reward_spec: RewardSpec, gamma: float = 1.0) -> "TrajectoryBatch":
+        """The decisions of `episodes`, whose warnings carry `labels`, with
+        their rewards and returns: a fuzzing episode's first step returns
+        r1 + gamma*r2."""
+        n = len(episodes.action)
+        fuzzed = episodes.fuzzed
+        idx = np.flatnonzero(fuzzed)
+        keys = list(zip(episodes.action.tolist(), labels, episodes.outcome.tolist()))
+        # One reward_of call per distinct (action, label, outcome): at most 2 x 3 x 6.
+        reward = {k: reward_of(TriageAction(k[0]), k[1], FUZZ_SLOTS[k[2]], reward_spec)
+                  for k in set(keys)}
+        terminal = np.array([reward[k] for k in keys])
+        reward1 = np.where(fuzzed, reward_spec.fuzz_cost, terminal)
+        reward2 = terminal[idx]
+        return1 = reward1 + gamma * np.where(fuzzed, terminal, 0.0)
+
+        # Episode order: episode i's first decision sorts at i, its second at i + 0.5.
+        order = np.argsort(np.concatenate([np.arange(n), idx + 0.5]), kind="stable")
+        values = episodes.values[order]
+        returns = np.concatenate([return1, reward2])[order]
+        return cls(
+            states=episodes.states[order],
+            actions=episodes.actions[order],
+            behavior_logp=episodes.logp[order],
+            rewards=np.concatenate([reward1, reward2])[order],
+            values=values,
+            episode_ids=np.concatenate([np.arange(n), idx])[order],
+            returns=returns,
+            advantages=returns - values,
+        )
+
 
 def _fuzz_masked_probs(logits: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Action probabilities with fuzzing masked in `rows` (default: all).
@@ -124,15 +190,13 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 def run_episodes(
     params: PolicyParams,
-    reward_spec: RewardSpec,
     feats: np.ndarray,
     records: list[WarningRecord],
     backend,
     mask_fuzz: bool = False,
     rng: np.random.Generator | None = None,
     jobs: int = 1,
-    gamma: float = 1.0,
-) -> tuple[TrajectoryBatch, list[PredictionRecord]]:
+) -> Episodes:
     """Play one episode per warning, all of them side by side.
 
     `feats` holds the normalized feature rows of `records`. One forward pass
@@ -142,9 +206,8 @@ def run_episodes(
     fixed action order (TP, FP, Fuzz). Actions are greedy when `rng` is
     None; given `rng`, they are sampled with one rng.random() per decision
     in episode order, the stream that playing the episodes one after another
-    would consume. A fuzzing episode's first step returns r1 + gamma*r2.
-    Each verdict's score is P(TP) with fuzzing masked at the episode's final
-    decision state.
+    would consume. Each episode's score is P(TP) with fuzzing masked at its
+    final decision state.
     """
     feats = np.asarray(feats, dtype=np.float64)
     n = len(records)
@@ -168,13 +231,12 @@ def run_episodes(
             if act1[i] == TriageAction.FUZZ:
                 second_draws.append(rng.random())
 
-    fuzzed = act1 == TriageAction.FUZZ
-    idx = np.flatnonzero(fuzzed)
-    outcomes = run_many(partial(fuzz_step, backend), [records[i] for i in idx], jobs)
-    kinds = np.full(n, None)  # each episode's fuzz outcome kind, None if it did not fuzz
-    kinds[idx] = [o.kind for o in outcomes]
+    idx = np.flatnonzero(act1 == TriageAction.FUZZ)
+    outcome = np.zeros(n, dtype=np.int64)
+    outcome[idx] = [FUZZ_SLOTS.index(o.kind) for o in
+                    run_many(partial(fuzz_step, backend), [records[i] for i in idx], jobs)]
     second = first[idx]
-    second[:, fd:] = np.eye(len(FUZZ_SLOTS))[[FUZZ_SLOTS.index(k) for k in kinds[idx]]]
+    second[:, fd:] = np.eye(len(FUZZ_SLOTS))[outcome[idx]]
     cache2 = forward_cache(params, second)
     probs2 = _fuzz_masked_probs(cache2["logits"])
     if rng is None:
@@ -182,41 +244,20 @@ def run_episodes(
     else:
         act2 = (np.array(second_draws)[:, None] >= _cdf(probs2)).sum(axis=1)
 
-    final = act1.copy()
-    final[idx] = act2
+    action = act1.copy()
+    action[idx] = act2
     score = classify1[:, TriageAction.CLASSIFY_TP].copy()
     score[idx] = probs2[:, TriageAction.CLASSIFY_TP]
-    predictions = [
-        PredictionRecord(r.id, Label.TRUE_POSITIVE if a == TriageAction.CLASSIFY_TP
-                         else Label.FALSE_POSITIVE, p, k is not None, k)
-        for r, a, p, k in zip(records, final.tolist(), score.tolist(), kinds)
-    ]
-    # Memoized: at most 2 x 3 x 6 distinct (action, label, outcome) triples occur.
-    reward = cache(lambda a, label, kind: reward_of(TriageAction(a), label, kind, reward_spec))
-    terminal = np.array([reward(a, r.label, k) for a, r, k in zip(final.tolist(), records, kinds)])
-    reward1 = np.where(fuzzed, reward_spec.fuzz_cost, terminal)
-    reward2 = terminal[idx]
-    return1 = reward1 + gamma * np.where(fuzzed, terminal, 0.0)
-
-    # Episode order: episode i's first decision sorts at i, its second at i + 0.5.
-    order = np.argsort(np.concatenate([np.arange(n), idx + 0.5]), kind="stable")
-
-    def interleave(first_rows: np.ndarray, second_rows: np.ndarray) -> np.ndarray:
-        return np.concatenate([first_rows, second_rows])[order]
-
-    values = interleave(cache1["values"], cache2["values"])
-    returns = interleave(return1, reward2)
-    return TrajectoryBatch(
-        states=interleave(first, second),
-        actions=interleave(act1, act2),
-        behavior_logp=interleave(np.log(probs1[np.arange(n), act1]),
-                                 np.log(probs2[np.arange(len(idx)), act2])),
-        rewards=interleave(reward1, reward2),
-        values=values,
-        episode_ids=interleave(np.arange(n), idx),
-        returns=returns,
-        advantages=returns - values,
-    ), predictions
+    return Episodes(
+        action=action,
+        score=score,
+        outcome=outcome,
+        states=np.concatenate([first, second]),
+        actions=np.concatenate([act1, act2]),
+        logp=np.concatenate([np.log(probs1[np.arange(n), act1]),
+                             np.log(probs2[np.arange(len(idx)), act2])]),
+        values=np.concatenate([cache1["values"], cache2["values"]]),
+    )
 
 
 def collect_rollouts(
@@ -237,8 +278,9 @@ def collect_rollouts(
     if not records:
         raise EmptySplit("no episodes to collect")
     order = rng.permutation(len(records))
-    batch, _ = run_episodes(params, reward_spec, feats[order], [records[i] for i in order], backend,
-                            rng=rng, gamma=gamma)
+    played = [records[i] for i in order]
+    episodes = run_episodes(params, feats[order], played, backend, rng=rng)
+    batch = TrajectoryBatch.from_episodes(episodes, [r.label for r in played], reward_spec, gamma)
     adv = batch.advantages
     batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
     return batch
@@ -373,7 +415,7 @@ def ppo_update(
     optimizer = optimizer or Adam(config.learning_rate)
     grads = params.zeros_like()
     last_parts: dict[str, float] = {}
-    for _ in range(config.ppo_inner_epochs):
+    for inner in range(1, config.ppo_inner_epochs + 1):
         perm = rng.permutation(len(batch))
         for start in range(0, len(batch), config.minibatch_size):
             mb_idx = perm[start : start + config.minibatch_size]
@@ -386,8 +428,10 @@ def ppo_update(
             total, _, parts = ppo_loss_and_grads(params, mb, config, feature_dim, masks, grads)
             if not np.isfinite(total):
                 raise NonFiniteLoss(
-                    f"non-finite loss on minibatch starting at {start} "
-                    f"(episode ids {sorted(set(mb.episode_ids.tolist()))[:5]}...)"
+                    f"non-finite loss in PPO pass {inner}, minibatch "
+                    f"{start // config.minibatch_size + 1}; train.learning_rate, "
+                    "train.value_loss_weight, train.entropy_weight and the reward.* constants "
+                    "scale the loss"
                 )
             optimizer.step(params.flat, grads.flat)
             last_parts = parts
@@ -443,7 +487,7 @@ def train(
     stats = fit_normalizer(train_raw)
     train_feats = normalize(train_raw, stats)
     val_feats = normalize(feature_matrix(val_records, vectors), stats)
-    val_labels = {r.id: r.label for r in val_records}
+    val_positive = np.array([r.label is Label.TRUE_POSITIVE for r in val_records])
 
     params = init_params(STATE_DIM, dropout_rate=config.dropout_rate, seed=config.seed)
     rng_rollout = np.random.default_rng([config.seed, 1])
@@ -458,11 +502,14 @@ def train(
         batch = collect_rollouts(
             params, train_records, train_feats, reward_spec, backend, rng_rollout, config.gamma
         )
-        ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
+        try:
+            ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
+        except NonFiniteLoss as exc:
+            raise NonFiniteLoss(f"epoch {epoch}: {exc}") from None
 
-        _, preds = run_episodes(params, reward_spec, val_feats, val_records, backend)
-        report = compute_metrics(preds, val_labels)
-        val_f1 = report.f1 if report.f1 is not None else 0.0
+        val = run_episodes(params, val_feats, val_records, backend)
+        report = report_from_arrays(val.called, val_positive, val.score, val.fuzzed)
+        val_f1 = report.f1 or 0.0
         entry = {
             "epoch": epoch,
             "mean_return": float(np.bincount(batch.episode_ids, weights=batch.rewards).mean()),

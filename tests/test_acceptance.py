@@ -14,7 +14,7 @@ from scipy import stats as scipy_stats
 
 from triagerl.env import reward_of
 from triagerl.errors import IllegalAction
-from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, SimOracleConfig, SimulatedBackend, run_fuzz
+from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, SimOracleConfig, SimulatedBackend
 from triagerl.metrics import compute_metrics
 from triagerl.policy import draw_dropout_masks, init_params
 from triagerl.synthetic import SIGNAL_FEATURE, ambiguity_task, separable_task
@@ -191,7 +191,7 @@ def test_criterion_8_simulated_backend_statistics():
         n = 10_000
         counts = {FuzzKind.CRASH: 0, FuzzKind.INCONCLUSIVE: 0, FuzzKind.CLEAN: 0}
         for i in range(n):
-            counts[run_fuzz(backend, make_record(i, label=TP), TP).kind] += 1
+            counts[backend.run(make_record(i, label=TP), TP).kind] += 1
         expected = [
             n * cfg.p_crash_given_tp,
             n * (1 - cfg.p_crash_given_tp) * cfg.p_inconclusive,

@@ -211,6 +211,11 @@ def run_with(pipeline, tmp_path, name, data, command=None, flags=()):
     return run_cli([*argv, *flags]), bad
 
 
+# How a training run that diverged names what to change.
+SCALES_LOSS = ("train.learning_rate, train.value_loss_weight, train.entropy_weight and the "
+               "reward.* constants scale the loss")
+
+
 def keep_one_train_record(text):
     first, rest = text.split("\ttrain", 1)
     return first + "\ttrain" + rest.replace("\ttrain", "\tval")
@@ -273,8 +278,20 @@ class TestMalformedInputs:
         ("train", "splits", keep_one_train_record, [], 3, "need >= 2 training vectors, got 1"),
         ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 1' + "0" * 400, t, count=1),
          [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc does not fit a float"),
+        ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 1e308', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc does not fit a float exactly"),
+        ("train", "config", lambda t: t + "train.learning_rate = 1e300\n", [], 3,
+         "epoch 1: non-finite loss in PPO pass 2, minibatch 1; " + SCALES_LOSS),
+        ("train", "config", lambda t: t + "reward.correct = 1e308\n", [], 3,
+         "epoch 1: non-finite loss in PPO pass 1, minibatch 1; " + SCALES_LOSS),
+        ("train", "config", lambda t: t + "train.value_loss_weight = -1e308\n", [], 3,
+         "{bad}: train.value_loss_weight must be >= 0, got -1e+308"),
+        ("train", "config", lambda t: t + "train.entropy_weight = -5\n", [], 3,
+         "{bad}: train.entropy_weight must be >= 0, got -5.0"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
-            "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc"])
+            "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
+            "learning-rate-diverges", "reward-diverges", "value-weight-negative",
+            "entropy-weight-negative"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()

@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from triagerl import trainer
+from triagerl import env, metrics, trainer
 from triagerl.env import RewardSpec
-from triagerl.features import fit_normalizer, normalize
+from triagerl.evaluate import permutation_importance
+from triagerl.features import MANIFEST, fit_normalizer, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
+from triagerl.metrics import prediction_records
 from triagerl.policy import init_params
 from triagerl.synthetic import separable_task
-from triagerl.trainer import STATE_DIM, collect_rollouts, feature_matrix, run_episodes
+from triagerl.trainer import (
+    STATE_DIM,
+    PolicyCheckpoint,
+    TrainConfig,
+    collect_rollouts,
+    feature_matrix,
+    run_episodes,
+)
 from triagerl.warnings import Split
 
 import episode_oracle
@@ -19,11 +28,23 @@ BACKEND = SimulatedBackend(SimOracleConfig(0.6, 0.1, 0.3, seed=2))
 
 
 @pytest.fixture(scope="module")
-def task():
+def corpus():
     dataset, vectors = separable_task(n=200, seed=3)
-    records = dataset.split_records(Split.TRAIN)
+    return dataset.split_records(Split.TRAIN), vectors
+
+
+@pytest.fixture(scope="module")
+def task(corpus):
+    records, vectors = corpus
     raw = feature_matrix(records, vectors)
     return records, normalize(raw, fit_normalizer(raw))
+
+
+def verdicts(params, feats, records, **kw):
+    """The engine's greedy or sampled play as verdicts, for comparison with the oracle's."""
+    played = run_episodes(params, feats, records, BACKEND, **kw)
+    return prediction_records([r.id for r in records], played.called, played.score,
+                              played.fuzzed, played.outcome)
 
 
 def policies():
@@ -35,7 +56,7 @@ def test_greedy_matches_reference_loop(task):
     records, feats = task
     for params in policies():
         for mask_fuzz in (False, True):
-            _, batched = run_episodes(params, SPEC, feats, records, BACKEND, mask_fuzz=mask_fuzz)
+            batched = verdicts(params, feats, records, mask_fuzz=mask_fuzz)
             oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND, mask_fuzz)
             assert len(batched) == len(oracle)
             for b, o in zip(batched, oracle):
@@ -65,7 +86,7 @@ def test_sampled_rollouts_match_reference_loop(task):
 def test_sampled_verdicts_match_reference_loop(task):
     records, feats = task
     params = policies()[0]
-    _, batched = run_episodes(params, SPEC, feats, records, BACKEND, rng=np.random.default_rng(4))
+    batched = verdicts(params, feats, records, rng=np.random.default_rng(4))
     oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND,
                                      rng=np.random.default_rng(4))
     assert [(p.predicted, p.fuzz_kind) for p in batched] == [(p.predicted, p.fuzz_kind) for p in oracle]
@@ -85,6 +106,23 @@ def test_at_most_two_forward_passes(task, monkeypatch):
     for n in (0, 1, 7, len(records)):
         for rng in (None, np.random.default_rng(0)):
             calls.clear()
-            batch, _ = run_episodes(params, SPEC, feats[:n], records[:n], BACKEND, rng=rng)
+            played = run_episodes(params, feats[:n], records[:n], BACKEND, rng=rng)
             assert len(calls) <= 2
-            assert sum(calls) == len(batch)
+            assert sum(calls) == len(played.actions)
+
+
+def test_play_and_importance_build_no_verdicts_and_no_rewards(corpus, task, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verdicts and rewards belong to the file boundary and rollouts")
+
+    monkeypatch.setattr(metrics.PredictionRecord, "__init__", forbidden)
+    monkeypatch.setattr(env, "reward_of", forbidden)
+    monkeypatch.setattr(trainer, "reward_of", forbidden)
+    records, feats = task
+    params = policies()[0]
+    for mask_fuzz in (False, True):
+        played = run_episodes(params, feats, records, BACKEND, mask_fuzz=mask_fuzz)
+        assert played.fuzzed.any() != mask_fuzz
+    normalizer = fit_normalizer(feature_matrix(*corpus))
+    ckpt = PolicyCheckpoint(params, normalizer, MANIFEST.digest, TrainConfig(), SPEC)
+    assert len(permutation_importance(ckpt, *corpus)) == len(MANIFEST)

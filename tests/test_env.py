@@ -9,7 +9,8 @@ from triagerl.env import RewardSpec, TriageAction, reward_of
 from triagerl.errors import DimensionMismatch, IllegalAction, LengthMismatch
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
 from triagerl.policy import init_params
-from triagerl.trainer import STATE_DIM, collect_rollouts, run_episodes
+from triagerl.metrics import prediction_records
+from triagerl.trainer import STATE_DIM, TrajectoryBatch, collect_rollouts, run_episodes
 from triagerl.warnings import Label
 
 from test_warnings import make_record
@@ -78,11 +79,14 @@ FIRST = {A_TP: [2.0, 1.0, 0.0], A_FP: [1.0, 2.0, 0.0]}
 
 
 def play(feats, logits, labels, backend=None, **kw):
-    """One episode per label, on feature rows `feats`, under `biased_params`."""
+    """One episode per label, on feature rows `feats`, under `biased_params`:
+    its decisions with their rewards, and its verdicts."""
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     records = [make_record(i, label=label) for i, label in enumerate(labels)]
-    return run_episodes(biased_params(feats.shape[1], logits), RewardSpec(), feats, records,
-                        backend, **kw)
+    played = run_episodes(biased_params(feats.shape[1], logits), feats, records, backend, **kw)
+    return (TrajectoryBatch.from_episodes(played, list(labels), RewardSpec()),
+            prediction_records([r.id for r in records], played.called, played.score,
+                               played.fuzzed, played.outcome))
 
 
 class TestRewardOf:
@@ -142,9 +146,9 @@ class TestEnv:
     def test_length_mismatch(self):
         params = biased_params(3, FIRST[A_TP])
         with pytest.raises(LengthMismatch):
-            run_episodes(params, RewardSpec(), np.zeros((2, 3)), [make_record(0, label=TP)], None)
+            run_episodes(params, np.zeros((2, 3)), [make_record(0, label=TP)], None)
         with pytest.raises(DimensionMismatch):
-            run_episodes(params, RewardSpec(), np.zeros((1, 4)), [make_record(0, label=TP)], None)
+            run_episodes(params, np.zeros((1, 4)), [make_record(0, label=TP)], None)
 
     def test_fuzz_step_encodes_outcome_and_costs(self):
         batch, preds = play(np.zeros(2), THEN_TP, [TP], ForcedBackend(FuzzKind.CRASH))

@@ -78,11 +78,11 @@ class TestManifest:
         assert len(MANIFEST) == EXPECTED_FEATURE_COUNT == 87
 
     def test_names_unique(self):
-        assert len(set(MANIFEST.names)) == len(MANIFEST)
+        assert len({e.name for e in MANIFEST.entries}) == len(MANIFEST)
 
     def test_required_features_present_exactly_once(self):
         for name in REQUIRED_FEATURES:
-            assert MANIFEST.names.count(name) == 1, name
+            assert [e.name for e in MANIFEST.entries].count(name) == 1, name
 
     def test_digest_changes_iff_entries_change(self):
         assert _digest(MANIFEST.version, MANIFEST.entries) == MANIFEST.digest

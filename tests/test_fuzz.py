@@ -22,7 +22,6 @@ from triagerl.fuzz import (
     generate_harness,
     load_templates,
     read_recorded_outcomes,
-    run_fuzz,
     run_many,
     write_recorded_outcomes,
 )
@@ -52,34 +51,34 @@ def panic_warning(i=0):
 class TestSimulatedBackend:
     def test_probability_one_branch(self):
         backend = SimulatedBackend(SimOracleConfig(1.0, 0.0, 0.0, seed=0))
-        outcome = run_fuzz(backend, make_record(0, label=TP), TP)
+        outcome = backend.run(make_record(0, label=TP), TP)
         assert outcome.kind is FuzzKind.CRASH
 
     def test_missing_label_is_infrastructure_failure(self):
         backend = SimulatedBackend(SimOracleConfig(seed=0))
-        outcome = run_fuzz(backend, make_record(0), None)
+        outcome = backend.run(make_record(0), None)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
     def test_pure_function_of_seed_id_label(self):
         backend = SimulatedBackend(SimOracleConfig(0.5, 0.1, 0.3, seed=4))
         rec = make_record(3, label=TP)
-        first = [run_fuzz(backend, rec, TP).kind for _ in range(5)]
+        first = [backend.run(rec, TP).kind for _ in range(5)]
         assert len(set(first)) == 1
-        again = run_fuzz(SimulatedBackend(SimOracleConfig(0.5, 0.1, 0.3, seed=4)), rec, TP)
+        again = SimulatedBackend(SimOracleConfig(0.5, 0.1, 0.3, seed=4)).run(rec, TP)
         assert again.kind is first[0]
 
     def test_outcome_independent_of_visit_order(self):
         backend = SimulatedBackend(SimOracleConfig(0.5, 0.1, 0.3, seed=4))
         records = [make_record(i, label=TP) for i in range(30)]
-        forward = {r.id: run_fuzz(backend, r, TP).kind for r in records}
-        backward = {r.id: run_fuzz(backend, r, TP).kind for r in reversed(records)}
+        forward = {r.id: backend.run(r, TP).kind for r in records}
+        backward = {r.id: backend.run(r, TP).kind for r in reversed(records)}
         assert forward == backward
 
     def test_crash_fraction_matches_binomial_oracle(self):
         # 10,000 TP draws at p=0.8; binomial sd is ~0.004, gate at +-0.02.
         backend = SimulatedBackend(SimOracleConfig(0.8, 0.05, 0.25, seed=0))
         crashes = sum(
-            run_fuzz(backend, make_record(i, label=TP), TP).kind is FuzzKind.CRASH
+            backend.run(make_record(i, label=TP), TP).kind is FuzzKind.CRASH
             for i in range(10_000)
         )
         assert abs(crashes / 10_000 - 0.8) <= 0.02
@@ -90,7 +89,7 @@ class TestSimulatedBackend:
         n = 10_000
         counts = {FuzzKind.CRASH: 0, FuzzKind.INCONCLUSIVE: 0, FuzzKind.CLEAN: 0}
         for i in range(n):
-            counts[run_fuzz(backend, make_record(i, label=TP), TP).kind] += 1
+            counts[backend.run(make_record(i, label=TP), TP).kind] += 1
         expected = [
             n * cfg.p_crash_given_tp,
             n * (1 - cfg.p_crash_given_tp) * cfg.p_inconclusive,
@@ -106,7 +105,7 @@ class TestSimulatedBackend:
 
     def test_elapsed_nonnegative_and_small(self):
         backend = SimulatedBackend(SimOracleConfig(seed=0))
-        outcome = run_fuzz(backend, make_record(0, label=FP), FP)
+        outcome = backend.run(make_record(0, label=FP), FP)
         assert 0.0 <= outcome.elapsed <= 5.0
 
 
@@ -115,9 +114,9 @@ class TestRecordedBackend:
         rec_x = make_record(0, label=TP)
         rec_y = make_record(1, label=TP)
         backend = RecordedBackend({rec_x.id: FuzzOutcome(FuzzKind.CLEAN, 2.0, "rec")})
-        assert run_fuzz(backend, rec_x, TP).kind is FuzzKind.CLEAN
+        assert backend.run(rec_x, TP).kind is FuzzKind.CLEAN
         with pytest.raises(MissingRecording, match=rec_y.id):
-            run_fuzz(backend, rec_y, TP)
+            backend.run(rec_y, TP)
 
     def test_outcomes_file_round_trip(self):
         outcomes = {
@@ -185,42 +184,42 @@ class TestExternalBackend:
 
     def test_exit_zero_is_clean(self, tmp_path):
         backend = self.make(tmp_path, "exit 0\n")
-        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.CLEAN
+        assert backend.run(panic_warning(), TP).kind is FuzzKind.CLEAN
 
     def test_sanitizer_marker(self, tmp_path):
         backend = self.make(tmp_path, 'echo "ERROR: AddressSanitizer heap-use-after-free"\nexit 1\n')
-        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.SANITIZER_VIOLATION
+        assert backend.run(panic_warning(), TP).kind is FuzzKind.SANITIZER_VIOLATION
 
     def test_crash_marker(self, tmp_path):
         backend = self.make(tmp_path, 'echo "thread panicked at lib.rs:4"\nexit 101\n')
-        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.CRASH
+        assert backend.run(panic_warning(), TP).kind is FuzzKind.CRASH
 
     def test_build_failure_marker(self, tmp_path):
         backend = self.make(tmp_path, 'echo "error[E0308] mismatched types"\nexit 1\n')
-        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.INFRASTRUCTURE_FAILURE
+        assert backend.run(panic_warning(), TP).kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
     def test_unparsable_nonzero_is_inconclusive(self, tmp_path):
         backend = self.make(tmp_path, 'echo "nothing to see"\nexit 7\n')
-        outcome = run_fuzz(backend, panic_warning(), TP)
+        outcome = backend.run(panic_warning(), TP)
         assert outcome.kind is FuzzKind.INCONCLUSIVE
 
     def test_missing_command_is_infrastructure_failure(self, tmp_path):
         backend = ExternalBackend(str(tmp_path / "does-not-exist"))
-        outcome = run_fuzz(backend, panic_warning(), TP)
+        outcome = backend.run(panic_warning(), TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
     def test_budget_clamped_to_default_range(self, tmp_path):
         log = tmp_path / "args.txt"
         script = f'echo "$@" > {log}\nexit 0\n'
-        run_fuzz(self.make(tmp_path, script, budget=5), panic_warning(), TP)
+        self.make(tmp_path, script, budget=5).run(panic_warning(), TP)
         assert "--budget 30" in log.read_text()
-        run_fuzz(self.make(tmp_path, script, budget=500), panic_warning(), TP)
+        self.make(tmp_path, script, budget=500).run(panic_warning(), TP)
         assert "--budget 60" in log.read_text()
 
     def test_timeout_kills_within_grace(self, tmp_path):
         backend = self.make(tmp_path, "sleep 30\n", budget=0.3, budget_bounds=(0.2, 0.4))
         start = time.monotonic()
-        outcome = run_fuzz(backend, panic_warning(), TP)
+        outcome = backend.run(panic_warning(), TP)
         elapsed = time.monotonic() - start
         assert outcome.kind is FuzzKind.INCONCLUSIVE
         assert outcome.detail == "timeout"
@@ -231,13 +230,13 @@ class TestExternalBackend:
         override = fake_cmd(tmp_path, "override.sh", "exit 0\n")
         backend = ExternalBackend(default)
         monkeypatch.setenv("TRIAGE_FUZZ_CMD", override)
-        assert run_fuzz(backend, panic_warning(), TP).kind is FuzzKind.CLEAN
+        assert backend.run(panic_warning(), TP).kind is FuzzKind.CLEAN
 
     def test_ungeneratable_harness_is_infrastructure_failure(self, tmp_path):
         backend = self.make(tmp_path, "exit 0\n")
         warning = make_record(0, analyzer="Mystery")
         warning = warning.__class__(**{**warning.__dict__, "description": "odd"})
-        outcome = run_fuzz(backend, warning, TP)
+        outcome = backend.run(warning, TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
         assert "harness" in outcome.detail
 
@@ -247,7 +246,7 @@ class TestExternalBackend:
         log = tmp_path / "paths.txt"
         backend = self.make(tmp_path, f'test -f "$1" && echo "$1" >> {log}\nsleep 0.5\nexit 0\n')
         warning = panic_warning()
-        outcomes = run_many(lambda w: run_fuzz(backend, w, TP), [warning, warning], jobs=2)
+        outcomes = run_many(lambda w: backend.run(w, TP), [warning, warning], jobs=2)
         assert [o.kind for o in outcomes] == [FuzzKind.CLEAN, FuzzKind.CLEAN]
         paths = [Path(line) for line in log.read_text().splitlines()]
         assert len(paths) == 2 and paths[0] != paths[1]
@@ -260,7 +259,7 @@ class TestExternalBackend:
         pidfile = tmp_path / "child.pid"
         script = f"sleep 30 &\necho $! > {pidfile}\nwait\n"
         backend = self.make(tmp_path, script, budget=0.3, budget_bounds=(0.2, 0.4))
-        outcome = run_fuzz(backend, panic_warning(), TP)
+        outcome = backend.run(panic_warning(), TP)
         assert outcome.detail == "timeout"
         pid = int(pidfile.read_text())
         deadline = time.monotonic() + 5.0
