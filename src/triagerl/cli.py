@@ -28,9 +28,10 @@ from .errors import (
     SchemaError,
     TriageError,
 )
-from .features import extract_features, manifest_export, normalize, package_of
+from .features import (MANIFEST, FeatureVector, extract_features, manifest_export, normalize,
+                       validate_vector)
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
-from .trainer import TrainConfig, feature_matrix, load_checkpoint, run_episodes, save_checkpoint, train
+from .trainer import TrainConfig, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split
 
 _SECTIONS = {"train": TrainConfig, "reward": RewardSpec, "sim": SimOracleConfig}
@@ -168,12 +169,6 @@ def _make_backend(cfg: RunConfig):
     raise SchemaError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
 
-def _featurize_records(records, metadata, radius):
-    sizes = warn_mod.cluster_sizes(records, radius)
-    return {r.id: extract_features(r, metadata.get(package_of(r)), cluster_size=sizes[r.id])
-            for r in records}
-
-
 def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
     records = _load(warn_mod.read_warning_store, args.warnings)
     labels = _load(warn_mod.read_label_sidecar, args.labels)
@@ -216,13 +211,16 @@ def cmd_featurize(args) -> int:
         if not args.sidecar:
             print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
             return 2
-        vectors = _load(features_mod.read_feature_sidecar, args.sidecar)
-        missing = [r.id for r in records if r.id not in vectors]
+        by_id = _load(features_mod.read_feature_sidecar, args.sidecar)
+        missing = [r.id for r in records if r.id not in by_id]
         if missing:
             raise FeatureValidationError(f"sidecar has no vector for warning {missing[0]}")
+        vectors = [by_id[r.id] for r in records]
     else:
-        vectors = _featurize_records(records, metadata, cfg.cluster_radius)
-    _write(args.out, features_mod.write_feature_sidecar([vectors[r.id] for r in records]))
+        sizes = warn_mod.cluster_sizes(records, cfg.cluster_radius)
+        matrix = extract_features(records, metadata, sizes, args.warnings)
+        vectors = [FeatureVector(r.id, row, MANIFEST.digest) for r, row in zip(records, matrix)]
+    _write(args.out, features_mod.write_feature_sidecar(vectors))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export().encode("utf-8"))
     return 0
@@ -264,9 +262,11 @@ def cmd_triage(args) -> int:
     records = _load(warn_mod.parse_report, args.report)
     checkpoint = _load(load_checkpoint, args.checkpoint)
     metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
-    vectors = _featurize_records(records, metadata, cfg.cluster_radius)
+    raw = extract_features(records, metadata, warn_mod.cluster_sizes(records, cfg.cluster_radius),
+                           args.report)
     backend = _make_backend(cfg)
-    feats = normalize(feature_matrix(records, vectors), checkpoint.normalizer)
+    feats = normalize(validate_vector(raw, lambda i: f"warning {records[i].id}"),
+                      checkpoint.normalizer)
     played = run_episodes(checkpoint.params, feats, records, backend, mask_fuzz=args.mask_fuzz,
                           jobs=cfg.jobs)
     verdicts = metrics_mod.prediction_records([r.id for r in records], played.called, played.score,

@@ -1,11 +1,14 @@
 """Feature extraction and normalization for analyzer warnings.
 
 Every warning maps to a fixed-order vector described by a versioned manifest
-of 87 named slots in three families. `extract_features` derives code-level
-features from the warning's snippet by documented lexical rules; a feature
-sidecar can instead carry exact values produced out-of-band (e.g. by a
-compiler plugin). Vectors are checked against the manifest where they enter
-the program: `read_feature_sidecar` and `validate_vector`.
+of 87 named slots in three families. `extract_features` writes the vectors
+of a whole report into one (N, 87) matrix: code-level slots come from each
+warning's snippet, tokenized once, by the documented lexical rules below,
+each written beside the slot it fills; the rest come from package metadata,
+cluster sizes and the analyzer's fields. A feature sidecar can instead
+carry exact values produced out-of-band (e.g. by a compiler plugin).
+Vectors are checked against the manifest where they enter the program:
+`read_feature_sidecar`, `stack_vectors` and `validate_vector`.
 
 Lexical rules are approximations by design: they keep the engine testable on
 snippets alone while the sidecar path carries exact values when available.
@@ -17,9 +20,9 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .errors import (
     SchemaError,
     SnippetTooLarge,
 )
-from .warnings import BugPattern, Level, WarningRecord, classify_bug_pattern
+from .warnings import BugPattern, WarningRecord, classify_bug_pattern
 
 MANIFEST_VERSION = 1
 EXPECTED_FEATURE_COUNT = 87
@@ -73,19 +76,6 @@ class FeatureManifest:
                 return i
         raise KeyError(name)
 
-    # Boolean column masks by kind, computed once per manifest.
-    @cached_property
-    def binary_mask(self) -> np.ndarray:  # flags and one-hots: 0 or 1
-        return np.array([e.kind in (Kind.FLAG, Kind.ONE_HOT) for e in self.entries])
-
-    @cached_property
-    def ratio_mask(self) -> np.ndarray:  # in [0, 1]
-        return np.array([e.kind is Kind.RATIO for e in self.entries])
-
-    @cached_property
-    def one_hot_mask(self) -> np.ndarray:  # normalization passes these through
-        return np.array([e.kind is Kind.ONE_HOT for e in self.entries])
-
 
 @dataclass
 class FeatureVector:
@@ -123,52 +113,22 @@ class NormalizerStats:
 _CHECKERS = ("unsafe_dataflow", "send_sync_variance", "unsafe_destructor", "other")
 _LEVELS = ("error", "warning", "info")
 _OP_TYPES = (
-    "read_flow",
-    "copy_flow",
-    "write_flow",
-    "vec_from_raw",
-    "vec_set_len",
-    "transmute",
-    "ptr_as_ref",
-    "slice_unchecked",
-    "slice_from_raw",
-    "uninitialized",
-    "other",
-    "none",
+    "read_flow", "copy_flow", "write_flow", "vec_from_raw", "vec_set_len", "transmute",
+    "ptr_as_ref", "slice_unchecked", "slice_from_raw", "uninitialized", "other", "none",
 )
 _BYPASS = tuple(p.value for p in BugPattern)
 
 # Count features that carry a ln(1+x) companion slot.
 _MIR_PAIRED_COUNTS = (
-    "generic_param_count",
-    "generic_nesting_depth",
-    "lifetime_param_count",
-    "borrow_nesting_depth",
-    "mut_borrow_count",
-    "smart_pointer_count",
-    "cyclomatic_complexity",
-    "loop_nesting_depth",
-    "panic_path_count",
-    "bypass_to_danger_distance",
-    "unsafe_block_count",
-    "raw_pointer_count",
-    "transmute_count",
-    "closure_count",
-    "match_arm_count",
-    "early_return_count",
-    "fn_item_count",
-    "block_depth_max",
+    "generic_param_count", "generic_nesting_depth", "lifetime_param_count",
+    "borrow_nesting_depth", "mut_borrow_count", "smart_pointer_count", "cyclomatic_complexity",
+    "loop_nesting_depth", "panic_path_count", "bypass_to_danger_distance", "unsafe_block_count",
+    "raw_pointer_count", "transmute_count", "closure_count", "match_arm_count",
+    "early_return_count", "fn_item_count", "block_depth_max",
 )
 _MIR_FLAGS = (
-    "trait_bound_flag",
-    "where_clause_flag",
-    "raw_deref_flag",
-    "unsafe_fn_flag",
-    "static_mut_flag",
-    "unsafe_trait_impl_flag",
-    "union_field_flag",
-    "drop_impl_flag",
-    "ffi_flag",
+    "trait_bound_flag", "where_clause_flag", "raw_deref_flag", "unsafe_fn_flag",
+    "static_mut_flag", "unsafe_trait_impl_flag", "union_field_flag", "drop_impl_flag", "ffi_flag",
 )
 _STRUCTURAL_PAIRED_COUNTS = ("lines_of_code", "parameter_count", "snippet_bytes", "package_loc")
 
@@ -225,6 +185,11 @@ def build_manifest() -> FeatureManifest:
 
 
 MANIFEST = build_manifest()
+# Boolean column masks by slot kind.
+_BINARY_MASK = np.array([e.kind in (Kind.FLAG, Kind.ONE_HOT) for e in MANIFEST.entries])
+_RATIO_MASK = np.array([e.kind is Kind.RATIO for e in MANIFEST.entries])
+_ONE_HOT_MASK = np.array([e.kind is Kind.ONE_HOT for e in MANIFEST.entries])
+_MAGNITUDE_MASK = np.array([e.kind in (Kind.COUNT, Kind.LOG_SCALED) for e in MANIFEST.entries])
 
 
 def manifest_export() -> str:
@@ -235,13 +200,40 @@ def manifest_export() -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_vector(vectors: list[FeatureVector], where) -> np.ndarray:
-    """The vectors' values stacked into a (len(vectors), len(MANIFEST)) matrix.
+def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
+    """Check an (N, len(MANIFEST)) matrix of raw feature rows; returns it.
 
-    Each vector must carry the manifest digest and one value per slot, every
-    value must be finite, flags and one-hots 0 or 1, ratios in [0, 1]. The
-    first bad vector raises DigestMismatch or FeatureValidationError, named
-    by `where(i)`, with its first bad slot in manifest order.
+    Every value must be finite, flags and one-hots 0 or 1, ratios in [0, 1],
+    counts and log-scaled values at most 2**53 in magnitude (above it float64
+    no longer holds every integer). The first bad row raises
+    FeatureValidationError, named by `where(row)`, with its first bad slot in
+    manifest order.
+    """
+    checks = (
+        (~np.isfinite(matrix), "non-finite value in slot {name}"),
+        (_BINARY_MASK & (matrix != 0.0) & (matrix != 1.0),
+         "{name}: flag must be 0 or 1, got {value}"),
+        (_RATIO_MASK & ((matrix < 0.0) | (matrix > 1.0)),
+         "{name}: ratio must be in [0,1], got {value}"),
+        (_MAGNITUDE_MASK & (np.abs(matrix) > 2**53),
+         "{name}: magnitude must be <= 2**53, got {value}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        row, i = divmod(int(bad.argmax()), len(MANIFEST))
+        problem = next(text for mask, text in checks if mask[row, i])
+        raise FeatureValidationError(f"{where(row)}: " + problem.format(
+            name=MANIFEST.entries[i].name, value=float(matrix[row, i])))
+    return matrix
+
+
+def stack_vectors(vectors: list[FeatureVector], where) -> np.ndarray:
+    """The vectors' values stacked into a (len(vectors), len(MANIFEST)) matrix
+    and checked by `validate_vector`.
+
+    Each vector must carry the manifest digest and one value per slot; the
+    first that does not raises DigestMismatch or FeatureValidationError,
+    named by `where(i)`.
     """
     size = len(MANIFEST)
     for i, v in enumerate(vectors):
@@ -253,241 +245,221 @@ def validate_vector(vectors: list[FeatureVector], where) -> np.ndarray:
                 f"{where(i)}: vector has shape {v.values.shape}, the manifest has {size} slots"
             )
     matrix = np.array([v.values for v in vectors], dtype=np.float64).reshape(len(vectors), size)
-    non_finite = ~np.isfinite(matrix)
-    bad_flag = MANIFEST.binary_mask & (matrix != 0.0) & (matrix != 1.0)
-    bad_ratio = MANIFEST.ratio_mask & ((matrix < 0.0) | (matrix > 1.0))
-    bad = non_finite | bad_flag | bad_ratio
-    if bad.any():
-        row, i = divmod(int(bad.argmax()), size)
-        name, value = MANIFEST.entries[i].name, float(matrix[row, i])
-        if non_finite[row, i]:
-            problem = f"non-finite value in slot {name}"
-        elif bad_flag[row, i]:
-            problem = f"{name}: flag must be 0 or 1, got {value}"
-        else:
-            problem = f"{name}: ratio must be in [0,1], got {value}"
-        raise FeatureValidationError(f"{where(row)}: {problem}")
-    return matrix
+    return validate_vector(matrix, where)
 
 
 # ---------------------------------------------------------------------------
-# Lexical rules. Each helper documents its exact rule.
+# Lexical rules. Each snippet is tokenized once: one stream of words, braces
+# and ';' serves the word counts, the keyword flags and the loop/brace state
+# machine; the '<>' and '()' scans and the line list cover the rest, and a
+# keyword regex runs only when its keywords are among the words.
 # ---------------------------------------------------------------------------
 
-_WORD = re.compile(r"[A-Za-z_]\w*")
-_SMART_POINTERS = {
+# A word is `[A-Za-z_]\w*` with Unicode `\w`: it starts at the first ASCII
+# letter or underscore of a run of word characters, so '9unsafe' and
+# 'éunsafe' hold the word 'unsafe' even though `\bunsafe` matches neither.
+# No line break is a word character, so no word spans two lines.
+_TOKEN = re.compile(r"[A-Za-z_]\w*|[{};]")
+_SMART_POINTERS = frozenset({
     "Box", "Rc", "Arc", "RefCell", "Cell", "Mutex", "RwLock", "Weak", "UnsafeCell",
     "NonNull", "Cow",
-}
-_BYPASS_TOKENS = {
-    "set_len", "from_raw", "from_raw_parts", "transmute", "forget", "as_ptr",
-    "as_mut_ptr", "uninit", "uninitialized", "assume_init", "MaybeUninit",
-}
+})
+# Bypass tokens count as substrings of a line: 'forgetful' holds 'forget'.
+_BYPASS_TOKEN = re.compile("set_len|from_raw|from_raw_parts|transmute|forget|as_ptr|as_mut_ptr|"
+                           "uninit|uninitialized|assume_init|MaybeUninit")
+# Text that any panic word contains.
+_PANIC_TEXT = re.compile("panic|unwrap|expect|assert")
+_LOOP_WORDS = frozenset({"while", "loop", "for"})
+_ANGLE = re.compile(r"[<>]")
+_PAREN = re.compile(r"[()]")
+_NESTING = re.compile(r"[<(\[>)\],]")
+_LIFETIME = re.compile(r"'[A-Za-z_]\w*")
+_MUT_BORROW = re.compile(r"&\s*mut\b")
+_RAW_POINTER = re.compile(r"\*\s*(?:const|mut)\b")
+# A pattern that starts with literal text lets the regex engine jump from one
+# occurrence of that text to the next, so runs are written `&&*`, not `&+`,
+# and each `\b<keyword>...` rule as `<keyword>(?<=\b<keyword>)...`.
+_AMP_RUN = re.compile(r"&&*")
+_PIPE_RUN = re.compile(r"\|\|*")
+_UNSAFE_BLOCK = re.compile(r"unsafe(?<=\bunsafe)\s*\{")
+_WHERE = re.compile(r"where(?<=\bwhere)\b")
+_UNSAFE_FN = re.compile(r"unsafe(?<=\bunsafe)\s+fn\b")
+_STATIC_MUT = re.compile(r"static(?<=\bstatic)\s+mut\b")
+_UNSAFE_IMPL = re.compile(r"unsafe(?<=\bunsafe)\s+impl\b")
+_DROP_IMPL = re.compile(r"impl(?<=\bimpl)\b[^{;]*\bDrop\b")
+_FN_HEAD = re.compile(r"fn(?<=\bfn)\s+[A-Za-z_]\w*\s*(?:<[^>]*>)?\s*\(")
 
 
-def _split_top_commas(s: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch in "<([":
+def _is_panic_word(word: str) -> bool:
+    # The panic-path rule: panic/unwrap/expect plus the assert family.
+    return word in ("panic", "unwrap", "expect") or word.startswith("assert")
+
+
+def _top_items(text: str) -> list[str]:
+    """`text` split at its depth-0 commas, items stripped and empty ones
+    dropped; '<', '(' and '[' open a level, '>', ')' and ']' close one (never
+    below 0)."""
+    items, depth, start = [], 0, 0
+    for m in _NESTING.finditer(text):
+        ch = m.group()
+        if ch == ",":
+            if not depth:
+                items.append(text[start:m.start()])
+                start = m.end()
+        elif ch in "<([":
             depth += 1
-        elif ch in ">)]":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+        elif depth:
+            depth -= 1
+    items.append(text[start:])
+    return [it.strip() for it in items if it.strip()]
 
 
 def _generic_scan(snippet: str) -> tuple[int, int, int]:
-    """(param_count, nesting_depth, trait_bound_flag) from angle brackets.
+    """(generic_param_count, generic_nesting_depth, trait_bound_flag).
 
-    A '<' immediately following an identifier character opens a generic list;
-    '>' closes one unless preceded by '-' or '=' (an arrow). The first
+    A '<' right after a word character, or inside a list, opens a generic
+    list; '>' closes one unless it follows '-' or '=' (an arrow). The first
     top-level list is the declaration's parameter list: parameters are its
     depth-0 comma items, lifetimes excluded; a ':' in any item sets the
     trait-bound flag.
     """
-    depth = 0
-    max_depth = 0
-    first: list[str] | None = None
-    capturing = False
-    captured: list[str] = []
-    prev = ""
-    for ch in snippet:
-        if ch == "<" and (depth > 0 or (prev.isalnum() or prev == "_")):
-            depth += 1
-            max_depth = max(max_depth, depth)
-            if depth == 1 and first is None:
-                capturing = True
-                captured = []
-                prev = ch
-                continue
-        elif ch == ">" and depth > 0 and prev not in "-=":
+    depth = max_depth = 0
+    start = first = None
+    for m in _ANGLE.finditer(snippet):
+        i = m.start()
+        prev = snippet[i - 1] if i else ""
+        if m.group() == "<":
+            if depth or prev.isalnum() or prev == "_":
+                depth += 1
+                max_depth = max(max_depth, depth)
+                if start is None:
+                    start = i + 1
+        elif depth and prev not in "-=":
             depth -= 1
-            if capturing and depth == 0:
-                first = captured
-                capturing = False
-        if capturing:
-            captured.append(ch)
-        prev = ch
+            if not depth and first is None:
+                first = snippet[start:i]
     if first is None:
         return 0, max_depth, 0
-    items = _split_top_commas("".join(first))
-    params = [it for it in items if not it.startswith("'")]
-    bound = 1 if any(":" in it for it in items) else 0
-    return len(params), max_depth, bound
+    items = _top_items(first)
+    params = sum(not it.startswith("'") for it in items)
+    return params, max_depth, int(any(":" in it for it in items))
 
 
-def _loop_and_brace_depth(snippet: str) -> tuple[int, int, int]:
-    """(loop_count, loop_nesting_depth, block_depth_max) by brace tracking.
-
-    'for' preceded by an identifier token is an `impl Trait for Type` clause,
-    not a loop.
-    """
-    loop_count = 0
-    max_nest = 0
-    brace_depth = 0
-    max_brace = 0
-    open_loops: list[int] = []
-    pending = 0
-    prev_word = ""
-    for m in re.finditer(r"[A-Za-z_]\w*|[{};]", snippet):
-        tok = m.group(0)
-        if tok == "{":
-            if pending:
-                open_loops.append(brace_depth)
-                pending -= 1
-                max_nest = max(max_nest, len(open_loops))
-            brace_depth += 1
-            max_brace = max(max_brace, brace_depth)
-            prev_word = ""
-        elif tok == "}":
-            brace_depth = max(0, brace_depth - 1)
-            if open_loops and open_loops[-1] == brace_depth:
-                open_loops.pop()
-            prev_word = ""
-        elif tok == ";":
-            prev_word = ""
-        else:
-            if tok in ("while", "loop") or (tok == "for" and not prev_word):
-                loop_count += 1
-                pending += 1
-            prev_word = tok
-    return loop_count, max_nest, max_brace
-
-
-def _first_param_list(snippet: str) -> int:
-    """Parameter count of the first `fn name(...)` signature; 0 if none."""
-    m = re.search(r"\bfn\s+[A-Za-z_]\w*\s*(?:<[^>]*>)?\s*\(", snippet)
-    if not m:
-        return 0
-    depth = 1
-    start = m.end()
-    for i in range(start, len(snippet)):
-        if snippet[i] == "(":
-            depth += 1
-        elif snippet[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return len(_split_top_commas(snippet[start:i]))
+def _parameter_count(snippet: str) -> int:
+    """Comma items of the first `fn name(...)` parameter list; 0 if there is
+    none or it never closes."""
+    head = _FN_HEAD.search(snippet)
+    if head:
+        depth = 1
+        for m in _PAREN.finditer(snippet, head.end()):
+            depth += 1 if m.group() == "(" else -1
+            if not depth:
+                return len(_top_items(snippet[head.end():m.start()]))
     return 0
 
 
-def _line_distance(snippet: str, first_set: set[str], second_rule) -> int:
-    """Lines between first bypass-token line and first danger-token line."""
+def _loops_and_blocks(tokens: list[str]) -> tuple[int, int, int]:
+    """(loop keywords, loop_nesting_depth, block_depth_max) by brace tracking.
+
+    'while', 'loop' and a 'for' that does not follow a word each claim the
+    next '{' as a loop body; a word before 'for' makes it an
+    `impl Trait for Type` clause. '}' never takes the depth below 0.
+    """
+    loops = nest = depth = max_depth = pending = 0
+    open_loops: list[int] = []
+    after_word = False
+    for tok in tokens:
+        if tok == "{":
+            if pending:
+                pending -= 1
+                open_loops.append(depth)
+                nest = max(nest, len(open_loops))
+            depth += 1
+            max_depth = max(max_depth, depth)
+            after_word = False
+        elif tok == "}":
+            depth = max(0, depth - 1)
+            if open_loops and open_loops[-1] == depth:
+                open_loops.pop()
+            after_word = False
+        elif tok == ";":
+            after_word = False
+        else:
+            if tok in _LOOP_WORDS and not (after_word and tok == "for"):
+                loops += 1
+                pending += 1
+            after_word = True
+    return loops, nest, max_depth
+
+
+# The slots `_snippet_row` fills, in its order.
+_SNIPPET_SLOTS = (*_MIR_PAIRED_COUNTS, *_MIR_FLAGS, "borrow_ratio", "public_api_flag",
+                  "lines_of_code", "parameter_count", "snippet_bytes", "comment_density",
+                  "snippet_missing_flag")
+
+
+def _snippet_row(snippet: str, nbytes: int) -> tuple[float, ...]:
+    """The `_SNIPPET_SLOTS` of a non-blank snippet of `nbytes` UTF-8 bytes."""
+    tokens = _TOKEN.findall(snippet)
+    words = Counter(tokens)
+    n_words = len(tokens) - words["{"] - words["}"] - words[";"]
+    panics = words["panic"] + words["unwrap"] + words["expect"]
+    if "assert" in snippet:
+        panics += sum(n for w, n in words.items() if w.startswith("assert"))
+    loops, loop_nest, block_depth = _loops_and_blocks(tokens)
+    generic_params, generic_depth, bound = _generic_scan(snippet) if "<" in snippet else (0, 0, 0)
     lines = snippet.splitlines()
-    first_at = next(
-        (i for i, ln in enumerate(lines) if any(t in ln for t in first_set)), None
+    code_lines = [ln for ln in lines if ln.strip()]
+    comment_lines = (sum(1 for ln in code_lines if "//" in ln or "/*" in ln)
+                     if "//" in snippet or "/*" in snippet else 0)
+    amps = snippet.count("&")
+    raw_pointers = (len(_RAW_POINTER.findall(snippet))
+                    if "*" in snippet and ("mut" in words or "const" in words) else 0)
+    distance = 0
+    if panics and _BYPASS_TOKEN.search(snippet):
+        # Lines between the first line holding a bypass token and the first
+        # line holding a panic word.
+        bypass_at = next(i for i, ln in enumerate(lines) if _BYPASS_TOKEN.search(ln))
+        panic_at = next(i for i, ln in enumerate(lines) if _PANIC_TEXT.search(ln)
+                        and any(_is_panic_word(w) for w in _TOKEN.findall(ln)))
+        distance = abs(bypass_at - panic_at)
+    return (
+        generic_params,  # generic_param_count
+        generic_depth,  # generic_nesting_depth
+        len(_LIFETIME.findall(snippet)) if "'" in snippet else 0,  # lifetime_param_count
+        max(map(len, _AMP_RUN.findall(snippet))) if amps else 0,  # borrow_nesting_depth: '&' run
+        len(_MUT_BORROW.findall(snippet)) if amps and "mut" in words else 0,  # mut_borrow_count
+        sum(words[w] for w in _SMART_POINTERS.intersection(words)),  # smart_pointer_count
+        # cyclomatic_complexity: 1 + branch keywords + loop keywords + short-circuit operators
+        1 + words["if"] + words["match"] + loops + snippet.count("&&") + snippet.count("||"),
+        loop_nest,  # loop_nesting_depth
+        panics,  # panic_path_count
+        distance,  # bypass_to_danger_distance
+        len(_UNSAFE_BLOCK.findall(snippet)) if "unsafe" in words and "{" in words else 0,
+        raw_pointers,  # raw_pointer_count
+        words["transmute"],  # transmute_count
+        _PIPE_RUN.findall(snippet).count("|") // 2 if "|" in snippet else 0,  # closure_count
+        snippet.count("=>"),  # match_arm_count
+        words["return"] + snippet.count("?"),  # early_return_count
+        words["fn"],  # fn_item_count
+        block_depth,  # block_depth_max
+        bound,  # trait_bound_flag
+        "where" in words and _WHERE.search(snippet) is not None,  # where_clause_flag
+        raw_pointers > 0,  # raw_deref_flag
+        "unsafe" in words and "fn" in words and _UNSAFE_FN.search(snippet) is not None,
+        "static" in words and "mut" in words and _STATIC_MUT.search(snippet) is not None,
+        "unsafe" in words and "impl" in words and _UNSAFE_IMPL.search(snippet) is not None,
+        "union" in words,  # union_field_flag
+        "impl" in words and "Drop" in words and _DROP_IMPL.search(snippet) is not None,
+        "extern" in words,  # ffi_flag
+        min(1.0, amps / n_words) if n_words else 0.0,  # borrow_ratio: '&' per word
+        "pub" in words,  # public_api_flag
+        len(code_lines),  # lines_of_code: non-blank lines
+        _parameter_count(snippet) if "fn" in words else 0,  # parameter_count
+        nbytes,  # snippet_bytes
+        comment_lines / len(code_lines) if code_lines else 0.0,  # comment_density
+        False,  # snippet_missing_flag
     )
-    second_at = next((i for i, ln in enumerate(lines) if second_rule(ln)), None)
-    if first_at is None or second_at is None:
-        return 0
-    return abs(first_at - second_at)
-
-
-def _is_panic_token(tok: str) -> bool:
-    # The panic-path rule: panic/unwrap/expect plus the assert family.
-    return tok in ("panic", "unwrap", "expect") or tok.startswith("assert")
-
-
-def _snippet_features(snippet: str) -> dict[str, float]:
-    words = _WORD.findall(snippet)
-    ident_count = len(words)
-    amp_count = snippet.count("&")
-    amp_runs = [len(m.group(0)) for m in re.finditer(r"&+", snippet)]
-    panic_count = sum(1 for t in words if _is_panic_token(t))
-    branch = sum(1 for t in words if t in ("if", "match"))
-    loop_count, loop_nest, brace_max = _loop_and_brace_depth(snippet)
-    gparams, gnest, bound = _generic_scan(snippet)
-    nonempty = [ln for ln in snippet.splitlines() if ln.strip()]
-    comment_lines = sum(1 for ln in nonempty if "//" in ln or "/*" in ln)
-    single_pipes = len(re.findall(r"(?<!\|)\|(?!\|)", snippet))
-    logical_ops = snippet.count("&&") + snippet.count("||")
-
-    feats = {
-        "generic_param_count": gparams,
-        "generic_nesting_depth": gnest,
-        "lifetime_param_count": len(re.findall(r"'[A-Za-z_]\w*", snippet)),
-        "borrow_nesting_depth": max(amp_runs, default=0),
-        "mut_borrow_count": len(re.findall(r"&\s*mut\b", snippet)),
-        "smart_pointer_count": sum(1 for t in words if t in _SMART_POINTERS),
-        # 1 + branch keywords + loop keywords + short-circuit operators.
-        "cyclomatic_complexity": 1 + branch + loop_count + logical_ops,
-        "loop_nesting_depth": loop_nest,
-        "panic_path_count": panic_count,
-        "bypass_to_danger_distance": _line_distance(
-            snippet, _BYPASS_TOKENS, lambda ln: any(_is_panic_token(t) for t in _WORD.findall(ln))
-        ),
-        "unsafe_block_count": len(re.findall(r"\bunsafe\s*\{", snippet)),
-        "raw_pointer_count": len(re.findall(r"\*\s*(?:const|mut)\b", snippet)),
-        "transmute_count": sum(1 for t in words if t == "transmute"),
-        "closure_count": single_pipes // 2,
-        "match_arm_count": snippet.count("=>"),
-        "early_return_count": sum(1 for t in words if t == "return") + snippet.count("?"),
-        "fn_item_count": sum(1 for t in words if t == "fn"),
-        "block_depth_max": brace_max,
-        "trait_bound_flag": bound,
-        "where_clause_flag": 1 if re.search(r"\bwhere\b", snippet) else 0,
-        "raw_deref_flag": 1 if re.search(r"\*\s*(?:const|mut)\b", snippet) else 0,
-        "unsafe_fn_flag": 1 if re.search(r"\bunsafe\s+fn\b", snippet) else 0,
-        "static_mut_flag": 1 if re.search(r"\bstatic\s+mut\b", snippet) else 0,
-        "unsafe_trait_impl_flag": 1 if re.search(r"\bunsafe\s+impl\b", snippet) else 0,
-        "union_field_flag": 1 if "union" in words else 0,
-        "drop_impl_flag": 1 if re.search(r"\bimpl\b[^{;]*\bDrop\b", snippet) else 0,
-        "ffi_flag": 1 if "extern" in words else 0,
-        "borrow_ratio": min(1.0, amp_count / ident_count) if ident_count else 0.0,
-        "public_api_flag": 1 if "pub" in words else 0,
-        "lines_of_code": len(nonempty),
-        "parameter_count": _first_param_list(snippet),
-        "snippet_bytes": len(snippet.encode("utf-8")),
-        "comment_density": comment_lines / len(nonempty) if nonempty else 0.0,
-        "snippet_missing_flag": 0,
-    }
-    return {k: float(v) for k, v in feats.items()}
-
-
-def _neutral_snippet_features() -> dict[str, float]:
-    feats = {name: 0.0 for name in _MIR_PAIRED_COUNTS}
-    feats.update({name: 0.0 for name in _MIR_FLAGS})
-    feats.update(
-        {
-            "borrow_ratio": 0.5,
-            "public_api_flag": 0.0,
-            "lines_of_code": 0.0,
-            "parameter_count": 0.0,
-            "snippet_bytes": 0.0,
-            "comment_density": 0.5,
-            "snippet_missing_flag": 1.0,
-        }
-    )
-    return feats
-
-
-def _one_hot(prefix: str, choices: tuple[str, ...], selected: str) -> dict[str, float]:
-    return {f"{prefix}{c}": (1.0 if c == selected else 0.0) for c in choices}
 
 
 def _checker_slot(analyzer: str) -> str:
@@ -508,61 +480,77 @@ def _op_slot(op_type: str | None) -> str:
     return norm if norm in _OP_TYPES else "other"
 
 
-def extract_features(
-    record: WarningRecord,
-    meta: PackageMetadata | None = None,
-    *,
-    cluster_size: int | None = None,
-) -> FeatureVector:
-    """Build the warning's raw feature vector in manifest order.
+def _columns(names) -> np.ndarray:
+    return np.array([MANIFEST.index_of(name) for name in names], dtype=np.intp)
 
-    Snippet features follow the lexical rules above; package and analysis
-    features come from the inputs. Missing metadata imputes neutral defaults
-    (0 for counts/flags, 0.5 for ratios) and sets the imputation flag.
+
+_SNIPPET_COLUMNS = _columns(_SNIPPET_SLOTS)
+# A blank snippet imputes its counts and flags as 0 and its ratios as 0.5.
+_BLANK_ROW = tuple(0.5 if _RATIO_MASK[c] else float(name == "snippet_missing_flag")
+                   for name, c in zip(_SNIPPET_SLOTS, _SNIPPET_COLUMNS))
+_PACKAGE_COLUMNS = _columns(("download_count_log", "unsafe_prevalence", "package_loc",
+                             "metadata_imputed_flag"))
+# A package without metadata: the same imputation, and the imputed flag set.
+_IMPUTED_PACKAGE = (0.0, 0.5, 0.0, 1.0)
+_CLUSTER_SIZE, _CLUSTERED, _OP_PRESENT = _columns(("cluster_size", "clustered_flag",
+                                                   "op_type_present_flag"))
+_BYPASS_COLUMNS = _columns(f"bypass_{b}" for b in _BYPASS)
+_CHECKER_COLUMNS = _columns(f"checker_{c}" for c in _CHECKERS)
+_LEVEL_COLUMNS = _columns(f"level_{lv}" for lv in _LEVELS)
+_OP_COLUMNS = _columns(f"op_{op}" for op in _OP_TYPES)
+_PAIRED = _MIR_PAIRED_COUNTS + _STRUCTURAL_PAIRED_COUNTS + ("cluster_size",)
+_PAIRED_COLUMNS = _columns(_PAIRED)
+_LOG_COLUMNS = _columns(name + "_log" for name in _PAIRED)
+
+
+def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMetadata],
+                     sizes: dict[str, int], source: str = "warnings") -> np.ndarray:
+    """Raw feature rows of `records`, in order: shape (len(records), len(MANIFEST)).
+
+    Snippet slots follow the lexical rules above; a blank snippet imputes
+    them (0 for counts and flags, 0.5 for ratios) and sets
+    snippet_missing_flag. Package slots come from `metadata[package_of(r)]`;
+    a package without metadata imputes them the same way and sets
+    metadata_imputed_flag. cluster_size is `sizes[r.id]`. A snippet above
+    MAX_SNIPPET_BYTES of UTF-8 raises SnippetTooLarge naming `source` and
+    the warning.
     """
-    snippet = record.code_snippet
-    if len(snippet.encode("utf-8")) > MAX_SNIPPET_BYTES:
-        raise SnippetTooLarge(f"snippet is {len(snippet.encode('utf-8'))} bytes (cap 1 MiB)")
+    n = len(records)
+    snippet_rows = []
+    for r in records:
+        snippet = r.code_snippet
+        nbytes = len(snippet.encode("utf-8"))
+        if nbytes > MAX_SNIPPET_BYTES:
+            raise SnippetTooLarge(
+                f"{source}: warning {r.id}: snippet is {nbytes} bytes (cap 1 MiB)")
+        blank = not snippet or snippet.isspace()
+        snippet_rows.append(_BLANK_ROW if blank else _snippet_row(snippet, nbytes))
+    packages = {name: (math.log10(1 + m.download_count), m.unsafe_prevalence, m.total_loc, 0.0)
+                for name, m in metadata.items()}
 
-    feats = _snippet_features(snippet) if snippet.strip() else _neutral_snippet_features()
-
-    if meta is None:
-        feats.update(
-            {
-                "download_count_log": 0.0,
-                "unsafe_prevalence": 0.5,
-                "package_loc": 0.0,
-                "metadata_imputed_flag": 1.0,
-            }
-        )
-    else:
-        feats.update(
-            {
-                "download_count_log": math.log10(1 + meta.download_count),
-                "unsafe_prevalence": float(meta.unsafe_prevalence),
-                "package_loc": float(meta.total_loc),
-                "metadata_imputed_flag": 0.0,
-            }
-        )
-
-    size = 1 if cluster_size is None else int(cluster_size)
-    feats["cluster_size"] = float(size)
-    feats["clustered_flag"] = 1.0 if size > 1 else 0.0
-    feats["op_type_present_flag"] = 0.0 if record.op_type is None else 1.0
-
-    feats.update(_one_hot("bypass_", _BYPASS, classify_bug_pattern(record).value))
-    feats.update(_one_hot("checker_", _CHECKERS, _checker_slot(record.analyzer)))
-    feats.update(_one_hot("level_", _LEVELS, {
-        Level.ERROR: "error", Level.WARNING: "warning", Level.INFO: "info",
-    }[record.level]))
-    feats.update(_one_hot("op_", _OP_TYPES, _op_slot(record.op_type)))
-
-    # Fill ln(1+x) companions for every paired count.
-    for name in _MIR_PAIRED_COUNTS + _STRUCTURAL_PAIRED_COUNTS + ("cluster_size",):
-        feats[name + "_log"] = math.log1p(max(0.0, feats[name]))
-
-    values = np.array([feats[e.name] for e in MANIFEST.entries], dtype=np.float64)
-    return FeatureVector(record.id, values, MANIFEST.digest)
+    matrix = np.zeros((n, len(MANIFEST)))
+    matrix[:, _SNIPPET_COLUMNS] = np.array(snippet_rows, dtype=np.float64).reshape(
+        n, len(_SNIPPET_COLUMNS))
+    matrix[:, _PACKAGE_COLUMNS] = np.array(
+        [packages.get(package_of(r), _IMPUTED_PACKAGE) for r in records], dtype=np.float64
+    ).reshape(n, len(_PACKAGE_COLUMNS))
+    matrix[:, _CLUSTER_SIZE] = [sizes[r.id] for r in records]
+    matrix[:, _CLUSTERED] = matrix[:, _CLUSTER_SIZE] > 1
+    matrix[:, _OP_PRESENT] = [r.op_type is not None for r in records]
+    rows = np.arange(n)
+    for columns, picks in (
+        (_BYPASS_COLUMNS, [_BYPASS.index(classify_bug_pattern(r).value) for r in records]),
+        (_CHECKER_COLUMNS, [_CHECKERS.index(_checker_slot(r.analyzer)) for r in records]),
+        (_LEVEL_COLUMNS, [_LEVELS.index(r.level.value.lower()) for r in records]),
+        (_OP_COLUMNS, [_OP_TYPES.index(_op_slot(r.op_type)) for r in records]),
+    ):
+        matrix[rows, columns[np.array(picks, dtype=np.intp)]] = 1.0
+    # ln(1 + x) companions, by math.log1p once per distinct count, so each
+    # equals the scalar rule bit for bit whatever numpy's own log1p does.
+    counts, inverse = np.unique(matrix[:, _PAIRED_COLUMNS], return_inverse=True)
+    logs = np.array([math.log1p(max(0.0, c)) for c in counts.tolist()], dtype=np.float64)
+    matrix[:, _LOG_COLUMNS] = logs[inverse].reshape(n, len(_LOG_COLUMNS))
+    return matrix
 
 
 def fit_normalizer(matrix: np.ndarray) -> NormalizerStats:
@@ -582,7 +570,7 @@ def normalize(matrix: np.ndarray, stats: NormalizerStats) -> np.ndarray:
     zero-std columns map to 0; one-hots pass through."""
     scaled = np.divide(matrix - stats.mean, stats.std, out=np.zeros_like(matrix),
                        where=stats.std > 0)
-    return np.where(MANIFEST.one_hot_mask, matrix, scaled)
+    return np.where(_ONE_HOT_MASK, matrix, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +579,11 @@ def normalize(matrix: np.ndarray, stats: NormalizerStats) -> np.ndarray:
 
 
 def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
-    lines = [
-        json.dumps(
-            {
-                "warning_id": v.warning_id,
-                "manifest_digest": v.manifest_digest,
-                "values": [float(x) for x in v.values],
-            },
-            sort_keys=True,
-        )
+    return "".join(
+        json.dumps({"warning_id": v.warning_id, "manifest_digest": v.manifest_digest,
+                    "values": v.values.tolist()}, sort_keys=True) + "\n"
         for v in vectors
-    ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    ).encode("utf-8")
 
 
 def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[str, FeatureVector]:
@@ -622,7 +603,7 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
         except (ValueError, KeyError, TypeError) as exc:
             raise FeatureValidationError(f"{source} line {n}: {type(exc).__name__}: {exc}") from exc
         line_numbers.append(n)
-    validate_vector(vectors, lambda i: f"{source} line {line_numbers[i]}")
+    stack_vectors(vectors, lambda i: f"{source} line {line_numbers[i]}")
     return {v.warning_id: v for v in vectors}
 
 

@@ -34,7 +34,7 @@ from .features import (
     NormalizerStats,
     fit_normalizer,
     normalize,
-    validate_vector,
+    stack_vectors,
 )
 from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import report_from_arrays
@@ -449,12 +449,12 @@ class PolicyCheckpoint:
 
 
 def feature_matrix(records: list[WarningRecord], vectors: dict[str, FeatureVector]) -> np.ndarray:
-    """Raw feature rows of `records`, in order, checked by `validate_vector`:
+    """Raw feature rows of `records`, in order, checked by `stack_vectors`:
     shape (len(records), len(MANIFEST))."""
     missing = [r.id for r in records if r.id not in vectors]
     if missing:
         raise FeatureValidationError(f"no feature vector for warning {missing[0]}")
-    return validate_vector([vectors[r.id] for r in records], lambda i: f"warning {records[i].id}")
+    return stack_vectors([vectors[r.id] for r in records], lambda i: f"warning {records[i].id}")
 
 
 def train(
@@ -498,40 +498,43 @@ def train(
     best_f1 = -1.0
     stale = 0
     history: list[dict] = []
-    for epoch in range(1, config.epochs_max + 1):
-        batch = collect_rollouts(
-            params, train_records, train_feats, reward_spec, backend, rng_rollout, config.gamma
-        )
-        try:
-            ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
-        except NonFiniteLoss as exc:
-            raise NonFiniteLoss(f"epoch {epoch}: {exc}") from None
-
-        val = run_episodes(params, val_feats, val_records, backend)
-        report = report_from_arrays(val.called, val_positive, val.score, val.fuzzed)
-        val_f1 = report.f1 or 0.0
-        entry = {
-            "epoch": epoch,
-            "mean_return": float(np.bincount(batch.episode_ids, weights=batch.rewards).mean()),
-            "val_accuracy": report.accuracy,
-            "val_f1": val_f1,
-            "fuzz_rate": report.fuzz_invocation_rate,
-        }
-        history.append(entry)
-        if log_lines is not None:
-            log_lines.append(
-                "epoch={epoch} mean_return={mean_return:.4f} val_accuracy={val_accuracy:.4f} "
-                "val_f1={val_f1:.4f} fuzz_rate={fuzz_rate:.4f}".format(**entry)
+    # A diverging run overflows on its way to the non-finite loss that ends it;
+    # that check reports it, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs_max + 1):
+            batch = collect_rollouts(
+                params, train_records, train_feats, reward_spec, backend, rng_rollout, config.gamma
             )
+            try:
+                ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
+            except NonFiniteLoss as exc:
+                raise NonFiniteLoss(f"epoch {epoch}: {exc}") from None
 
-        if val_f1 > best_f1:
-            best_f1 = val_f1
-            best_params = params.copy()
-            stale = 0
-        else:
-            stale += 1
-        if stale >= config.patience:
-            break
+            val = run_episodes(params, val_feats, val_records, backend)
+            report = report_from_arrays(val.called, val_positive, val.score, val.fuzzed)
+            val_f1 = report.f1 or 0.0
+            entry = {
+                "epoch": epoch,
+                "mean_return": float(np.bincount(batch.episode_ids, weights=batch.rewards).mean()),
+                "val_accuracy": report.accuracy,
+                "val_f1": val_f1,
+                "fuzz_rate": report.fuzz_invocation_rate,
+            }
+            history.append(entry)
+            if log_lines is not None:
+                log_lines.append(
+                    "epoch={epoch} mean_return={mean_return:.4f} val_accuracy={val_accuracy:.4f} "
+                    "val_f1={val_f1:.4f} fuzz_rate={fuzz_rate:.4f}".format(**entry)
+                )
+
+            if val_f1 > best_f1:
+                best_f1 = val_f1
+                best_params = params.copy()
+                stale = 0
+            else:
+                stale += 1
+            if stale >= config.patience:
+                break
 
     return PolicyCheckpoint(
         params=best_params,

@@ -1,7 +1,12 @@
 """Command-line surface: pipeline wiring, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,7 +324,8 @@ class TestMalformedInputs:
         ("public_api_flag", 0.5, "public_api_flag: flag must be 0 or 1, got 0.5"),
         ("borrow_ratio", 1.5, "borrow_ratio: ratio must be in [0,1], got 1.5"),
         (None, None, "vector has shape (88,), the manifest has 87 slots"),
-    ], ids=["flag", "ratio", "length"])
+        ("package_loc", 1e308, "package_loc: magnitude must be <= 2**53, got 1e+308"),
+    ], ids=["flag", "ratio", "length", "huge-count"])
     def test_bad_sidecar_values_exit_3_in_train_and_evaluate(self, pipeline, tmp_path, capsys,
                                                              slot, value, named):
         lines = pipeline["features"].read_text().splitlines()
@@ -354,6 +360,46 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 3, err
         assert f"{bad} line 3" in err
+
+
+    def test_diverging_train_writes_only_its_input_error(self, pipeline, tmp_path):
+        # A process of its own: inside pytest, numpy's warnings would be captured.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pipeline["config"].read_text() + "train.learning_rate = 1e300\n")
+        argv = subcommand({**pipeline, "config": cfg}, "train", tmp_path / "m.ckpt")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "triagerl.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "input error: epoch 1: non-finite loss in PPO pass 2, minibatch 1; " + SCALES_LOSS]
+
+
+class TestFilesTouched:
+    def test_subcommands_leave_only_inputs_and_named_outputs(self, tmp_path, monkeypatch):
+        work, tmp, tools = tmp_path / "work", tmp_path / "tmp", tmp_path / "tools"
+        for d in (work, tmp, tools):
+            d.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # so the temp directory follows TMPDIR
+        paths = run_demo_pipeline(work)  # all nine subcommands
+        log = tools / "args.log"
+        external = tools / "external.cfg"
+        external.write_text("backend = external\nexternal_command = "
+                            f"{fake_cmd(tools, 'fuzzer.sh', FAKE_FUZZER.format(log=log))}\n")
+        outputs = [work / "external_outcomes.txt", work / "external_triage.txt"]
+        assert run_cli(["fuzz-validate", "--warnings", str(paths["warnings"]),
+                        "--out", str(outputs[0]), "--config", str(external)]) == 0
+        assert run_cli(["triage", "--report", str(paths["report"]),
+                        "--checkpoint", str(always_fuzz_checkpoint(tools / "fuzz.ckpt")),
+                        "--meta", str(paths["meta"]), "--out", str(outputs[1]),
+                        "--config", str(external)]) == 0
+        assert log.read_text()  # the external backend ran
+        named = {p.name for p in [*paths.values(), *outputs]}
+        assert {p.name for p in work.iterdir()} == named
+        assert list(tmp.iterdir()) == []
 
 
 class TestExitCodes:

@@ -20,13 +20,25 @@ from triagerl.features import (
     fit_normalizer,
     manifest_export,
     normalize,
+    package_of,
     read_feature_sidecar,
+    read_package_metadata,
+    validate_vector,
     write_feature_sidecar,
 )
 from triagerl.cli import run_cli
 from triagerl.trainer import feature_matrix
-from triagerl.warnings import Level, WarningRecord, warning_id, write_warning_store
+from triagerl.warnings import (
+    Level,
+    WarningRecord,
+    cluster_sizes,
+    read_warning_store,
+    warning_id,
+    write_warning_store,
+)
 
+import feature_oracle
+from conftest import write_demo_inputs
 from test_warnings import AARC_REPORT_OBJECT, make_record
 
 # The core signal set, pinned as a checked-in list; the manifest must
@@ -69,8 +81,18 @@ def snippet_record(snippet, **kw):
     )
 
 
-def value_of(vec, name):
-    return vec.values[MANIFEST.index_of(name)]
+def features_of(rec, meta=None, cluster_size=1):
+    """The one-row feature matrix of `rec`, its package described by `meta`."""
+    metadata = {} if meta is None else {package_of(rec): meta}
+    return extract_features([rec], metadata, {rec.id: cluster_size})[0]
+
+
+def vector_of(rec):
+    return FeatureVector(rec.id, features_of(rec), MANIFEST.digest)
+
+
+def value_of(row, name):
+    return row[MANIFEST.index_of(name)]
 
 
 class TestManifest:
@@ -102,7 +124,7 @@ class TestHeuristicExtraction:
     def test_generic_params_and_trait_bound(self):
         # Hand count: parameters T and U; the bound colon on T.
         rec = snippet_record("fn f<T: Clone, U>(x: &T) {}")
-        vec = extract_features(rec)
+        vec = features_of(rec)
         assert value_of(vec, "generic_param_count") == 2
         assert value_of(vec, "trait_bound_flag") == 1
         assert value_of(vec, "parameter_count") == 1
@@ -110,7 +132,7 @@ class TestHeuristicExtraction:
 
     def test_empty_snippet_neutral_defaults(self):
         rec = snippet_record("")
-        vec = extract_features(rec, meta=None)
+        vec = features_of(rec, meta=None)
         assert value_of(vec, "snippet_missing_flag") == 1
         assert value_of(vec, "metadata_imputed_flag") == 1
         assert value_of(vec, "borrow_ratio") == 0.5
@@ -128,7 +150,7 @@ class TestHeuristicExtraction:
             "    other.unwrap();\n"
             "}"
         )
-        vec = extract_features(snippet_record(snippet))
+        vec = features_of(snippet_record(snippet))
         assert value_of(vec, "unsafe_block_count") == 1
         assert value_of(vec, "panic_path_count") == 2  # assert + unwrap
         assert value_of(vec, "closure_count") == 1
@@ -148,7 +170,7 @@ class TestHeuristicExtraction:
             start_line=118, start_col=1, end_line=118, end_col=33,
             code_snippet="impl<T: 'static> Drop for Arc<T> {...} }",
         )
-        vec = extract_features(rec)
+        vec = features_of(rec)
         assert value_of(vec, "drop_impl_flag") == 1
         assert value_of(vec, "checker_unsafe_destructor") == 1
         assert value_of(vec, "level_warning") == 1
@@ -158,7 +180,7 @@ class TestHeuristicExtraction:
 
     def test_metadata_and_cluster_features(self):
         meta = PackageMetadata("demo", download_count=999, unsafe_prevalence=0.25, total_loc=5000)
-        vec = extract_features(snippet_record("fn f() {}"), meta, cluster_size=4)
+        vec = features_of(snippet_record("fn f() {}"), meta, cluster_size=4)
         assert value_of(vec, "download_count_log") == pytest.approx(3.0)
         assert value_of(vec, "unsafe_prevalence") == 0.25
         assert value_of(vec, "metadata_imputed_flag") == 0
@@ -166,29 +188,127 @@ class TestHeuristicExtraction:
         assert value_of(vec, "clustered_flag") == 1
         assert value_of(vec, "cluster_size_log") == pytest.approx(math.log1p(4))
 
-    def test_snippet_too_large_refused(self):
-        rec = snippet_record("x" * (1 << 20 + 1))
-        with pytest.raises(SnippetTooLarge):
-            extract_features(rec)
+    def test_snippet_too_large_refused(self, tmp_path, capsys):
+        # 1 MiB of UTF-8 passes; one byte more exits 3 naming the file and the warning.
+        for size, code in ((1 << 20, 0), ((1 << 20) + 1, 3)):
+            rec = snippet_record("x" * size)
+            store = tmp_path / f"w{size}.jsonl"
+            store.write_bytes(write_warning_store([rec]))
+            argv = ["featurize", "--warnings", str(store), "--out", str(tmp_path / "f.jsonl")]
+            assert run_cli(argv) == code
+            err = capsys.readouterr().err
+            if code:
+                assert f"{store}: warning {rec.id}: snippet is {size} bytes (cap 1 MiB)" in err, err
+        with pytest.raises(SnippetTooLarge, match="cap 1 MiB"):
+            features_of(snippet_record("é" * (1 << 19) + "x"))
 
     def test_deterministic_bit_identical(self):
         rec = snippet_record("fn f<T>(x: &T) { if x.is_good() { panic!(); } }")
         meta = PackageMetadata("d", 10, 0.5, 100)
-        a = extract_features(rec, meta, cluster_size=2)
-        b = extract_features(rec, meta, cluster_size=2)
-        assert a.values.tobytes() == b.values.tobytes()
+        a = features_of(rec, meta, cluster_size=2)
+        b = features_of(rec, meta, cluster_size=2)
+        assert a.tobytes() == b.tobytes()
 
     @given(st.text(max_size=160))
     @settings(max_examples=80, deadline=None)
     def test_length_and_validity_for_arbitrary_snippets(self, snippet):
-        vec = extract_features(snippet_record(snippet))
-        assert len(vec.values) == len(MANIFEST)
-        assert np.all(np.isfinite(vec.values))
+        vec = features_of(snippet_record(snippet))
+        assert len(vec) == len(MANIFEST)
+        assert np.all(np.isfinite(vec))
         for i, entry in enumerate(MANIFEST.entries):
             if entry.kind in (Kind.FLAG, Kind.ONE_HOT):
-                assert vec.values[i] in (0.0, 1.0)
+                assert vec[i] in (0.0, 1.0)
             if entry.kind is Kind.RATIO:
-                assert 0.0 <= vec.values[i] <= 1.0
+                assert 0.0 <= vec[i] <= 1.0
+        validate_vector(vec[None, :], str)
+
+    def test_empty_report_gives_empty_matrix(self):
+        assert extract_features([], {}, {}).shape == (0, len(MANIFEST))
+
+
+# Whole snippets at the edges where the one-pass rules could part from the
+# per-rule scans: word characters before a keyword, every line separator
+# `str.splitlines` knows, a bypass token inside a longer word, comparisons
+# and arrows beside '>', unbalanced and nested brackets, char literals beside
+# lifetimes, runs of '&' and '|', `impl Trait for Type`, blank snippets.
+EDGE_SNIPPETS = [
+    "9unsafe { x }", "éunsafe { x }", "x.set_len(0);\n9assert!(x);",
+    *(f"a.set_len(1);{sep}b.unwrap();" for sep in
+      ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")),
+    "let forgetful = 1;\n\nx.unwrap();",
+    "if x<y { z }", "9<T, U>", "é<T, U>", "X<a=>b, c>", "F<Fn() -> T, U>",
+    "fn f<T>(x: F<Fn() -> T, U>) -> Vec<T> {}",
+    "fn f<T(x: (u8, [u8; 2]) {{", "}}} fn g(a, b) { }", "fn h(a, b", "F<'a,\n\t'b, \t>",
+    "<<<>>", "F<A<B>, C<D<E>>>", "((())",
+    "let c = 'a'; fn f<'a, T: 'a>(x: &'a T)", "a &&& b ||| c; v.map(|x| x)",
+    "impl Trait for Type { fn f() { for x in y { loop { } } } }",
+    "unsafe fn f() {}", "static mut X: u8 = 0;", "unsafe impl Send for X {}",
+    "impl<T> Drop for X<T> { fn drop(&mut self) {} }", "fn f<T>() where T: Clone {}",
+    "union U { a: u8 }", "extern \"C\" { fn g(); }", "// c\n/* d */\nx?;\nreturn y?",
+    "", "   ", "\n\t\u2028",
+]
+# Rust-like pieces, the edge snippets among them, for random combinations.
+SNIPPET_PIECES = [
+    *EDGE_SNIPPETS, "fn f", "pub ", "unsafe ", "unsafe {", "9unsafe {", "éunsafe {", "9assert!(",
+    "assert_eq!(", "panic!(", ".unwrap()", ".expect(", "return ", "forgetful", "forget(",
+    "set_len(", "from_raw_parts", "MaybeUninit", "transmute", "as_mut_ptr", "\n", "\r", "\r\n",
+    "\v", "\f", "\x1c", "\x85", "\u2028", "x<y", "->", "=>", "-> T>", "=>>", "<", ">", "(", ")",
+    "[", "]", "{", "}", ";", ",", ":", "'a", "'a'", "&", "&&&", "& mut ", "|", "|||", "?",
+    "*const ", "* mut ", "impl Trait for Type", "for x in y {", "while ", " where ", "Box<",
+    "Arc<Mutex<", "// c", "/* c */", " ", "\t", "x", "9", "é", "_",
+]
+snippets = st.lists(st.sampled_from(SNIPPET_PIECES) | st.text(max_size=3), max_size=12).map("".join)
+
+
+def oracle_matrix(records, metadata, sizes):
+    return np.stack([feature_oracle.extract_features(r, metadata.get(package_of(r)),
+                                                     cluster_size=sizes[r.id]).values
+                     for r in records])
+
+
+class TestAgainstOracle:
+    def test_edge_snippets_equal_the_per_rule_oracle(self):
+        records = [WarningRecord(**{**make_record(i).__dict__, "code_snippet": text})
+                   for i, text in enumerate(EDGE_SNIPPETS)]
+        sizes = {r.id: 1 for r in records}
+        got = extract_features(records, {}, sizes)
+        expected = oracle_matrix(records, {}, sizes)
+        for record, row, want in zip(records, got, expected):
+            assert row.tobytes() == want.tobytes(), record.code_snippet
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_slot_equals_the_per_rule_oracle(self, data):
+        texts = data.draw(st.lists(snippets, min_size=1, max_size=4), label="snippets")
+        records = [
+            WarningRecord(**{
+                **make_record(i, file=f"pkg{i % 2}-1.0/src/a.rs", line=10 + i).__dict__,
+                "code_snippet": text,
+                "analyzer": data.draw(st.sampled_from(
+                    ["UnsafeDataflow", "SendSyncVariance", "UnsafeDestructor", "Other"])),
+                "op_type": data.draw(st.sampled_from([None, "", "VecSetLen", "ReadFlow", "odd"])),
+                "level": data.draw(st.sampled_from(list(Level))),
+            })
+            for i, text in enumerate(texts)
+        ]
+        metadata = {"pkg0-1.0": PackageMetadata("pkg0-1.0", data.draw(st.integers(0, 2**53)),
+                                                0.25, data.draw(st.integers(-2**53, 2**53)))}
+        sizes = {r.id: data.draw(st.integers(1, 50)) for r in records}
+        got = extract_features(records, metadata, sizes)
+        assert got.tobytes() == oracle_matrix(records, metadata, sizes).tobytes()
+
+    def test_demo_sidecar_is_byte_identical_to_the_oracle(self, tmp_path):
+        paths = write_demo_inputs(tmp_path)
+        store, out = tmp_path / "warnings.jsonl", tmp_path / "features.jsonl"
+        assert run_cli(["ingest", "--report", str(paths["report"]), "--out", str(store)]) == 0
+        assert run_cli(["featurize", "--warnings", str(store), "--meta", str(paths["meta"]),
+                        "--out", str(out), "--config", str(paths["config"])]) == 0
+        records = read_warning_store(store.read_bytes())
+        metadata = read_package_metadata(paths["meta"].read_bytes())
+        sizes = cluster_sizes(records, 10)  # the demo config's cluster_radius
+        expected = [FeatureVector(r.id, row, MANIFEST.digest)
+                    for r, row in zip(records, oracle_matrix(records, metadata, sizes))]
+        assert out.read_bytes() == write_feature_sidecar(expected)
 
 
 def read_back(*vectors):
@@ -199,7 +319,7 @@ def read_back(*vectors):
 class TestPrecomputedMode:
     def test_passthrough_exact(self, tmp_path):
         rec = snippet_record("fn f() {}")
-        base = extract_features(rec)
+        base = vector_of(rec)
         assert np.array_equal(read_back(base)[rec.id].values, base.values)
         store, sidecar, out = tmp_path / "w.jsonl", tmp_path / "s.jsonl", tmp_path / "f.jsonl"
         store.write_bytes(write_warning_store([rec]))
@@ -213,7 +333,7 @@ class TestPrecomputedMode:
         bad = FeatureVector(rec.id, np.zeros(len(MANIFEST)), "0" * 16)
         with pytest.raises(DigestMismatch, match=f"^f.jsonl line 2: vector digest {'0' * 16} "
                                                  f"!= manifest digest {MANIFEST.digest}$"):
-            read_back(extract_features(rec), bad)
+            read_back(vector_of(rec), bad)
 
     def test_invalid_values_rejected(self):
         rec = snippet_record("fn f() {}")
@@ -225,7 +345,7 @@ class TestPrecomputedMode:
 
     def test_first_bad_slot_in_manifest_order_is_reported(self):
         rec = snippet_record("fn f() {}")
-        values = extract_features(rec).values.copy()
+        values = features_of(rec)
         values[MANIFEST.index_of("public_api_flag")] = 0.5
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
         bad = FeatureVector(rec.id, values, MANIFEST.digest)
@@ -354,7 +474,7 @@ class TestNormalizer:
 class TestSidecarIO:
     def test_round_trip(self):
         rec = snippet_record("fn f() {}")
-        vec = extract_features(rec)
+        vec = vector_of(rec)
         parsed = read_feature_sidecar(write_feature_sidecar([vec]))
         assert parsed[rec.id].values.tolist() == vec.values.tolist()
         assert parsed[rec.id].manifest_digest == MANIFEST.digest
