@@ -241,6 +241,7 @@ EDGE_SNIPPETS = [
     "fn f<T(x: (u8, [u8; 2]) {{", "}}} fn g(a, b) { }", "fn h(a, b", "F<'a,\n\t'b, \t>",
     "<<<>>", "F<A<B>, C<D<E>>>", "((())",
     "let c = 'a'; fn f<'a, T: 'a>(x: &'a T)", "a &&& b ||| c; v.map(|x| x)",
+    "if a || b || c { v.map(|x| x) }",
     "impl Trait for Type { fn f() { for x in y { loop { } } } }",
     "unsafe fn f() {}", "static mut X: u8 = 0;", "unsafe impl Send for X {}",
     "impl<T> Drop for X<T> { fn drop(&mut self) {} }", "fn f<T>() where T: Clone {}",
