@@ -376,19 +376,14 @@ def _loops_and_blocks(tokens: list[str]) -> tuple[int, int, int]:
                 nest = max(nest, len(open_loops))
             depth += 1
             max_depth = max(max_depth, depth)
-            after_word = False
         elif tok == "}":
             depth = max(0, depth - 1)
             if open_loops and open_loops[-1] == depth:
                 open_loops.pop()
-            after_word = False
-        elif tok == ";":
-            after_word = False
-        else:
-            if tok in _LOOP_WORDS and not (after_word and tok == "for"):
-                loops += 1
-                pending += 1
-            after_word = True
+        elif tok in _LOOP_WORDS and not (after_word and tok == "for"):
+            loops += 1
+            pending += 1
+        after_word = tok not in ("{", "}", ";")
     return loops, nest, max_depth
 
 

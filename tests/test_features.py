@@ -242,7 +242,7 @@ EDGE_SNIPPETS = [
     "<<<>>", "F<A<B>, C<D<E>>>", "((())",
     "let c = 'a'; fn f<'a, T: 'a>(x: &'a T)", "a &&& b ||| c; v.map(|x| x)",
     "if a || b || c { v.map(|x| x) }",
-    "impl Trait for Type { fn f() { for x in y { loop { } } } }",
+    "impl Trait for Type { fn f() { for x in y { loop { } } } }", "a; for x in y { while z {} }",
     "unsafe fn f() {}", "static mut X: u8 = 0;", "unsafe impl Send for X {}",
     "impl<T> Drop for X<T> { fn drop(&mut self) {} }", "fn f<T>() where T: Clone {}",
     "union U { a: u8 }", "extern \"C\" { fn g(); }", "// c\n/* d */\nx?;\nreturn y?",
