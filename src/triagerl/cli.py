@@ -14,6 +14,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluate as evaluate_mod
 from . import features as features_mod
 from . import fuzz as fuzz_mod
@@ -25,6 +27,7 @@ from .errors import (
     FeatureValidationError,
     InputError,
     MissingRecording,
+    NonFiniteScores,
     SchemaError,
     TriageError,
 )
@@ -149,6 +152,16 @@ def _load(reader, path: str):
     return reader(_read_bytes(path), source=path)
 
 
+def _play(checkpoint: str, play, *args, **kwargs):
+    """`play(*args, **kwargs)` with the policy from `checkpoint`, which is blamed
+    for scores that are not finite; numpy's overflow warnings would repeat it."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return play(*args, **kwargs)
+    except NonFiniteScores as exc:
+        raise NonFiniteScores(f"{checkpoint}: {exc}") from None
+
+
 def _write(path: str, data: bytes) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
@@ -248,9 +261,8 @@ def cmd_evaluate(args) -> int:
     if not records:
         raise EmptySplit(f"split {args.split!r} has no records")
     backend = _make_backend(cfg)
-    report, predictions = evaluate_mod.evaluate_checkpoint(
-        checkpoint, records, vectors, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs
-    )
+    report, predictions = _play(args.checkpoint, evaluate_mod.evaluate_checkpoint, checkpoint,
+                                records, vectors, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
     _write(args.out, metrics_mod.write_report(report))
     if args.verdicts:
         _write(args.verdicts, metrics_mod.write_verdicts(predictions))
@@ -267,8 +279,8 @@ def cmd_triage(args) -> int:
     backend = _make_backend(cfg)
     feats = normalize(validate_vector(raw, lambda i: f"warning {records[i].id}"),
                       checkpoint.normalizer)
-    played = run_episodes(checkpoint.params, feats, records, backend, mask_fuzz=args.mask_fuzz,
-                          jobs=cfg.jobs)
+    played = _play(args.checkpoint, run_episodes, checkpoint.params, feats, records, backend,
+                   mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
     verdicts = metrics_mod.prediction_records([r.id for r in records], played.called, played.score,
                                               played.fuzzed, played.outcome)
     _write(args.out, metrics_mod.write_verdicts(verdicts))
@@ -297,9 +309,8 @@ def cmd_importance(args) -> int:
     records = dataset.split_records(Split(args.split))
     if not records:
         raise EmptySplit(f"split {args.split!r} has no records")
-    results = evaluate_mod.permutation_importance(
-        checkpoint, records, vectors, repeats=args.repeats, seed=cfg.seed
-    )
+    results = _play(args.checkpoint, evaluate_mod.permutation_importance, checkpoint, records,
+                    vectors, repeats=args.repeats, seed=cfg.seed)
     _write(args.out, evaluate_mod.write_importance(results))
     return 0
 

@@ -56,6 +56,10 @@ class NonFiniteLoss(InputError):
     hyperparameters and reward constants given; the update is aborted."""
 
 
+class NonFiniteScores(InputError):
+    """The policy's scores for a warning are not finite: its weights overflow."""
+
+
 class EmptySplit(InputError):
     """A required dataset split has no records."""
 

@@ -26,13 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DigestMismatch,
-    EmptyTrainSet,
-    FeatureValidationError,
-    SchemaError,
-    SnippetTooLarge,
-)
+from .errors import (DigestMismatch, EmptyTrainSet, FeatureValidationError, SchemaError,
+                     SnippetTooLarge)
 from .warnings import BugPattern, WarningRecord, classify_bug_pattern
 
 MANIFEST_VERSION = 1
@@ -595,7 +590,7 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
                 np.array(obj["values"], dtype=np.float64),
                 obj["manifest_digest"],
             ))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise FeatureValidationError(f"{source} line {n}: {type(exc).__name__}: {exc}") from exc
         line_numbers.append(n)
     stack_vectors(vectors, lambda i: f"{source} line {line_numbers[i]}")

@@ -171,28 +171,30 @@ class SimulatedBackend:
 
     Draws Crash with the label-conditioned crash probability, otherwise
     Inconclusive with p_inconclusive, otherwise Clean. Each warning id sees
-    the same outcome for a given config and seed.
+    the same outcome for a given config and seed. The instance keeps each
+    id's three uniform draws, not its outcome, so its stream is seeded once
+    per id while the label and the probabilities apply on every call.
     """
 
     config: SimOracleConfig = field(default_factory=SimOracleConfig)
+    _draws: dict[str, tuple[float, float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         if true_label is None:
-            return FuzzOutcome(
-                FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
-                "simulated oracle needs a ground-truth label",
-            )
-        rng = _warning_stream(self.config.seed, warning.id)
-        u = rng.random(3)
-        p_crash = (
-            self.config.p_crash_given_tp
-            if true_label is Label.TRUE_POSITIVE
-            else self.config.p_crash_given_fp
-        )
-        elapsed = round(float(u[2]) * 5.0, 3)
+            return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
+                               "simulated oracle needs a ground-truth label")
+        u = self._draws.get(warning.id)
+        if u is None:
+            u = self._draws[warning.id] = tuple(
+                _warning_stream(self.config.seed, warning.id).random(3).tolist())
+        cfg = self.config
+        p_crash = (cfg.p_crash_given_tp if true_label is Label.TRUE_POSITIVE
+                   else cfg.p_crash_given_fp)
+        elapsed = round(u[2] * 5.0, 3)
         if u[0] < p_crash:
             return FuzzOutcome(FuzzKind.CRASH, elapsed, "simulated crash")
-        if u[1] < self.config.p_inconclusive:
+        if u[1] < cfg.p_inconclusive:
             return FuzzOutcome(FuzzKind.INCONCLUSIVE, elapsed, "simulated inconclusive")
         return FuzzOutcome(FuzzKind.CLEAN, elapsed, "simulated clean")
 

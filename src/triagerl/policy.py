@@ -98,22 +98,23 @@ def draw_dropout_masks(
 def forward_cache(
     params: PolicyParams, states: np.ndarray, masks: tuple[np.ndarray, np.ndarray] | None = None
 ) -> dict:
-    """Batched forward pass keeping intermediates for backpropagation."""
+    """Batched forward pass: logits and values, plus the pre-activations and
+    hidden outputs that backpropagation reads."""
     states = np.atleast_2d(states)
     if states.shape[1] != params.input_dim:
         raise DimensionMismatch(
             f"state length {states.shape[1]} != network input {params.input_dim}"
         )
-    z1 = states @ params.w1 + params.b1
-    a1 = np.maximum(z1, 0.0)
-    h1 = a1 * masks[0] if masks is not None else a1
-    z2 = h1 @ params.w2 + params.b2
-    a2 = np.maximum(z2, 0.0)
-    h2 = a2 * masks[1] if masks is not None else a2
+    z1 = states @ params.w1
+    z1 += params.b1
+    h1 = np.maximum(z1, 0.0)
+    if masks is not None:
+        h1 *= masks[0]
+    z2 = h1 @ params.w2
+    z2 += params.b2
+    h2 = np.maximum(z2, 0.0)
+    if masks is not None:
+        h2 *= masks[1]
     logits = h2 @ params.w_pi + params.b_pi
-    probs = softmax(logits)
     values = (h2 @ params.w_v).ravel() + params.b_v[0]
-    return {
-        "states": states, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
-        "logits": logits, "probs": probs, "values": values, "masks": masks,
-    }
+    return {"z1": z1, "h1": h1, "z2": z2, "h2": h2, "logits": logits, "values": values}

@@ -12,40 +12,22 @@ two-layer network, optimized by an in-tree Adam.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .env import RewardSpec, TriageAction, check_finite, fuzz_step, reward_of
-from .errors import (
-    DigestMismatch,
-    DimensionMismatch,
-    EmptySplit,
-    FeatureValidationError,
-    LengthMismatch,
-    NonFiniteLoss,
-    SchemaError,
-    UnlabeledRecordError,
-)
-from .features import (
-    MANIFEST,
-    FeatureVector,
-    NormalizerStats,
-    fit_normalizer,
-    normalize,
-    stack_vectors,
-)
+from .errors import (DigestMismatch, DimensionMismatch, EmptySplit, FeatureValidationError,
+                     LengthMismatch, NonFiniteLoss, NonFiniteScores, SchemaError,
+                     UnlabeledRecordError)
+from .features import (MANIFEST, FeatureVector, NormalizerStats, fit_normalizer, normalize,
+                       stack_vectors)
 from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import report_from_arrays
-from .policy import (
-    PolicyParams,
-    draw_dropout_masks,
-    forward_cache,
-    init_params,
-    param_layout,
-    softmax,
-)
+from .policy import (PolicyParams, draw_dropout_masks, forward_cache, init_params, param_layout,
+                     softmax)
 from .warnings import Dataset, Label, Split, WarningRecord
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -132,9 +114,12 @@ class TrajectoryBatch:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def take(self, idx: np.ndarray) -> "TrajectoryBatch":
-        return TrajectoryBatch(*[getattr(self, f.name)[idx] for f in
-                                 TrajectoryBatch.__dataclass_fields__.values()])  # type: ignore[arg-type]
+    def minibatch(self, idx: np.ndarray) -> "TrajectoryBatch":
+        """Rows `idx` of the fields the PPO loss reads; rewards, values and
+        episode_ids, which only rollout bookkeeping reads, are left empty."""
+        empty = np.empty(0)
+        return TrajectoryBatch(self.states[idx], self.actions[idx], self.behavior_logp[idx], empty,
+                               empty, empty, self.returns[idx], self.advantages[idx])
 
     @classmethod
     def from_episodes(cls, episodes: Episodes, labels: list[Label | None],
@@ -173,10 +158,9 @@ class TrajectoryBatch:
 def _fuzz_masked_probs(logits: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Action probabilities with fuzzing masked in `rows` (default: all).
 
-    The fuzz logit is set to -inf before the softmax, so the classify
-    probabilities stay well-defined however large the fuzz logit was.
+    The fuzz logit is set to -inf in place before the softmax, so the
+    classify probabilities stay well-defined however large the fuzz logit was.
     """
-    logits = logits.copy()
     logits[rows, TriageAction.FUZZ] = -np.inf
     return softmax(logits)
 
@@ -186,6 +170,17 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     return cdf
+
+
+def _finite_forward(params: PolicyParams, states: np.ndarray, records: list) -> dict:
+    """`forward_cache` of `states`, one row per record; NonFiniteScores names
+    the first record whose logits are not finite."""
+    cache = forward_cache(params, states)
+    finite = np.isfinite(cache["logits"]).all(axis=1)
+    if not finite.all():
+        bad = records[finite.argmin()].id
+        raise NonFiniteScores(f"policy scores for warning {bad} are not finite")
+    return cache
 
 
 def run_episodes(
@@ -217,19 +212,22 @@ def run_episodes(
     first = np.zeros((n, fd + len(FUZZ_SLOTS)))
     first[:, :fd] = feats
     first[:, fd] = 1.0  # the NotRun slot
-    cache1 = forward_cache(params, first)
+    cache1 = _finite_forward(params, first, records)
+    unmasked = None if mask_fuzz else softmax(cache1["logits"])  # before masking in place
     classify1 = _fuzz_masked_probs(cache1["logits"])
-    probs1 = classify1 if mask_fuzz else cache1["probs"]
+    probs1 = classify1 if mask_fuzz else unmasked
     second_draws = []
     if rng is None:
         act1 = probs1.argmax(axis=1)
     else:
-        act1 = np.empty(n, dtype=np.int64)
-        for i, (c_tp, c_fp, c_fuzz) in enumerate(_cdf(probs1).tolist()):
-            u = rng.random()
-            act1[i] = (u >= c_tp) + (u >= c_fp) + (u >= c_fuzz)
-            if act1[i] == TriageAction.FUZZ:
-                second_draws.append(rng.random())
+        fuzz, random, chosen = int(TriageAction.FUZZ), rng.random, []
+        for c_tp, c_fp, c_fuzz in _cdf(probs1).tolist():
+            u = random()
+            action = (u >= c_tp) + (u >= c_fp) + (u >= c_fuzz)
+            chosen.append(action)
+            if action == fuzz:
+                second_draws.append(random())
+        act1 = np.array(chosen, dtype=np.int64)
 
     idx = np.flatnonzero(act1 == TriageAction.FUZZ)
     outcome = np.zeros(n, dtype=np.int64)
@@ -237,7 +235,7 @@ def run_episodes(
                     run_many(partial(fuzz_step, backend), [records[i] for i in idx], jobs)]
     second = first[idx]
     second[:, fd:] = np.eye(len(FUZZ_SLOTS))[outcome[idx]]
-    cache2 = forward_cache(params, second)
+    cache2 = _finite_forward(params, second, [records[i] for i in idx])
     probs2 = _fuzz_masked_probs(cache2["logits"])
     if rng is None:
         act2 = probs2.argmax(axis=1)
@@ -306,44 +304,50 @@ def ppo_loss_and_grads(
     cache = forward_cache(params, batch.states, dropout_masks)
     probs = _fuzz_masked_probs(cache["logits"], batch.states[:, feature_dim] == 0.0)
     values = cache["values"]
+    positive = probs > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_probs = np.log(probs)
+        plogp = np.where(positive, probs * log_probs, 0.0)
 
     idx = np.arange(n)
-    logp_new = np.log(probs[idx, batch.actions])
+    logp_new = log_probs[idx, batch.actions]
     rho = np.exp(logp_new - batch.behavior_logp)
     adv = batch.advantages
 
     unclipped = rho * adv
-    clipped = np.clip(rho, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * adv
+    low, high = 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon
+    clipped = np.minimum(np.maximum(rho, low), high) * adv
     surrogate = np.minimum(unclipped, clipped)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
     entropies = -plogp.sum(axis=1)
     value_err = values - batch.returns
 
-    policy_loss = -surrogate.mean()
-    value_loss = float((value_err**2).mean())
-    entropy_mean = float(entropies.mean())
+    # Each mean is sum / n, which is how numpy's mean computes it.
+    policy_loss = -(surrogate.sum() / n)
+    value_loss = float((value_err**2).sum() / n)
+    entropy_mean = float(entropies.sum() / n)
     total = float(policy_loss + config.value_loss_weight * value_loss
                   - config.entropy_weight * entropy_mean)
     parts = {"policy_loss": float(policy_loss), "value_loss": value_loss,
              "entropy": entropy_mean, "total": total}
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         # The caller aborts on a non-finite loss; gradients would be garbage.
         return total, None, parts
 
-    # d(surrogate)/d(rho): the active min branch; the clip is flat outside the band.
-    unclipped_active = unclipped <= clipped
-    in_band = (rho >= 1.0 - config.clip_epsilon) & (rho <= 1.0 + config.clip_epsilon)
-    dsurr_drho = np.where(unclipped_active, adv, np.where(in_band, adv, 0.0))
+    # d(surrogate)/d(rho): adv where the unclipped branch is the min (inside
+    # the clip band the two branches are equal); 0 where the flat clip is.
+    dsurr_drho = np.where(unclipped <= clipped, adv, 0.0)
     dlogp = -(dsurr_drho * rho) / n  # d(policy_loss)/d(logp_new)
 
     # logits gradient: surrogate term + entropy bonus term.
-    one_hot = np.zeros_like(probs)
-    one_hot[idx, batch.actions] = 1.0
-    dlogits = dlogp[:, None] * (one_hot - probs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safe_log = np.where(probs > 0, np.log(probs), 0.0)
-    dlogits += (config.entropy_weight / n) * probs * (safe_log + entropies[:, None])
+    dlogits = np.zeros(probs.shape)
+    dlogits[idx, batch.actions] = 1.0
+    dlogits -= probs
+    dlogits *= dlogp[:, None]
+    safe_log = np.where(positive, log_probs, 0.0)
+    safe_log += entropies[:, None]
+    entropy_term = (config.entropy_weight / n) * probs
+    entropy_term *= safe_log
+    dlogits += entropy_term
 
     dvalues = 2.0 * config.value_loss_weight * value_err / n
 
@@ -353,15 +357,18 @@ def ppo_loss_and_grads(
     dlogits.sum(axis=0, out=g.b_pi)
     np.matmul(h2.T, dvalues, out=g.w_v[:, 0])
     g.b_v[0] = dvalues.sum()
-    dh2 = dlogits @ params.w_pi.T + np.outer(dvalues, params.w_v.ravel())
-    da2 = dh2 * dropout_masks[1] if dropout_masks is not None else dh2
-    dz2 = da2 * (cache["z2"] > 0)
+    dz2 = dlogits @ params.w_pi.T
+    dz2 += dvalues[:, None] * params.w_v[:, 0]
+    if dropout_masks is not None:
+        dz2 *= dropout_masks[1]
+    np.multiply(dz2, cache["z2"] > 0, out=dz2)
     np.matmul(h1.T, dz2, out=g.w2)
     dz2.sum(axis=0, out=g.b2)
-    dh1 = dz2 @ params.w2.T
-    da1 = dh1 * dropout_masks[0] if dropout_masks is not None else dh1
-    dz1 = da1 * (cache["z1"] > 0)
-    np.matmul(cache["states"].T, dz1, out=g.w1)
+    dz1 = dz2 @ params.w2.T
+    if dropout_masks is not None:
+        dz1 *= dropout_masks[0]
+    np.multiply(dz1, cache["z1"] > 0, out=dz1)
+    np.matmul(batch.states.T, dz1, out=g.w1)
     dz1.sum(axis=0, out=g.b1)
     return total, g, parts
 
@@ -407,26 +414,19 @@ def ppo_update(
     rng: np.random.Generator,
     feature_dim: int,
     optimizer: Adam | None = None,
-) -> dict[str, float]:
-    """Several passes of shuffled minibatch updates on one rollout batch.
-
-    Updates `params` in place and returns the last minibatch's loss parts.
-    """
+) -> None:
+    """Several passes of shuffled minibatch updates on one rollout batch,
+    applied to `params` in place."""
     optimizer = optimizer or Adam(config.learning_rate)
     grads = params.zeros_like()
-    last_parts: dict[str, float] = {}
     for inner in range(1, config.ppo_inner_epochs + 1):
         perm = rng.permutation(len(batch))
         for start in range(0, len(batch), config.minibatch_size):
-            mb_idx = perm[start : start + config.minibatch_size]
-            mb = batch.take(mb_idx)
-            masks = None
-            if params.dropout_rate > 0.0:
-                masks = draw_dropout_masks(
-                    rng, params.hidden_sizes, params.dropout_rate, n=len(mb)
-                )
-            total, _, parts = ppo_loss_and_grads(params, mb, config, feature_dim, masks, grads)
-            if not np.isfinite(total):
+            mb = batch.minibatch(perm[start : start + config.minibatch_size])
+            masks = None if params.dropout_rate == 0.0 else draw_dropout_masks(
+                rng, params.hidden_sizes, params.dropout_rate, n=len(mb))
+            total, _, _ = ppo_loss_and_grads(params, mb, config, feature_dim, masks, grads)
+            if not math.isfinite(total):
                 raise NonFiniteLoss(
                     f"non-finite loss in PPO pass {inner}, minibatch "
                     f"{start // config.minibatch_size + 1}; train.learning_rate, "
@@ -434,8 +434,6 @@ def ppo_update(
                     "scale the loss"
                 )
             optimizer.step(params.flat, grads.flat)
-            last_parts = parts
-    return last_parts
 
 
 @dataclass
@@ -502,15 +500,13 @@ def train(
     # that check reports it, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
-            batch = collect_rollouts(
-                params, train_records, train_feats, reward_spec, backend, rng_rollout, config.gamma
-            )
             try:
+                batch = collect_rollouts(params, train_records, train_feats, reward_spec, backend,
+                                         rng_rollout, config.gamma)
                 ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
-            except NonFiniteLoss as exc:
-                raise NonFiniteLoss(f"epoch {epoch}: {exc}") from None
-
-            val = run_episodes(params, val_feats, val_records, backend)
+                val = run_episodes(params, val_feats, val_records, backend)
+            except (NonFiniteLoss, NonFiniteScores) as exc:
+                raise type(exc)(f"epoch {epoch}: {exc}") from None
             report = report_from_arrays(val.called, val_positive, val.score, val.fuzzed)
             val_f1 = report.f1 or 0.0
             entry = {
@@ -609,5 +605,5 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
         )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{source} line {exc.lineno}: {exc.msg}") from exc
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise SchemaError(f"{source}: {type(exc).__name__}: {exc}") from exc

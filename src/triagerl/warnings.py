@@ -16,18 +16,8 @@ import numpy as np
 
 from .errors import RatioError, SchemaError, UnlabeledRecordError
 
-REPORT_FIELDS = (
-    "level",
-    "analyzer",
-    "op_type",
-    "description",
-    "file",
-    "start_line",
-    "start_col",
-    "end_line",
-    "end_col",
-    "code_snippet",
-)
+REPORT_FIELDS = ("level", "analyzer", "op_type", "description", "file", "start_line", "start_col",
+                 "end_line", "end_col", "code_snippet")
 
 _LEVELS = ("Error", "Warning", "Info")
 

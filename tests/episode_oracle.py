@@ -11,7 +11,7 @@ import numpy as np
 from triagerl.env import TriageAction, reward_of
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
 from triagerl.metrics import PredictionRecord
-from triagerl.policy import forward_cache
+from triagerl.policy import forward_cache, softmax
 from triagerl.warnings import Label
 
 
@@ -46,7 +46,7 @@ def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False, r
     for _ in range(2):
         state = state_vector(feats, kind)
         cache = forward_cache(params, state)
-        probs, value = cache["probs"][0], float(cache["values"][0])
+        probs, value = softmax(cache["logits"])[0], float(cache["values"][0])
         masked = mask_fuzz or kind is not FuzzKind.NOT_RUN
         action = select_action(probs, masked, rng)
         if masked:

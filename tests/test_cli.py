@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,19 @@ class TestFuzzFanOut:
             kinds = {line.split("\t")[4] for line in one.decode().splitlines()}
             assert len(kinds) >= 2 and "-" not in kinds, name
 
+    def test_fuzz_validate_identical_for_one_and_four_jobs(self, pipeline, tmp_path):
+        # The simulated backend's draws are memoized by the one instance all jobs share.
+        outputs = []
+        for jobs in (1, 4):
+            out = tmp_path / f"outcomes{jobs}.txt"
+            code = run_cli(["fuzz-validate", "--warnings", str(pipeline["warnings"]),
+                            "--labels", str(pipeline["labels"]), "--jobs", str(jobs),
+                            "--out", str(out), "--config", str(pipeline["config"])])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len({line.split("\t")[1] for line in outputs[0].decode().splitlines()}) >= 2
+
     def test_one_job_builds_no_pool(self, pipeline, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built")
@@ -221,6 +235,11 @@ SCALES_LOSS = ("train.learning_rate, train.value_loss_weight, train.entropy_weig
                "reward.* constants scale the loss")
 
 
+# Numbers that fit no float, round to 0, or sit at the ends of the float range.
+EXTREMES = [b"1e308", b"-1e308", b"5e-324", b"1" + b"0" * 399]
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
 def keep_one_train_record(text):
     first, rest = text.split("\ttrain", 1)
     return first + "\ttrain" + rest.replace("\ttrain", "\tval")
@@ -255,10 +274,14 @@ class TestMalformedInputs:
         original = pipeline[name].read_bytes()
         pos = data.draw(st.integers(0, len(original) - 1), label="position")
         byte = data.draw(st.sampled_from(b'x{}[]",:\t\n#=.-9 \\'), label="byte")
+        start, end = data.draw(st.sampled_from([m.span() for m in NUMBER.finditer(original)]),
+                               label="number")
+        extreme = data.draw(st.sampled_from(EXTREMES), label="extreme")
         corrupted = data.draw(st.sampled_from([
             original[:pos],
             original[:pos] + original[pos + 1:],
             original[:pos] + bytes([byte]) + original[pos + 1:],
+            original[:start] + extreme + original[end:],
         ]), label="corrupted")
         code, _ = run_with(pipeline, tmp_path_factory.mktemp("corrupt"), name, corrupted)
         assert code in (0, 3)
@@ -293,10 +316,15 @@ class TestMalformedInputs:
          "{bad}: train.value_loss_weight must be >= 0, got -1e+308"),
         ("train", "config", lambda t: t + "train.entropy_weight = -5\n", [], 3,
          "{bad}: train.entropy_weight must be >= 0, got -5.0"),
+        ("triage", "checkpoint", lambda t: re.sub(r'"w1":\[[^,]+', '"w1":[1' + "0" * 399, t), [],
+         3, "{bad}: OverflowError: int too large to convert to float"),
+        ("evaluate", "features", lambda t: re.sub(r'"values": \[[^,]+', '"values": [1' + "0" * 399,
+                                                  t, count=1),
+         [], 3, "{bad} line 1: OverflowError: int too large to convert to float"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
-            "entropy-weight-negative"])
+            "entropy-weight-negative", "huge-int-weight", "huge-int-feature"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -346,6 +374,20 @@ class TestMalformedInputs:
             err = capsys.readouterr().err
             assert code == 3, (argv[0], err)
             assert f"{bad} line 3: {named}" in err, (argv[0], err)
+
+    @pytest.mark.parametrize("command", ["triage", "evaluate", "importance"])
+    def test_overflowing_checkpoint_exits_3_naming_it(self, pipeline, tmp_path, capsys, command):
+        # Finite weights whose products overflow: every policy score is nan.
+        doc = json.loads(pipeline["checkpoint"].read_text())
+        doc["weights"] = {k: [w * 1e300 for w in v] for k, v in doc["weights"].items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would end in exit 4
+            code, bad = run_with(pipeline, tmp_path, "checkpoint", json.dumps(doc).encode(),
+                                 command)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert re.fullmatch(rf"input error: {re.escape(str(bad))}: policy scores for warning "
+                            r"\S+ are not finite\n", err), err
 
     def test_truncated_feature_sidecar_line_names_file_and_line(self, pipeline, tmp_path, capsys):
         lines = pipeline["features"].read_text().splitlines()

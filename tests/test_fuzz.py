@@ -109,6 +109,48 @@ class TestSimulatedBackend:
         assert 0.0 <= outcome.elapsed <= 5.0
 
 
+class TestSimulatedMemo:
+    """Each instance keeps its ids' draws; outcomes are those of a fresh instance."""
+
+    CONFIG = SimOracleConfig(0.5, 0.1, 0.3, seed=4)
+
+    def test_memoized_outcomes_equal_a_fresh_instance(self):
+        backend = SimulatedBackend(self.CONFIG)
+        records = [make_record(i) for i in range(60)]
+        for _ in range(2):  # the second pass reads only memoized draws
+            for record in records:
+                for label in (TP, FP):
+                    fresh = SimulatedBackend(self.CONFIG).run(record, label)
+                    assert backend.run(record, label) == fresh
+
+    def test_stream_seeded_once_per_id(self, monkeypatch):
+        seeded = []
+        real = fuzz_mod._warning_stream
+
+        def counting(seed, warning_id):
+            seeded.append(warning_id)
+            return real(seed, warning_id)
+
+        monkeypatch.setattr(fuzz_mod, "_warning_stream", counting)
+        backend = SimulatedBackend(self.CONFIG)
+        records = [make_record(i) for i in range(10)]
+        for _ in range(3):
+            for record in records:
+                backend.run(record, TP)
+                backend.run(record, FP)
+        assert sorted(seeded) == sorted(r.id for r in records)
+
+    def test_instances_with_other_seeds_share_no_draws(self):
+        records = [make_record(i) for i in range(200)]
+        first = SimulatedBackend(SimOracleConfig(0.5, 0.1, 0.3, seed=0))
+        second = SimulatedBackend(SimOracleConfig(0.5, 0.1, 0.3, seed=1))
+        ran_first = [first.run(r, TP) for r in records]
+        ran_second = [second.run(r, TP) for r in records]
+        fresh = SimulatedBackend(SimOracleConfig(0.5, 0.1, 0.3, seed=1))
+        assert ran_second == [fresh.run(r, TP) for r in records]
+        assert [o.elapsed for o in ran_first] != [o.elapsed for o in ran_second]
+
+
 class TestRecordedBackend:
     def test_replay_and_missing(self):
         rec_x = make_record(0, label=TP)

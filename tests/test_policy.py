@@ -54,7 +54,7 @@ def loop_forward(params: PolicyParams, state):
 def forward(params, state, masks=None):
     """Action probabilities and value for one state."""
     cache = forward_cache(params, np.asarray(state, dtype=np.float64), masks)
-    return cache["probs"][0], float(cache["values"][0])
+    return softmax(cache["logits"])[0], float(cache["values"][0])
 
 
 def play_probs(probs, **kw):

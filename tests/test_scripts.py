@@ -1,6 +1,8 @@
-"""Smoke tests: every script under scripts/ runs to completion at tiny sizes,
-and so does one short benchmark run."""
+"""Smoke tests: the experiment scripts under scripts/ run to completion at tiny
+sizes, and so does one short benchmark run. bench_pairs.py is checked on its
+summary arithmetic."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,3 +33,29 @@ def test_benchmark_runs_and_checks_its_outputs():
                           cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    bench_pairs = load_script("bench_pairs")
+
+    def pair(parent, change):
+        return {side: {"result": {"metrics": {"t": {"value": v}}}}
+                for side, v in (("parent", parent), ("change", change))}
+
+    runs = [pair(1.0, 0.8), pair(1.2, 0.9), pair(0.9, 0.9), pair(1.1, 1.3), pair(1.0, 0.7)]
+    lower = bench_pairs.summarize(runs, "t", "lower", 0.24)
+    assert (lower["wins"], lower["pairs"]) == (3, 5)  # the tie counts for neither side
+    assert lower["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.1, "n": 5}
+    assert lower["change_over_parent"] == pytest.approx(0.9)
+    assert lower["worse_by"] == pytest.approx(-0.1)
+    assert lower["parent_iqr"] == pytest.approx(0.1) and lower["median_gap"] == pytest.approx(0.1)
+    higher = bench_pairs.summarize(runs, "t", "higher", 0.24)
+    assert higher["wins"] == 1 and higher["worse_by"] == pytest.approx(0.1)
+    assert bench_pairs.seeds("401-403,409") == [401, 402, 403, 409]

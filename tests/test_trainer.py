@@ -4,14 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triagerl.env import RewardSpec
 from triagerl.errors import DigestMismatch, EmptySplit, NonFiniteLoss
 from triagerl.features import MANIFEST
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
-from triagerl.policy import draw_dropout_masks, forward_cache, init_params
+from triagerl.policy import draw_dropout_masks, forward_cache, init_params, softmax
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
+    STATE_DIM,
     Adam,
     TrainConfig,
     TrajectoryBatch,
@@ -25,6 +28,7 @@ from triagerl.trainer import (
 from triagerl.evaluate import evaluate_checkpoint
 from triagerl.warnings import Label, Split
 
+import ppo_oracle
 from test_env import ForcedBackend, biased_params
 from test_warnings import make_record
 
@@ -122,7 +126,7 @@ def surrogate_objective(rho, adv, eps):
     states = np.hstack([np.random.default_rng(0).normal(size=(n, 4)), np.zeros((n, 6))])
     states[:, 4] = 1.0
     actions = np.zeros(n, dtype=int)
-    logp_new = np.log(forward_cache(params, states)["probs"][:, 0])
+    logp_new = np.log(softmax(forward_cache(params, states)["logits"])[:, 0])
     batch = TrajectoryBatch(
         states=states, actions=actions, behavior_logp=logp_new - np.log(rho),
         rewards=np.zeros(n), values=np.zeros(n), episode_ids=np.arange(n),
@@ -202,6 +206,56 @@ class TestPPOObjective:
         config = TrainConfig(seed=0, dropout_rate=0.0, minibatch_size=64)
         with pytest.raises(NonFiniteLoss, match="minibatch"):
             ppo_update(params, batch, config, np.random.default_rng(0), feature_dim)
+
+
+class TestStepAgainstOracle:
+    """The lean minibatch step equals the step it replaced, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), dropout=st.booleans(),
+           fuzzed=st.sampled_from([0.0, 0.3, 1.0]), spread=st.sampled_from([0.0, 0.15, 2.0]),
+           scale=st.sampled_from([0.1, 1.0, 3.0, 30.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_loss_parts_and_grads_equal_the_oracle(self, seed, n, dropout, fuzzed, spread, scale):
+        rng = np.random.default_rng(seed)
+        feature_dim = len(MANIFEST)
+        params = init_params(STATE_DIM, dropout_rate=0.3 if dropout else 0.0, seed=seed % 1000)
+        params.flat *= scale
+        states = np.zeros((n, STATE_DIM))
+        states[:, :feature_dim] = rng.normal(size=(n, feature_dim))
+        post_fuzz = rng.random(n) < fuzzed  # these rows have fuzzed: FUZZ is masked there
+        states[np.arange(n), feature_dim + np.where(post_fuzz, rng.integers(1, 6, n), 0)] = 1.0
+        actions = np.where(post_fuzz, rng.integers(0, 2, n), rng.integers(0, 3, n))
+        masks = (draw_dropout_masks(rng, params.hidden_sizes, params.dropout_rate, n)
+                 if dropout else None)
+        # Behaviour log-probabilities put the ratios inside the clip band
+        # (spread 0 and 0.15 at eps 0.2) or far outside it (spread 2).
+        probs = ppo_oracle._fuzz_masked_probs(
+            ppo_oracle.forward_cache(params, states, masks)["logits"], post_fuzz)
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs[np.arange(n), actions])
+        batch = TrajectoryBatch(
+            states=states, actions=actions,
+            behavior_logp=logp - rng.uniform(-spread, spread, n),
+            rewards=np.zeros(n), values=np.zeros(n), episode_ids=np.arange(n),
+            returns=rng.normal(size=n) * 10, advantages=rng.normal(size=n),
+        )
+        config = TrainConfig(clip_epsilon=0.2, value_loss_weight=rng.uniform(0, 1),
+                             entropy_weight=rng.uniform(0, 0.1))
+        grads = params.zeros_like()
+        grads.flat[:] = np.nan  # every slot must be written
+        with np.errstate(divide="ignore", invalid="ignore"):  # the underflowing examples
+            want_total, want, want_parts = ppo_oracle.ppo_loss_and_grads(
+                params, batch, config, feature_dim, masks)
+            total, got, parts = ppo_loss_and_grads(params, batch.minibatch(np.arange(n)), config,
+                                                   feature_dim, masks, grads)
+        # At scale 30 some probabilities underflow to 0, and so do losses to nan.
+        assert np.array_equal([total, *parts.values()], [want_total, *want_parts.values()],
+                              equal_nan=True)
+        assert list(parts) == list(want_parts)
+        if want is None:
+            assert got is None and not np.isfinite(total)
+        else:
+            assert got is grads and np.array_equal(got.flat, want.flat)
 
 
 class TestAdam:
