@@ -9,13 +9,14 @@ directory, which is removed at the end; no worktree is made and nothing in
 the repository changes. For each workload and seed, the unchanged
 `perfbench/run.py` of each export runs once with `--trace 0`, and which side
 runs first alternates from seed to seed. `--trace-seed` adds one traced run
-per side and workload. The output keeps every run record and, per workload
+per side and workload (`--trace-seconds` long). The output keeps every run record and, per workload
 and end-to-end metric, each side's median and quartiles (numpy percentiles
 25/50/75, linear), the pairs the change won (ties count for neither), the
 parent's IQR and the gap between the medians. `--claim WORKLOAD:METRIC`
 adds a claim block, met when the change wins at least 9 of 10 pairs, its
 median is better by at least `--min-gain`, and the medians differ by more
-than the parent's IQR. The file is rewritten after every pair, so an
+than the parent's IQR; it also summarizes the seeds not listed in
+`--dev-seeds` on their own. The file is rewritten after every pair, so an
 interrupted round keeps what it measured.
 """
 
@@ -78,6 +79,7 @@ def summarize(runs: list[dict], metric: str, better: str, bound: float) -> dict:
     ratio = change["median"] / parent["median"] if parent["median"] else float("nan")
     return {
         "parent": parent, "change": change, "change_over_parent": ratio, "wins": wins,
+        "better": better,
         "pairs": len(runs), "worse_by": sign * (ratio - 1.0), "bound": bound,
         "parent_iqr": parent["q3"] - parent["q1"],
         "median_gap": abs(change["median"] - parent["median"]),
@@ -96,9 +98,11 @@ def workload_block(runs: list[dict], metrics: list[dict]) -> dict:
     }
 
 
-def claim_block(doc: dict, claim: str, min_gain: float) -> dict:
+def claim_block(doc: dict, claim: str, min_gain: float, dev_seeds: list[int]) -> dict:
     workload, metric = claim.split(":")
-    s = doc["workloads"][workload]["summary"][metric]
+    block = doc["workloads"][workload]
+    s = block["summary"][metric]
+    unseen = [r for r in block["runs"] if r["seed"] not in dev_seeds]
     gain = -s["worse_by"]
     return {
         "metric": metric, "workload": workload,
@@ -107,6 +111,8 @@ def claim_block(doc: dict, claim: str, min_gain: float) -> dict:
         "parent_median": s["parent"]["median"], "change_median": s["change"]["median"],
         "ratio": s["change_over_parent"], "gain": gain, "wins": s["wins"], "pairs": s["pairs"],
         "parent_iqr": s["parent_iqr"], "median_gap": s["median_gap"],
+        "dev_seeds": dev_seeds,
+        "unseen_seeds": summarize(unseen, metric, s["better"], s["bound"]) if unseen else None,
         "met": gain >= min_gain and s["wins"] >= 0.9 * s["pairs"]
         and s["median_gap"] > s["parent_iqr"],
     }
@@ -128,8 +134,12 @@ def main() -> int:
     parser.add_argument("--seeds", type=seeds, required=True, help="e.g. 401-410 or 401,405")
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace-seed", type=int, help="also one traced run per side at this seed")
+    parser.add_argument("--trace-seconds", type=float, help="traced run length (default --seconds)")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--min-gain", type=float, default=0.0, help="claimed fractional gain")
+    parser.add_argument("--dev-seeds", type=seeds, default=[],
+                        help="seeds used while the change was written; the claim block "
+                             "also summarizes the other seeds alone")
     parser.add_argument("--title", default="")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
@@ -150,7 +160,7 @@ def main() -> int:
 
     def save() -> None:
         if args.claim and args.claim.split(":")[0] in doc["workloads"]:
-            doc["claim"] = claim_block(doc, args.claim, args.min_gain)
+            doc["claim"] = claim_block(doc, args.claim, args.min_gain, args.dev_seeds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -170,9 +180,10 @@ def main() -> int:
                     f" -> {pair['change']['result']['metrics'][m['name']]['value']:.4g}"
                     for m in metrics), flush=True)
             if args.trace_seed is not None:
-                traced = {side: run(trees[side], workload, args.trace_seed, args.seconds, 1)
+                seconds = args.trace_seconds or args.seconds
+                traced = {side: run(trees[side], workload, args.trace_seed, seconds, 1)
                           for side in SIDES}
-                doc["traced"][workload] = {"seed": args.trace_seed, **{
+                doc["traced"][workload] = {"seed": args.trace_seed, "seconds": seconds, **{
                     side: {k: v["value"] for k, v in t["result"]["metrics"].items()}
                     for side, t in traced.items()}}
                 save()
