@@ -31,8 +31,7 @@ from .errors import (
     SchemaError,
     TriageError,
 )
-from .features import (MANIFEST, FeatureVector, extract_features, manifest_export, normalize,
-                       validate_vector)
+from .features import FeatureVector, extract_features, manifest_export, normalize, validate_vector
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
 from .trainer import TrainConfig, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split
@@ -186,10 +185,10 @@ def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
     records = _load(warn_mod.read_warning_store, args.warnings)
     labels = _load(warn_mod.read_label_sidecar, args.labels)
     records = warn_mod.apply_labels(records, labels)
-    assignment, seed, _ = _load(warn_mod.read_split_file, args.splits)
+    assignment = _load(warn_mod.read_split_file, args.splits)
     records = [r for r in records if r.id in assignment]
     vectors = _load(features_mod.read_feature_sidecar, args.features)
-    return Dataset(records, assignment, seed), vectors
+    return Dataset(records, assignment), vectors
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ def cmd_featurize(args) -> int:
     else:
         sizes = warn_mod.cluster_sizes(records, cfg.cluster_radius)
         matrix = extract_features(records, metadata, sizes, args.warnings)
-        vectors = [FeatureVector(r.id, row, MANIFEST.digest) for r, row in zip(records, matrix)]
+        vectors = [FeatureVector(r.id, row) for r, row in zip(records, matrix)]
     _write(args.out, features_mod.write_feature_sidecar(vectors))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export().encode("utf-8"))
@@ -282,7 +281,7 @@ def cmd_triage(args) -> int:
     played = _play(args.checkpoint, run_episodes, checkpoint.params, feats, records, backend,
                    mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
     verdicts = metrics_mod.prediction_records([r.id for r in records], played.called, played.score,
-                                              played.fuzzed, played.outcome)
+                                              played.outcome)
     _write(args.out, metrics_mod.write_verdicts(verdicts))
     return 0
 

@@ -30,7 +30,7 @@ def evaluate_checkpoint(
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
     report = report_from_arrays(played.called, positives, played.score, played.fuzzed)
     return report, prediction_records([r.id for r in records], played.called, played.score,
-                                      played.fuzzed, played.outcome)
+                                      played.outcome)
 
 
 def permutation_importance(

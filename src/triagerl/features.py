@@ -76,7 +76,6 @@ class FeatureManifest:
 class FeatureVector:
     warning_id: str
     values: np.ndarray
-    manifest_digest: str
 
 
 @dataclass
@@ -101,8 +100,6 @@ class PackageMetadata:
 class NormalizerStats:
     mean: np.ndarray
     std: np.ndarray
-    fitted_on: str
-    manifest_digest: str
 
 
 _CHECKERS = ("unsafe_dataflow", "send_sync_variance", "unsafe_destructor", "other")
@@ -226,15 +223,11 @@ def stack_vectors(vectors: list[FeatureVector], where) -> np.ndarray:
     """The vectors' values stacked into a (len(vectors), len(MANIFEST)) matrix
     and checked by `validate_vector`.
 
-    Each vector must carry the manifest digest and one value per slot; the
-    first that does not raises DigestMismatch or FeatureValidationError,
-    named by `where(i)`.
+    Each vector must hold one value per slot; the first that does not raises
+    FeatureValidationError, named by `where(i)`.
     """
     size = len(MANIFEST)
     for i, v in enumerate(vectors):
-        if v.manifest_digest != MANIFEST.digest:
-            raise DigestMismatch(f"{where(i)}: vector digest {v.manifest_digest} "
-                                 f"!= manifest digest {MANIFEST.digest}")
         if v.values.shape != (size,):
             raise FeatureValidationError(
                 f"{where(i)}: vector has shape {v.values.shape}, the manifest has {size} slots"
@@ -550,8 +543,6 @@ def fit_normalizer(matrix: np.ndarray) -> NormalizerStats:
     return NormalizerStats(
         mean=matrix.mean(axis=0),
         std=matrix.std(axis=0, ddof=1),
-        fitted_on="train",
-        manifest_digest=MANIFEST.digest,
     )
 
 
@@ -570,7 +561,7 @@ def normalize(matrix: np.ndarray, stats: NormalizerStats) -> np.ndarray:
 
 def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
     return "".join(
-        json.dumps({"warning_id": v.warning_id, "manifest_digest": v.manifest_digest,
+        json.dumps({"warning_id": v.warning_id, "manifest_digest": MANIFEST.digest,
                     "values": v.values.tolist()}, sort_keys=True) + "\n"
         for v in vectors
     ).encode("utf-8")
@@ -578,7 +569,8 @@ def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
 
 def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[str, FeatureVector]:
     """Parse a sidecar and check its vectors with `validate_vector`; a
-    malformed or invalid line raises naming `source` and the line."""
+    malformed or invalid line, or one whose digest is not the manifest's,
+    raises naming `source` and the line."""
     vectors, line_numbers = [], []
     for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not line.strip():
@@ -588,10 +580,13 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
             vectors.append(FeatureVector(
                 obj["warning_id"],
                 np.array(obj["values"], dtype=np.float64),
-                obj["manifest_digest"],
             ))
+            digest = obj["manifest_digest"]
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise FeatureValidationError(f"{source} line {n}: {type(exc).__name__}: {exc}") from exc
+        if digest != MANIFEST.digest:
+            raise DigestMismatch(
+                f"{source} line {n}: vector digest {digest} != manifest digest {MANIFEST.digest}")
         line_numbers.append(n)
     stack_vectors(vectors, lambda i: f"{source} line {line_numbers[i]}")
     return {v.warning_id: v for v in vectors}

@@ -28,6 +28,9 @@ from .warnings import BugPattern, Label, WarningRecord, classify_bug_pattern
 
 BUDGET_GRACE_SECONDS = 5.0
 DEFAULT_TEMPLATE_DIR = Path(__file__).parent / "templates"
+SANITIZER_MARKER = re.compile(r"ERROR: (Address|Memory|Thread)Sanitizer|SUMMARY: \w+Sanitizer")
+CRASH_MARKER = re.compile(r"panicked at|SIG(SEGV|ABRT|ILL)|libfuzzer: deadly signal|== ERROR")
+BUILD_FAILURE_MARKER = re.compile(r"error\[E\d+\]|could not compile|build failed")
 
 
 class FuzzKind(Enum):
@@ -81,23 +84,17 @@ class SimOracleConfig:
             raise ValueError("p_crash_given_fp must be <= p_crash_given_tp (oracle fidelity)")
 
 
-@dataclass(frozen=True)
-class HarnessTemplate:
-    bug_pattern: BugPattern
-    text: str
-
-
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
-def load_templates(directory: Path | str = DEFAULT_TEMPLATE_DIR) -> dict[BugPattern, HarnessTemplate]:
-    """One template file per bug pattern: <pattern>.tmpl in the directory."""
+def load_templates(directory: Path | str = DEFAULT_TEMPLATE_DIR) -> dict[BugPattern, str]:
+    """Template text by bug pattern, from one <pattern>.tmpl file each in the directory."""
     directory = Path(directory)
     templates = {}
     for pattern in (BugPattern.PANIC_SAFETY, BugPattern.HIGHER_ORDER_INVARIANT, BugPattern.SEND_SYNC_VARIANCE):
         path = directory / f"{pattern.value}.tmpl"
         if path.exists():
-            templates[pattern] = HarnessTemplate(pattern, path.read_text(encoding="utf-8"))
+            templates[pattern] = path.read_text(encoding="utf-8")
     return templates
 
 
@@ -118,7 +115,7 @@ def _target_function(record: WarningRecord) -> str | None:
 
 
 def generate_harness(
-    warning: WarningRecord, template_set: dict[BugPattern, HarnessTemplate]
+    warning: WarningRecord, template_set: dict[BugPattern, str]
 ) -> str:
     """Render the warning's pattern template with target bindings.
 
@@ -149,7 +146,7 @@ def generate_harness(
             raise UnresolvableTarget(f"template placeholder {{{{{key}}}}} has no binding")
         return bindings[key]
 
-    rendered = _PLACEHOLDER.sub(sub, template_set[pattern].text)
+    rendered = _PLACEHOLDER.sub(sub, template_set[pattern])
     assert "{{" not in rendered
     return rendered
 
@@ -221,15 +218,12 @@ class ExternalBackend:
     The budget is clamped to [30, 60] seconds; at budget+5 s the command's
     whole process group is killed (outcome Inconclusive, detail "timeout").
     The TRIAGE_FUZZ_CMD environment variable overrides the configured
-    command. Marker regexes map output to outcome kinds; any setup failure
+    command. The *_MARKER regexes map output to outcome kinds; any setup failure
     is InfrastructureFailure, never raised.
     """
 
     command: str
-    templates: dict[BugPattern, HarnessTemplate] = field(default_factory=load_templates)
-    sanitizer_marker: str = r"ERROR: (Address|Memory|Thread)Sanitizer|SUMMARY: \w+Sanitizer"
-    crash_marker: str = r"panicked at|SIG(SEGV|ABRT|ILL)|libfuzzer: deadly signal|== ERROR"
-    build_failure_marker: str = r"error\[E\d+\]|could not compile|build failed"
+    templates: dict[BugPattern, str] = field(default_factory=load_templates)
     budget: float = 45.0
     budget_bounds: tuple[float, float] = (30.0, 60.0)
 
@@ -271,13 +265,13 @@ class ExternalBackend:
 
         elapsed = time.monotonic() - start
         output = stdout + "\n" + stderr
-        if re.search(self.build_failure_marker, output):
+        if BUILD_FAILURE_MARKER.search(output):
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, elapsed, "build failure")
-        if re.search(self.sanitizer_marker, output):
+        if SANITIZER_MARKER.search(output):
             return FuzzOutcome(FuzzKind.SANITIZER_VIOLATION, elapsed, "sanitizer report")
         if proc.returncode == 0:
             return FuzzOutcome(FuzzKind.CLEAN, elapsed, "clean run")
-        if re.search(self.crash_marker, output):
+        if CRASH_MARKER.search(output):
             return FuzzOutcome(FuzzKind.CRASH, elapsed, f"crash (exit {proc.returncode})")
         return FuzzOutcome(FuzzKind.INCONCLUSIVE, elapsed, f"exit {proc.returncode}, no marker")
 

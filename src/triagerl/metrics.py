@@ -24,8 +24,11 @@ class PredictionRecord:
     warning_id: str
     predicted: Label
     score: float
-    fuzz_used: bool = False
-    fuzz_kind: FuzzKind | None = None
+    fuzz_kind: FuzzKind | None = None  # the outcome of its fuzz run; None if it was not fuzzed
+
+    @property
+    def fuzz_used(self) -> bool:
+        return self.fuzz_kind is not None
 
 
 @dataclass
@@ -140,14 +143,13 @@ def compute_metrics(
 
 
 def prediction_records(ids: list[str], called: np.ndarray, scores: np.ndarray,
-                       fuzzed: np.ndarray, outcomes: np.ndarray) -> list[PredictionRecord]:
+                       outcomes: np.ndarray) -> list[PredictionRecord]:
     """One verdict per id from per-warning arrays; `outcomes` holds FUZZ_SLOTS
-    indices, read only where `fuzzed`."""
+    indices, 0 (NotRun) where the warning was not fuzzed."""
     return [
-        PredictionRecord(wid, Label.TRUE_POSITIVE if c else Label.FALSE_POSITIVE, s, f,
-                         FUZZ_SLOTS[o] if f else None)
-        for wid, c, s, f, o in zip(ids, called.tolist(), scores.tolist(), fuzzed.tolist(),
-                                   outcomes.tolist())
+        PredictionRecord(wid, Label.TRUE_POSITIVE if c else Label.FALSE_POSITIVE, s,
+                         FUZZ_SLOTS[o] if o else None)
+        for wid, c, s, o in zip(ids, called.tolist(), scores.tolist(), outcomes.tolist())
     ]
 
 
@@ -179,16 +181,19 @@ def read_verdicts(data: bytes, source: str = "verdicts") -> list[PredictionRecor
         if not line.strip():
             continue
         try:
-            wid, predicted, score, fuzz_used, fuzz_kind = line.split("\t")
+            wid, predicted, score, flag, kind = line.split("\t")
             record = PredictionRecord(
                 warning_id=wid,
                 predicted=Label(predicted),
                 score=float(score),
-                fuzz_used=fuzz_used == "1",
-                fuzz_kind=None if fuzz_kind == "-" else FuzzKind(fuzz_kind),
+                fuzz_kind=None if kind == "-" else FuzzKind(kind),
             )
             if not 0.0 <= record.score <= 1.0:
                 raise ValueError(f"score must be in [0,1], got {score}")
+            if record.fuzz_kind is FuzzKind.NOT_RUN:
+                raise ValueError("fuzz kind not_run is not an outcome")
+            if flag != str(int(record.fuzz_used)):
+                raise ValueError(f"fuzz flag {flag!r} must be 0 or 1 and agree with fuzz kind {kind}")
         except ValueError as exc:
             raise SchemaError(f"{source} line {n}: {exc}") from exc
         out.append(record)

@@ -36,7 +36,7 @@ class PolicyParams:
     """
 
     def __init__(self, input_dim: int, hidden_sizes: tuple[int, int], dropout_rate: float,
-                 seed: int, flat: np.ndarray | None = None):
+                 flat: np.ndarray | None = None):
         layout = param_layout(input_dim, hidden_sizes)
         size = sum(math.prod(shape) for _, shape in layout)
         self.flat = np.zeros(size) if flat is None else np.ascontiguousarray(flat, dtype=np.float64)
@@ -45,18 +45,16 @@ class PolicyParams:
         self.input_dim = input_dim
         self.hidden_sizes = tuple(hidden_sizes)
         self.dropout_rate = dropout_rate
-        self.seed = seed
         pos = 0
         for name, shape in layout:
             setattr(self, name, self.flat[pos : pos + math.prod(shape)].reshape(shape))
             pos += math.prod(shape)
 
     def zeros_like(self) -> "PolicyParams":
-        return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate, self.seed)
+        return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate)
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate, self.seed,
-                            self.flat.copy())
+        return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate, self.flat.copy())
 
 
 def init_params(
@@ -67,7 +65,7 @@ def init_params(
 ) -> PolicyParams:
     """Seeded symmetric-uniform init: U(±sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
-    params = PolicyParams(input_dim, hidden, dropout_rate, seed)
+    params = PolicyParams(input_dim, hidden, dropout_rate)
     for name, shape in param_layout(input_dim, hidden):
         if len(shape) == 2:  # weights, drawn in layout order
             bound = math.sqrt(6.0 / sum(shape))
@@ -86,8 +84,6 @@ def draw_dropout_masks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverted-dropout masks for n rows: keep with prob 1-rate, scaled by 1/(1-rate)."""
     shape1, shape2 = (n, sizes[0]), (n, sizes[1])
-    if rate == 0.0:
-        return np.ones(shape1), np.ones(shape2)
     keep = 1.0 - rate
     return (
         (rng.random(shape1) < keep) / keep,

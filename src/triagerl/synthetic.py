@@ -63,14 +63,9 @@ def _random_valid_vector(rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-def _build_dataset(
-    records: list[WarningRecord],
-    vectors: dict[str, FeatureVector],
-    seed: int,
-    ratios=(0.70, 0.15, 0.15),
-) -> tuple[Dataset, dict[str, FeatureVector]]:
-    assignment = stratified_split(records, ratios, seed)
-    return Dataset(records, assignment, seed), vectors
+def _build_dataset(records: list[WarningRecord], seed: int) -> Dataset:
+    assignment = stratified_split(records, (0.70, 0.15, 0.15), seed)
+    return Dataset(records, assignment)
 
 
 def separable_task(
@@ -86,8 +81,8 @@ def separable_task(
         values = _random_valid_vector(rng)
         values[signal] = 1.0 if label is Label.TRUE_POSITIVE else 0.0
         records.append(rec)
-        vectors[rec.id] = FeatureVector(rec.id, values, MANIFEST.digest)
-    return _build_dataset(records, vectors, seed)
+        vectors[rec.id] = FeatureVector(rec.id, values)
+    return _build_dataset(records, seed), vectors
 
 
 def _constant_baseline() -> np.ndarray:
@@ -133,9 +128,8 @@ def ambiguity_task(
         else:
             values[signal] = 1.0 if label is Label.TRUE_POSITIVE else -1.0
         records.append(rec)
-        vectors[rec.id] = FeatureVector(rec.id, values, MANIFEST.digest)
-    dataset, vectors = _build_dataset(records, vectors, seed)
-    return dataset, vectors, ambiguous_ids
+        vectors[rec.id] = FeatureVector(rec.id, values)
+    return _build_dataset(records, seed), vectors, ambiguous_ids
 
 
 # ---------------------------------------------------------------------------

@@ -413,11 +413,10 @@ def ppo_update(
     config: TrainConfig,
     rng: np.random.Generator,
     feature_dim: int,
-    optimizer: Adam | None = None,
+    optimizer: Adam,
 ) -> None:
     """Several passes of shuffled minibatch updates on one rollout batch,
     applied to `params` in place."""
-    optimizer = optimizer or Adam(config.learning_rate)
     grads = params.zeros_like()
     for inner in range(1, config.ppo_inner_epochs + 1):
         perm = rng.permutation(len(batch))
@@ -440,7 +439,6 @@ def ppo_update(
 class PolicyCheckpoint:
     params: PolicyParams
     normalizer: NormalizerStats
-    manifest_digest: str
     config: TrainConfig
     reward_spec: RewardSpec
     history: list[dict] = field(default_factory=list)
@@ -535,7 +533,6 @@ def train(
     return PolicyCheckpoint(
         params=best_params,
         normalizer=stats,
-        manifest_digest=MANIFEST.digest,
         config=config,
         reward_spec=reward_spec,
         history=history,
@@ -551,14 +548,14 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     p = ckpt.params
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "manifest_digest": ckpt.manifest_digest,
+        "manifest_digest": MANIFEST.digest,
         "layer_dims": [p.input_dim, *p.hidden_sizes],
         "dropout_rate": p.dropout_rate,
-        "seed": p.seed,
+        "seed": ckpt.config.seed,
         "weights": {name: getattr(p, name).ravel().tolist()
                     for name, _ in param_layout(p.input_dim, p.hidden_sizes)},
-        "normalizer": {**vars(ckpt.normalizer), "mean": ckpt.normalizer.mean.tolist(),
-                       "std": ckpt.normalizer.std.tolist()},
+        "normalizer": {"mean": ckpt.normalizer.mean.tolist(), "std": ckpt.normalizer.std.tolist(),
+                       "fitted_on": "train", "manifest_digest": MANIFEST.digest},
         "config": asdict(ckpt.config),
         "reward_spec": asdict(ckpt.reward_spec),
         "history": ckpt.history,
@@ -575,8 +572,11 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
         doc = json.loads(data.decode("utf-8"))
         if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {doc['format_version']}")
+        stats = doc["normalizer"]
+        if sorted(stats) != ["fitted_on", "manifest_digest", "mean", "std"]:
+            raise ValueError("normalizer keys must be mean, std, fitted_on and manifest_digest")
         for part, digest in (("checkpoint", doc["manifest_digest"]),
-                             ("normalizer", doc["normalizer"]["manifest_digest"])):
+                             ("normalizer", stats["manifest_digest"])):
             if digest != MANIFEST.digest:
                 raise DigestMismatch(
                     f"{source}: {part} digest {digest} != manifest digest {MANIFEST.digest}"
@@ -586,10 +586,9 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
             raise ValueError(f"input dimension {input_dim} does not fit the manifest")
         flat = np.concatenate([np.array(doc["weights"][name], dtype=np.float64)
                                for name, _ in param_layout(input_dim, (h1, h2))])
-        params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"], doc["seed"], flat)
-        stats = doc["normalizer"]
-        normalizer = NormalizerStats(**{**stats, "mean": np.array(stats["mean"], dtype=np.float64),
-                                        "std": np.array(stats["std"], dtype=np.float64)})
+        params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"], flat)
+        normalizer = NormalizerStats(np.array(stats["mean"], dtype=np.float64),
+                                     np.array(stats["std"], dtype=np.float64))
         if normalizer.mean.shape != (len(MANIFEST),) or normalizer.std.shape != (len(MANIFEST),):
             raise ValueError(f"normalizer statistics must have {len(MANIFEST)} entries each")
         if not all(np.isfinite(v).all() for v in (flat, normalizer.mean, normalizer.std)):
@@ -598,7 +597,6 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
         return PolicyCheckpoint(
             params=params,
             normalizer=normalizer,
-            manifest_digest=doc["manifest_digest"],
             config=TrainConfig(**doc["config"]),
             reward_spec=RewardSpec(**reward),
             history=doc["history"],

@@ -92,11 +92,10 @@ class WarningRecord:
 
 @dataclass
 class Dataset:
-    """Labeled records plus a split assignment produced under a fixed seed."""
+    """Labeled records plus their split assignment."""
 
     records: list[WarningRecord]
     split_assignment: dict[str, Split]
-    seed: int
 
     def split_records(self, split: Split) -> list[WarningRecord]:
         return [r for r in self.records if self.split_assignment.get(r.id) == split]
@@ -403,9 +402,7 @@ def write_split_file(
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def read_split_file(
-    data: bytes, source: str = "split file"
-) -> tuple[dict[str, Split], int, tuple[float, float, float]]:
+def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]:
     """Parse a split file; a malformed line raises SchemaError naming `source` and the line."""
     lines = data.decode("utf-8").splitlines()
     header = lines[0] if lines else ""
@@ -413,8 +410,8 @@ def read_split_file(
         if not header.startswith("# seed="):
             raise ValueError(header)
         seed_field, ratios_field = header[2:].split()[:2]
-        seed = int(seed_field.split("=", 1)[1])
-        ratios = tuple(float(x) for x in ratios_field.split("=", 1)[1].split(","))
+        int(seed_field.split("=", 1)[1])
+        [float(x) for x in ratios_field.split("=", 1)[1].split(",")]
     except (IndexError, ValueError):
         raise SchemaError(
             f"{source} line 1: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
@@ -427,4 +424,4 @@ def read_split_file(
         if token not in ("train", "val", "test"):
             raise SchemaError(f"{source} line {n}: split must be train/val/test, got {token!r}")
         assignment[wid] = Split(token)
-    return assignment, seed, ratios
+    return assignment

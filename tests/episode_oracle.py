@@ -61,15 +61,13 @@ def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False, r
             continue
         reward = reward_of(action, record.label, kind, reward_spec)
         steps.append((state, int(action), logp, reward, value))
-        fuzzed = kind is not FuzzKind.NOT_RUN
         p_tp, p_fp = float(probs[0]), float(probs[1])
         prediction = PredictionRecord(
             warning_id=record.id,
             predicted=Label.TRUE_POSITIVE if action is TriageAction.CLASSIFY_TP
             else Label.FALSE_POSITIVE,
             score=p_tp / (p_tp + p_fp),
-            fuzz_used=fuzzed,
-            fuzz_kind=kind if fuzzed else None,
+            fuzz_kind=None if kind is FuzzKind.NOT_RUN else kind,
         )
         return prediction, steps
     raise AssertionError("episode did not terminate in two steps")

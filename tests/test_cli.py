@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triagerl import fuzz as fuzz_mod
-from triagerl.cli import build_run_config, config_digest, parse_config_file, run_cli
+from triagerl.cli import CONFIG_KEYS, build_run_config, config_digest, parse_config_file, run_cli
 from triagerl.env import RewardSpec
 from triagerl.errors import SchemaError
 from triagerl.features import MANIFEST, NormalizerStats
@@ -97,10 +97,9 @@ def biased_checkpoint(path, logits):
     params = init_params(len(MANIFEST) + 6, hidden=(8, 6), dropout_rate=0.0, seed=0)
     params.flat[:] = 0.0
     params.b_pi[:] = logits
-    normalizer = NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)),
-                                 fitted_on="train", manifest_digest=MANIFEST.digest)
+    normalizer = NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)))
     path.write_bytes(save_checkpoint(PolicyCheckpoint(
-        params, normalizer, MANIFEST.digest, TrainConfig(), RewardSpec())))
+        params, normalizer, TrainConfig(), RewardSpec())))
     return path
 
 
@@ -240,6 +239,15 @@ EXTREMES = [b"1e308", b"-1e308", b"5e-324", b"1" + b"0" * 399]
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
+def first_verdict_fuzzed(flag, kind):
+    """An edit that gives the first verdict of a verdicts file the fuzz flag
+    `flag` and the fuzz kind `kind`."""
+    def edit(text):
+        first, rest = text.split("\n", 1)
+        return "\t".join([*first.split("\t")[:3], flag, kind]) + "\n" + rest
+    return edit
+
+
 def keep_one_train_record(text):
     first, rest = text.split("\ttrain", 1)
     return first + "\ttrain" + rest.replace("\ttrain", "\tval")
@@ -321,10 +329,19 @@ class TestMalformedInputs:
         ("evaluate", "features", lambda t: re.sub(r'"values": \[[^,]+', '"values": [1' + "0" * 399,
                                                   t, count=1),
          [], 3, "{bad} line 1: OverflowError: int too large to convert to float"),
+        ("report", "verdicts", first_verdict_fuzzed("7", "-"), [], 3,
+         "{bad} line 1: fuzz flag '7' must be 0 or 1 and agree with fuzz kind -"),
+        ("report", "verdicts", first_verdict_fuzzed("0", "crash"), [], 3,
+         "{bad} line 1: fuzz flag '0' must be 0 or 1 and agree with fuzz kind crash"),
+        ("report", "verdicts", first_verdict_fuzzed("1", "-"), [], 3,
+         "{bad} line 1: fuzz flag '1' must be 0 or 1 and agree with fuzz kind -"),
+        ("report", "verdicts", first_verdict_fuzzed("1", "not_run"), [], 3,
+         "{bad} line 1: fuzz kind not_run is not an outcome"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
-            "entropy-weight-negative", "huge-int-weight", "huge-int-feature"])
+            "entropy-weight-negative", "huge-int-weight", "huge-int-feature", "verdict-flag-7",
+            "verdict-crash-flag-0", "verdict-unfuzzed-flag-1", "verdict-not-run"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -504,6 +521,17 @@ class TestRunConfig:
         pinned = tmp_path / "pinned.cfg"
         pinned.write_text(pipeline["config"].read_text() + "train.seed = 3\n")
         assert checkpoint("b1", 1, pinned) == checkpoint("b2", 2, pinned)
+
+    @given(key=st.sampled_from([k for k, t in CONFIG_KEYS.items() if t is float]),
+           value=st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, 1.0,
+                                  float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))]))
+    @settings(max_examples=15, deadline=None)
+    def test_float_key_at_a_range_edge_exits_0_or_3(self, pipeline, tmp_path_factory, key, value):
+        # The ends of the float range, and 0 and 1, which bound most keys, with their neighbours.
+        edge = pipeline["config"].read_text() + f"train.epochs_max = 1\n{key} = {value!r}\n"
+        code, _ = run_with(pipeline, tmp_path_factory.mktemp("edge"), "config", edge.encode(),
+                           "train")
+        assert code in (0, 3), (key, value)
 
     def test_seed_sets_train_and_sim_seeds_unless_they_are_set(self):
         cfg = build_run_config({"seed": 4})

@@ -44,7 +44,7 @@ def verdicts(params, feats, records, **kw):
     """The engine's greedy or sampled play as verdicts, for comparison with the oracle's."""
     played = run_episodes(params, feats, records, BACKEND, **kw)
     return prediction_records([r.id for r in records], played.called, played.score,
-                              played.fuzzed, played.outcome)
+                              played.outcome)
 
 
 def policies():

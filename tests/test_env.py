@@ -86,7 +86,7 @@ def play(feats, logits, labels, backend=None, **kw):
     played = run_episodes(biased_params(feats.shape[1], logits), feats, records, backend, **kw)
     return (TrajectoryBatch.from_episodes(played, list(labels), RewardSpec()),
             prediction_records([r.id for r in records], played.called, played.score,
-                               played.fuzzed, played.outcome))
+                               played.outcome))
 
 
 class TestRewardOf:

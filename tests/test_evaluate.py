@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from triagerl.env import RewardSpec
-from triagerl.errors import DigestMismatch
 from triagerl.features import MANIFEST, FeatureVector, NormalizerStats, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.metrics import compute_metrics, read_verdicts, write_verdicts
@@ -23,12 +22,7 @@ UNINFORMATIVE_ORACLE = SimOracleConfig(
 
 
 def identity_normalizer():
-    return NormalizerStats(
-        mean=np.zeros(len(MANIFEST)),
-        std=np.ones(len(MANIFEST)),
-        fitted_on="train",
-        manifest_digest=MANIFEST.digest,
-    )
+    return NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)))
 
 
 def uniform_checkpoint():
@@ -37,7 +31,6 @@ def uniform_checkpoint():
     return PolicyCheckpoint(
         params=params,
         normalizer=identity_normalizer(),
-        manifest_digest=MANIFEST.digest,
         config=TrainConfig(seed=0),
         reward_spec=RewardSpec(),
         history=[],
@@ -84,15 +77,6 @@ class TestEvaluateCheckpoint:
         )
         assert report.accuracy >= 0.9
 
-    def test_digest_mismatch_detected(self, trained_separable):
-        dataset, vectors, ckpt = trained_separable
-        records = dataset.split_records(Split.TEST)[:3]
-        tampered = {
-            r.id: FeatureVector(r.id, vectors[r.id].values, "0" * 16) for r in records
-        }
-        with pytest.raises(DigestMismatch):
-            evaluate_checkpoint(ckpt, records, tampered, SimulatedBackend(UNINFORMATIVE_ORACLE))
-
     def test_mask_fuzz_never_fuzzes(self, trained_separable):
         dataset, vectors, ckpt = trained_separable
         records = dataset.split_records(Split.TEST)
@@ -133,7 +117,7 @@ class TestPermutationImportance:
         for wid, v in vectors.items():
             values = v.values.copy()
             values[col] = 1.0
-            patched[wid] = FeatureVector(wid, values, v.manifest_digest)
+            patched[wid] = FeatureVector(wid, values)
         results = permutation_importance(ckpt, records, patched, repeats=2, seed=0)
         by_name = {r["feature"]: r["mean_drop"] for r in results}
         assert by_name["metadata_imputed_flag"] == 0.0

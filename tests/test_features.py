@@ -1,5 +1,6 @@
 """Feature manifest, heuristic extraction, and normalization."""
 
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from triagerl.features import (
     write_feature_sidecar,
 )
 from triagerl.cli import run_cli
-from triagerl.trainer import feature_matrix
 from triagerl.warnings import (
     Level,
     WarningRecord,
@@ -88,7 +88,7 @@ def features_of(rec, meta=None, cluster_size=1):
 
 
 def vector_of(rec):
-    return FeatureVector(rec.id, features_of(rec), MANIFEST.digest)
+    return FeatureVector(rec.id, features_of(rec))
 
 
 def value_of(row, name):
@@ -307,7 +307,7 @@ class TestAgainstOracle:
         records = read_warning_store(store.read_bytes())
         metadata = read_package_metadata(paths["meta"].read_bytes())
         sizes = cluster_sizes(records, 10)  # the demo config's cluster_radius
-        expected = [FeatureVector(r.id, row, MANIFEST.digest)
+        expected = [FeatureVector(r.id, row)
                     for r, row in zip(records, oracle_matrix(records, metadata, sizes))]
         assert out.read_bytes() == write_feature_sidecar(expected)
 
@@ -331,16 +331,17 @@ class TestPrecomputedMode:
 
     def test_digest_mismatch(self):
         rec = snippet_record("fn f() {}")
-        bad = FeatureVector(rec.id, np.zeros(len(MANIFEST)), "0" * 16)
+        good = write_feature_sidecar([vector_of(rec)])
+        bad = good.replace(MANIFEST.digest.encode(), b"0" * 16)
         with pytest.raises(DigestMismatch, match=f"^f.jsonl line 2: vector digest {'0' * 16} "
                                                  f"!= manifest digest {MANIFEST.digest}$"):
-            read_back(vector_of(rec), bad)
+            read_feature_sidecar(good + bad, source="f.jsonl")
 
     def test_invalid_values_rejected(self):
         rec = snippet_record("fn f() {}")
         values = np.zeros(len(MANIFEST))
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
-        bad = FeatureVector(rec.id, values, MANIFEST.digest)
+        bad = FeatureVector(rec.id, values)
         with pytest.raises(FeatureValidationError, match="^f.jsonl line 1: borrow_ratio"):
             read_back(bad)
 
@@ -349,7 +350,7 @@ class TestPrecomputedMode:
         values = features_of(rec)
         values[MANIFEST.index_of("public_api_flag")] = 0.5
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
-        bad = FeatureVector(rec.id, values, MANIFEST.digest)
+        bad = FeatureVector(rec.id, values)
         ratio = r"^f.jsonl line 1: borrow_ratio: ratio must be in \[0,1\], got 2.0$"
         with pytest.raises(FeatureValidationError, match=ratio):
             read_back(bad)
@@ -386,7 +387,7 @@ def column_vectors(column_name, column_values):
     for i, v in enumerate(column_values):
         values = np.zeros(len(MANIFEST))
         values[MANIFEST.index_of(column_name)] = v
-        out.append(FeatureVector(f"w{i}", values, MANIFEST.digest))
+        out.append(FeatureVector(f"w{i}", values))
     return out
 
 
@@ -420,20 +421,11 @@ class TestNormalizer:
         with pytest.raises(EmptyTrainSet):
             fit(column_vectors("lines_of_code", [1.0]))
 
-    def test_digest_mismatch(self):
-        # In-memory vectors are checked where they meet the policy; a
-        # normalizer's digest is checked when its checkpoint is loaded.
-        stranger = FeatureVector("x", np.zeros(len(MANIFEST)), "f" * 16)
-        rec = make_record(0)
-        with pytest.raises(DigestMismatch, match=f"^warning {rec.id}: vector digest {'f' * 16} "
-                                                 f"!= manifest digest {MANIFEST.digest}$"):
-            feature_matrix([rec], {rec.id: stranger})
-
     def test_matrix_matches_per_slot_reference(self):
         # The per-slot rule the column operations replace, compared exactly.
         rng = np.random.default_rng(3)
-        vectors = [FeatureVector(f"w{i}", rng.integers(0, 2, len(MANIFEST)) * rng.normal(size=len(MANIFEST)),
-                                 MANIFEST.digest) for i in range(9)]
+        vectors = [FeatureVector(f"w{i}", rng.integers(0, 2, len(MANIFEST)) * rng.normal(size=len(MANIFEST)))
+                   for i in range(9)]
         vectors[0].values[:] = vectors[1].values  # rows 0 and 1 agree ...
         stats = fit(vectors)
         stats.std[::7] = 0.0  # ... and some columns are constant
@@ -458,7 +450,7 @@ class TestNormalizer:
                     values[j] = rng.normal()
                 elif entry.kind is Kind.RATIO:
                     values[j] = rng.random()
-            vectors.append(FeatureVector(f"w{i}", values, MANIFEST.digest))
+            vectors.append(FeatureVector(f"w{i}", values))
         stats = fit(vectors)
         matrix = normalized(vectors, stats)
         for j, entry in enumerate(MANIFEST.entries):
@@ -476,6 +468,7 @@ class TestSidecarIO:
     def test_round_trip(self):
         rec = snippet_record("fn f() {}")
         vec = vector_of(rec)
-        parsed = read_feature_sidecar(write_feature_sidecar([vec]))
+        data = write_feature_sidecar([vec])
+        parsed = read_feature_sidecar(data)
         assert parsed[rec.id].values.tolist() == vec.values.tolist()
-        assert parsed[rec.id].manifest_digest == MANIFEST.digest
+        assert json.loads(data)["manifest_digest"] == MANIFEST.digest

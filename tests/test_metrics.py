@@ -222,7 +222,7 @@ class TestUndefinedHandling:
 class TestSerialization:
     def test_verdicts_round_trip(self):
         preds = [
-            PredictionRecord("a" * 16, TP, 0.75, fuzz_used=True, fuzz_kind=FuzzKind.CRASH),
+            PredictionRecord("a" * 16, TP, 0.75, fuzz_kind=FuzzKind.CRASH),
             PredictionRecord("b" * 16, FP, 0.25),
         ]
         assert read_verdicts(write_verdicts(preds)) == preds
@@ -245,7 +245,7 @@ class TestSerialization:
 
     def test_fuzz_rate_counted(self):
         preds = [
-            PredictionRecord("a" * 16, TP, 0.9, fuzz_used=True, fuzz_kind=FuzzKind.CLEAN),
+            PredictionRecord("a" * 16, TP, 0.9, fuzz_kind=FuzzKind.CLEAN),
             PredictionRecord("b" * 16, FP, 0.1),
         ]
         labels = {"a" * 16: TP, "b" * 16: FP}

@@ -196,7 +196,7 @@ class TestFlattening:
         params = init_params(7, hidden=(5, 3), dropout_rate=0.1, seed=4)
         named = np.concatenate([getattr(params, name).ravel() for name, _ in param_layout(7, (5, 3))])
         assert np.array_equal(named, params.flat)
-        back = PolicyParams(7, (5, 3), 0.1, 4, params.flat.copy())
+        back = PolicyParams(7, (5, 3), 0.1, params.flat.copy())
         assert np.array_equal(back.w2, params.w2)
         back.flat[:] = 0.0
         assert not back.w1.any() and params.w1.any()
@@ -204,7 +204,7 @@ class TestFlattening:
     def test_wrong_length_rejected(self):
         params = init_params(7, hidden=(5, 3), seed=4)
         with pytest.raises(DimensionMismatch):
-            PolicyParams(7, (5, 3), 0.0, 4, params.flat[:-1])
+            PolicyParams(7, (5, 3), 0.0, params.flat[:-1])
 
     def test_init_bounds_follow_fan_sums(self):
         params = init_params(100, hidden=(50, 20), seed=9)

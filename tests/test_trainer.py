@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triagerl.env import RewardSpec
-from triagerl.errors import DigestMismatch, EmptySplit, NonFiniteLoss
+from triagerl.errors import DigestMismatch, EmptySplit, NonFiniteLoss, SchemaError
 from triagerl.features import MANIFEST
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.policy import draw_dropout_masks, forward_cache, init_params, softmax
@@ -194,7 +194,8 @@ class TestPPOObjective:
         config = TrainConfig(seed=0, learning_rate=1e-3, minibatch_size=32,
                              ppo_inner_epochs=1, dropout_rate=0.0)
         before, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim)
-        ppo_update(params, batch, config, np.random.default_rng(0), feature_dim)
+        ppo_update(params, batch, config, np.random.default_rng(0), feature_dim,
+                   Adam(config.learning_rate))
         after, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim)
         assert after < before
 
@@ -205,7 +206,8 @@ class TestPPOObjective:
         batch.advantages[3] = np.inf
         config = TrainConfig(seed=0, dropout_rate=0.0, minibatch_size=64)
         with pytest.raises(NonFiniteLoss, match="minibatch"):
-            ppo_update(params, batch, config, np.random.default_rng(0), feature_dim)
+            ppo_update(params, batch, config, np.random.default_rng(0), feature_dim,
+                       Adam(config.learning_rate))
 
 
 class TestStepAgainstOracle:
@@ -341,6 +343,18 @@ class TestTrainLoop:
             section["manifest_digest"] = "feedfacefeedface"
             with pytest.raises(DigestMismatch, match=f"^model.ckpt: {part} digest feedfacefeedface "
                                                      f"!= manifest digest {MANIFEST.digest}$"):
+                load_checkpoint(json.dumps(doc).encode("utf-8"), source="model.ckpt")
+
+    def test_normalizer_with_a_missing_or_unknown_key_is_rejected(self):
+        dataset, vectors = self.make_task()
+        ckpt = train(dataset, vectors, TrainConfig(epochs_max=1, patience=1, seed=5),
+                     SimulatedBackend(UNINFORMATIVE_ORACLE))
+        for edit in (lambda section: section.pop("fitted_on"),
+                     lambda section: section.update(extra=1)):
+            doc = json.loads(save_checkpoint(ckpt))
+            edit(doc["normalizer"])
+            with pytest.raises(SchemaError, match="^model.ckpt: ValueError: normalizer keys must "
+                                                  "be mean, std, fitted_on and manifest_digest$"):
                 load_checkpoint(json.dumps(doc).encode("utf-8"), source="model.ckpt")
 
     def test_history_has_required_log_fields(self):
