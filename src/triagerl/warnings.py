@@ -410,7 +410,7 @@ def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]
         if not header.startswith("# seed="):
             raise ValueError(header)
         seed_field, ratios_field = header[2:].split()[:2]
-        int(seed_field.split("=", 1)[1])
+        int(seed_field.split("=", 1)[1])  # checked for form only: nothing reads the seed or ratios
         [float(x) for x in ratios_field.split("=", 1)[1].split(",")]
     except (IndexError, ValueError):
         raise SchemaError(
