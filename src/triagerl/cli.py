@@ -246,7 +246,7 @@ def cmd_train(args) -> int:
     checkpoint = train(dataset, vectors, cfg.train, backend, cfg.reward, log_lines=log_lines)
     _write(args.out, save_checkpoint(checkpoint))
     if args.log:
-        _write(args.log, ("\n".join(log_lines) + "\n").encode("utf-8"))
+        _write(args.log, warn_mod.text_file(log_lines))
     best = max((h["val_f1"] for h in checkpoint.history), default=0.0)
     print(f"trained {len(checkpoint.history)} epochs, best val F1 {best:.4f}")
     return 0

@@ -13,7 +13,7 @@ import numpy as np
 from .features import MANIFEST, FeatureVector, normalize
 from .metrics import EvalReport, PredictionRecord, prediction_records, report_from_arrays
 from .trainer import PolicyCheckpoint, feature_matrix, run_episodes
-from .warnings import Label, WarningRecord
+from .warnings import Label, WarningRecord, text_file
 
 
 def evaluate_checkpoint(
@@ -73,5 +73,5 @@ def permutation_importance(
 
 
 def write_importance(results: list[dict]) -> bytes:
-    lines = [f"{rank}\t{r['feature']}\t{r['mean_drop']!r}" for rank, r in enumerate(results, 1)]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    return text_file(f"{rank}\t{r['feature']}\t{r['mean_drop']!r}"
+                     for rank, r in enumerate(results, 1))

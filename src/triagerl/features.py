@@ -7,8 +7,8 @@ warning's snippet, tokenized once, by the documented lexical rules below,
 each written beside the slot it fills; the rest come from package metadata,
 cluster sizes and the analyzer's fields. A feature sidecar can instead
 carry exact values produced out-of-band (e.g. by a compiler plugin).
-Vectors are checked against the manifest where they enter the program:
-`read_feature_sidecar`, `stack_vectors` and `validate_vector`.
+Vectors are checked against the manifest where they enter the program, by
+`read_feature_sidecar` and `validate_vector`.
 
 Lexical rules are approximations by design: they keep the engine testable on
 snippets alone while the sidecar path carries exact values when available.
@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (DigestMismatch, EmptyTrainSet, FeatureValidationError, SchemaError,
                      SnippetTooLarge)
-from .warnings import BugPattern, WarningRecord, classify_bug_pattern
+from .warnings import (BugPattern, WarningRecord, classify_bug_pattern, state_once, text_file,
+                       text_lines)
 
 MANIFEST_VERSION = 1
 EXPECTED_FEATURE_COUNT = 87
@@ -217,23 +218,6 @@ def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
         raise FeatureValidationError(f"{where(row)}: " + problem.format(
             name=MANIFEST.entries[i].name, value=float(matrix[row, i])))
     return matrix
-
-
-def stack_vectors(vectors: list[FeatureVector], where) -> np.ndarray:
-    """The vectors' values stacked into a (len(vectors), len(MANIFEST)) matrix
-    and checked by `validate_vector`.
-
-    Each vector must hold one value per slot; the first that does not raises
-    FeatureValidationError, named by `where(i)`.
-    """
-    size = len(MANIFEST)
-    for i, v in enumerate(vectors):
-        if v.values.shape != (size,):
-            raise FeatureValidationError(
-                f"{where(i)}: vector has shape {v.values.shape}, the manifest has {size} slots"
-            )
-    matrix = np.array([v.values for v in vectors], dtype=np.float64).reshape(len(vectors), size)
-    return validate_vector(matrix, where)
 
 
 # ---------------------------------------------------------------------------
@@ -560,36 +544,38 @@ def normalize(matrix: np.ndarray, stats: NormalizerStats) -> np.ndarray:
 
 
 def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
-    return "".join(
-        json.dumps({"warning_id": v.warning_id, "manifest_digest": MANIFEST.digest,
-                    "values": v.values.tolist()}, sort_keys=True) + "\n"
-        for v in vectors
-    ).encode("utf-8")
+    return text_file(json.dumps({"warning_id": v.warning_id, "manifest_digest": MANIFEST.digest,
+                                 "values": v.values.tolist()}, sort_keys=True) for v in vectors)
 
 
 def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[str, FeatureVector]:
     """Parse a sidecar and check its vectors with `validate_vector`; a
-    malformed or invalid line, or one whose digest is not the manifest's,
-    raises naming `source` and the line."""
-    vectors, line_numbers = [], []
-    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    malformed or invalid line, one whose digest is not the manifest's, or
+    one giving an id another vector, raises naming `source` and the line."""
+    vectors: dict[str, FeatureVector] = {}
+    rows, lines = [], text_lines(data)
+    for n, line in lines:
+        where = f"{source} line {n}"
         try:
             obj = json.loads(line)
-            vectors.append(FeatureVector(
-                obj["warning_id"],
-                np.array(obj["values"], dtype=np.float64),
-            ))
-            digest = obj["manifest_digest"]
+            wid, digest = obj["warning_id"], obj["manifest_digest"]
+            if not isinstance(wid, str):
+                raise TypeError(f"warning_id must be a string, got {type(wid).__name__}")
+            values = np.array(obj["values"], dtype=np.float64)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise FeatureValidationError(f"{source} line {n}: {type(exc).__name__}: {exc}") from exc
+            raise FeatureValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
         if digest != MANIFEST.digest:
             raise DigestMismatch(
-                f"{source} line {n}: vector digest {digest} != manifest digest {MANIFEST.digest}")
-        line_numbers.append(n)
-    stack_vectors(vectors, lambda i: f"{source} line {line_numbers[i]}")
-    return {v.warning_id: v for v in vectors}
+                f"{where}: vector digest {digest} != manifest digest {MANIFEST.digest}")
+        if values.shape != (len(MANIFEST),):
+            raise FeatureValidationError(
+                f"{where}: vector has shape {values.shape}, the manifest has {len(MANIFEST)} slots")
+        state_once(vectors, wid, FeatureVector(wid, values), where, FeatureValidationError,
+                   same=lambda a, b: np.array_equal(a.values, b.values, equal_nan=True))
+        rows.append(values)
+    validate_vector(np.array(rows).reshape(len(rows), len(MANIFEST)),
+                    lambda i: f"{source} line {lines[i][0]}")
+    return vectors
 
 
 def read_package_metadata(data: bytes, source: str = "package metadata") -> dict[str, PackageMetadata]:

@@ -24,8 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingRecording, UnknownPattern, UnresolvableTarget
-from .warnings import BugPattern, Label, WarningRecord, classify_bug_pattern
+from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, state_once,
+                       text_file, text_lines)
 
+BUDGET_BOUNDS = (30.0, 60.0)  # an external run's budget is clamped into this range, in seconds
 BUDGET_GRACE_SECONDS = 5.0
 DEFAULT_TEMPLATE_DIR = Path(__file__).parent / "templates"
 SANITIZER_MARKER = re.compile(r"ERROR: (Address|Memory|Thread)Sanitizer|SUMMARY: \w+Sanitizer")
@@ -105,13 +107,9 @@ def _crate_name(record: WarningRecord) -> str:
 
 
 def _target_function(record: WarningRecord) -> str | None:
-    m = re.search(r"\bfn\s+([A-Za-z_]\w*)", record.code_snippet)
-    if m:
-        return m.group(1)
-    m = re.search(r"[`']([A-Za-z_]\w*)[`']", record.description)
-    if m:
-        return m.group(1)
-    return None
+    m = (re.search(r"\bfn\s+([A-Za-z_]\w*)", record.code_snippet)
+         or re.search(r"[`']([A-Za-z_]\w*)[`']", record.description))
+    return m.group(1) if m else None
 
 
 def generate_harness(
@@ -225,11 +223,10 @@ class ExternalBackend:
     command: str
     templates: dict[BugPattern, str] = field(default_factory=load_templates)
     budget: float = 45.0
-    budget_bounds: tuple[float, float] = (30.0, 60.0)
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         start = time.monotonic()
-        lo, hi = self.budget_bounds
+        lo, hi = BUDGET_BOUNDS
         budget = min(max(self.budget, lo), hi)
         try:
             harness = generate_harness(warning, self.templates)
@@ -295,25 +292,20 @@ def run_many(call, items: list, jobs: int) -> list:
 
 
 def write_recorded_outcomes(outcomes: dict[str, FuzzOutcome]) -> bytes:
-    lines = [
-        f"{wid}\t{o.kind.value}\t{o.elapsed!r}\t{o.detail}" for wid, o in outcomes.items()
-    ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    return text_file(f"{wid}\t{o.kind.value}\t{o.elapsed!r}\t{o.detail}"
+                     for wid, o in outcomes.items())
 
 
 def read_recorded_outcomes(data: bytes, source: str = "recorded outcomes") -> dict[str, FuzzOutcome]:
     """Parse an outcomes file; a malformed line raises MissingRecording naming `source`."""
     outcomes: dict[str, FuzzOutcome] = {}
-    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    for n, line in text_lines(data):
         parts = line.split("\t", 3)
         if len(parts) < 3:
             raise MissingRecording(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
         try:
-            detail = parts[3] if len(parts) > 3 else ""
-            outcome = FuzzOutcome(FuzzKind(parts[1]), float(parts[2]), detail)
+            outcome = FuzzOutcome(FuzzKind(parts[1]), float(parts[2]), *parts[3:])
         except ValueError as exc:
             raise MissingRecording(f"{source} line {n}: {exc}") from exc
-        outcomes[parts[0]] = outcome
+        state_once(outcomes, parts[0], outcome, f"{source} line {n}", MissingRecording)
     return outcomes

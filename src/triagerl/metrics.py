@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyInput, SchemaError, UnlabeledRecordError
 from .fuzz import FUZZ_SLOTS, FuzzKind
-from .warnings import Label
+from .warnings import Label, text_file, text_lines
 
 
 @dataclass
@@ -164,22 +164,19 @@ def write_report(report: EvalReport) -> bytes:
             lines.append(f"{key} = {value}")
         else:
             lines.append(f"{key} = {value!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return text_file(lines)
 
 
 def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
     """Verdicts file: id, predicted label, score, fuzz flag, fuzz kind."""
-    lines = [f"{p.warning_id}\t{p.predicted.value}\t{p.score!r}\t{int(p.fuzz_used)}\t"
-             f"{p.fuzz_kind.value if p.fuzz_kind is not None else '-'}" for p in predictions]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    return text_file(f"{p.warning_id}\t{p.predicted.value}\t{p.score!r}\t{int(p.fuzz_used)}\t"
+                     f"{p.fuzz_kind.value if p.fuzz_kind else '-'}" for p in predictions)
 
 
 def read_verdicts(data: bytes, source: str = "verdicts") -> list[PredictionRecord]:
     """Parse a verdicts file; a malformed line raises SchemaError naming `source` and the line."""
     out = []
-    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    for n, line in text_lines(data):
         try:
             wid, predicted, score, flag, kind = line.split("\t")
             record = PredictionRecord(

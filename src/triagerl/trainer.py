@@ -23,7 +23,7 @@ from .errors import (DigestMismatch, DimensionMismatch, EmptySplit, FeatureValid
                      LengthMismatch, NonFiniteLoss, NonFiniteScores, SchemaError,
                      UnlabeledRecordError)
 from .features import (MANIFEST, FeatureVector, NormalizerStats, fit_normalizer, normalize,
-                       stack_vectors)
+                       validate_vector)
 from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import report_from_arrays
 from .policy import (PolicyParams, draw_dropout_masks, forward_cache, init_params, param_layout,
@@ -33,6 +33,8 @@ from .warnings import Dataset, Label, Split, WarningRecord
 CHECKPOINT_FORMAT_VERSION = 1
 # A state: the manifest's features, then a one-hot of the fuzz outcome slots.
 STATE_DIM = len(MANIFEST) + len(FUZZ_SLOTS)
+# Adam's moment decay rates and the guard added to its denominator.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -376,11 +378,8 @@ def ppo_loss_and_grads(
 class Adam:
     """Adaptive moment estimation over a flat parameter vector, updated in place."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.t = 0
@@ -392,17 +391,17 @@ class Adam:
             self._scratch = np.empty_like(flat), np.empty_like(flat)
         self.t += 1
         a, b = self._scratch
-        self.m *= self.beta1
-        self.m += np.multiply(1 - self.beta1, grad, out=a)
-        self.v *= self.beta2
+        self.m *= ADAM_BETA1
+        self.m += np.multiply(1 - ADAM_BETA1, grad, out=a)
+        self.v *= ADAM_BETA2
         np.square(grad, out=a)
-        a *= 1 - self.beta2
+        a *= 1 - ADAM_BETA2
         self.v += a
-        np.divide(self.m, 1 - self.beta1**self.t, out=a)  # m_hat
+        np.divide(self.m, 1 - ADAM_BETA1**self.t, out=a)  # m_hat
         a *= self.lr
-        np.divide(self.v, 1 - self.beta2**self.t, out=b)  # v_hat
+        np.divide(self.v, 1 - ADAM_BETA2**self.t, out=b)  # v_hat
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         a /= b
         flat -= a
 
@@ -445,12 +444,18 @@ class PolicyCheckpoint:
 
 
 def feature_matrix(records: list[WarningRecord], vectors: dict[str, FeatureVector]) -> np.ndarray:
-    """Raw feature rows of `records`, in order, checked by `stack_vectors`:
-    shape (len(records), len(MANIFEST))."""
-    missing = [r.id for r in records if r.id not in vectors]
-    if missing:
-        raise FeatureValidationError(f"no feature vector for warning {missing[0]}")
-    return stack_vectors([vectors[r.id] for r in records], lambda i: f"warning {records[i].id}")
+    """Raw feature rows of `records`, in order, checked by `validate_vector`:
+    shape (len(records), len(MANIFEST)). A record without a vector of one
+    value per slot raises FeatureValidationError."""
+    for r in records:
+        if r.id not in vectors:
+            raise FeatureValidationError(f"no feature vector for warning {r.id}")
+        if vectors[r.id].values.shape != (len(MANIFEST),):
+            raise FeatureValidationError(f"warning {r.id}: vector has shape "
+                                         f"{vectors[r.id].values.shape}, the manifest has "
+                                         f"{len(MANIFEST)} slots")
+    matrix = np.array([vectors[r.id].values for r in records]).reshape(len(records), len(MANIFEST))
+    return validate_vector(matrix, lambda i: f"warning {records[i].id}")
 
 
 def train(
@@ -581,6 +586,10 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
                 raise DigestMismatch(
                     f"{source}: {part} digest {digest} != manifest digest {MANIFEST.digest}"
                 )
+        if type(doc["seed"]) is not int:
+            raise ValueError(f"seed must be an integer, got {doc['seed']!r}")
+        if type(doc["dropout_rate"]) not in (int, float) or not 0 <= doc["dropout_rate"] < 1:
+            raise ValueError(f"dropout_rate must be a number in [0,1), got {doc['dropout_rate']!r}")
         input_dim, h1, h2 = doc["layer_dims"]
         if input_dim != STATE_DIM:
             raise ValueError(f"input dimension {input_dim} does not fit the manifest")

@@ -334,26 +334,41 @@ def cluster_sizes(records: list[WarningRecord], radius: int = 10) -> dict[str, i
 
 
 # ---------------------------------------------------------------------------
-# File interfaces: warning store, label sidecar, split file.
+# File interfaces: the line-file rule, warning store, label sidecar, split file.
 # ---------------------------------------------------------------------------
+
+
+def text_lines(data: bytes) -> list[tuple[int, str]]:
+    r"""(1-based number, text) of each non-blank line of a UTF-8 line file. A
+    line ends at "\n"; a "\r" just before the "\n" belongs to the ending."""
+    text = data.decode("utf-8").replace("\r\n", "\n")
+    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+
+
+def text_file(lines) -> bytes:
+    r"""The line file holding `lines`, each ended by "\n"."""
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
+def state_once(table: dict, key: str, value, where: str, error, same=lambda a, b: a == b) -> None:
+    """table[key] = value; a key already stated with another value raises `error` at `where`."""
+    if key in table and not same(table[key], value):
+        raise error(f"{where}: {key} was stated before with another value")
+    table[key] = value
 
 
 def write_warning_store(records: list[WarningRecord]) -> bytes:
     """Warning store: one JSON object per line, id first, then the schema keys sorted."""
-    lines = []
-    for r in records:
-        obj = {"id": r.id, **{name: getattr(r, name) for name in sorted(REPORT_FIELDS)}}
-        obj["level"] = r.level.value  # keeps its sorted place
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    return text_file(
+        json.dumps({"id": r.id, **{name: getattr(r, name) for name in sorted(REPORT_FIELDS)},
+                    "level": r.level.value}, ensure_ascii=False)  # level keeps its sorted place
+        for r in records)
 
 
 def read_warning_store(data: bytes, source: str = "warning store") -> list[WarningRecord]:
     """Parse a warning store; a malformed line raises SchemaError naming `source` and the line."""
     records = []
-    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    for n, line in text_lines(data):
         where = f"{source} line {n}"
         try:
             obj = json.loads(line)
@@ -367,26 +382,20 @@ def read_warning_store(data: bytes, source: str = "warning store") -> list[Warni
     return records
 
 
-def write_label_sidecar(labels: dict[str, Label], sources: dict[str, str] | None = None) -> bytes:
-    lines = [
-        f"{wid}\t{label.value}\t{(sources or {}).get(wid, 'manual')}"
-        for wid, label in labels.items()
-    ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+def write_label_sidecar(labels: dict[str, Label]) -> bytes:
+    return text_file(f"{wid}\t{label.value}\tmanual" for wid, label in labels.items())
 
 
 def read_label_sidecar(data: bytes, source: str = "label sidecar") -> dict[str, Label]:
     labels: dict[str, Label] = {}
-    for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    for n, line in text_lines(data):
         parts = line.split("\t", 2)
         if len(parts) < 2:
             raise SchemaError(f"{source} line {n}: expected 'id<TAB>label<TAB>source'")
         wid, token = parts[0], parts[1]
         if token not in ("tp", "fp"):
             raise SchemaError(f"{source} line {n}: label must be tp or fp, got {token!r}")
-        labels[wid] = Label(token)
+        state_once(labels, wid, Label(token), f"{source} line {n}", SchemaError)
     return labels
 
 
@@ -398,14 +407,13 @@ def write_split_file(
     assignment: dict[str, Split], seed: int, ratios: tuple[float, float, float]
 ) -> bytes:
     header = f"# seed={seed} ratios={ratios[0]!r},{ratios[1]!r},{ratios[2]!r}"
-    lines = [header] + [f"{wid}\t{split.value}" for wid, split in assignment.items()]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return text_file([header] + [f"{wid}\t{split.value}" for wid, split in assignment.items()])
 
 
 def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]:
     """Parse a split file; a malformed line raises SchemaError naming `source` and the line."""
-    lines = data.decode("utf-8").splitlines()
-    header = lines[0] if lines else ""
+    lines = text_lines(data)
+    n, header = lines[0] if lines else (1, "")
     try:
         if not header.startswith("# seed="):
             raise ValueError(header)
@@ -414,14 +422,12 @@ def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]
         [float(x) for x in ratios_field.split("=", 1)[1].split(",")]
     except (IndexError, ValueError):
         raise SchemaError(
-            f"{source} line 1: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
+            f"{source} line {n}: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
         ) from None
-    assignment = {}
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    assignment: dict[str, Split] = {}
+    for n, line in lines[1:]:
         wid, _, token = line.partition("\t")
         if token not in ("train", "val", "test"):
             raise SchemaError(f"{source} line {n}: split must be train/val/test, got {token!r}")
-        assignment[wid] = Split(token)
+        state_once(assignment, wid, Split(token), f"{source} line {n}", SchemaError)
     return assignment

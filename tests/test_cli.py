@@ -18,9 +18,13 @@ from triagerl import fuzz as fuzz_mod
 from triagerl.cli import CONFIG_KEYS, build_run_config, config_digest, parse_config_file, run_cli
 from triagerl.env import RewardSpec
 from triagerl.errors import SchemaError
-from triagerl.features import MANIFEST, NormalizerStats
+from triagerl.features import (MANIFEST, NormalizerStats, read_feature_sidecar,
+                               write_feature_sidecar)
+from triagerl.fuzz import read_recorded_outcomes
+from triagerl.metrics import read_verdicts
 from triagerl.policy import init_params
 from triagerl.trainer import PolicyCheckpoint, TrainConfig, save_checkpoint
+from triagerl.warnings import read_label_sidecar, read_split_file, read_warning_store
 
 from conftest import run_demo_pipeline, sha256, write_demo_inputs
 from test_fuzz import fake_cmd
@@ -337,11 +341,26 @@ class TestMalformedInputs:
          "{bad} line 1: fuzz flag '1' must be 0 or 1 and agree with fuzz kind -"),
         ("report", "verdicts", first_verdict_fuzzed("1", "not_run"), [], 3,
          "{bad} line 1: fuzz kind not_run is not an outcome"),
+        ("evaluate", "checkpoint", lambda t: t.replace('"dropout_rate":0.2', '"dropout_rate":"abc"', 1),
+         [], 3, "{bad}: ValueError: dropout_rate must be a number in [0,1), got 'abc'"),
+        ("evaluate", "checkpoint", lambda t: t.replace('"dropout_rate":0.2', '"dropout_rate":null', 1),
+         [], 3, "{bad}: ValueError: dropout_rate must be a number in [0,1), got None"),
+        ("evaluate", "checkpoint", lambda t: t.replace('"dropout_rate":0.2', '"dropout_rate":5.0', 1),
+         [], 3, "{bad}: ValueError: dropout_rate must be a number in [0,1), got 5.0"),
+        ("evaluate", "checkpoint", lambda t: t.replace(',"seed":7', "", 1), [], 3,
+         "{bad}: KeyError: 'seed'"),
+        ("evaluate", "checkpoint", lambda t: t.replace('"seed":7', '"seed":7.5', 1), [], 3,
+         "{bad}: ValueError: seed must be an integer, got 7.5"),
+        ("evaluate", "features", lambda t: re.sub(r'"warning_id": ("\w+")', r'"warning_id": [\1]', t,
+                                                  count=1),
+         [], 3, "{bad} line 1: TypeError: warning_id must be a string, got list"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
             "entropy-weight-negative", "huge-int-weight", "huge-int-feature", "verdict-flag-7",
-            "verdict-crash-flag-0", "verdict-unfuzzed-flag-1", "verdict-not-run"])
+            "verdict-crash-flag-0", "verdict-unfuzzed-flag-1", "verdict-not-run",
+            "checkpoint-dropout-string", "checkpoint-dropout-null", "checkpoint-dropout-5",
+            "checkpoint-no-seed", "checkpoint-seed-float", "sidecar-id-list"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -433,6 +452,82 @@ class TestMalformedInputs:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == [
             "input error: epoch 1: non-finite loss in PPO pass 2, minibatch 1; " + SCALES_LOSS]
+
+
+def restate_feature_vector(line):
+    """`line` of a feature sidecar with its public_api_flag slot flipped."""
+    obj = json.loads(line)
+    slot = MANIFEST.index_of("public_api_flag")
+    obj["values"][slot] = 1.0 - obj["values"][slot]
+    return json.dumps(obj, sort_keys=True)
+
+
+def swap(line, column, a, b):
+    """`line` with its tab-separated `column` set to b if it is a, else to a."""
+    parts = line.split("\t")
+    parts[column] = b if parts[column] == a else a
+    return "\t".join(parts)
+
+
+# For each keyed line file: which line states the first id, and that line
+# with another value for the id.
+RESTATED = {
+    "labels": (0, lambda line: swap(line, 1, "tp", "fp")),
+    "splits": (1, lambda line: swap(line, 1, "train", "val")),
+    "features": (0, restate_feature_vector),
+    "outcomes": (0, lambda line: swap(line, 1, "clean", "crash")),
+}
+
+# Each line format's reader, and how to compare what it read.
+LINE_READERS = {
+    "warnings": (read_warning_store, list),
+    "labels": (read_label_sidecar, dict),
+    "splits": (read_split_file, dict),
+    "features": (read_feature_sidecar, lambda vectors: write_feature_sidecar(list(vectors.values()))),
+    "outcomes": (read_recorded_outcomes, dict),
+    "verdicts": (read_verdicts, list),
+}
+
+
+class TestLineFiles:
+    @pytest.mark.parametrize("name", list(RESTATED))
+    def test_an_id_stated_twice_must_agree(self, pipeline, tmp_path, capsys, name):
+        lines = pipeline[name].read_text().splitlines()
+        index, restate = RESTATED[name]
+        first = lines[index]
+        wid = json.loads(first)["warning_id"] if name == "features" else first.split("\t")[0]
+        code, _ = run_with(pipeline, tmp_path, name, "\n".join([*lines, first, ""]).encode())
+        assert code == 0, capsys.readouterr().err
+        other = restate(first)
+        assert other != first
+        code, bad = run_with(pipeline, tmp_path, name, "\n".join([*lines, other, ""]).encode())
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert f"{bad} line {len(lines) + 1}: {wid} was stated before with another value" in err
+
+    def test_sidecar_of_a_store_with_identical_warnings_loads(self, pipeline, tmp_path):
+        report = json.loads(pipeline["report"].read_text())
+        paths = {name: tmp_path / name for name in ("report.json", "w.jsonl", "f.jsonl", "g.jsonl")}
+        paths["report.json"].write_text(json.dumps([*report, report[0]]))
+        p = {name: str(path) for name, path in paths.items()}
+        cfg = ["--config", str(pipeline["config"])]
+        assert run_cli(["ingest", "--report", p["report.json"], "--out", p["w.jsonl"], *cfg]) == 0
+        assert run_cli(["featurize", "--warnings", p["w.jsonl"], "--meta", str(pipeline["meta"]),
+                        "--out", p["f.jsonl"], *cfg]) == 0
+        lines = paths["f.jsonl"].read_text().splitlines()
+        assert len(lines) == len(report) + 1 and lines[-1] == lines[0]
+        assert run_cli(["featurize", "--warnings", p["w.jsonl"], "--mode", "precomputed",
+                        "--sidecar", p["f.jsonl"], "--out", p["g.jsonl"], *cfg]) == 0
+        assert paths["g.jsonl"].read_bytes() == paths["f.jsonl"].read_bytes()
+
+    @pytest.mark.parametrize("name", list(LINE_READERS))
+    def test_crlf_file_reads_as_its_lf_copy(self, pipeline, name):
+        read, comparable = LINE_READERS[name]
+        lf = pipeline[name].read_bytes()
+        if name == "labels":  # the source column is optional
+            lf = lf.replace(b"\tmanual\n", b"\n")
+        crlf = lf.replace(b"\n", b"\r\n")
+        assert comparable(read(crlf)) == comparable(read(lf))
 
 
 class TestFilesTouched:

@@ -124,5 +124,6 @@ def test_play_and_importance_build_no_verdicts_and_no_rewards(corpus, task, monk
         played = run_episodes(params, feats, records, BACKEND, mask_fuzz=mask_fuzz)
         assert played.fuzzed.any() != mask_fuzz
     normalizer = fit_normalizer(feature_matrix(*corpus))
-    ckpt = PolicyCheckpoint(params, normalizer, MANIFEST.digest, TrainConfig(), SPEC)
+    ckpt = PolicyCheckpoint(params=params, normalizer=normalizer, config=TrainConfig(),
+                            reward_spec=SPEC)
     assert len(permutation_importance(ckpt, *corpus)) == len(MANIFEST)

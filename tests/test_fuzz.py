@@ -258,8 +258,9 @@ class TestExternalBackend:
         self.make(tmp_path, script, budget=500).run(panic_warning(), TP)
         assert "--budget 60" in log.read_text()
 
-    def test_timeout_kills_within_grace(self, tmp_path):
-        backend = self.make(tmp_path, "sleep 30\n", budget=0.3, budget_bounds=(0.2, 0.4))
+    def test_timeout_kills_within_grace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fuzz_mod, "BUDGET_BOUNDS", (0.2, 0.4))
+        backend = self.make(tmp_path, "sleep 30\n", budget=0.3)
         start = time.monotonic()
         outcome = backend.run(panic_warning(), TP)
         elapsed = time.monotonic() - start
@@ -297,10 +298,11 @@ class TestExternalBackend:
             assert path.parent.parent == Path(tempfile.gettempdir())
             assert not path.parent.exists()
 
-    def test_timeout_kills_whole_process_group(self, tmp_path):
+    def test_timeout_kills_whole_process_group(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fuzz_mod, "BUDGET_BOUNDS", (0.2, 0.4))
         pidfile = tmp_path / "child.pid"
         script = f"sleep 30 &\necho $! > {pidfile}\nwait\n"
-        backend = self.make(tmp_path, script, budget=0.3, budget_bounds=(0.2, 0.4))
+        backend = self.make(tmp_path, script, budget=0.3)
         outcome = backend.run(panic_warning(), TP)
         assert outcome.detail == "timeout"
         pid = int(pidfile.read_text())

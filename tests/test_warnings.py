@@ -21,6 +21,8 @@ from triagerl.warnings import (
     read_split_file,
     read_warning_store,
     stratified_split,
+    text_file,
+    text_lines,
     warning_id,
     write_label_sidecar,
     write_split_file,
@@ -333,6 +335,18 @@ class TestClusterWarnings:
 
 
 class TestFileInterfaces:
+    def test_text_file_ends_every_line(self):
+        for lines in ([], ["a"], ["a", "", "b\tc"]):
+            assert text_file(lines) == ("\n".join(lines) + "\n" if lines else "").encode()
+
+    def test_text_lines_number_the_non_blank_lines(self):
+        assert text_lines(b"a\r\n\n  \r\nb\rc\nd") == [(1, "a"), (4, "b\rc"), (5, "d")]
+
+    def test_label_sidecar_rejects_two_labels_for_one_id(self):
+        read_label_sidecar(b"aa\ttp\nbb\tfp\naa\ttp\tmanual\n")
+        with pytest.raises(SchemaError, match="label sidecar line 3: aa was stated before"):
+            read_label_sidecar(b"aa\ttp\nbb\tfp\naa\tfp\n")
+
     def test_label_sidecar_round_trip(self):
         labels = {"aa00" * 4: Label.TRUE_POSITIVE, "bb11" * 4: Label.FALSE_POSITIVE}
         assert read_label_sidecar(write_label_sidecar(labels)) == labels
