@@ -169,8 +169,9 @@ def write_report(report: EvalReport) -> bytes:
 
 def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
     """Verdicts file: id, predicted label, score, fuzz flag, fuzz kind."""
-    return text_file(f"{p.warning_id}\t{p.predicted.value}\t{p.score!r}\t{int(p.fuzz_used)}\t"
-                     f"{p.fuzz_kind.value if p.fuzz_kind else '-'}" for p in predictions)
+    return text_file(
+        f"{p.warning_id}\t{p.predicted.value}\t{p.score!r}\t{int(p.fuzz_used)}\t"
+        f"{p.fuzz_kind.value if p.fuzz_kind is not None else '-'}" for p in predictions)
 
 
 def read_verdicts(data: bytes, source: str = "verdicts") -> list[PredictionRecord]:
