@@ -224,14 +224,18 @@ def cmd_featurize(args) -> int:
             print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
             return 2
         by_id = _load(features_mod.read_feature_sidecar, args.sidecar)
-        missing = [r.id for r in records if r.id not in by_id]
-        if missing:
-            raise FeatureValidationError(f"sidecar has no vector for warning {missing[0]}")
-        vectors = [by_id[r.id] for r in records]
     else:
         sizes = warn_mod.cluster_sizes(records, cfg.cluster_radius)
         matrix = extract_features(records, metadata, sizes, args.warnings)
-        vectors = [FeatureVector(r.id, row) for r, row in zip(records, matrix)]
+        by_id = {}  # the sidecar states one vector per id
+        for r, row in zip(records, matrix):
+            if not np.array_equal(by_id.setdefault(r.id, FeatureVector(r.id, row)).values, row):
+                raise FeatureValidationError(f"{args.warnings}: warnings with id {r.id} differ "
+                                             "in level, op_type or code_snippet")
+    missing = [r.id for r in records if r.id not in by_id]
+    if missing:
+        raise FeatureValidationError(f"sidecar has no vector for warning {missing[0]}")
+    vectors = [by_id[r.id] for r in records]
     _write(args.out, features_mod.write_feature_sidecar(vectors))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export().encode("utf-8"))

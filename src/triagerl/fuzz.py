@@ -107,9 +107,13 @@ def _crate_name(record: WarningRecord) -> str:
 
 
 def _target_function(record: WarningRecord) -> str | None:
-    m = (re.search(r"\bfn\s+([A-Za-z_]\w*)", record.code_snippet)
-         or re.search(r"[`']([A-Za-z_]\w*)[`']", record.description))
-    return m.group(1) if m else None
+    m = re.search(r"\bfn\s+([A-Za-z_]\w*)", record.code_snippet)
+    if m:
+        return m.group(1)
+    m = re.search(r"[`']([A-Za-z_]\w*)[`']", record.description)
+    if m:
+        return m.group(1)
+    return None
 
 
 def generate_harness(
@@ -304,7 +308,8 @@ def read_recorded_outcomes(data: bytes, source: str = "recorded outcomes") -> di
         if len(parts) < 3:
             raise MissingRecording(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
         try:
-            outcome = FuzzOutcome(FuzzKind(parts[1]), float(parts[2]), *parts[3:])
+            detail = parts[3] if len(parts) > 3 else ""
+            outcome = FuzzOutcome(FuzzKind(parts[1]), float(parts[2]), detail)
         except ValueError as exc:
             raise MissingRecording(f"{source} line {n}: {exc}") from exc
         state_once(outcomes, parts[0], outcome, f"{source} line {n}", MissingRecording)

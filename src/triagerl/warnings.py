@@ -359,10 +359,12 @@ def state_once(table: dict, key: str, value, where: str, error, same=lambda a, b
 
 def write_warning_store(records: list[WarningRecord]) -> bytes:
     """Warning store: one JSON object per line, id first, then the schema keys sorted."""
-    return text_file(
-        json.dumps({"id": r.id, **{name: getattr(r, name) for name in sorted(REPORT_FIELDS)},
-                    "level": r.level.value}, ensure_ascii=False)  # level keeps its sorted place
-        for r in records)
+    lines = []
+    for r in records:
+        obj = {"id": r.id, **{name: getattr(r, name) for name in sorted(REPORT_FIELDS)}}
+        obj["level"] = r.level.value  # keeps its sorted place
+        lines.append(json.dumps(obj, ensure_ascii=False))
+    return text_file(lines)
 
 
 def read_warning_store(data: bytes, source: str = "warning store") -> list[WarningRecord]:

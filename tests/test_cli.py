@@ -515,6 +515,22 @@ class TestLineFiles:
                         "--sidecar", p["f.jsonl"], "--out", p["g.jsonl"], *cfg]) == 0
         assert paths["g.jsonl"].read_bytes() == paths["f.jsonl"].read_bytes()
 
+    def test_featurize_refuses_warnings_sharing_an_id_with_other_features(
+            self, pipeline, tmp_path, capsys):
+        report = json.loads(pipeline["report"].read_text())
+        other = {**report[0], "level": "Info" if report[0]["level"] != "Info" else "Error"}
+        (tmp_path / "r.json").write_text(json.dumps([*report, other]))
+        store, sidecar = tmp_path / "w.jsonl", tmp_path / "f.jsonl"
+        cfg = ["--config", str(pipeline["config"])]
+        assert run_cli(["ingest", "--report", str(tmp_path / "r.json"), "--out", str(store),
+                        *cfg]) == 0
+        records = read_warning_store(store.read_bytes())
+        assert records[0].id == records[-1].id and records[0].level != records[-1].level
+        assert run_cli(["featurize", "--warnings", str(store), "--meta", str(pipeline["meta"]),
+                        "--out", str(sidecar), *cfg]) == 3
+        assert f"{store}: warnings with id {records[0].id} differ" in capsys.readouterr().err
+        assert not sidecar.exists()
+
     @pytest.mark.parametrize("name", list(LINE_READERS))
     def test_crlf_file_reads_as_its_lf_copy(self, pipeline, name):
         lf = pipeline[name].read_bytes()

@@ -7,6 +7,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "triagerl").glob("*.py"))
 CALLERS = [*SOURCES, *sorted((ROOT / "scripts").glob("*.py")),
            *sorted((ROOT / "perfbench").glob("*.py"))]
+MODULES = {f"triagerl.{path.stem}" for path in SOURCES}
 
 
 def defined_names(tree):
@@ -26,23 +27,53 @@ def defined_names(tree):
                     yield name.id, node
 
 
-def references(tree):
-    """(name, line) of every name and attribute read or written in `tree`."""
+def imported(tree):
+    """Each local name an import in `tree` binds to a triagerl module or to a
+    name in one: local -> (module, None) or (module, name)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "triagerl" if node.level else ""  # relative imports sit in the package
+            module = ".".join(part for part in (base, node.module) if part)
+            for alias in node.names:
+                full = f"{module}.{alias.name}"
+                bound[alias.asname or alias.name] = (
+                    (full, None) if full in MODULES else (module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in MODULES and alias.asname:
+                    bound[alias.asname] = (alias.name, None)
+    return bound
+
+
+def references(tree, module):
+    """((module, name), line) of each use of a triagerl name in `tree`, the
+    code of `module`: a bare name of `module` itself or one imported from
+    another module, or an attribute read off an imported module."""
+    bound = imported(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if node.id in bound and bound[node.id][1] is not None:
+                yield bound[node.id], node.lineno
+            else:
+                yield (module, node.id), node.lineno
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and bound.get(node.value.id, (None, ""))[1] is None):
+            yield (bound[node.value.id][0], node.attr), node.lineno
 
 
 def test_every_public_name_in_src_has_a_caller_outside_tests():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
-    refs = {path: list(references(tree)) for path, tree in trees.items()}
+    refs = []
+    for path in CALLERS:
+        module = f"triagerl.{path.stem}" if path in SOURCES else str(path)
+        refs += [(path, ref, line)
+                 for ref, line in references(ast.parse(path.read_text(encoding="utf-8")), module)]
     unused = []
     for path in SOURCES:
-        for name, node in defined_names(trees[path]):
+        module = f"triagerl.{path.stem}"
+        for name, node in defined_names(ast.parse(path.read_text(encoding="utf-8"))):
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(ref == name and not (other == path and line in own)
-                       for other in CALLERS for ref, line in refs[other]):
+            if not any(ref == (module, name) and not (other == path and line in own)
+                       for other, ref, line in refs):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "referenced only by tests or nowhere: " + ", ".join(unused)
