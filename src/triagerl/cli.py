@@ -229,7 +229,9 @@ def cmd_featurize(args) -> int:
         matrix = extract_features(records, metadata, sizes, args.warnings)
         by_id = {}  # the sidecar states one vector per id
         for r, row in zip(records, matrix):
-            if not np.array_equal(by_id.setdefault(r.id, FeatureVector(r.id, row)).values, row):
+            if r.id not in by_id:
+                by_id[r.id] = FeatureVector(r.id, row)
+            elif not np.array_equal(by_id[r.id].values, row):
                 raise FeatureValidationError(f"{args.warnings}: warnings with id {r.id} differ "
                                              "in level, op_type or code_snippet")
     missing = [r.id for r in records if r.id not in by_id]
