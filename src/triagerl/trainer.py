@@ -447,14 +447,15 @@ def feature_matrix(records: list[WarningRecord], vectors: dict[str, FeatureVecto
     """Raw feature rows of `records`, in order, checked by `validate_vector`:
     shape (len(records), len(MANIFEST)). A record without a vector of one
     value per slot raises FeatureValidationError."""
+    size = len(MANIFEST)
     for r in records:
         if r.id not in vectors:
             raise FeatureValidationError(f"no feature vector for warning {r.id}")
-        if vectors[r.id].values.shape != (len(MANIFEST),):
+        if vectors[r.id].values.shape != (size,):
             raise FeatureValidationError(f"warning {r.id}: vector has shape "
                                          f"{vectors[r.id].values.shape}, the manifest has "
-                                         f"{len(MANIFEST)} slots")
-    matrix = np.array([vectors[r.id].values for r in records]).reshape(len(records), len(MANIFEST))
+                                         f"{size} slots")
+    matrix = np.array([vectors[r.id].values for r in records]).reshape(len(records), size)
     return validate_vector(matrix, lambda i: f"warning {records[i].id}")
 
 
