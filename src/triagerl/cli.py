@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_finite(self)
-        if self.cluster_radius < 0:
-            raise ValueError(f"cluster_radius must be >= 0, got {self.cluster_radius}")
+        for name in ("seed", "cluster_radius"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.jobs > fuzz_mod.MAX_JOBS:
+            raise ValueError(f"jobs must be <= {fuzz_mod.MAX_JOBS}, got {self.jobs}")
 
 
 # Each config key (`name` or `section.name`) and the type of its value.
@@ -68,15 +71,15 @@ CONFIG_KEYS: dict[str, type] = {
 }
 
 
-def parse_config_file(text: str, source: str = "config") -> dict[str, object]:
-    """Flat `key = value` lines, each value converted to its key's type;
-    '#' starts a comment; blank lines ignored.
+def parse_config_file(data: bytes, source: str = "config") -> dict[str, object]:
+    """Flat `key = value` lines of a line file, each value converted to its
+    key's type; '#' starts a comment.
 
     A line that is not `key = value`, names no config key, or holds a value
     of the wrong type raises SchemaError naming `source` and the line.
     """
     out: dict[str, object] = {}
-    for n, raw in enumerate(text.splitlines(), start=1):
+    for n, raw in warn_mod.text_lines(data):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -111,9 +114,9 @@ def build_run_config(values: dict[str, object], source: str = "config") -> RunCo
         except ValueError as exc:
             raise SchemaError(f"{source}: {section + '.' if section else ''}{exc}") from None
 
-    for section, cls in _SECTIONS.items():
-        kwargs[""][section] = build(cls, section)
-    return build(RunConfig, "")
+    # The top level first: a bad `seed` is named as given, not as a section seed following it.
+    top = build(RunConfig, "")
+    return replace(top, **{section: build(cls, section) for section, cls in _SECTIONS.items()})
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -124,7 +127,7 @@ def config_digest(cfg: RunConfig) -> str:
 def _load_config(args) -> RunConfig:
     values = {}
     if args.config:
-        values = parse_config_file(_read_bytes(args.config).decode("utf-8"), args.config)
+        values = _load(parse_config_file, args.config)
     # A flag whose dest is a config key overrides that key when it is given.
     values.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
     cfg = build_run_config(values, args.config or "config")
@@ -297,7 +300,7 @@ def cmd_fuzz_validate(args) -> int:
     records = _load(warn_mod.read_warning_store, args.warnings)
     labels = _load(warn_mod.read_label_sidecar, args.labels) if args.labels else {}
     by_id = {r.id: r for r in records}
-    ids = args.ids.split(",") if args.ids else list(by_id)
+    ids = list(dict.fromkeys(args.ids.split(",") if args.ids else by_id))  # each id once
     missing = [w for w in ids if w not in by_id]
     if missing:
         raise MissingRecording(f"warnings not in store: {', '.join(missing)}")
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="training log file (one line per epoch)")
 
     p = command("evaluate", cmd_evaluate, "score a checkpoint on a split", "--checkpoint", *dataset)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--mask-fuzz", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--verdicts", help="also persist per-warning verdicts")
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("importance", cmd_importance, "permutation feature importance", "--checkpoint",
                 *dataset)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--out", required=True)
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import (DigestMismatch, EmptyTrainSet, FeatureValidationError, SchemaError,
                      SnippetTooLarge)
-from .warnings import (BugPattern, WarningRecord, classify_bug_pattern, state_once, text_file,
-                       text_lines)
+from .warnings import (BugPattern, Level, WarningRecord, classify_bug_pattern, state_once,
+                       text_file, text_lines)
 
 MANIFEST_VERSION = 1
 EXPECTED_FEATURE_COUNT = 87
@@ -81,7 +81,6 @@ class FeatureVector:
 
 @dataclass
 class PackageMetadata:
-    name: str
     download_count: int
     unsafe_prevalence: float
     total_loc: int
@@ -104,7 +103,7 @@ class NormalizerStats:
 
 
 _CHECKERS = ("unsafe_dataflow", "send_sync_variance", "unsafe_destructor", "other")
-_LEVELS = ("error", "warning", "info")
+_LEVELS = tuple(level.value.lower() for level in Level)
 _OP_TYPES = (
     "read_flow", "copy_flow", "write_flow", "vec_from_raw", "vec_set_len", "transmute",
     "ptr_as_ref", "slice_unchecked", "slice_from_raw", "uninitialized", "other", "none",
@@ -593,7 +592,7 @@ def read_package_metadata(data: bytes, source: str = "package metadata") -> dict
     out = {}
     for name, m in doc.items():
         try:
-            out[name] = PackageMetadata(name, int(m.get("downloads", 0)),
+            out[name] = PackageMetadata(int(m.get("downloads", 0)),
                                         float(m.get("unsafe_prevalence", 0.0)), int(m.get("loc", 0)))
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{source}: package {name!r}: {exc} in {m!r}") from None

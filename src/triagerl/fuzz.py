@@ -29,6 +29,7 @@ from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, s
 
 BUDGET_BOUNDS = (30.0, 60.0)  # an external run's budget is clamped into this range, in seconds
 BUDGET_GRACE_SECONDS = 5.0
+MAX_JOBS = 64  # the largest `jobs`: one worker thread and one fuzzer process per slot
 DEFAULT_TEMPLATE_DIR = Path(__file__).parent / "templates"
 SANITIZER_MARKER = re.compile(r"ERROR: (Address|Memory|Thread)Sanitizer|SUMMARY: \w+Sanitizer")
 CRASH_MARKER = re.compile(r"panicked at|SIG(SEGV|ABRT|ILL)|libfuzzer: deadly signal|== ERROR")
@@ -44,15 +45,8 @@ class FuzzKind(Enum):
     INFRASTRUCTURE_FAILURE = "infrastructure_failure"
 
 
-# Fixed slot order for the state one-hot encoding.
-FUZZ_SLOTS = (
-    FuzzKind.NOT_RUN,
-    FuzzKind.CRASH,
-    FuzzKind.SANITIZER_VIOLATION,
-    FuzzKind.CLEAN,
-    FuzzKind.INCONCLUSIVE,
-    FuzzKind.INFRASTRUCTURE_FAILURE,
-)
+# Fixed slot order for the state one-hot encoding: the members' order above.
+FUZZ_SLOTS = tuple(FuzzKind)
 
 CRASH_GRADE = (FuzzKind.CRASH, FuzzKind.SANITIZER_VIOLATION)
 
@@ -84,6 +78,8 @@ class SimOracleConfig:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
         if self.p_crash_given_fp > self.p_crash_given_tp:
             raise ValueError("p_crash_given_fp must be <= p_crash_given_tp (oracle fidelity)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")

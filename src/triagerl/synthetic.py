@@ -23,6 +23,10 @@ from .warnings import (
 SIGNAL_FEATURE = "generic_param_count"
 
 _ONE_HOT_GROUPS = ("bypass_", "checker_", "level_", "op_")
+# The manifest slots of each one-hot group, in manifest order.
+_ONE_HOT_SLOTS = [[i for i, e in enumerate(MANIFEST.entries)
+                   if e.kind is Kind.ONE_HOT and e.name.startswith(prefix)]
+                  for prefix in _ONE_HOT_GROUPS]
 
 
 def make_synthetic_warning(i: int, label: Label, analyzer: str = "UnsafeDataflow") -> WarningRecord:
@@ -47,18 +51,14 @@ def make_synthetic_warning(i: int, label: Label, analyzer: str = "UnsafeDataflow
 
 def _random_valid_vector(rng: np.random.Generator) -> np.ndarray:
     values = np.zeros(len(MANIFEST))
-    grouped: dict[str, list[int]] = {p: [] for p in _ONE_HOT_GROUPS}
     for i, entry in enumerate(MANIFEST.entries):
-        prefix = next((p for p in _ONE_HOT_GROUPS if entry.name.startswith(p)), None)
-        if entry.kind is Kind.ONE_HOT and prefix:
-            grouped[prefix].append(i)
-        elif entry.kind is Kind.FLAG:
+        if entry.kind is Kind.FLAG:
             values[i] = float(rng.integers(0, 2))
         elif entry.kind is Kind.RATIO:
             values[i] = rng.random()
-        else:
+        elif entry.kind is not Kind.ONE_HOT:
             values[i] = rng.normal()
-    for slots in grouped.values():
+    for slots in _ONE_HOT_SLOTS:
         values[slots[int(rng.integers(0, len(slots)))]] = 1.0
     return values
 
@@ -88,12 +88,7 @@ def separable_task(
 def _constant_baseline() -> np.ndarray:
     """A fixed valid vector: zeros everywhere, first slot of each one-hot set."""
     values = np.zeros(len(MANIFEST))
-    seen: set[str] = set()
-    for i, entry in enumerate(MANIFEST.entries):
-        prefix = next((p for p in _ONE_HOT_GROUPS if entry.name.startswith(p)), None)
-        if entry.kind is Kind.ONE_HOT and prefix and prefix not in seen:
-            values[i] = 1.0
-            seen.add(prefix)
+    values[[slots[0] for slots in _ONE_HOT_SLOTS]] = 1.0
     return values
 
 

@@ -26,8 +26,8 @@ from .features import (MANIFEST, FeatureVector, NormalizerStats, fit_normalizer,
                        validate_vector)
 from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import report_from_arrays
-from .policy import (PolicyParams, draw_dropout_masks, forward_cache, init_params, param_layout,
-                     softmax)
+from .policy import (DEFAULT_DROPOUT, PolicyParams, draw_dropout_masks, forward_cache,
+                     init_params, param_layout, softmax)
 from .warnings import Dataset, Label, Split, WarningRecord
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -48,7 +48,7 @@ class TrainConfig:
     ppo_inner_epochs: int = 4
     gamma: float = 1.0
     patience: int = 10
-    dropout_rate: float = 0.2
+    dropout_rate: float = DEFAULT_DROPOUT
     seed: int = 0
 
     def __post_init__(self):
@@ -60,7 +60,7 @@ class TrainConfig:
         for name in ("epochs_max", "minibatch_size", "learning_rate", "ppo_inner_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("value_loss_weight", "entropy_weight"):
+        for name in ("value_loss_weight", "entropy_weight", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.patience < 0:
@@ -107,9 +107,6 @@ class TrajectoryBatch:
     states: np.ndarray        # (n, state_dim)
     actions: np.ndarray       # (n,) int
     behavior_logp: np.ndarray  # (n,) log-probability of the action taken
-    rewards: np.ndarray       # (n,)
-    values: np.ndarray        # (n,)
-    episode_ids: np.ndarray   # (n,) int
     returns: np.ndarray       # (n,)
     advantages: np.ndarray    # (n,) returns - values; collect_rollouts normalizes them
 
@@ -117,18 +114,16 @@ class TrajectoryBatch:
         return len(self.actions)
 
     def minibatch(self, idx: np.ndarray) -> "TrajectoryBatch":
-        """Rows `idx` of the fields the PPO loss reads; rewards, values and
-        episode_ids, which only rollout bookkeeping reads, are left empty."""
-        empty = np.empty(0)
-        return TrajectoryBatch(self.states[idx], self.actions[idx], self.behavior_logp[idx], empty,
-                               empty, empty, self.returns[idx], self.advantages[idx])
+        """Rows `idx` of the batch."""
+        return TrajectoryBatch(self.states[idx], self.actions[idx], self.behavior_logp[idx],
+                               self.returns[idx], self.advantages[idx])
 
     @classmethod
     def from_episodes(cls, episodes: Episodes, labels: list[Label | None],
-                      reward_spec: RewardSpec, gamma: float = 1.0) -> "TrajectoryBatch":
+                      reward_spec: RewardSpec, gamma: float) -> tuple["TrajectoryBatch", float]:
         """The decisions of `episodes`, whose warnings carry `labels`, with
-        their rewards and returns: a fuzzing episode's first step returns
-        r1 + gamma*r2."""
+        their returns (a fuzzing episode's first step returns r1 + gamma*r2),
+        and the mean undiscounted episode return."""
         n = len(episodes.action)
         fuzzed = episodes.fuzzed
         idx = np.flatnonzero(fuzzed)
@@ -138,23 +133,20 @@ class TrajectoryBatch:
                   for k in set(keys)}
         terminal = np.array([reward[k] for k in keys])
         reward1 = np.where(fuzzed, reward_spec.fuzz_cost, terminal)
-        reward2 = terminal[idx]
-        return1 = reward1 + gamma * np.where(fuzzed, terminal, 0.0)
+        reward2 = np.where(fuzzed, terminal, 0.0)  # 0 for an episode that did not fuzz
+        return1 = reward1 + gamma * reward2
 
         # Episode order: episode i's first decision sorts at i, its second at i + 0.5.
         order = np.argsort(np.concatenate([np.arange(n), idx + 0.5]), kind="stable")
-        values = episodes.values[order]
-        returns = np.concatenate([return1, reward2])[order]
-        return cls(
+        returns = np.concatenate([return1, reward2[idx]])[order]
+        batch = cls(
             states=episodes.states[order],
             actions=episodes.actions[order],
             behavior_logp=episodes.logp[order],
-            rewards=np.concatenate([reward1, reward2])[order],
-            values=values,
-            episode_ids=np.concatenate([np.arange(n), idx])[order],
             returns=returns,
-            advantages=returns - values,
+            advantages=returns - episodes.values[order],
         )
+        return batch, float((reward1 + reward2).mean())
 
 
 def _fuzz_masked_probs(logits: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -267,10 +259,11 @@ def collect_rollouts(
     reward_spec: RewardSpec,
     backend,
     rng: np.random.Generator,
-    gamma: float = 1.0,
-) -> TrajectoryBatch:
+    gamma: float,
+) -> tuple[TrajectoryBatch, float]:
     """One sampled episode per warning, played in an order shuffled by rng,
-    with advantages normalized over the batch.
+    with advantages normalized over the batch, and the mean undiscounted
+    episode return.
 
     Backend trouble never escapes an episode; it shows up as outcome
     encodings.
@@ -280,10 +273,11 @@ def collect_rollouts(
     order = rng.permutation(len(records))
     played = [records[i] for i in order]
     episodes = run_episodes(params, feats[order], played, backend, rng=rng)
-    batch = TrajectoryBatch.from_episodes(episodes, [r.label for r in played], reward_spec, gamma)
+    batch, mean_return = TrajectoryBatch.from_episodes(episodes, [r.label for r in played],
+                                                       reward_spec, gamma)
     adv = batch.advantages
     batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
-    return batch
+    return batch, mean_return
 
 
 def ppo_loss_and_grads(
@@ -505,8 +499,8 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
             try:
-                batch = collect_rollouts(params, train_records, train_feats, reward_spec, backend,
-                                         rng_rollout, config.gamma)
+                batch, mean_return = collect_rollouts(params, train_records, train_feats,
+                                                      reward_spec, backend, rng_rollout, config.gamma)
                 ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
                 val = run_episodes(params, val_feats, val_records, backend)
             except (NonFiniteLoss, NonFiniteScores) as exc:
@@ -515,7 +509,7 @@ def train(
             val_f1 = report.f1 or 0.0
             entry = {
                 "epoch": epoch,
-                "mean_return": float(np.bincount(batch.episode_ids, weights=batch.rewards).mean()),
+                "mean_return": mean_return,
                 "val_accuracy": report.accuracy,
                 "val_f1": val_f1,
                 "fuzz_rate": report.fuzz_invocation_rate,

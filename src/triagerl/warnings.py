@@ -19,8 +19,6 @@ from .errors import RatioError, SchemaError, UnlabeledRecordError
 REPORT_FIELDS = ("level", "analyzer", "op_type", "description", "file", "start_line", "start_col",
                  "end_line", "end_col", "code_snippet")
 
-_LEVELS = ("Error", "Warning", "Info")
-
 
 class Level(Enum):
     ERROR = "Error"
@@ -39,7 +37,8 @@ class Split(Enum):
     TEST = "test"
 
 
-SPLITS = (Split.TRAIN, Split.VAL, Split.TEST)
+SPLITS = tuple(Split)
+_LEVELS = tuple(level.value for level in Level)
 
 
 class BugPattern(Enum):
@@ -224,7 +223,7 @@ def _largest_remainder(total: int, ratios: tuple[float, float, float]) -> list[i
 
 def stratified_split(
     records: list[WarningRecord],
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
+    ratios: tuple[float, float, float],
     seed: int = 0,
 ) -> dict[str, Split]:
     """Assign every labeled record to train/val/test, stratified by class.
@@ -245,7 +244,7 @@ def stratified_split(
         raise UnlabeledRecordError(f"unlabeled records: {', '.join(unlabeled)}")
 
     rng = np.random.default_rng(seed)
-    by_class: dict[Label, list[str]] = {Label.TRUE_POSITIVE: [], Label.FALSE_POSITIVE: []}
+    by_class: dict[Label, list[str]] = {c: [] for c in Label}
     seen = set()
     for r in records:
         if r.id not in seen:
@@ -298,7 +297,7 @@ def _repair_empty_splits(buckets: dict[Split, dict[Label, list[str]]]) -> None:
         empty = next(s for s in SPLITS if size(s) == 0)
         donor = max(SPLITS, key=lambda s: (size(s), -SPLITS.index(s)))
         best = None
-        for cls in (Label.TRUE_POSITIVE, Label.FALSE_POSITIVE):
+        for cls in Label:
             if not buckets[donor][cls]:
                 continue
             moved = buckets[donor][cls].pop()
@@ -312,7 +311,7 @@ def _repair_empty_splits(buckets: dict[Split, dict[Label, list[str]]]) -> None:
         buckets[empty][cls].append(buckets[donor][cls].pop())
 
 
-def cluster_sizes(records: list[WarningRecord], radius: int = 10) -> dict[str, int]:
+def cluster_sizes(records: list[WarningRecord], radius: int) -> dict[str, int]:
     """Per-warning size of its same-file proximity cluster.
 
     Two warnings share a cluster iff a chain of same-file warnings connects
@@ -394,10 +393,12 @@ def read_label_sidecar(data: bytes, source: str = "label sidecar") -> dict[str, 
         parts = line.split("\t", 2)
         if len(parts) < 2:
             raise SchemaError(f"{source} line {n}: expected 'id<TAB>label<TAB>source'")
-        wid, token = parts[0], parts[1]
-        if token not in ("tp", "fp"):
-            raise SchemaError(f"{source} line {n}: label must be tp or fp, got {token!r}")
-        state_once(labels, wid, Label(token), f"{source} line {n}", SchemaError)
+        try:
+            label = Label(parts[1])
+        except ValueError:
+            raise SchemaError(f"{source} line {n}: label must be tp or fp, "
+                              f"got {parts[1]!r}") from None
+        state_once(labels, parts[0], label, f"{source} line {n}", SchemaError)
     return labels
 
 
@@ -429,7 +430,10 @@ def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]
     assignment: dict[str, Split] = {}
     for n, line in lines[1:]:
         wid, _, token = line.partition("\t")
-        if token not in ("train", "val", "test"):
-            raise SchemaError(f"{source} line {n}: split must be train/val/test, got {token!r}")
-        state_once(assignment, wid, Split(token), f"{source} line {n}", SchemaError)
+        try:
+            split = Split(token)
+        except ValueError:
+            raise SchemaError(f"{source} line {n}: split must be train/val/test, "
+                              f"got {token!r}") from None
+        state_once(assignment, wid, split, f"{source} line {n}", SchemaError)
     return assignment

@@ -160,6 +160,23 @@ class TestFuzzFanOut:
         assert outputs[0] == outputs[1]
         assert len({line.split("\t")[1] for line in outputs[0].decode().splitlines()}) >= 2
 
+    def test_fuzz_validate_runs_each_listed_id_once(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+        run = fuzz_mod.SimulatedBackend.run
+
+        def counting(backend, warning, label):
+            calls.append(warning.id)
+            return run(backend, warning, label)
+
+        monkeypatch.setattr(fuzz_mod.SimulatedBackend, "run", counting)
+        a, b = (r.id for r in read_warning_store(pipeline["warnings"].read_bytes())[:2])
+        out = tmp_path / "outcomes.txt"
+        assert run_cli(["fuzz-validate", "--warnings", str(pipeline["warnings"]),
+                        "--labels", str(pipeline["labels"]), "--ids", f"{a},{b},{a}",
+                        "--out", str(out), "--config", str(pipeline["config"])]) == 0
+        assert calls == [a, b]  # each distinct id once, in first-seen order
+        assert [line.split("\t")[0] for line in out.read_text().splitlines()] == [a, b]
+
     def test_one_job_builds_no_pool(self, pipeline, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built")
@@ -354,13 +371,26 @@ class TestMalformedInputs:
         ("evaluate", "features", lambda t: re.sub(r'"warning_id": ("\w+")', r'"warning_id": [\1]', t,
                                                   count=1),
          [], 3, "{bad} line 1: TypeError: warning_id must be a string, got list"),
+        ("split", "config", str, ["--seed", "-1"], 3, "{bad}: seed must be >= 0, got -1"),
+        ("train", "config", lambda t: t + "train.seed = -3\n", [], 3,
+         "{bad}: train.seed must be >= 0, got -3"),
+        ("importance", "config", str, ["--seed", "-2"], 3, "{bad}: seed must be >= 0, got -2"),
+        ("fuzz-validate", "config", lambda t: t + "sim.seed = -1\n", [], 3,
+         "{bad}: sim.seed must be >= 0, got -1"),
+        ("evaluate", "checkpoint", lambda t: t.replace('"seed":7}', '"seed":-1}', 1), [], 3,
+         "{bad}: ValueError: seed must be >= 0, got -1"),
+        ("fuzz-validate", "config", str, ["--jobs", "65"], 3, "{bad}: jobs must be <= 64, got 65"),
+        ("report", "config", lambda t: "# a note\u2028 here\nseed = 7\nbogus = 2\n" + t, [], 3,
+         "{bad} line 3: unknown config key 'bogus'"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
             "entropy-weight-negative", "huge-int-weight", "huge-int-feature", "verdict-flag-7",
             "verdict-crash-flag-0", "verdict-unfuzzed-flag-1", "verdict-not-run",
             "checkpoint-dropout-string", "checkpoint-dropout-null", "checkpoint-dropout-5",
-            "checkpoint-no-seed", "checkpoint-seed-float", "sidecar-id-list"])
+            "checkpoint-no-seed", "checkpoint-seed-float", "sidecar-id-list", "split-seed-negative",
+            "train-seed-negative", "importance-seed-negative", "sim-seed-negative",
+            "checkpoint-config-seed-negative", "jobs-above-bound", "config-line-separator"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -481,7 +511,8 @@ RESTATED = {
 # Each line format's reader.
 LINE_READERS = {"warnings": read_warning_store, "labels": read_label_sidecar,
                 "splits": read_split_file, "features": read_feature_sidecar,
-                "outcomes": read_recorded_outcomes, "verdicts": read_verdicts}
+                "outcomes": read_recorded_outcomes, "verdicts": read_verdicts,
+                "config": parse_config_file}
 
 
 class TestLineFiles:
@@ -640,6 +671,21 @@ class TestRunConfig:
                            "train")
         assert code in (0, 3), (key, value)
 
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_int_key_at_a_range_edge_exits_0_or_3(self, pipeline, tmp_path_factory, data):
+        # Below and at the lower bounds, and at the ends of the 64-bit range. A huge epoch,
+        # patience or pass count is a valid request that runs for ever, so those draw small.
+        key = data.draw(st.sampled_from([k for k, t in CONFIG_KEYS.items() if t is int]),
+                        label="key")
+        long_running = key in ("train.epochs_max", "train.patience", "train.ppo_inner_epochs")
+        value = data.draw(st.sampled_from([-1, 0, 1, 2] + ([] if long_running else
+                                                          [2**63, 2**64])), label="value")
+        edge = pipeline["config"].read_text() + f"train.epochs_max = 1\n{key} = {value}\n"
+        code, _ = run_with(pipeline, tmp_path_factory.mktemp("edge"), "config", edge.encode(),
+                           "train")
+        assert code in (0, 3), (key, value)
+
     def test_seed_sets_train_and_sim_seeds_unless_they_are_set(self):
         cfg = build_run_config({"seed": 4})
         assert (cfg.train.seed, cfg.sim.seed) == (4, 4)
@@ -669,10 +715,10 @@ class TestRunConfig:
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(SchemaError, match="run.cfg line 2: unknown config key 'no_such_knob'"):
-            parse_config_file("seed = 1\nno_such_knob = 1\n", "run.cfg")
+            parse_config_file(b"seed = 1\nno_such_knob = 1\n", "run.cfg")
 
     def test_parse_config_file_comments_and_blanks(self):
-        values = parse_config_file("# comment\n\nseed = 4  # trailing\ntrain.gamma = 0.9\n")
+        values = parse_config_file(b"# comment\n\nseed = 4  # trailing\ntrain.gamma = 0.9\n")
         assert values == {"seed": 4, "train.gamma": 0.9}
         assert [type(v) for v in values.values()] == [int, float]
 
@@ -682,6 +728,6 @@ class TestRunConfig:
         assert config_digest(a) == config_digest(b)
 
     def test_reward_spec_loadable_from_config(self):
-        cfg = build_run_config(parse_config_file("reward.correct = 20\nreward.fuzz_cost = -2.5\n"))
+        cfg = build_run_config(parse_config_file(b"reward.correct = 20\nreward.fuzz_cost = -2.5\n"))
         assert cfg.reward.correct == 20.0
         assert cfg.reward.fuzz_cost == -2.5

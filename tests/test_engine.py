@@ -9,7 +9,7 @@ from triagerl.evaluate import permutation_importance
 from triagerl.features import MANIFEST, fit_normalizer, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.metrics import prediction_records
-from triagerl.policy import init_params
+from triagerl.policy import forward_cache, init_params
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
     STATE_DIM,
@@ -71,15 +71,20 @@ def test_sampled_rollouts_match_reference_loop(task):
     records, feats = task
     for params in policies():
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        batch = collect_rollouts(params, records, feats, SPEC, BACKEND, rng_a, gamma=0.9)
+        batch, mean_return = collect_rollouts(params, records, feats, SPEC, BACKEND, rng_a,
+                                              gamma=0.9)
         oracle = episode_oracle.collect_rollouts(params, records, feats, SPEC, BACKEND, rng_b, 0.9)
         assert batch.actions.tolist() == oracle["actions"].tolist()
-        assert batch.episode_ids.tolist() == oracle["episode_ids"].tolist()
         assert batch.states.tolist() == oracle["states"].tolist()
-        assert batch.rewards.tolist() == oracle["rewards"].tolist()
         assert batch.returns.tolist() == pytest.approx(oracle["returns"].tolist(), abs=1e-12)
         assert batch.behavior_logp.tolist() == pytest.approx(oracle["logp"].tolist(), abs=1e-12)
-        assert batch.values.tolist() == pytest.approx(oracle["values"].tolist(), abs=1e-12)
+        # The oracle's per-step rewards, summed per episode, give the same bits.
+        assert mean_return == np.bincount(oracle["episode_ids"], weights=oracle["rewards"]).mean()
+        raw = batch.returns - forward_cache(params, batch.states)["values"]
+        assert batch.advantages.tolist() == pytest.approx(
+            ((raw - raw.mean()) / (raw.std() + 1e-8)).tolist(), abs=1e-9)
+        assert raw.tolist() == pytest.approx(
+            (oracle["returns"] - oracle["values"]).tolist(), abs=1e-12)
         assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
 

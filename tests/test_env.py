@@ -80,11 +80,11 @@ FIRST = {A_TP: [2.0, 1.0, 0.0], A_FP: [1.0, 2.0, 0.0]}
 
 def play(feats, logits, labels, backend=None, **kw):
     """One episode per label, on feature rows `feats`, under `biased_params`:
-    its decisions with their rewards, and its verdicts."""
+    its decisions with their returns at gamma 1, and its verdicts."""
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     records = [make_record(i, label=label) for i, label in enumerate(labels)]
     played = run_episodes(biased_params(feats.shape[1], logits), feats, records, backend, **kw)
-    return (TrajectoryBatch.from_episodes(played, list(labels), RewardSpec()),
+    return (TrajectoryBatch.from_episodes(played, list(labels), RewardSpec(), 1.0)[0],
             prediction_records([r.id for r in records], played.called, played.score,
                                played.outcome))
 
@@ -153,7 +153,7 @@ class TestEnv:
     def test_fuzz_step_encodes_outcome_and_costs(self):
         batch, preds = play(np.zeros(2), THEN_TP, [TP], ForcedBackend(FuzzKind.CRASH))
         assert batch.actions.tolist() == [A_FUZZ, A_TP]
-        assert batch.rewards.tolist() == [-5.0, 25.0]
+        assert batch.returns.tolist() == [20.0, 25.0]  # rewards -5 and 25
         assert batch.states[1, 2:].tolist() == [0, 1, 0, 0, 0, 0]
         assert preds[0].fuzz_kind is FuzzKind.CRASH
 
@@ -162,22 +162,23 @@ class TestEnv:
         assert batch.actions.tolist() == [A_FP]
         assert preds[0].predicted is FP
         assert not preds[0].fuzz_used
-        assert batch.rewards.tolist() == [15.0]
+        assert batch.returns.tolist() == [15.0]
 
     def test_fuzz_twice_is_illegal(self):
         # The policy prefers fuzzing in every state; the second decision is
         # masked, so each episode fuzzes once and then classifies.
         for rng in (None, np.random.default_rng(0)):
             batch, _ = play(np.zeros((5, 2)), [0.0, 0.0, 3.0], [TP] * 5, ForcedBackend(), rng=rng)
-            for eid in range(5):
-                actions = batch.actions[batch.episode_ids == eid].tolist()
-                assert actions.count(A_FUZZ) <= 1
+            starts = np.flatnonzero(batch.states[:, 2] == 1.0)  # each episode's NotRun state
+            assert len(starts) == 5
+            for actions in np.split(batch.actions, starts[1:]):
+                assert actions.tolist().count(A_FUZZ) <= 1
                 assert actions[-1] != A_FUZZ
 
     def test_backend_errors_become_infrastructure_failure(self):
         batch, preds = play(np.zeros(2), THEN_TP, [TP],
                   ForcedBackend(raise_error=RuntimeError("toolchain missing")))
-        assert batch.rewards[0] == -5.0
+        assert batch.returns.tolist() == [10.0, 15.0]  # rewards -5 and 15: no bonus
         assert preds[0].fuzz_kind is FuzzKind.INFRASTRUCTURE_FAILURE
 
     def test_exactly_one_fuzz_slot_always(self):
@@ -193,7 +194,7 @@ class TestEpisodeReturns:
         else:
             logits = FIRST[first_action]
         batch, _ = play(np.zeros(1), logits, [label], ForcedBackend(outcome_kind))
-        return float(batch.rewards.sum())
+        return float(batch.returns[0])  # at gamma 1, the sum of the episode's rewards
 
     def test_no_fuzz_returns(self):
         seen = {
@@ -222,21 +223,23 @@ class TestEpisodeReturns:
     def test_discounted_sum_oracle(self, fuzz_cost, correct, bonus, gamma):
         # A fuzz-then-classify episode: its first return is r1 + gamma*r2.
         spec = RewardSpec(correct=correct, fuzz_cost=fuzz_cost, bonus_crash_tp=bonus)
-        batch = collect_rollouts(biased_params(1, [0.0, -50.0, 50.0]), [make_record(0, label=TP)],
-                                 np.zeros((1, 1)), spec, ForcedBackend(), np.random.default_rng(0),
-                                 gamma)
+        batch, mean_return = collect_rollouts(
+            biased_params(1, [0.0, -50.0, 50.0]), [make_record(0, label=TP)], np.zeros((1, 1)),
+            spec, ForcedBackend(), np.random.default_rng(0), gamma)
         rewards = [fuzz_cost, correct + bonus]
-        assert batch.rewards.tolist() == rewards
+        assert mean_return == rewards[0] + rewards[1]  # undiscounted
         for t in range(2):
             oracle = sum(gamma ** (k - t) * rewards[k] for k in range(t, 2))
             assert batch.returns[t] == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_gamma_one_return_is_plain_sum(self):
-        batch = collect_rollouts(biased_params(1, [0.0, 0.0, 0.0]),
-                                 [make_record(i, label=TP) for i in range(40)], np.zeros((40, 1)),
-                                 RewardSpec(), ForcedBackend(),
-                                 np.random.default_rng(1), 1.0)
-        starts = np.flatnonzero(np.diff(batch.episode_ids, prepend=-1))
-        sums = np.bincount(batch.episode_ids, weights=batch.rewards)
-        assert batch.returns[starts].tolist() == sums.tolist()
-        assert len(batch) > 40  # some episodes fuzzed
+        batch, mean_return = collect_rollouts(biased_params(1, [0.0, 0.0, 0.0]),
+                                              [make_record(i, label=TP) for i in range(40)],
+                                              np.zeros((40, 1)), RewardSpec(), ForcedBackend(),
+                                              np.random.default_rng(1), 1.0)
+        starts = np.flatnonzero(batch.states[:, 1] == 1.0)  # each episode's NotRun state
+        fuzzed = starts[batch.actions[starts] == A_FUZZ]
+        assert len(fuzzed) > 0  # some episodes fuzzed
+        # A fuzzing episode's first decision returns r1 + r2, its second r2.
+        assert batch.returns[fuzzed].tolist() == (-5.0 + batch.returns[fuzzed + 1]).tolist()
+        assert mean_return == batch.returns[starts].mean()

@@ -179,7 +179,7 @@ class TestHeuristicExtraction:
         assert value_of(vec, "lifetime_param_count") == 1  # 'static
 
     def test_metadata_and_cluster_features(self):
-        meta = PackageMetadata("demo", download_count=999, unsafe_prevalence=0.25, total_loc=5000)
+        meta = PackageMetadata(download_count=999, unsafe_prevalence=0.25, total_loc=5000)
         vec = features_of(snippet_record("fn f() {}"), meta, cluster_size=4)
         assert value_of(vec, "download_count_log") == pytest.approx(3.0)
         assert value_of(vec, "unsafe_prevalence") == 0.25
@@ -204,7 +204,7 @@ class TestHeuristicExtraction:
 
     def test_deterministic_bit_identical(self):
         rec = snippet_record("fn f<T>(x: &T) { if x.is_good() { panic!(); } }")
-        meta = PackageMetadata("d", 10, 0.5, 100)
+        meta = PackageMetadata(10, 0.5, 100)
         a = features_of(rec, meta, cluster_size=2)
         b = features_of(rec, meta, cluster_size=2)
         assert a.tobytes() == b.tobytes()
@@ -292,7 +292,7 @@ class TestAgainstOracle:
             })
             for i, text in enumerate(texts)
         ]
-        metadata = {"pkg0-1.0": PackageMetadata("pkg0-1.0", data.draw(st.integers(0, 2**53)),
+        metadata = {"pkg0-1.0": PackageMetadata(data.draw(st.integers(0, 2**53)),
                                                 0.25, data.draw(st.integers(-2**53, 2**53)))}
         sizes = {r.id: data.draw(st.integers(1, 50)) for r in records}
         got = extract_features(records, metadata, sizes)

@@ -183,8 +183,7 @@ class TestDistributionProperties:
         params.b_pi[:] = logits
         batch = TrajectoryBatch(
             states=np.array([[1.0, 0.0, 0.0]]), actions=np.array([0]),
-            behavior_logp=np.zeros(1), rewards=np.zeros(1), values=np.zeros(1),
-            episode_ids=np.zeros(1, dtype=int), returns=np.zeros(1), advantages=np.zeros(1),
+            behavior_logp=np.zeros(1), returns=np.zeros(1), advantages=np.zeros(1),
         )
         _, _, parts = ppo_loss_and_grads(params, batch, TrainConfig(), feature_dim=0)
         assert -1e-12 <= parts["entropy"] <= math.log(3) + 1e-12

@@ -77,3 +77,48 @@ def test_every_public_name_in_src_has_a_caller_outside_tests():
                        for other, ref, line in refs):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "referenced only by tests or nowhere: " + ", ".join(unused)
+
+
+def folded(value):
+    """A constant as an enum restatement compares it: strings case-insensitively."""
+    return value.lower() if isinstance(value, str) else value
+
+
+def enums_defined(tree):
+    """Each Enum class of `tree`: name -> (member names, folded member values)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id.endswith("Enum") for base in node.bases):
+            assigns = [stmt for stmt in node.body if isinstance(stmt, ast.Assign)]
+            yield node.name, (
+                {target.id for stmt in assigns for target in stmt.targets
+                 if isinstance(target, ast.Name)},
+                {folded(stmt.value.value) for stmt in assigns
+                 if isinstance(stmt.value, ast.Constant)})
+
+
+def enum_restatements(sources):
+    """`file:line Enum` of each tuple, list or set literal in `sources` that
+    holds every value (case-insensitively) or every member of an Enum
+    defined there."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    enums = {name: facts for tree in trees.values() for name, facts in enums_defined(tree)}
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                continue
+            values = {folded(e.value) for e in node.elts if isinstance(e, ast.Constant)}
+            members = {(e.value.id, e.attr) for e in node.elts
+                       if isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)}
+            for name, (names, enum_values) in enums.items():
+                if (enum_values and enum_values <= values
+                        or {(name, member) for member in names} <= members):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_literal_restates_an_enum():
+    # Read an enum's members and values from the enum itself.
+    found = enum_restatements(SOURCES)
+    assert not found, "literals that restate an enum: " + ", ".join(found)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triagerl.env import RewardSpec
+from triagerl.env import RewardSpec, TriageAction, reward_of
 from triagerl.errors import DigestMismatch, EmptySplit, NonFiniteLoss, SchemaError
 from triagerl.features import MANIFEST
-from triagerl.fuzz import SimOracleConfig, SimulatedBackend
+from triagerl.fuzz import FUZZ_SLOTS, SimOracleConfig, SimulatedBackend
 from triagerl.policy import draw_dropout_masks, forward_cache, init_params, softmax
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
@@ -55,9 +55,6 @@ def toy_batch(feature_dim=5, n=12, seed=0):
         states=states,
         actions=rng.integers(0, 2, size=n),
         behavior_logp=np.log(rng.uniform(0.2, 0.8, size=n)),
-        rewards=rng.normal(size=n),
-        values=rng.normal(size=n),
-        episode_ids=np.arange(n),
         returns=rng.normal(size=n) * 10,
         advantages=rng.normal(size=n),
     )
@@ -74,42 +71,49 @@ class TestCollectRollouts:
                                 np.random.default_rng(seed), gamma)
 
     def test_returns_are_suffix_sums_within_episodes(self):
-        batch = self.collect(0, gamma=0.9, n=40)
+        records, feats = tiny_episodes(40)
+        batch, _ = self.collect(0, gamma=0.9, n=40)
         assert len(batch) > 40  # some episodes fuzzed
-        for eid in np.unique(batch.episode_ids):
-            rewards = batch.rewards[batch.episode_ids == eid].tolist()
-            returns = batch.returns[batch.episode_ids == eid].tolist()
-            suffix = [sum(0.9 ** (k - t) * rewards[k] for k in range(t, len(rewards)))
-                      for t in range(len(rewards))]
-            assert returns == pytest.approx(suffix)
+        label_of = {tuple(f): r.label for r, f in zip(records, feats)}
+        for t, action in enumerate(batch.actions.tolist()):
+            if action == TriageAction.FUZZ:  # the episode's second decision is the next row
+                assert batch.states[t + 1, 4] == 0.0
+                assert batch.returns[t] == pytest.approx(
+                    self.spec.fuzz_cost + 0.9 * batch.returns[t + 1])
+            else:
+                prior = FUZZ_SLOTS[int(batch.states[t, 4:].argmax())]
+                assert batch.returns[t] == reward_of(TriageAction(action),
+                                                     label_of[tuple(batch.states[t, :4])],
+                                                     prior, self.spec)
 
     def test_fuzz_episode_return_example(self):
-        batch = collect_rollouts(biased_params(4, [0.0, -50.0, 50.0]), *tiny_episodes(1),
-                                 self.spec, ForcedBackend(), np.random.default_rng(0), 1.0)
-        assert batch.rewards.tolist() == [-5.0, 25.0]
+        batch, mean_return = collect_rollouts(biased_params(4, [0.0, -50.0, 50.0]),
+                                              *tiny_episodes(1), self.spec, ForcedBackend(),
+                                              np.random.default_rng(0), 1.0)
         assert batch.returns.tolist() == [20.0, 25.0]
+        assert mean_return == 20.0
 
     def test_single_step_advantage_is_return_minus_value(self):
-        batch = self.collect(3)
-        raw = batch.returns - batch.values
+        batch, _ = self.collect(3)
+        raw = batch.returns - forward_cache(self.params, batch.states)["values"]
         normalized = (raw - raw.mean()) / (raw.std() + 1e-8)
         assert batch.advantages.tolist() == pytest.approx(normalized.tolist())
         assert abs(batch.advantages.mean()) < 1e-9
         assert abs(batch.advantages.std() - 1.0) < 1e-6
 
     def test_deterministic_for_fixed_seed(self):
-        a = self.collect(7)
-        b = self.collect(7)
+        a, a_return = self.collect(7)
+        b, b_return = self.collect(7)
         assert a.states.tobytes() == b.states.tobytes()
         assert a.actions.tolist() == b.actions.tolist()
-        assert a.rewards.tolist() == b.rewards.tolist()
+        assert a.returns.tobytes() == b.returns.tobytes()
+        assert a_return == b_return
 
     def test_one_episode_per_warning(self):
         records, feats = tiny_episodes(10)
-        batch = collect_rollouts(self.params, records, feats, self.spec, self.backend,
-                                 np.random.default_rng(0), 1.0)
-        assert np.unique(batch.episode_ids).tolist() == list(range(10))
-        first_rows = np.flatnonzero(np.diff(batch.episode_ids, prepend=-1))
+        batch, _ = collect_rollouts(self.params, records, feats, self.spec, self.backend,
+                                    np.random.default_rng(0), 1.0)
+        first_rows = np.flatnonzero(batch.states[:, 4] == 1.0)  # the NotRun slot
         assert sorted(map(tuple, batch.states[first_rows, :4])) == sorted(map(tuple, feats))
 
     def test_empty_episodes_rejected(self):
@@ -129,7 +133,6 @@ def surrogate_objective(rho, adv, eps):
     logp_new = np.log(softmax(forward_cache(params, states)["logits"])[:, 0])
     batch = TrajectoryBatch(
         states=states, actions=actions, behavior_logp=logp_new - np.log(rho),
-        rewards=np.zeros(n), values=np.zeros(n), episode_ids=np.arange(n),
         returns=np.zeros(n), advantages=np.asarray(adv, dtype=np.float64),
     )
     config = TrainConfig(clip_epsilon=eps, value_loss_weight=0.0, entropy_weight=0.0)
@@ -156,8 +159,8 @@ class TestPPOObjective:
     def test_same_params_give_unit_ratio_objective(self):
         backend = SimulatedBackend(SimOracleConfig(seed=0))
         params = init_params(4 + 6, hidden=(8, 6), dropout_rate=0.0, seed=1)
-        batch = collect_rollouts(params, *tiny_episodes(), RewardSpec(), backend,
-                                 np.random.default_rng(0), 1.0)
+        batch, _ = collect_rollouts(params, *tiny_episodes(), RewardSpec(), backend,
+                                    np.random.default_rng(0), 1.0)
         config = TrainConfig(seed=0, dropout_rate=0.0)
         _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4)
         assert parts["policy_loss"] == pytest.approx(-batch.advantages.mean(), abs=1e-9)
@@ -238,7 +241,6 @@ class TestStepAgainstOracle:
         batch = TrajectoryBatch(
             states=states, actions=actions,
             behavior_logp=logp - rng.uniform(-spread, spread, n),
-            rewards=np.zeros(n), values=np.zeros(n), episode_ids=np.arange(n),
             returns=rng.normal(size=n) * 10, advantages=rng.normal(size=n),
         )
         config = TrainConfig(clip_epsilon=0.2, value_loss_weight=rng.uniform(0, 1),
