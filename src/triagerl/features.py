@@ -2,11 +2,10 @@
 
 Every warning maps to a fixed-order vector described by a versioned manifest
 of 87 named slots in three families. `extract_features` writes the vectors
-of a whole report into one (N, 87) matrix: code-level slots come from each
-warning's snippet, tokenized once, by the documented lexical rules below,
-each written beside the slot it fills; the rest come from package metadata,
-cluster sizes and the analyzer's fields. A feature sidecar can instead
-carry exact values produced out-of-band (e.g. by a compiler plugin).
+of a whole report into one (N, 87) matrix: code-level slots come from the
+snippets, all read together by the lexical rules below; the rest from package
+metadata, cluster sizes and the analyzer's fields. A feature sidecar can
+instead carry exact values produced out-of-band (e.g. by a compiler plugin).
 Vectors are checked against the manifest where they enter the program, by
 `read_feature_sidecar` and `validate_vector`.
 
@@ -20,8 +19,8 @@ import hashlib
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from enum import Enum
 
 import numpy as np
@@ -220,38 +219,68 @@ def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lexical rules. Each snippet is tokenized once: one stream of words, braces
-# and ';' serves the word counts, the keyword flags and the loop/brace state
-# machine; the '<>' and '()' scans and the line list cover the rest, and a
-# keyword regex runs only when its keywords are among the words.
+# Lexical rules, in column passes over a whole report: the snippets are joined,
+# each followed by "\n", into one array of code points with a per-character
+# snippet index. Where a snippet starts and ends comes from the lengths, never
+# from a search for the separator, so a snippet may hold any character. Only
+# the generic-list walk and the regex rules run per snippet, each on the
+# snippets it can match.
 # ---------------------------------------------------------------------------
 
-# A word is `[A-Za-z_]\w*` with Unicode `\w`: it starts at the first ASCII
-# letter or underscore of a run of word characters, so '9unsafe' and
-# 'éunsafe' hold the word 'unsafe' even though `\bunsafe` matches neither.
-# No line break is a word character, so no word spans two lines.
-_TOKEN = re.compile(r"[A-Za-z_]\w*|[{};]")
-_SMART_POINTERS = frozenset({
-    "Box", "Rc", "Arc", "RefCell", "Cell", "Mutex", "RwLock", "Weak", "UnsafeCell",
-    "NonNull", "Cow",
-})
+# Character classes: a word character is `\w`, which for every code point is
+# `isalnum()` or '_'; a head is `[A-Za-z_]`; a space is `isspace()`; a break
+# ends a line for `str.splitlines` (every break is a space); the punctuation
+# is what the rules look for.
+_WORD_CHAR, _HEAD, _SPACE, _BREAK, _PUNCT = 1, 2, 4, 8, 16
+_PUNCTUATION = "{};<>()&|=?'/*"
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _char_class(ch: str) -> int:
+    return (_WORD_CHAR * (ch.isalnum() or ch == "_")
+            + _HEAD * (ch.isascii() and (ch.isalpha() or ch == "_")) + _SPACE * ch.isspace()
+            + _BREAK * (ch in _LINE_BREAKS) + _PUNCT * (ch in _PUNCTUATION))
+
+
+_ASCII_CLASS = np.array([_char_class(chr(c)) for c in range(128)], dtype=np.uint8)
+# In an item list '<', '(' and '[' open a level and '>', ')' and ']' close one.
+_NEST_STEP = np.array([(chr(c) in "<([") - (chr(c) in ">)]") for c in range(128)], dtype=np.int64)
+
+# A word is `[A-Za-z_]\w*`: it starts at the first head of a run of word
+# characters and ends with the run, so '9unsafe' and 'éunsafe' hold the word
+# 'unsafe' even though `\bunsafe` matches neither, and no word spans two
+# lines. A snippet counts its words by kind: 0 for any other word, one kind
+# per keyword, "assert" for every word that starts with it, and `_SMART` for
+# the smart-pointer names.
+_KEYWORDS = ("if", "match", "while", "loop", "for", "panic", "unwrap", "expect", "return", "fn",
+             "transmute", "union", "extern", "pub", "unsafe", "impl", "static", "mut", "const",
+             "Drop", "where", "assert")
+_SMART_POINTERS = ("Box", "Rc", "Arc", "RefCell", "Cell", "Mutex", "RwLock", "Weak", "UnsafeCell",
+                   "NonNull", "Cow")
+_SMART = len(_KEYWORDS) + 1
+_KIND = {word: k for k, word in enumerate(_KEYWORDS, 1)} | dict.fromkeys(_SMART_POINTERS, _SMART)
+_PANIC_KINDS = [_KIND[w] for w in ("panic", "unwrap", "expect", "assert")]
+# The words of `_KIND`, one row each, padded to 10 code points ("assert"
+# matches its first 6 only). `_CANDIDATE` maps a word's length (11 for any
+# longer one), first and third code point (0 for a 2-letter word) to 1 + the
+# one row that can spell it, or to 0.
+_SPELLED = tuple(_KIND)
+_SPELLING = np.array([[ord(ch) for ch in w.ljust(10, "\0")] for w in _SPELLED], dtype=np.uint32)
+_WIDTH, _ROW_KIND = np.array([len(w) for w in _SPELLED]), np.array(list(_KIND.values()))
+_CANDIDATE = np.zeros(12 << 14, dtype=np.int8)
+for _row, _word in enumerate(_SPELLED):
+    for _length in range(6, 12) if _word == "assert" else (len(_word),):
+        _CANDIDATE[_length << 14 | ord(_word[0]) << 7 | (_length > 2 and ord(_word[2]))] = _row + 1
+assert np.count_nonzero(_CANDIDATE) == len(_SPELLED) + 5, "two words share a candidate key"
+
 # Bypass tokens count as substrings of a line: 'forgetful' holds 'forget'.
 _BYPASS_TOKEN = re.compile("set_len|from_raw|from_raw_parts|transmute|forget|as_ptr|as_mut_ptr|"
                            "uninit|uninitialized|assume_init|MaybeUninit")
-# Text that any panic word contains.
-_PANIC_TEXT = re.compile("panic|unwrap|expect|assert")
-_LOOP_WORDS = frozenset({"while", "loop", "for"})
-_ANGLE = re.compile(r"[<>]")
-_PAREN = re.compile(r"[()]")
-_NESTING = re.compile(r"[<(\[>)\],]")
-_LIFETIME = re.compile(r"'[A-Za-z_]\w*")
+# A pattern that starts with literal text lets the regex engine jump from one
+# occurrence of that text to the next, so each `\b<keyword>...` rule is
+# written `<keyword>(?<=\b<keyword>)...`.
 _MUT_BORROW = re.compile(r"&\s*mut\b")
 _RAW_POINTER = re.compile(r"\*\s*(?:const|mut)\b")
-# A pattern that starts with literal text lets the regex engine jump from one
-# occurrence of that text to the next, so runs are written `&&*`, not `&+`,
-# and each `\b<keyword>...` rule as `<keyword>(?<=\b<keyword>)...`.
-_AMP_RUN = re.compile(r"&&*")
-_PIPE_RUN = re.compile(r"\|\|*")
 _UNSAFE_BLOCK = re.compile(r"unsafe(?<=\bunsafe)\s*\{")
 _WHERE = re.compile(r"where(?<=\bwhere)\b")
 _UNSAFE_FN = re.compile(r"unsafe(?<=\bunsafe)\s+fn\b")
@@ -259,173 +288,284 @@ _STATIC_MUT = re.compile(r"static(?<=\bstatic)\s+mut\b")
 _UNSAFE_IMPL = re.compile(r"unsafe(?<=\bunsafe)\s+impl\b")
 _DROP_IMPL = re.compile(r"impl(?<=\bimpl)\b[^{;]*\bDrop\b")
 _FN_HEAD = re.compile(r"fn(?<=\bfn)\s+[A-Za-z_]\w*\s*(?:<[^>]*>)?\s*\(")
+# Angle codes of the generic-list walk: a '<' after a word character opens a
+# list, any other '<' opens one only inside a list, a '>' closes one.
+_OPENS, _NESTS, _CLOSES = 1, 2, 3
 
 
-def _is_panic_word(word: str) -> bool:
-    # The panic-path rule: panic/unwrap/expect plus the assert family.
-    return word in ("panic", "unwrap", "expect") or word.startswith("assert")
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in `keys` (all >= 0)."""
+    return np.flatnonzero(np.diff(keys, prepend=-1))
 
 
-def _top_items(text: str) -> list[str]:
-    """`text` split at its depth-0 commas, items stripped and empty ones
-    dropped; '<', '(' and '[' open a level, '>', ')' and ']' close one (never
-    below 0)."""
-    items, depth, start = [], 0, 0
-    for m in _NESTING.finditer(text):
-        ch = m.group()
-        if ch == ",":
-            if not depth:
-                items.append(text[start:m.start()])
-                start = m.end()
-        elif ch in "<([":
+def _runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of consecutive positions in the sorted `pos`."""
+    first = np.flatnonzero(np.diff(pos, prepend=-2) != 1)
+    return pos[first], np.diff(first, append=len(pos))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [lo, hi) laid end to end: each element's range and the element."""
+    size = hi - lo
+    return (np.repeat(np.arange(len(lo)), size),
+            np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size))
+
+
+def _walk(step: np.ndarray, groups: np.ndarray, clamped: bool = True) -> np.ndarray:
+    """The depth after each step, one walk from 0 per run of equal values in
+    the sorted `groups`. A clamped walk never goes below 0: its depth is the
+    height less the lowest height so far below 0, taken by one running minimum
+    over all walks, walk g lowered by g * span to keep the earlier ones above."""
+    height = np.cumsum(step)
+    first = _firsts(groups)
+    height -= np.repeat(height[first] - step[first], np.diff(first, append=len(step)))
+    lift = groups.astype(np.int64) * (2 * len(step) + 1)
+    return height - clamped * np.minimum(np.minimum.accumulate(height - lift) + lift, 0)
+
+
+def _item_counts(codes: np.ndarray, cls: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per range [lo, hi) of the joined text: its items (split at the commas
+    outside `_NEST_STEP` brackets, stripped, the empty ones dropped), the items
+    that start with "'", and whether it holds a ':'."""
+    owner, at = _ranges(lo, hi)
+    chars = codes[at]
+    split = (chars == ord(",")) & (_walk(_NEST_STEP[np.minimum(chars, 127)], owner) == 0)
+    solid = np.flatnonzero(((cls[at] & _SPACE) == 0) & ~split)
+    heads = solid[_firsts((np.cumsum(split) + owner)[solid])]
+    counts = [np.bincount(owner[which], minlength=len(lo))
+              for which in (heads, heads[chars[heads] == ord("'")], chars == ord(":"))]
+    return counts[0], counts[1], counts[2] > 0
+
+
+def _search(rule: re.Pattern, snippets: list[str], rows: np.ndarray):
+    """The rows among `rows` whose snippet `rule` matches, and the span of each first match."""
+    hits = [rule.search(snippets[i]) for i in rows.tolist()]
+    spans = np.array([h.span() for h in hits if h], dtype=np.int64).reshape(-1, 2)
+    return rows[[h is not None for h in hits]], spans
+
+
+def _generic_walk(angles: bytes) -> tuple[int, int, int]:
+    """(deepest list, index of the first list's '<', of its closing '>' or -1)."""
+    depth = deepest = 0
+    first = close = -1
+    for i, code in enumerate(angles):
+        if code == _OPENS or code == _NESTS and depth:
             depth += 1
-        elif depth:
+            deepest, first = max(deepest, depth), i if first < 0 else first
+        elif code == _CLOSES and depth:
             depth -= 1
-    items.append(text[start:])
-    return [it.strip() for it in items if it.strip()]
+            close = i if close < 0 and not depth else close
+    return deepest, first, close
 
 
-def _generic_scan(snippet: str) -> tuple[int, int, int]:
-    """(generic_param_count, generic_nesting_depth, trait_bound_flag).
+def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
+    """Each of `_SNIPPET_SLOTS` as a column over the non-empty list `snippets`
+    (a blank snippet's row means nothing but snippet_missing_flag). A snippet
+    above MAX_SNIPPET_BYTES of UTF-8 raises SnippetTooLarge at `where(row)`."""
+    n = len(snippets)
+    lengths = np.fromiter(map(len, snippets), dtype=np.int64, count=n)
+    ends = np.cumsum(lengths + 1) - 1  # the "\n" after each snippet
+    starts = ends - lengths
+    codes = np.frombuffer(("\n".join(snippets) + "\n").encode("utf-32-le"), dtype=np.uint32)
+    snip = np.repeat(np.arange(n, dtype=np.int32), lengths + 1)
+    cls = np.take(_ASCII_CLASS, codes, mode="clip")
+    nbytes = lengths.copy()
+    wide = np.flatnonzero(codes > 127)
+    if len(wide):  # classified once per distinct code point
+        values, inverse = np.unique(codes[wide], return_inverse=True)
+        cls[wide] = np.array([_char_class(chr(v)) for v in values.tolist()], dtype=np.uint8)[inverse]
+        extra = 1 + (values > 0x7FF).astype(np.int64) + (values > 0xFFFF)
+        nbytes += np.bincount(snip[wide], weights=extra[inverse], minlength=n).astype(np.int64)
+    too_large = np.flatnonzero(nbytes > MAX_SNIPPET_BYTES)
+    if len(too_large):
+        row = int(too_large[0])
+        raise SnippetTooLarge(f"{where(row)}: snippet is {nbytes[row]} bytes (cap 1 MiB)")
 
-    A '<' right after a word character, or inside a list, opens a generic
-    list; '>' closes one unless it follows '-' or '=' (an arrow). The first
-    top-level list is the declaration's parameter list: parameters are its
-    depth-0 comma items, lifetimes excluded; a ':' in any item sets the
-    trait-bound flag.
-    """
-    depth = max_depth = 0
-    start = first = None
-    for m in _ANGLE.finditer(snippet):
-        i = m.start()
-        prev = snippet[i - 1] if i else ""
-        if m.group() == "<":
-            if depth or prev.isalnum() or prev == "_":
-                depth += 1
-                max_depth = max(max_depth, depth)
-                if start is None:
-                    start = i + 1
-        elif depth and prev not in "-=":
-            depth -= 1
-            if not depth and first is None:
-                first = snippet[start:i]
-    if first is None:
-        return 0, max_depth, 0
-    items = _top_items(first)
-    params = sum(not it.startswith("'") for it in items)
-    return params, max_depth, int(any(":" in it for it in items))
+    per = partial(np.bincount, minlength=n)  # per snippet: per(snippet of each, weight)
+    at = np.flatnonzero(cls & _PUNCT)
+    mark = codes[at].astype(np.uint8)
+    by_mark = np.argsort(mark, kind="stable")
+    bounds = np.searchsorted(mark[by_mark], np.arange(129))
+    place = {ch: at[by_mark[bounds[ord(ch)]:bounds[ord(ch) + 1]]] for ch in _PUNCTUATION}
+
+    def find(chars: str) -> np.ndarray:  # the sorted positions of `chars`
+        return np.sort(np.concatenate([place[ch] for ch in chars]))
+
+    # Words, from the first head of each run; kinds by length, first and third letter.
+    edges = np.flatnonzero(np.diff((cls & _WORD_CHAR).view(bool), prepend=False, append=False))
+    tok_start, tok_end = edges[0::2], edges[1::2]
+    late = np.flatnonzero((cls[tok_start] & _HEAD) == 0)
+    if len(late):  # the run starts with a digit or a non-ASCII letter
+        block, size = _runs(np.flatnonzero((cls & (_WORD_CHAR | _HEAD)) == _WORD_CHAR))
+        tok_start[late] = (block + size)[np.searchsorted(block, tok_start[late])]
+        held = tok_start < tok_end
+        tok_start, tok_end = tok_start[held], tok_end[held]
+    tok_len = tok_end - tok_start
+    third = np.where(tok_len > 2, np.minimum(codes.take(tok_start + 2, mode="clip"), 127), 0)
+    row = _CANDIDATE[np.minimum(tok_len, 11) << 14 | codes[tok_start].astype(np.int64) << 7 | third]
+    cand = np.flatnonzero(row)
+    row = row[cand] - 1
+    chars = codes.take(tok_start[cand, None] + np.arange(10), mode="clip")
+    spelled = ((chars == _SPELLING[row]) | (np.arange(10) >= _WIDTH[row, None])).all(axis=1)
+    kind = np.zeros(len(tok_start), dtype=np.int64)
+    kind[cand[spelled]] = _ROW_KIND[row[spelled]]
+    tok_snip = snip[tok_start].astype(np.int64)
+    words = np.bincount(tok_snip * (_SMART + 1) + kind, minlength=n * (_SMART + 1)).reshape(n, -1)
+    count = {word: words[:, column] for word, column in _KIND.items()}
+    # 'while', 'loop' and a 'for' that does not follow a word each claim the
+    # next '{' as a loop body; a word just before 'for' (no '{', '}' or ';'
+    # between) makes it an `impl Trait for Type` clause.
+    stops = find("{};")
+    fors = np.flatnonzero(kind == _KIND["for"])
+    prev_stop = np.append(-1, stops)[np.searchsorted(stops, tok_start[fors])]
+    prev_word = np.append(-1, tok_start)[fors]
+    is_loop = (kind == _KIND["while"]) | (kind == _KIND["loop"])
+    is_loop[fors[(prev_word < prev_stop) | (prev_word < starts[tok_snip[fors]])]] = True
+    brace = find("{}")
+    brace_snip = snip[brace].astype(np.int64)
+    opening = codes[brace] == ord("{")
+    block_depth = np.zeros(n, dtype=np.int64)
+    np.maximum.at(block_depth, brace_snip, _walk(np.where(opening, 1, -1), brace_snip))
+    loops = per(tok_snip[is_loop])
+    # loop_nesting_depth: each loop word claims the next unclaimed '{' as a
+    # loop body, which the '}' back at its depth closes; it is the most bodies
+    # open at once. Only the snippets with a loop word take part.
+    pos = np.sort(np.concatenate([brace[loops[brace_snip] > 0], tok_start[is_loop]]))
+    group = snip[pos].astype(np.int64)
+    step = (codes[pos] == ord("{")).astype(np.int64) - (codes[pos] == ord("}"))
+    depth = _walk(step, group)
+    waiting = np.append(0, _walk(np.choose(step + 1, (0, 1, -1)), group)[:-1])  # unclaimed words
+    waiting[_firsts(group)] = 0
+    claimed = (step == 1) & (waiting > 0)
+    order = np.lexsort((pos, depth - (step == 1), group))
+    a, b = order[:-1], order[1:]  # a '{' and its '}' are neighbours in this order
+    bodies = claimed.astype(np.int64)
+    bodies[b[claimed[a] & (step[b] == -1) & (group[b] == group[a]) & (depth[b] == depth[a] - 1)]] = -1
+    nest = np.zeros(n, dtype=np.int64)
+    np.maximum.at(nest, group, _walk(bodies, group, clamped=False))
+
+    # Runs of '&' and '|': '&&' and '||' are the pairs in a run, a closure two single '|'.
+    amp_start, amp_len = _runs(find("&"))
+    amp_snip = snip[amp_start]
+    amps, amp_run = per(amp_snip, amp_len), np.zeros(n, dtype=np.int64)
+    np.maximum.at(amp_run, amp_snip, amp_len)
+    pipe_start, pipe_len = _runs(find("|"))
+    pipe_snip = snip[pipe_start]
+    eq, quote = find("="), find("'")
+
+    # Lines: a break ends one ("\r\n" is one break, and each snippet's
+    # separator ends its last line); a code line holds a non-space, a comment
+    # line "//" or "/*".
+    breaks = np.flatnonzero(cls & _BREAK)
+    crlf = (codes[breaks] == ord("\n")) & (codes[breaks - 1] == ord("\r"))
+    crlf[np.searchsorted(breaks, ends)] = False
+    line_end = breaks[~crlf]
+    solid = (cls & _SPACE) == 0
+    code_lines = per(snip[line_end[np.logical_or.reduceat(solid, np.append(0, line_end[:-1]))]])
+    slash = find("/")
+    marked = np.searchsorted(line_end, slash[np.isin(codes[slash + 1], (ord("/"), ord("*")))])
+    comment_lines = per(snip[line_end[marked[_firsts(marked)]]])
+
+    # bypass_to_danger_distance: lines from the first bypass-token line to the first panic line.
+    panic = tok_start[np.isin(kind, _PANIC_KINDS)]
+    panic = panic[_firsts(snip[panic])]
+    with_bypass, spans = _search(_BYPASS_TOKEN, snippets, snip[panic])
+    panic_line = np.searchsorted(line_end, panic[np.isin(snip[panic], with_bypass)])
+    distance = np.zeros(n)
+    distance[with_bypass] = np.abs(np.searchsorted(line_end, starts[with_bypass] + spans[:, 0])
+                                   - panic_line)
+
+    # Generic lists: the first top-level list is the declaration's parameter
+    # list; its items less the lifetimes are parameters, and a ':' in it sets
+    # the trait-bound flag. A '>' after '-' or '=' is an arrow.
+    angle = find("<>")
+    is_open = codes[angle] == ord("<")
+    code = np.where(is_open, np.where(cls[angle - 1] & _WORD_CHAR, _OPENS, _NESTS), _CLOSES)
+    keep = is_open | ~np.isin(codes[angle - 1], (ord("-"), ord("=")))
+    angle, code = angle[keep], code[keep]
+    owner = snip[angle]
+    first = _firsts(owner)
+    last = np.append(first[1:], len(owner))
+    walked = per(owner[code == _OPENS])[owner[first]] > 0
+    first, last = first[walked], last[walked]
+    blob = code.astype(np.uint8).tobytes()
+    segments = [blob[a:b] for a, b in zip(first.tolist(), last.tolist())]
+    memo = {s: _generic_walk(s) for s in set(segments)}
+    walks = np.array([memo[s] for s in segments], dtype=np.int64).reshape(-1, 3)
+    generic_depth, generic_params, bound = np.zeros(n), np.zeros(n), np.zeros(n)
+    generic_depth[owner[first]] = walks[:, 0]
+    closed = walks[:, 2] >= 0
+    listed = owner[first[closed]]
+    items, lifetime_items, colon = _item_counts(codes, cls, angle[first + walks[:, 1]][closed] + 1,
+                                                angle[first + walks[:, 2]][closed])
+    generic_params[listed], bound[listed] = items - lifetime_items, colon
+
+    # parameter_count: the items of the first `fn name(...)` list, up to the ')' closing its '('.
+    with_fn, spans = _search(_FN_HEAD, snippets, np.flatnonzero(count["fn"]))
+    paren = find("()")
+    head = starts[with_fn] + spans[:, 1]
+    owner, at = _ranges(np.searchsorted(paren, head), np.searchsorted(paren, ends[with_fn]))
+    shut = np.flatnonzero(_walk(np.where(codes[paren[at]] == ord("("), 1, -1), owner, False) == -1)
+    shut = shut[_firsts(owner[shut])]
+    params = np.zeros(n)
+    params[with_fn[owner[shut]]] = _item_counts(codes, cls, head[owner[shut]], paren[at[shut]])[0]
+
+    has = {word: count[word] > 0 for word in ("mut", "const", "unsafe", "impl", "static", "fn")}
+    rules = {  # slot: (rule, the snippets it can match)
+        "mut_borrow_count": (_MUT_BORROW, (amps > 0) & has["mut"]),
+        "unsafe_block_count": (_UNSAFE_BLOCK, has["unsafe"] & (per(brace_snip[opening]) > 0)),
+        "raw_pointer_count": (_RAW_POINTER, (per(snip[find("*")]) > 0) & (has["mut"] | has["const"])),
+        "where_clause_flag": (_WHERE, count["where"] > 0),
+        "unsafe_fn_flag": (_UNSAFE_FN, has["unsafe"] & has["fn"]),
+        "static_mut_flag": (_STATIC_MUT, has["static"] & has["mut"]),
+        "unsafe_trait_impl_flag": (_UNSAFE_IMPL, has["unsafe"] & has["impl"]),
+        "drop_impl_flag": (_DROP_IMPL, has["impl"] & (count["Drop"] > 0)),
+    }
+    found = {}
+    for slot, (rule, guard) in rules.items():
+        rows = np.flatnonzero(guard)
+        found[slot] = np.zeros(n)
+        found[slot][rows] = [len(rule.findall(snippets[i])) for i in rows.tolist()]
+        found[slot] = found[slot] > 0 if slot.endswith("_flag") else found[slot]
+    n_words = words.sum(axis=1)
+    return found | {
+        "generic_param_count": generic_params,
+        "generic_nesting_depth": generic_depth,
+        "lifetime_param_count": per(snip[quote[(cls[quote + 1] & _HEAD) != 0]]),
+        "borrow_nesting_depth": amp_run,  # the longest '&' run
+        "smart_pointer_count": words[:, _SMART],
+        # 1 + branch keywords + loop keywords + short-circuit operators
+        "cyclomatic_complexity": (1 + count["if"] + count["match"] + loops
+                                  + per(amp_snip, amp_len // 2) + per(pipe_snip, pipe_len // 2)),
+        "loop_nesting_depth": nest,
+        "panic_path_count": words[:, _PANIC_KINDS].sum(axis=1),
+        "bypass_to_danger_distance": distance,
+        "transmute_count": count["transmute"],
+        "closure_count": per(pipe_snip[pipe_len == 1]) // 2,
+        "match_arm_count": per(snip[eq[codes[eq + 1] == ord(">")]]),
+        "early_return_count": count["return"] + per(snip[find("?")]),
+        "fn_item_count": count["fn"],
+        "block_depth_max": block_depth,
+        "trait_bound_flag": bound,
+        "raw_deref_flag": found["raw_pointer_count"] > 0,
+        "union_field_flag": count["union"] > 0,
+        "ffi_flag": count["extern"] > 0,
+        # '&' per word
+        "borrow_ratio": np.minimum(1.0, np.divide(amps, n_words, out=np.zeros(n), where=n_words > 0)),
+        "public_api_flag": count["pub"] > 0,
+        "lines_of_code": code_lines,
+        "parameter_count": params,
+        "snippet_bytes": nbytes,
+        "comment_density": np.divide(comment_lines, code_lines, out=np.zeros(n),
+                                     where=code_lines > 0),
+        "snippet_missing_flag": code_lines == 0,
+    }
 
 
-def _parameter_count(snippet: str) -> int:
-    """Comma items of the first `fn name(...)` parameter list; 0 if there is
-    none or it never closes."""
-    head = _FN_HEAD.search(snippet)
-    if head:
-        depth = 1
-        for m in _PAREN.finditer(snippet, head.end()):
-            depth += 1 if m.group() == "(" else -1
-            if not depth:
-                return len(_top_items(snippet[head.end():m.start()]))
-    return 0
-
-
-def _loops_and_blocks(tokens: list[str]) -> tuple[int, int, int]:
-    """(loop keywords, loop_nesting_depth, block_depth_max) by brace tracking.
-
-    'while', 'loop' and a 'for' that does not follow a word each claim the
-    next '{' as a loop body; a word before 'for' makes it an
-    `impl Trait for Type` clause. '}' never takes the depth below 0.
-    """
-    loops = nest = depth = max_depth = pending = 0
-    open_loops: list[int] = []
-    after_word = False
-    for tok in tokens:
-        if tok == "{":
-            if pending:
-                pending -= 1
-                open_loops.append(depth)
-                nest = max(nest, len(open_loops))
-            depth += 1
-            max_depth = max(max_depth, depth)
-        elif tok == "}":
-            depth = max(0, depth - 1)
-            if open_loops and open_loops[-1] == depth:
-                open_loops.pop()
-        elif tok in _LOOP_WORDS and not (after_word and tok == "for"):
-            loops += 1
-            pending += 1
-        after_word = tok not in ("{", "}", ";")
-    return loops, nest, max_depth
-
-
-# The slots `_snippet_row` fills, in its order.
+# The snippet slots, in manifest order.
 _SNIPPET_SLOTS = (*_MIR_PAIRED_COUNTS, *_MIR_FLAGS, "borrow_ratio", "public_api_flag",
                   "lines_of_code", "parameter_count", "snippet_bytes", "comment_density",
                   "snippet_missing_flag")
-
-
-def _snippet_row(snippet: str, nbytes: int) -> tuple[float, ...]:
-    """The `_SNIPPET_SLOTS` of a non-blank snippet of `nbytes` UTF-8 bytes."""
-    tokens = _TOKEN.findall(snippet)
-    words = Counter(tokens)
-    n_words = len(tokens) - words["{"] - words["}"] - words[";"]
-    panics = words["panic"] + words["unwrap"] + words["expect"]
-    if "assert" in snippet:
-        panics += sum(n for w, n in words.items() if w.startswith("assert"))
-    loops, loop_nest, block_depth = _loops_and_blocks(tokens)
-    generic_params, generic_depth, bound = _generic_scan(snippet) if "<" in snippet else (0, 0, 0)
-    lines = snippet.splitlines()
-    code_lines = [ln for ln in lines if ln.strip()]
-    comment_lines = (sum(1 for ln in code_lines if "//" in ln or "/*" in ln)
-                     if "//" in snippet or "/*" in snippet else 0)
-    amps = snippet.count("&")
-    raw_pointers = (len(_RAW_POINTER.findall(snippet))
-                    if "*" in snippet and ("mut" in words or "const" in words) else 0)
-    distance = 0
-    if panics and _BYPASS_TOKEN.search(snippet):
-        # Lines between the first line holding a bypass token and the first
-        # line holding a panic word.
-        bypass_at = next(i for i, ln in enumerate(lines) if _BYPASS_TOKEN.search(ln))
-        panic_at = next(i for i, ln in enumerate(lines) if _PANIC_TEXT.search(ln)
-                        and any(_is_panic_word(w) for w in _TOKEN.findall(ln)))
-        distance = abs(bypass_at - panic_at)
-    return (
-        generic_params,  # generic_param_count
-        generic_depth,  # generic_nesting_depth
-        len(_LIFETIME.findall(snippet)) if "'" in snippet else 0,  # lifetime_param_count
-        max(map(len, _AMP_RUN.findall(snippet))) if amps else 0,  # borrow_nesting_depth: '&' run
-        len(_MUT_BORROW.findall(snippet)) if amps and "mut" in words else 0,  # mut_borrow_count
-        sum(words[w] for w in _SMART_POINTERS.intersection(words)),  # smart_pointer_count
-        # cyclomatic_complexity: 1 + branch keywords + loop keywords + short-circuit operators
-        1 + words["if"] + words["match"] + loops + snippet.count("&&") + snippet.count("||"),
-        loop_nest,  # loop_nesting_depth
-        panics,  # panic_path_count
-        distance,  # bypass_to_danger_distance
-        len(_UNSAFE_BLOCK.findall(snippet)) if "unsafe" in words and "{" in words else 0,
-        raw_pointers,  # raw_pointer_count
-        words["transmute"],  # transmute_count
-        _PIPE_RUN.findall(snippet).count("|") // 2 if "|" in snippet else 0,  # closure_count
-        snippet.count("=>"),  # match_arm_count
-        words["return"] + snippet.count("?"),  # early_return_count
-        words["fn"],  # fn_item_count
-        block_depth,  # block_depth_max
-        bound,  # trait_bound_flag
-        "where" in words and _WHERE.search(snippet) is not None,  # where_clause_flag
-        raw_pointers > 0,  # raw_deref_flag
-        "unsafe" in words and "fn" in words and _UNSAFE_FN.search(snippet) is not None,
-        "static" in words and "mut" in words and _STATIC_MUT.search(snippet) is not None,
-        "unsafe" in words and "impl" in words and _UNSAFE_IMPL.search(snippet) is not None,
-        "union" in words,  # union_field_flag
-        "impl" in words and "Drop" in words and _DROP_IMPL.search(snippet) is not None,
-        "extern" in words,  # ffi_flag
-        min(1.0, amps / n_words) if n_words else 0.0,  # borrow_ratio: '&' per word
-        "pub" in words,  # public_api_flag
-        len(code_lines),  # lines_of_code: non-blank lines
-        _parameter_count(snippet) if "fn" in words else 0,  # parameter_count
-        nbytes,  # snippet_bytes
-        comment_lines / len(code_lines) if code_lines else 0.0,  # comment_density
-        False,  # snippet_missing_flag
-    )
 
 
 def _checker_slot(analyzer: str) -> str:
@@ -482,21 +622,17 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
     the warning.
     """
     n = len(records)
-    snippet_rows = []
-    for r in records:
-        snippet = r.code_snippet
-        nbytes = len(snippet.encode("utf-8"))
-        if nbytes > MAX_SNIPPET_BYTES:
-            raise SnippetTooLarge(
-                f"{source}: warning {r.id}: snippet is {nbytes} bytes (cap 1 MiB)")
-        blank = not snippet or snippet.isspace()
-        snippet_rows.append(_BLANK_ROW if blank else _snippet_row(snippet, nbytes))
+    if not n:
+        return np.zeros((0, len(MANIFEST)))
+    slots = _snippet_slots([r.code_snippet for r in records],
+                           lambda row: f"{source}: warning {records[row].id}")
     packages = {name: (math.log10(1 + m.download_count), m.unsafe_prevalence, m.total_loc, 0.0)
                 for name, m in metadata.items()}
 
     matrix = np.zeros((n, len(MANIFEST)))
-    matrix[:, _SNIPPET_COLUMNS] = np.array(snippet_rows, dtype=np.float64).reshape(
-        n, len(_SNIPPET_COLUMNS))
+    block = np.column_stack([slots[name] for name in _SNIPPET_SLOTS])
+    block[slots["snippet_missing_flag"]] = _BLANK_ROW
+    matrix[:, _SNIPPET_COLUMNS] = block
     matrix[:, _PACKAGE_COLUMNS] = np.array(
         [packages.get(package_of(r), _IMPUTED_PACKAGE) for r in records], dtype=np.float64
     ).reshape(n, len(_PACKAGE_COLUMNS))
@@ -561,7 +697,7 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
             if not isinstance(wid, str):
                 raise TypeError(f"warning_id must be a string, got {type(wid).__name__}")
             values = np.array(obj["values"], dtype=np.float64)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise FeatureValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
         if digest != MANIFEST.digest:
             raise DigestMismatch(
@@ -587,6 +723,8 @@ def read_package_metadata(data: bytes, source: str = "package metadata") -> dict
         doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{source} line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a too-long integer or too-deep nesting
+        raise SchemaError(f"{source}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     out = {}

@@ -607,5 +607,6 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
         )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{source} line {exc.lineno}: {exc.msg}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            DimensionMismatch) as exc:
         raise SchemaError(f"{source}: {type(exc).__name__}: {exc}") from exc

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -39,6 +40,10 @@ class Split(Enum):
 
 SPLITS = tuple(Split)
 _LEVELS = tuple(level.value for level in Level)
+# A "\ud800"-"\udfff" escape alone decodes to a lone surrogate, which UTF-8
+# cannot encode; only text holding such an escape is searched for one.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class BugPattern(Enum):
@@ -120,11 +125,13 @@ def _require_coord(obj: dict, where: str, name: str) -> int:
     return v
 
 
-def parse_warning(obj, where: str) -> WarningRecord:
+def parse_warning(obj, where: str, escaped: bool) -> WarningRecord:
     """One report object as a record with its id assigned and no label.
 
     The object must carry exactly the ten schema keys. The first missing,
-    mistyped, or unknown field raises SchemaError naming `where` and the field.
+    mistyped, or unknown field raises SchemaError naming `where` and the field,
+    as does, when the object's text was `escaped` (see `_SURROGATE_ESCAPE`), a
+    string field holding a lone surrogate.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected object, got {type(obj).__name__}")
@@ -154,6 +161,9 @@ def parse_warning(obj, where: str) -> WarningRecord:
         raise _field_error(where, "end_line", f"start_line {start_line} > end_line {end_line}")
     if start_line == end_line and start_col > end_col:
         raise _field_error(where, "end_col", f"start_col {start_col} > end_col {end_col} on one line")
+    for name in ("analyzer", "op_type", "description", "file", "code_snippet") if escaped else ():
+        if obj[name] is not None and _SURROGATE.search(obj[name]):
+            raise _field_error(where, name, "holds a lone surrogate, which UTF-8 cannot encode")
 
     return WarningRecord(
         id=warning_id(file, start_line, start_col, end_line, end_col, analyzer, description),
@@ -178,11 +188,12 @@ def parse_report(data: bytes, source: str = "report") -> list[WarningRecord]:
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long integers and too-deep nesting
         raise SchemaError(f"{source} is not well-formed JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise SchemaError(f"{source} must be a JSON array, got {type(doc).__name__}")
-    return [parse_warning(obj, f"{source}[{i}]") for i, obj in enumerate(doc)]
+    escaped = _SURROGATE_ESCAPE.search(data) is not None
+    return [parse_warning(obj, f"{source}[{i}]", escaped) for i, obj in enumerate(doc)]
 
 
 def classify_bug_pattern(record: WarningRecord) -> BugPattern:
@@ -368,15 +379,15 @@ def write_warning_store(records: list[WarningRecord]) -> bytes:
 
 def read_warning_store(data: bytes, source: str = "warning store") -> list[WarningRecord]:
     """Parse a warning store; a malformed line raises SchemaError naming `source` and the line."""
-    records = []
+    records, escaped = [], _SURROGATE_ESCAPE.search(data) is not None
     for n, line in text_lines(data):
         where = f"{source} line {n}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         stored_id = obj.pop("id", None) if isinstance(obj, dict) else None
-        record = parse_warning(obj, where + ": warning")
+        record = parse_warning(obj, where + ": warning", escaped)
         if stored_id is not None and stored_id != record.id:
             raise SchemaError(f"{where}: stored id {stored_id} disagrees with content id {record.id}")
         records.append(record)

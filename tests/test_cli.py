@@ -269,6 +269,22 @@ def first_verdict_fuzzed(flag, kind):
     return edit
 
 
+def with_long_integer(key):
+    """An edit that gives the first `key` of a JSON file a 5,000-digit integer,
+    longer than `json.loads` converts."""
+    return lambda text: re.sub(rf'"{key}": \d+', f'"{key}": 1' + "0" * 4999, text, count=1)
+
+
+def with_lone_surrogate(key):
+    """An edit that starts the first `key` string of a JSON file with a "\\ud800" escape."""
+    return lambda text: text.replace(f'"{key}": "', f'"{key}": "\\ud800', 1)
+
+
+def nested_too_deep(text):
+    """JSON nested deeper than `json.loads` recurses."""
+    return "[" * 100_000
+
+
 def keep_one_train_record(text):
     first, rest = text.split("\ttrain", 1)
     return first + "\ttrain" + rest.replace("\ttrain", "\tval")
@@ -382,6 +398,28 @@ class TestMalformedInputs:
         ("fuzz-validate", "config", str, ["--jobs", "65"], 3, "{bad}: jobs must be <= 64, got 65"),
         ("report", "config", lambda t: "# a note\u2028 here\nseed = 7\nbogus = 2\n" + t, [], 3,
          "{bad} line 3: unknown config key 'bogus'"),
+        ("ingest", "report", with_long_integer("start_line"), [], 3,
+         "{bad} is not well-formed JSON: Exceeds the limit (4300 digits)"),
+        ("featurize", "warnings", with_long_integer("start_line"), [], 3,
+         "{bad} line 1: Exceeds the limit (4300 digits)"),
+        ("featurize", "meta", with_long_integer("loc"), [], 3,
+         "{bad}: ValueError: Exceeds the limit (4300 digits)"),
+        ("ingest", "report", nested_too_deep, [], 3,
+         "{bad} is not well-formed JSON: maximum recursion depth exceeded"),
+        ("featurize", "warnings", nested_too_deep, [], 3,
+         "{bad} line 1: maximum recursion depth exceeded"),
+        ("featurize", "meta", nested_too_deep, [], 3,
+         "{bad}: RecursionError: maximum recursion depth exceeded"),
+        ("evaluate", "features", nested_too_deep, [], 3,
+         "{bad} line 1: RecursionError: maximum recursion depth exceeded"),
+        ("evaluate", "checkpoint", nested_too_deep, [], 3,
+         "{bad}: RecursionError: maximum recursion depth exceeded"),
+        ("ingest", "report", with_lone_surrogate("file"), [], 3,
+         "{bad}[0].file: holds a lone surrogate, which UTF-8 cannot encode"),
+        ("ingest", "report", with_lone_surrogate("code_snippet"), [], 3,
+         "{bad}[0].code_snippet: holds a lone surrogate, which UTF-8 cannot encode"),
+        ("featurize", "warnings", with_lone_surrogate("code_snippet"), [], 3,
+         "{bad} line 1: warning.code_snippet: holds a lone surrogate, which UTF-8 cannot encode"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -390,7 +428,10 @@ class TestMalformedInputs:
             "checkpoint-dropout-string", "checkpoint-dropout-null", "checkpoint-dropout-5",
             "checkpoint-no-seed", "checkpoint-seed-float", "sidecar-id-list", "split-seed-negative",
             "train-seed-negative", "importance-seed-negative", "sim-seed-negative",
-            "checkpoint-config-seed-negative", "jobs-above-bound", "config-line-separator"])
+            "checkpoint-config-seed-negative", "jobs-above-bound", "config-line-separator",
+            "report-long-integer", "store-long-integer", "meta-long-integer", "report-deep",
+            "store-deep", "meta-deep", "sidecar-deep", "checkpoint-deep", "report-surrogate-file",
+            "report-surrogate-snippet", "store-surrogate-snippet"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()

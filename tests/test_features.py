@@ -259,6 +259,17 @@ SNIPPET_PIECES = [
     "Arc<Mutex<", "// c", "/* c */", " ", "\t", "x", "9", "é", "_",
 ]
 snippets = st.lists(st.sampled_from(SNIPPET_PIECES) | st.text(max_size=3), max_size=12).map("".join)
+# Snippet ends and starts that a rule could read across the boundary between
+# two neighbouring snippets, and characters outside ASCII or printable text.
+BOUNDARY_ENDS = ["\r", "&", "|", "=", "-", "/", "'", "<", "{", "fn f(", "fn f<T>(a", "word",
+                 "unsafe", "impl X", "9"]
+BOUNDARY_STARTS = ["\n", "&", ">", "/", "*", "word", "mut", "{", "}", "fn g(a, b) {", "é"]
+ODD_CHARACTERS = ["\0", "é", "\u00a0", "\u3000", "\u0663", "\U0001d465", "\x85", "\r\n"]
+boundary_snippets = st.builds(
+    lambda start, body, end: start + body + end,
+    st.sampled_from(["", *BOUNDARY_STARTS]),
+    st.lists(st.sampled_from(SNIPPET_PIECES + ODD_CHARACTERS), max_size=6).map("".join),
+    st.sampled_from(["", *BOUNDARY_ENDS]))
 
 
 def oracle_matrix(records, metadata, sizes):
@@ -297,6 +308,17 @@ class TestAgainstOracle:
         sizes = {r.id: data.draw(st.integers(1, 50)) for r in records}
         got = extract_features(records, metadata, sizes)
         assert got.tobytes() == oracle_matrix(records, metadata, sizes).tobytes()
+
+    @given(texts=st.lists(boundary_snippets, min_size=20, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_many_neighbouring_snippets_equal_the_per_rule_oracle(self, texts):
+        # The report's snippets are featurized together, so each must read
+        # the same whatever its neighbours end or start with.
+        records = [WarningRecord(**{**make_record(i).__dict__, "code_snippet": text})
+                   for i, text in enumerate(texts)]
+        sizes = {r.id: 1 for r in records}
+        got = extract_features(records, {}, sizes)
+        assert got.tobytes() == oracle_matrix(records, {}, sizes).tobytes()
 
     def test_demo_sidecar_is_byte_identical_to_the_oracle(self, tmp_path):
         paths = write_demo_inputs(tmp_path)

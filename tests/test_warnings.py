@@ -81,6 +81,17 @@ class TestParseReport:
     def test_empty_array(self):
         assert parse_report(b"[]") == []
 
+    def test_surrogate_pair_escape_is_one_character_and_a_lone_one_is_refused(self):
+        pair = json.dumps([{**AARC_REPORT_OBJECT, "code_snippet": "x\U0001f600"}]).encode()
+        assert b"\\ud83d\\ude00" in pair
+        assert parse_report(pair)[0].code_snippet == "x\U0001f600"
+        lone = pair.replace(b"\\ud83d", b"")
+        with pytest.raises(SchemaError, match=r"^report\[0\]\.code_snippet: holds a lone surrogate"):
+            parse_report(lone)
+        store = write_warning_store(parse_report(pair)).replace("\U0001f600".encode(), b"\\ude00")
+        with pytest.raises(SchemaError, match=r"^warning store line 1: warning\.code_snippet: holds"):
+            read_warning_store(store)
+
     def test_duplicate_objects_share_id(self):
         records = parse_report(as_report([AARC_REPORT_OBJECT, AARC_REPORT_OBJECT]))
         assert len(records) == 2
