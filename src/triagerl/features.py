@@ -383,17 +383,16 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
 
     per = partial(np.bincount, minlength=n)  # per snippet: per(snippet of each, weight)
     at = np.flatnonzero(cls & _PUNCT)
-    mark = codes[at].astype(np.uint8)
-    by_mark = np.argsort(mark, kind="stable")
-    bounds = np.searchsorted(mark[by_mark], np.arange(129))
-    place = {ch: at[by_mark[bounds[ord(ch)]:bounds[ord(ch) + 1]]] for ch in _PUNCTUATION}
+    at = at[np.argsort(codes[at].astype(np.uint8), kind="stable")]  # by character, then position
+    bounds = np.searchsorted(codes[at], np.arange(129))
+    place = {ch: at[bounds[ord(ch)]:bounds[ord(ch) + 1]] for ch in _PUNCTUATION}
 
     def find(chars: str) -> np.ndarray:  # the sorted positions of `chars`
         return np.sort(np.concatenate([place[ch] for ch in chars]))
 
     # Words, from the first head of each run; kinds by length, first and third letter.
-    edges = np.flatnonzero(np.diff((cls & _WORD_CHAR).view(bool), prepend=False, append=False))
-    tok_start, tok_end = edges[0::2], edges[1::2]
+    tok_start, tok_end = np.flatnonzero(np.diff(
+        (cls & _WORD_CHAR).view(bool), prepend=False, append=False)).reshape(-1, 2).T
     late = np.flatnonzero((cls[tok_start] & _HEAD) == 0)
     if len(late):  # the run starts with a digit or a non-ASCII letter
         block, size = _runs(np.flatnonzero((cls & (_WORD_CHAR | _HEAD)) == _WORD_CHAR))
@@ -401,13 +400,13 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
         held = tok_start < tok_end
         tok_start, tok_end = tok_start[held], tok_end[held]
     tok_len = tok_end - tok_start
-    third = np.where(tok_len > 2, np.minimum(codes.take(tok_start + 2, mode="clip"), 127), 0)
-    row = _CANDIDATE[np.minimum(tok_len, 11) << 14 | codes[tok_start].astype(np.int64) << 7 | third]
+    row = _CANDIDATE[np.minimum(tok_len, 11) << 14 | codes[tok_start].astype(np.int64) << 7
+                     | np.minimum(codes.take(tok_start + 2, mode="clip"), 127) * (tok_len > 2)]
     cand = np.flatnonzero(row)
     row = row[cand] - 1
-    chars = codes.take(tok_start[cand, None] + np.arange(10), mode="clip")
-    spelled = ((chars == _SPELLING[row]) | (np.arange(10) >= _WIDTH[row, None])).all(axis=1)
-    kind = np.zeros(len(tok_start), dtype=np.int64)
+    spelled = ((codes.take(tok_start[cand, None] + np.arange(10), mode="clip") == _SPELLING[row])
+               | (np.arange(10) >= _WIDTH[row, None])).all(axis=1)
+    kind = np.zeros(len(tok_start), dtype=np.int8)
     kind[cand[spelled]] = _ROW_KIND[row[spelled]]
     tok_snip = snip[tok_start].astype(np.int64)
     words = np.bincount(tok_snip * (_SMART + 1) + kind, minlength=n * (_SMART + 1)).reshape(n, -1)
@@ -460,8 +459,8 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     crlf = (codes[breaks] == ord("\n")) & (codes[breaks - 1] == ord("\r"))
     crlf[np.searchsorted(breaks, ends)] = False
     line_end = breaks[~crlf]
-    solid = (cls & _SPACE) == 0
-    code_lines = per(snip[line_end[np.logical_or.reduceat(solid, np.append(0, line_end[:-1]))]])
+    code_lines = per(snip[line_end[np.logical_or.reduceat((cls & _SPACE) == 0,
+                                                          np.append(0, line_end[:-1]))]])
     slash = find("/")
     marked = np.searchsorted(line_end, slash[np.isin(codes[slash + 1], (ord("/"), ord("*")))])
     comment_lines = per(snip[line_end[marked[_firsts(marked)]]])
