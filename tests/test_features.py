@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from triagerl.errors import DigestMismatch, EmptyTrainSet, FeatureValidationError, SnippetTooLarge
@@ -310,7 +310,10 @@ class TestAgainstOracle:
         assert got.tobytes() == oracle_matrix(records, metadata, sizes).tobytes()
 
     @given(texts=st.lists(boundary_snippets, min_size=20, max_size=60))
-    @settings(max_examples=60, deadline=None)
+    # No shrinking: each step re-runs the oracle on up to 60 snippets, and a
+    # shrinking failure took minutes and most of a gigabyte.
+    @settings(max_examples=60, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_many_neighbouring_snippets_equal_the_per_rule_oracle(self, texts):
         # The report's snippets are featurized together, so each must read
         # the same whatever its neighbours end or start with.
