@@ -280,6 +280,15 @@ def with_lone_surrogate(key):
     return lambda text: text.replace(f'"{key}": "', f'"{key}": "\\ud800', 1)
 
 
+def first_warning_with(**fields):
+    """An edit that sets `fields` in the first object of a JSON report."""
+    def edit(text):
+        doc = json.loads(text)
+        doc[0] = {**doc[0], **fields}
+        return json.dumps(doc)
+    return edit
+
+
 def nested_too_deep(text):
     """JSON nested deeper than `json.loads` recurses."""
     return "[" * 100_000
@@ -420,6 +429,35 @@ class TestMalformedInputs:
          "{bad}[0].code_snippet: holds a lone surrogate, which UTF-8 cannot encode"),
         ("featurize", "warnings", with_lone_surrogate("code_snippet"), [], 3,
          "{bad} line 1: warning.code_snippet: holds a lone surrogate, which UTF-8 cannot encode"),
+        ("ingest", "report", first_warning_with(analyzer=7), [], 3,
+         "{bad}[0].analyzer: expected string, got int"),
+        ("ingest", "report", first_warning_with(start_line=True), [], 3,
+         "{bad}[0].start_line: expected integer, got bool"),
+        ("ingest", "report", lambda t: json.dumps([5, *json.loads(t)[1:]]), [], 3,
+         "{bad}[0]: expected object, got int"),
+        ("ingest", "report", first_warning_with(op_type=["read_flow"]), [], 3,
+         "{bad}[0].op_type: expected string or null, got list"),
+        ("ingest", "report", first_warning_with(start_line=5, start_col=9, end_line=5, end_col=3),
+         [], 3, "{bad}[0].end_col: start_col 9 > end_col 3 on one line"),
+        ("fuzz-validate", "config", lambda t: t.replace("backend = simulated", "backend = recorded"),
+         [], 3, "input error: backend 'recorded' needs recorded_path (or --recorded)"),
+        ("fuzz-validate", "config", lambda t: t.replace("backend = simulated", "backend = quantum"),
+         [], 3, "input error: unknown backend 'quantum' (simulated/recorded/external)"),
+        ("evaluate", "splits", lambda t: t.replace("\ttest", "\tval"), [], 3,
+         "input error: split 'test' has no records"),
+        ("importance", "splits", lambda t: t.replace("\ttest", "\tval"), [], 3,
+         "input error: split 'test' has no records"),
+        ("fuzz-validate", "config", str, ["--ids", "feedfacefeedface"], 3,
+         "input error: warnings not in store: feedfacefeedface"),
+        ("featurize", "meta", lambda t: "[1, 2]", [], 3, "{bad}: expected a JSON object, got list"),
+        ("evaluate", "checkpoint", lambda t: t.replace('"format_version":1,', '"format_version":9,'),
+         [], 3, "{bad}: ValueError: unsupported checkpoint format 9"),
+        ("evaluate", "checkpoint", lambda t: re.sub(r'"layer_dims":\[\d+', '"layer_dims":[5', t),
+         [], 3, "{bad}: ValueError: input dimension 5 does not fit the manifest"),
+        ("evaluate", "checkpoint", lambda t: re.sub(r'"mean":\[[^,]+,', '"mean":[', t), [], 3,
+         f"{{bad}}: ValueError: normalizer statistics must have {len(MANIFEST)} entries each"),
+        ("evaluate", "checkpoint", lambda t: re.sub(r'"w1":\[[^,]+', '"w1":[NaN', t), [], 3,
+         "{bad}: ValueError: weights and normalizer statistics must be finite"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -431,7 +469,12 @@ class TestMalformedInputs:
             "checkpoint-config-seed-negative", "jobs-above-bound", "config-line-separator",
             "report-long-integer", "store-long-integer", "meta-long-integer", "report-deep",
             "store-deep", "meta-deep", "sidecar-deep", "checkpoint-deep", "report-surrogate-file",
-            "report-surrogate-snippet", "store-surrogate-snippet"])
+            "report-surrogate-snippet", "store-surrogate-snippet", "report-string-mistyped",
+            "report-coordinate-bool", "report-element-not-object", "report-op-type-mistyped",
+            "report-columns-reversed", "recorded-without-path", "backend-unknown",
+            "evaluate-empty-split", "importance-empty-split", "fuzz-validate-unknown-id",
+            "meta-not-object", "checkpoint-format-version", "checkpoint-input-dimension",
+            "checkpoint-short-normalizer", "checkpoint-weight-nan"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -439,6 +482,14 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert got == code, err
         assert named.format(bad=bad) in err, err
+
+    def test_input_that_is_not_utf8_exits_3_naming_file_and_line(self, pipeline, tmp_path,
+                                                                 capsys):
+        data = pipeline["report"].read_bytes().replace(b"\n", b"\n\xff", 1)
+        code, bad = run_with(pipeline, tmp_path, "report", data)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == f"input error: {bad} line 2: not UTF-8: invalid start byte\n"
 
     def test_bad_recorded_outcome_line_names_file_and_line(self, pipeline, tmp_path, capsys):
         lines = pipeline["outcomes"].read_text().splitlines()
