@@ -181,6 +181,7 @@ _BINARY_MASK = np.array([e.kind in (Kind.FLAG, Kind.ONE_HOT) for e in MANIFEST.e
 _RATIO_MASK = np.array([e.kind is Kind.RATIO for e in MANIFEST.entries])
 _ONE_HOT_MASK = np.array([e.kind is Kind.ONE_HOT for e in MANIFEST.entries])
 _MAGNITUDE_MASK = np.array([e.kind in (Kind.COUNT, Kind.LOG_SCALED) for e in MANIFEST.entries])
+_KINDS = {e.name: e.kind for e in MANIFEST.entries}
 
 
 def manifest_export() -> str:
@@ -359,7 +360,7 @@ def _generic_walk(angles: bytes) -> tuple[int, int, int]:
 
 
 def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
-    """Each of `_SNIPPET_SLOTS` as a column over the non-empty list `snippets`
+    """Each snippet slot, by name, as a column over the non-empty list `snippets`
     (a blank snippet's row means nothing but snippet_missing_flag). A snippet
     above MAX_SNIPPET_BYTES of UTF-8 raises SnippetTooLarge at `where(row)`."""
     n = len(snippets)
@@ -561,12 +562,6 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     }
 
 
-# The snippet slots, in manifest order.
-_SNIPPET_SLOTS = (*_MIR_PAIRED_COUNTS, *_MIR_FLAGS, "borrow_ratio", "public_api_flag",
-                  "lines_of_code", "parameter_count", "snippet_bytes", "comment_density",
-                  "snippet_missing_flag")
-
-
 def _checker_slot(analyzer: str) -> str:
     a = analyzer.lower()
     if "dataflow" in a:
@@ -585,27 +580,9 @@ def _op_slot(op_type: str | None) -> str:
     return norm if norm in _OP_TYPES else "other"
 
 
-def _columns(names) -> np.ndarray:
-    return np.array([MANIFEST.index_of(name) for name in names], dtype=np.intp)
-
-
-_SNIPPET_COLUMNS = _columns(_SNIPPET_SLOTS)
-# A blank snippet imputes its counts and flags as 0 and its ratios as 0.5.
-_BLANK_ROW = tuple(0.5 if _RATIO_MASK[c] else float(name == "snippet_missing_flag")
-                   for name, c in zip(_SNIPPET_SLOTS, _SNIPPET_COLUMNS))
-_PACKAGE_COLUMNS = _columns(("download_count_log", "unsafe_prevalence", "package_loc",
-                             "metadata_imputed_flag"))
-# A package without metadata: the same imputation, and the imputed flag set.
+# A package without metadata: download_count_log, unsafe_prevalence and
+# package_loc imputed as a blank snippet's slots are, and metadata_imputed_flag set.
 _IMPUTED_PACKAGE = (0.0, 0.5, 0.0, 1.0)
-_CLUSTER_SIZE, _CLUSTERED, _OP_PRESENT = _columns(("cluster_size", "clustered_flag",
-                                                   "op_type_present_flag"))
-_BYPASS_COLUMNS = _columns(f"bypass_{b}" for b in _BYPASS)
-_CHECKER_COLUMNS = _columns(f"checker_{c}" for c in _CHECKERS)
-_LEVEL_COLUMNS = _columns(f"level_{lv}" for lv in _LEVELS)
-_OP_COLUMNS = _columns(f"op_{op}" for op in _OP_TYPES)
-_PAIRED = _MIR_PAIRED_COUNTS + _STRUCTURAL_PAIRED_COUNTS + ("cluster_size",)
-_PAIRED_COLUMNS = _columns(_PAIRED)
-_LOG_COLUMNS = _columns(name + "_log" for name in _PAIRED)
 
 
 def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMetadata],
@@ -625,33 +602,37 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
         return np.zeros((0, len(MANIFEST)))
     slots = _snippet_slots([r.code_snippet for r in records],
                            lambda row: f"{source}: warning {records[row].id}")
+    blank = slots["snippet_missing_flag"]
+    columns = {name: np.where(blank, 0.5 if _KINDS[name] is Kind.RATIO
+                              else float(name == "snippet_missing_flag"), column)
+               for name, column in slots.items()}
     packages = {name: (math.log10(1 + m.download_count), m.unsafe_prevalence, m.total_loc, 0.0)
                 for name, m in metadata.items()}
-
-    matrix = np.zeros((n, len(MANIFEST)))
-    block = np.column_stack([slots[name] for name in _SNIPPET_SLOTS])
-    block[slots["snippet_missing_flag"]] = _BLANK_ROW
-    matrix[:, _SNIPPET_COLUMNS] = block
-    matrix[:, _PACKAGE_COLUMNS] = np.array(
-        [packages.get(package_of(r), _IMPUTED_PACKAGE) for r in records], dtype=np.float64
-    ).reshape(n, len(_PACKAGE_COLUMNS))
-    matrix[:, _CLUSTER_SIZE] = [sizes[r.id] for r in records]
-    matrix[:, _CLUSTERED] = matrix[:, _CLUSTER_SIZE] > 1
-    matrix[:, _OP_PRESENT] = [r.op_type is not None for r in records]
-    rows = np.arange(n)
-    for columns, picks in (
-        (_BYPASS_COLUMNS, [_BYPASS.index(classify_bug_pattern(r).value) for r in records]),
-        (_CHECKER_COLUMNS, [_CHECKERS.index(_checker_slot(r.analyzer)) for r in records]),
-        (_LEVEL_COLUMNS, [_LEVELS.index(r.level.value.lower()) for r in records]),
-        (_OP_COLUMNS, [_OP_TYPES.index(_op_slot(r.op_type)) for r in records]),
+    package = np.array([packages.get(package_of(r), _IMPUTED_PACKAGE) for r in records],
+                       dtype=np.float64).reshape(n, 4)
+    columns.update(zip(("download_count_log", "unsafe_prevalence", "package_loc",
+                        "metadata_imputed_flag"), package.T))
+    columns["cluster_size"] = np.array([sizes[r.id] for r in records], dtype=np.float64)
+    columns["clustered_flag"] = columns["cluster_size"] > 1
+    columns["op_type_present_flag"] = np.array([r.op_type is not None for r in records])
+    for prefix, vocabulary, picks in (
+        ("bypass_", _BYPASS, [classify_bug_pattern(r).value for r in records]),
+        ("checker_", _CHECKERS, [_checker_slot(r.analyzer) for r in records]),
+        ("level_", _LEVELS, [r.level.value.lower() for r in records]),
+        ("op_", _OP_TYPES, [_op_slot(r.op_type) for r in records]),
     ):
-        matrix[rows, columns[np.array(picks, dtype=np.intp)]] = 1.0
+        picks = np.array(picks)
+        columns.update((prefix + value, picks == value) for value in vocabulary)
     # ln(1 + x) companions, by math.log1p once per distinct count, so each
     # equals the scalar rule bit for bit whatever numpy's own log1p does.
-    counts, inverse = np.unique(matrix[:, _PAIRED_COLUMNS], return_inverse=True)
+    paired = [name for name in _KINDS if name + "_log" in _KINDS]
+    counts, inverse = np.unique(np.column_stack([columns[name] for name in paired]),
+                                return_inverse=True)
     logs = np.array([math.log1p(max(0.0, c)) for c in counts.tolist()], dtype=np.float64)
-    matrix[:, _LOG_COLUMNS] = logs[inverse].reshape(n, len(_LOG_COLUMNS))
-    return matrix
+    columns.update(zip([name + "_log" for name in paired], logs[inverse].reshape(n, len(paired)).T))
+    assert columns.keys() == _KINDS.keys(), f"slots without columns or columns without slots: " \
+        f"{columns.keys() ^ _KINDS.keys()}"
+    return np.column_stack([columns[e.name] for e in MANIFEST.entries])
 
 
 def fit_normalizer(matrix: np.ndarray) -> NormalizerStats:

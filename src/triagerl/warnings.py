@@ -10,16 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import RatioError, SchemaError, UnlabeledRecordError
-
-REPORT_FIELDS = ("level", "analyzer", "op_type", "description", "file", "start_line", "start_col",
-                 "end_line", "end_col", "code_snippet")
-
 
 class Level(Enum):
     ERROR = "Error"
@@ -39,7 +35,7 @@ class Split(Enum):
 
 
 SPLITS = tuple(Split)
-_LEVELS = tuple(level.value for level in Level)
+_LEVELS = {level.value: level for level in Level}
 # A "\ud800"-"\udfff" escape alone decodes to a lone surrogate, which UTF-8
 # cannot encode; only text holding such an escape is searched for one.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
@@ -105,79 +101,61 @@ class Dataset:
         return [r for r in self.records if self.split_assignment.get(r.id) == split]
 
 
+# The report object's fields are the record's, less `id` and `label`: each
+# with the types its value may have and their name in an error, in report order.
+_VALUE_TYPES = {"Level": ((str,), "string"), "str": ((str,), "string"),
+                "str | None": ((str, type(None)), "string or null"), "int": ((int,), "integer")}
+_FIELD_TABLE = tuple((f.name, *_VALUE_TYPES[f.type]) for f in fields(WarningRecord)
+                     if f.name not in ("id", "label"))
+REPORT_FIELDS = tuple(name for name, _, _ in _FIELD_TABLE)
+_FIELD_SET = frozenset(REPORT_FIELDS)
+
+
 def _field_error(where: str, name: str, why: str) -> SchemaError:
     return SchemaError(f"{where}.{name}: {why}")
-
-
-def _require_str(obj: dict, where: str, name: str) -> str:
-    v = obj[name]
-    if not isinstance(v, str):
-        raise _field_error(where, name, f"expected string, got {type(v).__name__}")
-    return v
-
-
-def _require_coord(obj: dict, where: str, name: str) -> int:
-    v = obj[name]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise _field_error(where, name, f"expected integer, got {type(v).__name__}")
-    if v < 1:
-        raise _field_error(where, name, f"coordinates are 1-based, got {v}")
-    return v
 
 
 def parse_warning(obj, where: str, escaped: bool) -> WarningRecord:
     """One report object as a record with its id assigned and no label.
 
-    The object must carry exactly the ten schema keys. The first missing,
-    mistyped, or unknown field raises SchemaError naming `where` and the field,
-    as does, when the object's text was `escaped` (see `_SURROGATE_ESCAPE`), a
-    string field holding a lone surrogate.
+    The object must carry exactly the ten schema keys. The first fault raises
+    SchemaError naming `where` and the field, looked for in this order: a
+    missing field, an unknown one, a mistyped one (a bool is no integer), a
+    level outside `Level`, a coordinate below 1, an end before its start, and,
+    when the object's text was `escaped` (see `_SURROGATE_ESCAPE`), a string
+    field holding a lone surrogate. Fields are taken in report order.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected object, got {type(obj).__name__}")
-    for name in REPORT_FIELDS:
-        if name not in obj:
-            raise _field_error(where, name, "missing field")
-    for name in obj:
-        if name not in REPORT_FIELDS:
-            raise _field_error(where, name, "unknown field")
+    if obj.keys() != _FIELD_SET:
+        for name in REPORT_FIELDS:
+            if name not in obj:
+                raise _field_error(where, name, "missing field")
+        raise _field_error(where, next(k for k in obj if k not in _FIELD_SET), "unknown field")
+    for name, types, called in _FIELD_TABLE:
+        if type(obj[name]) not in types:
+            raise _field_error(where, name, f"expected {called}, got {type(obj[name]).__name__}")
 
-    level = _require_str(obj, where, "level")
+    level = obj["level"]
     if level not in _LEVELS:
-        raise _field_error(where, "level", f"expected one of {_LEVELS}, got {level!r}")
-    op_type = obj["op_type"]
-    if op_type is not None and not isinstance(op_type, str):
-        raise _field_error(where, "op_type", f"expected string or null, got {type(op_type).__name__}")
-
-    analyzer = _require_str(obj, where, "analyzer")
-    description = _require_str(obj, where, "description")
-    file = _require_str(obj, where, "file")
-    snippet = _require_str(obj, where, "code_snippet")
-    start_line = _require_coord(obj, where, "start_line")
-    start_col = _require_coord(obj, where, "start_col")
-    end_line = _require_coord(obj, where, "end_line")
-    end_col = _require_coord(obj, where, "end_col")
+        raise _field_error(where, "level", f"expected one of {tuple(_LEVELS)}, got {level!r}")
+    start_line, start_col, end_line, end_col = coords = (
+        obj["start_line"], obj["start_col"], obj["end_line"], obj["end_col"])
+    if min(coords) < 1:
+        name = next(name for name in REPORT_FIELDS if type(obj[name]) is int and obj[name] < 1)
+        raise _field_error(where, name, f"coordinates are 1-based, got {obj[name]}")
     if start_line > end_line:
         raise _field_error(where, "end_line", f"start_line {start_line} > end_line {end_line}")
     if start_line == end_line and start_col > end_col:
         raise _field_error(where, "end_col", f"start_col {start_col} > end_col {end_col} on one line")
-    for name in ("analyzer", "op_type", "description", "file", "code_snippet") if escaped else ():
-        if obj[name] is not None and _SURROGATE.search(obj[name]):
+    for name in REPORT_FIELDS if escaped else ():
+        if type(obj[name]) is str and _SURROGATE.search(obj[name]):
             raise _field_error(where, name, "holds a lone surrogate, which UTF-8 cannot encode")
 
-    return WarningRecord(
-        id=warning_id(file, start_line, start_col, end_line, end_col, analyzer, description),
-        level=Level(level),
-        analyzer=analyzer,
-        op_type=op_type,
-        description=description,
-        file=file,
-        start_line=start_line,
-        start_col=start_col,
-        end_line=end_line,
-        end_col=end_col,
-        code_snippet=snippet,
-    )
+    wid = warning_id(obj["file"], *coords, obj["analyzer"], obj["description"])
+    record = WarningRecord(wid, *map(obj.__getitem__, REPORT_FIELDS))
+    record.level = _LEVELS[level]
+    return record
 
 
 def parse_report(data: bytes, source: str = "report") -> list[WarningRecord]:

@@ -27,6 +27,7 @@ from triagerl.features import (
     validate_vector,
     write_feature_sidecar,
 )
+from triagerl import features as features_mod
 from triagerl.cli import run_cli
 from triagerl.warnings import (
     Level,
@@ -111,6 +112,12 @@ class TestManifest:
         perturbed = (MANIFEST.entries[1],) + MANIFEST.entries[1:]
         assert _digest(MANIFEST.version, perturbed) != MANIFEST.digest
         assert build_manifest().digest == MANIFEST.digest
+
+    def test_a_column_without_a_slot_fails(self, monkeypatch):
+        # A checker value the manifest has no slot for fills a column no slot reads.
+        monkeypatch.setattr(features_mod, "_CHECKERS", features_mod._CHECKERS + ("bogus",))
+        with pytest.raises(AssertionError, match="checker_bogus"):
+            extract_features([make_record(0)], {}, {make_record(0).id: 1})
 
     def test_export_lists_every_slot(self):
         text = manifest_export()
