@@ -12,7 +12,8 @@ runs first alternates from seed to seed. `--trace-seed` adds one traced run
 per side and workload (`--trace-seconds` long). The output keeps every run record and, per workload
 and end-to-end metric, each side's median and quartiles (numpy percentiles
 25/50/75, linear), the pairs the change won (ties count for neither), the
-parent's IQR and the gap between the medians. `--claim WORKLOAD:METRIC`
+parent's IQR and the gap between the medians; it also keeps each side's
+`src/triagerl/*.py` line count as `src_lines`. `--claim WORKLOAD:METRIC`
 adds a claim block, met when the change wins at least 9 of 10 pairs, its
 median is better by at least `--min-gain`, and the medians differ by more
 than the parent's IQR; it also summarizes the seeds not listed in
@@ -51,6 +52,11 @@ def export(sha: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
     return dest
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of `src/triagerl/*.py` in `tree`, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "triagerl").glob("*.py"))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -165,6 +171,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(sha, Path(tmp) / side) for side, sha in shas.items()}
+        doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in args.workload:
             runs = []
             for i, seed in enumerate(args.seeds):

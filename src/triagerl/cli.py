@@ -137,10 +137,12 @@ def _load_config(args) -> RunConfig:
 
 def _read_bytes(path: str) -> bytes:
     """An input file's bytes, which must be UTF-8 text."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"input file does not exist: {path}")
-    data = p.read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise InputError(f"input file does not exist: {path}") from None
+    except OSError as exc:
+        raise InputError(f"input file cannot be read: {path}: {exc.strerror}") from None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingRecording, UnknownPattern, UnresolvableTarget
+from .features import package_of
 from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, state_once,
                        text_file, text_lines)
 
@@ -98,7 +99,7 @@ def load_templates(directory: Path | str = DEFAULT_TEMPLATE_DIR) -> dict[BugPatt
 
 def _crate_name(record: WarningRecord) -> str:
     # "aarc-0.3.2/src/smart_ptrs.rs" -> "aarc"; trailing -<version> is dropped.
-    head = record.file.split("/", 1)[0]
+    head = package_of(record)
     return re.sub(r"-\d[\w.\-]*$", "", head) or head
 
 
@@ -215,8 +216,7 @@ class ExternalBackend:
     removed when the call ends, so concurrent calls never share a file.
     The budget is clamped to [30, 60] seconds; at budget+5 s the command's
     whole process group is killed (outcome Inconclusive, detail "timeout").
-    The TRIAGE_FUZZ_CMD environment variable overrides the configured
-    command. The *_MARKER regexes map output to outcome kinds; any setup failure
+    The *_MARKER regexes map output to outcome kinds; any setup failure
     is InfrastructureFailure, never raised.
     """
 
@@ -233,7 +233,7 @@ class ExternalBackend:
         except (UnknownPattern, UnresolvableTarget) as exc:
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"harness generation: {exc}")
         try:
-            command = shlex.split(os.environ.get("TRIAGE_FUZZ_CMD", self.command))
+            command = shlex.split(self.command)
         except ValueError as exc:
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
                                f"spawn failed: command: {exc}")

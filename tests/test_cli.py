@@ -196,15 +196,10 @@ class TestFuzzFanOut:
         rows = [line.split("\t") for line in out.read_text().splitlines()]
         assert rows and all(r[3] == "1" and float(r[2]) == 0.5 for r in rows)
 
-    @pytest.mark.parametrize("via", ["config", "environment"])
-    def test_unsplittable_command_records_infrastructure_failures(self, pipeline, tmp_path,
-                                                                   monkeypatch, via):
-        command = '"unclosed'
-        if via == "environment":
-            monkeypatch.setenv("TRIAGE_FUZZ_CMD", command)
-            command = "cargo-fuzz-triage"
+    @pytest.mark.parametrize("via", ["config"])
+    def test_unsplittable_command_records_infrastructure_failures(self, pipeline, tmp_path, via):
         cfg = tmp_path / "external.cfg"
-        cfg.write_text(f"backend = external\nexternal_command = {command}\n")
+        cfg.write_text('backend = external\nexternal_command = "unclosed\n')
         out = tmp_path / "outcomes.txt"
         code = run_cli(["fuzz-validate", "--warnings", str(pipeline["warnings"]),
                         "--out", str(out), "--config", str(cfg)])
@@ -706,6 +701,12 @@ class TestExitCodes:
         )
         assert code == 3
         assert "nope.json" in capsys.readouterr().err
+
+    def test_unreadable_input_file_is_validation_error(self, tmp_path, capsys):
+        code = run_cli(["ingest", "--report", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (f"input error: input file cannot be read: {tmp_path}: "
+                                           "Is a directory\n")
 
     def test_malformed_report_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -268,13 +268,6 @@ class TestExternalBackend:
         assert outcome.detail == "timeout"
         assert elapsed <= 0.4 + 5.0 + 2.0  # budget + grace + slack
 
-    def test_env_var_overrides_command(self, tmp_path, monkeypatch):
-        default = fake_cmd(tmp_path, "default.sh", "exit 1\n")
-        override = fake_cmd(tmp_path, "override.sh", "exit 0\n")
-        backend = ExternalBackend(default)
-        monkeypatch.setenv("TRIAGE_FUZZ_CMD", override)
-        assert backend.run(panic_warning(), TP).kind is FuzzKind.CLEAN
-
     def test_ungeneratable_harness_is_infrastructure_failure(self, tmp_path):
         backend = self.make(tmp_path, "exit 0\n")
         warning = make_record(0, analyzer="Mystery")

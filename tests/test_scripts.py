@@ -59,3 +59,14 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     higher = bench_pairs.summarize(runs, "t", "higher", 0.24)
     assert higher["wins"] == 1 and higher["worse_by"] == pytest.approx(0.1)
     assert bench_pairs.seeds("401-403,409") == [401, 402, 403, 409]
+
+
+def test_bench_pairs_counts_package_source_lines(tmp_path):
+    bench_pairs = load_script("bench_pairs")
+    package = tmp_path / "src" / "triagerl"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n\n\n# no newline at the end")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 5
