@@ -433,7 +433,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except TriageError as exc:

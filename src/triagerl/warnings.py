@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import RatioError, SchemaError, UnlabeledRecordError
 
+
 class Level(Enum):
     ERROR = "Error"
     WARNING = "Warning"
@@ -101,8 +102,8 @@ class Dataset:
         return [r for r in self.records if self.split_assignment.get(r.id) == split]
 
 
-# The report object's fields are the record's, less `id` and `label`: each
-# with the types its value may have and their name in an error, in report order.
+# The report fields are the record's less `id` and `label`, in order; each
+# annotation gives the types a value may have and their name in an error.
 _VALUE_TYPES = {"Level": ((str,), "string"), "str": ((str,), "string"),
                 "str | None": ((str, type(None)), "string or null"), "int": ((int,), "integer")}
 _FIELD_TABLE = tuple((f.name, *_VALUE_TYPES[f.type]) for f in fields(WarningRecord)
@@ -154,7 +155,7 @@ def parse_warning(obj, where: str, escaped: bool) -> WarningRecord:
 
     wid = warning_id(obj["file"], *coords, obj["analyzer"], obj["description"])
     record = WarningRecord(wid, *map(obj.__getitem__, REPORT_FIELDS))
-    record.level = _LEVELS[level]
+    record.level = _LEVELS[level]  # the report's string as its member
     return record
 
 
