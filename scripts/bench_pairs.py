@@ -13,7 +13,8 @@ per side and workload (`--trace-seconds` long). The output keeps every run recor
 and end-to-end metric, each side's median and quartiles (numpy percentiles
 25/50/75, linear), the pairs the change won (ties count for neither), the
 parent's IQR and the gap between the medians; it also keeps each side's
-`src/triagerl/*.py` line count as `src_lines`. `--claim WORKLOAD:METRIC`
+`src/triagerl/*.py` line count as `src_lines` and its count of settable
+values as `settable_values` (see `settable_values`). `--claim WORKLOAD:METRIC`
 adds a claim block, met when the change wins at least 9 of 10 pairs, its
 median is better by at least `--min-gain`, and the medians differ by more
 than the parent's IQR; it also summarizes the seeds not listed in
@@ -24,6 +25,7 @@ interrupted round keeps what it measured.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import platform
@@ -57,6 +59,35 @@ def export(sha: str, dest: Path) -> Path:
 def src_lines(tree: Path) -> int:
     """Lines of `src/triagerl/*.py` in `tree`, counted as `wc -l` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "triagerl").glob("*.py"))
+
+
+def _named(node: ast.expr, name: str) -> bool:
+    """Whether `node` is `name` or `something.name`, called or not."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == name
+
+
+def _init_false(value: ast.expr) -> bool:
+    """Whether `value` is a `field(init=False)` call."""
+    return isinstance(value, ast.Call) and _named(value, "field") and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords)
+
+
+def settable_values(tree: Path) -> int:
+    """Values a caller of `src/triagerl/*.py` in `tree` may set: each defaulted
+    parameter of a function or lambda, and each field with a default of a
+    `@dataclass` class, less those given `field(init=False)`."""
+    count = 0
+    for path in (tree / "src" / "triagerl").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_bytes())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(_named(d, "dataclass")
+                                                        for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             and not _init_false(s.value) for s in node.body)
+    return count
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -172,6 +203,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(sha, Path(tmp) / side) for side, sha in shas.items()}
         doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        doc["settable_values"] = {side: settable_values(tree) for side, tree in trees.items()}
         for workload in args.workload:
             runs = []
             for i, seed in enumerate(args.seeds):

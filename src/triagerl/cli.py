@@ -22,15 +22,7 @@ from . import fuzz as fuzz_mod
 from . import metrics as metrics_mod
 from . import warnings as warn_mod
 from .env import RewardSpec, check_finite
-from .errors import (
-    EmptySplit,
-    FeatureValidationError,
-    InputError,
-    MissingRecording,
-    NonFiniteScores,
-    SchemaError,
-    TriageError,
-)
+from .errors import InputError, NonFiniteScores
 from .features import FeatureVector, extract_features, manifest_export, normalize, validate_vector
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
 from .trainer import TrainConfig, load_checkpoint, run_episodes, save_checkpoint, train
@@ -76,7 +68,7 @@ def parse_config_file(data: bytes, source: str = "config") -> dict[str, object]:
     key's type; '#' starts a comment.
 
     A line that is not `key = value`, names no config key, or holds a value
-    of the wrong type raises SchemaError naming `source` and the line.
+    of the wrong type raises InputError naming `source` and the line.
     """
     out: dict[str, object] = {}
     for n, raw in warn_mod.text_lines(data):
@@ -85,14 +77,14 @@ def parse_config_file(data: bytes, source: str = "config") -> dict[str, object]:
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
-            raise SchemaError(f"{source} line {n}: expected 'key = value', got {raw!r}")
+            raise InputError(f"{source} line {n}: expected 'key = value', got {raw!r}")
         if key not in CONFIG_KEYS:
-            raise SchemaError(f"{source} line {n}: unknown config key {key!r}")
+            raise InputError(f"{source} line {n}: unknown config key {key!r}")
         try:
             out[key] = CONFIG_KEYS[key](value)
         except ValueError:
-            raise SchemaError(f"{source} line {n}: {key}: expected "
-                              f"{CONFIG_KEYS[key].__name__}, got {value!r}") from None
+            raise InputError(f"{source} line {n}: {key}: expected "
+                             f"{CONFIG_KEYS[key].__name__}, got {value!r}") from None
     return out
 
 
@@ -100,7 +92,7 @@ def build_run_config(values: dict[str, object], source: str = "config") -> RunCo
     """The run config from typed `values` keyed as in CONFIG_KEYS; keys not
     given keep their defaults. `train.seed` and `sim.seed` follow `seed`
     unless they are given. An out-of-range or non-finite value raises
-    SchemaError naming `source` and the key."""
+    InputError naming `source` and the key."""
     kwargs: dict[str, dict] = {"": {}, **{s: {} for s in _SECTIONS}}
     for key, value in values.items():
         section, _, name = key.rpartition(".")
@@ -112,7 +104,7 @@ def build_run_config(values: dict[str, object], source: str = "config") -> RunCo
         try:
             return cls(**kwargs[section])
         except ValueError as exc:
-            raise SchemaError(f"{source}: {section + '.' if section else ''}{exc}") from None
+            raise InputError(f"{source}: {section + '.' if section else ''}{exc}") from None
 
     # The top level first: a bad `seed` is named as given, not as a section seed following it.
     top = build(RunConfig, "")
@@ -147,7 +139,7 @@ def _read_bytes(path: str) -> bytes:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise SchemaError(f"{path} line {line}: not UTF-8: {exc.reason}") from None
+        raise InputError(f"{path} line {line}: not UTF-8: {exc.reason}") from None
     return data
 
 
@@ -168,8 +160,11 @@ def _play(checkpoint: str, play, *args, **kwargs):
 
 def _write(path: str, data: bytes) -> None:
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_bytes(data)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_bytes(data)
+    except OSError as exc:
+        raise InputError(f"output file cannot be written: {path}: {exc.strerror}") from None
     print(f"wrote {path}")
 
 
@@ -178,12 +173,12 @@ def _make_backend(cfg: RunConfig):
         return SimulatedBackend(cfg.sim)
     if cfg.backend == "recorded":
         if not cfg.recorded_path:
-            raise SchemaError("backend 'recorded' needs recorded_path (or --recorded)")
+            raise InputError("backend 'recorded' needs recorded_path (or --recorded)")
         return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path))
     if cfg.backend == "external":
         templates = load_templates(cfg.templates_dir) if cfg.templates_dir else load_templates()
         return ExternalBackend(cfg.external_command, templates=templates, budget=cfg.fuzz_budget)
-    raise SchemaError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
+    raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
 
 def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
@@ -237,11 +232,11 @@ def cmd_featurize(args) -> int:
             if r.id not in by_id:
                 by_id[r.id] = FeatureVector(r.id, row)
             elif not np.array_equal(by_id[r.id].values, row):
-                raise FeatureValidationError(f"{args.warnings}: warnings with id {r.id} differ "
-                                             "in level, op_type or code_snippet")
+                raise InputError(f"{args.warnings}: warnings with id {r.id} differ "
+                                 "in level, op_type or code_snippet")
     missing = [r.id for r in records if r.id not in by_id]
     if missing:
-        raise FeatureValidationError(f"sidecar has no vector for warning {missing[0]}")
+        raise InputError(f"sidecar has no vector for warning {missing[0]}")
     vectors = [by_id[r.id] for r in records]
     _write(args.out, features_mod.write_feature_sidecar(vectors))
     if args.export_manifest:
@@ -269,7 +264,7 @@ def cmd_evaluate(args) -> int:
     dataset, vectors = _load_dataset(args, cfg)
     records = dataset.split_records(Split(args.split))
     if not records:
-        raise EmptySplit(f"split {args.split!r} has no records")
+        raise InputError(f"split {args.split!r} has no records")
     backend = _make_backend(cfg)
     report, predictions = _play(args.checkpoint, evaluate_mod.evaluate_checkpoint, checkpoint,
                                 records, vectors, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
@@ -305,7 +300,7 @@ def cmd_fuzz_validate(args) -> int:
     ids = list(dict.fromkeys(args.ids.split(",") if args.ids else by_id))  # each id once
     missing = [w for w in ids if w not in by_id]
     if missing:
-        raise MissingRecording(f"warnings not in store: {', '.join(missing)}")
+        raise InputError(f"warnings not in store: {', '.join(missing)}")
     backend = _make_backend(cfg)
     results = fuzz_mod.run_many(lambda wid: backend.run(by_id[wid], labels.get(wid)), ids, cfg.jobs)
     _write(args.out, fuzz_mod.write_recorded_outcomes(dict(zip(ids, results))))
@@ -318,7 +313,7 @@ def cmd_importance(args) -> int:
     dataset, vectors = _load_dataset(args, cfg)
     records = dataset.split_records(Split(args.split))
     if not records:
-        raise EmptySplit(f"split {args.split!r} has no records")
+        raise InputError(f"split {args.split!r} has no records")
     results = _play(args.checkpoint, evaluate_mod.permutation_importance, checkpoint, records,
                     vectors, repeats=args.repeats, seed=cfg.seed)
     _write(args.out, evaluate_mod.write_importance(results))
@@ -436,9 +431,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except TriageError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - contract: no bare stack traces
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

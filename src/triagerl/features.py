@@ -25,8 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (DigestMismatch, EmptyTrainSet, FeatureValidationError, SchemaError,
-                     SnippetTooLarge)
+from .errors import InputError
 from .warnings import (BugPattern, Level, WarningRecord, classify_bug_pattern, state_once,
                        text_file, text_lines)
 
@@ -198,7 +197,7 @@ def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
     Every value must be finite, flags and one-hots 0 or 1, ratios in [0, 1],
     counts and log-scaled values at most 2**53 in magnitude (above it float64
     no longer holds every integer). The first bad row raises
-    FeatureValidationError, named by `where(row)`, with its first bad slot in
+    InputError, named by `where(row)`, with its first bad slot in
     manifest order.
     """
     checks = (
@@ -214,7 +213,7 @@ def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
     if bad.any():
         row, i = divmod(int(bad.argmax()), len(MANIFEST))
         problem = next(text for mask, text in checks if mask[row, i])
-        raise FeatureValidationError(f"{where(row)}: " + problem.format(
+        raise InputError(f"{where(row)}: " + problem.format(
             name=MANIFEST.entries[i].name, value=float(matrix[row, i])))
     return matrix
 
@@ -362,7 +361,7 @@ def _generic_walk(angles: bytes) -> tuple[int, int, int]:
 def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     """Each snippet slot, by name, as a column over the non-empty list `snippets`
     (a blank snippet's row means nothing but snippet_missing_flag). A snippet
-    above MAX_SNIPPET_BYTES of UTF-8 raises SnippetTooLarge at `where(row)`."""
+    above MAX_SNIPPET_BYTES of UTF-8 raises InputError at `where(row)`."""
     n = len(snippets)
     lengths = np.fromiter(map(len, snippets), dtype=np.int64, count=n)
     ends = np.cumsum(lengths + 1) - 1  # the "\n" after each snippet
@@ -380,7 +379,7 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     too_large = np.flatnonzero(nbytes > MAX_SNIPPET_BYTES)
     if len(too_large):
         row = int(too_large[0])
-        raise SnippetTooLarge(f"{where(row)}: snippet is {nbytes[row]} bytes (cap 1 MiB)")
+        raise InputError(f"{where(row)}: snippet is {nbytes[row]} bytes (cap 1 MiB)")
 
     per = partial(np.bincount, minlength=n)  # per snippet: per(snippet of each, weight)
     at = np.flatnonzero(cls & _PUNCT)
@@ -594,7 +593,7 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
     snippet_missing_flag. Package slots come from `metadata[package_of(r)]`;
     a package without metadata imputes them the same way and sets
     metadata_imputed_flag. cluster_size is `sizes[r.id]`. A snippet above
-    MAX_SNIPPET_BYTES of UTF-8 raises SnippetTooLarge naming `source` and
+    MAX_SNIPPET_BYTES of UTF-8 raises InputError naming `source` and
     the warning.
     """
     n = len(records)
@@ -638,7 +637,7 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
 def fit_normalizer(matrix: np.ndarray) -> NormalizerStats:
     """Per-column mean and sample standard deviation (ddof=1) of the raw Train rows."""
     if len(matrix) < 2:
-        raise EmptyTrainSet(f"need >= 2 training vectors, got {len(matrix)}")
+        raise InputError(f"need >= 2 training vectors, got {len(matrix)}")
     return NormalizerStats(
         mean=matrix.mean(axis=0),
         std=matrix.std(axis=0, ddof=1),
@@ -678,14 +677,14 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
                 raise TypeError(f"warning_id must be a string, got {type(wid).__name__}")
             values = np.array(obj["values"], dtype=np.float64)
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise FeatureValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
+            raise InputError(f"{where}: {type(exc).__name__}: {exc}") from exc
         if digest != MANIFEST.digest:
-            raise DigestMismatch(
+            raise InputError(
                 f"{where}: vector digest {digest} != manifest digest {MANIFEST.digest}")
         if values.shape != (len(MANIFEST),):
-            raise FeatureValidationError(
+            raise InputError(
                 f"{where}: vector has shape {values.shape}, the manifest has {len(MANIFEST)} slots")
-        state_once(vectors, wid, FeatureVector(wid, values), where, FeatureValidationError,
+        state_once(vectors, wid, FeatureVector(wid, values), where,
                    same=lambda a, b: np.array_equal(a.values, b.values, equal_nan=True))
         rows.append(values)
     validate_vector(np.array(rows).reshape(len(rows), len(MANIFEST)),
@@ -696,24 +695,24 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
 def read_package_metadata(data: bytes, source: str = "package metadata") -> dict[str, PackageMetadata]:
     """Package metadata file: JSON map package -> {downloads, unsafe_prevalence, loc}.
 
-    A malformed file raises SchemaError naming `source` and the line of a
+    A malformed file raises InputError naming `source` and the line of a
     JSON syntax error, or the package whose entry is bad.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{source} line {exc.lineno}: {exc.msg}") from exc
+        raise InputError(f"{source} line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # a too-long integer or too-deep nesting
-        raise SchemaError(f"{source}: {type(exc).__name__}: {exc}") from exc
+        raise InputError(f"{source}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+        raise InputError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     out = {}
     for name, m in doc.items():
         try:
             out[name] = PackageMetadata(int(m.get("downloads", 0)),
                                         float(m.get("unsafe_prevalence", 0.0)), int(m.get("loc", 0)))
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{source}: package {name!r}: {exc} in {m!r}") from None
+            raise InputError(f"{source}: package {name!r}: {exc} in {m!r}") from None
     return out
 
 

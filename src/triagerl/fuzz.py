@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingRecording, UnknownPattern, UnresolvableTarget
+from .errors import HarnessError, InputError
 from .features import package_of
 from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, state_once,
                        text_file, text_lines)
@@ -124,12 +124,10 @@ def generate_harness(
     """
     pattern = classify_bug_pattern(warning)
     if pattern not in template_set:
-        raise UnknownPattern(f"no harness template for pattern {pattern.value!r}")
+        raise HarnessError(f"no harness template for pattern {pattern.value!r}")
     function = _target_function(warning)
     if function is None:
-        raise UnresolvableTarget(
-            f"warning {warning.id}: no callable entry point in snippet or description"
-        )
+        raise HarnessError(f"warning {warning.id}: no callable entry point in snippet or description")
     crate = _crate_name(warning)
     generic_params = len(re.findall(r"\bfn\s+\w+\s*<", warning.code_snippet))
     bindings = {
@@ -142,7 +140,7 @@ def generate_harness(
     def sub(m: re.Match) -> str:
         key = m.group(1)
         if key not in bindings:
-            raise UnresolvableTarget(f"template placeholder {{{{{key}}}}} has no binding")
+            raise HarnessError(f"template placeholder {{{{{key}}}}} has no binding")
         return bindings[key]
 
     rendered = _PLACEHOLDER.sub(sub, template_set[pattern])
@@ -203,7 +201,7 @@ class RecordedBackend:
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         if warning.id not in self.outcomes:
-            raise MissingRecording(f"no recorded outcome for warning {warning.id}")
+            raise InputError(f"no recorded outcome for warning {warning.id}")
         return self.outcomes[warning.id]
 
 
@@ -230,7 +228,7 @@ class ExternalBackend:
         budget = min(max(self.budget, lo), hi)
         try:
             harness = generate_harness(warning, self.templates)
-        except (UnknownPattern, UnresolvableTarget) as exc:
+        except HarnessError as exc:
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"harness generation: {exc}")
         try:
             command = shlex.split(self.command)
@@ -297,16 +295,16 @@ def write_recorded_outcomes(outcomes: dict[str, FuzzOutcome]) -> bytes:
 
 
 def read_recorded_outcomes(data: bytes, source: str = "recorded outcomes") -> dict[str, FuzzOutcome]:
-    """Parse an outcomes file; a malformed line raises MissingRecording naming `source`."""
+    """Parse an outcomes file; a malformed line raises InputError naming `source`."""
     outcomes: dict[str, FuzzOutcome] = {}
     for n, line in text_lines(data):
         parts = line.split("\t", 3)
         if len(parts) < 3:
-            raise MissingRecording(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
+            raise InputError(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
         try:
             detail = parts[3] if len(parts) > 3 else ""
             outcome = FuzzOutcome(FuzzKind(parts[1]), float(parts[2]), detail)
         except ValueError as exc:
-            raise MissingRecording(f"{source} line {n}: {exc}") from exc
-        state_once(outcomes, parts[0], outcome, f"{source} line {n}", MissingRecording)
+            raise InputError(f"{source} line {n}: {exc}") from exc
+        state_once(outcomes, parts[0], outcome, f"{source} line {n}")
     return outcomes

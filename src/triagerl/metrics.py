@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EmptyInput, SchemaError, UnlabeledRecordError
+from .errors import InputError
 from .fuzz import FUZZ_SLOTS, FuzzKind
 from .warnings import Label, text_file, text_lines
 
@@ -86,7 +86,7 @@ def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
     called, positive = np.asarray(called, dtype=bool), np.asarray(positive, dtype=bool)
     n = len(called)
     if n == 0:
-        raise EmptyInput("no predictions to score")
+        raise InputError("no predictions to score")
     tp, fp = int((called & positive).sum()), int((called & ~positive).sum())
     fn, tn = int((~called & positive).sum()), int((~called & ~positive).sum())
 
@@ -130,7 +130,7 @@ def compute_metrics(
     every prediction has a label and a score in [0,1]."""
     missing = [p.warning_id for p in predictions if p.warning_id not in labels]
     if missing:
-        raise UnlabeledRecordError(f"no label for: {', '.join(missing)}")
+        raise InputError(f"no label for: {', '.join(missing)}")
     for p in predictions:
         if not 0.0 <= p.score <= 1.0:
             raise ValueError(f"score for {p.warning_id} must be in [0,1], got {p.score}")
@@ -175,7 +175,7 @@ def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
 
 
 def read_verdicts(data: bytes, source: str = "verdicts") -> list[PredictionRecord]:
-    """Parse a verdicts file; a malformed line raises SchemaError naming `source` and the line."""
+    """Parse a verdicts file; a malformed line raises InputError naming `source` and the line."""
     out = []
     for n, line in text_lines(data):
         try:
@@ -193,6 +193,6 @@ def read_verdicts(data: bytes, source: str = "verdicts") -> list[PredictionRecor
             if flag != str(int(record.fuzz_used)):
                 raise ValueError(f"fuzz flag {flag!r} must be 0 or 1 and agree with fuzz kind {kind}")
         except ValueError as exc:
-            raise SchemaError(f"{source} line {n}: {exc}") from exc
+            raise InputError(f"{source} line {n}: {exc}") from exc
         out.append(record)
     return out

@@ -29,8 +29,8 @@ _ONE_HOT_SLOTS = [[i for i, e in enumerate(MANIFEST.entries)
                   for prefix in _ONE_HOT_GROUPS]
 
 
-def make_synthetic_warning(i: int, label: Label, analyzer: str = "UnsafeDataflow") -> WarningRecord:
-    file = f"synthetic-0.1.0/src/unit_{i:04d}.rs"
+def make_synthetic_warning(i: int, label: Label) -> WarningRecord:
+    file, analyzer = f"synthetic-0.1.0/src/unit_{i:04d}.rs", "UnsafeDataflow"
     line = 10 + 30 * i
     description = f"synthetic warning {i}"
     return WarningRecord(
@@ -68,15 +68,13 @@ def _build_dataset(records: list[WarningRecord], seed: int) -> Dataset:
     return Dataset(records, assignment)
 
 
-def separable_task(
-    n: int = 400, seed: int = 7, p_positive: float = 0.5
-) -> tuple[Dataset, dict[str, FeatureVector]]:
-    """The signal feature equals the label; everything else is noise."""
+def separable_task(n: int = 400, seed: int = 7) -> tuple[Dataset, dict[str, FeatureVector]]:
+    """The signal feature equals the label, drawn 50/50; everything else is noise."""
     rng = np.random.default_rng(seed)
     signal = MANIFEST.index_of(SIGNAL_FEATURE)
     records, vectors = [], {}
     for i in range(n):
-        label = Label.TRUE_POSITIVE if rng.random() < p_positive else Label.FALSE_POSITIVE
+        label = Label.TRUE_POSITIVE if rng.random() < 0.5 else Label.FALSE_POSITIVE
         rec = make_synthetic_warning(i, label)
         values = _random_valid_vector(rng)
         values[signal] = 1.0 if label is Label.TRUE_POSITIVE else 0.0
@@ -92,19 +90,15 @@ def _constant_baseline() -> np.ndarray:
     return values
 
 
-def ambiguity_task(
-    n: int = 600,
-    seed: int = 11,
-    ambiguous_fraction: float = 0.5,
-    clear_tp_fraction: float = 0.25,
-) -> tuple[Dataset, dict[str, FeatureVector], set[str]]:
+def ambiguity_task(n: int = 600, seed: int = 11) -> tuple[Dataset, dict[str, FeatureVector], set[str]]:
     """Half the warnings are decisively featured, half carry no label signal.
 
-    Clear warnings put +1/-1 in the signal slot by label; ambiguous warnings
-    put 0 there and draw labels 50/50, so only dynamic evidence can resolve
-    them. All other slots are constant, so warnings within a group are
-    indistinguishable: nothing but the signal and the fuzz encoding can carry
-    information. Returns the ambiguous warning ids alongside the dataset.
+    Clear warnings are true positives a quarter of the time and put +1/-1 in
+    the signal slot by label; ambiguous warnings put 0 there and draw labels
+    50/50, so only dynamic evidence can resolve them. All other slots are
+    constant, so warnings within a group are indistinguishable: nothing but
+    the signal and the fuzz encoding can carry information. Returns the
+    ambiguous warning ids alongside the dataset.
     """
     rng = np.random.default_rng(seed)
     signal = MANIFEST.index_of(SIGNAL_FEATURE)
@@ -112,8 +106,8 @@ def ambiguity_task(
     records, vectors = [], {}
     ambiguous_ids: set[str] = set()
     for i in range(n):
-        ambiguous = rng.random() < ambiguous_fraction
-        p_tp = 0.5 if ambiguous else clear_tp_fraction
+        ambiguous = rng.random() < 0.5
+        p_tp = 0.5 if ambiguous else 0.25
         label = Label.TRUE_POSITIVE if rng.random() < p_tp else Label.FALSE_POSITIVE
         rec = make_synthetic_warning(i, label)
         values = baseline.copy()

@@ -19,9 +19,7 @@ from functools import partial
 import numpy as np
 
 from .env import RewardSpec, TriageAction, check_finite, fuzz_step, reward_of
-from .errors import (DigestMismatch, DimensionMismatch, EmptySplit, FeatureValidationError,
-                     LengthMismatch, NonFiniteLoss, NonFiniteScores, SchemaError,
-                     UnlabeledRecordError)
+from .errors import DimensionMismatch, InputError, NonFiniteLoss, NonFiniteScores
 from .features import (MANIFEST, FeatureVector, NormalizerStats, fit_normalizer, normalize,
                        validate_vector)
 from .fuzz import FUZZ_SLOTS, run_many
@@ -201,7 +199,7 @@ def run_episodes(
     feats = np.asarray(feats, dtype=np.float64)
     n = len(records)
     if feats.ndim != 2 or len(feats) != n:
-        raise LengthMismatch(f"features have shape {feats.shape}, expected {n} rows")
+        raise InputError(f"features have shape {feats.shape}, expected {n} rows")
     fd = feats.shape[1]
     first = np.zeros((n, fd + len(FUZZ_SLOTS)))
     first[:, :fd] = feats
@@ -269,7 +267,7 @@ def collect_rollouts(
     encodings.
     """
     if not records:
-        raise EmptySplit("no episodes to collect")
+        raise InputError("no episodes to collect")
     order = rng.permutation(len(records))
     played = [records[i] for i in order]
     episodes = run_episodes(params, feats[order], played, backend, rng=rng)
@@ -440,15 +438,14 @@ class PolicyCheckpoint:
 def feature_matrix(records: list[WarningRecord], vectors: dict[str, FeatureVector]) -> np.ndarray:
     """Raw feature rows of `records`, in order, checked by `validate_vector`:
     shape (len(records), len(MANIFEST)). A record without a vector of one
-    value per slot raises FeatureValidationError."""
+    value per slot raises InputError."""
     size = len(MANIFEST)
     for r in records:
         if r.id not in vectors:
-            raise FeatureValidationError(f"no feature vector for warning {r.id}")
+            raise InputError(f"no feature vector for warning {r.id}")
         if vectors[r.id].values.shape != (size,):
-            raise FeatureValidationError(f"warning {r.id}: vector has shape "
-                                         f"{vectors[r.id].values.shape}, the manifest has "
-                                         f"{size} slots")
+            raise InputError(f"warning {r.id}: vector has shape {vectors[r.id].values.shape}, "
+                             f"the manifest has {size} slots")
     matrix = np.array([vectors[r.id].values for r in records]).reshape(len(records), size)
     return validate_vector(matrix, lambda i: f"warning {records[i].id}")
 
@@ -472,12 +469,12 @@ def train(
     train_records = dataset.split_records(Split.TRAIN)
     val_records = dataset.split_records(Split.VAL)
     if not train_records:
-        raise EmptySplit("train split is empty")
+        raise InputError("train split is empty")
     if not val_records:
-        raise EmptySplit("val split is empty")
+        raise InputError("val split is empty")
     unlabeled = [r.id for r in train_records + val_records if r.label is None]
     if unlabeled:
-        raise UnlabeledRecordError(f"unlabeled records in splits: {', '.join(unlabeled)}")
+        raise InputError(f"unlabeled records in splits: {', '.join(unlabeled)}")
 
     train_raw = feature_matrix(train_records, vectors)
     stats = fit_normalizer(train_raw)
@@ -564,10 +561,10 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
 
 
 def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint:
-    """Parse a checkpoint; a malformed one raises SchemaError naming `source`
-    (and the line of a JSON syntax error), one whose policy or normalizer was
-    built for another manifest DigestMismatch. A `reward_spec.discount` key,
-    which older checkpoints carry, is dropped: `train.gamma` is the discount."""
+    """Parse a checkpoint; a malformed one, or one whose policy or normalizer
+    was built for another manifest, raises InputError naming `source` (and the
+    line of a JSON syntax error). A `reward_spec.discount` key, which older
+    checkpoints carry, is dropped: `train.gamma` is the discount."""
     try:
         doc = json.loads(data.decode("utf-8"))
         if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
@@ -578,9 +575,8 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
         for part, digest in (("checkpoint", doc["manifest_digest"]),
                              ("normalizer", stats["manifest_digest"])):
             if digest != MANIFEST.digest:
-                raise DigestMismatch(
-                    f"{source}: {part} digest {digest} != manifest digest {MANIFEST.digest}"
-                )
+                raise InputError(
+                    f"{source}: {part} digest {digest} != manifest digest {MANIFEST.digest}")
         if type(doc["seed"]) is not int:
             raise ValueError(f"seed must be an integer, got {doc['seed']!r}")
         if type(doc["dropout_rate"]) not in (int, float) or not 0 <= doc["dropout_rate"] < 1:
@@ -606,7 +602,7 @@ def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint
             history=doc["history"],
         )
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{source} line {exc.lineno}: {exc.msg}") from exc
+        raise InputError(f"{source} line {exc.lineno}: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
             DimensionMismatch) as exc:
-        raise SchemaError(f"{source}: {type(exc).__name__}: {exc}") from exc
+        raise InputError(f"{source}: {type(exc).__name__}: {exc}") from exc

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RatioError, SchemaError, UnlabeledRecordError
+from .errors import InputError
 
 
 class Level(Enum):
@@ -112,22 +112,22 @@ REPORT_FIELDS = tuple(name for name, _, _ in _FIELD_TABLE)
 _FIELD_SET = frozenset(REPORT_FIELDS)
 
 
-def _field_error(where: str, name: str, why: str) -> SchemaError:
-    return SchemaError(f"{where}.{name}: {why}")
+def _field_error(where: str, name: str, why: str) -> InputError:
+    return InputError(f"{where}.{name}: {why}")
 
 
 def parse_warning(obj, where: str, escaped: bool) -> WarningRecord:
     """One report object as a record with its id assigned and no label.
 
     The object must carry exactly the ten schema keys. The first fault raises
-    SchemaError naming `where` and the field, looked for in this order: a
+    InputError naming `where` and the field, looked for in this order: a
     missing field, an unknown one, a mistyped one (a bool is no integer), a
     level outside `Level`, a coordinate below 1, an end before its start, and,
     when the object's text was `escaped` (see `_SURROGATE_ESCAPE`), a string
     field holding a lone surrogate. Fields are taken in report order.
     """
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected object, got {type(obj).__name__}")
+        raise InputError(f"{where}: expected object, got {type(obj).__name__}")
     if obj.keys() != _FIELD_SET:
         for name in REPORT_FIELDS:
             if name not in obj:
@@ -168,9 +168,9 @@ def parse_report(data: bytes, source: str = "report") -> list[WarningRecord]:
     try:
         doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also too-long integers and too-deep nesting
-        raise SchemaError(f"{source} is not well-formed JSON: {exc}") from exc
+        raise InputError(f"{source} is not well-formed JSON: {exc}") from exc
     if not isinstance(doc, list):
-        raise SchemaError(f"{source} must be a JSON array, got {type(doc).__name__}")
+        raise InputError(f"{source} must be a JSON array, got {type(doc).__name__}")
     escaped = _SURROGATE_ESCAPE.search(data) is not None
     return [parse_warning(obj, f"{source}[{i}]", escaped) for i, obj in enumerate(doc)]
 
@@ -224,14 +224,14 @@ def stratified_split(
     is chosen to keep the stratification bound). Deterministic per seed.
     """
     if len(ratios) != 3:
-        raise RatioError(f"expected 3 ratios, got {len(ratios)}")
+        raise InputError(f"expected 3 ratios, got {len(ratios)}")
     if any(r <= 0 for r in ratios):
-        raise RatioError(f"ratios must be > 0, got {ratios}")
+        raise InputError(f"ratios must be > 0, got {ratios}")
     if not abs(sum(ratios) - 1.0) <= 1e-9:  # also rejects nan
-        raise RatioError(f"ratios must sum to 1, got sum {sum(ratios)!r}")
+        raise InputError(f"ratios must sum to 1, got sum {sum(ratios)!r}")
     unlabeled = [r.id for r in records if r.label is None]
     if unlabeled:
-        raise UnlabeledRecordError(f"unlabeled records: {', '.join(unlabeled)}")
+        raise InputError(f"unlabeled records: {', '.join(unlabeled)}")
 
     rng = np.random.default_rng(seed)
     by_class: dict[Label, list[str]] = {c: [] for c in Label}
@@ -339,10 +339,10 @@ def text_file(lines) -> bytes:
     return "".join(f"{line}\n" for line in lines).encode("utf-8")
 
 
-def state_once(table: dict, key: str, value, where: str, error, same=lambda a, b: a == b) -> None:
-    """table[key] = value; a key already stated with another value raises `error` at `where`."""
+def state_once(table: dict, key: str, value, where: str, same=lambda a, b: a == b) -> None:
+    """table[key] = value; a key already stated with another value raises InputError at `where`."""
     if key in table and not same(table[key], value):
-        raise error(f"{where}: {key} was stated before with another value")
+        raise InputError(f"{where}: {key} was stated before with another value")
     table[key] = value
 
 
@@ -357,18 +357,18 @@ def write_warning_store(records: list[WarningRecord]) -> bytes:
 
 
 def read_warning_store(data: bytes, source: str = "warning store") -> list[WarningRecord]:
-    """Parse a warning store; a malformed line raises SchemaError naming `source` and the line."""
+    """Parse a warning store; a malformed line raises InputError naming `source` and the line."""
     records, escaped = [], _SURROGATE_ESCAPE.search(data) is not None
     for n, line in text_lines(data):
         where = f"{source} line {n}"
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+            raise InputError(f"{where}: {exc}") from exc
         stored_id = obj.pop("id", None) if isinstance(obj, dict) else None
         record = parse_warning(obj, where + ": warning", escaped)
         if stored_id is not None and stored_id != record.id:
-            raise SchemaError(f"{where}: stored id {stored_id} disagrees with content id {record.id}")
+            raise InputError(f"{where}: stored id {stored_id} disagrees with content id {record.id}")
         records.append(record)
     return records
 
@@ -382,13 +382,13 @@ def read_label_sidecar(data: bytes, source: str = "label sidecar") -> dict[str, 
     for n, line in text_lines(data):
         parts = line.split("\t", 2)
         if len(parts) < 2:
-            raise SchemaError(f"{source} line {n}: expected 'id<TAB>label<TAB>source'")
+            raise InputError(f"{source} line {n}: expected 'id<TAB>label<TAB>source'")
         try:
             label = Label(parts[1])
         except ValueError:
-            raise SchemaError(f"{source} line {n}: label must be tp or fp, "
-                              f"got {parts[1]!r}") from None
-        state_once(labels, parts[0], label, f"{source} line {n}", SchemaError)
+            raise InputError(f"{source} line {n}: label must be tp or fp, "
+                             f"got {parts[1]!r}") from None
+        state_once(labels, parts[0], label, f"{source} line {n}")
     return labels
 
 
@@ -404,7 +404,7 @@ def write_split_file(
 
 
 def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]:
-    """Parse a split file; a malformed line raises SchemaError naming `source` and the line."""
+    """Parse a split file; a malformed line raises InputError naming `source` and the line."""
     lines = text_lines(data)
     n, header = lines[0] if lines else (1, "")
     try:
@@ -414,7 +414,7 @@ def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]
         int(seed_field.split("=", 1)[1])  # checked for form only: nothing reads the seed or ratios
         [float(x) for x in ratios_field.split("=", 1)[1].split(",")]
     except (IndexError, ValueError):
-        raise SchemaError(
+        raise InputError(
             f"{source} line {n}: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
         ) from None
     assignment: dict[str, Split] = {}
@@ -423,7 +423,7 @@ def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]
         try:
             split = Split(token)
         except ValueError:
-            raise SchemaError(f"{source} line {n}: split must be train/val/test, "
-                              f"got {token!r}") from None
-        state_once(assignment, wid, split, f"{source} line {n}", SchemaError)
+            raise InputError(f"{source} line {n}: split must be train/val/test, "
+                             f"got {token!r}") from None
+        state_once(assignment, wid, split, f"{source} line {n}")
     return assignment

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from triagerl.errors import SnippetTooLarge
+from triagerl.errors import InputError
 from triagerl.features import (
     _BYPASS,
     _CHECKERS,
@@ -264,7 +264,7 @@ def extract_features(record, meta=None, *, cluster_size=None):
     """The warning's raw feature vector in manifest order."""
     snippet = record.code_snippet
     if len(snippet.encode("utf-8")) > MAX_SNIPPET_BYTES:
-        raise SnippetTooLarge(f"snippet is {len(snippet.encode('utf-8'))} bytes (cap 1 MiB)")
+        raise InputError(f"snippet is {len(snippet.encode('utf-8'))} bytes (cap 1 MiB)")
 
     feats = snippet_features(snippet) if snippet.strip() else _neutral_snippet_features()
 

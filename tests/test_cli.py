@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from triagerl import fuzz as fuzz_mod
 from triagerl.cli import CONFIG_KEYS, build_run_config, config_digest, parse_config_file, run_cli
 from triagerl.env import RewardSpec
-from triagerl.errors import SchemaError
+from triagerl.errors import InputError
 from triagerl.features import (MANIFEST, NormalizerStats, read_feature_sidecar,
                                write_feature_sidecar)
 from triagerl.fuzz import read_recorded_outcomes
@@ -708,6 +708,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"input error: input file cannot be read: {tmp_path}: "
                                            "Is a directory\n")
 
+    @pytest.mark.parametrize("out, why", [("", "Is a directory"), ("taken/x.jsonl", "File exists")])
+    def test_unwritable_output_file_is_validation_error(self, tmp_path, capsys, out, why):
+        report, target = tmp_path / "r.json", tmp_path / out
+        report.write_text("[]")
+        (tmp_path / "taken").touch()
+        assert run_cli(["ingest", "--report", str(report), "--out", str(target)]) == 3
+        assert capsys.readouterr().err == f"input error: output file cannot be written: {target}: {why}\n"
+
     def test_malformed_report_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('[{"level": "Warning"}]')
@@ -807,7 +815,7 @@ class TestRunConfig:
         assert "config-digest " in capsys.readouterr().out
 
     def test_unknown_config_key_rejected(self):
-        with pytest.raises(SchemaError, match="run.cfg line 2: unknown config key 'no_such_knob'"):
+        with pytest.raises(InputError, match="run.cfg line 2: unknown config key 'no_such_knob'"):
             parse_config_file(b"seed = 1\nno_such_knob = 1\n", "run.cfg")
 
     def test_parse_config_file_comments_and_blanks(self):

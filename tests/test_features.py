@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from triagerl.errors import DigestMismatch, EmptyTrainSet, FeatureValidationError, SnippetTooLarge
+from triagerl.errors import InputError
 from triagerl.features import (
     EXPECTED_FEATURE_COUNT,
     MANIFEST,
@@ -206,7 +206,7 @@ class TestHeuristicExtraction:
             err = capsys.readouterr().err
             if code:
                 assert f"{store}: warning {rec.id}: snippet is {size} bytes (cap 1 MiB)" in err, err
-        with pytest.raises(SnippetTooLarge, match="cap 1 MiB"):
+        with pytest.raises(InputError, match="cap 1 MiB"):
             features_of(snippet_record("é" * (1 << 19) + "x"))
 
     def test_deterministic_bit_identical(self):
@@ -365,7 +365,7 @@ class TestPrecomputedMode:
         rec = snippet_record("fn f() {}")
         good = write_feature_sidecar([vector_of(rec)])
         bad = good.replace(MANIFEST.digest.encode(), b"0" * 16)
-        with pytest.raises(DigestMismatch, match=f"^f.jsonl line 2: vector digest {'0' * 16} "
+        with pytest.raises(InputError, match=f"^f.jsonl line 2: vector digest {'0' * 16} "
                                                  f"!= manifest digest {MANIFEST.digest}$"):
             read_feature_sidecar(good + bad, source="f.jsonl")
 
@@ -374,7 +374,7 @@ class TestPrecomputedMode:
         values = np.zeros(len(MANIFEST))
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
         bad = FeatureVector(rec.id, values)
-        with pytest.raises(FeatureValidationError, match="^f.jsonl line 1: borrow_ratio"):
+        with pytest.raises(InputError, match="^f.jsonl line 1: borrow_ratio"):
             read_back(bad)
 
     def test_first_bad_slot_in_manifest_order_is_reported(self):
@@ -384,11 +384,11 @@ class TestPrecomputedMode:
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
         bad = FeatureVector(rec.id, values)
         ratio = r"^f.jsonl line 1: borrow_ratio: ratio must be in \[0,1\], got 2.0$"
-        with pytest.raises(FeatureValidationError, match=ratio):
+        with pytest.raises(InputError, match=ratio):
             read_back(bad)
         values[MANIFEST.index_of("trait_bound_flag")] = 0.5
         flag = "^f.jsonl line 1: trait_bound_flag: flag must be 0 or 1, got 0.5$"
-        with pytest.raises(FeatureValidationError, match=flag):
+        with pytest.raises(InputError, match=flag):
             read_back(bad)
 
     def test_sidecar_required(self, tmp_path, capsys):
@@ -450,7 +450,7 @@ class TestNormalizer:
         assert normalized(vectors, stats)[:, col].tolist() == [1.0, 0.0, 1.0]
 
     def test_empty_train_set(self):
-        with pytest.raises(EmptyTrainSet):
+        with pytest.raises(InputError, match="^need >= 2 training vectors, got 1$"):
             fit(column_vectors("lines_of_code", [1.0]))
 
     def test_matrix_matches_per_slot_reference(self):

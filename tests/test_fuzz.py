@@ -11,7 +11,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from triagerl import fuzz as fuzz_mod
-from triagerl.errors import MissingRecording, UnknownPattern, UnresolvableTarget
+from triagerl.errors import HarnessError, InputError
 from triagerl.fuzz import (
     ExternalBackend,
     FuzzKind,
@@ -157,7 +157,7 @@ class TestRecordedBackend:
         rec_y = make_record(1, label=TP)
         backend = RecordedBackend({rec_x.id: FuzzOutcome(FuzzKind.CLEAN, 2.0, "rec")})
         assert backend.run(rec_x, TP).kind is FuzzKind.CLEAN
-        with pytest.raises(MissingRecording, match=rec_y.id):
+        with pytest.raises(InputError, match=rec_y.id):
             backend.run(rec_y, TP)
 
     def test_outcomes_file_round_trip(self):
@@ -201,7 +201,7 @@ class TestHarnessGeneration:
     def test_unknown_pattern(self):
         warning = make_record(0, analyzer="SomethingElse")
         warning = warning.__class__(**{**warning.__dict__, "description": "odd report"})
-        with pytest.raises(UnknownPattern):
+        with pytest.raises(HarnessError, match="^no harness template for pattern "):
             generate_harness(warning, load_templates())
 
     def test_unresolvable_target(self):
@@ -209,7 +209,7 @@ class TestHarnessGeneration:
         warning = warning.__class__(
             **{**warning.__dict__, "code_snippet": "let x = 1;", "description": "panic here"}
         )
-        with pytest.raises(UnresolvableTarget):
+        with pytest.raises(HarnessError, match="no callable entry point in snippet or description$"):
             generate_harness(warning, load_templates())
 
 
@@ -334,9 +334,9 @@ class TestRunMany:
     def test_first_error_propagates(self):
         def call(x):
             if x == 3:
-                raise MissingRecording("no outcome for 3")
+                raise InputError("no outcome for 3")
             return x
 
         for jobs in (1, 3):
-            with pytest.raises(MissingRecording):
+            with pytest.raises(InputError, match="^no outcome for 3$"):
                 run_many(call, list(range(6)), jobs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triagerl.errors import EmptyInput, UnlabeledRecordError
+from triagerl.errors import InputError
 from triagerl.fuzz import FuzzKind
 from triagerl.metrics import (
     PredictionRecord,
@@ -204,12 +204,12 @@ class TestUndefinedHandling:
         assert report.undefined["auc_roc"] == "only one class present"
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="^no predictions to score$"):
             compute_metrics([], {})
 
     def test_missing_label_listed(self):
         preds = [PredictionRecord("feed" * 4, TP, 0.5)]
-        with pytest.raises(UnlabeledRecordError, match="feed"):
+        with pytest.raises(InputError, match="feed"):
             compute_metrics(preds, {})
 
     def test_score_range_checked(self):

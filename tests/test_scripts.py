@@ -70,3 +70,28 @@ def test_bench_pairs_counts_package_source_lines(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert bench_pairs.src_lines(tmp_path) == 5
+
+
+def test_bench_pairs_counts_settable_values(tmp_path):
+    bench_pairs = load_script("bench_pairs")
+    package = tmp_path / "src" / "triagerl"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        "def f(a, b=1, *, c, d=2):\n"                        # 2
+        "    return lambda x, y=3: (lambda z=4: z)\n"        # 2
+        "@dataclass\n"
+        "class A:\n"
+        "    e: int\n"
+        "    f: int = 5\n"                                   # 1
+        "    g: list = field(default_factory=list)\n"        # 1
+        "    h: int = field(init=False, default=0)\n"
+        "    i = 6\n")
+    (package / "b.py").write_text(
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    j: int = 7\n"                                   # 1
+        "    def method(self, k=8): ...\n"                   # 1
+        "class C:\n"
+        "    l: int = 9\n")
+    (tmp_path / "src" / "other.py").write_text("def g(m=10): ...\n")
+    assert bench_pairs.settable_values(tmp_path) == 8

@@ -1,4 +1,5 @@
-"""Source hygiene: no public name in src/triagerl that only tests use."""
+"""Source hygiene: no public name in src/triagerl that only tests use, and no
+error class that nothing catches."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,27 @@ def test_no_literal_restates_an_enum():
     # Read an enum's members and values from the enum itself.
     found = enum_restatements(SOURCES)
     assert not found, "literals that restate an enum: " + ", ".join(found)
+
+
+def caught_names(tree):
+    """Each class name an `except` clause in `tree` names, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for part in ast.walk(node.type):
+                if isinstance(part, ast.Name):
+                    yield part.id
+                elif isinstance(part, ast.Attribute):
+                    yield part.attr
+
+
+def test_every_error_class_has_a_handler():
+    # A class no code catches by type adds nothing over raising InputError.
+    errors = ast.parse((ROOT / "src" / "triagerl" / "errors.py").read_text(encoding="utf-8"))
+    caught = {name for path in SOURCES
+              for name in caught_names(ast.parse(path.read_text(encoding="utf-8")))}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    caught |= {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+               and node.module == "triagerl.errors" for alias in node.names}
+    unhandled = [node.name for node in errors.body
+                 if isinstance(node, ast.ClassDef) and node.name not in caught]
+    assert not unhandled, "error classes nothing catches: " + ", ".join(unhandled)

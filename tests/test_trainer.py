@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triagerl.env import RewardSpec, TriageAction, reward_of
-from triagerl.errors import DigestMismatch, EmptySplit, NonFiniteLoss, SchemaError
+from triagerl.errors import InputError, NonFiniteLoss
 from triagerl.features import MANIFEST
 from triagerl.fuzz import FUZZ_SLOTS, SimOracleConfig, SimulatedBackend
 from triagerl.policy import draw_dropout_masks, forward_cache, init_params, softmax
@@ -117,7 +117,7 @@ class TestCollectRollouts:
         assert sorted(map(tuple, batch.states[first_rows, :4])) == sorted(map(tuple, feats))
 
     def test_empty_episodes_rejected(self):
-        with pytest.raises(EmptySplit):
+        with pytest.raises(InputError, match="^no episodes to collect$"):
             collect_rollouts(self.params, [], np.zeros((0, 4)), self.spec, self.backend,
                              np.random.default_rng(0), 1.0)
 
@@ -343,7 +343,7 @@ class TestTrainLoop:
             doc = json.loads(save_checkpoint(ckpt))
             section = doc if part == "checkpoint" else doc["normalizer"]
             section["manifest_digest"] = "feedfacefeedface"
-            with pytest.raises(DigestMismatch, match=f"^model.ckpt: {part} digest feedfacefeedface "
+            with pytest.raises(InputError, match=f"^model.ckpt: {part} digest feedfacefeedface "
                                                      f"!= manifest digest {MANIFEST.digest}$"):
                 load_checkpoint(json.dumps(doc).encode("utf-8"), source="model.ckpt")
 
@@ -355,7 +355,7 @@ class TestTrainLoop:
                      lambda section: section.update(extra=1)):
             doc = json.loads(save_checkpoint(ckpt))
             edit(doc["normalizer"])
-            with pytest.raises(SchemaError, match="^model.ckpt: ValueError: normalizer keys must "
+            with pytest.raises(InputError, match="^model.ckpt: ValueError: normalizer keys must "
                                                   "be mean, std, fitted_on and manifest_digest$"):
                 load_checkpoint(json.dumps(doc).encode("utf-8"), source="model.ckpt")
 
@@ -388,7 +388,7 @@ class TestTrainLoop:
             wid: Split.TRAIN for wid in dataset.split_assignment
         }
         cfg = TrainConfig(epochs_max=1, patience=1, seed=0)
-        with pytest.raises(EmptySplit):
+        with pytest.raises(InputError, match="^val split is empty$"):
             train(dataset, vectors, cfg, SimulatedBackend(UNINFORMATIVE_ORACLE))
 
 

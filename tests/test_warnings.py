@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triagerl.errors import RatioError, SchemaError, UnlabeledRecordError
+from triagerl.errors import InputError
 from triagerl.warnings import (
     REPORT_FIELDS,
     Label,
@@ -86,10 +86,10 @@ class TestParseReport:
         assert b"\\ud83d\\ude00" in pair
         assert parse_report(pair)[0].code_snippet == "x\U0001f600"
         lone = pair.replace(b"\\ud83d", b"")
-        with pytest.raises(SchemaError, match=r"^report\[0\]\.code_snippet: holds a lone surrogate"):
+        with pytest.raises(InputError, match=r"^report\[0\]\.code_snippet: holds a lone surrogate"):
             parse_report(lone)
         store = write_warning_store(parse_report(pair)).replace("\U0001f600".encode(), b"\\ude00")
-        with pytest.raises(SchemaError, match=r"^warning store line 1: warning\.code_snippet: holds"):
+        with pytest.raises(InputError, match=r"^warning store line 1: warning\.code_snippet: holds"):
             read_warning_store(store)
 
     def test_duplicate_objects_share_id(self):
@@ -112,40 +112,40 @@ class TestParseReport:
     def test_missing_field_names_field_and_index(self):
         obj = dict(AARC_REPORT_OBJECT)
         del obj["code_snippet"]
-        with pytest.raises(SchemaError, match=r"report\[0\].code_snippet.*missing"):
+        with pytest.raises(InputError, match=r"report\[0\].code_snippet.*missing"):
             parse_report(as_report([obj]))
 
     def test_mistyped_field(self):
         obj = dict(AARC_REPORT_OBJECT, start_line="118")
-        with pytest.raises(SchemaError, match=r"report\[1\].start_line"):
+        with pytest.raises(InputError, match=r"report\[1\].start_line"):
             parse_report(as_report([AARC_REPORT_OBJECT, obj]))
 
     def test_unknown_field(self):
         obj = dict(AARC_REPORT_OBJECT, severity="high")
-        with pytest.raises(SchemaError, match="severity"):
+        with pytest.raises(InputError, match="severity"):
             parse_report(as_report([obj]))
 
     def test_bad_level(self):
         obj = dict(AARC_REPORT_OBJECT, level="Critical")
-        with pytest.raises(SchemaError, match="level"):
+        with pytest.raises(InputError, match="level"):
             parse_report(as_report([obj]))
 
     def test_coordinates_one_based(self):
         obj = dict(AARC_REPORT_OBJECT, start_col=0)
-        with pytest.raises(SchemaError, match="start_col"):
+        with pytest.raises(InputError, match="start_col"):
             parse_report(as_report([obj]))
 
     def test_line_order_enforced(self):
         obj = dict(AARC_REPORT_OBJECT, start_line=120)
-        with pytest.raises(SchemaError, match="end_line"):
+        with pytest.raises(InputError, match="end_line"):
             parse_report(as_report([obj]))
 
     def test_not_an_array(self):
-        with pytest.raises(SchemaError, match="array"):
+        with pytest.raises(InputError, match="array"):
             parse_report(b"{}")
 
     def test_malformed_json(self):
-        with pytest.raises(SchemaError, match="JSON"):
+        with pytest.raises(InputError, match="JSON"):
             parse_report(b"[{]")
 
 
@@ -232,18 +232,18 @@ class TestStratifiedSplit:
 
     def test_unlabeled_record_listed(self):
         records = [make_record(0, label=Label.TRUE_POSITIVE), make_record(1)]
-        with pytest.raises(UnlabeledRecordError, match=records[1].id):
+        with pytest.raises(InputError, match=records[1].id):
             stratified_split(records, (0.7, 0.15, 0.15), seed=0)
 
     def test_ratio_errors(self):
         records = [make_record(i, label=Label.TRUE_POSITIVE) for i in range(3)]
-        with pytest.raises(RatioError):
+        with pytest.raises(InputError, match="^ratios must sum to 1, got sum "):
             stratified_split(records, (0.5, 0.25, 0.3), seed=0)
-        with pytest.raises(RatioError):
+        with pytest.raises(InputError, match=r"^ratios must be > 0, got \(1\.0, 0\.0, 0\.0\)$"):
             stratified_split(records, (1.0, 0.0, 0.0), seed=0)
-        with pytest.raises(RatioError):
+        with pytest.raises(InputError, match="^expected 3 ratios, got 2$"):
             stratified_split(records, (0.5, 0.5), seed=0)  # type: ignore[arg-type]
-        with pytest.raises(RatioError, match="sum nan"):
+        with pytest.raises(InputError, match="sum nan"):
             stratified_split(records, (float("nan"), 0.5, 0.5), seed=0)
 
     @given(
@@ -355,7 +355,7 @@ class TestFileInterfaces:
 
     def test_label_sidecar_rejects_two_labels_for_one_id(self):
         read_label_sidecar(b"aa\ttp\nbb\tfp\naa\ttp\tmanual\n")
-        with pytest.raises(SchemaError, match="label sidecar line 3: aa was stated before"):
+        with pytest.raises(InputError, match="label sidecar line 3: aa was stated before"):
             read_label_sidecar(b"aa\ttp\nbb\tfp\naa\tfp\n")
 
     def test_label_sidecar_round_trip(self):
@@ -363,7 +363,7 @@ class TestFileInterfaces:
         assert read_label_sidecar(write_label_sidecar(labels)) == labels
 
     def test_label_sidecar_rejects_bad_token(self):
-        with pytest.raises(SchemaError, match="tp or fp"):
+        with pytest.raises(InputError, match="tp or fp"):
             read_label_sidecar(b"deadbeef\tmaybe\tsource\n")
 
     def test_split_file_round_trip(self):
