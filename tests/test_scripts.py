@@ -77,20 +77,20 @@ def test_bench_pairs_counts_settable_values(tmp_path):
     package = tmp_path / "src" / "triagerl"
     package.mkdir(parents=True)
     (package / "a.py").write_text(
-        "def f(a, b=1, *, c, d=2):\n"                        # 2
-        "    return lambda x, y=3: (lambda z=4: z)\n"        # 2
+        "def f(a, b=1, *, c, d=2):\n"                        # b, d
+        "    return lambda x, y=3: (lambda z=4: z)\n"        # y, z
         "@dataclass\n"
         "class A:\n"
         "    e: int\n"
-        "    f: int = 5\n"                                   # 1
-        "    g: list = field(default_factory=list)\n"        # 1
+        "    f: int = 5\n"                                   # f
+        "    g: list = field(default_factory=list)\n"        # g
         "    h: int = field(init=False, default=0)\n"
         "    i = 6\n")
     (package / "b.py").write_text(
         "@dataclasses.dataclass(frozen=True)\n"
         "class B:\n"
-        "    j: int = 7\n"                                   # 1
-        "    def method(self, k=8): ...\n"                   # 1
+        "    j: int = 7\n"                                   # j
+        "    def method(self, k=8): ...\n"                   # k
         "class C:\n"
         "    l: int = 9\n")
     (tmp_path / "src" / "other.py").write_text("def g(m=10): ...\n")
