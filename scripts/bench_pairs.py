@@ -74,20 +74,53 @@ def _init_false(value: ast.expr) -> bool:
         for k in value.keywords)
 
 
-def settable_values(tree: Path) -> int:
-    """Values a caller of `src/triagerl/*.py` in `tree` may set: each defaulted
-    parameter of a function or lambda, and each field with a default of a
-    `@dataclass` class, less those given `field(init=False)`."""
-    count = 0
-    for path in (tree / "src" / "triagerl").glob("*.py"):
+def _parameters(args: ast.arguments, skip: int = 0) -> list[tuple]:
+    """(name, line, defaulted, positional) of each parameter in `args`, in
+    signature order, less the first `skip` positional ones."""
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    return [(p.arg, p.lineno, d is not None, True)
+            for p, d in list(zip(positional, defaults))[skip:]] + [
+        (p.arg, p.lineno, d is not None, False) for p, d in zip(args.kwonlyargs, args.kw_defaults)]
+
+
+def signatures(tree: Path):
+    """(file, name, parameters) of each function, lambda and class with an
+    `__init__` or a `@dataclass` decorator in `src/triagerl/*.py` under
+    `tree`. The name is the one a call uses: a class's own, or `<lambda>`.
+    Parameters are as `_parameters` gives them, without `self`; a
+    dataclass's are its fields less those given `field(init=False)`."""
+    for path in sorted((tree / "src" / "triagerl").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_bytes())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-            elif isinstance(node, ast.ClassDef) and any(_named(d, "dataclass")
-                                                        for d in node.decorator_list):
-                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
-                             and not _init_false(s.value) for s in node.body)
-    return count
+            if isinstance(node, ast.Lambda):
+                yield path, "<lambda>", _parameters(node.args)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name != "__init__":
+                    yield path, node.name, _parameters(node.args)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                        yield path, node.name, _parameters(stmt.args, skip=1)
+                if any(_named(d, "dataclass") for d in node.decorator_list):
+                    yield path, node.name, [
+                        (s.target.id, s.lineno, s.value is not None, True) for s in node.body
+                        if isinstance(s, ast.AnnAssign) and not _init_false(s.value)]
+
+
+def settable(tree: Path):
+    """(file, line, `name.parameter`) of each value a caller of
+    `src/triagerl/*.py` in `tree` may set: each defaulted parameter of a
+    function or lambda, and each field with a default of a `@dataclass`
+    class, less those given `field(init=False)` (see `signatures`)."""
+    for path, name, params in signatures(tree):
+        for param, line, defaulted, _ in params:
+            if defaulted:
+                yield path, line, f"{name}.{param}"
+
+
+def settable_values(tree: Path) -> int:
+    """How many values `settable` finds in `tree`."""
+    return sum(1 for _ in settable(tree))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -63,7 +63,7 @@ CONFIG_KEYS: dict[str, type] = {
 }
 
 
-def parse_config_file(data: bytes, source: str = "config") -> dict[str, object]:
+def parse_config_file(data: bytes, source: str) -> dict[str, object]:
     """Flat `key = value` lines of a line file, each value converted to its
     key's type; '#' starts a comment.
 
@@ -88,7 +88,7 @@ def parse_config_file(data: bytes, source: str = "config") -> dict[str, object]:
     return out
 
 
-def build_run_config(values: dict[str, object], source: str = "config") -> RunConfig:
+def build_run_config(values: dict[str, object], source: str) -> RunConfig:
     """The run config from typed `values` keyed as in CONFIG_KEYS; keys not
     given keep their defaults. `train.seed` and `sim.seed` follow `seed`
     unless they are given. An out-of-range or non-finite value raises
@@ -176,7 +176,7 @@ def _make_backend(cfg: RunConfig):
             raise InputError("backend 'recorded' needs recorded_path (or --recorded)")
         return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path))
     if cfg.backend == "external":
-        templates = load_templates(cfg.templates_dir) if cfg.templates_dir else load_templates()
+        templates = load_templates(cfg.templates_dir or fuzz_mod.DEFAULT_TEMPLATE_DIR)
         return ExternalBackend(cfg.external_command, templates=templates, budget=cfg.fuzz_budget)
     raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_cli(argv: list[str] | None = None) -> int:
+def run_cli(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -54,7 +54,7 @@ def check_finite(config) -> None:
 def reward_of(
     action: TriageAction,
     true_label: Label,
-    prior_fuzz: FuzzKind | None = None,
+    prior_fuzz: FuzzKind,
     spec: RewardSpec | None = None,
 ) -> float:
     """Reward for one step under the configured constants.
@@ -66,9 +66,8 @@ def reward_of(
     failures and evidence-inconsistent calls earn no bonus.
     """
     spec = spec or RewardSpec()
-    prior = FuzzKind.NOT_RUN if prior_fuzz is None else prior_fuzz
     if action is TriageAction.FUZZ:
-        if prior is not FuzzKind.NOT_RUN:
+        if prior_fuzz is not FuzzKind.NOT_RUN:
             raise IllegalAction("fuzz may run at most once per warning")
         return spec.fuzz_cost
 
@@ -76,11 +75,11 @@ def reward_of(
     if predicted is not true_label:
         return spec.incorrect
     reward = spec.correct
-    if prior in CRASH_GRADE and predicted is Label.TRUE_POSITIVE:
+    if prior_fuzz in CRASH_GRADE and predicted is Label.TRUE_POSITIVE:
         reward += spec.bonus_crash_tp
-    elif prior is FuzzKind.CLEAN and predicted is Label.FALSE_POSITIVE:
+    elif prior_fuzz is FuzzKind.CLEAN and predicted is Label.FALSE_POSITIVE:
         reward += spec.bonus_clean_fp
-    elif prior is FuzzKind.INCONCLUSIVE:
+    elif prior_fuzz is FuzzKind.INCONCLUSIVE:
         reward += spec.bonus_inconclusive
     return reward
 

@@ -37,8 +37,8 @@ def permutation_importance(
     ckpt: PolicyCheckpoint,
     records: list[WarningRecord],
     vectors: dict[str, FeatureVector],
-    repeats: int = 1,
-    seed: int = 0,
+    repeats: int,
+    seed: int,
 ) -> list[dict]:
     """Rank features by mean F1 drop when their column is shuffled.
 

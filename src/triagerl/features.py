@@ -585,7 +585,7 @@ _IMPUTED_PACKAGE = (0.0, 0.5, 0.0, 1.0)
 
 
 def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMetadata],
-                     sizes: dict[str, int], source: str = "warnings") -> np.ndarray:
+                     sizes: dict[str, int], source: str) -> np.ndarray:
     """Raw feature rows of `records`, in order: shape (len(records), len(MANIFEST)).
 
     Snippet slots follow the lexical rules above; a blank snippet imputes
@@ -662,7 +662,7 @@ def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
                                  "values": v.values.tolist()}, sort_keys=True) for v in vectors)
 
 
-def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[str, FeatureVector]:
+def read_feature_sidecar(data: bytes, source: str) -> dict[str, FeatureVector]:
     """Parse a sidecar and check its vectors with `validate_vector`; a
     malformed or invalid line, one whose digest is not the manifest's, or
     one giving an id another vector, raises naming `source` and the line."""
@@ -692,7 +692,7 @@ def read_feature_sidecar(data: bytes, source: str = "feature sidecar") -> dict[s
     return vectors
 
 
-def read_package_metadata(data: bytes, source: str = "package metadata") -> dict[str, PackageMetadata]:
+def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata]:
     """Package metadata file: JSON map package -> {downloads, unsafe_prevalence, loc}.
 
     A malformed file raises InputError naming `source` and the line of a

@@ -56,11 +56,13 @@ CRASH_GRADE = (FuzzKind.CRASH, FuzzKind.SANITIZER_VIOLATION)
 class FuzzOutcome:
     kind: FuzzKind
     elapsed: float
-    detail: str = ""
+    detail: str
 
     def __post_init__(self):
         if self.kind is FuzzKind.NOT_RUN:
             raise ValueError("NOT_RUN is a state slot, not an outcome")
+        if not np.isfinite(self.elapsed):
+            raise ValueError(f"elapsed must be finite, got {self.elapsed}")
         if self.elapsed < 0:
             raise ValueError(f"elapsed must be >= 0, got {self.elapsed}")
 
@@ -86,7 +88,7 @@ class SimOracleConfig:
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
-def load_templates(directory: Path | str = DEFAULT_TEMPLATE_DIR) -> dict[BugPattern, str]:
+def load_templates(directory: Path | str) -> dict[BugPattern, str]:
     """Template text by bug pattern, from one <pattern>.tmpl file each in the directory."""
     directory = Path(directory)
     templates = {}
@@ -170,7 +172,7 @@ class SimulatedBackend:
     per id while the label and the probabilities apply on every call.
     """
 
-    config: SimOracleConfig = field(default_factory=SimOracleConfig)
+    config: SimOracleConfig
     _draws: dict[str, tuple[float, float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -219,8 +221,8 @@ class ExternalBackend:
     """
 
     command: str
-    templates: dict[BugPattern, str] = field(default_factory=load_templates)
-    budget: float = 45.0
+    templates: dict[BugPattern, str]
+    budget: float
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         start = time.monotonic()
@@ -249,7 +251,8 @@ class ExternalBackend:
               start: float) -> FuzzOutcome:
         argv = command + [str(harness_path), "--budget", str(int(budget))]
         with subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, errors="replace",
+            start_new_session=True,
         ) as proc:
             try:
                 stdout, stderr = proc.communicate(timeout=budget + BUDGET_GRACE_SECONDS)
@@ -294,7 +297,7 @@ def write_recorded_outcomes(outcomes: dict[str, FuzzOutcome]) -> bytes:
                      for wid, o in outcomes.items())
 
 
-def read_recorded_outcomes(data: bytes, source: str = "recorded outcomes") -> dict[str, FuzzOutcome]:
+def read_recorded_outcomes(data: bytes, source: str) -> dict[str, FuzzOutcome]:
     """Parse an outcomes file; a malformed line raises InputError naming `source`."""
     outcomes: dict[str, FuzzOutcome] = {}
     for n, line in text_lines(data):

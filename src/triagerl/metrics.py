@@ -10,7 +10,7 @@ written, read or checked against labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class PredictionRecord:
     warning_id: str
     predicted: Label
     score: float
-    fuzz_kind: FuzzKind | None = None  # the outcome of its fuzz run; None if it was not fuzzed
+    fuzz_kind: FuzzKind | None  # the outcome of its fuzz run; None if it was not fuzzed
 
     @property
     def fuzz_used(self) -> bool:
@@ -48,7 +48,7 @@ class EvalReport:
     auc_roc: float | None
     auc_pr: float | None
     fuzz_invocation_rate: float
-    undefined: dict[str, str] = field(default_factory=dict)
+    undefined: dict[str, str]
 
 
 def _auc_roc(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -174,7 +174,7 @@ def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
         f"{p.fuzz_kind.value if p.fuzz_kind is not None else '-'}" for p in predictions)
 
 
-def read_verdicts(data: bytes, source: str = "verdicts") -> list[PredictionRecord]:
+def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
     """Parse a verdicts file; a malformed line raises InputError naming `source` and the line."""
     out = []
     for n, line in text_lines(data):

@@ -57,12 +57,8 @@ class PolicyParams:
         return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate, self.flat.copy())
 
 
-def init_params(
-    input_dim: int,
-    hidden: tuple[int, int] = HIDDEN_SIZES,
-    dropout_rate: float = DEFAULT_DROPOUT,
-    seed: int = 0,
-) -> PolicyParams:
+def init_params(input_dim: int, hidden: tuple[int, int] = HIDDEN_SIZES, *, dropout_rate: float,
+                seed: int) -> PolicyParams:
     """Seeded symmetric-uniform init: U(±sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
     params = PolicyParams(input_dim, hidden, dropout_rate)

@@ -68,7 +68,7 @@ def _build_dataset(records: list[WarningRecord], seed: int) -> Dataset:
     return Dataset(records, assignment)
 
 
-def separable_task(n: int = 400, seed: int = 7) -> tuple[Dataset, dict[str, FeatureVector]]:
+def separable_task(n: int, seed: int) -> tuple[Dataset, dict[str, FeatureVector]]:
     """The signal feature equals the label, drawn 50/50; everything else is noise."""
     rng = np.random.default_rng(seed)
     signal = MANIFEST.index_of(SIGNAL_FEATURE)
@@ -90,7 +90,7 @@ def _constant_baseline() -> np.ndarray:
     return values
 
 
-def ambiguity_task(n: int = 600, seed: int = 11) -> tuple[Dataset, dict[str, FeatureVector], set[str]]:
+def ambiguity_task(n: int, seed: int) -> tuple[Dataset, dict[str, FeatureVector], set[str]]:
     """Half the warnings are decisively featured, half carry no label signal.
 
     Clear warnings are true positives a quarter of the time and put +1/-1 in
@@ -139,7 +139,7 @@ _DEMO_SNIPPETS = [
 ]
 
 
-def demo_corpus(n: int = 20, seed: int = 5) -> tuple[list[dict], dict[str, Label], dict]:
+def demo_corpus(n: int, seed: int) -> tuple[list[dict], dict[str, Label], dict]:
     """(report objects, labels by id, package metadata doc) for n warnings."""
     rng = np.random.default_rng(seed)
     report = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -283,7 +283,7 @@ def ppo_loss_and_grads(
     batch: TrajectoryBatch,
     config: TrainConfig,
     feature_dim: int,
-    dropout_masks: tuple[np.ndarray, np.ndarray] | None = None,
+    dropout_masks: tuple[np.ndarray, np.ndarray] | None,
     grads: PolicyParams | None = None,
 ) -> tuple[float, PolicyParams | None, dict[str, float]]:
     """Total PPO loss and its analytic gradients on one minibatch.
@@ -432,7 +432,7 @@ class PolicyCheckpoint:
     normalizer: NormalizerStats
     config: TrainConfig
     reward_spec: RewardSpec
-    history: list[dict] = field(default_factory=list)
+    history: list[dict]
 
 
 def feature_matrix(records: list[WarningRecord], vectors: dict[str, FeatureVector]) -> np.ndarray:
@@ -560,7 +560,7 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     return json.dumps(doc, sort_keys=False, separators=(",", ":")).encode("utf-8")
 
 
-def load_checkpoint(data: bytes, source: str = "checkpoint") -> PolicyCheckpoint:
+def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
     """Parse a checkpoint; a malformed one, or one whose policy or normalizer
     was built for another manifest, raises InputError naming `source` (and the
     line of a JSON syntax error). A `reward_spec.discount` key, which older

@@ -159,7 +159,7 @@ def parse_warning(obj, where: str, escaped: bool) -> WarningRecord:
     return record
 
 
-def parse_report(data: bytes, source: str = "report") -> list[WarningRecord]:
+def parse_report(data: bytes, source: str) -> list[WarningRecord]:
     """Parse a report file into records with ids assigned and labels unset.
 
     The report must be a JSON array of report objects (see `parse_warning`);
@@ -214,7 +214,7 @@ def _largest_remainder(total: int, ratios: tuple[float, float, float]) -> list[i
 def stratified_split(
     records: list[WarningRecord],
     ratios: tuple[float, float, float],
-    seed: int = 0,
+    seed: int,
 ) -> dict[str, Split]:
     """Assign every labeled record to train/val/test, stratified by class.
 
@@ -356,7 +356,7 @@ def write_warning_store(records: list[WarningRecord]) -> bytes:
     return text_file(lines)
 
 
-def read_warning_store(data: bytes, source: str = "warning store") -> list[WarningRecord]:
+def read_warning_store(data: bytes, source: str) -> list[WarningRecord]:
     """Parse a warning store; a malformed line raises InputError naming `source` and the line."""
     records, escaped = [], _SURROGATE_ESCAPE.search(data) is not None
     for n, line in text_lines(data):
@@ -377,7 +377,7 @@ def write_label_sidecar(labels: dict[str, Label]) -> bytes:
     return text_file(f"{wid}\t{label.value}\tmanual" for wid, label in labels.items())
 
 
-def read_label_sidecar(data: bytes, source: str = "label sidecar") -> dict[str, Label]:
+def read_label_sidecar(data: bytes, source: str) -> dict[str, Label]:
     labels: dict[str, Label] = {}
     for n, line in text_lines(data):
         parts = line.split("\t", 2)
@@ -403,7 +403,7 @@ def write_split_file(
     return text_file([header] + [f"{wid}\t{split.value}" for wid, split in assignment.items()])
 
 
-def read_split_file(data: bytes, source: str = "split file") -> dict[str, Split]:
+def read_split_file(data: bytes, source: str) -> dict[str, Split]:
     """Parse a split file; a malformed line raises InputError naming `source` and the line."""
     lines = text_lines(data)
     n, header = lines[0] if lines else (1, "")

@@ -44,7 +44,12 @@ def write_demo_inputs(root: Path) -> dict[str, Path]:
 
 def run_demo_pipeline(root: Path) -> dict[str, Path]:
     """Drive every subcommand over the 20-warning corpus; returns output paths."""
-    inputs = write_demo_inputs(root)
+    return run_pipeline(write_demo_inputs(root), root)
+
+
+def run_pipeline(inputs: dict[str, Path], root: Path) -> dict[str, Path]:
+    """Drive every subcommand over `inputs`, named as `write_demo_inputs`
+    names them, writing under `root`; returns input and output paths."""
     out = {
         "warnings": root / "warnings.jsonl",
         "splits": root / "splits.txt",

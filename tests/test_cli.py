@@ -24,9 +24,10 @@ from triagerl.fuzz import read_recorded_outcomes
 from triagerl.metrics import read_verdicts
 from triagerl.policy import init_params
 from triagerl.trainer import PolicyCheckpoint, TrainConfig, save_checkpoint
-from triagerl.warnings import read_label_sidecar, read_split_file, read_warning_store
+from triagerl.warnings import (parse_report, read_label_sidecar, read_split_file,
+                               read_warning_store, write_label_sidecar)
 
-from conftest import run_demo_pipeline, sha256, write_demo_inputs
+from conftest import DEMO_CONFIG, run_demo_pipeline, run_pipeline, sha256, write_demo_inputs
 from test_fuzz import fake_cmd
 
 # Stand-in fuzzer: logs its arguments, then reports an outcome chosen by the
@@ -103,7 +104,7 @@ def biased_checkpoint(path, logits):
     params.b_pi[:] = logits
     normalizer = NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)))
     path.write_bytes(save_checkpoint(PolicyCheckpoint(
-        params, normalizer, TrainConfig(), RewardSpec())))
+        params, normalizer, TrainConfig(), RewardSpec(), [])))
     return path
 
 
@@ -160,6 +161,21 @@ class TestFuzzFanOut:
         assert outputs[0] == outputs[1]
         assert len({line.split("\t")[1] for line in outputs[0].decode().splitlines()}) >= 2
 
+    def test_evaluate_identical_for_one_and_four_jobs(self, pipeline, tmp_path):
+        ckpt = always_fuzz_checkpoint(tmp_path / "fuzz.ckpt")
+        outputs = []
+        for jobs in (1, 4):
+            report, verdicts = tmp_path / f"report{jobs}.txt", tmp_path / f"verdicts{jobs}.txt"
+            assert run_cli(["evaluate",
+                            "--checkpoint", str(ckpt), "--warnings", str(pipeline["warnings"]),
+                            "--labels", str(pipeline["labels"]), "--splits", str(pipeline["splits"]),
+                            "--features", str(pipeline["features"]), "--jobs", str(jobs),
+                            "--out", str(report), "--verdicts", str(verdicts),
+                            "--config", str(pipeline["config"])]) == 0
+            outputs.append((report.read_bytes(), verdicts.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len({line.split("\t")[4] for line in outputs[0][1].decode().splitlines()}) >= 2
+
     def test_fuzz_validate_runs_each_listed_id_once(self, pipeline, tmp_path, monkeypatch):
         calls = []
         run = fuzz_mod.SimulatedBackend.run
@@ -169,7 +185,8 @@ class TestFuzzFanOut:
             return run(backend, warning, label)
 
         monkeypatch.setattr(fuzz_mod.SimulatedBackend, "run", counting)
-        a, b = (r.id for r in read_warning_store(pipeline["warnings"].read_bytes())[:2])
+        store = pipeline["warnings"].read_bytes()
+        a, b = (r.id for r in read_warning_store(store, "warning store")[:2])
         out = tmp_path / "outcomes.txt"
         assert run_cli(["fuzz-validate", "--warnings", str(pipeline["warnings"]),
                         "--labels", str(pipeline["labels"]), "--ids", f"{a},{b},{a}",
@@ -287,6 +304,15 @@ def first_warning_with(**fields):
 def nested_too_deep(text):
     """JSON nested deeper than `json.loads` recurses."""
     return "[" * 100_000
+
+
+def first_outcome_elapsed(elapsed):
+    """An edit that gives the first line of a recorded outcomes file the elapsed time `elapsed`."""
+    def edit(text):
+        first, rest = text.split("\n", 1)
+        wid, kind, _, detail = first.split("\t", 3)
+        return "\t".join([wid, kind, elapsed, detail]) + "\n" + rest
+    return edit
 
 
 def keep_one_train_record(text):
@@ -453,6 +479,10 @@ class TestMalformedInputs:
          f"{{bad}}: ValueError: normalizer statistics must have {len(MANIFEST)} entries each"),
         ("evaluate", "checkpoint", lambda t: re.sub(r'"w1":\[[^,]+', '"w1":[NaN', t), [], 3,
          "{bad}: ValueError: weights and normalizer statistics must be finite"),
+        ("triage", "outcomes", first_outcome_elapsed("nan"), [], 3,
+         "{bad} line 1: elapsed must be finite, got nan"),
+        ("triage", "outcomes", first_outcome_elapsed("inf"), [], 3,
+         "{bad} line 1: elapsed must be finite, got inf"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -469,7 +499,8 @@ class TestMalformedInputs:
             "report-columns-reversed", "recorded-without-path", "backend-unknown",
             "evaluate-empty-split", "importance-empty-split", "fuzz-validate-unknown-id",
             "meta-not-object", "checkpoint-format-version", "checkpoint-input-dimension",
-            "checkpoint-short-normalizer", "checkpoint-weight-nan"])
+            "checkpoint-short-normalizer", "checkpoint-weight-nan", "outcomes-elapsed-nan",
+            "outcomes-elapsed-inf"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -642,7 +673,7 @@ class TestLineFiles:
         cfg = ["--config", str(pipeline["config"])]
         assert run_cli(["ingest", "--report", str(tmp_path / "r.json"), "--out", str(store),
                         *cfg]) == 0
-        records = read_warning_store(store.read_bytes())
+        records = read_warning_store(store.read_bytes(), "warning store")
         assert records[0].id == records[-1].id and records[0].level != records[-1].level
         assert run_cli(["featurize", "--warnings", str(store), "--meta", str(pipeline["meta"]),
                         "--out", str(sidecar), *cfg]) == 3
@@ -654,7 +685,7 @@ class TestLineFiles:
         lf = pipeline[name].read_bytes()
         if name == "labels":  # the source column is optional
             lf = lf.replace(b"\tmanual\n", b"\n")
-        got, expected = (LINE_READERS[name](data) for data in (lf.replace(b"\n", b"\r\n"), lf))
+        got, expected = (LINE_READERS[name](data, name) for data in (lf.replace(b"\n", b"\r\n"), lf))
         if name == "features":  # vectors hold arrays, which == does not compare
             got, expected = (write_feature_sidecar(list(v.values())) for v in (got, expected))
         assert got == expected
@@ -788,9 +819,9 @@ class TestRunConfig:
         assert code in (0, 3), (key, value)
 
     def test_seed_sets_train_and_sim_seeds_unless_they_are_set(self):
-        cfg = build_run_config({"seed": 4})
+        cfg = build_run_config({"seed": 4}, "config")
         assert (cfg.train.seed, cfg.sim.seed) == (4, 4)
-        cfg = build_run_config({"seed": 5, "sim.seed": 9})
+        cfg = build_run_config({"seed": 5, "sim.seed": 9}, "config")
         assert (cfg.seed, cfg.train.seed, cfg.sim.seed) == (5, 5, 9)
 
     def test_flags_override_config_file(self, tmp_path, capsys):
@@ -819,16 +850,101 @@ class TestRunConfig:
             parse_config_file(b"seed = 1\nno_such_knob = 1\n", "run.cfg")
 
     def test_parse_config_file_comments_and_blanks(self):
-        values = parse_config_file(b"# comment\n\nseed = 4  # trailing\ntrain.gamma = 0.9\n")
+        values = parse_config_file(b"# comment\n\nseed = 4  # trailing\ntrain.gamma = 0.9\n",
+                                   "config")
         assert values == {"seed": 4, "train.gamma": 0.9}
         assert [type(v) for v in values.values()] == [int, float]
 
     def test_digest_stable_under_key_order(self):
-        a = build_run_config({"seed": 5, "cluster_radius": 3})
-        b = build_run_config({"cluster_radius": 3, "seed": 5})
+        a = build_run_config({"seed": 5, "cluster_radius": 3}, "config")
+        b = build_run_config({"cluster_radius": 3, "seed": 5}, "config")
         assert config_digest(a) == config_digest(b)
 
     def test_reward_spec_loadable_from_config(self):
-        cfg = build_run_config(parse_config_file(b"reward.correct = 20\nreward.fuzz_cost = -2.5\n"))
+        values = parse_config_file(b"reward.correct = 20\nreward.fuzz_cost = -2.5\n", "config")
+        cfg = build_run_config(values, "config")
         assert cfg.reward.correct == 20.0
         assert cfg.reward.fuzz_cost == -2.5
+
+
+def run_clustered(root, extra_config=""):
+    """The pipeline on the demo corpus with its first three warnings moved into
+    one file, 7 and 14 lines apart, so that `cluster_radius` matters, and with
+    `extra_config` appended to the demo config."""
+    inputs = write_demo_inputs(root)
+    before = inputs["report"].read_bytes()
+    report = json.loads(before)
+    for obj in report[1:3]:
+        obj["file"] = report[0]["file"]
+    inputs["report"].write_text(json.dumps(report, indent=1))
+    labels = read_label_sidecar(inputs["labels"].read_bytes(), "labels")
+    moved = zip(parse_report(before, "report"),
+                parse_report(inputs["report"].read_bytes(), "report"))
+    inputs["labels"].write_bytes(write_label_sidecar({new.id: labels[old.id] for old, new in moved}))
+    inputs["config"].write_text(DEMO_CONFIG + extra_config)
+    return run_pipeline(inputs, root)
+
+
+# The artefacts `run_pipeline` writes.
+ARTEFACTS = ("warnings", "splits", "features", "manifest", "checkpoint", "trainlog", "reportfile",
+             "verdicts", "recomputed", "importance", "outcomes", "triage")
+TRAINED = {"checkpoint", "trainlog"}
+PLAYED = {"verdicts", "triage"}  # evaluate's verdicts and triage's
+SCORED = {"reportfile", "recomputed"}
+
+# Each config key, a value for it other than the demo config's, and exactly the
+# artefacts of `run_clustered` that the value changes. The simulated backend reads
+# no recorded file, fuzzer command, budget or template, `jobs` changes no output,
+# and triage's --recorded flag overrides `recorded_path`: those five change nothing.
+# An artefact downstream of a changed one can stay the same: the log rounds to four
+# decimals, and a slightly different policy can give the same verdicts.
+KEY_EFFECTS = {
+    "seed": (8, {"splits", *TRAINED, *SCORED, *PLAYED, "importance"}),
+    "cluster_radius": (0, {"features", *TRAINED, *SCORED, *PLAYED, "importance"}),
+    "backend": ("external", {*TRAINED, *SCORED, *PLAYED, "outcomes"}),
+    "recorded_path": ("unused.txt", set()),
+    "external_command": ("no-such-fuzzer", set()),
+    "fuzz_budget": (30, set()),
+    "templates_dir": ("no-such-directory", set()),
+    "jobs": (4, set()),
+    "train.epochs_max": (2, TRAINED),
+    "train.minibatch_size": (8, {*TRAINED, *PLAYED}),
+    "train.clip_epsilon": (0.1, {"checkpoint", *PLAYED}),
+    "train.learning_rate": (0.01, {*TRAINED, *SCORED, *PLAYED}),
+    "train.value_loss_weight": (1.0, {"checkpoint", *PLAYED}),
+    "train.entropy_weight": (0.1, {"checkpoint", *PLAYED}),
+    "train.ppo_inner_epochs": (2, {"checkpoint", *PLAYED}),
+    "train.gamma": (0.9, {"checkpoint", *PLAYED}),
+    "train.patience": (1, TRAINED),
+    "train.dropout_rate": (0.0, {*TRAINED, *PLAYED}),
+    "train.seed": (3, {*TRAINED, *SCORED, *PLAYED, "importance"}),
+    "reward.correct": (10, {*TRAINED, *SCORED, *PLAYED}),
+    "reward.incorrect": (-10, {*TRAINED, *PLAYED}),
+    "reward.fuzz_cost": (-1, {*TRAINED, *PLAYED}),
+    "reward.bonus_crash_tp": (5, {*TRAINED, *PLAYED}),
+    "reward.bonus_clean_fp": (4, {*TRAINED, *PLAYED}),
+    "reward.bonus_inconclusive": (1, TRAINED),
+    "sim.p_crash_given_tp": (0.5, {*TRAINED, *SCORED, *PLAYED, "outcomes"}),
+    "sim.p_crash_given_fp": (0.2, {*PLAYED, "outcomes"}),
+    "sim.p_inconclusive": (0.5, {*TRAINED, *PLAYED, "outcomes"}),
+    "sim.seed": (12, {*TRAINED, *PLAYED, "outcomes"}),
+}
+
+
+class TestConfigKeys:
+    @pytest.fixture(scope="class")
+    def baseline(self, tmp_path_factory):
+        return {name: path.read_bytes()
+                for name, path in run_clustered(tmp_path_factory.mktemp("baseline")).items()}
+
+    def test_clustered_report_has_a_cluster_of_three(self, baseline):
+        sizes = {json.loads(line)["values"][MANIFEST.index_of("cluster_size")]
+                 for line in baseline["features"].decode().splitlines()}
+        assert 3.0 in sizes
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_key_changes_exactly_its_artefacts(self, baseline, tmp_path, key):
+        # A key added to CONFIG_KEYS fails here until KEY_EFFECTS states what it changes.
+        value, changes = KEY_EFFECTS[key]
+        got = run_clustered(tmp_path, f"{key} = {value}\n")
+        assert {name for name in ARTEFACTS if got[name].read_bytes() != baseline[name]} == changes

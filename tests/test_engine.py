@@ -9,7 +9,7 @@ from triagerl.evaluate import permutation_importance
 from triagerl.features import MANIFEST, fit_normalizer, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.metrics import prediction_records
-from triagerl.policy import forward_cache, init_params
+from triagerl.policy import DEFAULT_DROPOUT, forward_cache, init_params
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
     STATE_DIM,
@@ -49,7 +49,7 @@ def verdicts(params, feats, records, **kw):
 
 def policies():
     """Untrained policies: greedy play fuzzes some warnings and not others."""
-    return [init_params(STATE_DIM, seed=seed) for seed in range(3)]
+    return [init_params(STATE_DIM, dropout_rate=DEFAULT_DROPOUT, seed=seed) for seed in range(3)]
 
 
 def test_greedy_matches_reference_loop(task):
@@ -130,5 +130,5 @@ def test_play_and_importance_build_no_verdicts_and_no_rewards(corpus, task, monk
         assert played.fuzzed.any() != mask_fuzz
     normalizer = fit_normalizer(feature_matrix(*corpus))
     ckpt = PolicyCheckpoint(params=params, normalizer=normalizer, config=TrainConfig(),
-                            reward_spec=SPEC)
-    assert len(permutation_importance(ckpt, *corpus)) == len(MANIFEST)
+                            reward_spec=SPEC, history=[])
+    assert len(permutation_importance(ckpt, *corpus, repeats=1, seed=0)) == len(MANIFEST)

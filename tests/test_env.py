@@ -91,17 +91,17 @@ def play(feats, logits, labels, backend=None, **kw):
 
 class TestRewardOf:
     def test_correct_classification_without_fuzz(self):
-        assert reward_of(A_TP, TP) == 15.0
+        assert reward_of(A_TP, TP, FuzzKind.NOT_RUN) == 15.0
 
     def test_fuzz_cost(self):
-        assert reward_of(A_FUZZ, TP) == -5.0
-        assert reward_of(A_FUZZ, FP) == -5.0
+        assert reward_of(A_FUZZ, TP, FuzzKind.NOT_RUN) == -5.0
+        assert reward_of(A_FUZZ, FP, FuzzKind.NOT_RUN) == -5.0
 
     def test_crash_bonus_composition(self):
         # Terminal +25; whole-episode return at gamma=1 is -5 + 25 = +20.
         terminal = reward_of(A_TP, TP, FuzzKind.CRASH)
         assert terminal == 25.0
-        assert reward_of(A_FUZZ, TP) + terminal == 20.0
+        assert reward_of(A_FUZZ, TP, FuzzKind.NOT_RUN) + terminal == 20.0
 
     def test_full_hand_table(self):
         for (action, label, prior), expected in HAND_REWARD_TABLE.items():
@@ -123,7 +123,7 @@ class TestRewardOf:
     def test_custom_spec(self):
         spec = RewardSpec(correct=1.0, incorrect=-1.0, fuzz_cost=-0.5, bonus_crash_tp=2.0)
         assert reward_of(A_TP, TP, FuzzKind.CRASH, spec) == 3.0
-        assert reward_of(A_FUZZ, TP, None, spec) == -0.5
+        assert reward_of(A_FUZZ, TP, FuzzKind.NOT_RUN, spec) == -0.5
 
 
 class TestEnv:

@@ -64,7 +64,7 @@ class TestEvaluateCheckpoint:
         records = dataset.split_records(Split.TEST)
         backend = SimulatedBackend(UNINFORMATIVE_ORACLE)
         report, preds = evaluate_checkpoint(ckpt, records, vectors, backend)
-        restored = read_verdicts(write_verdicts(preds))
+        restored = read_verdicts(write_verdicts(preds), "verdicts")
         labels = {r.id: r.label for r in records}
         again = compute_metrics(restored, labels)
         assert again == report
@@ -132,7 +132,7 @@ class TestPermutationImportance:
     def test_repeats_validated(self, trained_separable):
         dataset, vectors, ckpt = trained_separable
         with pytest.raises(ValueError):
-            permutation_importance(ckpt, dataset.records[:5], vectors, repeats=0)
+            permutation_importance(ckpt, dataset.records[:5], vectors, repeats=0, seed=0)
 
     def test_importance_file_format(self, trained_separable):
         dataset, vectors, ckpt = trained_separable

@@ -85,7 +85,7 @@ def snippet_record(snippet, **kw):
 def features_of(rec, meta=None, cluster_size=1):
     """The one-row feature matrix of `rec`, its package described by `meta`."""
     metadata = {} if meta is None else {package_of(rec): meta}
-    return extract_features([rec], metadata, {rec.id: cluster_size})[0]
+    return extract_features([rec], metadata, {rec.id: cluster_size}, "warnings")[0]
 
 
 def vector_of(rec):
@@ -117,7 +117,7 @@ class TestManifest:
         # A checker value the manifest has no slot for fills a column no slot reads.
         monkeypatch.setattr(features_mod, "_CHECKERS", features_mod._CHECKERS + ("bogus",))
         with pytest.raises(AssertionError, match="checker_bogus"):
-            extract_features([make_record(0)], {}, {make_record(0).id: 1})
+            extract_features([make_record(0)], {}, {make_record(0).id: 1}, "warnings")
 
     def test_export_lists_every_slot(self):
         text = manifest_export()
@@ -230,7 +230,7 @@ class TestHeuristicExtraction:
         validate_vector(vec[None, :], str)
 
     def test_empty_report_gives_empty_matrix(self):
-        assert extract_features([], {}, {}).shape == (0, len(MANIFEST))
+        assert extract_features([], {}, {}, "warnings").shape == (0, len(MANIFEST))
 
 
 # Whole snippets at the edges where the one-pass rules could part from the
@@ -290,7 +290,7 @@ class TestAgainstOracle:
         records = [WarningRecord(**{**make_record(i).__dict__, "code_snippet": text})
                    for i, text in enumerate(EDGE_SNIPPETS)]
         sizes = {r.id: 1 for r in records}
-        got = extract_features(records, {}, sizes)
+        got = extract_features(records, {}, sizes, "warnings")
         expected = oracle_matrix(records, {}, sizes)
         for record, row, want in zip(records, got, expected):
             assert row.tobytes() == want.tobytes(), record.code_snippet
@@ -313,7 +313,7 @@ class TestAgainstOracle:
         metadata = {"pkg0-1.0": PackageMetadata(data.draw(st.integers(0, 2**53)),
                                                 0.25, data.draw(st.integers(-2**53, 2**53)))}
         sizes = {r.id: data.draw(st.integers(1, 50)) for r in records}
-        got = extract_features(records, metadata, sizes)
+        got = extract_features(records, metadata, sizes, "warnings")
         assert got.tobytes() == oracle_matrix(records, metadata, sizes).tobytes()
 
     @given(texts=st.lists(boundary_snippets, min_size=20, max_size=60))
@@ -327,7 +327,7 @@ class TestAgainstOracle:
         records = [WarningRecord(**{**make_record(i).__dict__, "code_snippet": text})
                    for i, text in enumerate(texts)]
         sizes = {r.id: 1 for r in records}
-        got = extract_features(records, {}, sizes)
+        got = extract_features(records, {}, sizes, "warnings")
         assert got.tobytes() == oracle_matrix(records, {}, sizes).tobytes()
 
     def test_demo_sidecar_is_byte_identical_to_the_oracle(self, tmp_path):
@@ -336,8 +336,8 @@ class TestAgainstOracle:
         assert run_cli(["ingest", "--report", str(paths["report"]), "--out", str(store)]) == 0
         assert run_cli(["featurize", "--warnings", str(store), "--meta", str(paths["meta"]),
                         "--out", str(out), "--config", str(paths["config"])]) == 0
-        records = read_warning_store(store.read_bytes())
-        metadata = read_package_metadata(paths["meta"].read_bytes())
+        records = read_warning_store(store.read_bytes(), "warning store")
+        metadata = read_package_metadata(paths["meta"].read_bytes(), "package metadata")
         sizes = cluster_sizes(records, 10)  # the demo config's cluster_radius
         expected = [FeatureVector(r.id, row)
                     for r, row in zip(records, oracle_matrix(records, metadata, sizes))]
@@ -501,6 +501,6 @@ class TestSidecarIO:
         rec = snippet_record("fn f() {}")
         vec = vector_of(rec)
         data = write_feature_sidecar([vec])
-        parsed = read_feature_sidecar(data)
+        parsed = read_feature_sidecar(data, "feature sidecar")
         assert parsed[rec.id].values.tolist() == vec.values.tolist()
         assert json.loads(data)["manifest_digest"] == MANIFEST.digest

@@ -13,6 +13,7 @@ from scipy import stats as scipy_stats
 from triagerl import fuzz as fuzz_mod
 from triagerl.errors import HarnessError, InputError
 from triagerl.fuzz import (
+    DEFAULT_TEMPLATE_DIR,
     ExternalBackend,
     FuzzKind,
     FuzzOutcome,
@@ -165,24 +166,24 @@ class TestRecordedBackend:
             "a" * 16: FuzzOutcome(FuzzKind.CRASH, 12.5, "SIGSEGV"),
             "b" * 16: FuzzOutcome(FuzzKind.CLEAN, 30.0, ""),
         }
-        parsed = read_recorded_outcomes(write_recorded_outcomes(outcomes))
+        parsed = read_recorded_outcomes(write_recorded_outcomes(outcomes), "recorded outcomes")
         assert parsed == outcomes
 
     def test_not_run_is_not_an_outcome(self):
         with pytest.raises(ValueError):
-            FuzzOutcome(FuzzKind.NOT_RUN, 0.0)
+            FuzzOutcome(FuzzKind.NOT_RUN, 0.0, "")
 
 
 class TestHarnessGeneration:
     def test_panic_safety_harness(self):
-        templates = load_templates()
+        templates = load_templates(DEFAULT_TEMPLATE_DIR)
         harness = generate_harness(panic_warning(), templates)
         assert "unsafe_retain" in harness
         assert "panic!" in harness
         assert "{{" not in harness
 
     def test_all_templates_render_placeholder_free(self):
-        templates = load_templates()
+        templates = load_templates(DEFAULT_TEMPLATE_DIR)
         assert set(templates) == {
             BugPattern.PANIC_SAFETY,
             BugPattern.HIGHER_ORDER_INVARIANT,
@@ -202,7 +203,7 @@ class TestHarnessGeneration:
         warning = make_record(0, analyzer="SomethingElse")
         warning = warning.__class__(**{**warning.__dict__, "description": "odd report"})
         with pytest.raises(HarnessError, match="^no harness template for pattern "):
-            generate_harness(warning, load_templates())
+            generate_harness(warning, load_templates(DEFAULT_TEMPLATE_DIR))
 
     def test_unresolvable_target(self):
         warning = panic_warning()
@@ -210,7 +211,7 @@ class TestHarnessGeneration:
             **{**warning.__dict__, "code_snippet": "let x = 1;", "description": "panic here"}
         )
         with pytest.raises(HarnessError, match="no callable entry point in snippet or description$"):
-            generate_harness(warning, load_templates())
+            generate_harness(warning, load_templates(DEFAULT_TEMPLATE_DIR))
 
 
 def fake_cmd(tmp_path, name, script):
@@ -221,8 +222,9 @@ def fake_cmd(tmp_path, name, script):
 
 
 class TestExternalBackend:
-    def make(self, tmp_path, script, **kw):
-        return ExternalBackend(fake_cmd(tmp_path, "fuzzer.sh", script), **kw)
+    def make(self, tmp_path, script, budget=45.0):
+        return ExternalBackend(fake_cmd(tmp_path, "fuzzer.sh", script),
+                               load_templates(DEFAULT_TEMPLATE_DIR), budget)
 
     def test_exit_zero_is_clean(self, tmp_path):
         backend = self.make(tmp_path, "exit 0\n")
@@ -236,6 +238,13 @@ class TestExternalBackend:
         backend = self.make(tmp_path, 'echo "thread panicked at lib.rs:4"\nexit 101\n')
         assert backend.run(panic_warning(), TP).kind is FuzzKind.CRASH
 
+    def test_output_that_is_not_utf8_still_matches_markers(self, tmp_path):
+        # Fuzzers echo the raw bytes of their inputs; one stray byte must not hide a crash.
+        backend = self.make(tmp_path, "printf '\\377'\necho \"thread 'main' panicked at lib.rs:4\"\n"
+                                      "exit 101\n")
+        outcome = backend.run(panic_warning(), TP)
+        assert (outcome.kind, outcome.detail) == (FuzzKind.CRASH, "crash (exit 101)")
+
     def test_build_failure_marker(self, tmp_path):
         backend = self.make(tmp_path, 'echo "error[E0308] mismatched types"\nexit 1\n')
         assert backend.run(panic_warning(), TP).kind is FuzzKind.INFRASTRUCTURE_FAILURE
@@ -246,7 +255,8 @@ class TestExternalBackend:
         assert outcome.kind is FuzzKind.INCONCLUSIVE
 
     def test_missing_command_is_infrastructure_failure(self, tmp_path):
-        backend = ExternalBackend(str(tmp_path / "does-not-exist"))
+        backend = ExternalBackend(str(tmp_path / "does-not-exist"),
+                                  load_templates(DEFAULT_TEMPLATE_DIR), 45.0)
         outcome = backend.run(panic_warning(), TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
 

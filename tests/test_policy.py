@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triagerl.env import TriageAction
 from triagerl.errors import DimensionMismatch
 from triagerl.policy import (
+    DEFAULT_DROPOUT,
     PolicyParams,
     draw_dropout_masks,
     forward_cache,
@@ -72,7 +73,7 @@ class TestForward:
         assert value == 0.0
 
     def test_eval_mode_deterministic(self):
-        params = init_params(8, hidden=(5, 4), seed=3)
+        params = init_params(8, hidden=(5, 4), dropout_rate=DEFAULT_DROPOUT, seed=3)
         state = np.arange(8.0) / 8.0
         a = forward(params, state)
         b = forward(params, state)
@@ -94,7 +95,7 @@ class TestForward:
         assert value == pytest.approx(oracle_value, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        params = init_params(8, hidden=(5, 4), seed=3)
+        params = init_params(8, hidden=(5, 4), dropout_rate=DEFAULT_DROPOUT, seed=3)
         with pytest.raises(DimensionMismatch):
             forward(params, np.zeros(9))
 
@@ -171,6 +172,11 @@ class TestDistributionProperties:
     def test_greedy_argmax_scale_invariant(self, probs, scale):
         p = np.array(probs)
         p = p / p.sum()
+        # Near-ties are left out: the logits of two probabilities an ulp apart, such as
+        # [1 - 2**-53, 1, 0.125] scaled by 0.25, can round to one value, and the tie then goes
+        # to the lower action, as test_uniform_signals pins.
+        second, top = np.sort(p)[-2:]
+        assume(top - second > 1e-9 * top)
         a1 = play_probs(p)[0].actions[0]
         a2 = play_probs(p * scale)[0].actions[0]
         assert a1 == a2
@@ -185,7 +191,8 @@ class TestDistributionProperties:
             states=np.array([[1.0, 0.0, 0.0]]), actions=np.array([0]),
             behavior_logp=np.zeros(1), returns=np.zeros(1), advantages=np.zeros(1),
         )
-        _, _, parts = ppo_loss_and_grads(params, batch, TrainConfig(), feature_dim=0)
+        _, _, parts = ppo_loss_and_grads(params, batch, TrainConfig(), feature_dim=0,
+                                         dropout_masks=None)
         assert -1e-12 <= parts["entropy"] <= math.log(3) + 1e-12
 
 
@@ -201,12 +208,12 @@ class TestFlattening:
         assert not back.w1.any() and params.w1.any()
 
     def test_wrong_length_rejected(self):
-        params = init_params(7, hidden=(5, 3), seed=4)
+        params = init_params(7, hidden=(5, 3), dropout_rate=DEFAULT_DROPOUT, seed=4)
         with pytest.raises(DimensionMismatch):
             PolicyParams(7, (5, 3), 0.0, params.flat[:-1])
 
     def test_init_bounds_follow_fan_sums(self):
-        params = init_params(100, hidden=(50, 20), seed=9)
+        params = init_params(100, hidden=(50, 20), dropout_rate=DEFAULT_DROPOUT, seed=9)
         bound = math.sqrt(6.0 / (100 + 50))
         assert params.w1.max() <= bound and params.w1.min() >= -bound
         assert params.b1.tolist() == [0.0] * 50

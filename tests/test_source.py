@@ -1,14 +1,18 @@
-"""Source hygiene: no public name in src/triagerl that only tests use, and no
-error class that nothing catches."""
+"""Source hygiene: no public name or default in src/triagerl that only tests
+use, and no error class that nothing catches."""
 
 import ast
+import importlib.util
 from pathlib import Path
+
+from triagerl import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "triagerl").glob("*.py"))
 CALLERS = [*SOURCES, *sorted((ROOT / "scripts").glob("*.py")),
            *sorted((ROOT / "perfbench").glob("*.py"))]
 MODULES = {f"triagerl.{path.stem}" for path in SOURCES}
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def defined_names(tree):
@@ -141,9 +145,55 @@ def test_every_error_class_has_a_handler():
     errors = ast.parse((ROOT / "src" / "triagerl" / "errors.py").read_text(encoding="utf-8"))
     caught = {name for path in SOURCES
               for name in caught_names(ast.parse(path.read_text(encoding="utf-8")))}
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    acceptance = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
     caught |= {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
                and node.module == "triagerl.errors" for alias in node.names}
     unhandled = [node.name for node in errors.body
                  if isinstance(node, ast.ClassDef) and node.name not in caught]
     assert not unhandled, "error classes nothing catches: " + ", ".join(unhandled)
+
+
+def load_bench_pairs():
+    """scripts/bench_pairs.py, whose `settable` is the one definition of a settable value."""
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def omitted_defaults(signatures, callers):
+    """`name.parameter` of each defaulted parameter in `signatures` (as
+    `bench_pairs.signatures` gives them) that some call in `callers` may
+    leave out. Calls are matched by the name they call. A call passes the
+    positions before its first `*args` and the keywords it names; whatever
+    `*args` or `**kwargs` would fill counts as left out, since it may be."""
+    by_name = {}
+    for _, name, params in signatures:
+        by_name.setdefault(name, []).append(params)
+    omitted = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            plain = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                         len(node.args))
+            for params in by_name.get(name, ()):
+                positional = [p for p, _, _, is_positional in params if is_positional]
+                passed = {*positional[:plain], *(k.arg for k in node.keywords)}
+                omitted |= {f"{name}.{p}" for p, _, defaulted, _ in params
+                            if defaulted and p not in passed}
+    return omitted
+
+
+def test_every_default_is_left_out_by_a_caller_outside_tests():
+    # A default that every caller outside tests overrides only saves tests some typing.
+    # The fields of the config sections are the README's documented config defaults.
+    bench_pairs = load_bench_pairs()
+    exempt = {cls.__name__ for cls in (cli.RunConfig, *cli._SECTIONS.values())}
+    omitted = omitted_defaults(bench_pairs.signatures(ROOT), [*CALLERS, ACCEPTANCE])
+    unused = [f"{path.name}:{line} {name}" for path, line, name in bench_pairs.settable(ROOT)
+              if name.split(".")[0] not in exempt and name not in omitted]
+    assert not unused, "defaults no caller outside tests leaves out: " + ", ".join(unused)

@@ -11,7 +11,8 @@ from triagerl.env import RewardSpec, TriageAction, reward_of
 from triagerl.errors import InputError, NonFiniteLoss
 from triagerl.features import MANIFEST
 from triagerl.fuzz import FUZZ_SLOTS, SimOracleConfig, SimulatedBackend
-from triagerl.policy import draw_dropout_masks, forward_cache, init_params, softmax
+from triagerl.policy import (DEFAULT_DROPOUT, draw_dropout_masks, forward_cache, init_params,
+                             softmax)
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
     STATE_DIM,
@@ -64,7 +65,7 @@ class TestCollectRollouts:
     def setup_method(self):
         self.spec = RewardSpec()
         self.backend = SimulatedBackend(SimOracleConfig(seed=0))
-        self.params = init_params(4 + 6, hidden=(8, 6), seed=1)
+        self.params = init_params(4 + 6, hidden=(8, 6), dropout_rate=DEFAULT_DROPOUT, seed=1)
 
     def collect(self, seed, gamma=1.0, n=6):
         return collect_rollouts(self.params, *tiny_episodes(n), self.spec, self.backend,
@@ -136,7 +137,7 @@ def surrogate_objective(rho, adv, eps):
         returns=np.zeros(n), advantages=np.asarray(adv, dtype=np.float64),
     )
     config = TrainConfig(clip_epsilon=eps, value_loss_weight=0.0, entropy_weight=0.0)
-    _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4)
+    _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4, dropout_masks=None)
     return -parts["policy_loss"]
 
 
@@ -162,7 +163,7 @@ class TestPPOObjective:
         batch, _ = collect_rollouts(params, *tiny_episodes(), RewardSpec(), backend,
                                     np.random.default_rng(0), 1.0)
         config = TrainConfig(seed=0, dropout_rate=0.0)
-        _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4)
+        _, _, parts = ppo_loss_and_grads(params, batch, config, feature_dim=4, dropout_masks=None)
         assert parts["policy_loss"] == pytest.approx(-batch.advantages.mean(), abs=1e-9)
 
     def test_gradient_check_against_central_differences(self):
@@ -196,10 +197,10 @@ class TestPPOObjective:
         batch = toy_batch(feature_dim, n=32, seed=4)
         config = TrainConfig(seed=0, learning_rate=1e-3, minibatch_size=32,
                              ppo_inner_epochs=1, dropout_rate=0.0)
-        before, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim)
+        before, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, None)
         ppo_update(params, batch, config, np.random.default_rng(0), feature_dim,
                    Adam(config.learning_rate))
-        after, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim)
+        after, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, None)
         assert after < before
 
     def test_non_finite_loss_aborts_with_minibatch(self):
@@ -317,7 +318,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs_max=3, patience=3, seed=5)
         backend = SimulatedBackend(UNINFORMATIVE_ORACLE)
         ckpt = train(dataset, vectors, cfg, backend)
-        restored = load_checkpoint(save_checkpoint(ckpt))
+        restored = load_checkpoint(save_checkpoint(ckpt), "checkpoint")
         val = dataset.split_records(Split.VAL)
         _, before = evaluate_checkpoint(ckpt, val, vectors, backend)
         _, after = evaluate_checkpoint(restored, val, vectors, backend)
@@ -332,7 +333,8 @@ class TestTrainLoop:
         doc = json.loads(data)
         assert "discount" not in doc["reward_spec"]
         doc["reward_spec"]["discount"] = 1.0  # as checkpoints of format 1 used to carry it
-        restored = load_checkpoint(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+        restored = load_checkpoint(json.dumps(doc, separators=(",", ":")).encode("utf-8"),
+                                   "checkpoint")
         assert save_checkpoint(restored) == data
 
     def test_policy_or_normalizer_of_another_manifest_is_rejected(self):

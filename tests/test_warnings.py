@@ -67,7 +67,7 @@ def make_record(i=0, file="pkg-1.0.0/src/lib.rs", line=10, label=None, analyzer=
 
 class TestParseReport:
     def test_aarc_destructor_object(self):
-        records = parse_report(as_report([AARC_REPORT_OBJECT]))
+        records = parse_report(as_report([AARC_REPORT_OBJECT]), "report")
         assert len(records) == 1
         r = records[0]
         assert r.analyzer == "UnsafeDestructor"
@@ -79,27 +79,28 @@ class TestParseReport:
         assert r.label is None
 
     def test_empty_array(self):
-        assert parse_report(b"[]") == []
+        assert parse_report(b"[]", "report") == []
 
     def test_surrogate_pair_escape_is_one_character_and_a_lone_one_is_refused(self):
         pair = json.dumps([{**AARC_REPORT_OBJECT, "code_snippet": "x\U0001f600"}]).encode()
         assert b"\\ud83d\\ude00" in pair
-        assert parse_report(pair)[0].code_snippet == "x\U0001f600"
+        assert parse_report(pair, "report")[0].code_snippet == "x\U0001f600"
         lone = pair.replace(b"\\ud83d", b"")
         with pytest.raises(InputError, match=r"^report\[0\]\.code_snippet: holds a lone surrogate"):
-            parse_report(lone)
-        store = write_warning_store(parse_report(pair)).replace("\U0001f600".encode(), b"\\ude00")
+            parse_report(lone, "report")
+        store = write_warning_store(parse_report(pair, "report"))
+        store = store.replace("\U0001f600".encode(), b"\\ude00")
         with pytest.raises(InputError, match=r"^warning store line 1: warning\.code_snippet: holds"):
-            read_warning_store(store)
+            read_warning_store(store, "warning store")
 
     def test_duplicate_objects_share_id(self):
-        records = parse_report(as_report([AARC_REPORT_OBJECT, AARC_REPORT_OBJECT]))
+        records = parse_report(as_report([AARC_REPORT_OBJECT, AARC_REPORT_OBJECT]), "report")
         assert len(records) == 2
         assert records[0].id == records[1].id
 
     def test_id_matches_documented_hash(self):
         # Independent recomputation of the documented canonical encoding.
-        r = parse_report(as_report([AARC_REPORT_OBJECT]))[0]
+        r = parse_report(as_report([AARC_REPORT_OBJECT]), "report")[0]
         canon = "\x1f".join(
             [
                 "aarc-0.3.2/src/smart_ptrs.rs", "118", "1", "118", "33",
@@ -113,40 +114,40 @@ class TestParseReport:
         obj = dict(AARC_REPORT_OBJECT)
         del obj["code_snippet"]
         with pytest.raises(InputError, match=r"report\[0\].code_snippet.*missing"):
-            parse_report(as_report([obj]))
+            parse_report(as_report([obj]), "report")
 
     def test_mistyped_field(self):
         obj = dict(AARC_REPORT_OBJECT, start_line="118")
         with pytest.raises(InputError, match=r"report\[1\].start_line"):
-            parse_report(as_report([AARC_REPORT_OBJECT, obj]))
+            parse_report(as_report([AARC_REPORT_OBJECT, obj]), "report")
 
     def test_unknown_field(self):
         obj = dict(AARC_REPORT_OBJECT, severity="high")
         with pytest.raises(InputError, match="severity"):
-            parse_report(as_report([obj]))
+            parse_report(as_report([obj]), "report")
 
     def test_bad_level(self):
         obj = dict(AARC_REPORT_OBJECT, level="Critical")
         with pytest.raises(InputError, match="level"):
-            parse_report(as_report([obj]))
+            parse_report(as_report([obj]), "report")
 
     def test_coordinates_one_based(self):
         obj = dict(AARC_REPORT_OBJECT, start_col=0)
         with pytest.raises(InputError, match="start_col"):
-            parse_report(as_report([obj]))
+            parse_report(as_report([obj]), "report")
 
     def test_line_order_enforced(self):
         obj = dict(AARC_REPORT_OBJECT, start_line=120)
         with pytest.raises(InputError, match="end_line"):
-            parse_report(as_report([obj]))
+            parse_report(as_report([obj]), "report")
 
     def test_not_an_array(self):
         with pytest.raises(InputError, match="array"):
-            parse_report(b"{}")
+            parse_report(b"{}", "report")
 
     def test_malformed_json(self):
         with pytest.raises(InputError, match="JSON"):
-            parse_report(b"[{]")
+            parse_report(b"[{]", "report")
 
 
 _text = st.text(
@@ -186,12 +187,12 @@ class TestRoundTrip:
     def test_parse_serialize_identity(self, records):
         report = [{name: getattr(r, name) for name in REPORT_FIELDS} | {"level": r.level.value}
                   for r in records]
-        assert parse_report(json.dumps(report).encode("utf-8")) == records
+        assert parse_report(json.dumps(report).encode("utf-8"), "report") == records
 
     @given(st.lists(record_strategy(), max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_warning_store_round_trip(self, records):
-        assert read_warning_store(write_warning_store(records)) == records
+        assert read_warning_store(write_warning_store(records), "warning store") == records
 
 
 class TestStratifiedSplit:
@@ -354,20 +355,20 @@ class TestFileInterfaces:
         assert text_lines(b"a\r\n\n  \r\nb\rc\nd") == [(1, "a"), (4, "b\rc"), (5, "d")]
 
     def test_label_sidecar_rejects_two_labels_for_one_id(self):
-        read_label_sidecar(b"aa\ttp\nbb\tfp\naa\ttp\tmanual\n")
+        read_label_sidecar(b"aa\ttp\nbb\tfp\naa\ttp\tmanual\n", "label sidecar")
         with pytest.raises(InputError, match="label sidecar line 3: aa was stated before"):
-            read_label_sidecar(b"aa\ttp\nbb\tfp\naa\tfp\n")
+            read_label_sidecar(b"aa\ttp\nbb\tfp\naa\tfp\n", "label sidecar")
 
     def test_label_sidecar_round_trip(self):
         labels = {"aa00" * 4: Label.TRUE_POSITIVE, "bb11" * 4: Label.FALSE_POSITIVE}
-        assert read_label_sidecar(write_label_sidecar(labels)) == labels
+        assert read_label_sidecar(write_label_sidecar(labels), "label sidecar") == labels
 
     def test_label_sidecar_rejects_bad_token(self):
         with pytest.raises(InputError, match="tp or fp"):
-            read_label_sidecar(b"deadbeef\tmaybe\tsource\n")
+            read_label_sidecar(b"deadbeef\tmaybe\tsource\n", "label sidecar")
 
     def test_split_file_round_trip(self):
         assignment = {"aa": Split.TRAIN, "bb": Split.VAL, "cc": Split.TEST}
         data = write_split_file(assignment, seed=9, ratios=(0.7, 0.15, 0.15))
         assert data.startswith(b"# seed=9 ratios=0.7,0.15,0.15\n")
-        assert read_split_file(data) == assignment
+        assert read_split_file(data, "split file") == assignment
