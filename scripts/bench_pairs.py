@@ -77,11 +77,11 @@ def _init_false(value: ast.expr) -> bool:
 def _parameters(args: ast.arguments, skip: int = 0) -> list[tuple]:
     """(name, line, defaulted, positional) of each parameter in `args`, in
     signature order, less the first `skip` positional ones."""
-    positional = args.posonlyargs + args.args
+    positional = (args.posonlyargs + args.args)[skip:]
     defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
-    return [(p.arg, p.lineno, d is not None, True)
-            for p, d in list(zip(positional, defaults))[skip:]] + [
-        (p.arg, p.lineno, d is not None, False) for p, d in zip(args.kwonlyargs, args.kw_defaults)]
+    return ([(p.arg, p.lineno, d is not None, True) for p, d in zip(positional, defaults)]
+            + [(p.arg, p.lineno, d is not None, False)
+               for p, d in zip(args.kwonlyargs, args.kw_defaults)])
 
 
 def signatures(tree: Path):

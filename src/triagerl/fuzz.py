@@ -9,6 +9,7 @@ real fuzzer under a wall-clock budget.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import shlex
@@ -61,7 +62,7 @@ class FuzzOutcome:
     def __post_init__(self):
         if self.kind is FuzzKind.NOT_RUN:
             raise ValueError("NOT_RUN is a state slot, not an outcome")
-        if not np.isfinite(self.elapsed):
+        if not math.isfinite(self.elapsed):
             raise ValueError(f"elapsed must be finite, got {self.elapsed}")
         if self.elapsed < 0:
             raise ValueError(f"elapsed must be >= 0, got {self.elapsed}")

@@ -937,11 +937,6 @@ class TestConfigKeys:
         return {name: path.read_bytes()
                 for name, path in run_clustered(tmp_path_factory.mktemp("baseline")).items()}
 
-    def test_clustered_report_has_a_cluster_of_three(self, baseline):
-        sizes = {json.loads(line)["values"][MANIFEST.index_of("cluster_size")]
-                 for line in baseline["features"].decode().splitlines()}
-        assert 3.0 in sizes
-
     @pytest.mark.parametrize("key", list(CONFIG_KEYS))
     def test_key_changes_exactly_its_artefacts(self, baseline, tmp_path, key):
         # A key added to CONFIG_KEYS fails here until KEY_EFFECTS states what it changes.
