@@ -176,7 +176,10 @@ def _make_backend(cfg: RunConfig):
             raise InputError("backend 'recorded' needs recorded_path (or --recorded)")
         return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path))
     if cfg.backend == "external":
-        templates = load_templates(cfg.templates_dir or fuzz_mod.DEFAULT_TEMPLATE_DIR)
+        directory = Path(cfg.templates_dir or fuzz_mod.DEFAULT_TEMPLATE_DIR)
+        if not directory.is_dir():  # else every harness would fail to generate
+            raise InputError(f"templates_dir is not a directory: {directory}")
+        templates = load_templates(directory)
         return ExternalBackend(cfg.external_command, templates=templates, budget=cfg.fuzz_budget)
     raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 

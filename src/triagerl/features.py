@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -382,7 +383,7 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
         raise InputError(f"{where(row)}: snippet is {nbytes[row]} bytes (cap 1 MiB)")
 
     per = partial(np.bincount, minlength=n)  # per snippet: per(snippet of each, weight)
-    at = np.flatnonzero(cls & _PUNCT)
+    at = np.flatnonzero((cls & _PUNCT) != 0)
     at = at[np.argsort(codes[at].astype(np.uint8), kind="stable")]  # by character, then position
     bounds = np.searchsorted(codes[at], np.arange(129))
     place = {ch: at[bounds[ord(ch)]:bounds[ord(ch) + 1]] for ch in _PUNCTUATION}
@@ -455,7 +456,7 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     # Lines: a break ends one ("\r\n" is one break, and each snippet's
     # separator ends its last line); a code line holds a non-space, a comment
     # line "//" or "/*".
-    breaks = np.flatnonzero(cls & _BREAK)
+    breaks = np.flatnonzero((cls & _BREAK) != 0)
     crlf = (codes[breaks] == ord("\n")) & (codes[breaks - 1] == ord("\r"))
     crlf[np.searchsorted(breaks, ends)] = False
     line_end = breaks[~crlf]
@@ -582,6 +583,17 @@ def _op_slot(op_type: str | None) -> str:
 # A package without metadata: download_count_log, unsafe_prevalence and
 # package_loc imputed as a blank snippet's slots are, and metadata_imputed_flag set.
 _IMPUTED_PACKAGE = (0.0, 0.5, 0.0, 1.0)
+# The fields the bypass, checker, level and op slots read, and the one the package slots read.
+_ANALYZER_FIELDS = attrgetter("analyzer", "description", "op_type", "level")
+_FILE = attrgetter("file")
+
+
+def _distinct(records: list[WarningRecord], key) -> tuple[np.ndarray, list[WarningRecord]]:
+    """The code of each record's `key` (0, 1, ... in order of first
+    appearance) and the first record with each code."""
+    index: dict = {}
+    code = np.array([index.setdefault(k, len(index)) for k in map(key, records)], dtype=np.intp)
+    return code, [records[i] for i in np.unique(code, return_index=True)[1].tolist()]
 
 
 def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMetadata],
@@ -605,23 +617,28 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
     columns = {name: np.where(blank, 0.5 if _KINDS[name] is Kind.RATIO
                               else float(name == "snippet_missing_flag"), column)
                for name, column in slots.items()}
+    # The package slots depend on the file alone, the analyzer-field slots on
+    # `_ANALYZER_FIELDS` alone: each is worked out once per distinct value,
+    # on its first record, and spread to the rows by the value's code.
+    code, firsts = _distinct(records, _FILE)
     packages = {name: (math.log10(1 + m.download_count), m.unsafe_prevalence, m.total_loc, 0.0)
                 for name, m in metadata.items()}
-    package = np.array([packages.get(package_of(r), _IMPUTED_PACKAGE) for r in records],
-                       dtype=np.float64).reshape(n, 4)
+    package = np.array([packages.get(package_of(r), _IMPUTED_PACKAGE) for r in firsts],
+                       dtype=np.float64).reshape(-1, 4)[code]
     columns.update(zip(("download_count_log", "unsafe_prevalence", "package_loc",
                         "metadata_imputed_flag"), package.T))
     columns["cluster_size"] = np.array([sizes[r.id] for r in records], dtype=np.float64)
     columns["clustered_flag"] = columns["cluster_size"] > 1
-    columns["op_type_present_flag"] = np.array([r.op_type is not None for r in records])
+    code, firsts = _distinct(records, _ANALYZER_FIELDS)
+    columns["op_type_present_flag"] = np.array([r.op_type is not None for r in firsts])[code]
     for prefix, vocabulary, picks in (
-        ("bypass_", _BYPASS, [classify_bug_pattern(r).value for r in records]),
-        ("checker_", _CHECKERS, [_checker_slot(r.analyzer) for r in records]),
-        ("level_", _LEVELS, [r.level.value.lower() for r in records]),
-        ("op_", _OP_TYPES, [_op_slot(r.op_type) for r in records]),
+        ("bypass_", _BYPASS, [classify_bug_pattern(r).value for r in firsts]),
+        ("checker_", _CHECKERS, [_checker_slot(r.analyzer) for r in firsts]),
+        ("level_", _LEVELS, [r.level.value.lower() for r in firsts]),
+        ("op_", _OP_TYPES, [_op_slot(r.op_type) for r in firsts]),
     ):
         picks = np.array(picks)
-        columns.update((prefix + value, picks == value) for value in vocabulary)
+        columns.update((prefix + value, (picks == value)[code]) for value in vocabulary)
     # ln(1 + x) companions, by math.log1p once per distinct count, so each
     # equals the scalar rule bit for bit whatever numpy's own log1p does.
     paired = [name for name in _KINDS if name + "_log" in _KINDS]

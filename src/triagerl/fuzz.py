@@ -49,6 +49,7 @@ class FuzzKind(Enum):
 
 # Fixed slot order for the state one-hot encoding: the members' order above.
 FUZZ_SLOTS = tuple(FuzzKind)
+_KIND_OF = {kind.value: kind for kind in FuzzKind}
 
 CRASH_GRADE = (FuzzKind.CRASH, FuzzKind.SANITIZER_VIOLATION)
 
@@ -307,7 +308,9 @@ def read_recorded_outcomes(data: bytes, source: str) -> dict[str, FuzzOutcome]:
             raise InputError(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
         try:
             detail = parts[3] if len(parts) > 3 else ""
-            outcome = FuzzOutcome(FuzzKind(parts[1]), float(parts[2]), detail)
+            # FuzzKind(...) of a kind not in the table raises the ValueError that names it.
+            kind = _KIND_OF[parts[1]] if parts[1] in _KIND_OF else FuzzKind(parts[1])
+            outcome = FuzzOutcome(kind, float(parts[2]), detail)
         except ValueError as exc:
             raise InputError(f"{source} line {n}: {exc}") from exc
         state_once(outcomes, parts[0], outcome, f"{source} line {n}")

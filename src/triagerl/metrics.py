@@ -146,11 +146,10 @@ def prediction_records(ids: list[str], called: np.ndarray, scores: np.ndarray,
                        outcomes: np.ndarray) -> list[PredictionRecord]:
     """One verdict per id from per-warning arrays; `outcomes` holds FUZZ_SLOTS
     indices, 0 (NotRun) where the warning was not fuzzed."""
-    return [
-        PredictionRecord(wid, Label.TRUE_POSITIVE if c else Label.FALSE_POSITIVE, s,
-                         FUZZ_SLOTS[o] if o else None)
-        for wid, c, s, o in zip(ids, called.tolist(), scores.tolist(), outcomes.tolist())
-    ]
+    label = {True: Label.TRUE_POSITIVE, False: Label.FALSE_POSITIVE}  # by whether called TP
+    kinds = (None, *FUZZ_SLOTS[1:])  # the fuzz kind by slot; slot 0 (NotRun) means none
+    return [PredictionRecord(wid, label[c], s, kinds[o])
+            for wid, c, s, o in zip(ids, called.tolist(), scores.tolist(), outcomes.tolist())]
 
 
 def write_report(report: EvalReport) -> bytes:
@@ -167,11 +166,15 @@ def write_report(report: EvalReport) -> bytes:
     return text_file(lines)
 
 
+# A verdict's label column by label, and its fuzz flag and kind columns by fuzz kind.
+_LABEL_TEXT = {label: label.value for label in Label}
+_FUZZ_TEXT = {None: "0\t-"} | {kind: f"1\t{kind.value}" for kind in FuzzKind}
+
+
 def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
     """Verdicts file: id, predicted label, score, fuzz flag, fuzz kind."""
-    return text_file(
-        f"{p.warning_id}\t{p.predicted.value}\t{p.score!r}\t{int(p.fuzz_used)}\t"
-        f"{p.fuzz_kind.value if p.fuzz_kind is not None else '-'}" for p in predictions)
+    return text_file(f"{p.warning_id}\t{_LABEL_TEXT[p.predicted]}\t{p.score!r}\t"
+                     f"{_FUZZ_TEXT[p.fuzz_kind]}" for p in predictions)
 
 
 def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:

@@ -74,13 +74,16 @@ class Episodes:
     Per episode, in input order: the final (classify) action, its score, and
     the fuzz outcome's slot in FUZZ_SLOTS (0 when the episode did not fuzz).
     Per decision: every episode's first decision, then the second decisions
-    of the episodes that fuzzed, both in episode order.
+    of the episodes that fuzzed, both in episode order. The states of the
+    two are kept apart: only a rollout needs them joined, in
+    `TrajectoryBatch.from_episodes`.
     """
 
     action: np.ndarray   # (n,) int
     score: np.ndarray    # (n,) P(TP) with fuzzing masked, at the final decision state
     outcome: np.ndarray  # (n,) int
-    states: np.ndarray   # (n + m, state_dim)
+    first_states: np.ndarray   # (n, state_dim)
+    second_states: np.ndarray  # (m, state_dim)
     actions: np.ndarray  # (n + m,) int
     logp: np.ndarray     # (n + m,) log-probability of the action taken
     values: np.ndarray   # (n + m,)
@@ -138,7 +141,7 @@ class TrajectoryBatch:
         order = np.argsort(np.concatenate([np.arange(n), idx + 0.5]), kind="stable")
         returns = np.concatenate([return1, reward2[idx]])[order]
         batch = cls(
-            states=episodes.states[order],
+            states=np.concatenate([episodes.first_states, episodes.second_states])[order],
             actions=episodes.actions[order],
             behavior_logp=episodes.logp[order],
             returns=returns,
@@ -242,7 +245,8 @@ def run_episodes(
         action=action,
         score=score,
         outcome=outcome,
-        states=np.concatenate([first, second]),
+        first_states=first,
+        second_states=second,
         actions=np.concatenate([act1, act2]),
         logp=np.concatenate([np.log(probs1[np.arange(n), act1]),
                              np.log(probs2[np.arange(len(idx)), act2])]),

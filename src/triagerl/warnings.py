@@ -8,7 +8,9 @@ and feature sidecars can be joined reproducibly across runs and machines.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -64,9 +66,8 @@ def warning_id(
     Byte-identical inputs give byte-identical ids on every platform. Identical
     warnings collide by design; deduplication is the caller's choice.
     """
-    canon = "\x1f".join(
-        [file, str(start_line), str(start_col), str(end_line), str(end_col), analyzer, description]
-    )
+    canon = (f"{file}\x1f{start_line}\x1f{start_col}\x1f{end_line}\x1f{end_col}\x1f"
+             f"{analyzer}\x1f{description}")
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -112,49 +113,59 @@ REPORT_FIELDS = tuple(name for name, _, _ in _FIELD_TABLE)
 _FIELD_SET = frozenset(REPORT_FIELDS)
 
 
-def _field_error(where: str, name: str, why: str) -> InputError:
-    return InputError(f"{where}.{name}: {why}")
+# Every tuple of value types, in report order, that a well-typed object has.
+_WELL_TYPED = frozenset(itertools.product(*(types for _, types, _ in _FIELD_TABLE)))
+_REPORT_VALUES = operator.itemgetter(*REPORT_FIELDS)
 
 
-def parse_warning(obj, where: str, escaped: bool) -> WarningRecord:
+def _field_error(name: str, why: str) -> InputError:
+    return InputError(f".{name}: {why}")
+
+
+def parse_warning(obj, escaped: bool) -> WarningRecord:
     """One report object as a record with its id assigned and no label.
 
     The object must carry exactly the ten schema keys. The first fault raises
-    InputError naming `where` and the field, looked for in this order: a
-    missing field, an unknown one, a mistyped one (a bool is no integer), a
-    level outside `Level`, a coordinate below 1, an end before its start, and,
+    InputError whose message goes on from the object's location, which the
+    caller puts before it: ": expected object" when it is none, else ".",
+    the field and the fault. Faults are looked for in this order: a missing
+    field, an unknown one, a mistyped one (a bool is no integer), a level
+    outside `Level`, a coordinate below 1, an end before its start, and,
     when the object's text was `escaped` (see `_SURROGATE_ESCAPE`), a string
     field holding a lone surrogate. Fields are taken in report order.
     """
     if not isinstance(obj, dict):
-        raise InputError(f"{where}: expected object, got {type(obj).__name__}")
-    if obj.keys() != _FIELD_SET:
-        for name in REPORT_FIELDS:
-            if name not in obj:
-                raise _field_error(where, name, "missing field")
-        raise _field_error(where, next(k for k in obj if k not in _FIELD_SET), "unknown field")
-    for name, types, called in _FIELD_TABLE:
-        if type(obj[name]) not in types:
-            raise _field_error(where, name, f"expected {called}, got {type(obj[name]).__name__}")
+        raise InputError(f": expected object, got {type(obj).__name__}")
+    try:
+        values = _REPORT_VALUES(obj)
+    except KeyError:
+        raise _field_error(next(name for name in REPORT_FIELDS if name not in obj),
+                           "missing field") from None
+    if len(obj) != len(REPORT_FIELDS):  # it holds every field and another key
+        raise _field_error(next(k for k in obj if k not in _FIELD_SET), "unknown field")
+    if tuple(map(type, values)) not in _WELL_TYPED:
+        for (name, types, called), value in zip(_FIELD_TABLE, values):
+            if type(value) not in types:
+                raise _field_error(name, f"expected {called}, got {type(value).__name__}")
 
     level = obj["level"]
     if level not in _LEVELS:
-        raise _field_error(where, "level", f"expected one of {tuple(_LEVELS)}, got {level!r}")
+        raise _field_error("level", f"expected one of {tuple(_LEVELS)}, got {level!r}")
     start_line, start_col, end_line, end_col = coords = (
         obj["start_line"], obj["start_col"], obj["end_line"], obj["end_col"])
     if min(coords) < 1:
         name = next(name for name in REPORT_FIELDS if type(obj[name]) is int and obj[name] < 1)
-        raise _field_error(where, name, f"coordinates are 1-based, got {obj[name]}")
+        raise _field_error(name, f"coordinates are 1-based, got {obj[name]}")
     if start_line > end_line:
-        raise _field_error(where, "end_line", f"start_line {start_line} > end_line {end_line}")
+        raise _field_error("end_line", f"start_line {start_line} > end_line {end_line}")
     if start_line == end_line and start_col > end_col:
-        raise _field_error(where, "end_col", f"start_col {start_col} > end_col {end_col} on one line")
+        raise _field_error("end_col", f"start_col {start_col} > end_col {end_col} on one line")
     for name in REPORT_FIELDS if escaped else ():
         if type(obj[name]) is str and _SURROGATE.search(obj[name]):
-            raise _field_error(where, name, "holds a lone surrogate, which UTF-8 cannot encode")
+            raise _field_error(name, "holds a lone surrogate, which UTF-8 cannot encode")
 
     wid = warning_id(obj["file"], *coords, obj["analyzer"], obj["description"])
-    record = WarningRecord(wid, *map(obj.__getitem__, REPORT_FIELDS))
+    record = WarningRecord(wid, *values)
     record.level = _LEVELS[level]  # the report's string as its member
     return record
 
@@ -172,7 +183,13 @@ def parse_report(data: bytes, source: str) -> list[WarningRecord]:
     if not isinstance(doc, list):
         raise InputError(f"{source} must be a JSON array, got {type(doc).__name__}")
     escaped = _SURROGATE_ESCAPE.search(data) is not None
-    return [parse_warning(obj, f"{source}[{i}]", escaped) for i, obj in enumerate(doc)]
+    records: list[WarningRecord] = []
+    try:
+        for obj in doc:
+            records.append(parse_warning(obj, escaped))
+    except InputError as exc:  # the faulty object is the next one
+        raise InputError(f"{source}[{len(records)}]{exc}") from None
+    return records
 
 
 def classify_bug_pattern(record: WarningRecord) -> BugPattern:
@@ -360,15 +377,18 @@ def read_warning_store(data: bytes, source: str) -> list[WarningRecord]:
     """Parse a warning store; a malformed line raises InputError naming `source` and the line."""
     records, escaped = [], _SURROGATE_ESCAPE.search(data) is not None
     for n, line in text_lines(data):
-        where = f"{source} line {n}"
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
+            raise InputError(f"{source} line {n}: {exc}") from exc
         stored_id = obj.pop("id", None) if isinstance(obj, dict) else None
-        record = parse_warning(obj, where + ": warning", escaped)
+        try:
+            record = parse_warning(obj, escaped)
+        except InputError as exc:
+            raise InputError(f"{source} line {n}: warning{exc}") from None
         if stored_id is not None and stored_id != record.id:
-            raise InputError(f"{where}: stored id {stored_id} disagrees with content id {record.id}")
+            raise InputError(f"{source} line {n}: stored id {stored_id} disagrees with "
+                             f"content id {record.id}")
         records.append(record)
     return records
 

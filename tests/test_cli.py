@@ -464,6 +464,9 @@ class TestMalformedInputs:
          [], 3, "input error: backend 'recorded' needs recorded_path (or --recorded)"),
         ("fuzz-validate", "config", lambda t: t.replace("backend = simulated", "backend = quantum"),
          [], 3, "input error: unknown backend 'quantum' (simulated/recorded/external)"),
+        ("fuzz-validate", "config", lambda t: t.replace("backend = simulated", "backend = external"),
+         ["--templates", "no-such-templates"], 3,
+         "input error: templates_dir is not a directory: no-such-templates"),
         ("evaluate", "splits", lambda t: t.replace("\ttest", "\tval"), [], 3,
          "input error: split 'test' has no records"),
         ("importance", "splits", lambda t: t.replace("\ttest", "\tval"), [], 3,
@@ -496,7 +499,7 @@ class TestMalformedInputs:
             "store-deep", "meta-deep", "sidecar-deep", "checkpoint-deep", "report-surrogate-file",
             "report-surrogate-snippet", "store-surrogate-snippet", "report-string-mistyped",
             "report-coordinate-bool", "report-element-not-object", "report-op-type-mistyped",
-            "report-columns-reversed", "recorded-without-path", "backend-unknown",
+            "report-columns-reversed", "recorded-without-path", "backend-unknown", "templates-missing",
             "evaluate-empty-split", "importance-empty-split", "fuzz-validate-unknown-id",
             "meta-not-object", "checkpoint-format-version", "checkpoint-input-dimension",
             "checkpoint-short-normalizer", "checkpoint-weight-nan", "outcomes-elapsed-nan",

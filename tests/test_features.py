@@ -279,6 +279,18 @@ boundary_snippets = st.builds(
     st.sampled_from(["", *BOUNDARY_ENDS]))
 
 
+# Values of the fields the analyzer and package slots read: the descriptions
+# and op types hold the words that decide the bypass pattern, and two files
+# share a package.
+WARNING_FIELDS = {
+    "analyzer": ["UnsafeDataflow", "SendSyncVariance", "UnsafeDestructor", "Other"],
+    "description": ["warning", "may panic", "Send and Sync", "higher-order invariant"],
+    "op_type": [None, "", "VecSetLen", "ReadFlow", "odd", "send sync"],
+    "level": list(Level),
+    "file": ["pkg0-1.0/src/a.rs", "pkg0-1.0/src/b.rs", "pkg1-1.0/src/a.rs"],
+}
+
+
 def oracle_matrix(records, metadata, sizes):
     return np.stack([feature_oracle.extract_features(r, metadata.get(package_of(r)),
                                                      cluster_size=sizes[r.id]).values
@@ -298,18 +310,20 @@ class TestAgainstOracle:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_every_slot_equals_the_per_rule_oracle(self, data):
-        texts = data.draw(st.lists(snippets, min_size=1, max_size=4), label="snippets")
-        records = [
-            WarningRecord(**{
-                **make_record(i, file=f"pkg{i % 2}-1.0/src/a.rs", line=10 + i).__dict__,
-                "code_snippet": text,
-                "analyzer": data.draw(st.sampled_from(
-                    ["UnsafeDataflow", "SendSyncVariance", "UnsafeDestructor", "Other"])),
-                "op_type": data.draw(st.sampled_from([None, "", "VecSetLen", "ReadFlow", "odd"])),
-                "level": data.draw(st.sampled_from(list(Level))),
-            })
-            for i, text in enumerate(texts)
-        ]
+        # Each warning repeats one drawn set of analyzer fields and file, or
+        # differs from it in exactly one of them: the slots worked out once per
+        # distinct value must land on every row that shares it, and on no other.
+        texts = data.draw(st.lists(snippets, min_size=1, max_size=6), label="snippets")
+        shared = {name: data.draw(st.sampled_from(values), label=name)
+                  for name, values in WARNING_FIELDS.items()}
+        records = []
+        for i, text in enumerate(texts):
+            fields = dict(shared)
+            changed = data.draw(st.sampled_from([None, *WARNING_FIELDS]), label="changed")
+            if changed is not None:
+                fields[changed] = data.draw(st.sampled_from(WARNING_FIELDS[changed]), label=changed)
+            records.append(WarningRecord(**{**make_record(i, line=10 + i).__dict__,
+                                            "code_snippet": text, **fields}))
         metadata = {"pkg0-1.0": PackageMetadata(data.draw(st.integers(0, 2**53)),
                                                 0.25, data.draw(st.integers(-2**53, 2**53)))}
         sizes = {r.id: data.draw(st.integers(1, 50)) for r in records}

@@ -141,6 +141,33 @@ class TestParseReport:
         with pytest.raises(InputError, match="end_line"):
             parse_report(as_report([obj]), "report")
 
+    @pytest.mark.parametrize("fault, message", [
+        (lambda o: {k: v for k, v in o.items() if k != "code_snippet"},
+         ".code_snippet: missing field"),
+        (lambda o: {**o, "severity": "high"}, ".severity: unknown field"),
+        (lambda o: {**o, "start_line": "118"}, ".start_line: expected integer, got str"),
+        (lambda o: 5, ": expected object, got int"),
+        # Two faults: the first in parse_warning's documented order is reported.
+        (lambda o: {**{k: v for k, v in o.items() if k != "file"}, "start_line": "118"},
+         ".file: missing field"),
+        (lambda o: {**o, "severity": "high", "analyzer": 7}, ".severity: unknown field"),
+        (lambda o: {**o, "start_col": 0, "level": "Critical"},
+         ".level: expected one of ('Error', 'Warning', 'Info'), got 'Critical'"),
+        (lambda o: {**o, "end_line": 100, "start_col": 0},
+         ".start_col: coordinates are 1-based, got 0"),
+    ], ids=["missing", "unknown", "mistyped", "not-object", "missing-and-mistyped",
+            "unknown-and-mistyped", "level-and-coordinate", "coordinate-and-order"])
+    def test_fault_past_the_first_object_names_its_index_and_line(self, fault, message):
+        objs = [dict(AARC_REPORT_OBJECT, start_line=100 + i, end_line=100 + i) for i in range(5)]
+        with pytest.raises(InputError) as report_error:
+            parse_report(as_report([*objs[:3], fault(objs[3]), objs[4]]), "report")
+        assert str(report_error.value) == f"report[3]{message}"
+        lines = write_warning_store(parse_report(as_report(objs), "report")).split(b"\n")
+        lines[3] = json.dumps(fault(objs[3])).encode()
+        with pytest.raises(InputError) as store_error:
+            read_warning_store(b"\n".join(lines), "warning store")
+        assert str(store_error.value) == f"warning store line 4: warning{message}"
+
     def test_not_an_array(self):
         with pytest.raises(InputError, match="array"):
             parse_report(b"{}", "report")
