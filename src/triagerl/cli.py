@@ -184,10 +184,10 @@ def _make_backend(cfg: RunConfig):
     raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
 
-def _load_dataset(args, cfg) -> tuple[Dataset, dict]:
+def _load_dataset(args) -> tuple[Dataset, dict]:
     records = _load(warn_mod.read_warning_store, args.warnings)
     labels = _load(warn_mod.read_label_sidecar, args.labels)
-    records = warn_mod.apply_labels(records, labels)
+    warn_mod.apply_labels(records, labels)
     assignment = _load(warn_mod.read_split_file, args.splits)
     records = [r for r in records if r.id in assignment]
     vectors = _load(features_mod.read_feature_sidecar, args.features)
@@ -211,7 +211,7 @@ def cmd_split(args) -> int:
     cfg = _load_config(args)
     records = _load(warn_mod.read_warning_store, args.warnings)
     labels = _load(warn_mod.read_label_sidecar, args.labels)
-    records = warn_mod.apply_labels(records, labels)
+    warn_mod.apply_labels(records, labels)
     labeled = [r for r in records if r.label is not None]
     assignment = warn_mod.stratified_split(labeled, args.ratios, cfg.seed)
     _write(args.out, warn_mod.write_split_file(assignment, cfg.seed, args.ratios))
@@ -249,7 +249,7 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    dataset, vectors = _load_dataset(args, cfg)
+    dataset, vectors = _load_dataset(args)
     backend = _make_backend(cfg)
     log_lines: list[str] = []
     checkpoint = train(dataset, vectors, cfg.train, backend, cfg.reward, log_lines=log_lines)
@@ -264,7 +264,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     checkpoint = _load(load_checkpoint, args.checkpoint)
-    dataset, vectors = _load_dataset(args, cfg)
+    dataset, vectors = _load_dataset(args)
     records = dataset.split_records(Split(args.split))
     if not records:
         raise InputError(f"split {args.split!r} has no records")
@@ -313,7 +313,7 @@ def cmd_fuzz_validate(args) -> int:
 def cmd_importance(args) -> int:
     cfg = _load_config(args)
     checkpoint = _load(load_checkpoint, args.checkpoint)
-    dataset, vectors = _load_dataset(args, cfg)
+    dataset, vectors = _load_dataset(args)
     records = dataset.split_records(Split(args.split))
     if not records:
         raise InputError(f"split {args.split!r} has no records")

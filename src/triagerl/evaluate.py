@@ -2,16 +2,18 @@
 
 Evaluation replays one greedy episode per warning (fuzzing permitted unless
 masked) and scores the terminal decisions with the full metric report.
-Importance shuffles one feature column at a time, re-evaluates with fuzzing
-masked, and ranks features by the mean F1 drop.
+Importance shuffles one feature column at a time, re-plays the rows each
+shuffle changed with fuzzing masked, and ranks features by the mean F1 drop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .features import MANIFEST, FeatureVector, normalize
-from .metrics import EvalReport, PredictionRecord, prediction_records, report_from_arrays
+from .metrics import (EvalReport, PredictionRecord, precision_recall_f1, prediction_records,
+                      report_from_arrays)
 from .trainer import PolicyCheckpoint, feature_matrix, run_episodes
 from .warnings import Label, WarningRecord, text_file
 
@@ -33,6 +35,30 @@ def evaluate_checkpoint(
                                       played.outcome)
 
 
+# A BLAS kernel computes a product's rows in blocks, and the rows after the
+# last full block may round differently from the same rows inside one (on
+# OpenBLAS 0.3.31 on an AVX-512 Xeon, rows past a multiple of 4 do so in the
+# 3-column logits product). A re-play of a multiple of _BLOCK rows, then the
+# matrix's own last n % _BLOCK rows, puts every row where it sits relative to
+# the blocks of the full product, for any block size that divides 16.
+_BLOCK = 16
+
+
+def _replayed(changed: np.ndarray, n: int) -> np.ndarray:
+    """The rows that re-play the `changed` rows of an n-row matrix, in order:
+    those before its last n % _BLOCK rows, the first repeated up to a multiple
+    of _BLOCK, then all of the last rows if any of them changed.
+
+    A permutation keeps a column's values, so a row that takes a new value
+    hands its old one to another row: rows change two or more at a time, and
+    no re-play is a one-row product, which numpy sends to gemv rather than gemm.
+    """
+    cut = n - n % _BLOCK
+    head = changed[changed < cut]
+    tail = np.arange(cut, n) if changed[-1] >= cut else changed[:0]
+    return np.concatenate([head, np.repeat(head[:1], -len(head) % _BLOCK), tail])
+
+
 def permutation_importance(
     ckpt: PolicyCheckpoint,
     records: list[WarningRecord],
@@ -46,27 +72,47 @@ def permutation_importance(
     decision surface only, and an undefined F1 counts as 0. Shuffles are
     seeded; identical seeds give identical rankings. Constant columns drop
     exactly 0.
+
+    The unshuffled matrix is played once. A shuffle re-plays only the rows
+    whose value it changed (see `_replayed`) and merges their calls into the
+    unshuffled ones: each re-played row gets the bits it has in a full play,
+    so an unchanged row keeps its call, and the first row whose scores are
+    not finite is a changed one.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not records:
+        raise InputError("no predictions to score")
     matrix = normalize(feature_matrix(records, vectors), ckpt.normalizer)
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
 
-    def f1(feats: np.ndarray) -> float:
+    def calls(feats: np.ndarray, played: list[WarningRecord]) -> np.ndarray:
         # Fuzzing is masked: one decision per warning, and the backend is never called.
-        played = run_episodes(ckpt.params, feats, records, None, mask_fuzz=True)
-        return report_from_arrays(played.called, positives, played.score, played.fuzzed).f1 or 0.0
+        return run_episodes(ckpt.params, feats, played, None, mask_fuzz=True).called
 
-    baseline = f1(matrix)
+    def f1(called: np.ndarray) -> float:
+        tp = int(np.count_nonzero(called & positives))
+        fp = int(np.count_nonzero(called & ~positives))
+        fn = int(np.count_nonzero(~called & positives))
+        return precision_recall_f1(tp, fp, fn)[2] or 0.0
+
+    unshuffled = calls(matrix, records)
+    baseline = f1(unshuffled)
+    bits = matrix.view(np.int64)  # compared as bits, -0.0 and 0.0 differ
     rng = np.random.default_rng(seed)
     results = []
     for j, entry in enumerate(MANIFEST.entries):
         drops = []
         for _ in range(repeats):
             perm = rng.permutation(len(records))
-            shuffled = matrix.copy()
-            shuffled[:, j] = matrix[perm, j]
-            drops.append(baseline - f1(shuffled))
+            rows = np.flatnonzero(bits[perm, j] != bits[:, j])
+            called = unshuffled.copy()
+            if len(rows):
+                played = _replayed(rows, len(records))
+                feats = matrix[played]
+                feats[:, j] = matrix[perm[played], j]
+                called[played] = calls(feats, [records[i] for i in played])
+            drops.append(baseline - f1(called))
         results.append({"feature": entry.name, "mean_drop": float(np.mean(drops))})
     results.sort(key=lambda r: -r["mean_drop"])
     return results

@@ -79,17 +79,10 @@ def _auc_pr(scores: np.ndarray, positive: np.ndarray) -> float:
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
-    """The full report from per-warning arrays: whether each warning was
-    called a true positive, whether it is one, its P(TP) score, and whether
-    it was fuzzed."""
-    called, positive = np.asarray(called, dtype=bool), np.asarray(positive, dtype=bool)
-    n = len(called)
-    if n == 0:
-        raise InputError("no predictions to score")
-    tp, fp = int((called & positive).sum()), int((called & ~positive).sum())
-    fn, tn = int((~called & positive).sum()), int((~called & ~positive).sum())
-
+def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float | None, float | None,
+                                                              float | None, dict[str, str]]:
+    """Precision, recall and F1 from confusion counts, each None where it is
+    undefined, and the reason for each one that is."""
     undefined: dict[str, str] = {}
     if tp + fp == 0:
         undefined["precision"] = "no positive predictions (TP+FP = 0)"
@@ -102,6 +95,20 @@ def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
     precision = None if "precision" in undefined else tp / (tp + fp)
     recall = None if "recall" in undefined else tp / (tp + fn)
     f1 = None if "f1" in undefined else 2 * precision * recall / (precision + recall)
+    return precision, recall, f1, undefined
+
+
+def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
+    """The full report from per-warning arrays: whether each warning was
+    called a true positive, whether it is one, its P(TP) score, and whether
+    it was fuzzed."""
+    called, positive = np.asarray(called, dtype=bool), np.asarray(positive, dtype=bool)
+    n = len(called)
+    if n == 0:
+        raise InputError("no predictions to score")
+    tp, fp = int((called & positive).sum()), int((called & ~positive).sum())
+    fn, tn = int((~called & positive).sum()), int((~called & ~positive).sum())
+    precision, recall, f1, undefined = precision_recall_f1(tp, fp, fn)
 
     factors = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     mcc = 0.0 if factors == 0 else (tp * tn - fp * fn) / math.sqrt(factors)

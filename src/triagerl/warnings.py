@@ -12,7 +12,7 @@ import itertools
 import json
 import operator
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -87,9 +87,6 @@ class WarningRecord:
     end_col: int
     code_snippet: str
     label: Label | None = None
-
-    def with_label(self, label: Label | None) -> "WarningRecord":
-        return replace(self, label=label)
 
 
 @dataclass
@@ -412,8 +409,10 @@ def read_label_sidecar(data: bytes, source: str) -> dict[str, Label]:
     return labels
 
 
-def apply_labels(records: list[WarningRecord], labels: dict[str, Label]) -> list[WarningRecord]:
-    return [r.with_label(labels.get(r.id)) for r in records]
+def apply_labels(records: list[WarningRecord], labels: dict[str, Label]) -> None:
+    """Set each record's label from `labels`, None where it has none, in place."""
+    for r in records:
+        r.label = labels.get(r.id)
 
 
 def write_split_file(

@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triagerl.env import RewardSpec
-from triagerl.features import MANIFEST, FeatureVector, NormalizerStats, normalize
+from triagerl.errors import NonFiniteScores
+from triagerl.features import MANIFEST, FeatureVector, Kind, NormalizerStats, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.metrics import compute_metrics, read_verdicts, write_verdicts
-from triagerl.policy import init_params
-from triagerl.synthetic import SIGNAL_FEATURE, separable_task
-from triagerl.trainer import PolicyCheckpoint, TrainConfig, train
-from triagerl.evaluate import evaluate_checkpoint, permutation_importance, write_importance
+from triagerl.policy import forward_cache, init_params
+from triagerl.synthetic import SIGNAL_FEATURE, make_synthetic_warning, separable_task
+from triagerl.trainer import STATE_DIM, PolicyCheckpoint, TrainConfig, train
+from triagerl.evaluate import (_replayed, evaluate_checkpoint, permutation_importance,
+                               write_importance)
 from triagerl.trainer import feature_matrix
 from triagerl.warnings import Label, Split
 
 import episode_oracle
+import importance_oracle
 
 UNINFORMATIVE_ORACLE = SimOracleConfig(
     p_crash_given_tp=0.3, p_crash_given_fp=0.3, p_inconclusive=0.25, seed=3
@@ -35,6 +40,38 @@ def uniform_checkpoint():
         reward_spec=RewardSpec(),
         history=[],
     )
+
+
+def mixed_corpus(rng, n):
+    """`n` labeled records and raw feature vectors whose columns are each
+    constant, binary, few-valued or continuous, as the slot's kind allows;
+    flag columns may hold -0.0, which validation accepts as 0."""
+    columns = []
+    for entry in MANIFEST.entries:
+        if entry.kind in (Kind.FLAG, Kind.ONE_HOT):
+            pool = np.array([0.0, 1.0, -0.0])
+        elif entry.kind is Kind.RATIO:
+            pool = rng.random(4)
+        else:
+            pool = rng.integers(0, 30, 4) * rng.choice([1.0, 0.5])
+        style = rng.integers(4)  # constant, binary, few-valued, continuous
+        if style == 3 and entry.kind not in (Kind.FLAG, Kind.ONE_HOT):
+            column = rng.random(n) if entry.kind is Kind.RATIO else rng.exponential(8.0, n)
+        else:
+            column = rng.choice(pool[:style + 1], n)
+        columns.append(column)
+    matrix = np.column_stack(columns)
+    records = [make_synthetic_warning(i, Label.TRUE_POSITIVE if rng.random() < 0.4
+                                      else Label.FALSE_POSITIVE) for i in range(n)]
+    return records, {r.id: FeatureVector(r.id, row) for r, row in zip(records, matrix)}
+
+
+def random_checkpoint(rng, normalizer):
+    params = init_params(STATE_DIM, dropout_rate=0.0, seed=int(rng.integers(2**31)))
+    params.flat *= rng.uniform(0.5, 4.0)
+    params.b_pi[:] = rng.normal(0.0, 0.5, 3)  # init leaves the biases 0
+    return PolicyCheckpoint(params=params, normalizer=normalizer, config=TrainConfig(seed=0),
+                            reward_spec=RewardSpec(), history=[])
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +179,59 @@ class TestPermutationImportance:
         first = text.split("\n", 1)[0].split("\t")
         assert first[0] == "1"
         assert first[1] == results[0]["feature"]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 40]),
+           repeats=st.integers(1, 3), fitted=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_bytes_equal_the_full_replay_oracle(self, seed, n, repeats, fitted):
+        rng = np.random.default_rng(seed)
+        records, vectors = mixed_corpus(rng, n)
+        raw = feature_matrix(records, vectors)
+        normalizer = NormalizerStats(raw.mean(axis=0), raw.std(axis=0)) if fitted else \
+            identity_normalizer()
+        ckpt = random_checkpoint(rng, normalizer)
+        got = permutation_importance(ckpt, records, vectors, repeats=repeats, seed=seed)
+        expected = importance_oracle.permutation_importance(ckpt, records, vectors,
+                                                            repeats=repeats, seed=seed)
+        assert write_importance(got) == write_importance(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overflow_names_the_oracles_warning(self, seed):
+        # Two count columns carry 2**53 in alternate rows; one hidden unit weighs
+        # each just below overflow, so the unshuffled rows are finite and a row
+        # that a shuffle gives both values overflows.
+        rng = np.random.default_rng(seed)
+        records, vectors = mixed_corpus(rng, 40)
+        a, b = MANIFEST.index_of("mut_borrow_count"), MANIFEST.index_of("smart_pointer_count")
+        for i, r in enumerate(records):
+            vectors[r.id].values[[a, b]] = (2.0**53, 0.0) if i % 2 else (0.0, 2.0**53)
+        ckpt = random_checkpoint(rng, identity_normalizer())
+        ckpt.params.w1[[a, b], 0] = 1.5e292
+        ckpt.params.w2 *= 1e-3
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for importance in (permutation_importance, importance_oracle.permutation_importance):
+                with pytest.raises(NonFiniteScores) as caught:
+                    importance(ckpt, records, vectors, repeats=2, seed=seed)
+                errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+
+def test_replayed_rows_get_the_full_products_bits():
+    """`permutation_importance` re-plays a shuffle's changed rows in a product
+    of their own, laid out by `_replayed`, and takes each row's call as the
+    full product's. That needs the BLAS to give each row the same logits,
+    bit for bit, in both products."""
+    rng = np.random.default_rng(0)
+    params = init_params(STATE_DIM, dropout_rate=0.0, seed=1)
+    for n in (2, 3, 17, 40, 64, 449, 452):
+        states = rng.normal(size=(n, STATE_DIM))
+        full = forward_cache(params, states)["logits"]
+        sizes = range(2, n + 1) if n <= 64 else [2, 3, n - 1, n, *rng.integers(4, n - 1, 40)]
+        for k in sizes:
+            played = _replayed(np.sort(rng.choice(n, size=k, replace=False)), n)
+            assert len(played) >= 2
+            part = forward_cache(params, states[played])["logits"]
+            assert np.array_equal(part.view(np.int64), full[played].view(np.int64)), (
+                f"re-played logits of {k} changed rows of {n} differ from the full product's "
+                "on this BLAS, so permutation_importance would not match a full re-play")
