@@ -210,6 +210,7 @@ class TestPermutationImportance:
         ckpt.params.w2 *= 1e-3
         errors = []
         with np.errstate(over="ignore", invalid="ignore"):
+            evaluate_checkpoint(ckpt, records, vectors, None, mask_fuzz=True)  # finite unshuffled
             for importance in (permutation_importance, importance_oracle.permutation_importance):
                 with pytest.raises(NonFiniteScores) as caught:
                     importance(ckpt, records, vectors, repeats=2, seed=seed)
