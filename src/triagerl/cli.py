@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,6 @@ from .features import FeatureVector, extract_features, manifest_export, normaliz
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
 from .trainer import TrainConfig, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split
-
-_SECTIONS = {"train": TrainConfig, "reward": RewardSpec, "sim": SimOracleConfig}
-
 
 @dataclass
 class RunConfig:
@@ -56,6 +53,8 @@ class RunConfig:
             raise ValueError(f"jobs must be <= {fuzz_mod.MAX_JOBS}, got {self.jobs}")
 
 
+# Each section field of RunConfig and its class.
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig) if f.default is MISSING}
 # Each config key (`name` or `section.name`) and the type of its value.
 CONFIG_KEYS: dict[str, type] = {
     **{f.name: type(f.default) for f in fields(RunConfig) if f.name not in _SECTIONS},
@@ -184,14 +183,26 @@ def _make_backend(cfg: RunConfig):
     raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
 
-def _load_dataset(args) -> tuple[Dataset, dict]:
+def _labeled_store(args) -> list[warn_mod.WarningRecord]:
     records = _load(warn_mod.read_warning_store, args.warnings)
-    labels = _load(warn_mod.read_label_sidecar, args.labels)
-    warn_mod.apply_labels(records, labels)
-    assignment = _load(warn_mod.read_split_file, args.splits)
-    records = [r for r in records if r.id in assignment]
-    vectors = _load(features_mod.read_feature_sidecar, args.features)
-    return Dataset(records, assignment), vectors
+    warn_mod.apply_labels(records, _load(warn_mod.read_label_sidecar, args.labels))
+    return records
+
+
+def _load_dataset(args) -> tuple[Dataset, dict]:
+    dataset = Dataset(_labeled_store(args), _load(warn_mod.read_split_file, args.splits))
+    return dataset, _load(features_mod.read_feature_sidecar, args.features)
+
+
+def _scored_split(args) -> tuple:
+    """The checkpoint, the records of `--split` and the vectors, each input
+    read before the split is checked for records."""
+    checkpoint = _load(load_checkpoint, args.checkpoint)
+    dataset, vectors = _load_dataset(args)
+    records = dataset.split_records(Split(args.split))
+    if not records:
+        raise InputError(f"split {args.split!r} has no records")
+    return checkpoint, records, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +210,21 @@ def _load_dataset(args) -> tuple[Dataset, dict]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    _load_config(args)
+def cmd_ingest(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.parse_report, args.report)
     _write(args.out, warn_mod.write_warning_store(records))
     print(f"ingested {len(records)} warnings")
     return 0
 
 
-def cmd_split(args) -> int:
-    cfg = _load_config(args)
-    records = _load(warn_mod.read_warning_store, args.warnings)
-    labels = _load(warn_mod.read_label_sidecar, args.labels)
-    warn_mod.apply_labels(records, labels)
-    labeled = [r for r in records if r.label is not None]
+def cmd_split(args, cfg: RunConfig) -> int:
+    labeled = [r for r in _labeled_store(args) if r.label is not None]
     assignment = warn_mod.stratified_split(labeled, args.ratios, cfg.seed)
     _write(args.out, warn_mod.write_split_file(assignment, cfg.seed, args.ratios))
     return 0
 
 
-def cmd_featurize(args) -> int:
-    cfg = _load_config(args)
+def cmd_featurize(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.read_warning_store, args.warnings)
     metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
     if args.mode == "precomputed":
@@ -247,8 +252,7 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
+def cmd_train(args, cfg: RunConfig) -> int:
     dataset, vectors = _load_dataset(args)
     backend = _make_backend(cfg)
     log_lines: list[str] = []
@@ -261,13 +265,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    checkpoint = _load(load_checkpoint, args.checkpoint)
-    dataset, vectors = _load_dataset(args)
-    records = dataset.split_records(Split(args.split))
-    if not records:
-        raise InputError(f"split {args.split!r} has no records")
+def cmd_evaluate(args, cfg: RunConfig) -> int:
+    checkpoint, records, vectors = _scored_split(args)
     backend = _make_backend(cfg)
     report, predictions = _play(args.checkpoint, evaluate_mod.evaluate_checkpoint, checkpoint,
                                 records, vectors, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
@@ -277,8 +276,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_triage(args) -> int:
-    cfg = _load_config(args)
+def cmd_triage(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.parse_report, args.report)
     checkpoint = _load(load_checkpoint, args.checkpoint)
     metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
@@ -295,8 +293,7 @@ def cmd_triage(args) -> int:
     return 0
 
 
-def cmd_fuzz_validate(args) -> int:
-    cfg = _load_config(args)
+def cmd_fuzz_validate(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.read_warning_store, args.warnings)
     labels = _load(warn_mod.read_label_sidecar, args.labels) if args.labels else {}
     by_id = {r.id: r for r in records}
@@ -310,21 +307,15 @@ def cmd_fuzz_validate(args) -> int:
     return 0
 
 
-def cmd_importance(args) -> int:
-    cfg = _load_config(args)
-    checkpoint = _load(load_checkpoint, args.checkpoint)
-    dataset, vectors = _load_dataset(args)
-    records = dataset.split_records(Split(args.split))
-    if not records:
-        raise InputError(f"split {args.split!r} has no records")
+def cmd_importance(args, cfg: RunConfig) -> int:
+    checkpoint, records, vectors = _scored_split(args)
     results = _play(args.checkpoint, evaluate_mod.permutation_importance, checkpoint, records,
                     vectors, repeats=args.repeats, seed=cfg.seed)
     _write(args.out, evaluate_mod.write_importance(results))
     return 0
 
 
-def cmd_report(args) -> int:
-    _load_config(args)
+def cmd_report(args, cfg: RunConfig) -> int:
     predictions = _load(metrics_mod.read_verdicts, args.verdicts)
     labels = _load(warn_mod.read_label_sidecar, args.labels)
     report = metrics_mod.compute_metrics(predictions, labels)
@@ -369,55 +360,48 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, func, summary: str, *required: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        for flag in required:
+        for flag in (*required, "--out"):
             p.add_argument(flag, required=True)
         return p
 
     dataset = ("--warnings", "--labels", "--splits", "--features")
-    p = command("ingest", cmd_ingest, "parse a report file into the warning store", "--report")
-    p.add_argument("--out", required=True)
+    command("ingest", cmd_ingest, "parse a report file into the warning store", "--report")
 
     p = command("split", cmd_split, "stratified train/val/test assignment", "--warnings",
                 "--labels")
     p.add_argument("--ratios", type=_ratios, default="0.70,0.15,0.15")
-    p.add_argument("--out", required=True)
 
     p = command("featurize", cmd_featurize, "compute or validate feature vectors", "--warnings")
     p.add_argument("--meta", help="package metadata JSON")
     p.add_argument("--mode", choices=["heuristic", "precomputed"], default="heuristic")
     p.add_argument("--sidecar", help="precomputed feature sidecar")
-    p.add_argument("--out", required=True)
     p.add_argument("--export-manifest", help="also write the manifest audit listing")
 
-    p = command("train", cmd_train, "train a policy checkpoint", *dataset, "--out")
+    p = command("train", cmd_train, "train a policy checkpoint", *dataset)
     p.add_argument("--log", help="training log file (one line per epoch)")
 
     p = command("evaluate", cmd_evaluate, "score a checkpoint on a split", "--checkpoint", *dataset)
     p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--mask-fuzz", action="store_true")
-    p.add_argument("--out", required=True)
     p.add_argument("--verdicts", help="also persist per-warning verdicts")
 
     p = command("triage", cmd_triage, "classify a raw report with a checkpoint", "--report",
                 "--checkpoint")
     p.add_argument("--meta", help="package metadata JSON")
     p.add_argument("--mask-fuzz", action="store_true")
-    p.add_argument("--out", required=True)
 
     p = command("fuzz-validate", cmd_fuzz_validate, "run the fuzz backend on listed warnings",
                 "--warnings")
     p.add_argument("--ids", help="comma-separated warning ids (default: all)")
     p.add_argument("--labels", help="label sidecar (needed by the simulated backend)")
-    p.add_argument("--out", required=True)
 
     p = command("importance", cmd_importance, "permutation feature importance", "--checkpoint",
                 *dataset)
     p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--repeats", type=_positive_int, default=3)
-    p.add_argument("--out", required=True)
 
     command("report", cmd_report, "recompute metrics from persisted verdicts", "--verdicts",
-            "--labels", "--out")
+            "--labels")
 
     for p in sub.choices.values():
         _add_common(p)
@@ -430,7 +414,7 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

@@ -27,8 +27,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import InputError
-from .warnings import (BugPattern, Level, WarningRecord, classify_bug_pattern, state_once,
-                       text_file, text_lines)
+from .warnings import (BugPattern, Level, WarningRecord, classify_bug_pattern, package_of,
+                       state_once, text_file, text_lines)
 
 MANIFEST_VERSION = 1
 EXPECTED_FEATURE_COUNT = 87
@@ -731,8 +731,3 @@ def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{source}: package {name!r}: {exc} in {m!r}") from None
     return out
-
-
-def package_of(record: WarningRecord) -> str:
-    """Leading path segment names the package (e.g. 'aarc-0.3.2/src/x.rs')."""
-    return record.file.split("/", 1)[0]

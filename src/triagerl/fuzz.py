@@ -25,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HarnessError, InputError
-from .features import package_of
-from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, state_once,
-                       text_file, text_lines)
+from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, package_of,
+                       state_once, text_file, text_lines)
 
 BUDGET_BOUNDS = (30.0, 60.0)  # an external run's budget is clamped into this range, in seconds
 BUDGET_GRACE_SECONDS = 5.0

@@ -169,7 +169,9 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 def _finite_forward(params: PolicyParams, states: np.ndarray, records: list) -> dict:
     """`forward_cache` of `states`, one row per record; NonFiniteScores names
-    the first record whose logits are not finite."""
+    the first record whose logits are not finite. Zero states take no pass."""
+    if not len(states):
+        return {"logits": np.empty((0, len(params.b_pi))), "values": np.empty(0)}
     cache = forward_cache(params, states)
     finite = np.isfinite(cache["logits"]).all(axis=1)
     if not finite.all():
@@ -407,12 +409,12 @@ def ppo_update(
     batch: TrajectoryBatch,
     config: TrainConfig,
     rng: np.random.Generator,
-    feature_dim: int,
     optimizer: Adam,
 ) -> None:
     """Several passes of shuffled minibatch updates on one rollout batch,
     applied to `params` in place."""
     grads = params.zeros_like()
+    feature_dim = params.input_dim - len(FUZZ_SLOTS)  # the NotRun column
     for inner in range(1, config.ppo_inner_epochs + 1):
         perm = rng.permutation(len(batch))
         for start in range(0, len(batch), config.minibatch_size):
@@ -502,7 +504,7 @@ def train(
             try:
                 batch, mean_return = collect_rollouts(params, train_records, train_feats,
                                                       reward_spec, backend, rng_rollout, config.gamma)
-                ppo_update(params, batch, config, rng_update, len(MANIFEST), optimizer)
+                ppo_update(params, batch, config, rng_update, optimizer)
                 val = run_episodes(params, val_feats, val_records, backend)
             except (NonFiniteLoss, NonFiniteScores) as exc:
                 raise type(exc)(f"epoch {epoch}: {exc}") from None

@@ -89,6 +89,11 @@ class WarningRecord:
     label: Label | None = None
 
 
+def package_of(record: WarningRecord) -> str:
+    """Leading path segment names the package (e.g. 'aarc-0.3.2/src/x.rs')."""
+    return record.file.split("/", 1)[0]
+
+
 @dataclass
 class Dataset:
     """Labeled records plus their split assignment."""

@@ -590,6 +590,36 @@ class TestMalformedInputs:
         assert code == 3, err
         assert f"{bad} line 3" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "split", "featurize", "train", "evaluate",
+                                         "report", "importance", "fuzz-validate", "triage"])
+    def test_config_is_read_once_before_any_input(self, pipeline, tmp_path, capsys, command):
+        missing = {name: tmp_path / "missing" / path.name for name, path in pipeline.items()}
+        out = tmp_path / "out"
+        assert run_cli(subcommand({**missing, "config": pipeline["config"]}, command, out)) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout.count("config-digest ") == 1 and stdout.startswith("config-digest "), stdout
+        assert err.startswith("input error: input file does not exist: "), err
+        bad = tmp_path / "run.cfg"
+        bad.write_text("seed = seven\n")
+        assert run_cli(subcommand({**missing, "config": bad}, command, out)) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"input error: {bad} line 1: seed: expected int, got 'seven'\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    def test_bad_sidecar_line_wins_over_an_empty_split(self, pipeline, tmp_path, capsys, command):
+        splits = tmp_path / "splits.txt"
+        splits.write_text(pipeline["splits"].read_text().replace("\ttest", "\tval"))
+        lines = pipeline["features"].read_text().splitlines()
+        features = tmp_path / "features.jsonl"
+        features.write_text("\n".join([*lines[:2], lines[2][: len(lines[2]) // 2], *lines[3:]])
+                            + "\n")
+        argv = subcommand({**pipeline, "splits": splits, "features": features}, command,
+                          tmp_path / "out")
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{features} line 3" in err and "has no records" not in err, err
+
 
     def test_diverging_train_writes_only_its_input_error(self, pipeline, tmp_path):
         # A process of its own: inside pytest, numpy's warnings would be captured.

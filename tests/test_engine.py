@@ -97,8 +97,8 @@ def test_sampled_verdicts_match_reference_loop(task):
     assert [(p.predicted, p.fuzz_kind) for p in batched] == [(p.predicted, p.fuzz_kind) for p in oracle]
 
 
-def test_at_most_two_forward_passes(task, monkeypatch):
-    records, feats = task
+def forward_rows(monkeypatch):
+    """The row count of each `forward_cache` call the engine makes from now on."""
     calls = []
     real = trainer.forward_cache
 
@@ -107,6 +107,12 @@ def test_at_most_two_forward_passes(task, monkeypatch):
         return real(params, states, masks)
 
     monkeypatch.setattr(trainer, "forward_cache", counting)
+    return calls
+
+
+def test_at_most_two_forward_passes(task, monkeypatch):
+    records, feats = task
+    calls = forward_rows(monkeypatch)
     params = policies()[0]
     for n in (0, 1, 7, len(records)):
         for rng in (None, np.random.default_rng(0)):
@@ -114,6 +120,17 @@ def test_at_most_two_forward_passes(task, monkeypatch):
             played = run_episodes(params, feats[:n], records[:n], BACKEND, rng=rng)
             assert len(calls) <= 2
             assert sum(calls) == len(played.actions)
+
+
+def test_a_masked_play_makes_one_forward_pass(task, monkeypatch):
+    # No warning can choose to fuzz, so no second decision needs a pass.
+    records, feats = task
+    calls = forward_rows(monkeypatch)
+    for params in policies():
+        calls.clear()
+        played = run_episodes(params, feats, records, BACKEND, mask_fuzz=True)
+        assert calls == [len(records)]
+        assert len(played.second_states) == 0
 
 
 def test_play_and_importance_build_no_verdicts_and_no_rewards(corpus, task, monkeypatch):

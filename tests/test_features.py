@@ -21,7 +21,6 @@ from triagerl.features import (
     fit_normalizer,
     manifest_export,
     normalize,
-    package_of,
     read_feature_sidecar,
     read_package_metadata,
     validate_vector,
@@ -33,6 +32,7 @@ from triagerl.warnings import (
     Level,
     WarningRecord,
     cluster_sizes,
+    package_of,
     read_warning_store,
     warning_id,
     write_warning_store,

@@ -198,8 +198,7 @@ class TestPPOObjective:
         config = TrainConfig(seed=0, learning_rate=1e-3, minibatch_size=32,
                              ppo_inner_epochs=1, dropout_rate=0.0)
         before, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, None)
-        ppo_update(params, batch, config, np.random.default_rng(0), feature_dim,
-                   Adam(config.learning_rate))
+        ppo_update(params, batch, config, np.random.default_rng(0), Adam(config.learning_rate))
         after, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, None)
         assert after < before
 
@@ -210,8 +209,7 @@ class TestPPOObjective:
         batch.advantages[3] = np.inf
         config = TrainConfig(seed=0, dropout_rate=0.0, minibatch_size=64)
         with pytest.raises(NonFiniteLoss, match="minibatch"):
-            ppo_update(params, batch, config, np.random.default_rng(0), feature_dim,
-                       Adam(config.learning_rate))
+            ppo_update(params, batch, config, np.random.default_rng(0), Adam(config.learning_rate))
 
 
 class TestStepAgainstOracle:
