@@ -23,7 +23,7 @@ from . import metrics as metrics_mod
 from . import warnings as warn_mod
 from .env import RewardSpec, check_finite
 from .errors import InputError, NonFiniteScores
-from .features import FeatureVector, extract_features, manifest_export, normalize, validate_vector
+from .features import extract_features, manifest_export, normalize, validate_vector
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
 from .trainer import TrainConfig, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split
@@ -189,20 +189,20 @@ def _labeled_store(args) -> list[warn_mod.WarningRecord]:
     return records
 
 
-def _load_dataset(args) -> tuple[Dataset, dict]:
+def _load_dataset(args) -> tuple[Dataset, features_mod.FeatureTable]:
     dataset = Dataset(_labeled_store(args), _load(warn_mod.read_split_file, args.splits))
     return dataset, _load(features_mod.read_feature_sidecar, args.features)
 
 
 def _scored_split(args) -> tuple:
-    """The checkpoint, the records of `--split` and the vectors, each input
-    read before the split is checked for records."""
+    """The checkpoint, the records of `--split` and the feature table, each
+    input read before the split is checked for records."""
     checkpoint = _load(load_checkpoint, args.checkpoint)
-    dataset, vectors = _load_dataset(args)
+    dataset, table = _load_dataset(args)
     records = dataset.split_records(Split(args.split))
     if not records:
         raise InputError(f"split {args.split!r} has no records")
-    return checkpoint, records, vectors
+    return checkpoint, records, table
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +231,32 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
         if not args.sidecar:
             print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
             return 2
-        by_id = _load(features_mod.read_feature_sidecar, args.sidecar)
+        table = _load(features_mod.read_feature_sidecar, args.sidecar)
+        missing = [r.id for r in records if r.id not in table.row]
+        if missing:
+            raise InputError(f"sidecar has no vector for warning {missing[0]}")
+        row, matrix = table.row, table.matrix
     else:
         sizes = warn_mod.cluster_sizes(records, cfg.cluster_radius)
         matrix = extract_features(records, metadata, sizes, args.warnings)
-        by_id = {}  # the sidecar states one vector per id
-        for r, row in zip(records, matrix):
-            if r.id not in by_id:
-                by_id[r.id] = FeatureVector(r.id, row)
-            elif not np.array_equal(by_id[r.id].values, row):
+        row = {}  # the sidecar states one row per id: its first warning's
+        for i, r in enumerate(records):
+            first = row.setdefault(r.id, i)
+            if first != i and not np.array_equal(matrix[first], matrix[i]):
                 raise InputError(f"{args.warnings}: warnings with id {r.id} differ "
                                  "in level, op_type or code_snippet")
-    missing = [r.id for r in records if r.id not in by_id]
-    if missing:
-        raise InputError(f"sidecar has no vector for warning {missing[0]}")
-    vectors = [by_id[r.id] for r in records]
-    _write(args.out, features_mod.write_feature_sidecar(vectors))
+    _write(args.out, features_mod.write_feature_sidecar(
+        [r.id for r in records], matrix[[row[r.id] for r in records]]))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export().encode("utf-8"))
     return 0
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    dataset, vectors = _load_dataset(args)
+    dataset, table = _load_dataset(args)
     backend = _make_backend(cfg)
     log_lines: list[str] = []
-    checkpoint = train(dataset, vectors, cfg.train, backend, cfg.reward, log_lines=log_lines)
+    checkpoint = train(dataset, table, cfg.train, backend, cfg.reward, log_lines=log_lines)
     _write(args.out, save_checkpoint(checkpoint))
     if args.log:
         _write(args.log, warn_mod.text_file(log_lines))
@@ -266,10 +266,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    checkpoint, records, vectors = _scored_split(args)
+    checkpoint, records, table = _scored_split(args)
     backend = _make_backend(cfg)
     report, predictions = _play(args.checkpoint, evaluate_mod.evaluate_checkpoint, checkpoint,
-                                records, vectors, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
+                                records, table, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
     _write(args.out, metrics_mod.write_report(report))
     if args.verdicts:
         _write(args.verdicts, metrics_mod.write_verdicts(predictions))
@@ -308,9 +308,9 @@ def cmd_fuzz_validate(args, cfg: RunConfig) -> int:
 
 
 def cmd_importance(args, cfg: RunConfig) -> int:
-    checkpoint, records, vectors = _scored_split(args)
+    checkpoint, records, table = _scored_split(args)
     results = _play(args.checkpoint, evaluate_mod.permutation_importance, checkpoint, records,
-                    vectors, repeats=args.repeats, seed=cfg.seed)
+                    table, repeats=args.repeats, seed=cfg.seed)
     _write(args.out, evaluate_mod.write_importance(results))
     return 0
 

@@ -11,23 +11,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .features import MANIFEST, FeatureVector, normalize
+from .features import MANIFEST, FeatureTable, normalize
 from .metrics import (EvalReport, PredictionRecord, precision_recall_f1, prediction_records,
                       report_from_arrays)
-from .trainer import PolicyCheckpoint, feature_matrix, run_episodes
+from .trainer import PolicyCheckpoint, run_episodes
 from .warnings import Label, WarningRecord, text_file
 
 
 def evaluate_checkpoint(
     ckpt: PolicyCheckpoint,
     records: list[WarningRecord],
-    vectors: dict[str, FeatureVector],
+    table: FeatureTable,
     backend,
     mask_fuzz: bool = False,
     jobs: int = 1,
 ) -> tuple[EvalReport, list[PredictionRecord]]:
     """Play every warning greedily and report metrics plus verdicts."""
-    feats = normalize(feature_matrix(records, vectors), ckpt.normalizer)
+    feats = normalize(table.rows_of(records), ckpt.normalizer)
     played = run_episodes(ckpt.params, feats, records, backend, mask_fuzz=mask_fuzz, jobs=jobs)
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
     report = report_from_arrays(played.called, positives, played.score, played.fuzzed)
@@ -62,7 +62,7 @@ def _replayed(changed: np.ndarray, n: int) -> np.ndarray:
 def permutation_importance(
     ckpt: PolicyCheckpoint,
     records: list[WarningRecord],
-    vectors: dict[str, FeatureVector],
+    table: FeatureTable,
     repeats: int,
     seed: int,
 ) -> list[dict]:
@@ -83,7 +83,7 @@ def permutation_importance(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if not records:
         raise InputError("no predictions to score")
-    matrix = normalize(feature_matrix(records, vectors), ckpt.normalizer)
+    matrix = normalize(table.rows_of(records), ckpt.normalizer)
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
 
     def calls(feats: np.ndarray, played: list[WarningRecord]) -> np.ndarray:

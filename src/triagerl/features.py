@@ -6,8 +6,8 @@ of a whole report into one (N, 87) matrix: code-level slots come from the
 snippets, all read together by the lexical rules below; the rest from package
 metadata, cluster sizes and the analyzer's fields. A feature sidecar can
 instead carry exact values produced out-of-band (e.g. by a compiler plugin).
-Vectors are checked against the manifest where they enter the program, by
-`read_feature_sidecar` and `validate_vector`.
+Rows are checked against the manifest once, where they enter the program:
+when a `FeatureTable` is built, from a sidecar or in memory.
 
 Lexical rules are approximations by design: they keep the engine testable on
 snippets alone while the sidecar path carries exact values when available.
@@ -74,7 +74,6 @@ class FeatureManifest:
 
 @dataclass
 class FeatureVector:
-    warning_id: str
     values: np.ndarray
 
 
@@ -217,6 +216,30 @@ def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
         raise InputError(f"{where(row)}: " + problem.format(
             name=MANIFEST.entries[i].name, value=float(matrix[row, i])))
     return matrix
+
+
+class FeatureTable:
+    """Raw feature rows by warning id: warning `wid`'s row is `matrix[row[wid]]`.
+    `validate_vector` checks each row once, when the table is built, and names
+    a bad row i by `where(i)`; nothing that reads a table checks it again."""
+
+    def __init__(self, row: dict[str, int], matrix: np.ndarray, where):
+        self.row, self.matrix = row, validate_vector(matrix, where)
+
+    @classmethod
+    def of(cls, ids: list[str], matrix: np.ndarray) -> FeatureTable:
+        """The table of in-memory rows, `ids[i]`'s in `matrix[i]`; a bad row names its warning."""
+        return cls({wid: i for i, wid in enumerate(ids)}, matrix, lambda i: f"warning {ids[i]}")
+
+    def __getitem__(self, wid: str) -> FeatureVector:
+        return FeatureVector(self.matrix[self.row[wid]])
+
+    def rows_of(self, records: list[WarningRecord]) -> np.ndarray:
+        """The rows of `records`, in order; the first without one raises InputError."""
+        try:
+            return self.matrix[[self.row[r.id] for r in records]]
+        except KeyError as exc:
+            raise InputError(f"no feature vector for warning {exc.args[0]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -674,16 +697,17 @@ def normalize(matrix: np.ndarray, stats: NormalizerStats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_feature_sidecar(vectors: list[FeatureVector]) -> bytes:
-    return text_file(json.dumps({"warning_id": v.warning_id, "manifest_digest": MANIFEST.digest,
-                                 "values": v.values.tolist()}, sort_keys=True) for v in vectors)
+def write_feature_sidecar(ids: list[str], matrix: np.ndarray) -> bytes:
+    return text_file(json.dumps({"warning_id": wid, "manifest_digest": MANIFEST.digest,
+                                 "values": values}, sort_keys=True)
+                     for wid, values in zip(ids, matrix.tolist()))
 
 
-def read_feature_sidecar(data: bytes, source: str) -> dict[str, FeatureVector]:
-    """Parse a sidecar and check its vectors with `validate_vector`; a
-    malformed or invalid line, one whose digest is not the manifest's, or
-    one giving an id another vector, raises naming `source` and the line."""
-    vectors: dict[str, FeatureVector] = {}
+def read_feature_sidecar(data: bytes, source: str) -> FeatureTable:
+    """The table of a sidecar's rows; a malformed or invalid line, one whose
+    digest is not the manifest's, or one giving an id another vector, raises
+    naming `source` and the line. An id stated twice keeps its last row."""
+    row: dict[str, int] = {}
     rows, lines = [], text_lines(data)
     for n, line in lines:
         where = f"{source} line {n}"
@@ -701,12 +725,11 @@ def read_feature_sidecar(data: bytes, source: str) -> dict[str, FeatureVector]:
         if values.shape != (len(MANIFEST),):
             raise InputError(
                 f"{where}: vector has shape {values.shape}, the manifest has {len(MANIFEST)} slots")
-        state_once(vectors, wid, FeatureVector(wid, values), where,
-                   same=lambda a, b: np.array_equal(a.values, b.values, equal_nan=True))
         rows.append(values)
-    validate_vector(np.array(rows).reshape(len(rows), len(MANIFEST)),
-                    lambda i: f"{source} line {lines[i][0]}")
-    return vectors
+        state_once(row, wid, len(rows) - 1, where,
+                   same=lambda a, b: np.array_equal(rows[a], rows[b], equal_nan=True))
+    return FeatureTable(row, np.array(rows).reshape(len(rows), len(MANIFEST)),
+                        lambda i: f"{source} line {lines[i][0]}")
 
 
 def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata]:

@@ -1,16 +1,16 @@
 """Synthetic datasets for training experiments, tests, and the demo pipeline.
 
-Vectors are built directly against the manifest (valid by construction):
+Each task writes its rows straight into one matrix, against the manifest:
 noise goes into count/log slots, flags and ratios stay in range, one-hot
-groups stay one-hot. Each task plants its signal in the first count slot,
-which z-scoring preserves up to an affine map.
+groups stay one-hot. The signal sits in the first count slot, which z-scoring
+preserves up to an affine map. Building the task's `FeatureTable` checks the rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .features import MANIFEST, FeatureVector, Kind
+from .features import MANIFEST, FeatureTable, Kind
 from .warnings import (
     Dataset,
     Label,
@@ -63,34 +63,26 @@ def _random_valid_vector(rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-def _build_dataset(records: list[WarningRecord], seed: int) -> Dataset:
+def _build_task(records: list[WarningRecord], matrix: np.ndarray,
+                seed: int) -> tuple[Dataset, FeatureTable]:
     assignment = stratified_split(records, (0.70, 0.15, 0.15), seed)
-    return Dataset(records, assignment)
+    return Dataset(records, assignment), FeatureTable.of([r.id for r in records], matrix)
 
 
-def separable_task(n: int, seed: int) -> tuple[Dataset, dict[str, FeatureVector]]:
+def separable_task(n: int, seed: int) -> tuple[Dataset, FeatureTable]:
     """The signal feature equals the label, drawn 50/50; everything else is noise."""
     rng = np.random.default_rng(seed)
     signal = MANIFEST.index_of(SIGNAL_FEATURE)
-    records, vectors = [], {}
+    records, matrix = [], np.zeros((n, len(MANIFEST)))
     for i in range(n):
         label = Label.TRUE_POSITIVE if rng.random() < 0.5 else Label.FALSE_POSITIVE
-        rec = make_synthetic_warning(i, label)
-        values = _random_valid_vector(rng)
-        values[signal] = 1.0 if label is Label.TRUE_POSITIVE else 0.0
-        records.append(rec)
-        vectors[rec.id] = FeatureVector(rec.id, values)
-    return _build_dataset(records, seed), vectors
+        records.append(make_synthetic_warning(i, label))
+        matrix[i] = _random_valid_vector(rng)
+        matrix[i, signal] = 1.0 if label is Label.TRUE_POSITIVE else 0.0
+    return _build_task(records, matrix, seed)
 
 
-def _constant_baseline() -> np.ndarray:
-    """A fixed valid vector: zeros everywhere, first slot of each one-hot set."""
-    values = np.zeros(len(MANIFEST))
-    values[[slots[0] for slots in _ONE_HOT_SLOTS]] = 1.0
-    return values
-
-
-def ambiguity_task(n: int, seed: int) -> tuple[Dataset, dict[str, FeatureVector], set[str]]:
+def ambiguity_task(n: int, seed: int) -> tuple[Dataset, FeatureTable, set[str]]:
     """Half the warnings are decisively featured, half carry no label signal.
 
     Clear warnings are true positives a quarter of the time and put +1/-1 in
@@ -102,23 +94,20 @@ def ambiguity_task(n: int, seed: int) -> tuple[Dataset, dict[str, FeatureVector]
     """
     rng = np.random.default_rng(seed)
     signal = MANIFEST.index_of(SIGNAL_FEATURE)
-    baseline = _constant_baseline()
-    records, vectors = [], {}
+    records, matrix = [], np.zeros((n, len(MANIFEST)))
+    matrix[:, [slots[0] for slots in _ONE_HOT_SLOTS]] = 1.0  # each one-hot set's first slot
     ambiguous_ids: set[str] = set()
     for i in range(n):
         ambiguous = rng.random() < 0.5
         p_tp = 0.5 if ambiguous else 0.25
         label = Label.TRUE_POSITIVE if rng.random() < p_tp else Label.FALSE_POSITIVE
         rec = make_synthetic_warning(i, label)
-        values = baseline.copy()
-        if ambiguous:
-            values[signal] = 0.0
+        if ambiguous:  # its signal slot stays 0
             ambiguous_ids.add(rec.id)
         else:
-            values[signal] = 1.0 if label is Label.TRUE_POSITIVE else -1.0
+            matrix[i, signal] = 1.0 if label is Label.TRUE_POSITIVE else -1.0
         records.append(rec)
-        vectors[rec.id] = FeatureVector(rec.id, values)
-    return _build_dataset(records, seed), vectors, ambiguous_ids
+    return (*_build_task(records, matrix, seed), ambiguous_ids)
 
 
 # ---------------------------------------------------------------------------

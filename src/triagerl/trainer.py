@@ -20,8 +20,7 @@ import numpy as np
 
 from .env import RewardSpec, TriageAction, check_finite, fuzz_step, reward_of
 from .errors import DimensionMismatch, InputError, NonFiniteLoss, NonFiniteScores
-from .features import (MANIFEST, FeatureVector, NormalizerStats, fit_normalizer, normalize,
-                       validate_vector)
+from .features import MANIFEST, FeatureTable, NormalizerStats, fit_normalizer, normalize
 from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import report_from_arrays
 from .policy import (DEFAULT_DROPOUT, PolicyParams, draw_dropout_masks, forward_cache,
@@ -441,24 +440,9 @@ class PolicyCheckpoint:
     history: list[dict]
 
 
-def feature_matrix(records: list[WarningRecord], vectors: dict[str, FeatureVector]) -> np.ndarray:
-    """Raw feature rows of `records`, in order, checked by `validate_vector`:
-    shape (len(records), len(MANIFEST)). A record without a vector of one
-    value per slot raises InputError."""
-    size = len(MANIFEST)
-    for r in records:
-        if r.id not in vectors:
-            raise InputError(f"no feature vector for warning {r.id}")
-        if vectors[r.id].values.shape != (size,):
-            raise InputError(f"warning {r.id}: vector has shape {vectors[r.id].values.shape}, "
-                             f"the manifest has {size} slots")
-    matrix = np.array([vectors[r.id].values for r in records]).reshape(len(records), size)
-    return validate_vector(matrix, lambda i: f"warning {records[i].id}")
-
-
 def train(
     dataset: Dataset,
-    vectors: dict[str, FeatureVector],
+    table: FeatureTable,
     config: TrainConfig,
     backend,
     reward_spec: RewardSpec | None = None,
@@ -482,10 +466,10 @@ def train(
     if unlabeled:
         raise InputError(f"unlabeled records in splits: {', '.join(unlabeled)}")
 
-    train_raw = feature_matrix(train_records, vectors)
+    train_raw = table.rows_of(train_records)
     stats = fit_normalizer(train_raw)
     train_feats = normalize(train_raw, stats)
-    val_feats = normalize(feature_matrix(val_records, vectors), stats)
+    val_feats = normalize(table.rows_of(val_records), stats)
     val_positive = np.array([r.label is Label.TRUE_POSITIVE for r in val_records])
 
     params = init_params(STATE_DIM, dropout_rate=config.dropout_rate, seed=config.seed)

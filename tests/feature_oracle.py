@@ -304,4 +304,4 @@ def extract_features(record, meta=None, *, cluster_size=None):
         feats[name + "_log"] = math.log1p(max(0.0, feats[name]))
 
     values = np.array([feats[e.name] for e in MANIFEST.entries], dtype=np.float64)
-    return FeatureVector(record.id, values)
+    return FeatureVector(values)

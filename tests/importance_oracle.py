@@ -11,14 +11,14 @@ import numpy as np
 
 from triagerl.features import MANIFEST, normalize
 from triagerl.metrics import report_from_arrays
-from triagerl.trainer import feature_matrix, run_episodes
+from triagerl.trainer import run_episodes
 from triagerl.warnings import Label
 
 
-def permutation_importance(ckpt, records, vectors, repeats, seed):
+def permutation_importance(ckpt, records, table, repeats, seed):
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    matrix = normalize(feature_matrix(records, vectors), ckpt.normalizer)
+    matrix = normalize(table.rows_of(records), ckpt.normalizer)
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
 
     def f1(feats):

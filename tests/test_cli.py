@@ -18,8 +18,7 @@ from triagerl import fuzz as fuzz_mod
 from triagerl.cli import CONFIG_KEYS, build_run_config, config_digest, parse_config_file, run_cli
 from triagerl.env import RewardSpec
 from triagerl.errors import InputError
-from triagerl.features import (MANIFEST, NormalizerStats, read_feature_sidecar,
-                               write_feature_sidecar)
+from triagerl.features import MANIFEST, NormalizerStats, read_feature_sidecar
 from triagerl.fuzz import read_recorded_outcomes
 from triagerl.metrics import read_verdicts
 from triagerl.policy import init_params
@@ -320,6 +319,15 @@ def keep_one_train_record(text):
     return first + "\ttrain" + rest.replace("\ttrain", "\tval")
 
 
+def first_verdict_scored(score):
+    """An edit that gives the first verdict of a verdicts file the score `score`."""
+    def edit(text):
+        first, rest = text.split("\n", 1)
+        parts = first.split("\t")
+        return "\t".join([*parts[:2], score, *parts[3:]]) + "\n" + rest
+    return edit
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("name, corrupt, where", [
         ("warnings", lambda lines: [lines[0], lines[1][:-9], *lines[2:]], "line 2"),
@@ -486,6 +494,23 @@ class TestMalformedInputs:
          "{bad} line 1: elapsed must be finite, got nan"),
         ("triage", "outcomes", first_outcome_elapsed("inf"), [], 3,
          "{bad} line 1: elapsed must be finite, got inf"),
+        ("split", "warnings", lambda t: re.sub(r'"id": "\w+"', '"id": "feedfacefeedface"', t,
+                                               count=1),
+         [], 3, "{bad} line 1: stored id feedfacefeedface disagrees with content id "),
+        ("report", "labels", lambda t: t.split("\t", 1)[0] + "\n" + t.split("\n", 1)[1], [], 3,
+         "{bad} line 1: expected 'id<TAB>label<TAB>source'"),
+        ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": -1', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': download_count must be >= 0, got -1"),
+        ("featurize", "meta", lambda t: re.sub(r'"unsafe_prevalence": [\d.]+',
+                                               '"unsafe_prevalence": 1.5', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be in [0,1], "
+                "got 1.5"),
+        ("fuzz-validate", "config", lambda t: t + "sim.p_crash_given_tp = 1.5\n", [], 3,
+         "{bad}: sim.p_crash_given_tp must be in [0,1], got 1.5"),
+        ("report", "verdicts", first_verdict_scored("1.5"), [], 3,
+         "{bad} line 1: score must be in [0,1], got 1.5"),
+        ("train", "splits", lambda t: t.replace("\ttrain", "\tval"), [], 3,
+         "input error: train split is empty"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -503,7 +528,9 @@ class TestMalformedInputs:
             "evaluate-empty-split", "importance-empty-split", "fuzz-validate-unknown-id",
             "meta-not-object", "checkpoint-format-version", "checkpoint-input-dimension",
             "checkpoint-short-normalizer", "checkpoint-weight-nan", "outcomes-elapsed-nan",
-            "outcomes-elapsed-inf"])
+            "outcomes-elapsed-inf", "store-id-disagrees", "labels-one-field",
+            "meta-downloads-negative", "meta-prevalence-above-1", "sim-probability-above-1",
+            "verdict-score-above-1", "train-split-empty"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -511,6 +538,16 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert got == code, err
         assert named.format(bad=bad) in err, err
+
+    def test_split_record_without_a_label_exits_3_naming_it(self, pipeline, tmp_path, capsys):
+        wid = next(line.split("\t")[0] for line in pipeline["splits"].read_text().splitlines()
+                   if line.endswith("\ttrain"))
+        labels = [line for line in pipeline["labels"].read_text().splitlines()
+                  if not line.startswith(wid + "\t")]
+        code, _ = run_with(pipeline, tmp_path, "labels", "\n".join([*labels, ""]).encode(), "train")
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == f"input error: unlabeled records in splits: {wid}\n"
 
     def test_input_that_is_not_utf8_exits_3_naming_file_and_line(self, pipeline, tmp_path,
                                                                  capsys):
@@ -719,8 +756,8 @@ class TestLineFiles:
         if name == "labels":  # the source column is optional
             lf = lf.replace(b"\tmanual\n", b"\n")
         got, expected = (LINE_READERS[name](data, name) for data in (lf.replace(b"\n", b"\r\n"), lf))
-        if name == "features":  # vectors hold arrays, which == does not compare
-            got, expected = (write_feature_sidecar(list(v.values())) for v in (got, expected))
+        if name == "features":  # tables hold arrays, which == does not compare
+            got, expected = ((t.row, t.matrix.tobytes()) for t in (got, expected))
         assert got == expected
 
 

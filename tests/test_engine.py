@@ -16,7 +16,6 @@ from triagerl.trainer import (
     PolicyCheckpoint,
     TrainConfig,
     collect_rollouts,
-    feature_matrix,
     run_episodes,
 )
 from triagerl.warnings import Split
@@ -29,14 +28,14 @@ BACKEND = SimulatedBackend(SimOracleConfig(0.6, 0.1, 0.3, seed=2))
 
 @pytest.fixture(scope="module")
 def corpus():
-    dataset, vectors = separable_task(n=200, seed=3)
-    return dataset.split_records(Split.TRAIN), vectors
+    dataset, table = separable_task(n=200, seed=3)
+    return dataset.split_records(Split.TRAIN), table
 
 
 @pytest.fixture(scope="module")
 def task(corpus):
-    records, vectors = corpus
-    raw = feature_matrix(records, vectors)
+    records, table = corpus
+    raw = table.rows_of(records)
     return records, normalize(raw, fit_normalizer(raw))
 
 
@@ -145,7 +144,8 @@ def test_play_and_importance_build_no_verdicts_and_no_rewards(corpus, task, monk
     for mask_fuzz in (False, True):
         played = run_episodes(params, feats, records, BACKEND, mask_fuzz=mask_fuzz)
         assert played.fuzzed.any() != mask_fuzz
-    normalizer = fit_normalizer(feature_matrix(*corpus))
+    records, table = corpus
+    normalizer = fit_normalizer(table.rows_of(records))
     ckpt = PolicyCheckpoint(params=params, normalizer=normalizer, config=TrainConfig(),
                             reward_spec=SPEC, history=[])
     assert len(permutation_importance(ckpt, *corpus, repeats=1, seed=0)) == len(MANIFEST)

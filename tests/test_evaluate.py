@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from triagerl.env import RewardSpec
 from triagerl.errors import NonFiniteScores
-from triagerl.features import MANIFEST, FeatureVector, Kind, NormalizerStats, normalize
+from triagerl.features import MANIFEST, FeatureTable, Kind, NormalizerStats, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.metrics import compute_metrics, read_verdicts, write_verdicts
 from triagerl.policy import forward_cache, init_params
@@ -15,7 +15,6 @@ from triagerl.synthetic import SIGNAL_FEATURE, make_synthetic_warning, separable
 from triagerl.trainer import STATE_DIM, PolicyCheckpoint, TrainConfig, train
 from triagerl.evaluate import (_replayed, evaluate_checkpoint, permutation_importance,
                                write_importance)
-from triagerl.trainer import feature_matrix
 from triagerl.warnings import Label, Split
 
 import episode_oracle
@@ -43,7 +42,7 @@ def uniform_checkpoint():
 
 
 def mixed_corpus(rng, n):
-    """`n` labeled records and raw feature vectors whose columns are each
+    """`n` labeled records and a table of raw feature rows whose columns are each
     constant, binary, few-valued or continuous, as the slot's kind allows;
     flag columns may hold -0.0, which validation accepts as 0."""
     columns = []
@@ -63,7 +62,7 @@ def mixed_corpus(rng, n):
     matrix = np.column_stack(columns)
     records = [make_synthetic_warning(i, Label.TRUE_POSITIVE if rng.random() < 0.4
                                       else Label.FALSE_POSITIVE) for i in range(n)]
-    return records, {r.id: FeatureVector(r.id, row) for r, row in zip(records, matrix)}
+    return records, FeatureTable.of([r.id for r in records], matrix)
 
 
 def random_checkpoint(rng, normalizer):
@@ -130,7 +129,7 @@ class TestEvaluateCheckpoint:
         _, batched = evaluate_checkpoint(ckpt, records, vectors, backend, mask_fuzz=True)
         oracle = episode_oracle.play_all(
             ckpt.params, ckpt.reward_spec,
-            normalize(feature_matrix(records, vectors), ckpt.normalizer), records, backend,
+            normalize(vectors.rows_of(records), ckpt.normalizer), records, backend,
             mask_fuzz=True,
         )
         for b, o in zip(batched, oracle, strict=True):
@@ -150,11 +149,9 @@ class TestPermutationImportance:
         dataset, vectors, ckpt = trained_separable
         records = dataset.split_records(Split.TEST)
         col = MANIFEST.index_of("metadata_imputed_flag")
-        patched = {}
-        for wid, v in vectors.items():
-            values = v.values.copy()
-            values[col] = 1.0
-            patched[wid] = FeatureVector(wid, values)
+        values = vectors.matrix.copy()
+        values[:, col] = 1.0
+        patched = FeatureTable.of(list(vectors.row), values)
         results = permutation_importance(ckpt, records, patched, repeats=2, seed=0)
         by_name = {r["feature"]: r["mean_drop"] for r in results}
         assert by_name["metadata_imputed_flag"] == 0.0
@@ -186,7 +183,7 @@ class TestPermutationImportance:
     def test_bytes_equal_the_full_replay_oracle(self, seed, n, repeats, fitted):
         rng = np.random.default_rng(seed)
         records, vectors = mixed_corpus(rng, n)
-        raw = feature_matrix(records, vectors)
+        raw = vectors.rows_of(records)
         normalizer = NormalizerStats(raw.mean(axis=0), raw.std(axis=0)) if fitted else \
             identity_normalizer()
         ckpt = random_checkpoint(rng, normalizer)
@@ -204,7 +201,7 @@ class TestPermutationImportance:
         records, vectors = mixed_corpus(rng, 40)
         a, b = MANIFEST.index_of("mut_borrow_count"), MANIFEST.index_of("smart_pointer_count")
         for i, r in enumerate(records):
-            vectors[r.id].values[[a, b]] = (2.0**53, 0.0) if i % 2 else (0.0, 2.0**53)
+            vectors.matrix[vectors.row[r.id], [a, b]] = (2.0**53, 0.0) if i % 2 else (0.0, 2.0**53)
         ckpt = random_checkpoint(rng, identity_normalizer())
         ckpt.params.w1[[a, b], 0] = 1.5e292
         ckpt.params.w2 *= 1e-3

@@ -12,6 +12,7 @@ from triagerl.errors import InputError
 from triagerl.features import (
     EXPECTED_FEATURE_COUNT,
     MANIFEST,
+    FeatureTable,
     FeatureVector,
     Kind,
     PackageMetadata,
@@ -28,8 +29,13 @@ from triagerl.features import (
 )
 from triagerl import features as features_mod
 from triagerl.cli import run_cli
+from triagerl.evaluate import evaluate_checkpoint, permutation_importance
+from triagerl.fuzz import SimOracleConfig, SimulatedBackend
+from triagerl.synthetic import separable_task
+from triagerl.trainer import TrainConfig, train
 from triagerl.warnings import (
     Level,
+    Split,
     WarningRecord,
     cluster_sizes,
     package_of,
@@ -88,8 +94,9 @@ def features_of(rec, meta=None, cluster_size=1):
     return extract_features([rec], metadata, {rec.id: cluster_size}, "warnings")[0]
 
 
-def vector_of(rec):
-    return FeatureVector(rec.id, features_of(rec))
+def sidecar_of(rec, values):
+    """A one-line sidecar giving `rec` the row `values`."""
+    return write_feature_sidecar([rec.id], values[None, :])
 
 
 def value_of(row, name):
@@ -353,31 +360,31 @@ class TestAgainstOracle:
         records = read_warning_store(store.read_bytes(), "warning store")
         metadata = read_package_metadata(paths["meta"].read_bytes(), "package metadata")
         sizes = cluster_sizes(records, 10)  # the demo config's cluster_radius
-        expected = [FeatureVector(r.id, row)
-                    for r, row in zip(records, oracle_matrix(records, metadata, sizes))]
-        assert out.read_bytes() == write_feature_sidecar(expected)
+        expected = write_feature_sidecar([r.id for r in records],
+                                         oracle_matrix(records, metadata, sizes))
+        assert out.read_bytes() == expected
 
 
-def read_back(*vectors):
-    """Vectors written to a sidecar and read back, the way precomputed ones enter."""
-    return read_feature_sidecar(write_feature_sidecar(list(vectors)), source="f.jsonl")
+def read_back(rec, values):
+    """A row written to a sidecar and read back, the way precomputed ones enter."""
+    return read_feature_sidecar(sidecar_of(rec, values), source="f.jsonl")
 
 
 class TestPrecomputedMode:
     def test_passthrough_exact(self, tmp_path):
         rec = snippet_record("fn f() {}")
-        base = vector_of(rec)
-        assert np.array_equal(read_back(base)[rec.id].values, base.values)
+        base = features_of(rec)
+        assert np.array_equal(read_back(rec, base)[rec.id].values, base)
         store, sidecar, out = tmp_path / "w.jsonl", tmp_path / "s.jsonl", tmp_path / "f.jsonl"
         store.write_bytes(write_warning_store([rec]))
-        sidecar.write_bytes(write_feature_sidecar([base]))
+        sidecar.write_bytes(sidecar_of(rec, base))
         assert run_cli(["featurize", "--warnings", str(store), "--mode", "precomputed",
                         "--sidecar", str(sidecar), "--out", str(out)]) == 0
         assert out.read_bytes() == sidecar.read_bytes()
 
     def test_digest_mismatch(self):
         rec = snippet_record("fn f() {}")
-        good = write_feature_sidecar([vector_of(rec)])
+        good = sidecar_of(rec, features_of(rec))
         bad = good.replace(MANIFEST.digest.encode(), b"0" * 16)
         with pytest.raises(InputError, match=f"^f.jsonl line 2: vector digest {'0' * 16} "
                                                  f"!= manifest digest {MANIFEST.digest}$"):
@@ -387,23 +394,21 @@ class TestPrecomputedMode:
         rec = snippet_record("fn f() {}")
         values = np.zeros(len(MANIFEST))
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
-        bad = FeatureVector(rec.id, values)
         with pytest.raises(InputError, match="^f.jsonl line 1: borrow_ratio"):
-            read_back(bad)
+            read_back(rec, values)
 
     def test_first_bad_slot_in_manifest_order_is_reported(self):
         rec = snippet_record("fn f() {}")
         values = features_of(rec)
         values[MANIFEST.index_of("public_api_flag")] = 0.5
         values[MANIFEST.index_of("borrow_ratio")] = 2.0
-        bad = FeatureVector(rec.id, values)
         ratio = r"^f.jsonl line 1: borrow_ratio: ratio must be in \[0,1\], got 2.0$"
         with pytest.raises(InputError, match=ratio):
-            read_back(bad)
+            read_back(rec, values)
         values[MANIFEST.index_of("trait_bound_flag")] = 0.5
         flag = "^f.jsonl line 1: trait_bound_flag: flag must be 0 or 1, got 0.5$"
         with pytest.raises(InputError, match=flag):
-            read_back(bad)
+            read_back(rec, values)
 
     def test_sidecar_required(self, tmp_path, capsys):
         rec = snippet_record("fn f() {}")
@@ -433,7 +438,7 @@ def column_vectors(column_name, column_values):
     for i, v in enumerate(column_values):
         values = np.zeros(len(MANIFEST))
         values[MANIFEST.index_of(column_name)] = v
-        out.append(FeatureVector(f"w{i}", values))
+        out.append(FeatureVector(values))
     return out
 
 
@@ -470,7 +475,7 @@ class TestNormalizer:
     def test_matrix_matches_per_slot_reference(self):
         # The per-slot rule the column operations replace, compared exactly.
         rng = np.random.default_rng(3)
-        vectors = [FeatureVector(f"w{i}", rng.integers(0, 2, len(MANIFEST)) * rng.normal(size=len(MANIFEST)))
+        vectors = [FeatureVector(rng.integers(0, 2, len(MANIFEST)) * rng.normal(size=len(MANIFEST)))
                    for i in range(9)]
         vectors[0].values[:] = vectors[1].values  # rows 0 and 1 agree ...
         stats = fit(vectors)
@@ -496,7 +501,7 @@ class TestNormalizer:
                     values[j] = rng.normal()
                 elif entry.kind is Kind.RATIO:
                     values[j] = rng.random()
-            vectors.append(FeatureVector(f"w{i}", values))
+            vectors.append(FeatureVector(values))
         stats = fit(vectors)
         matrix = normalized(vectors, stats)
         for j, entry in enumerate(MANIFEST.entries):
@@ -513,8 +518,65 @@ class TestNormalizer:
 class TestSidecarIO:
     def test_round_trip(self):
         rec = snippet_record("fn f() {}")
-        vec = vector_of(rec)
-        data = write_feature_sidecar([vec])
+        vec = features_of(rec)
+        data = sidecar_of(rec, vec)
         parsed = read_feature_sidecar(data, "feature sidecar")
-        assert parsed[rec.id].values.tolist() == vec.values.tolist()
+        assert parsed[rec.id].values.tolist() == vec.tolist()
         assert json.loads(data)["manifest_digest"] == MANIFEST.digest
+
+
+class TestFeatureTable:
+    @pytest.mark.parametrize("slot, value, problem", [
+        ("public_api_flag", 0.5, "public_api_flag: flag must be 0 or 1, got 0.5"),
+        ("borrow_ratio", 1.5, "borrow_ratio: ratio must be in [0,1], got 1.5"),
+        ("lines_of_code", math.nan, "non-finite value in slot lines_of_code"),
+    ], ids=["flag", "ratio", "nan"])
+    def test_a_bad_in_memory_row_names_its_warning_when_built(self, slot, value, problem):
+        records = [make_record(i) for i in range(3)]
+        matrix = np.stack([features_of(r) for r in records])
+        matrix[1, MANIFEST.index_of(slot)] = value
+        with pytest.raises(InputError) as caught:
+            FeatureTable.of([r.id for r in records], matrix)
+        assert str(caught.value) == f"warning {records[1].id}: {problem}"
+
+    def test_sidecar_and_in_memory_tables_give_the_same_rows(self):
+        records = [make_record(i) for i in range(5)]
+        matrix = np.stack([features_of(r) for r in records])
+        matrix[2, MANIFEST.index_of("public_api_flag")] = -0.0
+        ids = [r.id for r in records]
+        in_memory = FeatureTable.of(ids, matrix)
+        from_sidecar = read_feature_sidecar(write_feature_sidecar(ids, matrix), "f.jsonl")
+        asked = [records[i] for i in (3, 0, 2, 2, 4)]
+        assert in_memory.rows_of(asked).tobytes() == from_sidecar.rows_of(asked).tobytes()
+        assert in_memory.rows_of(asked).tobytes() == matrix[[3, 0, 2, 2, 4]].tobytes()
+        assert in_memory[ids[2]].values.tobytes() == matrix[2].tobytes()
+
+    def test_a_record_without_a_row_is_named(self):
+        records = [make_record(i) for i in range(3)]
+        table = FeatureTable.of([records[0].id], features_of(records[0])[None, :])
+        with pytest.raises(InputError, match=f"^no feature vector for warning {records[1].id}$"):
+            table.rows_of(records)
+
+    def test_an_empty_sidecar_reads_as_an_empty_table(self):
+        table = read_feature_sidecar(b"", "f.jsonl")
+        assert table.row == {} and table.matrix.shape == (0, len(MANIFEST))
+        assert table.rows_of([]).shape == (0, len(MANIFEST))
+
+    def test_readers_of_a_table_check_no_row_again(self, monkeypatch):
+        calls = []
+        real = features_mod.validate_vector
+
+        def counting(matrix, where):
+            calls.append(len(matrix))
+            return real(matrix, where)
+
+        monkeypatch.setattr(features_mod, "validate_vector", counting)
+        dataset, table = separable_task(n=60, seed=1)
+        assert calls == [60]  # built, and checked, once
+        calls.clear()
+        backend = SimulatedBackend(SimOracleConfig(0.6, 0.1, 0.3, seed=2))
+        ckpt = train(dataset, table, TrainConfig(epochs_max=1, patience=1, seed=0), backend)
+        records = dataset.split_records(Split.TEST)
+        evaluate_checkpoint(ckpt, records, table, backend)
+        permutation_importance(ckpt, records, table, repeats=1, seed=0)
+        assert calls == []

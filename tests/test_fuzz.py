@@ -286,6 +286,14 @@ class TestExternalBackend:
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
         assert "harness" in outcome.detail
 
+    def test_unbound_template_placeholder_is_infrastructure_failure(self, tmp_path):
+        backend = ExternalBackend(fake_cmd(tmp_path, "fuzzer.sh", "exit 0\n"),
+                                  {BugPattern.PANIC_SAFETY: "fn main() { {{nope}}(); }\n"}, 45.0)
+        outcome = backend.run(panic_warning(), TP)
+        assert (outcome.kind, outcome.detail) == (
+            FuzzKind.INFRASTRUCTURE_FAILURE,
+            "harness generation: template placeholder {{nope}} has no binding")
+
     def test_concurrent_calls_on_one_warning_use_private_directories(self, tmp_path):
         # The fake fuzzer logs its harness path if the file is there, and
         # sleeps so that the two calls overlap.
