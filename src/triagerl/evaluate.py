@@ -35,30 +35,6 @@ def evaluate_checkpoint(
                                       played.outcome)
 
 
-# A BLAS kernel computes a product's rows in blocks, and the rows after the
-# last full block may round differently from the same rows inside one (on
-# OpenBLAS 0.3.31 on an AVX-512 Xeon, rows past a multiple of 4 do so in the
-# 3-column logits product). A re-play of a multiple of _BLOCK rows, then the
-# matrix's own last n % _BLOCK rows, puts every row where it sits relative to
-# the blocks of the full product, for any block size that divides 16.
-_BLOCK = 16
-
-
-def _replayed(changed: np.ndarray, n: int) -> np.ndarray:
-    """The rows that re-play the `changed` rows of an n-row matrix, in order:
-    those before its last n % _BLOCK rows, the first repeated up to a multiple
-    of _BLOCK, then all of the last rows if any of them changed.
-
-    A permutation keeps a column's values, so a row that takes a new value
-    hands its old one to another row: rows change two or more at a time, and
-    no re-play is a one-row product, which numpy sends to gemv rather than gemm.
-    """
-    cut = n - n % _BLOCK
-    head = changed[changed < cut]
-    tail = np.arange(cut, n) if changed[-1] >= cut else changed[:0]
-    return np.concatenate([head, np.repeat(head[:1], -len(head) % _BLOCK), tail])
-
-
 def permutation_importance(
     ckpt: PolicyCheckpoint,
     records: list[WarningRecord],
@@ -74,10 +50,10 @@ def permutation_importance(
     exactly 0.
 
     The unshuffled matrix is played once. A shuffle re-plays only the rows
-    whose value it changed (see `_replayed`) and merges their calls into the
-    unshuffled ones: each re-played row gets the bits it has in a full play,
-    so an unchanged row keeps its call, and the first row whose scores are
-    not finite is a changed one.
+    whose value it changed and merges their calls into the unshuffled ones:
+    a row's scores depend on the row alone, so each re-played row gets the
+    bits it has in a full play, an unchanged row keeps its call, and the
+    first row whose scores are not finite is a changed one.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -108,10 +84,9 @@ def permutation_importance(
             rows = np.flatnonzero(bits[perm, j] != bits[:, j])
             called = unshuffled.copy()
             if len(rows):
-                played = _replayed(rows, len(records))
-                feats = matrix[played]
-                feats[:, j] = matrix[perm[played], j]
-                called[played] = calls(feats, [records[i] for i in played])
+                feats = matrix[rows]
+                feats[:, j] = matrix[perm[rows], j]
+                called[rows] = calls(feats, [records[i] for i in rows])
             drops.append(baseline - f1(called))
         results.append({"feature": entry.name, "mean_drop": float(np.mean(drops))})
     results.sort(key=lambda r: -r["mean_drop"])

@@ -90,13 +90,23 @@ def draw_dropout_masks(
 def forward_cache(
     params: PolicyParams, states: np.ndarray, masks: tuple[np.ndarray, np.ndarray] | None = None
 ) -> dict:
-    """Batched forward pass: logits and values, plus the pre-activations and
-    hidden outputs that backpropagation reads."""
-    states = np.atleast_2d(states)
+    """Batched forward pass over (n, input_dim) `states`: logits and values,
+    plus the pre-activations and hidden outputs that backpropagation reads.
+
+    Each head output is one dot product of a row with one contiguous weight
+    vector, so its bits do not depend on the batch. numpy sends a one-row
+    product to gemv, which rounds otherwise than the trunk's many-row
+    products, so a one-row batch is played as two copies of its row.
+    """
     if states.shape[1] != params.input_dim:
         raise DimensionMismatch(
             f"state length {states.shape[1]} != network input {params.input_dim}"
         )
+    n = len(states)
+    if n == 1:
+        states = np.repeat(states, 2, axis=0)
+        if masks is not None:
+            masks = tuple(np.repeat(m, 2, axis=0) for m in masks)
     z1 = states @ params.w1
     z1 += params.b1
     h1 = np.maximum(z1, 0.0)
@@ -107,6 +117,8 @@ def forward_cache(
     h2 = np.maximum(z2, 0.0)
     if masks is not None:
         h2 *= masks[1]
-    logits = h2 @ params.w_pi + params.b_pi
-    values = (h2 @ params.w_v).ravel() + params.b_v[0]
-    return {"z1": z1, "h1": h1, "z2": z2, "h2": h2, "logits": logits, "values": values}
+    heads = np.vecdot(h2[:, None, :], np.vstack([params.w_pi.T, params.w_v.T]))
+    logits = heads[:, :-1] + params.b_pi
+    values = heads[:, -1] + params.b_v[0]
+    cache = {"z1": z1, "h1": h1, "z2": z2, "h2": h2, "logits": logits, "values": values}
+    return {name: array[:n] for name, array in cache.items()}

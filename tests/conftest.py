@@ -26,9 +26,9 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_demo_inputs(root: Path) -> dict[str, Path]:
+def write_demo_inputs(root: Path, n: int = 20) -> dict[str, Path]:
     root.mkdir(parents=True, exist_ok=True)
-    report, labels, metadata = demo_corpus(n=20, seed=5)
+    report, labels, metadata = demo_corpus(n=n, seed=5)
     paths = {
         "report": root / "report.json",
         "labels": root / "labels.txt",

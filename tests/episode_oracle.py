@@ -45,7 +45,7 @@ def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False, r
     steps = []
     for _ in range(2):
         state = state_vector(feats, kind)
-        cache = forward_cache(params, state)
+        cache = forward_cache(params, state[None])
         probs, value = softmax(cache["logits"])[0], float(cache["values"][0])
         masked = mask_fuzz or kind is not FuzzKind.NOT_RUN
         action = select_action(probs, masked, rng)

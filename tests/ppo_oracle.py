@@ -2,8 +2,9 @@
 
 `ppo_loss_and_grads` as it stood before the step was slimmed, with the
 forward pass and fuzz masking it used: a second softmax over copied logits,
-a log per use, new arrays at every gate. Tests require the trainer's step to
-equal it bit for bit.
+a log per use, new arrays at every gate. Only the forward pass's heads and
+its one-row rule follow the policy's, since the step's bits depend on them.
+Tests require the trainer's step to equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,24 +20,34 @@ from triagerl.trainer import TrainConfig, TrajectoryBatch
 def forward_cache(
     params: PolicyParams, states: np.ndarray, masks: tuple[np.ndarray, np.ndarray] | None = None
 ) -> dict:
-    """Batched forward pass keeping intermediates for backpropagation."""
-    states = np.atleast_2d(states)
+    """Batched forward pass keeping intermediates for backpropagation.
+
+    The heads and the one-row rule are the policy's own (see
+    `triagerl.policy.forward_cache`): one dot product per row and head, and
+    a one-row batch played as two copies of its row.
+    """
     if states.shape[1] != params.input_dim:
         raise DimensionMismatch(
             f"state length {states.shape[1]} != network input {params.input_dim}"
         )
+    n = len(states)
+    if n == 1:
+        states = np.repeat(states, 2, axis=0)
+        if masks is not None:
+            masks = tuple(np.repeat(m, 2, axis=0) for m in masks)
     z1 = states @ params.w1 + params.b1
     a1 = np.maximum(z1, 0.0)
     h1 = a1 * masks[0] if masks is not None else a1
     z2 = h1 @ params.w2 + params.b2
     a2 = np.maximum(z2, 0.0)
     h2 = a2 * masks[1] if masks is not None else a2
-    logits = h2 @ params.w_pi + params.b_pi
+    heads = np.vecdot(h2[:, None, :], np.vstack([params.w_pi.T, params.w_v.T]))
+    logits = heads[:, :-1] + params.b_pi
     probs = softmax(logits)
-    values = (h2 @ params.w_v).ravel() + params.b_v[0]
+    values = heads[:, -1] + params.b_v[0]
     return {
-        "states": states, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
-        "logits": logits, "probs": probs, "values": values, "masks": masks,
+        "states": states[:n], "z1": z1[:n], "h1": h1[:n], "z2": z2[:n], "h2": h2[:n],
+        "logits": logits[:n], "probs": probs[:n], "values": values[:n],
     }
 
 

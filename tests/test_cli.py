@@ -87,6 +87,20 @@ class TestPipeline:
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 20
 
+    def test_a_warning_alone_gets_its_line_in_the_full_report(self, pipeline, tmp_path):
+        # Each demo warning sits in a file of its own, so neither its feature
+        # row nor, then, its verdict depends on the rest of the report.
+        def triage(name, report):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.txt"
+            path.write_text(json.dumps(report))
+            argv = subcommand({**pipeline, "report": path}, "triage", out)
+            assert run_cli([*argv, "--meta", str(pipeline["meta"])]) == 0
+            return out.read_text().splitlines()
+
+        report = json.loads(pipeline["report"].read_text())
+        full = triage("full", report)
+        assert [line for i, obj in enumerate(report) for line in triage(f"alone{i}", [obj])] == full
+
     def test_end_to_end_byte_determinism(self, tmp_path):
         a = run_demo_pipeline(tmp_path / "a")
         b = run_demo_pipeline(tmp_path / "b")
@@ -243,6 +257,30 @@ def subcommand(paths, command, out):
         "fuzz-validate": ["--warnings", p["warnings"]],
     }[command]
     return [command, *argv, "--out", str(out), "--config", p["config"]]
+
+
+def cli_process(argv, **env):
+    """The finished `triagerl` process run on `argv`, with `env` added to the environment."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "triagerl.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_scores_identical_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads: a process per count.
+    # 1,400-odd train rows make the trunk's products large enough to thread.
+    inputs = write_demo_inputs(tmp_path, n=2000)
+    paths = run_pipeline(inputs, tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        report, verdicts = tmp_path / f"report{threads}.txt", tmp_path / f"verdicts{threads}.txt"
+        argv = subcommand(paths, "evaluate", report)
+        proc = cli_process([*argv, "--split", "train", "--verdicts", str(verdicts)],
+                           OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((report.read_bytes(), verdicts.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # The subcommand that reads each pipeline file.
@@ -662,11 +700,7 @@ class TestMalformedInputs:
         # A process of its own: inside pytest, numpy's warnings would be captured.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(pipeline["config"].read_text() + "train.learning_rate = 1e300\n")
-        argv = subcommand({**pipeline, "config": cfg}, "train", tmp_path / "m.ckpt")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "triagerl.cli", *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path})
+        proc = cli_process(subcommand({**pipeline, "config": cfg}, "train", tmp_path / "m.ckpt"))
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == [
             "input error: epoch 1: non-finite loss in PPO pass 2, minibatch 1; " + SCALES_LOSS]

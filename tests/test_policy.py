@@ -18,7 +18,7 @@ from triagerl.policy import (
     param_layout,
     softmax,
 )
-from triagerl.trainer import TrainConfig, TrajectoryBatch, ppo_loss_and_grads
+from triagerl.trainer import STATE_DIM, TrainConfig, TrajectoryBatch, ppo_loss_and_grads
 from triagerl.warnings import Label
 
 from test_env import play
@@ -54,7 +54,7 @@ def loop_forward(params: PolicyParams, state):
 
 def forward(params, state, masks=None):
     """Action probabilities and value for one state."""
-    cache = forward_cache(params, np.asarray(state, dtype=np.float64), masks)
+    cache = forward_cache(params, np.asarray(state, dtype=np.float64)[None], masks)
     return softmax(cache["logits"])[0], float(cache["values"][0])
 
 
@@ -103,6 +103,21 @@ class TestForward:
         masks = draw_dropout_masks(np.random.default_rng(0), (50, 40), 0.25, n=3)
         for m in masks:
             assert set(np.unique(m)).issubset({0.0, 1.0 / 0.75})
+
+    def test_each_rows_outputs_are_its_own_in_any_batch(self):
+        # The sizes straddle the one-row product (gemv) and the size, 2,605
+        # rows on OpenBLAS 0.3.31, above which a 3-column product changes kernel.
+        rng = np.random.default_rng(0)
+        params = init_params(STATE_DIM, dropout_rate=0.0, seed=1)
+        states = rng.normal(size=(20_000, STATE_DIM))
+        full = forward_cache(params, states)
+        for k in [*range(1, 40), 63, 64, 65, 449, 2604, 2605, 3000, 10_000]:
+            for start in rng.integers(0, len(states) - k + 1, 5):
+                part = forward_cache(params, states[start : start + k])
+                for name in ("logits", "values"):
+                    assert np.array_equal(part[name].view(np.int64),
+                                          full[name][start : start + k].view(np.int64)), (
+                        f"{name} of rows {start}..{start + k - 1} differ from a 20,000-row batch's")
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
