@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shlex
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -126,25 +127,9 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _read_bytes(path: str) -> bytes:
-    """An input file's bytes, which must be UTF-8 text."""
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise InputError(f"input file does not exist: {path}") from None
-    except OSError as exc:
-        raise InputError(f"input file cannot be read: {path}: {exc.strerror}") from None
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"{path} line {line}: not UTF-8: {exc.reason}") from None
-    return data
-
-
 def _load(reader, path: str):
     """`reader` applied to the input file at `path`; its errors name the file."""
-    return reader(_read_bytes(path), source=path)
+    return reader(warn_mod.read_input(path), source=path)
 
 
 def _play(checkpoint: str, play, *args, **kwargs):
@@ -178,8 +163,13 @@ def _make_backend(cfg: RunConfig):
         directory = Path(cfg.templates_dir or fuzz_mod.DEFAULT_TEMPLATE_DIR)
         if not directory.is_dir():  # else every harness would fail to generate
             raise InputError(f"templates_dir is not a directory: {directory}")
-        templates = load_templates(directory)
-        return ExternalBackend(cfg.external_command, templates=templates, budget=cfg.fuzz_budget)
+        try:
+            command = shlex.split(cfg.external_command)
+        except ValueError as exc:  # an unbalanced quote
+            raise InputError(f"external_command cannot be split: {exc}") from None
+        if not command:
+            raise InputError("external_command is empty")
+        return ExternalBackend(command, templates=load_templates(directory), budget=cfg.fuzz_budget)
     raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
 

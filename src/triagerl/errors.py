@@ -9,17 +9,8 @@ class InputError(Exception):
     file and line, or the config key; the command line exits 3 on it."""
 
 
-class NonFiniteLoss(InputError):
-    """A PPO update produced a non-finite loss, so training diverged under the
-    hyperparameters and reward constants given; the update is aborted."""
-
-
 class NonFiniteScores(InputError):
     """The policy's scores for a warning are not finite: its weights overflow."""
-
-
-class DimensionMismatch(Exception):
-    """Network parameters and input state disagree on dimensions."""
 
 
 class HarnessError(Exception):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
 from .features import MANIFEST, FeatureTable, normalize
 from .metrics import (EvalReport, PredictionRecord, precision_recall_f1, prediction_records,
                       report_from_arrays)
@@ -55,10 +54,6 @@ def permutation_importance(
     bits it has in a full play, an unchanged row keeps its call, and the
     first row whose scores are not finite is a changed one.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if not records:
-        raise InputError("no predictions to score")
     matrix = normalize(table.rows_of(records), ckpt.normalizer)
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
 

@@ -12,7 +12,6 @@ import hashlib
 import math
 import os
 import re
-import shlex
 import signal
 import subprocess
 import tempfile
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import HarnessError, InputError
 from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, package_of,
-                       state_once, text_file, text_lines)
+                       read_input, state_once, text_file, text_lines)
 
 BUDGET_BOUNDS = (30.0, 60.0)  # an external run's budget is clamped into this range, in seconds
 BUDGET_GRACE_SECONDS = 5.0
@@ -86,17 +85,23 @@ class SimOracleConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-_PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
+_PLACEHOLDER = re.compile(r"\{\{(package|function|type_args|entry)\}\}")
 
 
-def load_templates(directory: Path | str) -> dict[BugPattern, str]:
-    """Template text by bug pattern, from one <pattern>.tmpl file each in the directory."""
-    directory = Path(directory)
+def load_templates(directory: Path) -> dict[BugPattern, str]:
+    """Template text by bug pattern, from one <pattern>.tmpl file each in the
+    directory. A line that still holds `{{` once its placeholders are taken
+    out raises InputError naming the file and line."""
     templates = {}
     for pattern in (BugPattern.PANIC_SAFETY, BugPattern.HIGHER_ORDER_INVARIANT, BugPattern.SEND_SYNC_VARIANCE):
         path = directory / f"{pattern.value}.tmpl"
         if path.exists():
-            templates[pattern] = path.read_text(encoding="utf-8")
+            data = read_input(path)
+            for n, line in text_lines(data):
+                if "{{" in _PLACEHOLDER.sub("", line):
+                    raise InputError(f"{path} line {n}: '{{{{' opens no placeholder; they are "
+                                     "{{package}}, {{function}}, {{type_args}} and {{entry}}")
+            templates[pattern] = data.decode("utf-8")
     return templates
 
 
@@ -139,16 +144,7 @@ def generate_harness(
         "type_args": ", ".join(["u8"] * max(1, generic_params)),
         "entry": f"{crate}::{function}",
     }
-
-    def sub(m: re.Match) -> str:
-        key = m.group(1)
-        if key not in bindings:
-            raise HarnessError(f"template placeholder {{{{{key}}}}} has no binding")
-        return bindings[key]
-
-    rendered = _PLACEHOLDER.sub(sub, template_set[pattern])
-    assert "{{" not in rendered
-    return rendered
+    return _PLACEHOLDER.sub(lambda m: bindings[m[1]], template_set[pattern])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,8 @@ class RecordedBackend:
 class ExternalBackend:
     """Adapter for a real fuzzing command.
 
-    Invoked as `<cmd> <harness-path> --budget <seconds>` in a new session,
+    Invoked as `<command> <harness-path> --budget <seconds>`, `command` being
+    the configured command line split into its words, in a new session,
     with the harness written to a private directory under TMPDIR that is
     removed when the call ends, so concurrent calls never share a file.
     The budget is clamped to [30, 60] seconds; at budget+5 s the command's
@@ -221,7 +218,7 @@ class ExternalBackend:
     is InfrastructureFailure, never raised.
     """
 
-    command: str
+    command: list[str]
     templates: dict[BugPattern, str]
     budget: float
 
@@ -234,23 +231,17 @@ class ExternalBackend:
         except HarnessError as exc:
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"harness generation: {exc}")
         try:
-            command = shlex.split(self.command)
-        except ValueError as exc:
-            return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
-                               f"spawn failed: command: {exc}")
-        try:
             with tempfile.TemporaryDirectory(prefix="triagerl-", ignore_cleanup_errors=True) as workdir:
                 harness_path = Path(workdir) / f"harness_{warning.id}.rs"
                 harness_path.write_text(harness, encoding="utf-8")
-                return self._fuzz(command, harness_path, budget, start)
+                return self._fuzz(harness_path, budget, start)
         except OSError as exc:
             return FuzzOutcome(
                 FuzzKind.INFRASTRUCTURE_FAILURE, time.monotonic() - start, f"spawn failed: {exc}"
             )
 
-    def _fuzz(self, command: list[str], harness_path: Path, budget: float,
-              start: float) -> FuzzOutcome:
-        argv = command + [str(harness_path), "--budget", str(int(budget))]
+    def _fuzz(self, harness_path: Path, budget: float, start: float) -> FuzzOutcome:
+        argv = self.command + [str(harness_path), "--budget", str(int(budget))]
         with subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, errors="replace",
             start_new_session=True,

@@ -133,14 +133,12 @@ def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
 def compute_metrics(
     predictions: list[PredictionRecord], labels: dict[str, Label]
 ) -> EvalReport:
-    """The full report from per-warning predictions and ground truth, once
-    every prediction has a label and a score in [0,1]."""
+    """The full report from per-warning predictions, whose scores
+    `read_verdicts` checked to lie in [0,1], and ground truth, once every
+    prediction has a label."""
     missing = [p.warning_id for p in predictions if p.warning_id not in labels]
     if missing:
         raise InputError(f"no label for: {', '.join(missing)}")
-    for p in predictions:
-        if not 0.0 <= p.score <= 1.0:
-            raise ValueError(f"score for {p.warning_id} must be in [0,1], got {p.score}")
     return report_from_arrays(
         [p.predicted is Label.TRUE_POSITIVE for p in predictions],
         [labels[p.warning_id] is Label.TRUE_POSITIVE for p in predictions],

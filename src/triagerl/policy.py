@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .env import ACTION_COUNT
 
 HIDDEN_SIZES = (256, 128)
@@ -41,7 +40,7 @@ class PolicyParams:
         size = sum(math.prod(shape) for _, shape in layout)
         self.flat = np.zeros(size) if flat is None else np.ascontiguousarray(flat, dtype=np.float64)
         if self.flat.shape != (size,):
-            raise DimensionMismatch(f"flat vector has shape {self.flat.shape}, expected ({size},)")
+            raise ValueError(f"flat vector has shape {self.flat.shape}, expected ({size},)")
         self.input_dim = input_dim
         self.hidden_sizes = tuple(hidden_sizes)
         self.dropout_rate = dropout_rate
@@ -98,10 +97,6 @@ def forward_cache(
     product to gemv, which rounds otherwise than the trunk's many-row
     products, so a one-row batch is played as two copies of its row.
     """
-    if states.shape[1] != params.input_dim:
-        raise DimensionMismatch(
-            f"state length {states.shape[1]} != network input {params.input_dim}"
-        )
     n = len(states)
     if n == 1:
         states = np.repeat(states, 2, axis=0)

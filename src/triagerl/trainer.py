@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .env import RewardSpec, TriageAction, check_finite, fuzz_step, reward_of
-from .errors import DimensionMismatch, InputError, NonFiniteLoss, NonFiniteScores
+from .errors import InputError, NonFiniteScores
 from .features import MANIFEST, FeatureTable, NormalizerStats, fit_normalizer, normalize
 from .fuzz import FUZZ_SLOTS, run_many
 from .metrics import report_from_arrays
@@ -200,11 +200,7 @@ def run_episodes(
     would consume. Each episode's score is P(TP) with fuzzing masked at its
     final decision state.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    n = len(records)
-    if feats.ndim != 2 or len(feats) != n:
-        raise InputError(f"features have shape {feats.shape}, expected {n} rows")
-    fd = feats.shape[1]
+    n, fd = feats.shape
     first = np.zeros((n, fd + len(FUZZ_SLOTS)))
     first[:, :fd] = feats
     first[:, fd] = 1.0  # the NotRun slot
@@ -271,8 +267,6 @@ def collect_rollouts(
     Backend trouble never escapes an episode; it shows up as outcome
     encodings.
     """
-    if not records:
-        raise InputError("no episodes to collect")
     order = rng.permutation(len(records))
     played = [records[i] for i in order]
     episodes = run_episodes(params, feats[order], played, backend, rng=rng)
@@ -411,7 +405,8 @@ def ppo_update(
     optimizer: Adam,
 ) -> None:
     """Several passes of shuffled minibatch updates on one rollout batch,
-    applied to `params` in place."""
+    applied to `params` in place. A non-finite loss raises InputError naming
+    the pass and minibatch, and the config keys that scale the loss."""
     grads = params.zeros_like()
     feature_dim = params.input_dim - len(FUZZ_SLOTS)  # the NotRun column
     for inner in range(1, config.ppo_inner_epochs + 1):
@@ -422,7 +417,7 @@ def ppo_update(
                 rng, params.hidden_sizes, params.dropout_rate, n=len(mb))
             total, _, _ = ppo_loss_and_grads(params, mb, config, feature_dim, masks, grads)
             if not math.isfinite(total):
-                raise NonFiniteLoss(
+                raise InputError(
                     f"non-finite loss in PPO pass {inner}, minibatch "
                     f"{start // config.minibatch_size + 1}; train.learning_rate, "
                     "train.value_loss_weight, train.entropy_weight and the reward.* constants "
@@ -482,7 +477,8 @@ def train(
     stale = 0
     history: list[dict] = []
     # A diverging run overflows on its way to the non-finite loss that ends it;
-    # that check reports it, so numpy's warnings would only repeat it.
+    # that check reports it, so numpy's warnings would only repeat it. An
+    # InputError of an epoch gets the epoch's number and keeps its type.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
             try:
@@ -490,7 +486,7 @@ def train(
                                                       reward_spec, backend, rng_rollout, config.gamma)
                 ppo_update(params, batch, config, rng_update, optimizer)
                 val = run_episodes(params, val_feats, val_records, backend)
-            except (NonFiniteLoss, NonFiniteScores) as exc:
+            except InputError as exc:
                 raise type(exc)(f"epoch {epoch}: {exc}") from None
             report = report_from_arrays(val.called, val_positive, val.score, val.fuzzed)
             val_f1 = report.f1 or 0.0
@@ -593,6 +589,5 @@ def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
         )
     except json.JSONDecodeError as exc:
         raise InputError(f"{source} line {exc.lineno}: {exc.msg}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
-            DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InputError(f"{source}: {type(exc).__name__}: {exc}") from exc

@@ -14,6 +14,7 @@ import operator
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -235,7 +236,8 @@ def stratified_split(
     ratios: tuple[float, float, float],
     seed: int,
 ) -> dict[str, Split]:
-    """Assign every labeled record to train/val/test, stratified by class.
+    """Assign every record, each of them labeled, to train/val/test,
+    stratified by class.
 
     Each class is apportioned to splits independently by largest remainder,
     which keeps every split's positive fraction within one record of the
@@ -248,9 +250,6 @@ def stratified_split(
         raise InputError(f"ratios must be > 0, got {ratios}")
     if not abs(sum(ratios) - 1.0) <= 1e-9:  # also rejects nan
         raise InputError(f"ratios must sum to 1, got sum {sum(ratios)!r}")
-    unlabeled = [r.id for r in records if r.label is None]
-    if unlabeled:
-        raise InputError(f"unlabeled records: {', '.join(unlabeled)}")
 
     rng = np.random.default_rng(seed)
     by_class: dict[Label, list[str]] = {c: [] for c in Label}
@@ -342,8 +341,27 @@ def cluster_sizes(records: list[WarningRecord], radius: int) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# File interfaces: the line-file rule, warning store, label sidecar, split file.
+# File interfaces: input files, the line-file rule, warning store, label
+# sidecar, split file.
 # ---------------------------------------------------------------------------
+
+
+def read_input(path: Path | str) -> bytes:
+    """An input file's bytes, which must be UTF-8 text: the one place a file
+    is read. A file that is missing, unreadable (such as a directory) or not
+    UTF-8 raises InputError naming it, and the line of a bad byte."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise InputError(f"input file does not exist: {path}") from None
+    except OSError as exc:
+        raise InputError(f"input file cannot be read: {path}: {exc.strerror}") from None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path} line {line}: not UTF-8: {exc.reason}") from None
+    return data
 
 
 def text_lines(data: bytes) -> list[tuple[int, str]]:

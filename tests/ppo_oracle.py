@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from triagerl.env import TriageAction
-from triagerl.errors import DimensionMismatch
 from triagerl.policy import PolicyParams, softmax
 from triagerl.trainer import TrainConfig, TrajectoryBatch
 
@@ -26,10 +25,6 @@ def forward_cache(
     `triagerl.policy.forward_cache`): one dot product per row and head, and
     a one-row batch played as two copies of its row.
     """
-    if states.shape[1] != params.input_dim:
-        raise DimensionMismatch(
-            f"state length {states.shape[1]} != network input {params.input_dim}"
-        )
     n = len(states)
     if n == 1:
         states = np.repeat(states, 2, axis=0)

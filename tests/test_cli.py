@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,11 +24,11 @@ from triagerl.fuzz import read_recorded_outcomes
 from triagerl.metrics import read_verdicts
 from triagerl.policy import init_params
 from triagerl.trainer import PolicyCheckpoint, TrainConfig, save_checkpoint
-from triagerl.warnings import (parse_report, read_label_sidecar, read_split_file,
+from triagerl.warnings import (REPORT_FIELDS, parse_report, read_label_sidecar, read_split_file,
                                read_warning_store, write_label_sidecar)
 
 from conftest import DEMO_CONFIG, run_demo_pipeline, run_pipeline, sha256, write_demo_inputs
-from test_fuzz import fake_cmd
+from test_fuzz import fake_cmd, panic_warning
 
 # Stand-in fuzzer: logs its arguments, then reports an outcome chosen by the
 # last hex digit of the harness file name (harness_<id>.rs).
@@ -226,17 +227,80 @@ class TestFuzzFanOut:
         rows = [line.split("\t") for line in out.read_text().splitlines()]
         assert rows and all(r[3] == "1" and float(r[2]) == 0.5 for r in rows)
 
-    @pytest.mark.parametrize("via", ["config"])
-    def test_unsplittable_command_records_infrastructure_failures(self, pipeline, tmp_path, via):
+    @pytest.mark.parametrize("command, fault", [
+        ('"unclosed', "cannot be split: No closing quotation"),
+        ("", "is empty"),
+    ], ids=["unclosed-quote", "empty"])
+    def test_unsplittable_command_exits_3_naming_it(self, pipeline, tmp_path, capsys, command,
+                                                    fault):
         cfg = tmp_path / "external.cfg"
-        cfg.write_text('backend = external\nexternal_command = "unclosed\n')
+        cfg.write_text(f"backend = external\nexternal_command = {command}\n")
         out = tmp_path / "outcomes.txt"
         code = run_cli(["fuzz-validate", "--warnings", str(pipeline["warnings"]),
                         "--out", str(out), "--config", str(cfg)])
-        assert code == 0
-        rows = [line.split("\t") for line in out.read_text().splitlines()]
-        assert rows and {r[1] for r in rows} == {"infrastructure_failure"}
-        assert any("No closing quotation" in r[3] for r in rows)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == f"input error: external_command {fault}\n"
+        assert not out.exists()
+
+
+class TestHarnessTemplates:
+    """Templates are input files, checked once, when the external backend loads them."""
+
+    def fuzz_validate(self, tmp_path, warnings, templates=fuzz_mod.DEFAULT_TEMPLATE_DIR):
+        """Exit code of `fuzz-validate` on the store `warnings` with the external
+        backend, a fuzzer that exits 0 and the templates in `templates`."""
+        cfg = tmp_path / "external.cfg"
+        cfg.write_text("backend = external\n"
+                       f"external_command = {fake_cmd(tmp_path, 'fuzzer.sh', 'exit 0')}\n")
+        return run_cli(["fuzz-validate", "--warnings", str(warnings), "--templates", str(templates),
+                        "--out", str(tmp_path / "outcomes.txt"), "--config", str(cfg)])
+
+    @pytest.fixture
+    def templates(self, tmp_path):
+        """A copy of the built-in templates and the path of its panic-safety template."""
+        directory = tmp_path / "templates"
+        shutil.copytree(fuzz_mod.DEFAULT_TEMPLATE_DIR, directory)
+        return directory, directory / "panic_safety.tmpl"
+
+    @pytest.mark.parametrize("line", ['const OPEN: &str = "{{";', "{{nope}}();"],
+                             ids=["bare", "unknown-name"])
+    def test_stray_braces_exit_3_naming_file_and_line(self, pipeline, tmp_path, capsys,
+                                                      templates, line):
+        directory, path = templates
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{first}\n{line}\n{rest}")
+        assert self.fuzz_validate(tmp_path, pipeline["warnings"], directory) == 3
+        assert capsys.readouterr().err == (
+            f"input error: {path} line 2: '{{{{' opens no placeholder; they are {{{{package}}}}, "
+            "{{function}}, {{type_args}} and {{entry}}\n")
+
+    def test_template_that_is_not_utf8_exits_3_naming_file_and_line(self, pipeline, tmp_path,
+                                                                      capsys, templates):
+        directory, path = templates
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert self.fuzz_validate(tmp_path, pipeline["warnings"], directory) == 3
+        assert capsys.readouterr().err == f"input error: {path} line 2: not UTF-8: invalid start byte\n"
+
+    def test_template_that_is_a_directory_exits_3_naming_it(self, pipeline, tmp_path, capsys,
+                                                            templates):
+        directory, path = templates
+        path.unlink()
+        path.mkdir()
+        assert self.fuzz_validate(tmp_path, pipeline["warnings"], directory) == 3
+        assert capsys.readouterr().err == (
+            f"input error: input file cannot be read: {path}: Is a directory\n")
+
+    def test_braces_in_a_warning_are_rendered_as_text(self, tmp_path, capsys):
+        # The package binding is "{{vecutils": a binding is text, not a placeholder.
+        warning = panic_warning()
+        obj = {name: getattr(warning, name) for name in REPORT_FIELDS}
+        store = tmp_path / "warnings.jsonl"
+        store.write_text(json.dumps({**obj, "level": warning.level.value,
+                                     "file": "{{" + warning.file}) + "\n")
+        assert self.fuzz_validate(tmp_path, store) == 0, capsys.readouterr().err
+        rows = [line.split("\t") for line in (tmp_path / "outcomes.txt").read_text().splitlines()]
+        assert [(row[1], row[3]) for row in rows] == [("clean", "clean run")]
 
 
 def subcommand(paths, command, out):
@@ -549,6 +613,8 @@ class TestMalformedInputs:
          "{bad} line 1: score must be in [0,1], got 1.5"),
         ("train", "splits", lambda t: t.replace("\ttrain", "\tval"), [], 3,
          "input error: train split is empty"),
+        ("evaluate", "checkpoint", lambda t: re.sub(r'"b_v":\[[^]]*\]', '"b_v":[]', t), [], 3,
+         "{bad}: ValueError: flat vector has shape (57475,), expected (57476,)"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -568,7 +634,7 @@ class TestMalformedInputs:
             "checkpoint-short-normalizer", "checkpoint-weight-nan", "outcomes-elapsed-nan",
             "outcomes-elapsed-inf", "store-id-disagrees", "labels-one-field",
             "meta-downloads-negative", "meta-prevalence-above-1", "sim-probability-above-1",
-            "verdict-score-above-1", "train-split-empty"])
+            "verdict-score-above-1", "train-split-empty", "checkpoint-weights-short"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()

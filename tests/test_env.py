@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triagerl.env import RewardSpec, TriageAction, reward_of
-from triagerl.errors import DimensionMismatch, IllegalAction, InputError
+from triagerl.errors import IllegalAction
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
 from triagerl.policy import init_params
 from triagerl.metrics import prediction_records
@@ -142,13 +142,6 @@ class TestEnv:
         b, _ = play(v, FIRST[A_FP], [FP])
         assert a.states.tolist() == b.states.tolist()
         assert v.tolist() == [[0.5, -0.5, 2.0]]
-
-    def test_length_mismatch(self):
-        params = biased_params(3, FIRST[A_TP])
-        with pytest.raises(InputError, match=r"^features have shape \(2, 3\), expected 1 rows$"):
-            run_episodes(params, np.zeros((2, 3)), [make_record(0, label=TP)], None)
-        with pytest.raises(DimensionMismatch):
-            run_episodes(params, np.zeros((1, 4)), [make_record(0, label=TP)], None)
 
     def test_fuzz_step_encodes_outcome_and_costs(self):
         batch, preds = play(np.zeros(2), THEN_TP, [TP], ForcedBackend(FuzzKind.CRASH))

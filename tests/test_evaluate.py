@@ -162,11 +162,6 @@ class TestPermutationImportance:
         b = permutation_importance(ckpt, records, vectors, repeats=2, seed=9)
         assert a == b
 
-    def test_repeats_validated(self, trained_separable):
-        dataset, vectors, ckpt = trained_separable
-        with pytest.raises(ValueError):
-            permutation_importance(ckpt, dataset.records[:5], vectors, repeats=0, seed=0)
-
     def test_importance_file_format(self, trained_separable):
         dataset, vectors, ckpt = trained_separable
         records = dataset.split_records(Split.TEST)

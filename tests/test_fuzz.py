@@ -223,7 +223,7 @@ def fake_cmd(tmp_path, name, script):
 
 class TestExternalBackend:
     def make(self, tmp_path, script, budget=45.0):
-        return ExternalBackend(fake_cmd(tmp_path, "fuzzer.sh", script),
+        return ExternalBackend([fake_cmd(tmp_path, "fuzzer.sh", script)],
                                load_templates(DEFAULT_TEMPLATE_DIR), budget)
 
     def test_exit_zero_is_clean(self, tmp_path):
@@ -255,7 +255,7 @@ class TestExternalBackend:
         assert outcome.kind is FuzzKind.INCONCLUSIVE
 
     def test_missing_command_is_infrastructure_failure(self, tmp_path):
-        backend = ExternalBackend(str(tmp_path / "does-not-exist"),
+        backend = ExternalBackend([str(tmp_path / "does-not-exist")],
                                   load_templates(DEFAULT_TEMPLATE_DIR), 45.0)
         outcome = backend.run(panic_warning(), TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
@@ -285,14 +285,6 @@ class TestExternalBackend:
         outcome = backend.run(warning, TP)
         assert outcome.kind is FuzzKind.INFRASTRUCTURE_FAILURE
         assert "harness" in outcome.detail
-
-    def test_unbound_template_placeholder_is_infrastructure_failure(self, tmp_path):
-        backend = ExternalBackend(fake_cmd(tmp_path, "fuzzer.sh", "exit 0\n"),
-                                  {BugPattern.PANIC_SAFETY: "fn main() { {{nope}}(); }\n"}, 45.0)
-        outcome = backend.run(panic_warning(), TP)
-        assert (outcome.kind, outcome.detail) == (
-            FuzzKind.INFRASTRUCTURE_FAILURE,
-            "harness generation: template placeholder {{nope}} has no binding")
 
     def test_concurrent_calls_on_one_warning_use_private_directories(self, tmp_path):
         # The fake fuzzer logs its harness path if the file is there, and

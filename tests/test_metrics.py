@@ -212,12 +212,6 @@ class TestUndefinedHandling:
         with pytest.raises(InputError, match="feed"):
             compute_metrics(preds, {})
 
-    def test_score_range_checked(self):
-        preds, labels = build([(TP, TP, 0.5)])
-        preds[0].score = 1.5
-        with pytest.raises(ValueError, match="score"):
-            compute_metrics(preds, labels)
-
 
 class TestSerialization:
     def test_verdicts_round_trip(self):

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triagerl.env import TriageAction
-from triagerl.errors import DimensionMismatch
 from triagerl.policy import (
     DEFAULT_DROPOUT,
     PolicyParams,
@@ -96,7 +95,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         params = init_params(8, hidden=(5, 4), dropout_rate=DEFAULT_DROPOUT, seed=3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError):
             forward(params, np.zeros(9))
 
     def test_dropout_masks_scale(self):
@@ -224,7 +223,7 @@ class TestFlattening:
 
     def test_wrong_length_rejected(self):
         params = init_params(7, hidden=(5, 3), dropout_rate=DEFAULT_DROPOUT, seed=4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError):
             PolicyParams(7, (5, 3), 0.0, params.flat[:-1])
 
     def test_init_bounds_follow_fan_sums(self):

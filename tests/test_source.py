@@ -1,5 +1,6 @@
 """Source hygiene: no public name or default in src/triagerl that only tests
-use, and no error class that nothing catches."""
+use, no error class that nothing catches, and no file read but by the one
+input reader."""
 
 import ast
 import importlib.util
@@ -197,3 +198,20 @@ def test_every_default_is_left_out_by_a_caller_outside_tests():
     unused = [f"{path.name}:{line} {name}" for path, line, name in bench_pairs.settable(ROOT)
               if name.split(".")[0] not in exempt and name not in omitted]
     assert not unused, "defaults no caller outside tests leaves out: " + ", ".join(unused)
+
+
+def test_only_read_input_reads_files():
+    # Each input file enters through `warnings.read_input`, whose checks then hold for all.
+    reads = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
+                  and path.name == "warnings.py" and top.name == "read_input"
+                  for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in reader:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("read_text", "read_bytes", "open"):
+                    reads.append(f"{path.name}:{node.lineno} {name}")
+    assert not reads, "files read outside warnings.read_input: " + ", ".join(reads)

@@ -258,11 +258,6 @@ class TestStratifiedSplit:
         b = stratified_split(records, (0.7, 0.15, 0.15), seed=42)
         assert a == b
 
-    def test_unlabeled_record_listed(self):
-        records = [make_record(0, label=Label.TRUE_POSITIVE), make_record(1)]
-        with pytest.raises(InputError, match=records[1].id):
-            stratified_split(records, (0.7, 0.15, 0.15), seed=0)
-
     def test_ratio_errors(self):
         records = [make_record(i, label=Label.TRUE_POSITIVE) for i in range(3)]
         with pytest.raises(InputError, match="^ratios must sum to 1, got sum "):
