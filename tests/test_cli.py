@@ -280,7 +280,8 @@ class TestHarnessTemplates:
         directory, path = templates
         path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
         assert self.fuzz_validate(tmp_path, pipeline["warnings"], directory) == 3
-        assert capsys.readouterr().err == f"input error: {path} line 2: not UTF-8: invalid start byte\n"
+        assert capsys.readouterr().err == (
+            f"input error: {path} line 2: not UTF-8: invalid start byte\n")
 
     def test_template_that_is_a_directory_exits_3_naming_it(self, pipeline, tmp_path, capsys,
                                                             templates):
