@@ -8,6 +8,7 @@ trace. Exit codes: 0 success, 2 usage, 3 input validation, 4 internal.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import shlex
@@ -403,6 +404,10 @@ def run_cli(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # A run frees its objects by reference count; its only cyclic garbage is
+    # the parser above, so the cyclic collector would only spend time.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args, _load_config(args))
     except InputError as exc:
@@ -411,6 +416,9 @@ def run_cli(argv: list[str]) -> int:
     except Exception as exc:  # noqa: BLE001 - contract: no bare stack traces
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> int:

@@ -90,11 +90,13 @@ _PLACEHOLDER = re.compile(r"\{\{(package|function|type_args|entry)\}\}")
 
 def load_templates(directory: Path) -> dict[BugPattern, str]:
     """Template text by bug pattern, from one <pattern>.tmpl file each in the
-    directory. A line that still holds `{{` once its placeholders are taken
-    out raises InputError naming the file and line."""
+    directory; a directory with none of them raises InputError naming it. A
+    line that still holds `{{` once its placeholders are taken out raises
+    InputError naming the file and line."""
     templates = {}
-    for pattern in (BugPattern.PANIC_SAFETY, BugPattern.HIGHER_ORDER_INVARIANT, BugPattern.SEND_SYNC_VARIANCE):
-        path = directory / f"{pattern.value}.tmpl"
+    paths = {pattern: directory / f"{pattern.value}.tmpl" for pattern in BugPattern
+             if pattern is not BugPattern.UNKNOWN}
+    for pattern, path in paths.items():
         if path.exists():
             data = read_input(path)
             for n, line in text_lines(data):
@@ -102,6 +104,9 @@ def load_templates(directory: Path) -> dict[BugPattern, str]:
                     raise InputError(f"{path} line {n}: '{{{{' opens no placeholder; they are "
                                      "{{package}}, {{function}}, {{type_args}} and {{entry}}")
             templates[pattern] = data.decode("utf-8")
+    if not templates:  # else every harness would fail to generate
+        raise InputError("templates_dir holds none of "
+                         f"{', '.join(p.name for p in paths.values())}: {directory}")
     return templates
 
 

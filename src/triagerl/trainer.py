@@ -32,6 +32,9 @@ CHECKPOINT_FORMAT_VERSION = 1
 STATE_DIM = len(MANIFEST) + len(FUZZ_SLOTS)
 # Adam's moment decay rates and the guard added to its denominator.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Rows per forward pass of the episode engine. Each row's outputs are its own
+# in any batch, so the block size changes no bit, only the memory held.
+FORWARD_BLOCK = 1024
 
 
 @dataclass
@@ -166,17 +169,23 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _finite_forward(params: PolicyParams, states: np.ndarray, records: list) -> dict:
-    """`forward_cache` of `states`, one row per record; NonFiniteScores names
-    the first record whose logits are not finite. Zero states take no pass."""
-    if not len(states):
-        return {"logits": np.empty((0, len(params.b_pi))), "values": np.empty(0)}
-    cache = forward_cache(params, states)
-    finite = np.isfinite(cache["logits"]).all(axis=1)
+def _finite_forward(params: PolicyParams, states: np.ndarray,
+                    records: list) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and values of `states`, one row per record, played through
+    `forward_cache` in blocks of FORWARD_BLOCK rows, so only one block's hidden
+    layers are alive at a time; NonFiniteScores names the first record whose
+    logits are not finite."""
+    n = len(states)
+    logits, values = np.empty((n, len(params.b_pi))), np.empty(n)
+    for start in range(0, n, FORWARD_BLOCK):
+        block = slice(start, start + FORWARD_BLOCK)
+        cache = forward_cache(params, states[block])
+        logits[block], values[block] = cache["logits"], cache["values"]
+    finite = np.isfinite(logits).all(axis=1)
     if not finite.all():
         bad = records[finite.argmin()].id
         raise NonFiniteScores(f"policy scores for warning {bad} are not finite")
-    return cache
+    return logits, values
 
 
 def run_episodes(
@@ -190,11 +199,11 @@ def run_episodes(
 ) -> Episodes:
     """Play one episode per warning, all of them side by side.
 
-    `feats` holds the normalized feature rows of `records`. One forward pass
-    covers every first decision; only the warnings that chose to fuzz reach
-    the backend (at most `jobs` calls at a time), and one more pass covers
-    their second decision with fuzzing masked. Greedy ties resolve by the
-    fixed action order (TP, FP, Fuzz). Actions are greedy when `rng` is
+    `feats` holds the normalized feature rows of `records`. One blocked
+    forward pass covers every first decision; only the warnings that chose to
+    fuzz reach the backend (at most `jobs` calls at a time), and one more
+    covers their second decision with fuzzing masked. Greedy ties resolve by
+    the fixed action order (TP, FP, Fuzz). Actions are greedy when `rng` is
     None; given `rng`, they are sampled with one rng.random() per decision
     in episode order, the stream that playing the episodes one after another
     would consume. Each episode's score is P(TP) with fuzzing masked at its
@@ -204,9 +213,9 @@ def run_episodes(
     first = np.zeros((n, fd + len(FUZZ_SLOTS)))
     first[:, :fd] = feats
     first[:, fd] = 1.0  # the NotRun slot
-    cache1 = _finite_forward(params, first, records)
-    unmasked = None if mask_fuzz else softmax(cache1["logits"])  # before masking in place
-    classify1 = _fuzz_masked_probs(cache1["logits"])
+    logits1, values1 = _finite_forward(params, first, records)
+    unmasked = None if mask_fuzz else softmax(logits1)  # before masking in place
+    classify1 = _fuzz_masked_probs(logits1)
     probs1 = classify1 if mask_fuzz else unmasked
     second_draws = []
     if rng is None:
@@ -227,8 +236,8 @@ def run_episodes(
                     run_many(partial(fuzz_step, backend), [records[i] for i in idx], jobs)]
     second = first[idx]
     second[:, fd:] = np.eye(len(FUZZ_SLOTS))[outcome[idx]]
-    cache2 = _finite_forward(params, second, [records[i] for i in idx])
-    probs2 = _fuzz_masked_probs(cache2["logits"])
+    logits2, values2 = _finite_forward(params, second, [records[i] for i in idx])
+    probs2 = _fuzz_masked_probs(logits2)
     if rng is None:
         act2 = probs2.argmax(axis=1)
     else:
@@ -247,7 +256,7 @@ def run_episodes(
         actions=np.concatenate([act1, act2]),
         logp=np.concatenate([np.log(probs1[np.arange(n), act1]),
                              np.log(probs2[np.arange(len(idx)), act2])]),
-        values=np.concatenate([cache1["values"], cache2["values"]]),
+        values=np.concatenate([values1, values2]),
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: pipeline wiring, exit codes, determinism."""
 
+import gc
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triagerl import cli
 from triagerl import fuzz as fuzz_mod
 from triagerl.cli import CONFIG_KEYS, build_run_config, config_digest, parse_config_file, run_cli
 from triagerl.env import RewardSpec
@@ -292,6 +294,27 @@ class TestHarnessTemplates:
         assert capsys.readouterr().err == (
             f"input error: input file cannot be read: {path}: Is a directory\n")
 
+    def test_directory_without_templates_exits_3_naming_it(self, pipeline, tmp_path, capsys):
+        directory = tmp_path / "templates"
+        directory.mkdir()
+        (directory / "panic-safety.tmpl").write_bytes(
+            (fuzz_mod.DEFAULT_TEMPLATE_DIR / "panic_safety.tmpl").read_bytes())
+        assert self.fuzz_validate(tmp_path, pipeline["warnings"], directory) == 3
+        assert capsys.readouterr().err == (
+            "input error: templates_dir holds none of panic_safety.tmpl, "
+            f"higher_order_invariant.tmpl, send_sync_variance.tmpl: {directory}\n")
+        assert not (tmp_path / "outcomes.txt").exists()
+
+    def test_a_pattern_without_its_template_fails_only_its_fuzz_runs(self, pipeline, tmp_path,
+                                                                     capsys, templates):
+        directory, path = templates
+        path.unlink()
+        assert self.fuzz_validate(tmp_path, pipeline["warnings"], directory) == 0
+        details = {line.split("\t")[3]
+                   for line in (tmp_path / "outcomes.txt").read_text().splitlines()}
+        assert "harness generation: no harness template for pattern 'panic_safety'" in details
+        assert "clean run" in details
+
     def test_braces_in_a_warning_are_rendered_as_text(self, tmp_path, capsys):
         # The package binding is "{{vecutils": a binding is text, not a placeholder.
         warning = panic_warning()
@@ -324,12 +347,17 @@ def subcommand(paths, command, out):
     return [command, *argv, "--out", str(out), "--config", p["config"]]
 
 
-def cli_process(argv, **env):
-    """The finished `triagerl` process run on `argv`, with `env` added to the environment."""
+def cli_env(**env):
+    """The environment with `src` on the module path and `env` added."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def cli_process(argv, **env):
+    """The finished `triagerl` process run on `argv`, with `env` added to the environment."""
     return subprocess.run([sys.executable, "-m", "triagerl.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path, **env})
+                          text=True, env=cli_env(**env))
 
 
 def test_scores_identical_at_one_and_two_blas_threads(tmp_path):
@@ -945,6 +973,55 @@ class TestExitCodes:
         assert code == 3
         assert f"{corrupted} line 1: vector digest feedfacefeedface" in err
         assert MANIFEST.digest in err
+
+
+class TestCyclicCollector:
+    """A run pauses the cyclic collector and frees its objects by reference count."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_a_run_leaves_the_collector_as_it_found_it(self, pipeline, tmp_path, monkeypatch,
+                                                        enabled):
+        load_config, during = cli._load_config, []
+
+        def watched(args):
+            during.append(gc.isenabled())
+            if args.report == "crash":
+                raise RuntimeError("crash")
+            return load_config(args)
+
+        monkeypatch.setattr(cli, "_load_config", watched)
+        was, seen = gc.isenabled(), []
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for report in (pipeline["report"], tmp_path / "missing.json", "crash"):
+                code = run_cli(["ingest", "--report", str(report), "--out", str(tmp_path / "o")])
+                seen.append((code, gc.isenabled()))
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [(0, enabled), (3, enabled), (4, enabled)]
+        assert during == [False] * 3
+
+    def test_triage_leaves_the_same_cyclic_garbage_at_any_report_size(self, pipeline, tmp_path):
+        # What the collector would find after a run it did not watch: nothing
+        # that grows with the report, so no per-warning object sits in a cycle.
+        script = ("import gc, sys\n"
+                  "from triagerl.cli import run_cli\n"
+                  "gc.collect()\n"
+                  "gc.disable()\n"
+                  "code = run_cli(sys.argv[1:])\n"
+                  "print(code, gc.collect())\n")
+        found = []
+        for n in (20, 2000):
+            report = write_demo_inputs(tmp_path / str(n), n=n)["report"]
+            argv = ["triage", "--report", str(report), "--checkpoint", str(pipeline["checkpoint"]),
+                    "--out", str(tmp_path / f"verdicts{n}.txt"),
+                    "--config", str(pipeline["config"])]
+            proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                  text=True, env=cli_env())
+            assert proc.returncode == 0, proc.stderr
+            found.append(proc.stdout.splitlines()[-1])
+        assert found[0] == found[1]
+        assert found[0].startswith("0 ")
 
 
 class TestRunConfig:

@@ -1,5 +1,8 @@
 """The batched episode engine against the per-warning reference loop."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from triagerl.metrics import prediction_records
 from triagerl.policy import DEFAULT_DROPOUT, forward_cache, init_params
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
+    FORWARD_BLOCK,
     STATE_DIM,
     PolicyCheckpoint,
     TrainConfig,
@@ -39,6 +43,15 @@ def task(corpus):
     return records, normalize(raw, fit_normalizer(raw))
 
 
+@pytest.fixture(scope="module")
+def tasks(task):
+    """`task`, and a task of two blocks and one row: the engine plays its last
+    block of first decisions as one row."""
+    dataset, table = separable_task(n=2 * FORWARD_BLOCK + 1, seed=4)
+    raw = table.rows_of(dataset.records)
+    return [task, (dataset.records, normalize(raw, fit_normalizer(raw)))]
+
+
 def verdicts(params, feats, records, **kw):
     """The engine's greedy or sampled play as verdicts, for comparison with the oracle's."""
     played = run_episodes(params, feats, records, BACKEND, **kw)
@@ -51,9 +64,8 @@ def policies():
     return [init_params(STATE_DIM, dropout_rate=DEFAULT_DROPOUT, seed=seed) for seed in range(3)]
 
 
-def test_greedy_matches_reference_loop(task):
-    records, feats = task
-    for params in policies():
+def test_greedy_matches_reference_loop(tasks):
+    for (records, feats), params in itertools.product(tasks, policies()):
         for mask_fuzz in (False, True):
             batched = verdicts(params, feats, records, mask_fuzz=mask_fuzz)
             oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND, mask_fuzz)
@@ -66,9 +78,8 @@ def test_greedy_matches_reference_loop(task):
             assert fuzzed == 0 if mask_fuzz else 0 < fuzzed
 
 
-def test_sampled_rollouts_match_reference_loop(task):
-    records, feats = task
-    for params in policies():
+def test_sampled_rollouts_match_reference_loop(tasks):
+    for (records, feats), params in itertools.product(tasks, policies()):
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         batch, mean_return = collect_rollouts(params, records, feats, SPEC, BACKEND, rng_a,
                                               gamma=0.9)
@@ -87,13 +98,14 @@ def test_sampled_rollouts_match_reference_loop(task):
         assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
 
-def test_sampled_verdicts_match_reference_loop(task):
-    records, feats = task
+def test_sampled_verdicts_match_reference_loop(tasks):
     params = policies()[0]
-    batched = verdicts(params, feats, records, rng=np.random.default_rng(4))
-    oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND,
-                                     rng=np.random.default_rng(4))
-    assert [(p.predicted, p.fuzz_kind) for p in batched] == [(p.predicted, p.fuzz_kind) for p in oracle]
+    for records, feats in tasks:
+        batched = verdicts(params, feats, records, rng=np.random.default_rng(4))
+        oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND,
+                                         rng=np.random.default_rng(4))
+        assert ([(p.predicted, p.fuzz_kind) for p in batched]
+                == [(p.predicted, p.fuzz_kind) for p in oracle])
 
 
 def forward_rows(monkeypatch):
@@ -109,16 +121,18 @@ def forward_rows(monkeypatch):
     return calls
 
 
-def test_at_most_two_forward_passes(task, monkeypatch):
-    records, feats = task
+def test_each_decision_step_plays_in_blocks(tasks, monkeypatch):
+    records, feats = tasks[1]
     calls = forward_rows(monkeypatch)
     params = policies()[0]
-    for n in (0, 1, 7, len(records)):
+    for n in (0, 1, 7, FORWARD_BLOCK, FORWARD_BLOCK + 1, len(records)):
         for rng in (None, np.random.default_rng(0)):
             calls.clear()
             played = run_episodes(params, feats[:n], records[:n], BACKEND, rng=rng)
-            assert len(calls) <= 2
-            assert sum(calls) == len(played.actions)
+            m = len(played.second_states)
+            assert max(calls, default=0) <= FORWARD_BLOCK
+            assert len(calls) == math.ceil(n / FORWARD_BLOCK) + math.ceil(m / FORWARD_BLOCK)
+            assert sum(calls) == len(played.actions) == n + m
 
 
 def test_a_masked_play_makes_one_forward_pass(task, monkeypatch):

@@ -17,7 +17,8 @@ from triagerl.policy import (
     param_layout,
     softmax,
 )
-from triagerl.trainer import STATE_DIM, TrainConfig, TrajectoryBatch, ppo_loss_and_grads
+from triagerl.trainer import (FORWARD_BLOCK, STATE_DIM, TrainConfig, TrajectoryBatch,
+                              ppo_loss_and_grads)
 from triagerl.warnings import Label
 
 from test_env import play
@@ -106,12 +107,16 @@ class TestForward:
     def test_each_rows_outputs_are_its_own_in_any_batch(self):
         # The sizes straddle the one-row product (gemv) and the size, 2,605
         # rows on OpenBLAS 0.3.31, above which a 3-column product changes kernel.
+        # The engine plays blocks of FORWARD_BLOCK rows at multiples of it, and
+        # the tails of the benchmark's 20,000 first and 6,667 second decisions.
         rng = np.random.default_rng(0)
         params = init_params(STATE_DIM, dropout_rate=0.0, seed=1)
         states = rng.normal(size=(20_000, STATE_DIM))
         full = forward_cache(params, states)
-        for k in [*range(1, 40), 63, 64, 65, 449, 2604, 2605, 3000, 10_000]:
-            for start in rng.integers(0, len(states) - k + 1, 5):
+        blocks = [FORWARD_BLOCK, FORWARD_BLOCK + 1, 20_000 % FORWARD_BLOCK, 6_667 % FORWARD_BLOCK]
+        for k in [*range(1, 40), 63, 64, 65, 449, 2604, 2605, 3000, 10_000, *blocks]:
+            aligned = range(0, len(states) - k + 1, FORWARD_BLOCK)
+            for start in [*rng.integers(0, len(states) - k + 1, 5), *aligned[::6], aligned[-1]]:
                 part = forward_cache(params, states[start : start + k])
                 for name in ("logits", "values"):
                     assert np.array_equal(part[name].view(np.int64),
