@@ -68,8 +68,8 @@ def parse_config_file(data: bytes, source: str) -> dict[str, object]:
     """Flat `key = value` lines of a line file, each value converted to its
     key's type; '#' starts a comment.
 
-    A line that is not `key = value`, names no config key, or holds a value
-    of the wrong type raises InputError naming `source` and the line.
+    A line that is not `key = value`, an unknown key, a mistyped value or a
+    key restated with another value raises InputError naming `source` and the line.
     """
     out: dict[str, object] = {}
     for n, raw in warn_mod.text_lines(data):
@@ -82,10 +82,11 @@ def parse_config_file(data: bytes, source: str) -> dict[str, object]:
         if key not in CONFIG_KEYS:
             raise InputError(f"{source} line {n}: unknown config key {key!r}")
         try:
-            out[key] = CONFIG_KEYS[key](value)
+            typed = CONFIG_KEYS[key](value)
         except ValueError:
             raise InputError(f"{source} line {n}: {key}: expected "
                              f"{CONFIG_KEYS[key].__name__}, got {value!r}") from None
+        warn_mod.state_once(out, key, typed, f"{source} line {n}")
     return out
 
 
@@ -170,6 +171,8 @@ def _make_backend(cfg: RunConfig):
             raise InputError(f"external_command cannot be split: {exc}") from None
         if not command:
             raise InputError("external_command is empty")
+        if "\0" in cfg.external_command:  # which no process argument can hold
+            raise InputError("external_command holds a NUL byte")
         return ExternalBackend(command, templates=load_templates(directory), budget=cfg.fuzz_budget)
     raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
 
@@ -217,17 +220,10 @@ def cmd_split(args, cfg: RunConfig) -> int:
 
 def cmd_featurize(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.read_warning_store, args.warnings)
-    metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
-    if args.mode == "precomputed":
-        if not args.sidecar:
-            print("usage error: --mode precomputed needs --sidecar", file=sys.stderr)
-            return 2
-        table = _load(features_mod.read_feature_sidecar, args.sidecar)
-        missing = [r.id for r in records if r.id not in table.row]
-        if missing:
-            raise InputError(f"sidecar has no vector for warning {missing[0]}")
-        row, matrix = table.row, table.matrix
+    if args.sidecar:
+        matrix = _load(features_mod.read_feature_sidecar, args.sidecar).rows_of(records)
     else:
+        metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
         sizes = warn_mod.cluster_sizes(records, cfg.cluster_radius)
         matrix = extract_features(records, metadata, sizes, args.warnings)
         row = {}  # the sidecar states one row per id: its first warning's
@@ -236,8 +232,8 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
             if first != i and not np.array_equal(matrix[first], matrix[i]):
                 raise InputError(f"{args.warnings}: warnings with id {r.id} differ "
                                  "in level, op_type or code_snippet")
-    _write(args.out, features_mod.write_feature_sidecar(
-        [r.id for r in records], matrix[[row[r.id] for r in records]]))
+        matrix = matrix[[row[r.id] for r in records]]
+    _write(args.out, features_mod.write_feature_sidecar([r.id for r in records], matrix))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export().encode("utf-8"))
     return 0
@@ -286,14 +282,15 @@ def cmd_triage(args, cfg: RunConfig) -> int:
 
 def cmd_fuzz_validate(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.read_warning_store, args.warnings)
-    labels = _load(warn_mod.read_label_sidecar, args.labels) if args.labels else {}
+    warn_mod.apply_labels(records, _load(warn_mod.read_label_sidecar, args.labels)
+                          if args.labels else {})
     by_id = {r.id: r for r in records}
     ids = list(dict.fromkeys(args.ids.split(",") if args.ids else by_id))  # each id once
     missing = [w for w in ids if w not in by_id]
     if missing:
         raise InputError(f"warnings not in store: {', '.join(missing)}")
     backend = _make_backend(cfg)
-    results = fuzz_mod.run_many(lambda wid: backend.run(by_id[wid], labels.get(wid)), ids, cfg.jobs)
+    results = fuzz_mod.run_many(backend, [by_id[w] for w in ids], cfg.jobs)
     _write(args.out, fuzz_mod.write_recorded_outcomes(dict(zip(ids, results))))
     return 0
 
@@ -330,15 +327,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The common flags; each dest is the config key the flag overrides."""
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, help="overrides config seed")
-    p.add_argument("--backend", choices=["simulated", "recorded", "external"])
-    p.add_argument("--recorded", dest="recorded_path",
-                   help="recorded outcomes file for the recorded backend")
-    p.add_argument("--templates", dest="templates_dir", help="harness template directory")
-    p.add_argument("--jobs", type=int, help="cap on concurrent fuzz-backend calls")
+# Each flag a subcommand may share with others; a flag's dest is the config key it overrides.
+_SHARED_FLAGS = {
+    "--config": {"help": "flat key=value config file"},
+    "--seed": {"type": int, "help": "overrides config seed"},
+    "--backend": {"choices": ["simulated", "recorded", "external"]},
+    "--recorded": {"dest": "recorded_path", "help": "outcomes file for the recorded backend"},
+    "--templates": {"dest": "templates_dir", "help": "harness template directory"},
+    "--jobs": {"type": int, "help": "cap on concurrent fuzz-backend calls"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,54 +345,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str, *required: str) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str, shares: tuple, *required: str):
+        # Its `required` flags and --out, then --config and the shared flags it reads
+        # (`shares`): a subcommand accepts no shared flag it does not read.
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         for flag in (*required, "--out"):
             p.add_argument(flag, required=True)
+        for flag in ("--config", *shares):
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
+    fuzzing = ("--seed", "--backend", "--recorded", "--templates")
+    fanned = (*fuzzing, "--jobs")
     dataset = ("--warnings", "--labels", "--splits", "--features")
-    command("ingest", cmd_ingest, "parse a report file into the warning store", "--report")
+    command("ingest", cmd_ingest, "parse a report file into the warning store", (), "--report")
 
-    p = command("split", cmd_split, "stratified train/val/test assignment", "--warnings",
-                "--labels")
+    p = command("split", cmd_split, "stratified train/val/test assignment", ("--seed",),
+                "--warnings", "--labels")
     p.add_argument("--ratios", type=_ratios, default="0.70,0.15,0.15")
 
-    p = command("featurize", cmd_featurize, "compute or validate feature vectors", "--warnings")
-    p.add_argument("--meta", help="package metadata JSON")
-    p.add_argument("--mode", choices=["heuristic", "precomputed"], default="heuristic")
-    p.add_argument("--sidecar", help="precomputed feature sidecar")
+    p = command("featurize", cmd_featurize, "compute or check feature vectors", (), "--warnings")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--meta", help="package metadata JSON, for computed vectors")
+    source.add_argument("--sidecar", help="feature sidecar whose vectors are taken as they are")
     p.add_argument("--export-manifest", help="also write the manifest audit listing")
 
-    p = command("train", cmd_train, "train a policy checkpoint", *dataset)
+    p = command("train", cmd_train, "train a policy checkpoint", fuzzing, *dataset)
     p.add_argument("--log", help="training log file (one line per epoch)")
 
-    p = command("evaluate", cmd_evaluate, "score a checkpoint on a split", "--checkpoint", *dataset)
+    p = command("evaluate", cmd_evaluate, "score a checkpoint on a split", fanned,
+                "--checkpoint", *dataset)
     p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--mask-fuzz", action="store_true")
     p.add_argument("--verdicts", help="also persist per-warning verdicts")
 
-    p = command("triage", cmd_triage, "classify a raw report with a checkpoint", "--report",
-                "--checkpoint")
+    p = command("triage", cmd_triage, "classify a raw report with a checkpoint", fanned,
+                "--report", "--checkpoint")
     p.add_argument("--meta", help="package metadata JSON")
     p.add_argument("--mask-fuzz", action="store_true")
 
     p = command("fuzz-validate", cmd_fuzz_validate, "run the fuzz backend on listed warnings",
-                "--warnings")
+                fanned, "--warnings")
     p.add_argument("--ids", help="comma-separated warning ids (default: all)")
     p.add_argument("--labels", help="label sidecar (needed by the simulated backend)")
 
-    p = command("importance", cmd_importance, "permutation feature importance", "--checkpoint",
-                *dataset)
+    p = command("importance", cmd_importance, "permutation feature importance", ("--seed",),
+                "--checkpoint", *dataset)
     p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--repeats", type=_positive_int, default=3)
 
-    command("report", cmd_report, "recompute metrics from persisted verdicts", "--verdicts",
+    command("report", cmd_report, "recompute metrics from persisted verdicts", (), "--verdicts",
             "--labels")
-
-    for p in sub.choices.values():
-        _add_common(p)
     return parser
 
 

@@ -1,9 +1,9 @@
-"""The triage MDP: the three-action space, rewards, and the fuzz step.
+"""The triage MDP: the three-action space and its rewards.
 
 Episodes are at most two steps: the agent may fuzz once, after which
 classification is mandatory. A state is the warning's features followed by
-a six-slot one-hot of the fuzz outcome (NotRun before fuzzing); backends
-never raise into the agent. `trainer.run_episodes` plays the episodes.
+a six-slot one-hot of the fuzz outcome (NotRun before fuzzing).
+`trainer.run_episodes` plays the episodes.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 from enum import IntEnum
 
 from .errors import IllegalAction
-from .fuzz import CRASH_GRADE, FuzzKind, FuzzOutcome
-from .warnings import Label, WarningRecord
+from .fuzz import CRASH_GRADE, FuzzKind
+from .warnings import Label
 
 
 class TriageAction(IntEnum):
@@ -82,12 +82,3 @@ def reward_of(
     elif prior_fuzz is FuzzKind.INCONCLUSIVE:
         reward += spec.bonus_inconclusive
     return reward
-
-
-def fuzz_step(backend, warning: WarningRecord) -> FuzzOutcome:
-    """One fuzz action's outcome; backend failures of any kind become an
-    InfrastructureFailure outcome, never an exception."""
-    try:
-        return backend.run(warning, warning.label)
-    except Exception as exc:  # noqa: BLE001 - contract: never raise to the agent
-        return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}")

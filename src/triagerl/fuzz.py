@@ -271,17 +271,24 @@ class ExternalBackend:
         return FuzzOutcome(FuzzKind.INCONCLUSIVE, elapsed, f"exit {proc.returncode}, no marker")
 
 
-def run_many(call, items: list, jobs: int) -> list:
-    """`call` on every item, results in input order, at most `jobs` in flight.
+def run_many(backend, records: list[WarningRecord], jobs: int) -> list[FuzzOutcome]:
+    """Each record's outcome from `backend`, given its label, in input order,
+    at most `jobs` at a time: the one place a backend is called and a thread
+    started (jobs <= 1 runs inline, with no pool; threads pay off only for
+    backends that wait on a subprocess). A missing recording (InputError)
+    propagates; any other exception becomes an InfrastructureFailure outcome."""
+    def call(record: WarningRecord) -> FuzzOutcome:
+        try:
+            return backend.run(record, record.label)
+        except InputError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - contract: never raise to the agent
+            return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}")
 
-    The one place that starts worker threads: jobs <= 1 runs the calls
-    inline and builds no pool. Threads pay off only for backends that wait
-    on a subprocess; the first exception a call raises propagates.
-    """
     if jobs <= 1:
-        return [call(item) for item in items]
+        return [call(r) for r in records]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(call, items))
+        return list(pool.map(call, records))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
-from .env import RewardSpec, TriageAction, check_finite, fuzz_step, reward_of
+from .env import RewardSpec, TriageAction, check_finite, reward_of
 from .errors import InputError, NonFiniteScores
 from .features import MANIFEST, FeatureTable, NormalizerStats, fit_normalizer, normalize
 from .fuzz import FUZZ_SLOTS, run_many
@@ -232,8 +231,8 @@ def run_episodes(
 
     idx = np.flatnonzero(act1 == TriageAction.FUZZ)
     outcome = np.zeros(n, dtype=np.int64)
-    outcome[idx] = [FUZZ_SLOTS.index(o.kind) for o in
-                    run_many(partial(fuzz_step, backend), [records[i] for i in idx], jobs)]
+    outcome[idx] = [FUZZ_SLOTS.index(o.kind)
+                    for o in run_many(backend, [records[i] for i in idx], jobs)]
     second = first[idx]
     second[:, fd:] = np.eye(len(FUZZ_SLOTS))[outcome[idx]]
     logits2, values2 = _finite_forward(params, second, [records[i] for i in idx])

@@ -356,6 +356,8 @@ def read_input(path: Path | str) -> bytes:
         raise InputError(f"input file does not exist: {path}") from None
     except OSError as exc:
         raise InputError(f"input file cannot be read: {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise InputError(f"input file cannot be read: {str(path)!r}: {exc}") from None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

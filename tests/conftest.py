@@ -22,6 +22,21 @@ train.learning_rate = 0.001
 """
 
 
+def with_keys(config: str, lines: str) -> str:
+    """`config` with each `key = value` line of `lines` in place of the line
+    that sets its key, or appended where no line does: a config file states a
+    key once."""
+    out = config.splitlines()
+    for line in lines.splitlines():
+        key = line.split("=", 1)[0].strip()
+        at = [i for i, old in enumerate(out) if old.split("=", 1)[0].strip() == key]
+        if at:
+            out[at[0]] = line
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -9,6 +9,7 @@ and seeds.
 import numpy as np
 
 from triagerl.env import TriageAction, reward_of
+from triagerl.errors import InputError
 from triagerl.fuzz import FUZZ_SLOTS, FuzzKind, FuzzOutcome
 from triagerl.metrics import PredictionRecord
 from triagerl.policy import forward_cache, softmax
@@ -34,7 +35,9 @@ def select_action(probs, masked, rng):
 def fuzz(backend, record):
     try:
         return backend.run(record, record.label)
-    except Exception as exc:  # noqa: BLE001 - backends never raise into the agent
+    except InputError:  # a missing recording ends the run
+        raise
+    except Exception as exc:  # noqa: BLE001 - no other backend error reaches the agent
         return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0, f"backend error: {exc}")
 
 

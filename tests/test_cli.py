@@ -29,7 +29,8 @@ from triagerl.trainer import PolicyCheckpoint, TrainConfig, save_checkpoint
 from triagerl.warnings import (REPORT_FIELDS, parse_report, read_label_sidecar, read_split_file,
                                read_warning_store, write_label_sidecar)
 
-from conftest import DEMO_CONFIG, run_demo_pipeline, run_pipeline, sha256, write_demo_inputs
+from conftest import (DEMO_CONFIG, run_demo_pipeline, run_pipeline, sha256, with_keys,
+                      write_demo_inputs)
 from test_fuzz import fake_cmd, panic_warning
 
 # Stand-in fuzzer: logs its arguments, then reports an outcome chosen by the
@@ -210,6 +211,37 @@ class TestFuzzFanOut:
         assert calls == [a, b]  # each distinct id once, in first-seen order
         assert [line.split("\t")[0] for line in out.read_text().splitlines()] == [a, b]
 
+    @pytest.mark.parametrize("command", ["triage", "evaluate"])
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_missing_recording_exits_3_naming_the_warning(self, pipeline, tmp_path, capsys,
+                                                           command, jobs):
+        # Every warning fuzzes, the test split's first among them.
+        wid = next(line.split("\t")[0] for line in pipeline["splits"].read_text().splitlines()
+                   if line.endswith("\ttest"))
+        outcomes = tmp_path / "outcomes.txt"
+        outcomes.write_text("".join(line for line in pipeline["outcomes"].read_text().splitlines(True)
+                                    if not line.startswith(f"{wid}\t")))
+        paths = {**pipeline, "checkpoint": always_fuzz_checkpoint(tmp_path / "fuzz.ckpt")}
+        out = tmp_path / "out.txt"
+        assert run_cli([*subcommand(paths, command, out), "--backend", "recorded",
+                        "--recorded", str(outcomes), "--jobs", str(jobs)]) == 3
+        assert capsys.readouterr().err == f"input error: no recorded outcome for warning {wid}\n"
+        assert not out.exists()
+
+    def test_backend_error_is_an_infrastructure_failure_in_fuzz_validate(
+            self, pipeline, tmp_path, monkeypatch):
+        def broken(backend, warning, label):
+            raise RuntimeError("toolchain missing")
+
+        monkeypatch.setattr(fuzz_mod.SimulatedBackend, "run", broken)
+        out = tmp_path / "outcomes.txt"
+        assert run_cli(["fuzz-validate", "--warnings", str(pipeline["warnings"]),
+                        "--labels", str(pipeline["labels"]), "--out", str(out),
+                        "--config", str(pipeline["config"])]) == 0
+        lines = out.read_text().splitlines()
+        assert lines and all(line.split("\t", 1)[1] == "infrastructure_failure\t0.0\t"
+                             "backend error: toolchain missing" for line in lines)
+
     def test_one_job_builds_no_pool(self, pipeline, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built")
@@ -377,6 +409,37 @@ def test_scores_identical_at_one_and_two_blas_threads(tmp_path):
 
 
 # The subcommand that reads each pipeline file.
+# The shared flags each subcommand reads; it accepts no other.
+FUZZING = {"--config", "--seed", "--backend", "--recorded", "--templates"}
+READS = {
+    "ingest": {"--config"},
+    "split": {"--config", "--seed"},
+    "featurize": {"--config"},
+    "train": FUZZING,
+    "evaluate": {*FUZZING, "--jobs"},
+    "triage": {*FUZZING, "--jobs"},
+    "fuzz-validate": {*FUZZING, "--jobs"},
+    "importance": {"--config", "--seed"},
+    "report": {"--config"},
+}
+SHARED_VALUES = {"--config": "run.cfg", "--seed": "1", "--backend": "simulated",
+                 "--recorded": "outcomes.txt", "--templates": "templates", "--jobs": "2"}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_each_subcommand_takes_only_the_shared_flags_it_reads(pipeline, tmp_path, capsys,
+                                                              command):
+    argv = subcommand(pipeline, command, tmp_path / "out")
+    for flag, value in SHARED_VALUES.items():
+        if flag in READS[command]:
+            assert cli.build_parser().parse_args([*argv, flag, value]).func.__name__ == \
+                f"cmd_{command.replace('-', '_')}"
+        else:
+            assert run_cli([*argv, flag, value]) == 2, flag
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 READER = {"report": "ingest", "warnings": "split", "labels": "report", "verdicts": "report",
           "config": "report", "splits": "evaluate", "features": "evaluate",
           "checkpoint": "evaluate", "outcomes": "triage", "meta": "featurize"}
@@ -501,17 +564,19 @@ class TestMalformedInputs:
         assert code in (0, 3)
 
     @pytest.mark.parametrize("command, name, edit, flags, code, named", [
-        ("train", "config", lambda t: t + "train.dropout_rate = 1.5\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "train.dropout_rate = 1.5\n"), [], 3,
          "{bad}: train.dropout_rate must be in [0,1), got 1.5"),
-        ("train", "config", lambda t: t + "train.dropout_rate = nan\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "train.dropout_rate = nan\n"), [], 3,
          "{bad}: train.dropout_rate must be finite, got nan"),
-        ("train", "config", lambda t: t + "train.learning_rate = nan\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "train.learning_rate = nan\n"), [], 3,
          "{bad}: train.learning_rate must be finite, got nan"),
-        ("train", "config", lambda t: t + "reward.correct = nan\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "reward.correct = nan\n"), [], 3,
          "{bad}: reward.correct must be finite, got nan"),
-        ("fuzz-validate", "config", lambda t: t + "backend = external\nfuzz_budget = nan\n", [],
+        ("fuzz-validate", "config",
+         lambda t: with_keys(t, "backend = external\nfuzz_budget = nan\n"), [],
          3, "{bad}: fuzz_budget must be finite, got nan"),
-        ("fuzz-validate", "config", lambda t: t + "backend = external\nfuzz_budget = inf\n", [],
+        ("fuzz-validate", "config",
+         lambda t: with_keys(t, "backend = external\nfuzz_budget = inf\n"), [],
          3, "{bad}: fuzz_budget must be finite, got inf"),
         ("split", "config", str, ["--ratios", "abc"], 2,
          "argument --ratios: invalid _ratios value: 'abc'"),
@@ -522,13 +587,13 @@ class TestMalformedInputs:
          [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc does not fit a float"),
         ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 1e308', t, count=1),
          [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc does not fit a float exactly"),
-        ("train", "config", lambda t: t + "train.learning_rate = 1e300\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "train.learning_rate = 1e300\n"), [], 3,
          "epoch 1: non-finite loss in PPO pass 2, minibatch 1; " + SCALES_LOSS),
-        ("train", "config", lambda t: t + "reward.correct = 1e308\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "reward.correct = 1e308\n"), [], 3,
          "epoch 1: non-finite loss in PPO pass 1, minibatch 1; " + SCALES_LOSS),
-        ("train", "config", lambda t: t + "train.value_loss_weight = -1e308\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "train.value_loss_weight = -1e308\n"), [], 3,
          "{bad}: train.value_loss_weight must be >= 0, got -1e+308"),
-        ("train", "config", lambda t: t + "train.entropy_weight = -5\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "train.entropy_weight = -5\n"), [], 3,
          "{bad}: train.entropy_weight must be >= 0, got -5.0"),
         ("triage", "checkpoint", lambda t: re.sub(r'"w1":\[[^,]+', '"w1":[1' + "0" * 399, t), [],
          3, "{bad}: OverflowError: int too large to convert to float"),
@@ -557,10 +622,10 @@ class TestMalformedInputs:
                                                   count=1),
          [], 3, "{bad} line 1: TypeError: warning_id must be a string, got list"),
         ("split", "config", str, ["--seed", "-1"], 3, "{bad}: seed must be >= 0, got -1"),
-        ("train", "config", lambda t: t + "train.seed = -3\n", [], 3,
+        ("train", "config", lambda t: with_keys(t, "train.seed = -3\n"), [], 3,
          "{bad}: train.seed must be >= 0, got -3"),
         ("importance", "config", str, ["--seed", "-2"], 3, "{bad}: seed must be >= 0, got -2"),
-        ("fuzz-validate", "config", lambda t: t + "sim.seed = -1\n", [], 3,
+        ("fuzz-validate", "config", lambda t: with_keys(t, "sim.seed = -1\n"), [], 3,
          "{bad}: sim.seed must be >= 0, got -1"),
         ("evaluate", "checkpoint", lambda t: t.replace('"seed":7}', '"seed":-1}', 1), [], 3,
          "{bad}: ValueError: seed must be >= 0, got -1"),
@@ -636,7 +701,7 @@ class TestMalformedInputs:
                                                '"unsafe_prevalence": 1.5', t, count=1),
          [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be in [0,1], "
                 "got 1.5"),
-        ("fuzz-validate", "config", lambda t: t + "sim.p_crash_given_tp = 1.5\n", [], 3,
+        ("fuzz-validate", "config", lambda t: with_keys(t, "sim.p_crash_given_tp = 1.5\n"), [], 3,
          "{bad}: sim.p_crash_given_tp must be in [0,1], got 1.5"),
         ("report", "verdicts", first_verdict_scored("1.5"), [], 3,
          "{bad} line 1: score must be in [0,1], got 1.5"),
@@ -644,6 +709,15 @@ class TestMalformedInputs:
          "input error: train split is empty"),
         ("evaluate", "checkpoint", lambda t: re.sub(r'"b_v":\[[^]]*\]', '"b_v":[]', t), [], 3,
          "{bad}: ValueError: flat vector has shape (57475,), expected (57476,)"),
+        ("fuzz-validate", "config",
+         lambda t: with_keys(t, "backend = recorded\nrecorded_path = out\0comes.txt"), [], 3,
+         "input error: input file cannot be read: 'out\\x00comes.txt': embedded null byte"),
+        ("fuzz-validate", "config",
+         lambda t: with_keys(t, "backend = external\nexternal_command = fake\0fuzz"), [], 3,
+         "input error: external_command holds a NUL byte"),
+        ("report", "config", lambda t: t + "seed = 8\n", [], 3,
+         f"{{bad}} line {len(DEMO_CONFIG.splitlines()) + 1}: seed was stated before with another "
+         "value"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -663,7 +737,8 @@ class TestMalformedInputs:
             "checkpoint-short-normalizer", "checkpoint-weight-nan", "outcomes-elapsed-nan",
             "outcomes-elapsed-inf", "store-id-disagrees", "labels-one-field",
             "meta-downloads-negative", "meta-prevalence-above-1", "sim-probability-above-1",
-            "verdict-score-above-1", "train-split-empty", "checkpoint-weights-short"])
+            "verdict-score-above-1", "train-split-empty", "checkpoint-weights-short",
+            "recorded-path-nul", "external-command-nul", "config-key-restated"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -794,7 +869,7 @@ class TestMalformedInputs:
     def test_diverging_train_writes_only_its_input_error(self, pipeline, tmp_path):
         # A process of its own: inside pytest, numpy's warnings would be captured.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(pipeline["config"].read_text() + "train.learning_rate = 1e300\n")
+        cfg.write_text(with_keys(pipeline["config"].read_text(), "train.learning_rate = 1e300"))
         proc = cli_process(subcommand({**pipeline, "config": cfg}, "train", tmp_path / "m.ckpt"))
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == [
@@ -859,8 +934,8 @@ class TestLineFiles:
                         "--out", p["f.jsonl"], *cfg]) == 0
         lines = paths["f.jsonl"].read_text().splitlines()
         assert len(lines) == len(report) + 1 and lines[-1] == lines[0]
-        assert run_cli(["featurize", "--warnings", p["w.jsonl"], "--mode", "precomputed",
-                        "--sidecar", p["f.jsonl"], "--out", p["g.jsonl"], *cfg]) == 0
+        assert run_cli(["featurize", "--warnings", p["w.jsonl"], "--sidecar", p["f.jsonl"],
+                        "--out", p["g.jsonl"], *cfg]) == 0
         assert paths["g.jsonl"].read_bytes() == paths["f.jsonl"].read_bytes()
 
     def test_featurize_refuses_warnings_sharing_an_id_with_other_features(
@@ -1037,7 +1112,7 @@ class TestRunConfig:
 
         assert checkpoint("a1", 1, pipeline["config"]) != checkpoint("a2", 2, pipeline["config"])
         pinned = tmp_path / "pinned.cfg"
-        pinned.write_text(pipeline["config"].read_text() + "train.seed = 3\n")
+        pinned.write_text(with_keys(pipeline["config"].read_text(), "train.seed = 3"))
         assert checkpoint("b1", 1, pinned) == checkpoint("b2", 2, pinned)
 
     @given(key=st.sampled_from([k for k, t in CONFIG_KEYS.items() if t is float]),
@@ -1046,7 +1121,7 @@ class TestRunConfig:
     @settings(max_examples=15, deadline=None)
     def test_float_key_at_a_range_edge_exits_0_or_3(self, pipeline, tmp_path_factory, key, value):
         # The ends of the float range, and 0 and 1, which bound most keys, with their neighbours.
-        edge = pipeline["config"].read_text() + f"train.epochs_max = 1\n{key} = {value!r}\n"
+        edge = with_keys(pipeline["config"].read_text(), f"train.epochs_max = 1\n{key} = {value!r}")
         code, _ = run_with(pipeline, tmp_path_factory.mktemp("edge"), "config", edge.encode(),
                            "train")
         assert code in (0, 3), (key, value)
@@ -1061,7 +1136,7 @@ class TestRunConfig:
         long_running = key in ("train.epochs_max", "train.patience", "train.ppo_inner_epochs")
         value = data.draw(st.sampled_from([-1, 0, 1, 2] + ([] if long_running else
                                                           [2**63, 2**64])), label="value")
-        edge = pipeline["config"].read_text() + f"train.epochs_max = 1\n{key} = {value}\n"
+        edge = with_keys(pipeline["config"].read_text(), f"train.epochs_max = 1\n{key} = {value}")
         code, _ = run_with(pipeline, tmp_path_factory.mktemp("edge"), "config", edge.encode(),
                            "train")
         assert code in (0, 3), (key, value)
@@ -1097,6 +1172,12 @@ class TestRunConfig:
         with pytest.raises(InputError, match="run.cfg line 2: unknown config key 'no_such_knob'"):
             parse_config_file(b"seed = 1\nno_such_knob = 1\n", "run.cfg")
 
+    def test_key_restated_only_with_its_value(self):
+        assert parse_config_file(b"seed = 1\nseed = 01\n", "run.cfg") == {"seed": 1}
+        with pytest.raises(InputError, match="^run.cfg line 3: seed was stated before with "
+                                             "another value$"):
+            parse_config_file(b"seed = 1\n\nseed = 2\n", "run.cfg")
+
     def test_parse_config_file_comments_and_blanks(self):
         values = parse_config_file(b"# comment\n\nseed = 4  # trailing\ntrain.gamma = 0.9\n",
                                    "config")
@@ -1118,7 +1199,7 @@ class TestRunConfig:
 def run_clustered(root, extra_config=""):
     """The pipeline on the demo corpus with its first three warnings moved into
     one file, 7 and 14 lines apart, so that `cluster_radius` matters, and with
-    `extra_config` appended to the demo config."""
+    the keys of `extra_config` set in the demo config."""
     inputs = write_demo_inputs(root)
     before = inputs["report"].read_bytes()
     report = json.loads(before)
@@ -1129,7 +1210,7 @@ def run_clustered(root, extra_config=""):
     moved = zip(parse_report(before, "report"),
                 parse_report(inputs["report"].read_bytes(), "report"))
     inputs["labels"].write_bytes(write_label_sidecar({new.id: labels[old.id] for old, new in moved}))
-    inputs["config"].write_text(DEMO_CONFIG + extra_config)
+    inputs["config"].write_text(with_keys(DEMO_CONFIG, extra_config))
     return run_pipeline(inputs, root)
 
 

@@ -372,14 +372,18 @@ def read_back(rec, values):
 
 class TestPrecomputedMode:
     def test_passthrough_exact(self, tmp_path):
+        # The rows differ from the ones extraction gives, so only taken rows match them.
         rec = snippet_record("fn f() {}")
-        base = features_of(rec)
-        assert np.array_equal(read_back(rec, base)[rec.id].values, base)
+        values = features_of(rec)
+        flag = MANIFEST.index_of("public_api_flag")
+        values[flag] = 1.0 - values[flag]
+        values[MANIFEST.index_of("borrow_ratio")] = 1 / 3
+        assert np.array_equal(read_back(rec, values)[rec.id].values, values)
         store, sidecar, out = tmp_path / "w.jsonl", tmp_path / "s.jsonl", tmp_path / "f.jsonl"
         store.write_bytes(write_warning_store([rec]))
-        sidecar.write_bytes(sidecar_of(rec, base))
-        assert run_cli(["featurize", "--warnings", str(store), "--mode", "precomputed",
-                        "--sidecar", str(sidecar), "--out", str(out)]) == 0
+        sidecar.write_bytes(sidecar_of(rec, values))
+        assert run_cli(["featurize", "--warnings", str(store), "--sidecar", str(sidecar),
+                        "--out", str(out)]) == 0
         assert out.read_bytes() == sidecar.read_bytes()
 
     def test_digest_mismatch(self):
@@ -411,16 +415,17 @@ class TestPrecomputedMode:
             read_back(rec, values)
 
     def test_sidecar_required(self, tmp_path, capsys):
+        # A sidecar's rows are taken as they are, so no package metadata goes with one.
         rec = snippet_record("fn f() {}")
         store, sidecar = tmp_path / "w.jsonl", tmp_path / "s.jsonl"
         store.write_bytes(write_warning_store([rec]))
         sidecar.write_bytes(b"")
-        argv = ["featurize", "--warnings", str(store), "--mode", "precomputed",
+        argv = ["featurize", "--warnings", str(store), "--sidecar", str(sidecar),
                 "--out", str(tmp_path / "f.jsonl")]
-        assert run_cli(argv) == 2
-        assert "--sidecar" in capsys.readouterr().err
-        assert run_cli(argv + ["--sidecar", str(sidecar)]) == 3
-        assert f"sidecar has no vector for warning {rec.id}" in capsys.readouterr().err
+        assert run_cli(argv + ["--meta", str(tmp_path / "meta.json")]) == 2
+        assert "argument --meta: not allowed with argument --sidecar" in capsys.readouterr().err
+        assert run_cli(argv) == 3
+        assert f"no feature vector for warning {rec.id}" in capsys.readouterr().err
 
 
 def fit(vectors):

@@ -292,7 +292,7 @@ class TestExternalBackend:
         log = tmp_path / "paths.txt"
         backend = self.make(tmp_path, f'test -f "$1" && echo "$1" >> {log}\nsleep 0.5\nexit 0\n')
         warning = panic_warning()
-        outcomes = run_many(lambda w: backend.run(w, TP), [warning, warning], jobs=2)
+        outcomes = run_many(backend, [warning, warning], jobs=2)
         assert [o.kind for o in outcomes] == [FuzzKind.CLEAN, FuzzKind.CLEAN]
         paths = [Path(line) for line in log.read_text().splitlines()]
         assert len(paths) == 2 and paths[0] != paths[1]
@@ -325,28 +325,57 @@ def process_running(pid):
     return not (stat_path.exists() and stat_path.read_text().rsplit(")", 1)[1].split()[0] == "Z")
 
 
+class EchoBackend:
+    """Stub backend: each outcome's detail names the warning and the label it
+    was given; a warning whose id is in `errors` raises that error instead."""
+
+    def __init__(self, errors=None):
+        self.errors = errors or {}
+
+    def run(self, warning, true_label):
+        if warning.id in self.errors:
+            raise self.errors[warning.id]
+        return FuzzOutcome(FuzzKind.CLEAN, 0.0, f"{warning.id} {true_label}")
+
+
 class TestRunMany:
     def test_results_keep_input_order(self):
-        items = list(range(20))
+        records = [make_record(i, label=(TP, FP, None)[i % 3]) for i in range(20)]
         for jobs in (0, 1, 4):
-            assert run_many(lambda x: x * x, items, jobs) == [x * x for x in items]
+            outcomes = run_many(EchoBackend(), records, jobs)
+            assert [o.detail for o in outcomes] == [f"{r.id} {r.label}" for r in records]
 
     def test_jobs_at_most_one_builds_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built")
 
         monkeypatch.setattr(fuzz_mod, "ThreadPoolExecutor", no_pool)
+        records = [make_record(1), make_record(2)]
         for jobs in (-1, 0, 1):
-            assert run_many(str, [1, 2], jobs) == ["1", "2"]
+            assert [o.detail for o in run_many(EchoBackend(), records, jobs)] == [
+                f"{r.id} None" for r in records]
         with pytest.raises(AssertionError, match="pool"):
-            run_many(str, [1, 2], 2)
+            run_many(EchoBackend(), records, 2)
 
     def test_first_error_propagates(self):
-        def call(x):
-            if x == 3:
-                raise InputError("no outcome for 3")
-            return x
-
+        # A missing recording is an input error: the first one raised leaves run_many.
+        records = [make_record(i) for i in range(6)]
+        backend = RecordedBackend({r.id: FuzzOutcome(FuzzKind.CLEAN, 1.0, "")
+                                   for r in records if r not in records[3:5]})
         for jobs in (1, 3):
-            with pytest.raises(InputError, match="^no outcome for 3$"):
-                run_many(call, list(range(6)), jobs)
+            with pytest.raises(InputError, match=f"^no recorded outcome for warning "
+                                                 f"{records[3].id}$"):
+                run_many(backend, records, jobs)
+
+    def test_other_errors_become_infrastructure_failures(self):
+        records = [make_record(i) for i in range(6)]
+        backend = EchoBackend({records[1].id: RuntimeError("toolchain missing"),
+                               records[4].id: HarnessError("no template")})
+        for jobs in (1, 3):
+            outcomes = run_many(backend, records, jobs)
+            assert [o.kind for o in outcomes] == [FuzzKind.CLEAN, FuzzKind.INFRASTRUCTURE_FAILURE,
+                                                  *[FuzzKind.CLEAN] * 2,
+                                                  FuzzKind.INFRASTRUCTURE_FAILURE, FuzzKind.CLEAN]
+            assert outcomes[1] == FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
+                                              "backend error: toolchain missing")
+            assert outcomes[4].detail == "backend error: no template"

@@ -26,6 +26,22 @@ def test_script_exits_0(script, args, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_demo_pipeline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # One process per seed: in one process, set and dict orders cannot differ.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2"):
+        workdir = tmp_path / f"hash{seed}"
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_demo_pipeline.py"),
+                               "--n", "40", "--workdir", str(workdir)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path,
+                                              "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in workdir.iterdir()})
+    assert len(outputs[0]) == 16
+    assert outputs[0] == outputs[1]
+
+
 def test_benchmark_runs_and_checks_its_outputs():
     # Catches API changes that break the benchmark's entry points; checks no timing.
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "train_ambiguity",
