@@ -12,7 +12,9 @@ runs first alternates from seed to seed. `--trace-seed` adds one traced run
 per side and workload (`--trace-seconds` long). The output keeps every run record and, per workload
 and end-to-end metric, each side's median and quartiles (numpy percentiles
 25/50/75, linear), the pairs the change won (ties count for neither), the
-parent's IQR and the gap between the medians; it also keeps each side's
+parent's IQR and the gap between the medians, and, under `unscaled`, each
+side's quartiles of every raw stage time and of the reference unit's median
+(scaled medians drift as the host gets faster); it also keeps each side's
 `src/triagerl/*.py` line count as `src_lines` and its count of settable
 values as `settable_values` (see `settable_values`). `--claim WORKLOAD:METRIC`
 adds a claim block, met when the change wins at least 9 of 10 pairs, its
@@ -156,10 +158,28 @@ def summarize(runs: list[dict], metric: str, better: str, bound: float) -> dict:
     }
 
 
+def unscaled(runs: list[dict]) -> dict:
+    """Per side, the quartiles of each unscaled stage time (`raw_stage_s`) and
+    of the reference unit's median over paired `runs`."""
+    out = {}
+    for side in SIDES:
+        records = [r[side]["record"] for r in runs]
+        stages = dict.fromkeys(name for record in records for name in record["raw_stage_s"])
+        out[side] = {
+            "raw_stage_s": {name: quartiles([record["raw_stage_s"][name] for record in records
+                                             if name in record["raw_stage_s"]])
+                            for name in stages},
+            "reference_unit_s": quartiles([record["reference_unit_s"]["median"]
+                                           for record in records]),
+        }
+    return out
+
+
 def workload_block(runs: list[dict], metrics: list[dict]) -> dict:
     return {
         "summary": {m["name"]: summarize(runs, m["name"], m["better"], m["bound"])
                     for m in metrics},
+        "unscaled": unscaled(runs),
         "correct": all(r[side]["result"]["correct"] for r in runs for side in SIDES),
         "failed": {side: sum(r[side]["result"]["failed"] for r in runs) for side in SIDES},
         "hashes_equal": all(r["parent"]["record"]["hashes"] == r["change"]["record"]["hashes"]

@@ -23,7 +23,7 @@ from . import features as features_mod
 from . import fuzz as fuzz_mod
 from . import metrics as metrics_mod
 from . import warnings as warn_mod
-from .env import RewardSpec, check_finite
+from .env import RewardSpec, check_fields
 from .errors import InputError, NonFiniteScores
 from .features import extract_features, manifest_export, normalize, validate_vector
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
@@ -47,7 +47,7 @@ class RunConfig:
     sim: SimOracleConfig = field(default_factory=SimOracleConfig)
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         for name in ("seed", "cluster_radius"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -274,9 +274,8 @@ def cmd_triage(args, cfg: RunConfig) -> int:
                       checkpoint.normalizer)
     played = _play(args.checkpoint, run_episodes, checkpoint.params, feats, records, backend,
                    mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
-    verdicts = metrics_mod.prediction_records([r.id for r in records], played.called, played.score,
-                                              played.outcome)
-    _write(args.out, metrics_mod.write_verdicts(verdicts))
+    _write(args.out, metrics_mod.verdict_file([r.id for r in records], played.called,
+                                              played.score, played.outcome))
     return 0
 
 

@@ -39,16 +39,23 @@ class RewardSpec:
     bonus_inconclusive: float = 3.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
 
 
-def check_finite(config) -> None:
-    """Raise ValueError naming the first float field of dataclass `config`
-    that is not finite."""
+# The value types an int or float field may hold: a bool is neither.
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+
+
+def check_fields(config) -> None:
+    """Raise ValueError naming the first int or float field of dataclass
+    `config` whose value has another type, or is a float that is not finite."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type in ("float", float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        if f.type in _NUMBER_TYPES:
+            value = getattr(config, f.name)
+            if type(value) not in _NUMBER_TYPES[f.type]:
+                raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def reward_of(

@@ -548,8 +548,10 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     for slot, (rule, guard) in rules.items():
         rows = np.flatnonzero(guard)
         found[slot] = np.zeros(n)
-        found[slot][rows] = [len(rule.findall(snippets[i])) for i in rows.tolist()]
-        found[slot] = found[slot] > 0 if slot.endswith("_flag") else found[slot]
+        if slot.endswith("_flag"):  # one match sets a flag
+            found[slot][rows] = [rule.search(snippets[i]) is not None for i in rows.tolist()]
+        else:
+            found[slot][rows] = [len(rule.findall(snippets[i])) for i in rows.tolist()]
     n_words = words.sum(axis=1)
     return found | {
         "generic_param_count": generic_params,
@@ -603,6 +605,8 @@ def _op_slot(op_type: str | None) -> str:
     return norm if norm in _OP_TYPES else "other"
 
 
+# math.log1p(k) for each integer count k below 4,096.
+_LOG1P = np.array([math.log1p(k) for k in range(4096)], dtype=np.float64)
 # A package without metadata: download_count_log, unsafe_prevalence and
 # package_loc imputed as a blank snippet's slots are, and metadata_imputed_flag set.
 _IMPUTED_PACKAGE = (0.0, 0.5, 0.0, 1.0)
@@ -662,13 +666,18 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
     ):
         picks = np.array(picks)
         columns.update((prefix + value, (picks == value)[code]) for value in vocabulary)
-    # ln(1 + x) companions, by math.log1p once per distinct count, so each
-    # equals the scalar rule bit for bit whatever numpy's own log1p does.
+    # ln(1 + x) companions by math.log1p, so each equals the scalar rule bit
+    # for bit whatever numpy's own log1p does: from `_LOG1P` for an integer
+    # count it holds, else once per distinct count.
     paired = [name for name in _KINDS if name + "_log" in _KINDS]
-    counts, inverse = np.unique(np.column_stack([columns[name] for name in paired]),
-                                return_inverse=True)
-    logs = np.array([math.log1p(max(0.0, c)) for c in counts.tolist()], dtype=np.float64)
-    columns.update(zip([name + "_log" for name in paired], logs[inverse].reshape(n, len(paired)).T))
+    counts = np.column_stack([columns[name] for name in paired])
+    k = np.clip(counts, 0, len(_LOG1P) - 1).astype(np.intp)
+    logs = _LOG1P[k]
+    other = k != counts
+    distinct, inverse = np.unique(counts[other], return_inverse=True)
+    logs[other] = np.array([math.log1p(max(0.0, c)) for c in distinct.tolist()],
+                           dtype=np.float64)[inverse]
+    columns.update(zip([name + "_log" for name in paired], logs.T))
     assert columns.keys() == _KINDS.keys(), f"slots without columns or columns without slots: " \
         f"{columns.keys() ^ _KINDS.keys()}"
     return np.column_stack([columns[e.name] for e in MANIFEST.entries])

@@ -52,7 +52,7 @@ _KIND_OF = {kind.value: kind for kind in FuzzKind}
 CRASH_GRADE = (FuzzKind.CRASH, FuzzKind.SANITIZER_VIOLATION)
 
 
-@dataclass
+@dataclass(slots=True)
 class FuzzOutcome:
     kind: FuzzKind
     elapsed: float
@@ -309,11 +309,13 @@ def read_recorded_outcomes(data: bytes, source: str) -> dict[str, FuzzOutcome]:
         if len(parts) < 3:
             raise InputError(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
         try:
-            detail = parts[3] if len(parts) > 3 else ""
             # FuzzKind(...) of a kind not in the table raises the ValueError that names it.
-            kind = _KIND_OF[parts[1]] if parts[1] in _KIND_OF else FuzzKind(parts[1])
-            outcome = FuzzOutcome(kind, float(parts[2]), detail)
+            kind = _KIND_OF.get(parts[1]) or FuzzKind(parts[1])
+            outcome = FuzzOutcome(kind, float(parts[2]), parts[3] if len(parts) > 3 else "")
         except ValueError as exc:
             raise InputError(f"{source} line {n}: {exc}") from exc
-        state_once(outcomes, parts[0], outcome, f"{source} line {n}")
+        if parts[0] in outcomes:
+            state_once(outcomes, parts[0], outcome, f"{source} line {n}")
+        else:
+            outcomes[parts[0]] = outcome
     return outcomes

@@ -4,7 +4,8 @@ All seven metrics are computed from the confusion counts and the ranked
 TP-probability scores. Metrics whose denominators vanish are reported as
 absent with a reason, never as NaN; MCC follows the zero-when-any-factor-
 is-zero convention. `PredictionRecord`s exist only where verdicts are
-written, read or checked against labels.
+read or checked against labels, or written by `evaluate`; `triage` writes
+its verdict lines from the play's columns.
 """
 
 from __future__ import annotations
@@ -171,15 +172,27 @@ def write_report(report: EvalReport) -> bytes:
     return text_file(lines)
 
 
-# A verdict's label column by label, and its fuzz flag and kind columns by fuzz kind.
-_LABEL_TEXT = {label: label.value for label in Label}
-_FUZZ_TEXT = {None: "0\t-"} | {kind: f"1\t{kind.value}" for kind in FuzzKind}
+# A verdict's label column by whether the warning was called a true positive,
+# and its fuzz flag and kind columns by FUZZ_SLOTS index (0, NotRun: not fuzzed).
+_CALL_TEXT = (Label.FALSE_POSITIVE.value, Label.TRUE_POSITIVE.value)
+_SLOT_TEXT = ("0\t-", *(f"1\t{kind.value}" for kind in FUZZ_SLOTS[1:]))
+_SLOT_OF = {None: 0} | {kind: slot for slot, kind in enumerate(FUZZ_SLOTS) if slot}
+
+
+def verdict_file(ids: list[str], called, scores, slots) -> bytes:
+    """Verdicts file: id, predicted label, score, fuzz flag, fuzz kind, one
+    line per id from per-warning columns: whether it was called a true
+    positive, its P(TP) score and its fuzz outcome's FUZZ_SLOTS index."""
+    return text_file(f"{wid}\t{_CALL_TEXT[c]}\t{s!r}\t{_SLOT_TEXT[o]}" for wid, c, s, o in zip(
+        ids, np.asarray(called).tolist(), np.asarray(scores).tolist(), np.asarray(slots).tolist()))
 
 
 def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
-    """Verdicts file: id, predicted label, score, fuzz flag, fuzz kind."""
-    return text_file(f"{p.warning_id}\t{_LABEL_TEXT[p.predicted]}\t{p.score!r}\t"
-                     f"{_FUZZ_TEXT[p.fuzz_kind]}" for p in predictions)
+    """The verdicts file of `predictions` (see `verdict_file`)."""
+    return verdict_file([p.warning_id for p in predictions],
+                        [p.predicted is Label.TRUE_POSITIVE for p in predictions],
+                        [p.score for p in predictions],
+                        [_SLOT_OF[p.fuzz_kind] for p in predictions])
 
 
 def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .env import RewardSpec, TriageAction, check_finite, reward_of
+from .env import RewardSpec, TriageAction, check_fields, reward_of
 from .errors import InputError, NonFiniteScores
 from .features import MANIFEST, FeatureTable, NormalizerStats, fit_normalizer, normalize
 from .fuzz import FUZZ_SLOTS, run_many
@@ -51,7 +51,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError(f"clip_epsilon must be in (0,1), got {self.clip_epsilon}")
         if not 0.0 < self.gamma <= 1.0:
@@ -465,9 +465,6 @@ def train(
         raise InputError("train split is empty")
     if not val_records:
         raise InputError("val split is empty")
-    unlabeled = [r.id for r in train_records + val_records if r.label is None]
-    if unlabeled:
-        raise InputError(f"unlabeled records in splits: {', '.join(unlabeled)}")
 
     train_raw = table.rows_of(train_records)
     stats = fit_normalizer(train_raw)

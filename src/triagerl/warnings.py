@@ -103,7 +103,13 @@ class Dataset:
     split_assignment: dict[str, Split]
 
     def split_records(self, split: Split) -> list[WarningRecord]:
-        return [r for r in self.records if self.split_assignment.get(r.id) == split]
+        """The records assigned to `split`, each of which must be labeled: an
+        unlabeled one raises InputError naming the split and every such id."""
+        records = [r for r in self.records if self.split_assignment.get(r.id) == split]
+        unlabeled = [r.id for r in records if r.label is None]
+        if unlabeled:
+            raise InputError(f"unlabeled records in split {split.value!r}: {', '.join(unlabeled)}")
+        return records
 
 
 # The report fields are the record's less `id` and `label`, in order; each
@@ -151,26 +157,26 @@ def parse_warning(obj, escaped: bool) -> WarningRecord:
             if type(value) not in types:
                 raise _field_error(name, f"expected {called}, got {type(value).__name__}")
 
-    level = obj["level"]
-    if level not in _LEVELS:
+    (level, analyzer, op_type, description, file,
+     start_line, start_col, end_line, end_col, code_snippet) = values
+    member = _LEVELS.get(level)
+    if member is None:
         raise _field_error("level", f"expected one of {tuple(_LEVELS)}, got {level!r}")
-    start_line, start_col, end_line, end_col = coords = (
-        obj["start_line"], obj["start_col"], obj["end_line"], obj["end_col"])
-    if min(coords) < 1:
-        name = next(name for name in REPORT_FIELDS if type(obj[name]) is int and obj[name] < 1)
-        raise _field_error(name, f"coordinates are 1-based, got {obj[name]}")
+    if start_line < 1 or start_col < 1 or end_line < 1 or end_col < 1:
+        name, value = next((name, value) for name, value in zip(REPORT_FIELDS, values)
+                           if type(value) is int and value < 1)
+        raise _field_error(name, f"coordinates are 1-based, got {value}")
     if start_line > end_line:
         raise _field_error("end_line", f"start_line {start_line} > end_line {end_line}")
     if start_line == end_line and start_col > end_col:
         raise _field_error("end_col", f"start_col {start_col} > end_col {end_col} on one line")
-    for name in REPORT_FIELDS if escaped else ():
-        if type(obj[name]) is str and _SURROGATE.search(obj[name]):
+    for name, value in zip(REPORT_FIELDS, values) if escaped else ():
+        if type(value) is str and _SURROGATE.search(value):
             raise _field_error(name, "holds a lone surrogate, which UTF-8 cannot encode")
 
-    wid = warning_id(obj["file"], *coords, obj["analyzer"], obj["description"])
-    record = WarningRecord(wid, *values)
-    record.level = _LEVELS[level]  # the report's string as its member
-    return record
+    wid = warning_id(file, start_line, start_col, end_line, end_col, analyzer, description)
+    return WarningRecord(wid, member, analyzer, op_type, description, file, start_line, start_col,
+                         end_line, end_col, code_snippet)
 
 
 def parse_report(data: bytes, source: str) -> list[WarningRecord]:
@@ -331,6 +337,10 @@ def cluster_sizes(records: list[WarningRecord], radius: int) -> dict[str, int]:
         by_file.setdefault(r.file, {})[r.id] = r.start_line
     sizes: dict[str, int] = {}
     for lines in by_file.values():
+        if len(lines) == 1:  # alone in its file: no sort needed
+            (wid,) = lines
+            sizes[wid] = 1
+            continue
         ids = sorted(lines, key=lines.get)
         start = 0
         for i in range(1, len(ids) + 1):

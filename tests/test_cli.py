@@ -718,6 +718,11 @@ class TestMalformedInputs:
         ("report", "config", lambda t: t + "seed = 8\n", [], 3,
          f"{{bad}} line {len(DEMO_CONFIG.splitlines()) + 1}: seed was stated before with another "
          "value"),
+        ("triage", "checkpoint",
+         lambda t: t.replace('"minibatch_size":64', '"minibatch_size":2.5', 1), [], 3,
+         "{bad}: ValueError: minibatch_size: expected int, got 2.5"),
+        ("triage", "checkpoint", lambda t: t.replace('"correct":15.0', '"correct":true', 1), [], 3,
+         "{bad}: ValueError: correct: expected float, got True"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -738,7 +743,8 @@ class TestMalformedInputs:
             "outcomes-elapsed-inf", "store-id-disagrees", "labels-one-field",
             "meta-downloads-negative", "meta-prevalence-above-1", "sim-probability-above-1",
             "verdict-score-above-1", "train-split-empty", "checkpoint-weights-short",
-            "recorded-path-nul", "external-command-nul", "config-key-restated"])
+            "recorded-path-nul", "external-command-nul", "config-key-restated",
+            "checkpoint-config-int-float", "checkpoint-reward-bool"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -755,7 +761,21 @@ class TestMalformedInputs:
         code, _ = run_with(pipeline, tmp_path, "labels", "\n".join([*labels, ""]).encode(), "train")
         err = capsys.readouterr().err
         assert code == 3, err
-        assert err == f"input error: unlabeled records in splits: {wid}\n"
+        assert err == f"input error: unlabeled records in split 'train': {wid}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    def test_scored_record_without_a_label_exits_3_naming_it(self, pipeline, tmp_path, capsys,
+                                                             command):
+        # An unlabeled warning of the scored split would count as a false positive.
+        wid = next(line.split("\t")[0] for line in pipeline["splits"].read_text().splitlines()
+                   if line.endswith("\ttest"))
+        labels = [line for line in pipeline["labels"].read_text().splitlines()
+                  if not line.startswith(wid + "\t")]
+        code, _ = run_with(pipeline, tmp_path, "labels", "\n".join([*labels, ""]).encode(),
+                           command)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == f"input error: unlabeled records in split 'test': {wid}\n"
 
     def test_input_that_is_not_utf8_exits_3_naming_file_and_line(self, pipeline, tmp_path,
                                                                  capsys):

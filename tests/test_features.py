@@ -351,6 +351,23 @@ class TestAgainstOracle:
         got = extract_features(records, {}, sizes, "warnings")
         assert got.tobytes() == oracle_matrix(records, {}, sizes).tobytes()
 
+    def test_log_companions_of_large_counts_equal_the_per_rule_oracle(self):
+        # Counts of 4,096 and more, beyond the ln(1+x) table: snippets of
+        # 4,095 bytes (the table's last entry), 4,096 and more, and package
+        # sizes of 10**9 and 2**53.
+        texts = ["x" * 4095, "x" * 4096, "é" * 2048, "fn f() { let x = 1; }\n" * 300,
+                 "unsafe { *p }\n" * 1000]
+        records = [WarningRecord(**{**make_record(i).__dict__, "code_snippet": text,
+                                    "file": f"pkg{i % 2}-1.0/src/a.rs"})
+                   for i, text in enumerate(texts)]
+        metadata = {"pkg0-1.0": PackageMetadata(10**9, 0.25, 10**9),
+                    "pkg1-1.0": PackageMetadata(2**53, 0.5, 2**53)}
+        sizes = {r.id: 5000 for r in records}
+        got = extract_features(records, metadata, sizes, "warnings")
+        assert got[:, MANIFEST.index_of("snippet_bytes")].tolist() == [4095, 4096, 4096, 6600,
+                                                                       14000]
+        assert got.tobytes() == oracle_matrix(records, metadata, sizes).tobytes()
+
     def test_demo_sidecar_is_byte_identical_to_the_oracle(self, tmp_path):
         paths = write_demo_inputs(tmp_path)
         store, out = tmp_path / "warnings.jsonl", tmp_path / "features.jsonl"

@@ -77,6 +77,29 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     assert bench_pairs.seeds("401-403,409") == [401, 402, 403, 409]
 
 
+def test_bench_pairs_summary_gives_unscaled_quartiles():
+    bench_pairs = load_script("bench_pairs")
+
+    def record(stages, unit):
+        return {"record": {"raw_stage_s": stages, "reference_unit_s": {"median": unit, "p10": 0.0},
+                           "hashes": {}},
+                "result": {"metrics": {"t": {"value": 1.0}}, "correct": True, "failed": 0}}
+
+    runs = [{"parent": record({"triage": 0.4, "setup": 2.0}, 1e-4),
+             "change": record({"triage": 0.3}, 2e-4)},
+            {"parent": record({"triage": 0.6, "setup": 3.0}, 3e-4),
+             "change": record({"triage": 0.5}, 4e-4)}]
+    block = bench_pairs.workload_block(runs, [{"name": "t", "better": "lower", "bound": 0.24}])
+    parent, change = block["unscaled"]["parent"], block["unscaled"]["change"]
+    assert parent["raw_stage_s"]["triage"] == {"median": 0.5, "q1": 0.45, "q3": 0.55, "n": 2}
+    assert parent["raw_stage_s"]["setup"]["median"] == 2.5
+    assert list(change["raw_stage_s"]) == ["triage"]
+    assert change["raw_stage_s"]["triage"]["median"] == pytest.approx(0.4)
+    assert parent["reference_unit_s"]["median"] == pytest.approx(2e-4)
+    assert change["reference_unit_s"] == pytest.approx({"median": 3e-4, "q1": 2.5e-4,
+                                                        "q3": 3.5e-4, "n": 2})
+
+
 def test_bench_pairs_counts_package_source_lines(tmp_path):
     bench_pairs = load_script("bench_pairs")
     package = tmp_path / "src" / "triagerl"
