@@ -741,11 +741,17 @@ def read_feature_sidecar(data: bytes, source: str) -> FeatureTable:
                         lambda i: f"{source} line {lines[i][0]}")
 
 
+# A package metadata entry's keys, each with the value a missing one takes.
+_METADATA_DEFAULTS = {"downloads": 0, "unsafe_prevalence": 0.0, "loc": 0}
+
+
 def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata]:
     """Package metadata file: JSON map package -> {downloads, unsafe_prevalence, loc}.
 
-    A malformed file raises InputError naming `source` and the line of a
-    JSON syntax error, or the package whose entry is bad.
+    Each value is a JSON number, integral for downloads and loc; a missing
+    key takes its default. A malformed file raises InputError naming
+    `source` and the line of a JSON syntax error, or the package whose entry
+    is bad and the key at fault.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -758,8 +764,16 @@ def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata
     out = {}
     for name, m in doc.items():
         try:
-            out[name] = PackageMetadata(int(m.get("downloads", 0)),
-                                        float(m.get("unsafe_prevalence", 0.0)), int(m.get("loc", 0)))
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            values = {**_METADATA_DEFAULTS, **m}
+            for key, value in values.items():
+                if key not in _METADATA_DEFAULTS:
+                    raise ValueError(f"unknown key {key!r}")
+                if type(value) not in (int, float):
+                    raise ValueError(f"{key} must be a number, got {value!r}")
+                if key != "unsafe_prevalence" and type(value) is float and not value.is_integer():
+                    raise ValueError(f"{key} must be an integer, got {value!r}")
+            out[name] = PackageMetadata(int(values["downloads"]),
+                                        float(values["unsafe_prevalence"]), int(values["loc"]))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{source}: package {name!r}: {exc} in {m!r}") from None
     return out

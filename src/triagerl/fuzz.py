@@ -169,32 +169,33 @@ class SimulatedBackend:
 
     Draws Crash with the label-conditioned crash probability, otherwise
     Inconclusive with p_inconclusive, otherwise Clean. Each warning id sees
-    the same outcome for a given config and seed. The instance keeps each
-    id's three uniform draws, not its outcome, so its stream is seeded once
-    per id while the label and the probabilities apply on every call.
+    the same outcome for a given config, seed and label. The first call for
+    an id seeds its stream once, draws three uniforms and builds the id's
+    outcome under each label from them; the instance keeps those outcomes,
+    and every later call for the id returns the one of its label.
     """
 
     config: SimOracleConfig
-    _draws: dict[str, tuple[float, float, float]] = field(
+    _outcomes: dict[tuple[str, Label], FuzzOutcome] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         if true_label is None:
             return FuzzOutcome(FuzzKind.INFRASTRUCTURE_FAILURE, 0.0,
                                "simulated oracle needs a ground-truth label")
-        u = self._draws.get(warning.id)
-        if u is None:
-            u = self._draws[warning.id] = tuple(
-                _warning_stream(self.config.seed, warning.id).random(3).tolist())
-        cfg = self.config
-        p_crash = (cfg.p_crash_given_tp if true_label is Label.TRUE_POSITIVE
-                   else cfg.p_crash_given_fp)
-        elapsed = round(u[2] * 5.0, 3)
-        if u[0] < p_crash:
-            return FuzzOutcome(FuzzKind.CRASH, elapsed, "simulated crash")
-        if u[1] < cfg.p_inconclusive:
-            return FuzzOutcome(FuzzKind.INCONCLUSIVE, elapsed, "simulated inconclusive")
-        return FuzzOutcome(FuzzKind.CLEAN, elapsed, "simulated clean")
+        outcome = self._outcomes.get((warning.id, true_label))
+        if outcome is None:
+            cfg = self.config
+            u = _warning_stream(cfg.seed, warning.id).random(3).tolist()
+            elapsed = round(u[2] * 5.0, 3)
+            for label, p_crash in ((Label.TRUE_POSITIVE, cfg.p_crash_given_tp),
+                                   (Label.FALSE_POSITIVE, cfg.p_crash_given_fp)):
+                kind = (FuzzKind.CRASH if u[0] < p_crash else
+                        FuzzKind.INCONCLUSIVE if u[1] < cfg.p_inconclusive else FuzzKind.CLEAN)
+                self._outcomes[warning.id, label] = FuzzOutcome(kind, elapsed,
+                                                                f"simulated {kind.value}")
+            outcome = self._outcomes[warning.id, true_label]
+        return outcome
 
 
 @dataclass

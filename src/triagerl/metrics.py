@@ -107,8 +107,10 @@ def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
     n = len(called)
     if n == 0:
         raise InputError("no predictions to score")
-    tp, fp = int((called & positive).sum()), int((called & ~positive).sum())
-    fn, tn = int((~called & positive).sum()), int((~called & ~positive).sum())
+    tp = int(np.count_nonzero(called & positive))
+    fp = int(np.count_nonzero(called)) - tp
+    fn = int(np.count_nonzero(positive)) - tp
+    tn = n - tp - fp - fn
     precision, recall, f1, undefined = precision_recall_f1(tp, fp, fn)
 
     factors = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)

@@ -34,6 +34,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Rows per forward pass of the episode engine. Each row's outputs are its own
 # in any batch, so the block size changes no bit, only the memory held.
 FORWARD_BLOCK = 1024
+# Each fuzz outcome kind's slot, and each slot's one-hot state columns.
+_SLOT_OF = {kind: slot for slot, kind in enumerate(FUZZ_SLOTS)}
+_SLOT_ROWS = np.eye(len(FUZZ_SLOTS))
 
 
 @dataclass
@@ -74,20 +77,19 @@ class Episodes:
 
     Per episode, in input order: the final (classify) action, its score, and
     the fuzz outcome's slot in FUZZ_SLOTS (0 when the episode did not fuzz).
-    Per decision: every episode's first decision, then the second decisions
-    of the episodes that fuzzed, both in episode order. The states of the
-    two are kept apart: only a rollout needs them joined, in
-    `TrajectoryBatch.from_episodes`.
+    Per decision step, as a (first, second) pair: the first step holds every
+    episode's first decision, the second the second decisions of the
+    episodes that fuzzed, both in episode order. Only a rollout reads the
+    steps, so they stay apart; `TrajectoryBatch.from_episodes` joins them.
     """
 
     action: np.ndarray   # (n,) int
     score: np.ndarray    # (n,) P(TP) with fuzzing masked, at the final decision state
     outcome: np.ndarray  # (n,) int
-    first_states: np.ndarray   # (n, state_dim)
-    second_states: np.ndarray  # (m, state_dim)
-    actions: np.ndarray  # (n + m,) int
-    logp: np.ndarray     # (n + m,) log-probability of the action taken
-    values: np.ndarray   # (n + m,)
+    states: tuple[np.ndarray, np.ndarray]   # (n, state_dim), (m, state_dim)
+    actions: tuple[np.ndarray, np.ndarray]  # (n,), (m,) int
+    probs: tuple[np.ndarray, np.ndarray]    # (n, 3), (m, 3) action probabilities as played
+    values: tuple[np.ndarray, np.ndarray]   # (n,), (m,)
 
     @property
     def called(self) -> np.ndarray:
@@ -141,12 +143,13 @@ class TrajectoryBatch:
         # Episode order: episode i's first decision sorts at i, its second at i + 0.5.
         order = np.argsort(np.concatenate([np.arange(n), idx + 0.5]), kind="stable")
         returns = np.concatenate([return1, reward2[idx]])[order]
+        taken = [probs[np.arange(len(a)), a] for probs, a in zip(episodes.probs, episodes.actions)]
         batch = cls(
-            states=np.concatenate([episodes.first_states, episodes.second_states])[order],
-            actions=episodes.actions[order],
-            behavior_logp=episodes.logp[order],
+            states=np.concatenate(episodes.states)[order],
+            actions=np.concatenate(episodes.actions)[order],
+            behavior_logp=np.log(np.concatenate(taken))[order],
             returns=returns,
-            advantages=returns - episodes.values[order],
+            advantages=returns - np.concatenate(episodes.values)[order],
         )
         return batch, float((reward1 + reward2).mean())
 
@@ -180,9 +183,8 @@ def _finite_forward(params: PolicyParams, states: np.ndarray,
         block = slice(start, start + FORWARD_BLOCK)
         cache = forward_cache(params, states[block])
         logits[block], values[block] = cache["logits"], cache["values"]
-    finite = np.isfinite(logits).all(axis=1)
-    if not finite.all():
-        bad = records[finite.argmin()].id
+    if not np.isfinite(logits).all():
+        bad = records[np.isfinite(logits).all(axis=1).argmin()].id
         raise NonFiniteScores(f"policy scores for warning {bad} are not finite")
     return logits, values
 
@@ -201,7 +203,8 @@ def run_episodes(
     `feats` holds the normalized feature rows of `records`. One blocked
     forward pass covers every first decision; only the warnings that chose to
     fuzz reach the backend (at most `jobs` calls at a time), and one more
-    covers their second decision with fuzzing masked. Greedy ties resolve by
+    covers their second decision with fuzzing masked; when none fuzzed, the
+    second step is empty and costs nothing. Greedy ties resolve by
     the fixed action order (TP, FP, Fuzz). Actions are greedy when `rng` is
     None; given `rng`, they are sampled with one rng.random() per decision
     in episode order, the stream that playing the episodes one after another
@@ -229,34 +232,27 @@ def run_episodes(
                 second_draws.append(random())
         act1 = np.array(chosen, dtype=np.int64)
 
-    idx = np.flatnonzero(act1 == TriageAction.FUZZ)
-    outcome = np.zeros(n, dtype=np.int64)
-    outcome[idx] = [FUZZ_SLOTS.index(o.kind)
-                    for o in run_many(backend, [records[i] for i in idx], jobs)]
-    second = first[idx]
-    second[:, fd:] = np.eye(len(FUZZ_SLOTS))[outcome[idx]]
-    logits2, values2 = _finite_forward(params, second, [records[i] for i in idx])
-    probs2 = _fuzz_masked_probs(logits2)
-    if rng is None:
-        act2 = probs2.argmax(axis=1)
-    else:
-        act2 = (np.array(second_draws)[:, None] >= _cdf(probs2)).sum(axis=1)
-
     action = act1.copy()
-    action[idx] = act2
     score = classify1[:, TriageAction.CLASSIFY_TP].copy()
-    score[idx] = probs2[:, TriageAction.CLASSIFY_TP]
-    return Episodes(
-        action=action,
-        score=score,
-        outcome=outcome,
-        first_states=first,
-        second_states=second,
-        actions=np.concatenate([act1, act2]),
-        logp=np.concatenate([np.log(probs1[np.arange(n), act1]),
-                             np.log(probs2[np.arange(len(idx)), act2])]),
-        values=np.concatenate([values1, values2]),
-    )
+    outcome = np.zeros(n, dtype=np.int64)
+    idx = np.flatnonzero(act1 == TriageAction.FUZZ)
+    if len(idx) == 0:  # no episode fuzzed: there is no second step to play
+        second, act2, probs2, values2 = first[:0], act1[:0], probs1[:0], values1[:0]
+    else:
+        fuzzed = [records[i] for i in idx]
+        outcome[idx] = [_SLOT_OF[o.kind] for o in run_many(backend, fuzzed, jobs)]
+        second = first[idx]
+        second[:, fd:] = _SLOT_ROWS[outcome[idx]]
+        logits2, values2 = _finite_forward(params, second, fuzzed)
+        probs2 = _fuzz_masked_probs(logits2)
+        if rng is None:
+            act2 = probs2.argmax(axis=1)
+        else:
+            act2 = (np.array(second_draws)[:, None] >= _cdf(probs2)).sum(axis=1)
+        action[idx] = act2
+        score[idx] = probs2[:, TriageAction.CLASSIFY_TP]
+    return Episodes(action, score, outcome, states=(first, second), actions=(act1, act2),
+                    probs=(probs1, probs2), values=(values1, values2))
 
 
 def collect_rollouts(
@@ -396,8 +392,12 @@ class Adam:
         np.square(grad, out=a)
         a *= 1 - ADAM_BETA2
         self.v += a
-        np.divide(self.m, 1 - ADAM_BETA1**self.t, out=a)  # m_hat
-        a *= self.lr
+        bias1 = 1 - ADAM_BETA1**self.t
+        if bias1 == 1.0:  # from t = 356 on: dividing by it would change no bit
+            np.multiply(self.m, self.lr, out=a)
+        else:
+            np.divide(self.m, bias1, out=a)  # m_hat
+            a *= self.lr
         np.divide(self.v, 1 - ADAM_BETA2**self.t, out=b)  # v_hat
         np.sqrt(b, out=b)
         b += ADAM_EPS

@@ -2,8 +2,9 @@
 
 Each decision is one single-row forward pass followed by one action choice
 (`Generator.choice` when an rng is given, else argmax), one warning after
-another. Tests compare the batched engine against it on the same parameters
-and seeds.
+another. Fuzzing is masked as the README defines it, in logit space: the
+fuzz logit is set to -inf before the softmax. Tests compare the batched
+engine against it, bit for bit, on the same parameters and seeds.
 """
 
 import numpy as np
@@ -22,11 +23,14 @@ def state_vector(feats, kind):
     return np.concatenate([feats, enc])
 
 
-def select_action(probs, masked, rng):
-    probs = np.array(probs, dtype=np.float64)
-    if masked:
-        probs[TriageAction.FUZZ] = 0.0
-        probs = probs / probs.sum()
+def masked_probs(logits):
+    """The action probabilities of one (1, 3) logit row with fuzzing masked."""
+    logits = logits.copy()
+    logits[:, TriageAction.FUZZ] = -np.inf
+    return softmax(logits)[0]
+
+
+def select_action(probs, rng):
     if rng is None:
         return TriageAction(int(np.argmax(probs)))
     return TriageAction(int(rng.choice(len(TriageAction), p=probs)))
@@ -49,27 +53,23 @@ def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False, r
     for _ in range(2):
         state = state_vector(feats, kind)
         cache = forward_cache(params, state[None])
-        probs, value = softmax(cache["logits"])[0], float(cache["values"][0])
+        value = float(cache["values"][0])
+        classify = masked_probs(cache["logits"])
         masked = mask_fuzz or kind is not FuzzKind.NOT_RUN
-        action = select_action(probs, masked, rng)
-        if masked:
-            two_way = np.array([probs[0], probs[1], 0.0])
-            prob = two_way[action] / two_way.sum()
-        else:
-            prob = probs[action]
-        logp = float(np.log(prob))
+        probs = classify if masked else softmax(cache["logits"])[0]
+        action = select_action(probs, rng)
+        logp = float(np.log(probs[action]))
         if action is TriageAction.FUZZ:
             kind = fuzz(backend, record).kind
             steps.append((state, int(action), logp, reward_spec.fuzz_cost, value))
             continue
         reward = reward_of(action, record.label, kind, reward_spec)
         steps.append((state, int(action), logp, reward, value))
-        p_tp, p_fp = float(probs[0]), float(probs[1])
         prediction = PredictionRecord(
             warning_id=record.id,
             predicted=Label.TRUE_POSITIVE if action is TriageAction.CLASSIFY_TP
             else Label.FALSE_POSITIVE,
-            score=p_tp / (p_tp + p_fp),
+            score=float(classify[TriageAction.CLASSIFY_TP]),
             fuzz_kind=None if kind is FuzzKind.NOT_RUN else kind,
         )
         return prediction, steps
@@ -81,13 +81,14 @@ def play_all(params, reward_spec, feats, records, backend, mask_fuzz=False, rng=
             for r, f in zip(records, feats)]
 
 
-def collect_rollouts(params, records, feats, reward_spec, backend, rng, gamma=1.0):
-    """Shuffle, then one sampled episode per warning; per-step arrays with
-    returns as discounted suffix sums within each episode."""
+def play_steps(params, reward_spec, records, feats, backend, mask_fuzz=False, rng=None,
+               gamma=1.0):
+    """One episode per warning, in order; per-step arrays with returns as
+    discounted suffix sums within each episode."""
     rows = {k: [] for k in ("states", "actions", "logp", "rewards", "values",
                             "episode_ids", "returns")}
-    for episode_id, i in enumerate(rng.permutation(len(records))):
-        _, steps = play_episode(params, reward_spec, records[i], feats[i], backend, rng=rng)
+    for episode_id, (record, f) in enumerate(zip(records, feats)):
+        _, steps = play_episode(params, reward_spec, record, f, backend, mask_fuzz, rng)
         acc, returns = 0.0, []
         for step in reversed(steps):
             acc = step[3] + gamma * acc
@@ -96,3 +97,10 @@ def collect_rollouts(params, records, feats, reward_spec, backend, rng, gamma=1.
             for key, v in zip(rows, (state, action, logp, reward, value, episode_id, ret)):
                 rows[key].append(v)
     return {k: np.array(v) for k, v in rows.items()}
+
+
+def collect_rollouts(params, records, feats, reward_spec, backend, rng, gamma=1.0):
+    """Shuffle, then one sampled episode per warning (see `play_steps`)."""
+    order = rng.permutation(len(records))
+    return play_steps(params, reward_spec, [records[i] for i in order], feats[order], backend,
+                      rng=rng, gamma=gamma)

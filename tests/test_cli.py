@@ -723,6 +723,20 @@ class TestMalformedInputs:
          "{bad}: ValueError: minibatch_size: expected int, got 2.5"),
         ("triage", "checkpoint", lambda t: t.replace('"correct":15.0', '"correct":true', 1), [], 3,
          "{bad}: ValueError: correct: expected float, got True"),
+        ("featurize", "meta", lambda t: t.replace('"downloads"', '"downlods"', 1), [], 3,
+         "{bad}: package 'demo-crate-0-0.0.1': unknown key 'downlods'"),
+        ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": "12"', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be a number, got '12'"),
+        ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": true', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be a number, got True"),
+        ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": 2.9', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be an integer, got 2.9"),
+        ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 2.9', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc must be an integer, got 2.9"),
+        ("featurize", "meta", lambda t: re.sub(r'"unsafe_prevalence": [\d.]+',
+                                               '"unsafe_prevalence": "0.5"', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be a number, "
+                "got '0.5'"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -744,7 +758,9 @@ class TestMalformedInputs:
             "meta-downloads-negative", "meta-prevalence-above-1", "sim-probability-above-1",
             "verdict-score-above-1", "train-split-empty", "checkpoint-weights-short",
             "recorded-path-nul", "external-command-nul", "config-key-restated",
-            "checkpoint-config-int-float", "checkpoint-reward-bool"])
+            "checkpoint-config-int-float", "checkpoint-reward-bool", "meta-key-misspelled",
+            "meta-downloads-string", "meta-downloads-bool", "meta-downloads-fraction",
+            "meta-loc-fraction", "meta-prevalence-string"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from triagerl import env, metrics, trainer
-from triagerl.env import RewardSpec
+from triagerl.env import RewardSpec, TriageAction
 from triagerl.evaluate import permutation_importance
 from triagerl.features import MANIFEST, fit_normalizer, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
@@ -19,6 +19,7 @@ from triagerl.trainer import (
     STATE_DIM,
     PolicyCheckpoint,
     TrainConfig,
+    TrajectoryBatch,
     collect_rollouts,
     run_episodes,
 )
@@ -69,11 +70,7 @@ def test_greedy_matches_reference_loop(tasks):
         for mask_fuzz in (False, True):
             batched = verdicts(params, feats, records, mask_fuzz=mask_fuzz)
             oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND, mask_fuzz)
-            assert len(batched) == len(oracle)
-            for b, o in zip(batched, oracle):
-                assert (b.warning_id, b.predicted, b.fuzz_used, b.fuzz_kind) == (
-                    o.warning_id, o.predicted, o.fuzz_used, o.fuzz_kind)
-                assert b.score == pytest.approx(o.score, abs=1e-12)
+            assert batched == oracle  # ids, calls, fuzz kinds and the scores' bits
             fuzzed = sum(p.fuzz_used for p in oracle)
             assert fuzzed == 0 if mask_fuzz else 0 < fuzzed
 
@@ -84,28 +81,57 @@ def test_sampled_rollouts_match_reference_loop(tasks):
         batch, mean_return = collect_rollouts(params, records, feats, SPEC, BACKEND, rng_a,
                                               gamma=0.9)
         oracle = episode_oracle.collect_rollouts(params, records, feats, SPEC, BACKEND, rng_b, 0.9)
-        assert batch.actions.tolist() == oracle["actions"].tolist()
-        assert batch.states.tolist() == oracle["states"].tolist()
-        assert batch.returns.tolist() == pytest.approx(oracle["returns"].tolist(), abs=1e-12)
-        assert batch.behavior_logp.tolist() == pytest.approx(oracle["logp"].tolist(), abs=1e-12)
+        for got, want in ((batch.states, oracle["states"]), (batch.actions, oracle["actions"]),
+                          (batch.returns, oracle["returns"]),
+                          (batch.behavior_logp, oracle["logp"])):
+            assert np.array_equal(got, want)
         # The oracle's per-step rewards, summed per episode, give the same bits.
         assert mean_return == np.bincount(oracle["episode_ids"], weights=oracle["rewards"]).mean()
-        raw = batch.returns - forward_cache(params, batch.states)["values"]
-        assert batch.advantages.tolist() == pytest.approx(
-            ((raw - raw.mean()) / (raw.std() + 1e-8)).tolist(), abs=1e-9)
-        assert raw.tolist() == pytest.approx(
-            (oracle["returns"] - oracle["values"]).tolist(), abs=1e-12)
+        raw = oracle["returns"] - oracle["values"]
+        assert np.array_equal(batch.advantages, (raw - raw.mean()) / (raw.std() + 1e-8))
         assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
 
 def test_sampled_verdicts_match_reference_loop(tasks):
-    params = policies()[0]
-    for records, feats in tasks:
-        batched = verdicts(params, feats, records, rng=np.random.default_rng(4))
-        oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND,
-                                         rng=np.random.default_rng(4))
-        assert ([(p.predicted, p.fuzz_kind) for p in batched]
-                == [(p.predicted, p.fuzz_kind) for p in oracle])
+    for (records, feats), params in itertools.product(tasks, policies()):
+        for mask_fuzz in (False, True):
+            batched = verdicts(params, feats, records, mask_fuzz=mask_fuzz,
+                               rng=np.random.default_rng(4))
+            oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND, mask_fuzz,
+                                             rng=np.random.default_rng(4))
+            assert batched == oracle
+
+
+def never_fuzzes(params):
+    """`params` with a fuzz logit so low that its probability is exactly 0."""
+    params = params.copy()
+    params.b_pi[TriageAction.FUZZ] = -1e3
+    return params
+
+
+def test_a_play_without_fuzzing_reads_through_from_episodes(tasks):
+    # No episode fuzzes, so the engine plays no second step; the decisions a
+    # rollout reads are the first ones alone, with the oracle's bits.
+    records, feats = tasks[1]
+    labels = [r.label for r in records]
+    for params, mask_fuzz in itertools.product(policies(), (False, True)):
+        if not mask_fuzz:
+            params = never_fuzzes(params)
+        for seed in (None, 6):
+            played = run_episodes(params, feats, records, BACKEND, mask_fuzz=mask_fuzz,
+                                  rng=None if seed is None else np.random.default_rng(seed))
+            assert not played.fuzzed.any()
+            assert [len(step) for step in played.states] == [len(records), 0]
+            batch, mean_return = TrajectoryBatch.from_episodes(played, labels, SPEC, 0.9)
+            oracle = episode_oracle.play_steps(
+                params, SPEC, records, feats, BACKEND, mask_fuzz,
+                rng=None if seed is None else np.random.default_rng(seed), gamma=0.9)
+            for got, want in ((batch.states, oracle["states"]), (batch.actions, oracle["actions"]),
+                              (batch.returns, oracle["returns"]),
+                              (batch.behavior_logp, oracle["logp"]),
+                              (batch.advantages, oracle["returns"] - oracle["values"])):
+                assert np.array_equal(got, want)
+            assert mean_return == oracle["rewards"].mean()
 
 
 def forward_rows(monkeypatch):
@@ -129,10 +155,10 @@ def test_each_decision_step_plays_in_blocks(tasks, monkeypatch):
         for rng in (None, np.random.default_rng(0)):
             calls.clear()
             played = run_episodes(params, feats[:n], records[:n], BACKEND, rng=rng)
-            m = len(played.second_states)
+            m = len(played.states[1])
             assert max(calls, default=0) <= FORWARD_BLOCK
             assert len(calls) == math.ceil(n / FORWARD_BLOCK) + math.ceil(m / FORWARD_BLOCK)
-            assert sum(calls) == len(played.actions) == n + m
+            assert sum(calls) == sum(map(len, played.actions)) == n + m
 
 
 def test_a_masked_play_makes_one_forward_pass(task, monkeypatch):
@@ -143,7 +169,7 @@ def test_a_masked_play_makes_one_forward_pass(task, monkeypatch):
         calls.clear()
         played = run_episodes(params, feats, records, BACKEND, mask_fuzz=True)
         assert calls == [len(records)]
-        assert len(played.second_states) == 0
+        assert len(played.states[1]) == 0
 
 
 def test_play_and_importance_build_no_verdicts_and_no_rewards(corpus, task, monkeypatch):

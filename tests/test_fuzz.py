@@ -111,7 +111,7 @@ class TestSimulatedBackend:
 
 
 class TestSimulatedMemo:
-    """Each instance keeps its ids' draws; outcomes are those of a fresh instance."""
+    """Each instance keeps its ids' outcomes; they are those of a fresh instance."""
 
     CONFIG = SimOracleConfig(0.5, 0.1, 0.3, seed=4)
 
@@ -140,6 +140,20 @@ class TestSimulatedMemo:
                 backend.run(record, TP)
                 backend.run(record, FP)
         assert sorted(seeded) == sorted(r.id for r in records)
+
+    def test_repeated_call_returns_its_labels_outcome_without_reseeding(self, monkeypatch):
+        # A true positive always crashes under this config, a false positive never does.
+        backend = SimulatedBackend(SimOracleConfig(1.0, 0.0, 0.0, seed=4))
+        record = make_record(0)
+        first = {label: backend.run(record, label) for label in (TP, FP)}
+        assert (first[TP].kind, first[FP].kind) == (FuzzKind.CRASH, FuzzKind.CLEAN)
+
+        def reseeded(seed, warning_id):
+            raise AssertionError(f"stream of {warning_id} seeded again")
+
+        monkeypatch.setattr(fuzz_mod, "_warning_stream", reseeded)
+        for label in (FP, TP, TP, FP):
+            assert backend.run(record, label) == first[label]
 
     def test_instances_with_other_seeds_share_no_draws(self):
         records = [make_record(i) for i in range(200)]

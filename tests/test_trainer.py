@@ -271,7 +271,8 @@ class TestAdam:
         adam, flat = Adam(lr=0.01), rng.normal(size=50)
         m = v = np.zeros(50)
         expected = flat.copy()
-        for t in range(1, 6):
+        # Past t = 355, 1 - 0.9**t rounds to 1.0 and the step skips its division.
+        for t in range(1, 401):
             grad = rng.normal(size=50)
             m = 0.9 * m + (1 - 0.9) * grad
             v = 0.999 * v + (1 - 0.999) * grad**2
