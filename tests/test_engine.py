@@ -12,7 +12,7 @@ from triagerl.evaluate import permutation_importance
 from triagerl.features import MANIFEST, fit_normalizer, normalize
 from triagerl.fuzz import SimOracleConfig, SimulatedBackend
 from triagerl.metrics import prediction_records
-from triagerl.policy import DEFAULT_DROPOUT, forward_cache, init_params
+from triagerl.policy import DEFAULT_DROPOUT, init_params
 from triagerl.synthetic import separable_task
 from triagerl.trainer import (
     FORWARD_BLOCK,
