@@ -193,10 +193,14 @@ def _scored_split(args) -> tuple:
     input read before the split is checked for records."""
     checkpoint = _load(load_checkpoint, args.checkpoint)
     dataset, table = _load_dataset(args)
-    records = dataset.split_records(Split(args.split))
-    if not records:
-        raise InputError(f"split {args.split!r} has no records")
-    return checkpoint, records, table
+    return checkpoint, dataset.split_records(Split(args.split)), table
+
+
+def _report_rows(args, cfg: RunConfig, records: list, source: str) -> np.ndarray:
+    """Raw feature rows of `records`, read from `source`, with `--meta`'s metadata if given."""
+    metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
+    return extract_features(records, metadata, warn_mod.cluster_sizes(records, cfg.cluster_radius),
+                            source)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +227,7 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
     if args.sidecar:
         matrix = _load(features_mod.read_feature_sidecar, args.sidecar).rows_of(records)
     else:
-        metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
-        sizes = warn_mod.cluster_sizes(records, cfg.cluster_radius)
-        matrix = extract_features(records, metadata, sizes, args.warnings)
+        matrix = _report_rows(args, cfg, records, args.warnings)
         row = {}  # the sidecar states one row per id: its first warning's
         for i, r in enumerate(records):
             first = row.setdefault(r.id, i)
@@ -266,9 +268,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 def cmd_triage(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.parse_report, args.report)
     checkpoint = _load(load_checkpoint, args.checkpoint)
-    metadata = _load(features_mod.read_package_metadata, args.meta) if args.meta else {}
-    raw = extract_features(records, metadata, warn_mod.cluster_sizes(records, cfg.cluster_radius),
-                           args.report)
+    raw = _report_rows(args, cfg, records, args.report)
     backend = _make_backend(cfg)
     feats = normalize(validate_vector(raw, lambda i: f"warning {records[i].id}"),
                       checkpoint.normalizer)

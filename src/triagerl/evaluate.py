@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .features import MANIFEST, FeatureTable, normalize
-from .metrics import (EvalReport, PredictionRecord, precision_recall_f1, prediction_records,
-                      report_from_arrays)
+from .metrics import (EvalReport, PredictionRecord, confusion, precision_recall_f1,
+                      prediction_records, report_from_arrays)
 from .trainer import PolicyCheckpoint, run_episodes
 from .warnings import Label, WarningRecord, text_file
 
@@ -62,9 +62,7 @@ def permutation_importance(
         return run_episodes(ckpt.params, feats, played, None, mask_fuzz=True).called
 
     def f1(called: np.ndarray) -> float:
-        tp = int(np.count_nonzero(called & positives))
-        fp = int(np.count_nonzero(called & ~positives))
-        fn = int(np.count_nonzero(~called & positives))
+        tp, fp, fn, _ = confusion(called, positives)
         return precision_recall_f1(tp, fp, fn)[2] or 0.0
 
     unshuffled = calls(matrix, records)

@@ -83,16 +83,6 @@ class PackageMetadata:
     unsafe_prevalence: float
     total_loc: int
 
-    def __post_init__(self):
-        if self.download_count < 0:
-            raise ValueError(f"download_count must be >= 0, got {self.download_count}")
-        if not 0.0 <= self.unsafe_prevalence <= 1.0:
-            raise ValueError(f"unsafe_prevalence must be in [0,1], got {self.unsafe_prevalence}")
-        # Above 2**53, float64 no longer holds every integer exactly.
-        for key, value in (("downloads", self.download_count), ("loc", self.total_loc)):
-            if abs(value) > 2**53:
-                raise ValueError(f"{key} does not fit a float exactly: |{key}| must be <= 2**53")
-
 
 @dataclass
 class NormalizerStats:
@@ -748,10 +738,11 @@ _METADATA_DEFAULTS = {"downloads": 0, "unsafe_prevalence": 0.0, "loc": 0}
 def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata]:
     """Package metadata file: JSON map package -> {downloads, unsafe_prevalence, loc}.
 
-    Each value is a JSON number, integral for downloads and loc; a missing
-    key takes its default. A malformed file raises InputError naming
-    `source` and the line of a JSON syntax error, or the package whose entry
-    is bad and the key at fault.
+    Each value is a JSON number: downloads and loc integers in [0, 2**53]
+    (above it float64 no longer holds every integer exactly), and
+    unsafe_prevalence in [0, 1]; a missing key takes its default. A
+    malformed file raises InputError naming `source` and the line of a JSON
+    syntax error, or the package whose entry is bad and the key at fault.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -770,10 +761,17 @@ def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata
                     raise ValueError(f"unknown key {key!r}")
                 if type(value) not in (int, float):
                     raise ValueError(f"{key} must be a number, got {value!r}")
-                if key != "unsafe_prevalence" and type(value) is float and not value.is_integer():
+                if key == "unsafe_prevalence":
+                    if not 0 <= value <= 1:
+                        raise ValueError(f"{key} must be in [0,1], got {value!r}")
+                elif type(value) is float and not value.is_integer():
                     raise ValueError(f"{key} must be an integer, got {value!r}")
+                elif value < 0:
+                    raise ValueError(f"{key} must be >= 0, got {value!r}")
+                elif value > 2**53:
+                    raise ValueError(f"{key} does not fit a float exactly: {key} must be <= 2**53")
             out[name] = PackageMetadata(int(values["downloads"]),
                                         float(values["unsafe_prevalence"]), int(values["loc"]))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"{source}: package {name!r}: {exc} in {m!r}") from None
     return out

@@ -47,6 +47,7 @@ class FuzzKind(Enum):
 
 # Fixed slot order for the state one-hot encoding: the members' order above.
 FUZZ_SLOTS = tuple(FuzzKind)
+SLOT_OF = {kind: slot for slot, kind in enumerate(FUZZ_SLOTS)}  # each kind's FUZZ_SLOTS index
 _KIND_OF = {kind.value: kind for kind in FuzzKind}
 
 CRASH_GRADE = (FuzzKind.CRASH, FuzzKind.SANITIZER_VIOLATION)

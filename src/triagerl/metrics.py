@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .fuzz import FUZZ_SLOTS, FuzzKind
+from .fuzz import FUZZ_SLOTS, SLOT_OF, FuzzKind
 from .warnings import Label, text_file, text_lines
 
 
@@ -25,11 +25,11 @@ class PredictionRecord:
     warning_id: str
     predicted: Label
     score: float
-    fuzz_kind: FuzzKind | None  # the outcome of its fuzz run; None if it was not fuzzed
+    fuzz_kind: FuzzKind  # the outcome of its fuzz run; NOT_RUN if it was not fuzzed
 
     @property
     def fuzz_used(self) -> bool:
-        return self.fuzz_kind is not None
+        return self.fuzz_kind is not FuzzKind.NOT_RUN
 
 
 @dataclass
@@ -99,6 +99,15 @@ def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float | None, float 
     return precision, recall, f1, undefined
 
 
+def confusion(called: np.ndarray, positive: np.ndarray) -> tuple[int, int, int, int]:
+    """TP, FP, FN and TN counts from boolean per-warning arrays: whether each
+    warning was called a true positive, and whether it is one."""
+    tp = int(np.count_nonzero(called & positive))
+    fp = int(np.count_nonzero(called)) - tp
+    fn = int(np.count_nonzero(positive)) - tp
+    return tp, fp, fn, len(called) - tp - fp - fn
+
+
 def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
     """The full report from per-warning arrays: whether each warning was
     called a true positive, whether it is one, its P(TP) score, and whether
@@ -107,10 +116,7 @@ def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
     n = len(called)
     if n == 0:
         raise InputError("no predictions to score")
-    tp = int(np.count_nonzero(called & positive))
-    fp = int(np.count_nonzero(called)) - tp
-    fn = int(np.count_nonzero(positive)) - tp
-    tn = n - tp - fp - fn
+    tp, fp, fn, tn = confusion(called, positive)
     precision, recall, f1, undefined = precision_recall_f1(tp, fp, fn)
 
     factors = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
@@ -155,8 +161,7 @@ def prediction_records(ids: list[str], called: np.ndarray, scores: np.ndarray,
     """One verdict per id from per-warning arrays; `outcomes` holds FUZZ_SLOTS
     indices, 0 (NotRun) where the warning was not fuzzed."""
     label = {True: Label.TRUE_POSITIVE, False: Label.FALSE_POSITIVE}  # by whether called TP
-    kinds = (None, *FUZZ_SLOTS[1:])  # the fuzz kind by slot; slot 0 (NotRun) means none
-    return [PredictionRecord(wid, label[c], s, kinds[o])
+    return [PredictionRecord(wid, label[c], s, FUZZ_SLOTS[o])
             for wid, c, s, o in zip(ids, called.tolist(), scores.tolist(), outcomes.tolist())]
 
 
@@ -178,7 +183,6 @@ def write_report(report: EvalReport) -> bytes:
 # and its fuzz flag and kind columns by FUZZ_SLOTS index (0, NotRun: not fuzzed).
 _CALL_TEXT = (Label.FALSE_POSITIVE.value, Label.TRUE_POSITIVE.value)
 _SLOT_TEXT = ("0\t-", *(f"1\t{kind.value}" for kind in FUZZ_SLOTS[1:]))
-_SLOT_OF = {None: 0} | {kind: slot for slot, kind in enumerate(FUZZ_SLOTS) if slot}
 
 
 def verdict_file(ids: list[str], called, scores, slots) -> bytes:
@@ -194,7 +198,7 @@ def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
     return verdict_file([p.warning_id for p in predictions],
                         [p.predicted is Label.TRUE_POSITIVE for p in predictions],
                         [p.score for p in predictions],
-                        [_SLOT_OF[p.fuzz_kind] for p in predictions])
+                        [SLOT_OF[p.fuzz_kind] for p in predictions])
 
 
 def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
@@ -207,11 +211,11 @@ def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
                 warning_id=wid,
                 predicted=Label(predicted),
                 score=float(score),
-                fuzz_kind=None if kind == "-" else FuzzKind(kind),
+                fuzz_kind=FuzzKind.NOT_RUN if kind == "-" else FuzzKind(kind),
             )
             if not 0.0 <= record.score <= 1.0:
                 raise ValueError(f"score must be in [0,1], got {score}")
-            if record.fuzz_kind is FuzzKind.NOT_RUN:
+            if kind == FuzzKind.NOT_RUN.value:  # not fuzzed is written "-"
                 raise ValueError("fuzz kind not_run is not an outcome")
             if flag != str(int(record.fuzz_used)):
                 raise ValueError(f"fuzz flag {flag!r} must be 0 or 1 and agree with fuzz kind {kind}")

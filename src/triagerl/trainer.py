@@ -20,7 +20,7 @@ import numpy as np
 from .env import RewardSpec, TriageAction, check_fields, reward_of
 from .errors import InputError, NonFiniteScores
 from .features import MANIFEST, FeatureTable, NormalizerStats, fit_normalizer, normalize
-from .fuzz import FUZZ_SLOTS, run_many
+from .fuzz import FUZZ_SLOTS, SLOT_OF, run_many
 from .metrics import report_from_arrays
 from .policy import (DEFAULT_DROPOUT, PolicyParams, draw_dropout_masks, forward_cache,
                      init_params, param_layout, softmax)
@@ -34,8 +34,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Rows per forward pass of the episode engine. Each row's outputs are its own
 # in any batch, so the block size changes no bit, only the memory held.
 FORWARD_BLOCK = 1024
-# Each fuzz outcome kind's slot, and each slot's one-hot state columns.
-_SLOT_OF = {kind: slot for slot, kind in enumerate(FUZZ_SLOTS)}
+# Each fuzz outcome slot's one-hot state columns.
 _SLOT_ROWS = np.eye(len(FUZZ_SLOTS))
 
 
@@ -240,7 +239,7 @@ def run_episodes(
         second, act2, probs2, values2 = first[:0], act1[:0], probs1[:0], values1[:0]
     else:
         fuzzed = [records[i] for i in idx]
-        outcome[idx] = [_SLOT_OF[o.kind] for o in run_many(backend, fuzzed, jobs)]
+        outcome[idx] = [SLOT_OF[o.kind] for o in run_many(backend, fuzzed, jobs)]
         second = first[idx]
         second[:, fd:] = _SLOT_ROWS[outcome[idx]]
         logits2, values2 = _finite_forward(params, second, fuzzed)
@@ -373,17 +372,14 @@ def ppo_loss_and_grads(
 class Adam:
     """Adaptive moment estimation over a flat parameter vector, updated in place."""
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, size: int):
         self.lr = lr
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._scratch = np.empty(size), np.empty(size)
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        """flat -= lr * m_hat / (sqrt(v_hat) + eps), with no new arrays after the first step."""
-        if self.m is None:
-            self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
-            self._scratch = np.empty_like(flat), np.empty_like(flat)
+        """flat -= lr * m_hat / (sqrt(v_hat) + eps), in place: a step makes no new array."""
         self.t += 1
         a, b = self._scratch
         self.m *= ADAM_BETA1
@@ -461,10 +457,6 @@ def train(
     reward_spec = reward_spec or RewardSpec()
     train_records = dataset.split_records(Split.TRAIN)
     val_records = dataset.split_records(Split.VAL)
-    if not train_records:
-        raise InputError("train split is empty")
-    if not val_records:
-        raise InputError("val split is empty")
 
     train_raw = table.rows_of(train_records)
     stats = fit_normalizer(train_raw)
@@ -475,7 +467,7 @@ def train(
     params = init_params(STATE_DIM, dropout_rate=config.dropout_rate, seed=config.seed)
     rng_rollout = np.random.default_rng([config.seed, 1])
     rng_update = np.random.default_rng([config.seed, 2])
-    optimizer = Adam(config.learning_rate)
+    optimizer = Adam(config.learning_rate, params.flat.size)
 
     best_params = params.copy()
     best_f1 = -1.0

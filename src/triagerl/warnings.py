@@ -103,9 +103,12 @@ class Dataset:
     split_assignment: dict[str, Split]
 
     def split_records(self, split: Split) -> list[WarningRecord]:
-        """The records assigned to `split`, each of which must be labeled: an
-        unlabeled one raises InputError naming the split and every such id."""
+        """The records assigned to `split`, of which there must be some, each
+        labeled: an empty split raises InputError naming it, and an unlabeled
+        record one naming the split and every such id."""
         records = [r for r in self.records if self.split_assignment.get(r.id) == split]
+        if not records:
+            raise InputError(f"split {split.value!r} has no records")
         unlabeled = [r.id for r in records if r.label is None]
         if unlabeled:
             raise InputError(f"unlabeled records in split {split.value!r}: {', '.join(unlabeled)}")

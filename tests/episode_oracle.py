@@ -70,7 +70,7 @@ def play_episode(params, reward_spec, record, feats, backend, mask_fuzz=False, r
             predicted=Label.TRUE_POSITIVE if action is TriageAction.CLASSIFY_TP
             else Label.FALSE_POSITIVE,
             score=float(classify[TriageAction.CLASSIFY_TP]),
-            fuzz_kind=None if kind is FuzzKind.NOT_RUN else kind,
+            fuzz_kind=kind,
         )
         return prediction, steps
     raise AssertionError("episode did not terminate in two steps")

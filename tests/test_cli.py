@@ -508,6 +508,13 @@ def first_outcome_elapsed(elapsed):
     return edit
 
 
+def with_twin_of_first_warning(text):
+    """A warning store with a copy of its first warning, whose snippet (not
+    part of the id) is another: one id, two feature rows."""
+    twin = {**json.loads(text.split("\n", 1)[0]), "code_snippet": "fn other() {}"}
+    return text + json.dumps(twin) + "\n"
+
+
 def keep_one_train_record(text):
     first, rest = text.split("\ttrain", 1)
     return first + "\ttrain" + rest.replace("\ttrain", "\tval")
@@ -696,7 +703,11 @@ class TestMalformedInputs:
         ("report", "labels", lambda t: t.split("\t", 1)[0] + "\n" + t.split("\n", 1)[1], [], 3,
          "{bad} line 1: expected 'id<TAB>label<TAB>source'"),
         ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": -1', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': download_count must be >= 0, got -1"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be >= 0, got -1"),
+        ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": -3', t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc must be >= 0, got -3"),
+        ("featurize", "warnings", with_twin_of_first_warning, [], 3,
+         "{bad}: warnings with id 64545d2592b038cc differ in level, op_type or code_snippet"),
         ("featurize", "meta", lambda t: re.sub(r'"unsafe_prevalence": [\d.]+',
                                                '"unsafe_prevalence": 1.5', t, count=1),
          [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be in [0,1], "
@@ -706,7 +717,7 @@ class TestMalformedInputs:
         ("report", "verdicts", first_verdict_scored("1.5"), [], 3,
          "{bad} line 1: score must be in [0,1], got 1.5"),
         ("train", "splits", lambda t: t.replace("\ttrain", "\tval"), [], 3,
-         "input error: train split is empty"),
+         "input error: split 'train' has no records"),
         ("evaluate", "checkpoint", lambda t: re.sub(r'"b_v":\[[^]]*\]', '"b_v":[]', t), [], 3,
          "{bad}: ValueError: flat vector has shape (57475,), expected (57476,)"),
         ("fuzz-validate", "config",
@@ -755,7 +766,8 @@ class TestMalformedInputs:
             "meta-not-object", "checkpoint-format-version", "checkpoint-input-dimension",
             "checkpoint-short-normalizer", "checkpoint-weight-nan", "outcomes-elapsed-nan",
             "outcomes-elapsed-inf", "store-id-disagrees", "labels-one-field",
-            "meta-downloads-negative", "meta-prevalence-above-1", "sim-probability-above-1",
+            "meta-downloads-negative", "meta-loc-negative", "store-id-repeated-content-differs",
+            "meta-prevalence-above-1", "sim-probability-above-1",
             "verdict-score-above-1", "train-split-empty", "checkpoint-weights-short",
             "recorded-path-nul", "external-command-nul", "config-key-restated",
             "checkpoint-config-int-float", "checkpoint-reward-bool", "meta-key-misspelled",
@@ -1308,3 +1320,15 @@ class TestConfigKeys:
         value, changes = KEY_EFFECTS[key]
         got = run_clustered(tmp_path, f"{key} = {value}\n")
         assert {name for name in ARTEFACTS if got[name].read_bytes() != baseline[name]} == changes
+
+    def test_readme_block_lists_each_key_once_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        listed = [pair for line in block.splitlines()
+                  for pair in re.findall(r"([\w.]+) = (\S*)", line.split("#", 1)[0])]
+        assert sorted(key for key, _ in listed) == sorted(CONFIG_KEYS)
+        defaults = build_run_config({}, "defaults")
+        for key, text in listed:
+            section, _, name = key.rpartition(".")
+            default = getattr(getattr(defaults, section) if section else defaults, name)
+            assert CONFIG_KEYS[key](text) == default, key

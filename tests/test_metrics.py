@@ -26,7 +26,7 @@ def build(preds_labels_scores):
     predictions, labels = [], {}
     for i, (pred, actual, score) in enumerate(preds_labels_scores):
         wid = f"w{i:05d}"
-        predictions.append(PredictionRecord(wid, pred, score, None))
+        predictions.append(PredictionRecord(wid, pred, score, FuzzKind.NOT_RUN))
         labels[wid] = actual
     return predictions, labels
 
@@ -208,7 +208,7 @@ class TestUndefinedHandling:
             compute_metrics([], {})
 
     def test_missing_label_listed(self):
-        preds = [PredictionRecord("feed" * 4, TP, 0.5, None)]
+        preds = [PredictionRecord("feed" * 4, TP, 0.5, FuzzKind.NOT_RUN)]
         with pytest.raises(InputError, match="feed"):
             compute_metrics(preds, {})
 
@@ -217,7 +217,7 @@ class TestSerialization:
     def test_verdicts_round_trip(self):
         preds = [
             PredictionRecord("a" * 16, TP, 0.75, fuzz_kind=FuzzKind.CRASH),
-            PredictionRecord("b" * 16, FP, 0.25, None),
+            PredictionRecord("b" * 16, FP, 0.25, FuzzKind.NOT_RUN),
         ]
         assert read_verdicts(write_verdicts(preds), "verdicts") == preds
 
@@ -240,7 +240,7 @@ class TestSerialization:
     def test_fuzz_rate_counted(self):
         preds = [
             PredictionRecord("a" * 16, TP, 0.9, fuzz_kind=FuzzKind.CLEAN),
-            PredictionRecord("b" * 16, FP, 0.1, None),
+            PredictionRecord("b" * 16, FP, 0.1, FuzzKind.NOT_RUN),
         ]
         labels = {"a" * 16: TP, "b" * 16: FP}
         assert compute_metrics(preds, labels).fuzz_invocation_rate == 0.5

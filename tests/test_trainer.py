@@ -193,7 +193,8 @@ class TestPPOObjective:
         config = TrainConfig(seed=0, learning_rate=1e-3, minibatch_size=32,
                              ppo_inner_epochs=1, dropout_rate=0.0)
         before, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, None)
-        ppo_update(params, batch, config, np.random.default_rng(0), Adam(config.learning_rate))
+        ppo_update(params, batch, config, np.random.default_rng(0),
+                   Adam(config.learning_rate, params.flat.size))
         after, _, _ = ppo_loss_and_grads(params, batch, config, feature_dim, None)
         assert after < before
 
@@ -204,7 +205,8 @@ class TestPPOObjective:
         batch.advantages[3] = np.inf
         config = TrainConfig(seed=0, dropout_rate=0.0, minibatch_size=64)
         with pytest.raises(InputError, match="minibatch"):
-            ppo_update(params, batch, config, np.random.default_rng(0), Adam(config.learning_rate))
+            ppo_update(params, batch, config, np.random.default_rng(0),
+                       Adam(config.learning_rate, params.flat.size))
 
 
 class TestStepAgainstOracle:
@@ -259,7 +261,7 @@ class TestStepAgainstOracle:
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         # Bias correction makes the first step lr * sign(grad).
-        adam = Adam(lr=0.01)
+        adam = Adam(0.01, 4)
         flat = np.zeros(4)
         grad = np.array([1.0, -2.0, 0.5, 0.0])
         adam.step(flat, grad)
@@ -268,7 +270,7 @@ class TestAdam:
 
     def test_in_place_step_matches_the_textbook_update(self):
         rng = np.random.default_rng(0)
-        adam, flat = Adam(lr=0.01), rng.normal(size=50)
+        adam, flat = Adam(0.01, 50), rng.normal(size=50)
         m = v = np.zeros(50)
         expected = flat.copy()
         # Past t = 355, 1 - 0.9**t rounds to 1.0 and the step skips its division.
@@ -281,7 +283,7 @@ class TestAdam:
             assert np.array_equal(flat, expected)
 
     def test_state_accumulates(self):
-        adam = Adam(lr=0.1)
+        adam = Adam(0.1, 2)
         flat = np.zeros(2)
         for _ in range(3):
             adam.step(flat, np.array([1.0, 1.0]))
@@ -384,7 +386,7 @@ class TestTrainLoop:
             wid: Split.TRAIN for wid in dataset.split_assignment
         }
         cfg = TrainConfig(epochs_max=1, patience=1, seed=0)
-        with pytest.raises(InputError, match="^val split is empty$"):
+        with pytest.raises(InputError, match="^split 'val' has no records$"):
             train(dataset, vectors, cfg, SimulatedBackend(UNINFORMATIVE_ORACLE))
 
 
