@@ -23,12 +23,12 @@ from . import features as features_mod
 from . import fuzz as fuzz_mod
 from . import metrics as metrics_mod
 from . import warnings as warn_mod
-from .env import RewardSpec, check_fields
+from .env import RewardSpec
 from .errors import InputError, NonFiniteScores
 from .features import extract_features, manifest_export, normalize, validate_vector
 from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBackend, load_templates
 from .trainer import TrainConfig, load_checkpoint, run_episodes, save_checkpoint, train
-from .warnings import Dataset, Split
+from .warnings import Dataset, Split, check_fields
 
 @dataclass
 class RunConfig:
@@ -46,13 +46,11 @@ class RunConfig:
     reward: RewardSpec = field(default_factory=RewardSpec)
     sim: SimOracleConfig = field(default_factory=SimOracleConfig)
 
+    INTERVALS = {"seed": "[0,inf)", "cluster_radius": "[0,inf)",
+                 "jobs": f"(-inf,{fuzz_mod.MAX_JOBS}]"}
+
     def __post_init__(self):
-        check_fields(self)
-        for name in ("seed", "cluster_radius"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.jobs > fuzz_mod.MAX_JOBS:
-            raise ValueError(f"jobs must be <= {fuzz_mod.MAX_JOBS}, got {self.jobs}")
+        check_fields(self, self.INTERVALS)
 
 
 # Each section field of RunConfig and its class.

@@ -8,13 +8,12 @@ a six-slot one-hot of the fuzz outcome (NotRun before fuzzing).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import IllegalAction
 from .fuzz import CRASH_GRADE, FuzzKind
-from .warnings import Label
+from .warnings import Label, check_fields
 
 
 class TriageAction(IntEnum):
@@ -39,23 +38,7 @@ class RewardSpec:
     bonus_inconclusive: float = 3.0
 
     def __post_init__(self):
-        check_fields(self)
-
-
-# The value types an int or float field may hold: a bool is neither.
-_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
-
-
-def check_fields(config) -> None:
-    """Raise ValueError naming the first int or float field of dataclass
-    `config` whose value has another type, or is a float that is not finite."""
-    for f in fields(config):
-        if f.type in _NUMBER_TYPES:
-            value = getattr(config, f.name)
-            if type(value) not in _NUMBER_TYPES[f.type]:
-                raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_fields(self, {})
 
 
 def reward_of(

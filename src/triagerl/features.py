@@ -27,8 +27,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import InputError
-from .warnings import (BugPattern, Level, WarningRecord, classify_bug_pattern, package_of,
-                       state_once, text_file, text_lines)
+from .warnings import (BugPattern, Level, WarningRecord, classify_bug_pattern, number_array,
+                       package_of, state_once, text_file, text_lines)
 
 MANIFEST_VERSION = 1
 EXPECTED_FEATURE_COUNT = 87
@@ -715,7 +715,7 @@ def read_feature_sidecar(data: bytes, source: str) -> FeatureTable:
             wid, digest = obj["warning_id"], obj["manifest_digest"]
             if not isinstance(wid, str):
                 raise TypeError(f"warning_id must be a string, got {type(wid).__name__}")
-            values = np.array(obj["values"], dtype=np.float64)
+            values = number_array(obj["values"])
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise InputError(f"{where}: {type(exc).__name__}: {exc}") from exc
         if digest != MANIFEST.digest:

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HarnessError, InputError
-from .warnings import (BugPattern, Label, WarningRecord, classify_bug_pattern, package_of,
-                       read_input, state_once, text_file, text_lines)
+from .warnings import (BugPattern, Label, WarningRecord, check_fields, classify_bug_pattern,
+                       package_of, read_input, state_once, text_file, text_lines)
 
 BUDGET_BOUNDS = (30.0, 60.0)  # an external run's budget is clamped into this range, in seconds
 BUDGET_GRACE_SECONDS = 5.0
@@ -75,15 +75,13 @@ class SimOracleConfig:
     p_inconclusive: float = 0.25
     seed: int = 0
 
+    INTERVALS = {"p_crash_given_tp": "[0,1]", "p_crash_given_fp": "[0,1]",
+                 "p_inconclusive": "[0,1]", "seed": "[0,inf)"}
+
     def __post_init__(self):
-        for name in ("p_crash_given_tp", "p_crash_given_fp", "p_inconclusive"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
+        check_fields(self, self.INTERVALS)
         if self.p_crash_given_fp > self.p_crash_given_tp:
             raise ValueError("p_crash_given_fp must be <= p_crash_given_tp (oracle fidelity)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 _PLACEHOLDER = re.compile(r"\{\{(package|function|type_args|entry)\}\}")

@@ -17,14 +17,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .env import RewardSpec, TriageAction, check_fields, reward_of
+from .env import RewardSpec, TriageAction, reward_of
 from .errors import InputError, NonFiniteScores
 from .features import MANIFEST, FeatureTable, NormalizerStats, fit_normalizer, normalize
 from .fuzz import FUZZ_SLOTS, SLOT_OF, run_many
 from .metrics import report_from_arrays
 from .policy import (DEFAULT_DROPOUT, PolicyParams, draw_dropout_masks, forward_cache,
                      init_params, param_layout, softmax)
-from .warnings import Dataset, Label, Split, WarningRecord
+from .warnings import Dataset, Label, Split, WarningRecord, check_fields, number_array
 
 CHECKPOINT_FORMAT_VERSION = 1
 # A state: the manifest's features, then a one-hot of the fuzz outcome slots.
@@ -52,22 +52,13 @@ class TrainConfig:
     dropout_rate: float = DEFAULT_DROPOUT
     seed: int = 0
 
+    INTERVALS = {"epochs_max": "[1,inf)", "minibatch_size": "[1,inf)", "clip_epsilon": "(0,1)",
+                 "learning_rate": "(0,inf)", "value_loss_weight": "[0,inf)",
+                 "entropy_weight": "[0,inf)", "ppo_inner_epochs": "[1,inf)", "gamma": "(0,1]",
+                 "patience": "[0,inf)", "dropout_rate": "[0,1)", "seed": "[0,inf)"}
+
     def __post_init__(self):
-        check_fields(self)
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ValueError(f"clip_epsilon must be in (0,1), got {self.clip_epsilon}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0,1], got {self.gamma}")
-        for name in ("epochs_max", "minibatch_size", "learning_rate", "ppo_inner_epochs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("value_loss_weight", "entropy_weight", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+        check_fields(self, self.INTERVALS)
 
 
 @dataclass
@@ -560,18 +551,15 @@ def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
             if digest != MANIFEST.digest:
                 raise InputError(
                     f"{source}: {part} digest {digest} != manifest digest {MANIFEST.digest}")
-        if type(doc["seed"]) is not int:
-            raise ValueError(f"seed must be an integer, got {doc['seed']!r}")
-        if type(doc["dropout_rate"]) not in (int, float) or not 0 <= doc["dropout_rate"] < 1:
-            raise ValueError(f"dropout_rate must be a number in [0,1), got {doc['dropout_rate']!r}")
+        # The top-level copies are held to train.seed's and train.dropout_rate's rules.
+        TrainConfig(seed=doc["seed"], dropout_rate=doc["dropout_rate"])
         input_dim, h1, h2 = doc["layer_dims"]
         if input_dim != STATE_DIM:
             raise ValueError(f"input dimension {input_dim} does not fit the manifest")
-        flat = np.concatenate([np.array(doc["weights"][name], dtype=np.float64)
+        flat = np.concatenate([number_array(doc["weights"][name])
                                for name, _ in param_layout(input_dim, (h1, h2))])
         params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"], flat)
-        normalizer = NormalizerStats(np.array(stats["mean"], dtype=np.float64),
-                                     np.array(stats["std"], dtype=np.float64))
+        normalizer = NormalizerStats(number_array(stats["mean"]), number_array(stats["std"]))
         if normalizer.mean.shape != (len(MANIFEST),) or normalizer.std.shape != (len(MANIFEST),):
             raise ValueError(f"normalizer statistics must have {len(MANIFEST)} entries each")
         if not all(np.isfinite(v).all() for v in (flat, normalizer.mean, normalizer.std)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass, fields
@@ -396,6 +397,37 @@ def state_once(table: dict, key: str, value, where: str, same=lambda a, b: a == 
     if key in table and not same(table[key], value):
         raise InputError(f"{where}: {key} was stated before with another value")
     table[key] = value
+
+
+# The value types an int or float field may hold: a bool is neither.
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+
+
+def check_fields(config, intervals: dict[str, str]) -> None:
+    """Raise ValueError naming the first int or float field of dataclass `config`
+    whose value has another type, is not finite or lies outside `intervals[name]`."""
+    for f in fields(config):
+        if f.type in _NUMBER_TYPES:
+            value = getattr(config, f.name)
+            if type(value) not in _NUMBER_TYPES[f.type]:
+                raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            interval = intervals.get(f.name, "[-inf,inf]")
+            low, high = map(float, interval[1:-1].split(","))
+            if (not low <= value <= high or value == low and interval[0] == "("
+                    or value == high and interval[-1] == ")"):
+                raise ValueError(f"{f.name} must be in {interval}, got {value}")
+
+
+def number_array(values) -> np.ndarray:
+    """JSON list `values` as a float64 array; a value that is not a number (a
+    string or a boolean, say) raises ValueError naming the first one."""
+    items = values if type(values) is list else [values]
+    if not set(map(type, items)) <= {int, float}:
+        bad = next(v for v in items if type(v) not in (int, float))
+        raise ValueError(f"expected a list of numbers, got {bad!r}")
+    return np.array(values, dtype=np.float64)
 
 
 def write_warning_store(records: list[WarningRecord]) -> bytes:

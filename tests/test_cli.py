@@ -599,9 +599,9 @@ class TestMalformedInputs:
         ("train", "config", lambda t: with_keys(t, "reward.correct = 1e308\n"), [], 3,
          "epoch 1: non-finite loss in PPO pass 1, minibatch 1; " + SCALES_LOSS),
         ("train", "config", lambda t: with_keys(t, "train.value_loss_weight = -1e308\n"), [], 3,
-         "{bad}: train.value_loss_weight must be >= 0, got -1e+308"),
+         "{bad}: train.value_loss_weight must be in [0,inf), got -1e+308"),
         ("train", "config", lambda t: with_keys(t, "train.entropy_weight = -5\n"), [], 3,
-         "{bad}: train.entropy_weight must be >= 0, got -5.0"),
+         "{bad}: train.entropy_weight must be in [0,inf), got -5.0"),
         ("triage", "checkpoint", lambda t: re.sub(r'"w1":\[[^,]+', '"w1":[1' + "0" * 399, t), [],
          3, "{bad}: OverflowError: int too large to convert to float"),
         ("evaluate", "features", lambda t: re.sub(r'"values": \[[^,]+', '"values": [1' + "0" * 399,
@@ -616,27 +616,29 @@ class TestMalformedInputs:
         ("report", "verdicts", first_verdict_fuzzed("1", "not_run"), [], 3,
          "{bad} line 1: fuzz kind not_run is not an outcome"),
         ("evaluate", "checkpoint", lambda t: t.replace('"dropout_rate":0.2', '"dropout_rate":"abc"', 1),
-         [], 3, "{bad}: ValueError: dropout_rate must be a number in [0,1), got 'abc'"),
+         [], 3, "{bad}: ValueError: dropout_rate: expected float, got 'abc'"),
         ("evaluate", "checkpoint", lambda t: t.replace('"dropout_rate":0.2', '"dropout_rate":null', 1),
-         [], 3, "{bad}: ValueError: dropout_rate must be a number in [0,1), got None"),
+         [], 3, "{bad}: ValueError: dropout_rate: expected float, got None"),
         ("evaluate", "checkpoint", lambda t: t.replace('"dropout_rate":0.2', '"dropout_rate":5.0', 1),
-         [], 3, "{bad}: ValueError: dropout_rate must be a number in [0,1), got 5.0"),
+         [], 3, "{bad}: ValueError: dropout_rate must be in [0,1), got 5.0"),
         ("evaluate", "checkpoint", lambda t: t.replace(',"seed":7', "", 1), [], 3,
          "{bad}: KeyError: 'seed'"),
         ("evaluate", "checkpoint", lambda t: t.replace('"seed":7', '"seed":7.5', 1), [], 3,
-         "{bad}: ValueError: seed must be an integer, got 7.5"),
+         "{bad}: ValueError: seed: expected int, got 7.5"),
         ("evaluate", "features", lambda t: re.sub(r'"warning_id": ("\w+")', r'"warning_id": [\1]', t,
                                                   count=1),
          [], 3, "{bad} line 1: TypeError: warning_id must be a string, got list"),
-        ("split", "config", str, ["--seed", "-1"], 3, "{bad}: seed must be >= 0, got -1"),
+        ("split", "config", str, ["--seed", "-1"], 3, "{bad}: seed must be in [0,inf), got -1"),
         ("train", "config", lambda t: with_keys(t, "train.seed = -3\n"), [], 3,
-         "{bad}: train.seed must be >= 0, got -3"),
-        ("importance", "config", str, ["--seed", "-2"], 3, "{bad}: seed must be >= 0, got -2"),
+         "{bad}: train.seed must be in [0,inf), got -3"),
+        ("importance", "config", str, ["--seed", "-2"], 3,
+         "{bad}: seed must be in [0,inf), got -2"),
         ("fuzz-validate", "config", lambda t: with_keys(t, "sim.seed = -1\n"), [], 3,
-         "{bad}: sim.seed must be >= 0, got -1"),
+         "{bad}: sim.seed must be in [0,inf), got -1"),
         ("evaluate", "checkpoint", lambda t: t.replace('"seed":7}', '"seed":-1}', 1), [], 3,
-         "{bad}: ValueError: seed must be >= 0, got -1"),
-        ("fuzz-validate", "config", str, ["--jobs", "65"], 3, "{bad}: jobs must be <= 64, got 65"),
+         "{bad}: ValueError: seed must be in [0,inf), got -1"),
+        ("fuzz-validate", "config", str, ["--jobs", "65"], 3,
+         "{bad}: jobs must be in (-inf,64], got 65"),
         ("report", "config", lambda t: "# a note\u2028 here\nseed = 7\nbogus = 2\n" + t, [], 3,
          "{bad} line 3: unknown config key 'bogus'"),
         ("ingest", "report", with_long_integer("start_line"), [], 3,
@@ -748,6 +750,19 @@ class TestMalformedInputs:
                                                '"unsafe_prevalence": "0.5"', t, count=1),
          [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be a number, "
                 "got '0.5'"),
+        ("evaluate", "features", lambda t: re.sub(r'"values": \[[^,]+', '"values": ["0.0"', t,
+                                                  count=1),
+         [], 3, "{bad} line 1: ValueError: expected a list of numbers, got '0.0'"),
+        ("evaluate", "features", lambda t: re.sub(r'"values": \[[^,]+', '"values": [true', t,
+                                                  count=1),
+         [], 3, "{bad} line 1: ValueError: expected a list of numbers, got True"),
+        ("triage", "checkpoint", lambda t: re.sub(r'"b_v":\[[^]]*\]', '"b_v":["1.0"]', t), [], 3,
+         "{bad}: ValueError: expected a list of numbers, got '1.0'"),
+        ("triage", "checkpoint", lambda t: re.sub(r'"mean":\[[^,]+', '"mean":[true', t), [], 3,
+         "{bad}: ValueError: expected a list of numbers, got True"),
+        ("evaluate", "checkpoint",
+         lambda t: t.replace('"seed":7,"weights"', '"seed":-1,"weights"', 1), [], 3,
+         "{bad}: ValueError: seed must be in [0,inf), got -1"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -772,7 +787,9 @@ class TestMalformedInputs:
             "recorded-path-nul", "external-command-nul", "config-key-restated",
             "checkpoint-config-int-float", "checkpoint-reward-bool", "meta-key-misspelled",
             "meta-downloads-string", "meta-downloads-bool", "meta-downloads-fraction",
-            "meta-loc-fraction", "meta-prevalence-string"])
+            "meta-loc-fraction", "meta-prevalence-string", "sidecar-value-string",
+            "sidecar-value-bool", "checkpoint-weight-string", "checkpoint-mean-bool",
+            "checkpoint-seed-negative"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -1324,11 +1341,13 @@ class TestConfigKeys:
     def test_readme_block_lists_each_key_once_with_its_default(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
-        listed = [pair for line in block.splitlines()
-                  for pair in re.findall(r"([\w.]+) = (\S*)", line.split("#", 1)[0])]
-        assert sorted(key for key, _ in listed) == sorted(CONFIG_KEYS)
+        # One key a line: `key = default`, then `# in <interval>` when it has one.
+        listed = [re.fullmatch(r"([\w.]+) = (\S*) *(?:# (?:in ([\[(]\S+?[\])]))?.*)?", line).groups()
+                  for line in block.splitlines()]
+        assert sorted(key for key, _, _ in listed) == sorted(CONFIG_KEYS)
         defaults = build_run_config({}, "defaults")
-        for key, text in listed:
+        for key, text, interval in listed:
             section, _, name = key.rpartition(".")
-            default = getattr(getattr(defaults, section) if section else defaults, name)
-            assert CONFIG_KEYS[key](text) == default, key
+            config = getattr(defaults, section) if section else defaults
+            assert CONFIG_KEYS[key](text) == getattr(config, name), key
+            assert interval == getattr(type(config), "INTERVALS", {}).get(name), key

@@ -1,6 +1,7 @@
 """Backends: simulated oracle statistics, recorded replay, external adapter."""
 
 import os
+import re
 import stat
 import tempfile
 import time
@@ -103,6 +104,14 @@ class TestSimulatedBackend:
     def test_fidelity_ordering_enforced(self):
         with pytest.raises(ValueError):
             SimOracleConfig(p_crash_given_tp=0.1, p_crash_given_fp=0.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": True}, "seed: expected int, got True"),
+        ({"p_inconclusive": True}, "p_inconclusive: expected float, got True"),
+    ])
+    def test_a_bool_is_no_number(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimOracleConfig(**kwargs)
 
     def test_elapsed_nonnegative_and_small(self):
         backend = SimulatedBackend(SimOracleConfig(seed=0))
