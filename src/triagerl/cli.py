@@ -30,6 +30,9 @@ from .fuzz import ExternalBackend, RecordedBackend, SimOracleConfig, SimulatedBa
 from .trainer import TrainConfig, load_checkpoint, run_episodes, save_checkpoint, train
 from .warnings import Dataset, Split, check_fields
 
+BACKENDS = ("simulated", "recorded", "external")
+
+
 @dataclass
 class RunConfig:
     """Resolved run settings: defaults, overlaid by config file, then flags."""
@@ -46,11 +49,13 @@ class RunConfig:
     reward: RewardSpec = field(default_factory=RewardSpec)
     sim: SimOracleConfig = field(default_factory=SimOracleConfig)
 
-    INTERVALS = {"seed": "[0,inf)", "cluster_radius": "[0,inf)",
+    INTERVALS = {"seed": "[0,inf)", "cluster_radius": "[0,inf)", "fuzz_budget": "[30,60]",
                  "jobs": f"(-inf,{fuzz_mod.MAX_JOBS}]"}
 
     def __post_init__(self):
         check_fields(self, self.INTERVALS)
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r} ({'/'.join(BACKENDS)})")
 
 
 # Each section field of RunConfig and its class.
@@ -158,21 +163,18 @@ def _make_backend(cfg: RunConfig):
     if cfg.backend == "recorded":
         if not cfg.recorded_path:
             raise InputError("backend 'recorded' needs recorded_path (or --recorded)")
-        return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path))
-    if cfg.backend == "external":
-        directory = Path(cfg.templates_dir or fuzz_mod.DEFAULT_TEMPLATE_DIR)
-        if not directory.is_dir():  # else every harness would fail to generate
-            raise InputError(f"templates_dir is not a directory: {directory}")
-        try:
-            command = shlex.split(cfg.external_command)
-        except ValueError as exc:  # an unbalanced quote
-            raise InputError(f"external_command cannot be split: {exc}") from None
-        if not command:
-            raise InputError("external_command is empty")
-        if "\0" in cfg.external_command:  # which no process argument can hold
-            raise InputError("external_command holds a NUL byte")
-        return ExternalBackend(command, templates=load_templates(directory), budget=cfg.fuzz_budget)
-    raise InputError(f"unknown backend {cfg.backend!r} (simulated/recorded/external)")
+        return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path),
+                               cfg.recorded_path)
+    try:  # the external backend
+        command = shlex.split(cfg.external_command)
+    except ValueError as exc:  # an unbalanced quote
+        raise InputError(f"external_command cannot be split: {exc}") from None
+    if not command:
+        raise InputError("external_command is empty")
+    if "\0" in cfg.external_command:  # which no process argument can hold
+        raise InputError("external_command holds a NUL byte")
+    templates = load_templates(Path(cfg.templates_dir or fuzz_mod.DEFAULT_TEMPLATE_DIR))
+    return ExternalBackend(command, templates=templates, budget=cfg.fuzz_budget)
 
 
 def _labeled_store(args) -> list[warn_mod.WarningRecord]:
@@ -182,7 +184,8 @@ def _labeled_store(args) -> list[warn_mod.WarningRecord]:
 
 
 def _load_dataset(args) -> tuple[Dataset, features_mod.FeatureTable]:
-    dataset = Dataset(_labeled_store(args), _load(warn_mod.read_split_file, args.splits))
+    dataset = Dataset(_labeled_store(args), _load(warn_mod.read_split_file, args.splits),
+                      args.labels)
     return dataset, _load(features_mod.read_feature_sidecar, args.features)
 
 
@@ -222,18 +225,14 @@ def cmd_split(args, cfg: RunConfig) -> int:
 
 def cmd_featurize(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.read_warning_store, args.warnings)
+    ids = [r.id for r in records]
     if args.sidecar:
-        matrix = _load(features_mod.read_feature_sidecar, args.sidecar).rows_of(records)
+        table = _load(features_mod.read_feature_sidecar, args.sidecar)
     else:
-        matrix = _report_rows(args, cfg, records, args.warnings)
-        row = {}  # the sidecar states one row per id: its first warning's
-        for i, r in enumerate(records):
-            first = row.setdefault(r.id, i)
-            if first != i and not np.array_equal(matrix[first], matrix[i]):
-                raise InputError(f"{args.warnings}: warnings with id {r.id} differ "
-                                 "in level, op_type or code_snippet")
-        matrix = matrix[[row[r.id] for r in records]]
-    _write(args.out, features_mod.write_feature_sidecar([r.id for r in records], matrix))
+        # Rows worked out here are valid by construction; a row's id names it.
+        table = features_mod.FeatureTable(ids, _report_rows(args, cfg, records, args.warnings),
+                                          lambda i: args.warnings)
+    _write(args.out, features_mod.write_feature_sidecar(ids, table.rows_of(records)))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export().encode("utf-8"))
     return 0
@@ -328,7 +327,7 @@ def _positive_int(text: str) -> int:
 _SHARED_FLAGS = {
     "--config": {"help": "flat key=value config file"},
     "--seed": {"type": int, "help": "overrides config seed"},
-    "--backend": {"choices": ["simulated", "recorded", "external"]},
+    "--backend": {"choices": BACKENDS},
     "--recorded": {"dest": "recorded_path", "help": "outcomes file for the recorded backend"},
     "--templates": {"dest": "templates_dir", "help": "harness template directory"},
     "--jobs": {"type": int, "help": "cap on concurrent fuzz-backend calls"},

@@ -27,8 +27,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import InputError
-from .warnings import (BugPattern, Level, WarningRecord, classify_bug_pattern, number_array,
-                       package_of, state_once, text_file, text_lines)
+from .warnings import (BugPattern, Level, WarningRecord, check_fields, classify_bug_pattern,
+                       number_array, package_of, text_file, text_lines)
 
 MANIFEST_VERSION = 1
 EXPECTED_FEATURE_COUNT = 87
@@ -79,9 +79,15 @@ class FeatureVector:
 
 @dataclass
 class PackageMetadata:
-    download_count: int
+    downloads: int
     unsafe_prevalence: float
-    total_loc: int
+    loc: int
+
+    # Counts stop at 2**53: above it float64 no longer holds every integer.
+    INTERVALS = {"downloads": f"[0,{2**53}]", "unsafe_prevalence": "[0,1]", "loc": f"[0,{2**53}]"}
+
+    def __post_init__(self):
+        check_fields(self, self.INTERVALS)
 
 
 @dataclass
@@ -209,17 +215,22 @@ def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
 
 
 class FeatureTable:
-    """Raw feature rows by warning id: warning `wid`'s row is `matrix[row[wid]]`.
-    `validate_vector` checks each row once, when the table is built, and names
-    a bad row i by `where(i)`; nothing that reads a table checks it again."""
+    """Raw feature rows by warning id, `ids[i]`'s in `matrix[i]`, one per id: an
+    id given again must repeat its row, and the first is kept. `validate_vector`
+    checks each row once, here: a bad row i, or one unlike its id's first,
+    raises InputError at `where(i)`; nothing that reads a table checks again."""
 
-    def __init__(self, row: dict[str, int], matrix: np.ndarray, where):
-        self.row, self.matrix = row, validate_vector(matrix, where)
+    def __init__(self, ids: list[str], matrix: np.ndarray, where):
+        self.matrix, self.row = validate_vector(matrix, where), {}
+        for i, wid in enumerate(ids):
+            first = self.row.setdefault(wid, i)
+            if first != i and not np.array_equal(matrix[first], matrix[i]):
+                raise InputError(f"{where(i)}: {wid} was stated before with another value")
 
     @classmethod
     def of(cls, ids: list[str], matrix: np.ndarray) -> FeatureTable:
         """The table of in-memory rows, `ids[i]`'s in `matrix[i]`; a bad row names its warning."""
-        return cls({wid: i for i, wid in enumerate(ids)}, matrix, lambda i: f"warning {ids[i]}")
+        return cls(ids, matrix, lambda i: f"warning {ids[i]}")
 
     def __getitem__(self, wid: str) -> FeatureVector:
         return FeatureVector(self.matrix[self.row[wid]])
@@ -638,7 +649,7 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
     # `_ANALYZER_FIELDS` alone: each is worked out once per distinct value,
     # on its first record, and spread to the rows by the value's code.
     code, firsts = _distinct(records, _FILE)
-    packages = {name: (math.log10(1 + m.download_count), m.unsafe_prevalence, m.total_loc, 0.0)
+    packages = {name: (math.log10(1 + m.downloads), m.unsafe_prevalence, m.loc, 0.0)
                 for name, m in metadata.items()}
     package = np.array([packages.get(package_of(r), _IMPUTED_PACKAGE) for r in firsts],
                        dtype=np.float64).reshape(-1, 4)[code]
@@ -705,9 +716,8 @@ def write_feature_sidecar(ids: list[str], matrix: np.ndarray) -> bytes:
 def read_feature_sidecar(data: bytes, source: str) -> FeatureTable:
     """The table of a sidecar's rows; a malformed or invalid line, one whose
     digest is not the manifest's, or one giving an id another vector, raises
-    naming `source` and the line. An id stated twice keeps its last row."""
-    row: dict[str, int] = {}
-    rows, lines = [], text_lines(data)
+    naming `source` and the line. An id stated twice keeps its first row."""
+    ids, rows, lines = [], [], text_lines(data)
     for n, line in lines:
         where = f"{source} line {n}"
         try:
@@ -724,10 +734,9 @@ def read_feature_sidecar(data: bytes, source: str) -> FeatureTable:
         if values.shape != (len(MANIFEST),):
             raise InputError(
                 f"{where}: vector has shape {values.shape}, the manifest has {len(MANIFEST)} slots")
+        ids.append(wid)
         rows.append(values)
-        state_once(row, wid, len(rows) - 1, where,
-                   same=lambda a, b: np.array_equal(rows[a], rows[b], equal_nan=True))
-    return FeatureTable(row, np.array(rows).reshape(len(rows), len(MANIFEST)),
+    return FeatureTable(ids, np.array(rows).reshape(len(rows), len(MANIFEST)),
                         lambda i: f"{source} line {lines[i][0]}")
 
 
@@ -738,11 +747,10 @@ _METADATA_DEFAULTS = {"downloads": 0, "unsafe_prevalence": 0.0, "loc": 0}
 def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata]:
     """Package metadata file: JSON map package -> {downloads, unsafe_prevalence, loc}.
 
-    Each value is a JSON number: downloads and loc integers in [0, 2**53]
-    (above it float64 no longer holds every integer exactly), and
-    unsafe_prevalence in [0, 1]; a missing key takes its default. A
-    malformed file raises InputError naming `source` and the line of a JSON
-    syntax error, or the package whose entry is bad and the key at fault.
+    Each entry's values are held to `PackageMetadata`'s types and intervals;
+    a missing key takes its default. A malformed file raises InputError
+    naming `source` and the line of a JSON syntax error, or the package
+    whose entry is bad and the key at fault.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -756,22 +764,10 @@ def read_package_metadata(data: bytes, source: str) -> dict[str, PackageMetadata
     for name, m in doc.items():
         try:
             values = {**_METADATA_DEFAULTS, **m}
-            for key, value in values.items():
-                if key not in _METADATA_DEFAULTS:
-                    raise ValueError(f"unknown key {key!r}")
-                if type(value) not in (int, float):
-                    raise ValueError(f"{key} must be a number, got {value!r}")
-                if key == "unsafe_prevalence":
-                    if not 0 <= value <= 1:
-                        raise ValueError(f"{key} must be in [0,1], got {value!r}")
-                elif type(value) is float and not value.is_integer():
-                    raise ValueError(f"{key} must be an integer, got {value!r}")
-                elif value < 0:
-                    raise ValueError(f"{key} must be >= 0, got {value!r}")
-                elif value > 2**53:
-                    raise ValueError(f"{key} does not fit a float exactly: {key} must be <= 2**53")
-            out[name] = PackageMetadata(int(values["downloads"]),
-                                        float(values["unsafe_prevalence"]), int(values["loc"]))
+            unknown = [key for key in values if key not in _METADATA_DEFAULTS]
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
+            out[name] = PackageMetadata(**values)
         except (TypeError, ValueError) as exc:
             raise InputError(f"{source}: package {name!r}: {exc} in {m!r}") from None
     return out

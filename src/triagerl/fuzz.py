@@ -27,7 +27,6 @@ from .errors import HarnessError, InputError
 from .warnings import (BugPattern, Label, WarningRecord, check_fields, classify_bug_pattern,
                        package_of, read_input, state_once, text_file, text_lines)
 
-BUDGET_BOUNDS = (30.0, 60.0)  # an external run's budget is clamped into this range, in seconds
 BUDGET_GRACE_SECONDS = 5.0
 MAX_JOBS = 64  # the largest `jobs`: one worker thread and one fuzzer process per slot
 DEFAULT_TEMPLATE_DIR = Path(__file__).parent / "templates"
@@ -89,9 +88,9 @@ _PLACEHOLDER = re.compile(r"\{\{(package|function|type_args|entry)\}\}")
 
 def load_templates(directory: Path) -> dict[BugPattern, str]:
     """Template text by bug pattern, from one <pattern>.tmpl file each in the
-    directory; a directory with none of them raises InputError naming it. A
-    line that still holds `{{` once its placeholders are taken out raises
-    InputError naming the file and line."""
+    directory; a directory with none of them (a missing one or a file holds
+    none) raises InputError naming it. A line that still holds `{{` once its
+    placeholders are taken out raises InputError naming the file and line."""
     templates = {}
     paths = {pattern: directory / f"{pattern.value}.tmpl" for pattern in BugPattern
              if pattern is not BugPattern.UNKNOWN}
@@ -199,13 +198,14 @@ class SimulatedBackend:
 
 @dataclass
 class RecordedBackend:
-    """Replays outcomes stored per warning id; verbatim, read-only."""
+    """Replays outcomes stored per warning id, read from `source`; verbatim, read-only."""
 
     outcomes: dict[str, FuzzOutcome]
+    source: str
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         if warning.id not in self.outcomes:
-            raise InputError(f"no recorded outcome for warning {warning.id}")
+            raise InputError(f"{self.source}: no recorded outcome for warning {warning.id}")
         return self.outcomes[warning.id]
 
 
@@ -217,8 +217,8 @@ class ExternalBackend:
     the configured command line split into its words, in a new session,
     with the harness written to a private directory under TMPDIR that is
     removed when the call ends, so concurrent calls never share a file.
-    The budget is clamped to [30, 60] seconds; at budget+5 s the command's
-    whole process group is killed (outcome Inconclusive, detail "timeout").
+    At budget+5 s the command's whole process group is killed (outcome
+    Inconclusive, detail "timeout").
     The *_MARKER regexes map output to outcome kinds; any setup failure
     is InfrastructureFailure, never raised.
     """
@@ -229,8 +229,6 @@ class ExternalBackend:
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
         start = time.monotonic()
-        lo, hi = BUDGET_BOUNDS
-        budget = min(max(self.budget, lo), hi)
         try:
             harness = generate_harness(warning, self.templates)
         except HarnessError as exc:
@@ -239,20 +237,20 @@ class ExternalBackend:
             with tempfile.TemporaryDirectory(prefix="triagerl-", ignore_cleanup_errors=True) as workdir:
                 harness_path = Path(workdir) / f"harness_{warning.id}.rs"
                 harness_path.write_text(harness, encoding="utf-8")
-                return self._fuzz(harness_path, budget, start)
+                return self._fuzz(harness_path, start)
         except OSError as exc:
             return FuzzOutcome(
                 FuzzKind.INFRASTRUCTURE_FAILURE, time.monotonic() - start, f"spawn failed: {exc}"
             )
 
-    def _fuzz(self, harness_path: Path, budget: float, start: float) -> FuzzOutcome:
-        argv = self.command + [str(harness_path), "--budget", str(int(budget))]
+    def _fuzz(self, harness_path: Path, start: float) -> FuzzOutcome:
+        argv = self.command + [str(harness_path), "--budget", str(int(self.budget))]
         with subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, errors="replace",
             start_new_session=True,
         ) as proc:
             try:
-                stdout, stderr = proc.communicate(timeout=budget + BUDGET_GRACE_SECONDS)
+                stdout, stderr = proc.communicate(timeout=self.budget + BUDGET_GRACE_SECONDS)
             except subprocess.TimeoutExpired:
                 # The session's group holds every child the command started.
                 os.killpg(proc.pid, signal.SIGKILL)

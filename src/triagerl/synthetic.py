@@ -66,7 +66,7 @@ def _random_valid_vector(rng: np.random.Generator) -> np.ndarray:
 def _build_task(records: list[WarningRecord], matrix: np.ndarray,
                 seed: int) -> tuple[Dataset, FeatureTable]:
     assignment = stratified_split(records, (0.70, 0.15, 0.15), seed)
-    return Dataset(records, assignment), FeatureTable.of([r.id for r in records], matrix)
+    return Dataset(records, assignment, "synthetic"), FeatureTable.of([r.id for r in records], matrix)
 
 
 def separable_task(n: int, seed: int) -> tuple[Dataset, FeatureTable]:

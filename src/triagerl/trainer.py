@@ -541,6 +541,10 @@ def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
     checkpoints carry, is dropped: `train.gamma` is the discount."""
     try:
         doc = json.loads(data.decode("utf-8"))
+        for key, kind in (("format_version", int), ("normalizer", dict), ("weights", dict),
+                          ("config", dict), ("reward_spec", dict), ("history", list)):
+            if type(doc[key]) is not kind:  # a bool is no int, though true == 1
+                raise ValueError(f"{key}: expected {kind.__name__}, got {type(doc[key]).__name__}")
         if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {doc['format_version']}")
         stats = doc["normalizer"]

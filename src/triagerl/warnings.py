@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -98,21 +98,23 @@ def package_of(record: WarningRecord) -> str:
 
 @dataclass
 class Dataset:
-    """Labeled records plus their split assignment."""
+    """Labeled records plus their split assignment; the labels come from `label_source`."""
 
     records: list[WarningRecord]
     split_assignment: dict[str, Split]
+    label_source: str
 
     def split_records(self, split: Split) -> list[WarningRecord]:
         """The records assigned to `split`, of which there must be some, each
         labeled: an empty split raises InputError naming it, and an unlabeled
-        record one naming the split and every such id."""
+        record one naming the label source, the split and every such id."""
         records = [r for r in self.records if self.split_assignment.get(r.id) == split]
         if not records:
             raise InputError(f"split {split.value!r} has no records")
         unlabeled = [r.id for r in records if r.label is None]
         if unlabeled:
-            raise InputError(f"unlabeled records in split {split.value!r}: {', '.join(unlabeled)}")
+            raise InputError(f"{self.label_source}: unlabeled records in split {split.value!r}: "
+                             f"{', '.join(unlabeled)}")
         return records
 
 
@@ -392,9 +394,9 @@ def text_file(lines) -> bytes:
     return "".join(f"{line}\n" for line in lines).encode("utf-8")
 
 
-def state_once(table: dict, key: str, value, where: str, same=lambda a, b: a == b) -> None:
+def state_once(table: dict, key: str, value, where: str) -> None:
     """table[key] = value; a key already stated with another value raises InputError at `where`."""
-    if key in table and not same(table[key], value):
+    if key in table and table[key] != value:
         raise InputError(f"{where}: {key} was stated before with another value")
     table[key] = value
 
@@ -405,13 +407,13 @@ _NUMBER_TYPES = {"int": (int,), "float": (int, float)}
 
 def check_fields(config, intervals: dict[str, str]) -> None:
     """Raise ValueError naming the first int or float field of dataclass `config`
-    whose value has another type, is not finite or lies outside `intervals[name]`."""
+    whose value has another type, is not finite as a float or lies outside `intervals[name]`."""
     for f in fields(config):
         if f.type in _NUMBER_TYPES:
             value = getattr(config, f.name)
             if type(value) not in _NUMBER_TYPES[f.type]:
                 raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "float" and not abs(value) <= sys.float_info.max:  # also nan
                 raise ValueError(f"{f.name} must be finite, got {value}")
             interval = intervals.get(f.name, "[-inf,inf]")
             low, high = map(float, interval[1:-1].split(","))

@@ -280,9 +280,9 @@ def extract_features(record, meta=None, *, cluster_size=None):
     else:
         feats.update(
             {
-                "download_count_log": math.log10(1 + meta.download_count),
+                "download_count_log": math.log10(1 + meta.downloads),
                 "unsafe_prevalence": float(meta.unsafe_prevalence),
-                "package_loc": float(meta.total_loc),
+                "package_loc": float(meta.loc),
                 "metadata_imputed_flag": 0.0,
             }
         )

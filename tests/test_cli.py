@@ -225,7 +225,8 @@ class TestFuzzFanOut:
         out = tmp_path / "out.txt"
         assert run_cli([*subcommand(paths, command, out), "--backend", "recorded",
                         "--recorded", str(outcomes), "--jobs", str(jobs)]) == 3
-        assert capsys.readouterr().err == f"input error: no recorded outcome for warning {wid}\n"
+        assert (capsys.readouterr().err
+                == f"input error: {outcomes}: no recorded outcome for warning {wid}\n")
         assert not out.exists()
 
     def test_backend_error_is_an_infrastructure_failure_in_fuzz_validate(
@@ -591,9 +592,10 @@ class TestMalformedInputs:
          "argument --repeats: must be >= 1, got 0"),
         ("train", "splits", keep_one_train_record, [], 3, "need >= 2 training vectors, got 1"),
         ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 1' + "0" * 400, t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc does not fit a float"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc must be in [0,9007199254740992], "
+                "got 1000"),
         ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 1e308', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc does not fit a float exactly"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc: expected int, got 1e+308"),
         ("train", "config", lambda t: with_keys(t, "train.learning_rate = 1e300\n"), [], 3,
          "epoch 1: non-finite loss in PPO pass 2, minibatch 1; " + SCALES_LOSS),
         ("train", "config", lambda t: with_keys(t, "reward.correct = 1e308\n"), [], 3,
@@ -676,10 +678,13 @@ class TestMalformedInputs:
         ("fuzz-validate", "config", lambda t: t.replace("backend = simulated", "backend = recorded"),
          [], 3, "input error: backend 'recorded' needs recorded_path (or --recorded)"),
         ("fuzz-validate", "config", lambda t: t.replace("backend = simulated", "backend = quantum"),
-         [], 3, "input error: unknown backend 'quantum' (simulated/recorded/external)"),
+         [], 3, "{bad}: unknown backend 'quantum' (simulated/recorded/external)"),
+        ("ingest", "config", lambda t: t.replace("backend = simulated", "backend = quantum"),
+         [], 3, "{bad}: unknown backend 'quantum' (simulated/recorded/external)"),
         ("fuzz-validate", "config", lambda t: t.replace("backend = simulated", "backend = external"),
          ["--templates", "no-such-templates"], 3,
-         "input error: templates_dir is not a directory: no-such-templates"),
+         "input error: templates_dir holds none of panic_safety.tmpl, higher_order_invariant.tmpl, "
+         "send_sync_variance.tmpl: no-such-templates"),
         ("evaluate", "splits", lambda t: t.replace("\ttest", "\tval"), [], 3,
          "input error: split 'test' has no records"),
         ("importance", "splits", lambda t: t.replace("\ttest", "\tval"), [], 3,
@@ -705,11 +710,12 @@ class TestMalformedInputs:
         ("report", "labels", lambda t: t.split("\t", 1)[0] + "\n" + t.split("\n", 1)[1], [], 3,
          "{bad} line 1: expected 'id<TAB>label<TAB>source'"),
         ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": -1', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be >= 0, got -1"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be in [0,9007199254740992], "
+                "got -1"),
         ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": -3', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc must be >= 0, got -3"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc must be in [0,9007199254740992], got -3"),
         ("featurize", "warnings", with_twin_of_first_warning, [], 3,
-         "{bad}: warnings with id 64545d2592b038cc differ in level, op_type or code_snippet"),
+         "{bad}: 64545d2592b038cc was stated before with another value"),
         ("featurize", "meta", lambda t: re.sub(r'"unsafe_prevalence": [\d.]+',
                                                '"unsafe_prevalence": 1.5', t, count=1),
          [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be in [0,1], "
@@ -739,16 +745,16 @@ class TestMalformedInputs:
         ("featurize", "meta", lambda t: t.replace('"downloads"', '"downlods"', 1), [], 3,
          "{bad}: package 'demo-crate-0-0.0.1': unknown key 'downlods'"),
         ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": "12"', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be a number, got '12'"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads: expected int, got '12'"),
         ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": true', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be a number, got True"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads: expected int, got True"),
         ("featurize", "meta", lambda t: re.sub(r'"downloads": \d+', '"downloads": 2.9', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads must be an integer, got 2.9"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': downloads: expected int, got 2.9"),
         ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 2.9', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc must be an integer, got 2.9"),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': loc: expected int, got 2.9"),
         ("featurize", "meta", lambda t: re.sub(r'"unsafe_prevalence": [\d.]+',
                                                '"unsafe_prevalence": "0.5"', t, count=1),
-         [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be a number, "
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence: expected float, "
                 "got '0.5'"),
         ("evaluate", "features", lambda t: re.sub(r'"values": \[[^,]+', '"values": ["0.0"', t,
                                                   count=1),
@@ -763,6 +769,33 @@ class TestMalformedInputs:
         ("evaluate", "checkpoint",
          lambda t: t.replace('"seed":7,"weights"', '"seed":-1,"weights"', 1), [], 3,
          "{bad}: ValueError: seed must be in [0,inf), got -1"),
+        ("fuzz-validate", "config", lambda t: with_keys(t, "backend = external\nfuzz_budget = 5\n"),
+         [], 3, "{bad}: fuzz_budget must be in [30,60], got 5.0"),
+        ("fuzz-validate", "config",
+         lambda t: with_keys(t, "backend = external\nfuzz_budget = 500\n"), [], 3,
+         "{bad}: fuzz_budget must be in [30,60], got 500.0"),
+        ("featurize", "meta", lambda t: re.sub(r'"loc": \d+', '"loc": 1200.0', t, count=1), [], 3,
+         "{bad}: package 'demo-crate-0-0.0.1': loc: expected int, got 1200.0"),
+        ("featurize", "meta", lambda t: re.sub(r'"unsafe_prevalence": [\d.]+',
+                                               '"unsafe_prevalence": 1' + "0" * 400, t, count=1),
+         [], 3, "{bad}: package 'demo-crate-0-0.0.1': unsafe_prevalence must be finite, got 1000"),
+        ("triage", "checkpoint",
+         lambda t: t.replace('"learning_rate":0.001', '"learning_rate":1' + "0" * 400, 1), [], 3,
+         "{bad}: ValueError: learning_rate must be finite, got 1000"),
+        ("triage", "checkpoint", lambda t: t.replace('"correct":15.0', '"correct":1' + "0" * 400, 1),
+         [], 3, "{bad}: ValueError: correct must be finite, got 1000"),
+        ("triage", "checkpoint", lambda t: re.sub(r'"reward_spec":\{[^}]*\}', '"reward_spec":5', t),
+         [], 3, "{bad}: ValueError: reward_spec: expected dict, got int"),
+        ("triage", "checkpoint", lambda t: re.sub(r'"reward_spec":\{[^}]*\}', '"reward_spec":[]', t),
+         [], 3, "{bad}: ValueError: reward_spec: expected dict, got list"),
+        ("triage", "checkpoint",
+         lambda t: re.sub(r'"reward_spec":\{[^}]*\}', '"reward_spec":null', t), [], 3,
+         "{bad}: ValueError: reward_spec: expected dict, got NoneType"),
+        ("triage", "checkpoint",
+         lambda t: re.sub(r'"history":\[.*\]\}$', '"history":"not a list"}', t), [], 3,
+         "{bad}: ValueError: history: expected list, got str"),
+        ("triage", "checkpoint", lambda t: t.replace('"format_version":1,', '"format_version":true,'),
+         [], 3, "{bad}: ValueError: format_version: expected int, got bool"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -776,7 +809,8 @@ class TestMalformedInputs:
             "store-deep", "meta-deep", "sidecar-deep", "checkpoint-deep", "report-surrogate-file",
             "report-surrogate-snippet", "store-surrogate-snippet", "report-string-mistyped",
             "report-coordinate-bool", "report-element-not-object", "report-op-type-mistyped",
-            "report-columns-reversed", "recorded-without-path", "backend-unknown", "templates-missing",
+            "report-columns-reversed", "recorded-without-path", "backend-unknown",
+            "backend-unknown-unread", "templates-missing",
             "evaluate-empty-split", "importance-empty-split", "fuzz-validate-unknown-id",
             "meta-not-object", "checkpoint-format-version", "checkpoint-input-dimension",
             "checkpoint-short-normalizer", "checkpoint-weight-nan", "outcomes-elapsed-nan",
@@ -789,7 +823,11 @@ class TestMalformedInputs:
             "meta-downloads-string", "meta-downloads-bool", "meta-downloads-fraction",
             "meta-loc-fraction", "meta-prevalence-string", "sidecar-value-string",
             "sidecar-value-bool", "checkpoint-weight-string", "checkpoint-mean-bool",
-            "checkpoint-seed-negative"])
+            "checkpoint-seed-negative", "budget-below-range", "budget-above-range",
+            "meta-loc-integral-float", "meta-prevalence-huge-int", "checkpoint-learning-rate-huge-int",
+            "checkpoint-reward-huge-int", "checkpoint-reward-spec-int", "checkpoint-reward-spec-list",
+            "checkpoint-reward-spec-null", "checkpoint-history-string",
+            "checkpoint-format-version-bool"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -803,10 +841,10 @@ class TestMalformedInputs:
                    if line.endswith("\ttrain"))
         labels = [line for line in pipeline["labels"].read_text().splitlines()
                   if not line.startswith(wid + "\t")]
-        code, _ = run_with(pipeline, tmp_path, "labels", "\n".join([*labels, ""]).encode(), "train")
+        code, bad = run_with(pipeline, tmp_path, "labels", "\n".join([*labels, ""]).encode(), "train")
         err = capsys.readouterr().err
         assert code == 3, err
-        assert err == f"input error: unlabeled records in split 'train': {wid}\n"
+        assert err == f"input error: {bad}: unlabeled records in split 'train': {wid}\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "importance"])
     def test_scored_record_without_a_label_exits_3_naming_it(self, pipeline, tmp_path, capsys,
@@ -816,11 +854,11 @@ class TestMalformedInputs:
                    if line.endswith("\ttest"))
         labels = [line for line in pipeline["labels"].read_text().splitlines()
                   if not line.startswith(wid + "\t")]
-        code, _ = run_with(pipeline, tmp_path, "labels", "\n".join([*labels, ""]).encode(),
-                           command)
+        code, bad = run_with(pipeline, tmp_path, "labels", "\n".join([*labels, ""]).encode(),
+                             command)
         err = capsys.readouterr().err
         assert code == 3, err
-        assert err == f"input error: unlabeled records in split 'test': {wid}\n"
+        assert err == f"input error: {bad}: unlabeled records in split 'test': {wid}\n"
 
     def test_input_that_is_not_utf8_exits_3_naming_file_and_line(self, pipeline, tmp_path,
                                                                  capsys):
@@ -1016,7 +1054,8 @@ class TestLineFiles:
         assert records[0].id == records[-1].id and records[0].level != records[-1].level
         assert run_cli(["featurize", "--warnings", str(store), "--meta", str(pipeline["meta"]),
                         "--out", str(sidecar), *cfg]) == 3
-        assert f"{store}: warnings with id {records[0].id} differ" in capsys.readouterr().err
+        assert (f"{store}: {records[0].id} was stated before with another value"
+                in capsys.readouterr().err)
         assert not sidecar.exists()
 
     @pytest.mark.parametrize("name", list(LINE_READERS))

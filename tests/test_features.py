@@ -193,7 +193,7 @@ class TestHeuristicExtraction:
         assert value_of(vec, "lifetime_param_count") == 1  # 'static
 
     def test_metadata_and_cluster_features(self):
-        meta = PackageMetadata(download_count=999, unsafe_prevalence=0.25, total_loc=5000)
+        meta = PackageMetadata(downloads=999, unsafe_prevalence=0.25, loc=5000)
         vec = features_of(snippet_record("fn f() {}"), meta, cluster_size=4)
         assert value_of(vec, "download_count_log") == pytest.approx(3.0)
         assert value_of(vec, "unsafe_prevalence") == 0.25
@@ -332,7 +332,7 @@ class TestAgainstOracle:
             records.append(WarningRecord(**{**make_record(i, line=10 + i).__dict__,
                                             "code_snippet": text, **fields}))
         metadata = {"pkg0-1.0": PackageMetadata(data.draw(st.integers(0, 2**53)),
-                                                0.25, data.draw(st.integers(-2**53, 2**53)))}
+                                                0.25, data.draw(st.integers(0, 2**53)))}
         sizes = {r.id: data.draw(st.integers(1, 50)) for r in records}
         got = extract_features(records, metadata, sizes, "warnings")
         assert got.tobytes() == oracle_matrix(records, metadata, sizes).tobytes()
@@ -572,6 +572,17 @@ class TestFeatureTable:
         assert in_memory.rows_of(asked).tobytes() == from_sidecar.rows_of(asked).tobytes()
         assert in_memory.rows_of(asked).tobytes() == matrix[[3, 0, 2, 2, 4]].tobytes()
         assert in_memory[ids[2]].values.tobytes() == matrix[2].tobytes()
+
+    def test_an_id_keeps_its_first_row_and_may_not_take_another(self):
+        records = [make_record(i) for i in range(2)]
+        matrix = np.stack([features_of(r) for r in [*records, records[0]]])
+        ids = [records[0].id, records[1].id, records[0].id]
+        assert FeatureTable.of(ids, matrix).row == {ids[0]: 0, ids[1]: 1}
+        flag = MANIFEST.index_of("public_api_flag")
+        matrix[2, flag] = 1.0 - matrix[2, flag]
+        with pytest.raises(InputError, match=f"^warning {ids[0]}: {ids[0]} was stated before "
+                                             "with another value$"):
+            FeatureTable.of(ids, matrix)
 
     def test_a_record_without_a_row_is_named(self):
         records = [make_record(i) for i in range(3)]

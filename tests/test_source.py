@@ -3,6 +3,8 @@ use, no error class that nothing catches, and no file read but by the one
 input reader."""
 
 import ast
+import dataclasses
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -215,3 +217,18 @@ def test_only_read_input_reads_files():
                 if name in ("read_text", "read_bytes", "open"):
                     reads.append(f"{path.name}:{node.lineno} {name}")
     assert not reads, "files read outside warnings.read_input: " + ", ".join(reads)
+
+
+def test_every_intervals_key_names_a_number_field_of_its_class():
+    # `check_fields` reads `intervals.get(field)`, so a key that names no int or
+    # float field of its class would drop its range without a word.
+    stray = []
+    for path in SOURCES:
+        module = importlib.import_module(f"triagerl.{path.stem}")
+        for name, cls in vars(module).items():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ \
+                    and "INTERVALS" in vars(cls):
+                numbers = {f.name for f in dataclasses.fields(cls) if f.type in ("int", "float")}
+                stray += [f"{path.name} {name}.{key}" for key in cls.INTERVALS
+                          if key not in numbers]
+    assert not stray, "INTERVALS keys that name no int or float field: " + ", ".join(stray)
