@@ -74,7 +74,7 @@ def parse_config_file(data: bytes, source: str) -> dict[str, object]:
     A line that is not `key = value`, an unknown key, a mistyped value or a
     key restated with another value raises InputError naming `source` and the line.
     """
-    out: dict[str, object] = {}
+    out = warn_mod.Table(source, "config key")
     for n, raw in warn_mod.text_lines(data):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,7 +89,7 @@ def parse_config_file(data: bytes, source: str) -> dict[str, object]:
         except ValueError:
             raise InputError(f"{source} line {n}: {key}: expected "
                              f"{CONFIG_KEYS[key].__name__}, got {value!r}") from None
-        warn_mod.state_once(out, key, typed, f"{source} line {n}")
+        out.state(key, typed, n)
     return out
 
 
@@ -163,8 +163,7 @@ def _make_backend(cfg: RunConfig):
     if cfg.backend == "recorded":
         if not cfg.recorded_path:
             raise InputError("backend 'recorded' needs recorded_path (or --recorded)")
-        return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path),
-                               cfg.recorded_path)
+        return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path))
     try:  # the external backend
         command = shlex.split(cfg.external_command)
     except ValueError as exc:  # an unbalanced quote
@@ -231,7 +230,7 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
     else:
         # Rows worked out here are valid by construction; a row's id names it.
         table = features_mod.FeatureTable(ids, _report_rows(args, cfg, records, args.warnings),
-                                          lambda i: args.warnings)
+                                          args.warnings, lambda i: args.warnings)
     _write(args.out, features_mod.write_feature_sidecar(ids, table.rows_of(records)))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export().encode("utf-8"))
@@ -280,13 +279,11 @@ def cmd_fuzz_validate(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.read_warning_store, args.warnings)
     warn_mod.apply_labels(records, _load(warn_mod.read_label_sidecar, args.labels)
                           if args.labels else {})
-    by_id = {r.id: r for r in records}
+    by_id = warn_mod.Table(args.warnings, "warning")
+    by_id.update((r.id, r) for r in records)
     ids = list(dict.fromkeys(args.ids.split(",") if args.ids else by_id))  # each id once
-    missing = [w for w in ids if w not in by_id]
-    if missing:
-        raise InputError(f"warnings not in store: {', '.join(missing)}")
-    backend = _make_backend(cfg)
-    results = fuzz_mod.run_many(backend, [by_id[w] for w in ids], cfg.jobs)
+    listed = [by_id[w] for w in ids]
+    results = fuzz_mod.run_many(_make_backend(cfg), listed, cfg.jobs)
     _write(args.out, fuzz_mod.write_recorded_outcomes(dict(zip(ids, results))))
     return 0
 

@@ -27,8 +27,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import InputError
-from .warnings import (BugPattern, Level, WarningRecord, check_fields, classify_bug_pattern,
-                       number_array, package_of, text_file, text_lines)
+from .warnings import (BugPattern, Level, Table, WarningRecord, check_fields,
+                       classify_bug_pattern, number_array, package_of, text_file, text_lines)
 
 MANIFEST_VERSION = 1
 EXPECTED_FEATURE_COUNT = 87
@@ -215,13 +215,15 @@ def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
 
 
 class FeatureTable:
-    """Raw feature rows by warning id, `ids[i]`'s in `matrix[i]`, one per id: an
-    id given again must repeat its row, and the first is kept. `validate_vector`
-    checks each row once, here: a bad row i, or one unlike its id's first,
-    raises InputError at `where(i)`; nothing that reads a table checks again."""
+    """Raw feature rows by warning id, read from `source`, `ids[i]`'s in
+    `matrix[i]`, one per id: an id given again must repeat its row, and the
+    first is kept. `validate_vector` checks each row once, here: a bad row i,
+    or one unlike its id's first, raises InputError at `where(i)`; nothing that
+    reads a table checks again, and an id without a row is named with `source`."""
 
-    def __init__(self, ids: list[str], matrix: np.ndarray, where):
-        self.matrix, self.row = validate_vector(matrix, where), {}
+    def __init__(self, ids: list[str], matrix: np.ndarray, source: str, where):
+        self.matrix = validate_vector(matrix, where)
+        self.row = Table(source, "feature vector for warning")
         for i, wid in enumerate(ids):
             first = self.row.setdefault(wid, i)
             if first != i and not np.array_equal(matrix[first], matrix[i]):
@@ -230,17 +232,14 @@ class FeatureTable:
     @classmethod
     def of(cls, ids: list[str], matrix: np.ndarray) -> FeatureTable:
         """The table of in-memory rows, `ids[i]`'s in `matrix[i]`; a bad row names its warning."""
-        return cls(ids, matrix, lambda i: f"warning {ids[i]}")
+        return cls(ids, matrix, "in-memory rows", lambda i: f"warning {ids[i]}")
 
     def __getitem__(self, wid: str) -> FeatureVector:
         return FeatureVector(self.matrix[self.row[wid]])
 
     def rows_of(self, records: list[WarningRecord]) -> np.ndarray:
         """The rows of `records`, in order; the first without one raises InputError."""
-        try:
-            return self.matrix[[self.row[r.id] for r in records]]
-        except KeyError as exc:
-            raise InputError(f"no feature vector for warning {exc.args[0]}") from None
+        return self.matrix[[self.row[r.id] for r in records]]
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +735,7 @@ def read_feature_sidecar(data: bytes, source: str) -> FeatureTable:
                 f"{where}: vector has shape {values.shape}, the manifest has {len(MANIFEST)} slots")
         ids.append(wid)
         rows.append(values)
-    return FeatureTable(ids, np.array(rows).reshape(len(rows), len(MANIFEST)),
+    return FeatureTable(ids, np.array(rows).reshape(len(rows), len(MANIFEST)), source,
                         lambda i: f"{source} line {lines[i][0]}")
 
 

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HarnessError, InputError
-from .warnings import (BugPattern, Label, WarningRecord, check_fields, classify_bug_pattern,
-                       package_of, read_input, state_once, text_file, text_lines)
+from .warnings import (BugPattern, Label, Table, WarningRecord, check_fields,
+                       classify_bug_pattern, package_of, read_input, text_file, text_lines)
 
 BUDGET_GRACE_SECONDS = 5.0
 MAX_JOBS = 64  # the largest `jobs`: one worker thread and one fuzzer process per slot
@@ -198,14 +198,12 @@ class SimulatedBackend:
 
 @dataclass
 class RecordedBackend:
-    """Replays outcomes stored per warning id, read from `source`; verbatim, read-only."""
+    """Replays outcomes stored per warning id, verbatim and read-only; the
+    table raises InputError naming its file for a warning it has none for."""
 
-    outcomes: dict[str, FuzzOutcome]
-    source: str
+    outcomes: Table
 
     def run(self, warning: WarningRecord, true_label: Label | None) -> FuzzOutcome:
-        if warning.id not in self.outcomes:
-            raise InputError(f"{self.source}: no recorded outcome for warning {warning.id}")
         return self.outcomes[warning.id]
 
 
@@ -299,9 +297,9 @@ def write_recorded_outcomes(outcomes: dict[str, FuzzOutcome]) -> bytes:
                      for wid, o in outcomes.items())
 
 
-def read_recorded_outcomes(data: bytes, source: str) -> dict[str, FuzzOutcome]:
+def read_recorded_outcomes(data: bytes, source: str) -> Table:
     """Parse an outcomes file; a malformed line raises InputError naming `source`."""
-    outcomes: dict[str, FuzzOutcome] = {}
+    outcomes = Table(source, "recorded outcome for warning")
     for n, line in text_lines(data):
         parts = line.split("\t", 3)
         if len(parts) < 3:
@@ -312,8 +310,5 @@ def read_recorded_outcomes(data: bytes, source: str) -> dict[str, FuzzOutcome]:
             outcome = FuzzOutcome(kind, float(parts[2]), parts[3] if len(parts) > 3 else "")
         except ValueError as exc:
             raise InputError(f"{source} line {n}: {exc}") from exc
-        if parts[0] in outcomes:
-            state_once(outcomes, parts[0], outcome, f"{source} line {n}")
-        else:
-            outcomes[parts[0]] = outcome
+        outcomes.state(parts[0], outcome, n)
     return outcomes

@@ -143,11 +143,8 @@ def compute_metrics(
     predictions: list[PredictionRecord], labels: dict[str, Label]
 ) -> EvalReport:
     """The full report from per-warning predictions, whose scores
-    `read_verdicts` checked to lie in [0,1], and ground truth, once every
-    prediction has a label."""
-    missing = [p.warning_id for p in predictions if p.warning_id not in labels]
-    if missing:
-        raise InputError(f"no label for: {', '.join(missing)}")
+    `read_verdicts` checked to lie in [0,1], and their `labels`; a label
+    sidecar's table names its file for the first prediction it has no label for."""
     return report_from_arrays(
         [p.predicted is Label.TRUE_POSITIVE for p in predictions],
         [labels[p.warning_id] is Label.TRUE_POSITIVE for p in predictions],

@@ -394,11 +394,22 @@ def text_file(lines) -> bytes:
     return "".join(f"{line}\n" for line in lines).encode("utf-8")
 
 
-def state_once(table: dict, key: str, value, where: str) -> None:
-    """table[key] = value; a key already stated with another value raises InputError at `where`."""
-    if key in table and table[key] != value:
-        raise InputError(f"{where}: {key} was stated before with another value")
-    table[key] = value
+class Table(dict):
+    """A table read from the file `source`, by key: a key may be stated again
+    only with the same value (`state`), and looking up a key it lacks raises
+    InputError as `<source>: no <name> <key>`."""
+
+    def __init__(self, source: str, name: str):
+        self.source, self.name = source, name
+
+    def state(self, key: str, value, n: int) -> None:
+        """self[key] = value; a key stated before with another value raises InputError at line n."""
+        if key in self and self[key] != value:  # membership first: nan != nan
+            raise InputError(f"{self.source} line {n}: {key} was stated before with another value")
+        self[key] = value
+
+    def __missing__(self, key: str):
+        raise InputError(f"{self.source}: no {self.name} {key}")
 
 
 # The value types an int or float field may hold: a bool is neither.
@@ -466,8 +477,8 @@ def write_label_sidecar(labels: dict[str, Label]) -> bytes:
     return text_file(f"{wid}\t{label.value}\tmanual" for wid, label in labels.items())
 
 
-def read_label_sidecar(data: bytes, source: str) -> dict[str, Label]:
-    labels: dict[str, Label] = {}
+def read_label_sidecar(data: bytes, source: str) -> Table:
+    labels = Table(source, "label for warning")
     for n, line in text_lines(data):
         parts = line.split("\t", 2)
         if len(parts) < 2:
@@ -477,7 +488,7 @@ def read_label_sidecar(data: bytes, source: str) -> dict[str, Label]:
         except ValueError:
             raise InputError(f"{source} line {n}: label must be tp or fp, "
                              f"got {parts[1]!r}") from None
-        state_once(labels, parts[0], label, f"{source} line {n}")
+        labels.state(parts[0], label, n)
     return labels
 
 
@@ -494,7 +505,7 @@ def write_split_file(
     return text_file([header] + [f"{wid}\t{split.value}" for wid, split in assignment.items()])
 
 
-def read_split_file(data: bytes, source: str) -> dict[str, Split]:
+def read_split_file(data: bytes, source: str) -> Table:
     """Parse a split file; a malformed line raises InputError naming `source` and the line."""
     lines = text_lines(data)
     n, header = lines[0] if lines else (1, "")
@@ -508,7 +519,7 @@ def read_split_file(data: bytes, source: str) -> dict[str, Split]:
         raise InputError(
             f"{source} line {n}: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
         ) from None
-    assignment: dict[str, Split] = {}
+    assignment = Table(source, "split for warning")
     for n, line in lines[1:]:
         wid, _, token = line.partition("\t")
         try:
@@ -516,5 +527,5 @@ def read_split_file(data: bytes, source: str) -> dict[str, Split]:
         except ValueError:
             raise InputError(f"{source} line {n}: split must be train/val/test, "
                              f"got {token!r}") from None
-        state_once(assignment, wid, split, f"{source} line {n}")
+        assignment.state(wid, split, n)
     return assignment

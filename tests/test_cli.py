@@ -530,6 +530,16 @@ def first_verdict_scored(score):
     return edit
 
 
+# Warnings of the demo pipeline: the train split's first, the test split's
+# first (evaluate's first verdict), and the first that triage fuzzes.
+TRAIN_ID, TEST_ID, FUZZED_ID = "40e8825b9d1bf79f", "4dcfe472cb10b674", "64545d2592b038cc"
+
+
+def without_lines_holding(wid):
+    """An edit that drops every line of a line file that holds `wid`."""
+    return lambda text: "".join(line for line in text.splitlines(True) if wid not in line)
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("name, corrupt, where", [
         ("warnings", lambda lines: [lines[0], lines[1][:-9], *lines[2:]], "line 2"),
@@ -689,8 +699,8 @@ class TestMalformedInputs:
          "input error: split 'test' has no records"),
         ("importance", "splits", lambda t: t.replace("\ttest", "\tval"), [], 3,
          "input error: split 'test' has no records"),
-        ("fuzz-validate", "config", str, ["--ids", "feedfacefeedface"], 3,
-         "input error: warnings not in store: feedfacefeedface"),
+        ("fuzz-validate", "warnings", str, ["--ids", "feedfacefeedface"], 3,
+         "input error: {bad}: no warning feedfacefeedface"),
         ("featurize", "meta", lambda t: "[1, 2]", [], 3, "{bad}: expected a JSON object, got list"),
         ("evaluate", "checkpoint", lambda t: t.replace('"format_version":1,', '"format_version":9,'),
          [], 3, "{bad}: ValueError: unsupported checkpoint format 9"),
@@ -796,6 +806,16 @@ class TestMalformedInputs:
          "{bad}: ValueError: history: expected list, got str"),
         ("triage", "checkpoint", lambda t: t.replace('"format_version":1,', '"format_version":true,'),
          [], 3, "{bad}: ValueError: format_version: expected int, got bool"),
+        ("report", "labels", without_lines_holding(TEST_ID), [], 3,
+         f"input error: {{bad}}: no label for warning {TEST_ID}\n"),
+        ("train", "features", without_lines_holding(TRAIN_ID), [], 3,
+         f"input error: {{bad}}: no feature vector for warning {TRAIN_ID}\n"),
+        ("evaluate", "features", without_lines_holding(TEST_ID), [], 3,
+         f"input error: {{bad}}: no feature vector for warning {TEST_ID}\n"),
+        ("importance", "features", without_lines_holding(TEST_ID), [], 3,
+         f"input error: {{bad}}: no feature vector for warning {TEST_ID}\n"),
+        ("triage", "outcomes", without_lines_holding(FUZZED_ID), [], 3,
+         f"input error: {{bad}}: no recorded outcome for warning {FUZZED_ID}\n"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -827,7 +847,9 @@ class TestMalformedInputs:
             "meta-loc-integral-float", "meta-prevalence-huge-int", "checkpoint-learning-rate-huge-int",
             "checkpoint-reward-huge-int", "checkpoint-reward-spec-int", "checkpoint-reward-spec-list",
             "checkpoint-reward-spec-null", "checkpoint-history-string",
-            "checkpoint-format-version-bool"])
+            "checkpoint-format-version-bool", "report-label-missing", "train-feature-row-missing",
+            "evaluate-feature-row-missing", "importance-feature-row-missing",
+            "triage-recorded-outcome-missing"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()

@@ -585,10 +585,15 @@ class TestFeatureTable:
             FeatureTable.of(ids, matrix)
 
     def test_a_record_without_a_row_is_named(self):
+        # The table's source leads the message: the sidecar file, or in-memory rows.
         records = [make_record(i) for i in range(3)]
-        table = FeatureTable.of([records[0].id], features_of(records[0])[None, :])
-        with pytest.raises(InputError, match=f"^no feature vector for warning {records[1].id}$"):
-            table.rows_of(records)
+        row = features_of(records[0])[None, :]
+        for table, source in ((read_feature_sidecar(write_feature_sidecar([records[0].id], row),
+                                                    "f.jsonl"), "f.jsonl"),
+                              (FeatureTable.of([records[0].id], row), "in-memory rows")):
+            with pytest.raises(InputError, match=f"^{source}: no feature vector for warning "
+                                                 f"{records[1].id}$"):
+                table.rows_of(records)
 
     def test_an_empty_sidecar_reads_as_an_empty_table(self):
         table = read_feature_sidecar(b"", "f.jsonl")

@@ -179,9 +179,11 @@ class TestRecordedBackend:
     def test_replay_and_missing(self):
         rec_x = make_record(0, label=TP)
         rec_y = make_record(1, label=TP)
-        backend = RecordedBackend({rec_x.id: FuzzOutcome(FuzzKind.CLEAN, 2.0, "rec")}, "o.txt")
+        outcomes = write_recorded_outcomes({rec_x.id: FuzzOutcome(FuzzKind.CLEAN, 2.0, "rec")})
+        backend = RecordedBackend(read_recorded_outcomes(outcomes, "o.txt"))
         assert backend.run(rec_x, TP).kind is FuzzKind.CLEAN
-        with pytest.raises(InputError, match=rec_y.id):
+        with pytest.raises(InputError,
+                           match=f"^o.txt: no recorded outcome for warning {rec_y.id}$"):
             backend.run(rec_y, TP)
 
     def test_outcomes_file_round_trip(self):
@@ -373,8 +375,9 @@ class TestRunMany:
     def test_first_error_propagates(self):
         # A missing recording is an input error: the first one raised leaves run_many.
         records = [make_record(i) for i in range(6)]
-        backend = RecordedBackend({r.id: FuzzOutcome(FuzzKind.CLEAN, 1.0, "")
-                                   for r in records if r not in records[3:5]}, "o.txt")
+        outcomes = write_recorded_outcomes({r.id: FuzzOutcome(FuzzKind.CLEAN, 1.0, "")
+                                            for r in records if r not in records[3:5]})
+        backend = RecordedBackend(read_recorded_outcomes(outcomes, "o.txt"))
         for jobs in (1, 3):
             with pytest.raises(InputError, match=f"^o.txt: no recorded outcome for warning "
                                                  f"{records[3].id}$"):

@@ -16,7 +16,7 @@ from triagerl.metrics import (
     write_report,
     write_verdicts,
 )
-from triagerl.warnings import Label
+from triagerl.warnings import Label, read_label_sidecar, write_label_sidecar
 
 TP, FP = Label.TRUE_POSITIVE, Label.FALSE_POSITIVE
 
@@ -208,9 +208,12 @@ class TestUndefinedHandling:
             compute_metrics([], {})
 
     def test_missing_label_listed(self):
-        preds = [PredictionRecord("feed" * 4, TP, 0.5, FuzzKind.NOT_RUN)]
-        with pytest.raises(InputError, match="feed"):
-            compute_metrics(preds, {})
+        # The label sidecar's table names its file and the first id it lacks.
+        preds = [PredictionRecord("feed" * 4, TP, 0.5, FuzzKind.NOT_RUN),
+                 PredictionRecord("beef" * 4, TP, 0.5, FuzzKind.NOT_RUN)]
+        labels = read_label_sidecar(write_label_sidecar({"beef" * 4: TP}), "labels.txt")
+        with pytest.raises(InputError, match=f"^labels.txt: no label for warning {'feed' * 4}$"):
+            compute_metrics(preds, labels)
 
 
 class TestSerialization:
