@@ -4,7 +4,8 @@
 Writes a 20-warning report, labels, and package metadata into --workdir,
 then runs: ingest, split, featurize, train, evaluate, report, importance,
 fuzz-validate, and triage. Every file it produces stays in the workdir for
-inspection.
+inspection. The tests load `steps` and `OUTPUTS` from here to drive the
+same pipeline.
 """
 
 import argparse
@@ -28,6 +29,38 @@ train.patience = 10
 train.learning_rate = 0.001
 """
 
+# Each file the steps write, by the name they use for it.
+OUTPUTS = {"warnings": "warnings.jsonl", "splits": "splits.txt", "features": "features.jsonl",
+           "manifest": "manifest.txt", "checkpoint": "model.ckpt", "trainlog": "train.log",
+           "reportfile": "eval_report.txt", "verdicts": "verdicts.txt",
+           "recomputed": "recomputed_report.txt", "importance": "importance.txt",
+           "outcomes": "outcomes.txt", "triage": "triage_verdicts.txt"}
+
+
+def steps(paths: dict) -> list[list[str]]:
+    """The nine subcommands' argv lists, in pipeline order and without
+    `--config`, on the files in `paths`: the inputs `report`, `labels` and
+    `meta`, and each file named in OUTPUTS."""
+    p = {name: str(path) for name, path in paths.items()}
+    dataset = ["--warnings", p["warnings"], "--labels", p["labels"], "--splits", p["splits"],
+               "--features", p["features"]]
+    return [
+        ["ingest", "--report", p["report"], "--out", p["warnings"]],
+        ["split", "--warnings", p["warnings"], "--labels", p["labels"], "--out", p["splits"]],
+        ["featurize", "--warnings", p["warnings"], "--meta", p["meta"],
+         "--out", p["features"], "--export-manifest", p["manifest"]],
+        ["train", *dataset, "--out", p["checkpoint"], "--log", p["trainlog"]],
+        ["evaluate", "--checkpoint", p["checkpoint"], *dataset, "--split", "test",
+         "--out", p["reportfile"], "--verdicts", p["verdicts"]],
+        ["report", "--verdicts", p["verdicts"], "--labels", p["labels"], "--out", p["recomputed"]],
+        ["importance", "--checkpoint", p["checkpoint"], *dataset, "--split", "test",
+         "--repeats", "2", "--out", p["importance"]],
+        ["fuzz-validate", "--warnings", p["warnings"], "--labels", p["labels"],
+         "--out", p["outcomes"]],
+        ["triage", "--report", p["report"], "--checkpoint", p["checkpoint"], "--meta", p["meta"],
+         "--backend", "recorded", "--recorded", p["outcomes"], "--out", p["triage"]],
+    ]
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -43,33 +76,10 @@ def main():
     (root / "meta.json").write_text(json.dumps(metadata, indent=1))
     (root / "run.cfg").write_text(CONFIG)
 
+    paths = {"report": root / "report.json", "labels": root / "labels.txt",
+             "meta": root / "meta.json", **{name: root / file for name, file in OUTPUTS.items()}}
     cfg = ["--config", str(root / "run.cfg")]
-    steps = [
-        ["ingest", "--report", f"{root}/report.json", "--out", f"{root}/warnings.jsonl"],
-        ["split", "--warnings", f"{root}/warnings.jsonl", "--labels", f"{root}/labels.txt",
-         "--out", f"{root}/splits.txt"],
-        ["featurize", "--warnings", f"{root}/warnings.jsonl", "--meta", f"{root}/meta.json",
-         "--out", f"{root}/features.jsonl", "--export-manifest", f"{root}/manifest.txt"],
-        ["train", "--warnings", f"{root}/warnings.jsonl", "--labels", f"{root}/labels.txt",
-         "--splits", f"{root}/splits.txt", "--features", f"{root}/features.jsonl",
-         "--out", f"{root}/model.ckpt", "--log", f"{root}/train.log"],
-        ["evaluate", "--checkpoint", f"{root}/model.ckpt", "--warnings", f"{root}/warnings.jsonl",
-         "--labels", f"{root}/labels.txt", "--splits", f"{root}/splits.txt",
-         "--features", f"{root}/features.jsonl", "--split", "test",
-         "--out", f"{root}/eval_report.txt", "--verdicts", f"{root}/verdicts.txt"],
-        ["report", "--verdicts", f"{root}/verdicts.txt", "--labels", f"{root}/labels.txt",
-         "--out", f"{root}/recomputed_report.txt"],
-        ["importance", "--checkpoint", f"{root}/model.ckpt", "--warnings", f"{root}/warnings.jsonl",
-         "--labels", f"{root}/labels.txt", "--splits", f"{root}/splits.txt",
-         "--features", f"{root}/features.jsonl", "--split", "test", "--repeats", "2",
-         "--out", f"{root}/importance.txt"],
-        ["fuzz-validate", "--warnings", f"{root}/warnings.jsonl", "--labels", f"{root}/labels.txt",
-         "--out", f"{root}/outcomes.txt"],
-        ["triage", "--report", f"{root}/report.json", "--checkpoint", f"{root}/model.ckpt",
-         "--meta", f"{root}/meta.json", "--backend", "recorded",
-         "--recorded", f"{root}/outcomes.txt", "--out", f"{root}/triage_verdicts.txt"],
-    ]
-    for argv in steps:
+    for argv in steps(paths):
         print(f"\n$ triagerl {' '.join(argv)}")
         code = run_cli(argv + cfg)
         if code != 0:

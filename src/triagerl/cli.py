@@ -252,9 +252,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     checkpoint, records, table = _scored_split(args)
-    backend = _make_backend(cfg)
+    backend = None if args.mask_fuzz else _make_backend(cfg)
     report, predictions = _play(args.checkpoint, evaluate_mod.evaluate_checkpoint, checkpoint,
-                                records, table, backend, mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
+                                records, table, backend, jobs=cfg.jobs)
     _write(args.out, metrics_mod.write_report(report))
     if args.verdicts:
         _write(args.verdicts, metrics_mod.write_verdicts(predictions))
@@ -265,11 +265,11 @@ def cmd_triage(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.parse_report, args.report)
     checkpoint = _load(load_checkpoint, args.checkpoint)
     raw = _report_rows(args, cfg, records, args.report)
-    backend = _make_backend(cfg)
+    backend = None if args.mask_fuzz else _make_backend(cfg)
     feats = normalize(validate_vector(raw, lambda i: f"warning {records[i].id}"),
                       checkpoint.normalizer)
     played = _play(args.checkpoint, run_episodes, checkpoint.params, feats, records, backend,
-                   mask_fuzz=args.mask_fuzz, jobs=cfg.jobs)
+                   jobs=cfg.jobs)
     _write(args.out, metrics_mod.verdict_file([r.id for r in records], played.called,
                                               played.score, played.outcome))
     return 0

@@ -25,9 +25,10 @@ def evaluate_checkpoint(
     mask_fuzz: bool = False,
     jobs: int = 1,
 ) -> tuple[EvalReport, list[PredictionRecord]]:
-    """Play every warning greedily and report metrics plus verdicts."""
+    """Play every warning greedily, fuzzing through `backend` unless `mask_fuzz`,
+    and report metrics plus verdicts."""
     feats = normalize(table.rows_of(records), ckpt.normalizer)
-    played = run_episodes(ckpt.params, feats, records, backend, mask_fuzz=mask_fuzz, jobs=jobs)
+    played = run_episodes(ckpt.params, feats, records, None if mask_fuzz else backend, jobs=jobs)
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
     report = report_from_arrays(played.called, positives, played.score, played.fuzzed)
     return report, prediction_records([r.id for r in records], played.called, played.score,
@@ -58,8 +59,8 @@ def permutation_importance(
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
 
     def calls(feats: np.ndarray, played: list[WarningRecord]) -> np.ndarray:
-        # Fuzzing is masked: one decision per warning, and the backend is never called.
-        return run_episodes(ckpt.params, feats, played, None, mask_fuzz=True).called
+        # No backend masks fuzzing: one decision per warning.
+        return run_episodes(ckpt.params, feats, played, None).called
 
     def f1(called: np.ndarray) -> float:
         tp, fp, fn, _ = confusion(called, positives)

@@ -34,6 +34,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Rows per forward pass of the episode engine. Each row's outputs are its own
 # in any batch, so the block size changes no bit, only the memory held.
 FORWARD_BLOCK = 1024
+# Rows per block of a gradient's sum over a minibatch's rows. OpenBLAS splits a
+# longer reduction between threads, which rounds otherwise at another thread count.
+REDUCTION_BLOCK = 256
 # Each fuzz outcome slot's one-hot state columns.
 _SLOT_ROWS = np.eye(len(FUZZ_SLOTS))
 
@@ -184,31 +187,30 @@ def run_episodes(
     feats: np.ndarray,
     records: list[WarningRecord],
     backend,
-    mask_fuzz: bool = False,
     rng: np.random.Generator | None = None,
     jobs: int = 1,
 ) -> Episodes:
     """Play one episode per warning, all of them side by side.
 
     `feats` holds the normalized feature rows of `records`. One blocked
-    forward pass covers every first decision; only the warnings that chose to
-    fuzz reach the backend (at most `jobs` calls at a time), and one more
-    covers their second decision with fuzzing masked; when none fuzzed, the
-    second step is empty and costs nothing. Greedy ties resolve by
-    the fixed action order (TP, FP, Fuzz). Actions are greedy when `rng` is
-    None; given `rng`, they are sampled with one rng.random() per decision
-    in episode order, the stream that playing the episodes one after another
-    would consume. Each episode's score is P(TP) with fuzzing masked at its
-    final decision state.
+    forward pass covers every first decision, with fuzzing masked when
+    `backend` is None; only the warnings that chose to fuzz reach the backend
+    (at most `jobs` calls at a time), and one more covers their second
+    decision with fuzzing masked; when none fuzzed, the second step is empty
+    and costs nothing. Greedy ties resolve by the fixed action order (TP, FP,
+    Fuzz). Actions are greedy when `rng` is None; given `rng`, they are
+    sampled with one rng.random() per decision in episode order, the stream
+    that playing the episodes one after another would consume. Each
+    episode's score is P(TP) with fuzzing masked at its final decision state.
     """
     n, fd = feats.shape
     first = np.zeros((n, fd + len(FUZZ_SLOTS)))
     first[:, :fd] = feats
     first[:, fd] = 1.0  # the NotRun slot
     logits1, values1 = _finite_forward(params, first, records)
-    unmasked = None if mask_fuzz else softmax(logits1)  # before masking in place
+    unmasked = None if backend is None else softmax(logits1)  # before masking in place
     classify1 = _fuzz_masked_probs(logits1)
-    probs1 = classify1 if mask_fuzz else unmasked
+    probs1 = classify1 if backend is None else unmasked
     second_draws = []
     if rng is None:
         act1 = probs1.argmax(axis=1)
@@ -269,6 +271,15 @@ def collect_rollouts(
     adv = batch.advantages
     batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
     return batch, mean_return
+
+
+def _row_sum_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a.T @ b, summed over blocks of REDUCTION_BLOCK rows one after
+    another, so its bits do not depend on the BLAS thread count."""
+    np.matmul(a[:REDUCTION_BLOCK].T, b[:REDUCTION_BLOCK], out=out)
+    for start in range(REDUCTION_BLOCK, len(a), REDUCTION_BLOCK):
+        block = slice(start, start + REDUCTION_BLOCK)
+        out += a[block].T @ b[block]
 
 
 def ppo_loss_and_grads(
@@ -349,13 +360,13 @@ def ppo_loss_and_grads(
     if dropout_masks is not None:
         dz2 *= dropout_masks[1]
     np.multiply(dz2, cache["z2"] > 0, out=dz2)
-    np.matmul(h1.T, dz2, out=g.w2)
+    _row_sum_product(h1, dz2, g.w2)
     dz2.sum(axis=0, out=g.b2)
     dz1 = dz2 @ params.w2.T
     if dropout_masks is not None:
         dz1 *= dropout_masks[0]
     np.multiply(dz1, cache["z1"] > 0, out=dz1)
-    np.matmul(batch.states.T, dz1, out=g.w1)
+    _row_sum_product(batch.states, dz1, g.w1)
     dz1.sum(axis=0, out=g.b1)
     return total, g, parts
 

@@ -1,12 +1,26 @@
 """Shared fixtures: the demo corpus pipeline used by CLI and acceptance tests."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 from triagerl.cli import run_cli
 from triagerl.synthetic import demo_corpus
 from triagerl.warnings import write_label_sidecar
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    """The module of `scripts/<name>.py`."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DEMO_SCRIPT = load_script("run_demo_pipeline")
 
 DEMO_CONFIG = """\
 seed = 7
@@ -64,48 +78,10 @@ def run_demo_pipeline(root: Path) -> dict[str, Path]:
 
 def run_pipeline(inputs: dict[str, Path], root: Path) -> dict[str, Path]:
     """Drive every subcommand over `inputs`, named as `write_demo_inputs`
-    names them, writing under `root`; returns input and output paths."""
-    out = {
-        "warnings": root / "warnings.jsonl",
-        "splits": root / "splits.txt",
-        "features": root / "features.jsonl",
-        "manifest": root / "manifest.txt",
-        "checkpoint": root / "model.ckpt",
-        "trainlog": root / "train.log",
-        "reportfile": root / "eval_report.txt",
-        "verdicts": root / "verdicts.txt",
-        "recomputed": root / "recomputed_report.txt",
-        "importance": root / "importance.txt",
-        "outcomes": root / "outcomes.txt",
-        "triage": root / "triage_verdicts.txt",
-    }
-    cfg = ["--config", str(inputs["config"])]
-    steps = [
-        ["ingest", "--report", str(inputs["report"]), "--out", str(out["warnings"])],
-        ["split", "--warnings", str(out["warnings"]), "--labels", str(inputs["labels"]),
-         "--out", str(out["splits"])],
-        ["featurize", "--warnings", str(out["warnings"]), "--meta", str(inputs["meta"]),
-         "--out", str(out["features"]), "--export-manifest", str(out["manifest"])],
-        ["train", "--warnings", str(out["warnings"]), "--labels", str(inputs["labels"]),
-         "--splits", str(out["splits"]), "--features", str(out["features"]),
-         "--out", str(out["checkpoint"]), "--log", str(out["trainlog"])],
-        ["evaluate", "--checkpoint", str(out["checkpoint"]), "--warnings", str(out["warnings"]),
-         "--labels", str(inputs["labels"]), "--splits", str(out["splits"]),
-         "--features", str(out["features"]), "--split", "test",
-         "--out", str(out["reportfile"]), "--verdicts", str(out["verdicts"])],
-        ["report", "--verdicts", str(out["verdicts"]), "--labels", str(inputs["labels"]),
-         "--out", str(out["recomputed"])],
-        ["importance", "--checkpoint", str(out["checkpoint"]), "--warnings", str(out["warnings"]),
-         "--labels", str(inputs["labels"]), "--splits", str(out["splits"]),
-         "--features", str(out["features"]), "--split", "test", "--repeats", "2",
-         "--out", str(out["importance"])],
-        ["fuzz-validate", "--warnings", str(out["warnings"]), "--labels", str(inputs["labels"]),
-         "--out", str(out["outcomes"])],
-        ["triage", "--report", str(inputs["report"]), "--checkpoint", str(out["checkpoint"]),
-         "--meta", str(inputs["meta"]), "--backend", "recorded",
-         "--recorded", str(out["outcomes"]), "--out", str(out["triage"])],
-    ]
-    for argv in steps:
-        code = run_cli(argv + cfg)
+    names them, writing under `root` with the demo script's steps; returns
+    input and output paths."""
+    paths = {**inputs, **{name: root / file for name, file in DEMO_SCRIPT.OUTPUTS.items()}}
+    for argv in DEMO_SCRIPT.steps(paths):
+        code = run_cli(argv + ["--config", str(inputs["config"])])
         assert code == 0, f"{argv[0]} exited {code}"
-    return {**inputs, **out}
+    return paths

@@ -22,7 +22,7 @@ def permutation_importance(ckpt, records, table, repeats, seed):
     positives = np.array([r.label is Label.TRUE_POSITIVE for r in records])
 
     def f1(feats):
-        played = run_episodes(ckpt.params, feats, records, None, mask_fuzz=True)
+        played = run_episodes(ckpt.params, feats, records, None)
         return report_from_arrays(played.called, positives, played.score, played.fuzzed).f1 or 0.0
 
     baseline = f1(matrix)

@@ -21,16 +21,18 @@ from triagerl import fuzz as fuzz_mod
 from triagerl.cli import CONFIG_KEYS, build_run_config, config_digest, parse_config_file, run_cli
 from triagerl.env import RewardSpec
 from triagerl.errors import InputError
+from triagerl.evaluate import evaluate_checkpoint
 from triagerl.features import MANIFEST, NormalizerStats, read_feature_sidecar
-from triagerl.fuzz import read_recorded_outcomes
-from triagerl.metrics import read_verdicts
+from triagerl.fuzz import SLOT_OF, FuzzKind, read_recorded_outcomes
+from triagerl.metrics import read_verdicts, write_report
 from triagerl.policy import init_params
-from triagerl.trainer import PolicyCheckpoint, TrainConfig, save_checkpoint
-from triagerl.warnings import (REPORT_FIELDS, parse_report, read_label_sidecar, read_split_file,
-                               read_warning_store, write_label_sidecar)
+from triagerl.trainer import PolicyCheckpoint, TrainConfig, load_checkpoint, save_checkpoint
+from triagerl.warnings import (REPORT_FIELDS, Dataset, Split, apply_labels, parse_report,
+                               read_label_sidecar, read_split_file, read_warning_store,
+                               write_label_sidecar)
 
-from conftest import (DEMO_CONFIG, run_demo_pipeline, run_pipeline, sha256, with_keys,
-                      write_demo_inputs)
+from conftest import (DEMO_CONFIG, DEMO_SCRIPT, run_demo_pipeline, run_pipeline, sha256,
+                      with_keys, write_demo_inputs)
 from test_fuzz import fake_cmd, panic_warning
 
 # Stand-in fuzzer: logs its arguments, then reports an outcome chosen by the
@@ -279,6 +281,39 @@ class TestFuzzFanOut:
         assert not out.exists()
 
 
+class TestMaskFuzz:
+    """`--mask-fuzz` is the RL-only ablation: the policy never fuzzes, so no
+    backend is built and no backend input is read."""
+
+    @pytest.mark.parametrize("flags", [["--backend", "recorded"],
+                                       ["--backend", "external", "--templates", "no-such-dir"]],
+                             ids=["recorded-without-path", "templates-missing"])
+    def test_triage_reads_no_backend_input(self, pipeline, tmp_path, capsys, flags):
+        out = tmp_path / "verdicts.txt"
+        code = run_cli(["triage", "--report", str(pipeline["report"]),
+                        "--checkpoint", str(always_fuzz_checkpoint(tmp_path / "fuzz.ckpt")),
+                        "--meta", str(pipeline["meta"]), "--mask-fuzz", *flags,
+                        "--out", str(out), "--config", str(pipeline["config"])])
+        assert code == 0, capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 20 and all(line.endswith("\t0\t-") for line in lines)
+
+    def test_evaluate_writes_the_masked_report(self, pipeline, tmp_path):
+        ckpt = always_fuzz_checkpoint(tmp_path / "fuzz.ckpt")
+        out = tmp_path / "report.txt"
+        argv = subcommand({**pipeline, "checkpoint": ckpt}, "evaluate", out)
+        assert run_cli([*argv, "--mask-fuzz", "--backend", "recorded"]) == 0
+        records = read_warning_store(pipeline["warnings"].read_bytes(), "warnings")
+        apply_labels(records, read_label_sidecar(pipeline["labels"].read_bytes(), "labels"))
+        dataset = Dataset(records, read_split_file(pipeline["splits"].read_bytes(), "splits"),
+                          "labels")
+        report, _ = evaluate_checkpoint(load_checkpoint(ckpt.read_bytes(), "checkpoint"),
+                                        dataset.split_records(Split.TEST),
+                                        read_feature_sidecar(pipeline["features"].read_bytes(),
+                                                             "features"), None, mask_fuzz=True)
+        assert out.read_bytes() == write_report(report)
+
+
 class TestHarnessTemplates:
     """Templates are input files, checked once, when the external backend loads them."""
 
@@ -407,6 +442,24 @@ def test_scores_identical_at_one_and_two_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((report.read_bytes(), verdicts.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_checkpoints_identical_at_one_and_two_blas_threads(tmp_path):
+    # Minibatches of 700 rows: a gradient's plain sum over them rounds otherwise on two threads.
+    inputs = write_demo_inputs(tmp_path, n=2000)
+    inputs["config"].write_text(with_keys(DEMO_CONFIG, "train.minibatch_size = 700\n"))
+    cfg = ["--config", str(inputs["config"])]
+    paths = {**inputs, **{name: tmp_path / file for name, file in DEMO_SCRIPT.OUTPUTS.items()}}
+    for argv in DEMO_SCRIPT.steps(paths)[:3]:  # ingest, split and featurize
+        assert run_cli(argv + cfg) == 0
+    checkpoints = []
+    for threads in ("1", "2"):
+        trained = {**paths, "checkpoint": tmp_path / f"model{threads}.ckpt",
+                   "trainlog": tmp_path / f"train{threads}.log"}
+        proc = cli_process(DEMO_SCRIPT.steps(trained)[3] + cfg, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        checkpoints.append(trained["checkpoint"].read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 # The subcommand that reads each pipeline file.
@@ -945,6 +998,33 @@ class TestMalformedInputs:
         assert code == 3, err
         assert re.fullmatch(rf"input error: {re.escape(str(bad))}: policy scores for warning "
                             r"\S+ are not finite\n", err), err
+
+    def test_scores_that_overflow_after_the_fuzz_calls_exit_3(self, pipeline, tmp_path, capsys,
+                                                              monkeypatch):
+        # Every first decision scores finite and fuzzes; a crash outcome's state
+        # row then overflows the trunk, so that warning's second scores are not finite.
+        biased = biased_checkpoint(tmp_path / "c.ckpt", [0.0, 0.0, 50.0])
+        ckpt = load_checkpoint(biased.read_bytes(), "checkpoint")
+        ckpt.params.w1[len(MANIFEST) + SLOT_OF[FuzzKind.CRASH]] = 1e308
+        ckpt.params.w2[:] = 1.0
+        bad = tmp_path / "overflow.ckpt"
+        bad.write_bytes(save_checkpoint(ckpt))
+        calls = []
+        run = fuzz_mod.RecordedBackend.run
+        monkeypatch.setattr(fuzz_mod.RecordedBackend, "run",
+                            lambda backend, warning, label: calls.append(warning.id)
+                            or run(backend, warning, label))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would end in exit 4
+            code = run_cli(subcommand({**pipeline, "checkpoint": bad}, "triage",
+                                      tmp_path / "v.txt"))
+        records = parse_report(pipeline["report"].read_bytes(), "report")
+        outcomes = read_recorded_outcomes(pipeline["outcomes"].read_bytes(), "outcomes")
+        wid = next(r.id for r in records if outcomes[r.id].kind is FuzzKind.CRASH)
+        assert code == 3
+        assert capsys.readouterr().err == (f"input error: {bad}: policy scores for warning {wid} "
+                                           "are not finite\n")
+        assert calls == [r.id for r in records]  # raised after every fuzz call
 
     def test_truncated_feature_sidecar_line_names_file_and_line(self, pipeline, tmp_path, capsys):
         lines = pipeline["features"].read_text().splitlines()

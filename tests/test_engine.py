@@ -53,9 +53,10 @@ def tasks(task):
     return [task, (dataset.records, normalize(raw, fit_normalizer(raw)))]
 
 
-def verdicts(params, feats, records, **kw):
-    """The engine's greedy or sampled play as verdicts, for comparison with the oracle's."""
-    played = run_episodes(params, feats, records, BACKEND, **kw)
+def verdicts(params, feats, records, mask_fuzz, **kw):
+    """The engine's greedy or sampled play as verdicts, for comparison with the
+    oracle's; a masked play has no backend."""
+    played = run_episodes(params, feats, records, None if mask_fuzz else BACKEND, **kw)
     return prediction_records([r.id for r in records], played.called, played.score,
                               played.outcome)
 
@@ -68,7 +69,7 @@ def policies():
 def test_greedy_matches_reference_loop(tasks):
     for (records, feats), params in itertools.product(tasks, policies()):
         for mask_fuzz in (False, True):
-            batched = verdicts(params, feats, records, mask_fuzz=mask_fuzz)
+            batched = verdicts(params, feats, records, mask_fuzz)
             oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND, mask_fuzz)
             assert batched == oracle  # ids, calls, fuzz kinds and the scores' bits
             fuzzed = sum(p.fuzz_used for p in oracle)
@@ -95,8 +96,7 @@ def test_sampled_rollouts_match_reference_loop(tasks):
 def test_sampled_verdicts_match_reference_loop(tasks):
     for (records, feats), params in itertools.product(tasks, policies()):
         for mask_fuzz in (False, True):
-            batched = verdicts(params, feats, records, mask_fuzz=mask_fuzz,
-                               rng=np.random.default_rng(4))
+            batched = verdicts(params, feats, records, mask_fuzz, rng=np.random.default_rng(4))
             oracle = episode_oracle.play_all(params, SPEC, feats, records, BACKEND, mask_fuzz,
                                              rng=np.random.default_rng(4))
             assert batched == oracle
@@ -118,7 +118,7 @@ def test_a_play_without_fuzzing_reads_through_from_episodes(tasks):
         if not mask_fuzz:
             params = never_fuzzes(params)
         for seed in (None, 6):
-            played = run_episodes(params, feats, records, BACKEND, mask_fuzz=mask_fuzz,
+            played = run_episodes(params, feats, records, None if mask_fuzz else BACKEND,
                                   rng=None if seed is None else np.random.default_rng(seed))
             assert not played.fuzzed.any()
             assert [len(step) for step in played.states] == [len(records), 0]
@@ -167,7 +167,7 @@ def test_a_masked_play_makes_one_forward_pass(task, monkeypatch):
     calls = forward_rows(monkeypatch)
     for params in policies():
         calls.clear()
-        played = run_episodes(params, feats, records, BACKEND, mask_fuzz=True)
+        played = run_episodes(params, feats, records, None)
         assert calls == [len(records)]
         assert len(played.states[1]) == 0
 
@@ -182,7 +182,7 @@ def test_play_and_importance_build_no_verdicts_and_no_rewards(corpus, task, monk
     records, feats = task
     params = policies()[0]
     for mask_fuzz in (False, True):
-        played = run_episodes(params, feats, records, BACKEND, mask_fuzz=mask_fuzz)
+        played = run_episodes(params, feats, records, None if mask_fuzz else BACKEND)
         assert played.fuzzed.any() != mask_fuzz
     records, table = corpus
     normalizer = fit_normalizer(table.rows_of(records))

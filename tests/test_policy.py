@@ -21,7 +21,7 @@ from triagerl.trainer import (FORWARD_BLOCK, STATE_DIM, TrainConfig, TrajectoryB
                               ppo_loss_and_grads)
 from triagerl.warnings import Label
 
-from test_env import play
+from test_env import ForcedBackend, play
 
 # Pinned first-run golden output: init seed 0, hidden (6, 4), probe state
 # linspace(-1, 1, 10). Cross-checked below against a loop-based oracle.
@@ -58,12 +58,13 @@ def forward(params, state, masks=None):
     return softmax(cache["logits"])[0], float(cache["values"][0])
 
 
-def play_probs(probs, **kw):
+def play_probs(probs, mask_fuzz=False, **kw):
     """One episode (greedy unless told otherwise) of a policy whose action
-    probabilities are `probs` in every state."""
+    probabilities are `probs` in every state; a masked one has no backend."""
     with np.errstate(divide="ignore"):
         logits = np.log(np.asarray(probs, dtype=np.float64))
-    return play(np.zeros(2), np.maximum(logits, -1e3), [Label.TRUE_POSITIVE], **kw)
+    return play(np.zeros(2), np.maximum(logits, -1e3), [Label.TRUE_POSITIVE],
+                None if mask_fuzz else ForcedBackend(), **kw)
 
 
 class TestForward:

@@ -2,16 +2,14 @@
 sizes, and so does one short benchmark run. bench_pairs.py is checked on its
 summary arithmetic."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, load_script
 
 
 @pytest.mark.parametrize("script, args", [
@@ -49,13 +47,6 @@ def test_benchmark_runs_and_checks_its_outputs():
                           cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_bench_pairs_summary_counts_wins_by_direction():
