@@ -12,7 +12,9 @@ runs first alternates from seed to seed. `--trace-seed` adds one traced run
 per side and workload (`--trace-seconds` long). The output keeps every run record and, per workload
 and end-to-end metric, each side's median and quartiles (numpy percentiles
 25/50/75, linear), the pairs the change won (ties count for neither), the
-parent's IQR and the gap between the medians, and, under `unscaled`, each
+parent's IQR and the gap between the medians, each side's spread (IQR over
+median), `unresolved` where the parent's spread exceeds the metric's bound
+and not every change run beats every parent run, and, under `unscaled`, each
 side's quartiles of every raw stage time and of the reference unit's median
 (scaled medians drift as the host gets faster); it also keeps each side's
 `src/triagerl/*.py` line count as `src_lines` and its count of settable
@@ -149,12 +151,16 @@ def summarize(runs: list[dict], metric: str, better: str, bound: float) -> dict:
     wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
     parent, change = quartiles(values["parent"]), quartiles(values["change"])
     ratio = change["median"] / parent["median"] if parent["median"] else float("nan")
+    spread = {side: (q["q3"] - q["q1"]) / q["median"] if q["median"] else float("nan")
+              for side, q in (("parent", parent), ("change", change))}
+    beats_all = all(sign * (c - p) < 0 for c in values["change"] for p in values["parent"])
     return {
         "parent": parent, "change": change, "change_over_parent": ratio, "wins": wins,
         "better": better,
         "pairs": len(runs), "worse_by": sign * (ratio - 1.0), "bound": bound,
         "parent_iqr": parent["q3"] - parent["q1"],
         "median_gap": abs(change["median"] - parent["median"]),
+        "spread": spread, "unresolved": spread["parent"] > bound and not beats_all,
     }
 
 

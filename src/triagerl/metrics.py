@@ -52,32 +52,27 @@ class EvalReport:
     undefined: dict[str, str]
 
 
-def _auc_roc(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Rank statistic (Mann-Whitney U) with tied scores sharing their mean rank."""
-    # Each score's tie group spans 0-based sorted positions first..last.
-    ordered = np.sort(scores)
-    first = np.searchsorted(ordered, scores, "left")
-    last = np.searchsorted(ordered, scores, "right") - 1
-    ranks = (first + last) / 2.0 + 1.0
-    n_pos = int(positive.sum())
-    n_neg = len(scores) - n_pos
-    u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+def _aucs(scores: np.ndarray, positive: np.ndarray) -> tuple[float, float]:
+    """AUC-ROC and average precision (AUC-PR) of `scores` against `positive`,
+    both from the groups of tied scores in descending order.
 
-
-def _auc_pr(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Average precision: step-wise sum of precision at each recall increment.
-
-    Tied scores are folded into one threshold step, no interpolation. The
-    steps are summed one after another, in descending score order.
+    AUC-ROC is Mann-Whitney's U over n_pos·n_neg: each positive counts the
+    negatives scored below it, and half of those tied with it. Average
+    precision is the step-wise sum of precision at each recall increment: a
+    tie group is one threshold step, with no interpolation, and the steps are
+    summed one after another.
     """
     order = np.argsort(-scores, kind="stable")
     ordered = scores[order]
     ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))  # last of each tie group
     cum_tp = np.cumsum(positive[order])[ends]
-    recall = cum_tp / int(positive.sum())
+    cum_fp = ends + 1 - cum_tp
+    n_pos, n_neg = int(cum_tp[-1]), int(cum_fp[-1])
+    tp, fp = np.diff(cum_tp, prepend=0), np.diff(cum_fp, prepend=0)
+    twice_u = int(np.dot(tp, 2 * (n_neg - cum_fp) + fp))  # an integer, so the sum is exact
     precision = cum_tp / (ends + 1)
-    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
+    average_precision = np.cumsum(np.diff(cum_tp / n_pos, prepend=0.0) * precision)[-1]
+    return twice_u / (2 * n_pos * n_neg), float(average_precision)
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float | None, float | None,
@@ -128,8 +123,7 @@ def report_from_arrays(called, positive, scores, fuzzed) -> EvalReport:
         undefined["auc_roc"] = "only one class present"
         undefined["auc_pr"] = "only one class present"
     else:
-        auc_roc = _auc_roc(scores, positive)
-        auc_pr = _auc_pr(scores, positive)
+        auc_roc, auc_pr = _aucs(scores, positive)
 
     return EvalReport(
         n=n, tp=tp, fp=fp, fn=fn, tn=tn,

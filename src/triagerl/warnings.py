@@ -338,22 +338,21 @@ def cluster_sizes(records: list[WarningRecord], radius: int) -> dict[str, int]:
     them with consecutive start_line gaps <= radius. Records with one id
     count once.
     """
-    by_file: dict[str, dict[str, int]] = {}
-    for r in records:
-        by_file.setdefault(r.file, {})[r.id] = r.start_line
-    sizes: dict[str, int] = {}
-    for lines in by_file.values():
-        if len(lines) == 1:  # alone in its file: no sort needed
-            (wid,) = lines
-            sizes[wid] = 1
-            continue
-        ids = sorted(lines, key=lines.get)
-        start = 0
-        for i in range(1, len(ids) + 1):
-            if i == len(ids) or lines[ids[i]] - lines[ids[i - 1]] > radius:
-                sizes.update(dict.fromkeys(ids[start:i], i - start))
-                start = i
-    return sizes
+    where = {r.id: (r.file, r.start_line) for r in records}
+    number: dict[str, int] = {}  # a number per file, in order of first appearance
+    files = np.array([number.setdefault(file, len(number)) for file, _ in where.values()])
+    lines = [line for _, line in where.values()]
+    try:
+        lines = np.array(lines, dtype=np.int64)
+    except OverflowError:  # a report's line numbers have no upper bound
+        lines = np.array(lines, dtype=object)
+    order = np.lexsort((lines, files))
+    files, lines = files[order], lines[order]
+    starts = np.ones(len(order), dtype=bool)  # where a cluster starts, in (file, line) order
+    starts[1:] = (files[1:] != files[:-1]) | (np.diff(lines) > radius)
+    cluster = np.cumsum(starts) - 1
+    ids = list(where)
+    return dict(zip([ids[i] for i in order.tolist()], np.bincount(cluster)[cluster].tolist()))
 
 
 # ---------------------------------------------------------------------------

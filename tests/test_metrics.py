@@ -11,6 +11,7 @@ from triagerl.errors import InputError
 from triagerl.fuzz import FuzzKind
 from triagerl.metrics import (
     PredictionRecord,
+    _aucs,
     compute_metrics,
     read_verdicts,
     write_report,
@@ -65,6 +66,53 @@ def oracle_average_precision(rows):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def reference_auc_roc(scores, positive):
+    """Mid-rank Mann-Whitney U over n_pos·n_neg: the rank-sum form `_aucs`
+    must match bit for bit."""
+    ordered = np.sort(scores)
+    first = np.searchsorted(ordered, scores, "left")
+    last = np.searchsorted(ordered, scores, "right") - 1
+    ranks = (first + last) / 2.0 + 1.0
+    n_pos = int(positive.sum())
+    n_neg = len(scores) - n_pos
+    u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def reference_auc_pr(scores, positive):
+    """Average precision from its own sort and tie groups, summed step by step
+    in descending score order: `_aucs` must match it bit for bit."""
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    cum_tp = np.cumsum(positive[order])[ends]
+    recall = cum_tp / int(positive.sum())
+    precision = cum_tp / (ends + 1)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
+
+
+def score_sets(seed, count):
+    """`count` seeded (scores, positive) pairs with both classes present, of
+    2 to 400 warnings each, most of them heavy in ties: a few distinct
+    values (zeros of either sign), scores rounded to 1-3 decimals, or all
+    distinct."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 401))
+        kind = i % 3
+        if kind == 0:
+            levels = int(rng.integers(1, 7))
+            scores = rng.integers(0, levels, n) / max(levels - 1, 1)
+            scores[scores == 0] = rng.choice([0.0, -0.0], int(np.count_nonzero(scores == 0)))
+        elif kind == 1:
+            scores = np.round(rng.random(n), int(rng.integers(1, 4)))
+        else:
+            scores = rng.random(n)
+        positive = rng.random(n) < rng.uniform(0.02, 0.98)
+        positive[rng.choice(n, 2, replace=False)] = [True, False]  # both classes present
+        yield scores, positive
 
 
 # --- Reference numbers and worked examples -----------------------------------
@@ -132,6 +180,13 @@ class TestOracleEquivalence:
         if all(a is TP for _, a, _ in rows) or all(a is FP for _, a, _ in rows):
             return
         assert compute_metrics(*build(rows)).auc_pr == oracle_average_precision(rows)
+
+    def test_aucs_match_the_references_bit_for_bit(self):
+        # Every report line must keep its last digit, so compare the floats' bits.
+        for scores, positive in score_sets(seed=3301, count=10_500):
+            auc_roc, auc_pr = _aucs(scores, positive)
+            assert auc_roc.hex() == reference_auc_roc(scores, positive).hex(), (scores, positive)
+            assert auc_pr.hex() == reference_auc_pr(scores, positive).hex(), (scores, positive)
 
     def test_random_scores_auc_near_half(self):
         rng = np.random.default_rng(7)

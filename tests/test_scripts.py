@@ -68,6 +68,26 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     assert bench_pairs.seeds("401-403,409") == [401, 402, 403, 409]
 
 
+def test_bench_pairs_summary_marks_a_spread_wider_than_the_bound_unresolved():
+    bench_pairs = load_script("bench_pairs")
+
+    def runs(parent, change):
+        return [{side: {"result": {"metrics": {"t": {"value": v}}}}
+                 for side, v in (("parent", p), ("change", c))} for p, c in zip(parent, change)]
+
+    wide = [1.0, 1.4, 1.2, 0.8, 1.0]  # quartiles 1.0 and 1.2 about a median of 1.0
+    narrow = [1.0, 1.02, 0.99, 1.01, 1.0]
+    summary = bench_pairs.summarize(runs(wide, narrow), "t", "lower", 0.1)
+    assert summary["spread"] == pytest.approx({"parent": 0.2, "change": 0.01})
+    assert summary["unresolved"]  # 0.8 of the parent beats every change run
+    assert not bench_pairs.summarize(runs(wide, narrow), "t", "lower", 0.25)["unresolved"]
+    assert not bench_pairs.summarize(runs(narrow, wide), "t", "lower", 0.1)["unresolved"]
+    faster = [0.5, 0.7, 0.6, 0.4, 0.5]  # every change run beats every parent run
+    assert not bench_pairs.summarize(runs(wide, faster), "t", "lower", 0.1)["unresolved"]
+    assert bench_pairs.summarize(runs(wide, faster), "t", "higher", 0.1)["unresolved"]
+    assert not bench_pairs.summarize(runs(faster, wide), "t", "higher", 0.1)["unresolved"]
+
+
 def test_bench_pairs_summary_gives_unscaled_quartiles():
     bench_pairs = load_script("bench_pairs")
 

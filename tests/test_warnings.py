@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,41 @@ def brute_force_clusters(records, radius):
     return {frozenset(g) for g in groups.values()}
 
 
+def reference_cluster_sizes(records, radius):
+    """Cluster sizes file by file, each file's distinct ids sorted by line:
+    the per-file form `cluster_sizes` must match exactly."""
+    by_file = {}
+    for r in records:
+        by_file.setdefault(r.file, {})[r.id] = r.start_line
+    sizes = {}
+    for lines in by_file.values():
+        ids = sorted(lines, key=lines.get)
+        start = 0
+        for i in range(1, len(ids) + 1):
+            if i == len(ids) or lines[ids[i]] - lines[ids[i - 1]] > radius:
+                sizes.update(dict.fromkeys(ids[start:i], i - start))
+                start = i
+    return sizes
+
+
+def record_sets(seed, count):
+    """`count` seeded (records, radius) pairs: 0 to 40 warnings over one to
+    five shared files and some files of their own, ids repeated, in random
+    order; the radius is 0 in a third of them, and one set in 50 has line
+    numbers on both sides of the int64 limit."""
+    rng = random.Random(seed)
+    for i in range(count):
+        files = [f"pkg/src/{name}.rs" for name in "abcde"[:rng.randint(1, 5)]]
+        base = 2**63 - 200 if i % 50 == 0 else 0
+        top = 400 if base else rng.choice([5, 60, 400])
+        records = [make_record(j, file=f"solo/{j}.rs" if rng.random() < 0.2 else rng.choice(files),
+                               line=base + rng.randint(1, top))
+                   for j in range(rng.randrange(41))]
+        records += rng.choices(records, k=rng.randrange(len(records) + 1)) if records else []
+        rng.shuffle(records)
+        yield records, rng.choice([0, 0, 0, 1, 3, 10, 50])
+
+
 class TestClusterWarnings:
     def test_adjacent_same_file(self):
         records = [make_record(0, line=10), make_record(1, line=12)]
@@ -340,6 +376,15 @@ class TestClusterWarnings:
 
     def test_empty_input(self):
         assert cluster_sizes([], radius=5) == {}
+
+    def test_line_numbers_past_int64_cluster_exactly(self):
+        records = [make_record(i, line=2**63 + ln) for i, ln in enumerate((10, 14, 20))]
+        sizes = cluster_sizes(records + [make_record(3, line=10**30)], radius=5)
+        assert [sizes[r.id] for r in records] == [2, 2, 1]
+
+    def test_matches_the_per_file_reference(self):
+        for records, radius in record_sets(seed=3302, count=3_200):
+            assert cluster_sizes(records, radius) == reference_cluster_sizes(records, radius)
 
     @given(
         lines=st.lists(st.integers(1, 60), min_size=1, max_size=50),
