@@ -13,8 +13,9 @@ per side and workload (`--trace-seconds` long). The output keeps every run recor
 and end-to-end metric, each side's median and quartiles (numpy percentiles
 25/50/75, linear), the pairs the change won (ties count for neither), the
 parent's IQR and the gap between the medians, each side's spread (IQR over
-median), `unresolved` where the parent's spread exceeds the metric's bound
-and not every change run beats every parent run, and, under `unscaled`, each
+median, unknown where the median is 0), `unresolved` where either side's
+spread exceeds the metric's bound or is unknown and not every change run
+beats every parent run, and, under `unscaled`, each
 side's quartiles of every raw stage time and of the reference unit's median
 (scaled medians drift as the host gets faster); it also keeps each side's
 `src/triagerl/*.py` line count as `src_lines` and its count of settable
@@ -160,7 +161,8 @@ def summarize(runs: list[dict], metric: str, better: str, bound: float) -> dict:
         "pairs": len(runs), "worse_by": sign * (ratio - 1.0), "bound": bound,
         "parent_iqr": parent["q3"] - parent["q1"],
         "median_gap": abs(change["median"] - parent["median"]),
-        "spread": spread, "unresolved": spread["parent"] > bound and not beats_all,
+        "spread": spread,
+        "unresolved": not all(x <= bound for x in spread.values()) and not beats_all,
     }
 
 

@@ -339,20 +339,14 @@ def cluster_sizes(records: list[WarningRecord], radius: int) -> dict[str, int]:
     count once.
     """
     where = {r.id: (r.file, r.start_line) for r in records}
-    number: dict[str, int] = {}  # a number per file, in order of first appearance
-    files = np.array([number.setdefault(file, len(number)) for file, _ in where.values()])
-    lines = [line for _, line in where.values()]
-    try:
-        lines = np.array(lines, dtype=np.int64)
-    except OverflowError:  # a report's line numbers have no upper bound
-        lines = np.array(lines, dtype=object)
-    order = np.lexsort((lines, files))
-    files, lines = files[order], lines[order]
-    starts = np.ones(len(order), dtype=bool)  # where a cluster starts, in (file, line) order
-    starts[1:] = (files[1:] != files[:-1]) | (np.diff(lines) > radius)
-    cluster = np.cumsum(starts) - 1
-    ids = list(where)
-    return dict(zip([ids[i] for i in order.tolist()], np.bincount(cluster)[cluster].tolist()))
+    ids = sorted(where, key=where.get)  # in (file, start_line) order
+    breaks = [i for i, ((prev_file, prev_line), (file, line))
+              in enumerate(itertools.pairwise(map(where.get, ids)), start=1)
+              if file != prev_file or line - prev_line > radius]
+    sizes: dict[str, int] = {}
+    for start, end in zip([0, *breaks], [*breaks, len(ids)]):
+        sizes.update(dict.fromkeys(ids[start:end], end - start))
+    return sizes
 
 
 # ---------------------------------------------------------------------------

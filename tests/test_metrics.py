@@ -54,13 +54,19 @@ def oracle_auc_roc(rows):
 
 
 def oracle_average_precision(rows):
-    scores = sorted({s for _, _, s in rows}, reverse=True)
+    """Precision times the recall gained, summed one threshold after another:
+    each distinct score from the highest down, counting the rows scored at
+    least that high."""
+    ranked = sorted(rows, key=lambda row: -row[2])
     n_pos = sum(1 for _, a, _ in rows if a is TP)
     ap = 0.0
     prev_recall = 0.0
-    for t in scores:
-        tp = sum(1 for _, a, s in rows if s >= t and a is TP)
-        fp = sum(1 for _, a, s in rows if s >= t and a is FP)
+    tp = fp = 0
+    for i, (_, a, s) in enumerate(ranked):
+        tp += a is TP
+        fp += a is FP
+        if i + 1 < len(ranked) and ranked[i + 1][2] == s:  # the threshold s has more rows
+            continue
         recall = tp / n_pos
         precision = tp / (tp + fp)
         ap += (recall - prev_recall) * precision
@@ -79,18 +85,6 @@ def reference_auc_roc(scores, positive):
     n_neg = len(scores) - n_pos
     u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def reference_auc_pr(scores, positive):
-    """Average precision from its own sort and tie groups, summed step by step
-    in descending score order: `_aucs` must match it bit for bit."""
-    order = np.argsort(-scores, kind="stable")
-    ordered = scores[order]
-    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
-    cum_tp = np.cumsum(positive[order])[ends]
-    recall = cum_tp / int(positive.sum())
-    precision = cum_tp / (ends + 1)
-    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def score_sets(seed, count):
@@ -185,8 +179,9 @@ class TestOracleEquivalence:
         # Every report line must keep its last digit, so compare the floats' bits.
         for scores, positive in score_sets(seed=3301, count=10_500):
             auc_roc, auc_pr = _aucs(scores, positive)
+            rows = [(TP, TP if p else FP, float(s)) for s, p in zip(scores, positive)]
             assert auc_roc.hex() == reference_auc_roc(scores, positive).hex(), (scores, positive)
-            assert auc_pr.hex() == reference_auc_pr(scores, positive).hex(), (scores, positive)
+            assert auc_pr.hex() == oracle_average_precision(rows).hex(), (scores, positive)
 
     def test_random_scores_auc_near_half(self):
         rng = np.random.default_rng(7)

@@ -3,6 +3,7 @@ sizes, and so does one short benchmark run. bench_pairs.py is checked on its
 summary arithmetic."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,7 +82,10 @@ def test_bench_pairs_summary_marks_a_spread_wider_than_the_bound_unresolved():
     assert summary["spread"] == pytest.approx({"parent": 0.2, "change": 0.01})
     assert summary["unresolved"]  # 0.8 of the parent beats every change run
     assert not bench_pairs.summarize(runs(wide, narrow), "t", "lower", 0.25)["unresolved"]
-    assert not bench_pairs.summarize(runs(narrow, wide), "t", "lower", 0.1)["unresolved"]
+    assert bench_pairs.summarize(runs(narrow, wide), "t", "lower", 0.1)["unresolved"]
+    zero = [0.0, 0.0, 0.0, 0.1, 0.0]  # a median of 0 leaves the spread unknown
+    summary = bench_pairs.summarize(runs(zero, narrow), "t", "lower", 0.1)
+    assert math.isnan(summary["spread"]["parent"]) and summary["unresolved"]
     faster = [0.5, 0.7, 0.6, 0.4, 0.5]  # every change run beats every parent run
     assert not bench_pairs.summarize(runs(wide, faster), "t", "lower", 0.1)["unresolved"]
     assert bench_pairs.summarize(runs(wide, faster), "t", "higher", 0.1)["unresolved"]

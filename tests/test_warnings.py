@@ -314,23 +314,6 @@ def brute_force_clusters(records, radius):
     return {frozenset(g) for g in groups.values()}
 
 
-def reference_cluster_sizes(records, radius):
-    """Cluster sizes file by file, each file's distinct ids sorted by line:
-    the per-file form `cluster_sizes` must match exactly."""
-    by_file = {}
-    for r in records:
-        by_file.setdefault(r.file, {})[r.id] = r.start_line
-    sizes = {}
-    for lines in by_file.values():
-        ids = sorted(lines, key=lines.get)
-        start = 0
-        for i in range(1, len(ids) + 1):
-            if i == len(ids) or lines[ids[i]] - lines[ids[i - 1]] > radius:
-                sizes.update(dict.fromkeys(ids[start:i], i - start))
-                start = i
-    return sizes
-
-
 def record_sets(seed, count):
     """`count` seeded (records, radius) pairs: 0 to 40 warnings over one to
     five shared files and some files of their own, ids repeated, in random
@@ -382,9 +365,11 @@ class TestClusterWarnings:
         sizes = cluster_sizes(records + [make_record(3, line=10**30)], radius=5)
         assert [sizes[r.id] for r in records] == [2, 2, 1]
 
-    def test_matches_the_per_file_reference(self):
+    def test_matches_brute_force_oracle_on_seeded_sets(self):
         for records, radius in record_sets(seed=3302, count=3_200):
-            assert cluster_sizes(records, radius) == reference_cluster_sizes(records, radius)
+            expected = {wid: len(group) for group in brute_force_clusters(records, radius)
+                        for wid in group}
+            assert cluster_sizes(records, radius) == expected, (records, radius)
 
     @given(
         lines=st.lists(st.integers(1, 60), min_size=1, max_size=50),
