@@ -343,10 +343,8 @@ def cluster_sizes(records: list[WarningRecord], radius: int) -> dict[str, int]:
     breaks = [i for i, ((prev_file, prev_line), (file, line))
               in enumerate(itertools.pairwise(map(where.get, ids)), start=1)
               if file != prev_file or line - prev_line > radius]
-    sizes: dict[str, int] = {}
-    for start, end in zip([0, *breaks], [*breaks, len(ids)]):
-        sizes.update(dict.fromkeys(ids[start:end], end - start))
-    return sizes
+    counts = np.diff([0, *breaks, len(ids)])  # each cluster's size, in sorted order
+    return dict(zip(ids, np.repeat(counts, counts).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -360,11 +360,6 @@ class TestClusterWarnings:
     def test_empty_input(self):
         assert cluster_sizes([], radius=5) == {}
 
-    def test_line_numbers_past_int64_cluster_exactly(self):
-        records = [make_record(i, line=2**63 + ln) for i, ln in enumerate((10, 14, 20))]
-        sizes = cluster_sizes(records + [make_record(3, line=10**30)], radius=5)
-        assert [sizes[r.id] for r in records] == [2, 2, 1]
-
     def test_matches_brute_force_oracle_on_seeded_sets(self):
         for records, radius in record_sets(seed=3302, count=3_200):
             expected = {wid: len(group) for group in brute_force_clusters(records, radius)
