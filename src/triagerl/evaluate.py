@@ -77,10 +77,9 @@ def permutation_importance(
             perm = rng.permutation(len(records))
             rows = np.flatnonzero(bits[perm, j] != bits[:, j])
             called = unshuffled.copy()
-            if len(rows):
-                feats = matrix[rows]
-                feats[:, j] = matrix[perm[rows], j]
-                called[rows] = calls(feats, [records[i] for i in rows])
+            feats = matrix[rows]
+            feats[:, j] = matrix[perm[rows], j]
+            called[rows] = calls(feats, [records[i] for i in rows])
             drops.append(baseline - f1(called))
         results.append({"feature": entry.name, "mean_drop": float(np.mean(drops))})
     results.sort(key=lambda r: -r["mean_drop"])

@@ -335,16 +335,16 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size))
 
 
-def _walk(step: np.ndarray, groups: np.ndarray, clamped: bool = True) -> np.ndarray:
+def _walk(step: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """The depth after each step, one walk from 0 per run of equal values in
-    the sorted `groups`. A clamped walk never goes below 0: its depth is the
-    height less the lowest height so far below 0, taken by one running minimum
-    over all walks, walk g lowered by g * span to keep the earlier ones above."""
+    the sorted `groups`, never below 0: its depth is the height less the
+    lowest height so far below 0, taken by one running minimum over all walks,
+    walk g lowered by g * span to keep the earlier ones above."""
     height = np.cumsum(step)
     first = _firsts(groups)
     height -= np.repeat(height[first] - step[first], np.diff(first, append=len(step)))
     lift = groups.astype(np.int64) * (2 * len(step) + 1)
-    return height - clamped * np.minimum(np.minimum.accumulate(height - lift) + lift, 0)
+    return height - np.minimum(np.minimum.accumulate(height - lift) + lift, 0)
 
 
 def _item_counts(codes: np.ndarray, cls: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -394,12 +394,11 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     snip = np.repeat(np.arange(n, dtype=np.int32), lengths + 1)
     cls = np.take(_ASCII_CLASS, codes, mode="clip")
     nbytes = lengths.copy()
-    wide = np.flatnonzero(codes > 127)
-    if len(wide):  # classified once per distinct code point
-        values, inverse = np.unique(codes[wide], return_inverse=True)
-        cls[wide] = np.array([_char_class(chr(v)) for v in values.tolist()], dtype=np.uint8)[inverse]
-        extra = 1 + (values > 0x7FF).astype(np.int64) + (values > 0xFFFF)
-        nbytes += np.bincount(snip[wide], weights=extra[inverse], minlength=n).astype(np.int64)
+    wide = np.flatnonzero(codes > 127)  # classified once per distinct code point
+    values, inverse = np.unique(codes[wide], return_inverse=True)
+    cls[wide] = np.array([_char_class(chr(v)) for v in values.tolist()], dtype=np.uint8)[inverse]
+    extra = 1 + (values > 0x7FF).astype(np.int64) + (values > 0xFFFF)
+    nbytes += np.bincount(snip[wide], weights=extra[inverse], minlength=n).astype(np.int64)
     too_large = np.flatnonzero(nbytes > MAX_SNIPPET_BYTES)
     if len(too_large):
         row = int(too_large[0])
@@ -417,12 +416,11 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     # Words, from the first head of each run; kinds by length, first and third letter.
     tok_start, tok_end = np.flatnonzero(np.diff(
         (cls & _WORD_CHAR).view(bool), prepend=False, append=False)).reshape(-1, 2).T
-    late = np.flatnonzero((cls[tok_start] & _HEAD) == 0)
-    if len(late):  # the run starts with a digit or a non-ASCII letter
-        block, size = _runs(np.flatnonzero((cls & (_WORD_CHAR | _HEAD)) == _WORD_CHAR))
-        tok_start[late] = (block + size)[np.searchsorted(block, tok_start[late])]
-        held = tok_start < tok_end
-        tok_start, tok_end = tok_start[held], tok_end[held]
+    late = np.flatnonzero((cls[tok_start] & _HEAD) == 0)  # led by a digit or non-ASCII letter
+    block, size = _runs(np.flatnonzero((cls & (_WORD_CHAR | _HEAD)) == _WORD_CHAR))
+    tok_start[late] = (block + size)[np.searchsorted(block, tok_start[late])]
+    held = tok_start < tok_end
+    tok_start, tok_end = tok_start[held], tok_end[held]
     tok_len = tok_end - tok_start
     row = _CANDIDATE[np.minimum(tok_len, 11) << 14 | codes[tok_start].astype(np.int64) << 7
                      | np.minimum(codes.take(tok_start + 2, mode="clip"), 127) * (tok_len > 2)]
@@ -465,7 +463,7 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     bodies = claimed.astype(np.int64)
     bodies[b[claimed[a] & (step[b] == -1) & (group[b] == group[a]) & (depth[b] == depth[a] - 1)]] = -1
     nest = np.zeros(n, dtype=np.int64)
-    np.maximum.at(nest, group, _walk(bodies, group, clamped=False))
+    np.maximum.at(nest, group, _walk(bodies, group))
 
     # Runs of '&' and '|': '&&' and '||' are the pairs in a run, a closure two single '|'.
     amp_start, amp_len = _runs(find("&"))
@@ -527,8 +525,8 @@ def _snippet_slots(snippets: list[str], where) -> dict[str, np.ndarray]:
     with_fn, spans = _search(_FN_HEAD, snippets, np.flatnonzero(count["fn"]))
     paren = find("()")
     head = starts[with_fn] + spans[:, 1]
-    owner, at = _ranges(np.searchsorted(paren, head), np.searchsorted(paren, ends[with_fn]))
-    shut = np.flatnonzero(_walk(np.where(codes[paren[at]] == ord("("), 1, -1), owner, False) == -1)
+    owner, at = _ranges(np.searchsorted(paren, head - 1), np.searchsorted(paren, ends[with_fn]))
+    shut = np.flatnonzero(_walk(np.where(codes[paren[at]] == ord("("), 1, -1), owner) == 0)
     shut = shut[_firsts(owner[shut])]
     params = np.zeros(n)
     params[with_fn[owner[shut]]] = _item_counts(codes, cls, head[owner[shut]], paren[at[shut]])[0]

@@ -130,8 +130,9 @@ def generate_harness(
     """Render the warning's pattern template with target bindings.
 
     The entry point comes from the first `fn` item in the snippet, falling
-    back to a quoted identifier in the description. Type arguments default to
-    `u8` per generic parameter. No placeholder survives rendering.
+    back to a quoted identifier in the description. Each template uses the
+    type argument as one type, and it renders `u8`. No placeholder survives
+    rendering.
     """
     pattern = classify_bug_pattern(warning)
     if pattern not in template_set:
@@ -140,11 +141,10 @@ def generate_harness(
     if function is None:
         raise HarnessError(f"warning {warning.id}: no callable entry point in snippet or description")
     crate = _crate_name(warning)
-    generic_params = len(re.findall(r"\bfn\s+\w+\s*<", warning.code_snippet))
     bindings = {
         "package": crate,
         "function": function,
-        "type_args": ", ".join(["u8"] * max(1, generic_params)),
+        "type_args": "u8",
         "entry": f"{crate}::{function}",
     }
     return _PLACEHOLDER.sub(lambda m: bindings[m[1]], template_set[pattern])

@@ -390,12 +390,8 @@ class Adam:
         np.square(grad, out=a)
         a *= 1 - ADAM_BETA2
         self.v += a
-        bias1 = 1 - ADAM_BETA1**self.t
-        if bias1 == 1.0:  # from t = 356 on: dividing by it would change no bit
-            np.multiply(self.m, self.lr, out=a)
-        else:
-            np.divide(self.m, bias1, out=a)  # m_hat
-            a *= self.lr
+        np.divide(self.m, 1 - ADAM_BETA1**self.t, out=a)  # m_hat
+        a *= self.lr
         np.divide(self.v, 1 - ADAM_BETA2**self.t, out=b)  # v_hat
         np.sqrt(b, out=b)
         b += ADAM_EPS

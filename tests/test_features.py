@@ -253,6 +253,7 @@ EDGE_SNIPPETS = [
     "if x<y { z }", "9<T, U>", "é<T, U>", "X<a=>b, c>", "F<Fn() -> T, U>",
     "fn f<T>(x: F<Fn() -> T, U>) -> Vec<T> {}",
     "fn f<T(x: (u8, [u8; 2]) {{", "}}} fn g(a, b) { }", "fn h(a, b", "F<'a,\n\t'b, \t>",
+    "fn p(f: impl Fn(u8) -> (u8, u8), b: u8) {}", "fn q(a, (b, c)", "fn r(",
     "<<<>>", "F<A<B>, C<D<E>>>", "((())",
     "let c = 'a'; fn f<'a, T: 'a>(x: &'a T)", "a &&& b ||| c; v.map(|x| x)",
     "if a || b || c { v.map(|x| x) }",
@@ -296,6 +297,28 @@ WARNING_FIELDS = {
     "level": list(Level),
     "file": ["pkg0-1.0/src/a.rs", "pkg0-1.0/src/b.rs", "pkg1-1.0/src/a.rs"],
 }
+
+
+def walk_oracle(step, groups):
+    """The depth after each step: from 0 at each run of equal groups, never below 0."""
+    depth, out = 0, []
+    for i, (s, g) in enumerate(zip(step.tolist(), groups.tolist())):
+        depth = max(0, (depth if i and g == groups[i - 1] else 0) + s)
+        out.append(depth)
+    return out
+
+
+class TestWalk:
+    def test_walk_equals_a_clamped_loop_per_group(self):
+        # The loop, brace, item and parameter-list rules all read this one
+        # walk: groups of one step, groups whose values skip, walks that dip
+        # below 0 and the empty walk.
+        rng = np.random.default_rng(3401)
+        for _ in range(300):
+            sizes = rng.integers(1, 8, size=rng.integers(0, 12))
+            groups = np.repeat(np.cumsum(rng.integers(1, 4, size=len(sizes))), sizes)
+            step = rng.integers(-3, 4, size=len(groups))
+            assert features_mod._walk(step, groups).tolist() == walk_oracle(step, groups)
 
 
 def oracle_matrix(records, metadata, sizes):

@@ -224,6 +224,16 @@ class TestHarnessGeneration:
             assert "{{" not in harness and "}}" not in harness
             assert pattern is not None
 
+    def test_type_argument_is_one_type_for_any_number_of_generic_fns(self):
+        # Every template uses the binding as one type (`Vec<_>`, `&_`, `as _`),
+        # so two generic `fn` items in the snippet must not render `Vec<u8, u8>`.
+        warning = make_record(2, analyzer="UnsafeDestructor")
+        warning = warning.__class__(**{**warning.__dict__, "code_snippet":
+                                       "fn drop<U>(x: U) {}\nfn other<V>(y: V) {}"})
+        harness = generate_harness(warning, load_templates(DEFAULT_TEMPLATE_DIR))
+        assert "Vec<u8>" in harness and "Borrow<[u8]>" in harness
+        assert "u8, u8" not in harness
+
     def test_unknown_pattern(self):
         warning = make_record(0, analyzer="SomethingElse")
         warning = warning.__class__(**{**warning.__dict__, "description": "odd report"})

@@ -273,7 +273,8 @@ class TestAdam:
         adam, flat = Adam(0.01, 50), rng.normal(size=50)
         m = v = np.zeros(50)
         expected = flat.copy()
-        # Past t = 355, 1 - 0.9**t rounds to 1.0 and the step skips its division.
+        # Past t = 355, 1 - 0.9**t rounds to 1.0: the steps run past there so
+        # that the first-moment bias correction is checked where it is exactly 1.
         for t in range(1, 401):
             grad = rng.normal(size=50)
             m = 0.9 * m + (1 - 0.9) * grad
