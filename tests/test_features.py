@@ -301,9 +301,10 @@ WARNING_FIELDS = {
 
 def walk_oracle(step, groups):
     """The depth after each step: from 0 at each run of equal groups, never below 0."""
-    depth, out = 0, []
-    for i, (s, g) in enumerate(zip(step.tolist(), groups.tolist())):
-        depth = max(0, (depth if i and g == groups[i - 1] else 0) + s)
+    depth, prev, out = 0, None, []
+    for s, g in zip(step.tolist(), groups.tolist()):
+        depth = max(0, (depth if g == prev else 0) + s)
+        prev = g
         out.append(depth)
     return out
 
