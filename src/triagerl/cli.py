@@ -157,13 +157,16 @@ def _write(path: str, data: bytes) -> None:
     print(f"wrote {path}")
 
 
-def _make_backend(cfg: RunConfig):
+def _make_backend(cfg: RunConfig, source: str):
+    """The configured fuzz backend for warnings read from `source`."""
     if cfg.backend == "simulated":
         return SimulatedBackend(cfg.sim)
     if cfg.backend == "recorded":
         if not cfg.recorded_path:
             raise InputError("backend 'recorded' needs recorded_path (or --recorded)")
-        return RecordedBackend(_load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path))
+        outcomes = _load(fuzz_mod.read_recorded_outcomes, cfg.recorded_path)
+        outcomes.name = f"recorded outcome for {source}'s warning"  # a miss names both files
+        return RecordedBackend(outcomes)
     try:  # the external backend
         command = shlex.split(cfg.external_command)
     except ValueError as exc:  # an unbalanced quote
@@ -239,7 +242,7 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     dataset, table = _load_dataset(args)
-    backend = _make_backend(cfg)
+    backend = _make_backend(cfg, args.warnings)
     log_lines: list[str] = []
     checkpoint = train(dataset, table, cfg.train, backend, cfg.reward, log_lines=log_lines)
     _write(args.out, save_checkpoint(checkpoint))
@@ -252,7 +255,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     checkpoint, records, table = _scored_split(args)
-    backend = None if args.mask_fuzz else _make_backend(cfg)
+    backend = None if args.mask_fuzz else _make_backend(cfg, args.warnings)
     report, predictions = _play(args.checkpoint, evaluate_mod.evaluate_checkpoint, checkpoint,
                                 records, table, backend, jobs=cfg.jobs)
     _write(args.out, metrics_mod.write_report(report))
@@ -265,7 +268,7 @@ def cmd_triage(args, cfg: RunConfig) -> int:
     records = _load(warn_mod.parse_report, args.report)
     checkpoint = _load(load_checkpoint, args.checkpoint)
     raw = _report_rows(args, cfg, records, args.report)
-    backend = None if args.mask_fuzz else _make_backend(cfg)
+    backend = None if args.mask_fuzz else _make_backend(cfg, args.report)
     feats = normalize(validate_vector(raw, lambda i: f"warning {records[i].id}"),
                       checkpoint.normalizer)
     played = _play(args.checkpoint, run_episodes, checkpoint.params, feats, records, backend,
@@ -283,7 +286,7 @@ def cmd_fuzz_validate(args, cfg: RunConfig) -> int:
     by_id.update((r.id, r) for r in records)
     ids = list(dict.fromkeys(args.ids.split(",") if args.ids else by_id))  # each id once
     listed = [by_id[w] for w in ids]
-    results = fuzz_mod.run_many(_make_backend(cfg), listed, cfg.jobs)
+    results = fuzz_mod.run_many(_make_backend(cfg, args.warnings), listed, cfg.jobs)
     _write(args.out, fuzz_mod.write_recorded_outcomes(dict(zip(ids, results))))
     return 0
 

@@ -89,8 +89,8 @@ def draw_dropout_masks(
 def forward_cache(
     params: PolicyParams, states: np.ndarray, masks: tuple[np.ndarray, np.ndarray] | None = None
 ) -> dict:
-    """Batched forward pass over (n, input_dim) `states`: logits and values,
-    plus the pre-activations and hidden outputs that backpropagation reads.
+    """Batched forward pass over (n, input_dim) `states`: logits, values and
+    the hidden outputs backpropagation reads, each one array made in place.
 
     Each head output is one dot product of a row with one contiguous weight
     vector, so its bits do not depend on the batch. numpy sends a one-row
@@ -102,18 +102,18 @@ def forward_cache(
         states = np.repeat(states, 2, axis=0)
         if masks is not None:
             masks = tuple(np.repeat(m, 2, axis=0) for m in masks)
-    z1 = states @ params.w1
-    z1 += params.b1
-    h1 = np.maximum(z1, 0.0)
+    h1 = states @ params.w1
+    h1 += params.b1
+    np.maximum(h1, 0.0, out=h1)
     if masks is not None:
         h1 *= masks[0]
-    z2 = h1 @ params.w2
-    z2 += params.b2
-    h2 = np.maximum(z2, 0.0)
+    h2 = h1 @ params.w2
+    h2 += params.b2
+    np.maximum(h2, 0.0, out=h2)
     if masks is not None:
         h2 *= masks[1]
     heads = np.vecdot(h2[:, None, :], np.vstack([params.w_pi.T, params.w_v.T]))
     logits = heads[:, :-1] + params.b_pi
     values = heads[:, -1] + params.b_v[0]
-    cache = {"z1": z1, "h1": h1, "z2": z2, "h2": h2, "logits": logits, "values": values}
+    cache = {"h1": h1, "h2": h2, "logits": logits, "values": values}
     return {name: array[:n] for name, array in cache.items()}

@@ -359,13 +359,13 @@ def ppo_loss_and_grads(
     dz2 += dvalues[:, None] * params.w_v[:, 0]
     if dropout_masks is not None:
         dz2 *= dropout_masks[1]
-    np.multiply(dz2, cache["z2"] > 0, out=dz2)
+    np.multiply(dz2, h2 > 0, out=dz2)
     _row_sum_product(h1, dz2, g.w2)
     dz2.sum(axis=0, out=g.b2)
     dz1 = dz2 @ params.w2.T
     if dropout_masks is not None:
         dz1 *= dropout_masks[0]
-    np.multiply(dz1, cache["z1"] > 0, out=dz1)
+    np.multiply(dz1, h1 > 0, out=dz1)
     _row_sum_product(batch.states, dz1, g.w1)
     dz1.sum(axis=0, out=g.b1)
     return total, g, parts

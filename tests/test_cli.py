@@ -227,9 +227,24 @@ class TestFuzzFanOut:
         out = tmp_path / "out.txt"
         assert run_cli([*subcommand(paths, command, out), "--backend", "recorded",
                         "--recorded", str(outcomes), "--jobs", str(jobs)]) == 3
+        source = pipeline["report" if command == "triage" else "warnings"]
         assert (capsys.readouterr().err
-                == f"input error: {outcomes}: no recorded outcome for warning {wid}\n")
+                == f"input error: {outcomes}: no recorded outcome for {source}'s warning {wid}\n")
         assert not out.exists()
+
+    def test_missing_recording_names_the_report_its_warning_came_from(self, pipeline, tmp_path,
+                                                                      capsys):
+        # An edited description gives the warning a new id, which no recording holds.
+        report = json.loads(pipeline["report"].read_text())
+        report[0]["description"] += " (edited)"
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(report))
+        wid = parse_report(bad.read_bytes(), str(bad))[0].id
+        paths = {**pipeline, "report": bad,
+                 "checkpoint": always_fuzz_checkpoint(tmp_path / "fuzz.ckpt")}
+        assert run_cli(subcommand(paths, "triage", tmp_path / "out.txt")) == 3
+        assert (capsys.readouterr().err == f"input error: {pipeline['outcomes']}: "
+                f"no recorded outcome for {bad}'s warning {wid}\n")
 
     def test_backend_error_is_an_infrastructure_failure_in_fuzz_validate(
             self, pipeline, tmp_path, monkeypatch):
@@ -868,7 +883,7 @@ class TestMalformedInputs:
         ("importance", "features", without_lines_holding(TEST_ID), [], 3,
          f"input error: {{bad}}: no feature vector for warning {TEST_ID}\n"),
         ("triage", "outcomes", without_lines_holding(FUZZED_ID), [], 3,
-         f"input error: {{bad}}: no recorded outcome for warning {FUZZED_ID}\n"),
+         f"input error: {{bad}}: no recorded outcome for {{report}}'s warning {FUZZED_ID}\n"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -909,7 +924,7 @@ class TestMalformedInputs:
         got, bad = run_with(pipeline, tmp_path, name, data, command, flags)
         err = capsys.readouterr().err
         assert got == code, err
-        assert named.format(bad=bad) in err, err
+        assert named.format(bad=bad, **pipeline) in err, err
 
     def test_split_record_without_a_label_exits_3_naming_it(self, pipeline, tmp_path, capsys):
         wid = next(line.split("\t")[0] for line in pipeline["splits"].read_text().splitlines()

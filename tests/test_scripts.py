@@ -50,6 +50,21 @@ def test_benchmark_runs_and_checks_its_outputs():
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
 
+def test_traced_benchmark_finds_the_layers_it_patches():
+    # The tracer patches triagerl's functions by name; a renamed one reads 0 calls.
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "train_ambiguity",
+                           "--seed", "401", "--seconds", "1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert result["correct"] is True
+    assert metrics["failed_share"] == 0
+    assert metrics["trace.absent"] <= 7
+    for layer in ("policy.forward", "trainer.ppo_loss_and_grads", "trainer.adam_step"):
+        assert metrics[f"{layer}.calls"] > 0, layer
+
+
 def test_bench_pairs_summary_counts_wins_by_direction():
     bench_pairs = load_script("bench_pairs")
 
