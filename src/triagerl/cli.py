@@ -89,7 +89,7 @@ def parse_config_file(data: bytes, source: str) -> dict[str, object]:
         except ValueError:
             raise InputError(f"{source} line {n}: {key}: expected "
                              f"{CONFIG_KEYS[key].__name__}, got {value!r}") from None
-        out.state(key, typed, n)
+        out.state([(n, key, typed)])
     return out
 
 

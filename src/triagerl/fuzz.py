@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HarnessError, InputError
-from .warnings import (BugPattern, Label, Table, WarningRecord, check_fields,
-                       classify_bug_pattern, package_of, read_input, text_file, text_lines)
+from .warnings import (BugPattern, Label, Table, WarningRecord, check_fields, classify_bug_pattern,
+                       id_lines, package_of, read_input, text_file, text_lines)
 
 BUDGET_GRACE_SECONDS = 5.0
 MAX_JOBS = 64  # the largest `jobs`: one worker thread and one fuzzer process per slot
@@ -109,19 +109,15 @@ def load_templates(directory: Path) -> dict[BugPattern, str]:
 
 
 def _crate_name(record: WarningRecord) -> str:
-    # "aarc-0.3.2/src/smart_ptrs.rs" -> "aarc"; trailing -<version> is dropped.
+    # "md-5-0.9.1/src/lib.rs" -> "md-5": only a trailing -<version> (semver) is dropped.
     head = package_of(record)
-    return re.sub(r"-\d[\w.\-]*$", "", head) or head
+    return re.sub(r"-\d+\.\d+\.\d+(?:-[0-9A-Za-z.-]+)?(?:\+[0-9A-Za-z.-]+)?$", "", head) or head
 
 
 def _target_function(record: WarningRecord) -> str | None:
-    m = re.search(r"\bfn\s+([A-Za-z_]\w*)", record.code_snippet)
-    if m:
-        return m.group(1)
-    m = re.search(r"[`']([A-Za-z_]\w*)[`']", record.description)
-    if m:
-        return m.group(1)
-    return None
+    m = (re.search(r"\bfn\s+([A-Za-z_]\w*)", record.code_snippet)
+         or re.search(r"[`']([A-Za-z_]\w*)[`']", record.description))
+    return m[1] if m else None
 
 
 def generate_harness(
@@ -130,9 +126,9 @@ def generate_harness(
     """Render the warning's pattern template with target bindings.
 
     The entry point comes from the first `fn` item in the snippet, falling
-    back to a quoted identifier in the description. Each template uses the
-    type argument as one type, and it renders `u8`. No placeholder survives
-    rendering.
+    back to a quoted identifier in the description. `{{entry}}` is `<library>::<function>`,
+    the library named as Cargo names it: `{{package}}` with `_` for `-`. Each template uses
+    the type argument as one type, and it renders `u8`. No placeholder survives rendering.
     """
     pattern = classify_bug_pattern(warning)
     if pattern not in template_set:
@@ -140,13 +136,9 @@ def generate_harness(
     function = _target_function(warning)
     if function is None:
         raise HarnessError(f"warning {warning.id}: no callable entry point in snippet or description")
-    crate = _crate_name(warning)
-    bindings = {
-        "package": crate,
-        "function": function,
-        "type_args": "u8",
-        "entry": f"{crate}::{function}",
-    }
+    package = _crate_name(warning)
+    bindings = {"package": package, "function": function, "type_args": "u8",
+                "entry": f"{package.replace('-', '_')}::{function}"}
     return _PLACEHOLDER.sub(lambda m: bindings[m[1]], template_set[pattern])
 
 
@@ -298,17 +290,9 @@ def write_recorded_outcomes(outcomes: dict[str, FuzzOutcome]) -> bytes:
 
 
 def read_recorded_outcomes(data: bytes, source: str) -> Table:
-    """Parse an outcomes file; a malformed line raises InputError naming `source`."""
-    outcomes = Table(source, "recorded outcome for warning")
-    for n, line in text_lines(data):
-        parts = line.split("\t", 3)
-        if len(parts) < 3:
-            raise InputError(f"{source} line {n}: expected id<TAB>kind<TAB>elapsed")
-        try:
-            # FuzzKind(...) of a kind not in the table raises the ValueError that names it.
-            kind = _KIND_OF.get(parts[1]) or FuzzKind(parts[1])
-            outcome = FuzzOutcome(kind, float(parts[2]), parts[3] if len(parts) > 3 else "")
-        except ValueError as exc:
-            raise InputError(f"{source} line {n}: {exc}") from exc
-        outcomes.state(parts[0], outcome, n)
-    return outcomes
+    """Parse an outcomes file; a malformed line raises InputError naming `source` and the line."""
+    # FuzzKind(...) of a kind not in the table raises the ValueError that names it.
+    return Table(source, "recorded outcome for warning").state(id_lines(
+        text_lines(data), source, "id<TAB>kind<TAB>elapsed<TAB>detail", 3,
+        lambda f: FuzzOutcome(_KIND_OF.get(f[1]) or FuzzKind(f[1]), float(f[2]),
+                              f[3] if len(f) > 3 else "")))

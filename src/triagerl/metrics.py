@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .fuzz import FUZZ_SLOTS, SLOT_OF, FuzzKind
-from .warnings import Label, text_file, text_lines
+from .warnings import Label, id_lines, text_file, text_lines
 
 
 @dataclass
@@ -194,23 +194,16 @@ def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
 
 def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
     """Parse a verdicts file; a malformed line raises InputError naming `source` and the line."""
-    out = []
-    for n, line in text_lines(data):
-        try:
-            wid, predicted, score, flag, kind = line.split("\t")
-            record = PredictionRecord(
-                warning_id=wid,
-                predicted=Label(predicted),
-                score=float(score),
-                fuzz_kind=FuzzKind.NOT_RUN if kind == "-" else FuzzKind(kind),
-            )
-            if not 0.0 <= record.score <= 1.0:
-                raise ValueError(f"score must be in [0,1], got {score}")
-            if kind == FuzzKind.NOT_RUN.value:  # not fuzzed is written "-"
-                raise ValueError("fuzz kind not_run is not an outcome")
-            if flag != str(int(record.fuzz_used)):
-                raise ValueError(f"fuzz flag {flag!r} must be 0 or 1 and agree with fuzz kind {kind}")
-        except ValueError as exc:
-            raise InputError(f"{source} line {n}: {exc}") from exc
-        out.append(record)
-    return out
+    def verdict(fields: list[str]) -> PredictionRecord:
+        wid, predicted, score, flag, kind = fields
+        record = PredictionRecord(wid, Label(predicted), float(score),
+                                  FuzzKind.NOT_RUN if kind == "-" else FuzzKind(kind))
+        if not 0.0 <= record.score <= 1.0:
+            raise ValueError(f"score must be in [0,1], got {score}")
+        if kind == FuzzKind.NOT_RUN.value:  # not fuzzed is written "-"
+            raise ValueError("fuzz kind not_run is not an outcome")
+        if flag != str(int(record.fuzz_used)):
+            raise ValueError(f"fuzz flag {flag!r} must be 0 or 1 and agree with fuzz kind {kind}")
+        return record
+    return [record for _, _, record in id_lines(
+        text_lines(data), source, "id<TAB>label<TAB>score<TAB>fuzz<TAB>kind", 5, verdict)]

@@ -45,6 +45,7 @@ _LEVELS = {level.value: level for level in Level}
 # cannot encode; only text holding such an escape is searched for one.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 class BugPattern(Enum):
@@ -393,14 +394,44 @@ class Table(dict):
     def __init__(self, source: str, name: str):
         self.source, self.name = source, name
 
-    def state(self, key: str, value, n: int) -> None:
-        """self[key] = value; a key stated before with another value raises InputError at line n."""
-        if key in self and self[key] != value:  # membership first: nan != nan
-            raise InputError(f"{self.source} line {n}: {key} was stated before with another value")
-        self[key] = value
+    def state(self, rows) -> Table:
+        """The table, once each (line number, key, value) of `rows` has set self[key] = value
+        in turn: a key stated before with another value raises InputError at its line."""
+        for n, key, value in rows:
+            if key in self and self[key] != value:  # membership first: nan != nan
+                raise InputError(f"{self.source} line {n}: {key} was stated before with another value")
+            self[key] = value
+        return self
 
     def __missing__(self, key: str):
         raise InputError(f"{self.source}: no {self.name} {key}")
+
+
+def id_lines(lines: list[tuple[int, str]], source: str, layout: str, required: int, value):
+    r"""(number, id, `value(fields)`) of each `<id>\t<fields>` line of `lines`, split into at most
+    the fields `layout` names. Too few fields, an id other than 16 lowercase hex digits (checked
+    at once over the lines' first 16 characters, then alone only if that fails) or a ValueError
+    from `value` raises InputError naming `source` and the line."""
+    def are_ids(ids):  # whether each is 16 lowercase hex digits: deleting those leaves no byte
+        return set(map(len, ids)) <= {16} and not "".join(ids).encode().translate(None, _HEX_DIGITS)
+    tabs, heads_are_ids = layout.count("<TAB>"), are_ids([line[:16] for _, line in lines])
+    for n, line in lines:
+        fields = line.split("\t", tabs)
+        try:
+            if len(fields) < required:
+                raise ValueError(f"expected {layout!r}")
+            if not (heads_are_ids and len(fields[0]) == 16 or are_ids(fields[:1])):
+                raise ValueError(f"warning id must be 16 lowercase hex digits, got {fields[0]!r}")
+            yield n, fields[0], value(fields)
+        except ValueError as exc:
+            raise InputError(f"{source} line {n}: {exc}") from None
+
+
+def _member(cls, token: str, rule: str):
+    try:
+        return cls(token)
+    except ValueError:
+        raise ValueError(f"{rule}, got {token!r}") from None
 
 
 # The value types an int or float field may hold: a bool is neither.
@@ -469,18 +500,9 @@ def write_label_sidecar(labels: dict[str, Label]) -> bytes:
 
 
 def read_label_sidecar(data: bytes, source: str) -> Table:
-    labels = Table(source, "label for warning")
-    for n, line in text_lines(data):
-        parts = line.split("\t", 2)
-        if len(parts) < 2:
-            raise InputError(f"{source} line {n}: expected 'id<TAB>label<TAB>source'")
-        try:
-            label = Label(parts[1])
-        except ValueError:
-            raise InputError(f"{source} line {n}: label must be tp or fp, "
-                             f"got {parts[1]!r}") from None
-        labels.state(parts[0], label, n)
-    return labels
+    return Table(source, "label for warning").state(id_lines(
+        text_lines(data), source, "id<TAB>label<TAB>source", 2,
+        lambda f: _member(Label, f[1], "label must be tp or fp")))
 
 
 def apply_labels(records: list[WarningRecord], labels: dict[str, Label]) -> None:
@@ -510,13 +532,6 @@ def read_split_file(data: bytes, source: str) -> Table:
         raise InputError(
             f"{source} line {n}: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
         ) from None
-    assignment = Table(source, "split for warning")
-    for n, line in lines[1:]:
-        wid, _, token = line.partition("\t")
-        try:
-            split = Split(token)
-        except ValueError:
-            raise InputError(f"{source} line {n}: split must be train/val/test, "
-                             f"got {token!r}") from None
-        assignment.state(wid, split, n)
-    return assignment
+    return Table(source, "split for warning").state(id_lines(
+        lines[1:], source, "id<TAB>split", 2,
+        lambda f: _member(Split, f[1], "split must be train/val/test")))

@@ -603,6 +603,16 @@ def first_verdict_scored(score):
 TRAIN_ID, TEST_ID, FUZZED_ID = "40e8825b9d1bf79f", "4dcfe472cb10b674", "64545d2592b038cc"
 
 
+def with_first_id(wid, after=0):
+    """An edit that gives the first line after `after` header lines of a
+    `<id>\t<fields>` line file the id `wid`."""
+    def edit(text):
+        lines = text.split("\n")
+        lines[after] = wid + lines[after][lines[after].index("\t"):]
+        return "\n".join(lines)
+    return edit
+
+
 def without_lines_holding(wid):
     """An edit that drops every line of a line file that holds `wid`."""
     return lambda text: "".join(line for line in text.splitlines(True) if wid not in line)
@@ -884,6 +894,14 @@ class TestMalformedInputs:
          f"input error: {{bad}}: no feature vector for warning {TEST_ID}\n"),
         ("triage", "outcomes", without_lines_holding(FUZZED_ID), [], 3,
          f"input error: {{bad}}: no recorded outcome for {{report}}'s warning {FUZZED_ID}\n"),
+        ("report", "labels", with_first_id("true"), [], 3,
+         "input error: {bad} line 1: warning id must be 16 lowercase hex digits, got 'true'\n"),
+        ("evaluate", "splits", with_first_id("x", after=1), [], 3,
+         "input error: {bad} line 2: warning id must be 16 lowercase hex digits, got 'x'\n"),
+        ("triage", "outcomes", with_first_id("x"), [], 3,
+         "input error: {bad} line 1: warning id must be 16 lowercase hex digits, got 'x'\n"),
+        ("report", "verdicts", with_first_id("true"), [], 3,
+         "input error: {bad} line 1: warning id must be 16 lowercase hex digits, got 'true'\n"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -917,7 +935,8 @@ class TestMalformedInputs:
             "checkpoint-reward-spec-null", "checkpoint-history-string",
             "checkpoint-format-version-bool", "report-label-missing", "train-feature-row-missing",
             "evaluate-feature-row-missing", "importance-feature-row-missing",
-            "triage-recorded-outcome-missing"])
+            "triage-recorded-outcome-missing", "labels-id-true", "splits-id-x", "outcomes-id-x",
+            "verdicts-id-true"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()

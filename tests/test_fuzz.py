@@ -1,5 +1,7 @@
 """Backends: simulated oracle statistics, recorded replay, external adapter."""
 
+import importlib.util
+import json
 import os
 import re
 import stat
@@ -27,11 +29,31 @@ from triagerl.fuzz import (
     run_many,
     write_recorded_outcomes,
 )
-from triagerl.warnings import BugPattern, Label, Level, WarningRecord, warning_id
+from triagerl.synthetic import demo_corpus
+from triagerl.warnings import BugPattern, Label, Level, WarningRecord, parse_report, warning_id
 
+from conftest import ROOT
 from test_warnings import make_record
 
 TP, FP = Label.TRUE_POSITIVE, Label.FALSE_POSITIVE
+
+# A harness's `use` paths, and what each of their segments must be: a Rust
+# identifier that is none of the language's strict or reserved keywords.
+USE_PATH = re.compile(r"^use ([^;]*);$", re.M)
+RUST_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+")
+RUST_KEYWORDS = frozenset("""
+    as async await break const continue crate dyn else enum extern false fn for if impl in let
+    loop match mod move mut pub ref return self Self static struct super trait true type unsafe
+    use where while abstract become box do final macro override priv try typeof unsized virtual
+    yield gen""".split())
+
+
+def load_perfbench_gen():
+    """The benchmark's input generator, `perfbench/gen.py`."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def panic_warning(i=0):
@@ -233,6 +255,41 @@ class TestHarnessGeneration:
         harness = generate_harness(warning, load_templates(DEFAULT_TEMPLATE_DIR))
         assert "Vec<u8>" in harness and "Borrow<[u8]>" in harness
         assert "u8, u8" not in harness
+
+    @pytest.mark.parametrize("directory, package, library", [
+        ("md-5-0.9.1", "md-5", "md_5"),
+        ("sha-1-0.10.0", "sha-1", "sha_1"),
+        ("demo-crate-0-0.0.1", "demo-crate-0", "demo_crate_0"),
+        ("aarc-0.3.2", "aarc", "aarc"),
+        ("futures-util-0.3.21", "futures-util", "futures_util"),
+        ("tokio-1.0.0-alpha.1", "tokio", "tokio"),
+        ("ring-0.17.0+build.5", "ring", "ring"),
+    ])
+    def test_package_keeps_its_name_and_entry_names_its_library(self, directory, package,
+                                                                 library):
+        # Only a trailing -<major>.<minor>.<patch> goes; Cargo's library name has `_` for `-`.
+        warning = make_record(0, file=f"{directory}/src/lib.rs")  # a panic-safety `fn f`
+        harness = generate_harness(warning, {BugPattern.PANIC_SAFETY: "{{package}} {{entry}}"})
+        assert harness == f"{package} {library}::f"
+
+    def test_every_use_path_is_rust_identifiers(self):
+        # The demo corpus's packages hold hyphens (`demo-crate-0-0.0.1`); the
+        # benchmark's generated packages do not.
+        demo_report, _, _ = demo_corpus(20, 7)
+        gen_report = load_perfbench_gen().corpus(2000, 2701)["report"]
+        templates = load_templates(DEFAULT_TEMPLATE_DIR)
+        for report in (demo_report, gen_report):
+            paths = []
+            for warning in parse_report(json.dumps(report).encode(), "report"):
+                try:
+                    paths += USE_PATH.findall(generate_harness(warning, templates))
+                except HarnessError:
+                    continue
+            assert len(paths) > len(report)  # each rendered harness imports more than its entry
+            bad = [path for path in paths if not all(
+                RUST_IDENTIFIER.fullmatch(part) and part not in RUST_KEYWORDS
+                for part in path.split("::"))]
+            assert not bad, bad[:5]
 
     def test_unknown_pattern(self):
         warning = make_record(0, analyzer="SomethingElse")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from triagerl.warnings import (
     SPLITS,
     WarningRecord,
     cluster_sizes,
+    id_lines,
     parse_report,
     read_label_sidecar,
     read_split_file,
@@ -29,6 +31,9 @@ from triagerl.warnings import (
     write_split_file,
     write_warning_store,
 )
+
+# Warning ids for the line-file tests.
+AA, BB, CC = "aa" * 8, "bb" * 8, "cc" * 8
 
 AARC_REPORT_OBJECT = {
     "level": "Warning",
@@ -402,9 +407,9 @@ class TestFileInterfaces:
         assert text_lines(b"a\r\n\n  \r\nb\rc\nd") == [(1, "a"), (4, "b\rc"), (5, "d")]
 
     def test_label_sidecar_rejects_two_labels_for_one_id(self):
-        read_label_sidecar(b"aa\ttp\nbb\tfp\naa\ttp\tmanual\n", "label sidecar")
-        with pytest.raises(InputError, match="label sidecar line 3: aa was stated before"):
-            read_label_sidecar(b"aa\ttp\nbb\tfp\naa\tfp\n", "label sidecar")
+        read_label_sidecar(f"{AA}\ttp\n{BB}\tfp\n{AA}\ttp\tmanual\n".encode(), "label sidecar")
+        with pytest.raises(InputError, match=f"label sidecar line 3: {AA} was stated before"):
+            read_label_sidecar(f"{AA}\ttp\n{BB}\tfp\n{AA}\tfp\n".encode(), "label sidecar")
 
     def test_label_sidecar_round_trip(self):
         labels = {"aa00" * 4: Label.TRUE_POSITIVE, "bb11" * 4: Label.FALSE_POSITIVE}
@@ -412,10 +417,29 @@ class TestFileInterfaces:
 
     def test_label_sidecar_rejects_bad_token(self):
         with pytest.raises(InputError, match="tp or fp"):
-            read_label_sidecar(b"deadbeef\tmaybe\tsource\n", "label sidecar")
+            read_label_sidecar(b"deadbeefdeadbeef\tmaybe\tsource\n", "label sidecar")
+
+    @pytest.mark.parametrize("wid", [
+        "0123456789abcde", "0123456789abcdef0", "0123456789ABCDEF", "0123456789abcdeg",
+        "0123456789abcde\uff10", "0123456789abcdef ", "", "true",
+    ], ids=["15-digits", "17-digits", "upper-case", "g", "full-width-digit", "trailing-space",
+            "empty", "word"])
+    def test_a_warning_id_is_16_lowercase_hex_digits(self, wid):
+        # The bad id sits between two good lines: the lines are checked together
+        # first, and the bad one is named by its own number.
+        lines = [(1, f"{AA}\tx"), (2, f"{wid}\tx"), (3, f"{BB}\tx")]
+        with pytest.raises(InputError, match=re.escape(
+                f"file line 2: warning id must be 16 lowercase hex digits, got {wid!r}")):
+            list(id_lines(lines, "file", "id<TAB>value", 2, lambda fields: fields[1]))
+        assert list(id_lines([lines[0], lines[2]], "file", "id<TAB>value", 2,
+                             lambda fields: fields[1])) == [(1, AA, "x"), (3, BB, "x")]
+
+    def test_a_line_with_too_few_fields_names_the_layout_before_its_id(self):
+        with pytest.raises(InputError, match="^file line 4: expected 'id<TAB>a<TAB>b'$"):
+            list(id_lines([(4, "true")], "file", "id<TAB>a<TAB>b", 2, lambda fields: fields))
 
     def test_split_file_round_trip(self):
-        assignment = {"aa": Split.TRAIN, "bb": Split.VAL, "cc": Split.TEST}
+        assignment = {AA: Split.TRAIN, BB: Split.VAL, CC: Split.TEST}
         data = write_split_file(assignment, seed=9, ratios=(0.7, 0.15, 0.15))
         assert data.startswith(b"# seed=9 ratios=0.7,0.15,0.15\n")
         assert read_split_file(data, "split file") == assignment
