@@ -285,7 +285,7 @@ class TestHarnessGeneration:
                     paths += USE_PATH.findall(generate_harness(warning, templates))
                 except HarnessError:
                     continue
-            assert len(paths) > len(report)  # each rendered harness imports more than its entry
+            assert len(paths) > len(report)  # most render, each with two `use` lines or more
             bad = [path for path in paths if not all(
                 RUST_IDENTIFIER.fullmatch(part) and part not in RUST_KEYWORDS
                 for part in path.split("::"))]
