@@ -194,8 +194,12 @@ def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
 
 def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
     """Parse a verdicts file; a malformed line raises InputError naming `source` and the line."""
+    layout = "id<TAB>label<TAB>score<TAB>fuzz<TAB>kind"
+
     def verdict(fields: list[str]) -> PredictionRecord:
         wid, predicted, score, flag, kind = fields
+        if "\t" in kind:  # a sixth field: no verdict field may hold a tab
+            raise ValueError(f"expected {layout!r}")
         record = PredictionRecord(wid, Label(predicted), float(score),
                                   FuzzKind.NOT_RUN if kind == "-" else FuzzKind(kind))
         if not 0.0 <= record.score <= 1.0:
@@ -206,4 +210,4 @@ def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
             raise ValueError(f"fuzz flag {flag!r} must be 0 or 1 and agree with fuzz kind {kind}")
         return record
     return [record for _, _, record in id_lines(
-        text_lines(data), source, "id<TAB>label<TAB>score<TAB>fuzz<TAB>kind", 5, verdict)]
+        text_lines(data), source, layout, 5, verdict)]

@@ -409,18 +409,16 @@ class Table(dict):
 
 def id_lines(lines: list[tuple[int, str]], source: str, layout: str, required: int, value):
     r"""(number, id, `value(fields)`) of each `<id>\t<fields>` line of `lines`, split into at most
-    the fields `layout` names. Too few fields, an id other than 16 lowercase hex digits (checked
-    at once over the lines' first 16 characters, then alone only if that fails) or a ValueError
-    from `value` raises InputError naming `source` and the line."""
-    def are_ids(ids):  # whether each is 16 lowercase hex digits: deleting those leaves no byte
-        return set(map(len, ids)) <= {16} and not "".join(ids).encode().translate(None, _HEX_DIGITS)
-    tabs, heads_are_ids = layout.count("<TAB>"), are_ids([line[:16] for _, line in lines])
+    the fields `layout` names. Too few fields, an id other than 16 lowercase hex digits or a
+    ValueError from `value` raises InputError naming `source` and the line."""
+    tabs = layout.count("<TAB>")
     for n, line in lines:
         fields = line.split("\t", tabs)
         try:
             if len(fields) < required:
                 raise ValueError(f"expected {layout!r}")
-            if not (heads_are_ids and len(fields[0]) == 16 or are_ids(fields[:1])):
+            # 16 characters, none left once the hex digits are deleted from their UTF-8
+            if len(fields[0]) != 16 or fields[0].encode().translate(None, _HEX_DIGITS):
                 raise ValueError(f"warning id must be 16 lowercase hex digits, got {fields[0]!r}")
             yield n, fields[0], value(fields)
         except ValueError as exc:

@@ -12,9 +12,9 @@ from triagerl.warnings import write_label_sidecar
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script(name):
-    """The module of `scripts/<name>.py`."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+def load_script(name, directory="scripts"):
+    """The module of `<directory>/<name>.py`."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -1,6 +1,5 @@
 """Backends: simulated oracle statistics, recorded replay, external adapter."""
 
-import importlib.util
 import json
 import os
 import re
@@ -32,7 +31,7 @@ from triagerl.fuzz import (
 from triagerl.synthetic import demo_corpus
 from triagerl.warnings import BugPattern, Label, Level, WarningRecord, parse_report, warning_id
 
-from conftest import ROOT
+from conftest import load_script
 from test_warnings import make_record
 
 TP, FP = Label.TRUE_POSITIVE, Label.FALSE_POSITIVE
@@ -46,14 +45,6 @@ RUST_KEYWORDS = frozenset("""
     loop match mod move mut pub ref return self Self static struct super trait true type unsafe
     use where while abstract become box do final macro override priv try typeof unsized virtual
     yield gen""".split())
-
-
-def load_perfbench_gen():
-    """The benchmark's input generator, `perfbench/gen.py`."""
-    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def panic_warning(i=0):
@@ -276,7 +267,7 @@ class TestHarnessGeneration:
         # The demo corpus's packages hold hyphens (`demo-crate-0-0.0.1`); the
         # benchmark's generated packages do not.
         demo_report, _, _ = demo_corpus(20, 7)
-        gen_report = load_perfbench_gen().corpus(2000, 2701)["report"]
+        gen_report = load_script("gen", "perfbench").corpus(2000, 2701)["report"]
         templates = load_templates(DEFAULT_TEMPLATE_DIR)
         for report in (demo_report, gen_report):
             paths = []

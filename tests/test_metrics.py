@@ -274,6 +274,14 @@ class TestSerialization:
         ]
         assert read_verdicts(write_verdicts(preds), "verdicts") == preds
 
+    @pytest.mark.parametrize("line", ["a" * 16 + "\ttp", "a" * 16 + "\ttp\t0.75\t1\tcrash\tx"],
+                             ids=["two-fields", "six-fields"])
+    def test_a_verdict_line_has_exactly_five_fields(self, line):
+        good = "b" * 16 + "\tfp\t0.25\t0\t-"
+        with pytest.raises(InputError, match=(
+                "^verdicts line 2: expected 'id<TAB>label<TAB>score<TAB>fuzz<TAB>kind'$")):
+            read_verdicts(f"{good}\n{line}\n".encode(), "verdicts")
+
     def test_report_file_stable_and_complete(self):
         rows = [(TP, TP, 0.9), (FP, FP, 0.2)]
         report = compute_metrics(*build(rows))
