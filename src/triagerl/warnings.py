@@ -45,7 +45,6 @@ _LEVELS = {level.value: level for level in Level}
 # cannot encode; only text holding such an escape is searched for one.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_HEX_DIGITS = b"0123456789abcdef"
 
 
 class BugPattern(Enum):
@@ -417,8 +416,7 @@ def id_lines(lines: list[tuple[int, str]], source: str, layout: str, required: i
         try:
             if len(fields) < required:
                 raise ValueError(f"expected {layout!r}")
-            # 16 characters, none left once the hex digits are deleted from their UTF-8
-            if len(fields[0]) != 16 or fields[0].encode().translate(None, _HEX_DIGITS):
+            if len(fields[0]) != 16 or fields[0].encode().translate(None, b"0123456789abcdef"):
                 raise ValueError(f"warning id must be 16 lowercase hex digits, got {fields[0]!r}")
             yield n, fields[0], value(fields)
         except ValueError as exc:
