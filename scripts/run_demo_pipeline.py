@@ -4,8 +4,8 @@
 Writes a 20-warning report, labels, and package metadata into --workdir,
 then runs: ingest, split, featurize, train, evaluate, report, importance,
 fuzz-validate, and triage. Every file it produces stays in the workdir for
-inspection. The tests load `steps` and `OUTPUTS` from here to drive the
-same pipeline.
+inspection. The tests load `write_inputs`, `steps` and `OUTPUTS` from here
+to drive the same pipeline.
 """
 
 import argparse
@@ -62,6 +62,20 @@ def steps(paths: dict) -> list[list[str]]:
     ]
 
 
+def write_inputs(root: Path, n: int, config: str) -> dict[str, Path]:
+    """Write the `n`-warning demo report, its labels, its package metadata and
+    the run config `config` into `root`; returns their paths by name."""
+    root.mkdir(parents=True, exist_ok=True)
+    report, labels, metadata = demo_corpus(n=n, seed=5)
+    paths = {"report": root / "report.json", "labels": root / "labels.txt",
+             "meta": root / "meta.json", "config": root / "run.cfg"}
+    paths["report"].write_text(json.dumps(report, indent=1))
+    paths["labels"].write_bytes(write_label_sidecar(labels))
+    paths["meta"].write_text(json.dumps(metadata, indent=1))
+    paths["config"].write_text(config)
+    return paths
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="demo_run")
@@ -69,16 +83,9 @@ def main():
     args = parser.parse_args()
 
     root = Path(args.workdir)
-    root.mkdir(parents=True, exist_ok=True)
-    report, labels, metadata = demo_corpus(n=args.n, seed=5)
-    (root / "report.json").write_text(json.dumps(report, indent=1))
-    (root / "labels.txt").write_bytes(write_label_sidecar(labels))
-    (root / "meta.json").write_text(json.dumps(metadata, indent=1))
-    (root / "run.cfg").write_text(CONFIG)
-
-    paths = {"report": root / "report.json", "labels": root / "labels.txt",
-             "meta": root / "meta.json", **{name: root / file for name, file in OUTPUTS.items()}}
-    cfg = ["--config", str(root / "run.cfg")]
+    inputs = write_inputs(root, args.n, CONFIG)
+    paths = {**inputs, **{name: root / file for name, file in OUTPUTS.items()}}
+    cfg = ["--config", str(inputs["config"])]
     for argv in steps(paths):
         print(f"\n$ triagerl {' '.join(argv)}")
         code = run_cli(argv + cfg)

@@ -236,7 +236,7 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
                                           args.warnings, lambda i: args.warnings)
     _write(args.out, features_mod.write_feature_sidecar(ids, table.rows_of(records)))
     if args.export_manifest:
-        _write(args.export_manifest, manifest_export().encode("utf-8"))
+        _write(args.export_manifest, manifest_export())
     return 0
 
 

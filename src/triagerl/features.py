@@ -179,12 +179,12 @@ _MAGNITUDE_MASK = np.array([e.kind in (Kind.COUNT, Kind.LOG_SCALED) for e in MAN
 _KINDS = {e.name: e.kind for e in MANIFEST.entries}
 
 
-def manifest_export() -> str:
+def manifest_export() -> bytes:
     """Human-readable listing of the manifest for audit."""
     lines = [f"# manifest version={MANIFEST.version} digest={MANIFEST.digest}"]
     for i, e in enumerate(MANIFEST.entries):
         lines.append(f"{i}\t{e.name}\t{e.family.value}\t{e.kind.value}")
-    return "\n".join(lines) + "\n"
+    return text_file(lines)
 
 
 def validate_vector(matrix: np.ndarray, where) -> np.ndarray:
@@ -719,6 +719,8 @@ def read_feature_sidecar(data: bytes, source: str) -> FeatureTable:
         where = f"{source} line {n}"
         try:
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise InputError(f"{where}: expected a JSON object, got {type(obj).__name__}")
             wid, digest = obj["warning_id"], obj["manifest_digest"]
             if not isinstance(wid, str):
                 raise TypeError(f"warning_id must be a string, got {type(wid).__name__}")

@@ -193,7 +193,8 @@ def write_verdicts(predictions: list[PredictionRecord]) -> bytes:
 
 
 def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
-    """Parse a verdicts file; a malformed line raises InputError naming `source` and the line."""
+    """Parse a verdicts file; a malformed line raises InputError naming `source` and the line,
+    and a file with no verdict raises it naming `source`."""
     layout = "id<TAB>label<TAB>score<TAB>fuzz<TAB>kind"
 
     def verdict(fields: list[str]) -> PredictionRecord:
@@ -209,5 +210,7 @@ def read_verdicts(data: bytes, source: str) -> list[PredictionRecord]:
         if flag != str(int(record.fuzz_used)):
             raise ValueError(f"fuzz flag {flag!r} must be 0 or 1 and agree with fuzz kind {kind}")
         return record
-    return [record for _, _, record in id_lines(
-        text_lines(data), source, layout, 5, verdict)]
+    records = [record for _, _, record in id_lines(text_lines(data), source, layout, 5, verdict)]
+    if not records:
+        raise InputError(f"{source}: no verdicts")
+    return records

@@ -548,6 +548,8 @@ def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
     checkpoints carry, is dropped: `train.gamma` is the discount."""
     try:
         doc = json.loads(data.decode("utf-8"))
+        if not isinstance(doc, dict):
+            raise InputError(f"{source}: expected a JSON object, got {type(doc).__name__}")
         for key, kind in (("format_version", int), ("normalizer", dict), ("weights", dict),
                           ("config", dict), ("reward_spec", dict), ("history", list)):
             if type(doc[key]) is not kind:  # a bool is no int, though true == 1

@@ -264,20 +264,16 @@ def stratified_split(
         raise InputError(f"ratios must sum to 1, got sum {sum(ratios)!r}")
 
     rng = np.random.default_rng(seed)
-    by_class: dict[Label, list[str]] = {c: [] for c in Label}
-    seen = set()
+    first_label = {}  # each id with the label it first comes with
     for r in records:
-        if r.id not in seen:
-            seen.add(r.id)
-            by_class[r.label].append(r.id)
+        first_label.setdefault(r.id, r.label)
 
-    buckets: dict[Split, dict[Label, list[str]]] = {s: {c: [] for c in by_class} for s in SPLITS}
-    for cls, ids in by_class.items():
-        order = rng.permutation(len(ids))
-        shuffled = [ids[int(i)] for i in order]
-        shares = _largest_remainder(len(ids), tuple(ratios))
+    buckets: dict[Split, dict[Label, list[str]]] = {s: {} for s in SPLITS}
+    for cls in Label:
+        ids = [wid for wid, label in first_label.items() if label is cls]
+        shuffled = [ids[i] for i in rng.permutation(len(ids))]
         pos = 0
-        for split, share in zip(SPLITS, shares):
+        for split, share in zip(SPLITS, _largest_remainder(len(ids), ratios)):
             buckets[split][cls] = shuffled[pos : pos + share]
             pos += share
 
@@ -292,43 +288,31 @@ def stratified_split(
 
 
 def _repair_empty_splits(buckets: dict[Split, dict[Label, list[str]]]) -> None:
-    """Move single records from the largest split into empty ones.
+    """Move single records from the earliest largest split into empty ones.
 
-    The donated class is the one that keeps the worst per-split deviation
-    from the global positive fraction smallest, so the within-one-record
-    stratification bound survives the repair.
+    The donated class is the first in Label order that leaves the worst
+    per-split deviation from the global positive fraction smallest, so the
+    within-one-record stratification bound survives the repair.
     """
-
-    def size(split: Split) -> int:
-        return sum(len(v) for v in buckets[split].values())
-
-    total = sum(size(s) for s in SPLITS)
-    if total < len(SPLITS):
+    counts = {s: (sum(map(len, buckets[s].values())), len(buckets[s][Label.TRUE_POSITIVE]))
+              for s in SPLITS}  # each split's (size, positives)
+    total = sum(size for size, _ in counts.values())
+    if total < len(SPLITS):  # some split must stay empty
         return
-    total_pos = sum(len(buckets[s][Label.TRUE_POSITIVE]) for s in SPLITS)
-    p_global = total_pos / total
+    p_global = sum(pos for _, pos in counts.values()) / total
 
-    def worst_deviation() -> float:
-        return max(
-            abs(len(buckets[s][Label.TRUE_POSITIVE]) - p_global * size(s)) for s in SPLITS
-        )
+    while (empty := next((s for s in SPLITS if counts[s][0] == 0), None)) is not None:
+        donor = max(SPLITS, key=lambda s: counts[s][0])
 
-    while any(size(s) == 0 for s in SPLITS):
-        empty = next(s for s in SPLITS if size(s) == 0)
-        donor = max(SPLITS, key=lambda s: (size(s), -SPLITS.index(s)))
-        best = None
-        for cls in Label:
-            if not buckets[donor][cls]:
-                continue
-            moved = buckets[donor][cls].pop()
-            buckets[empty][cls].append(moved)
-            dev = worst_deviation()
-            buckets[empty][cls].pop()
-            buckets[donor][cls].append(moved)
-            if best is None or dev < best[0]:
-                best = (dev, cls)
-        _, cls = best
+        def moved(cls: Label) -> dict[Split, tuple[int, int]]:
+            """`counts` once one `cls` record moves from `donor` to `empty`."""
+            tp = int(cls is Label.TRUE_POSITIVE)
+            return {**counts, donor: (counts[donor][0] - 1, counts[donor][1] - tp), empty: (1, tp)}
+
+        cls = min((c for c in Label if buckets[donor][c]),  # by the worst deviation it leaves
+                  key=lambda c: max(abs(pos - p_global * size) for size, pos in moved(c).values()))
         buckets[empty][cls].append(buckets[donor][cls].pop())
+        counts = moved(cls)
 
 
 def cluster_sizes(records: list[WarningRecord], radius: int) -> dict[str, int]:
@@ -515,19 +499,17 @@ def write_split_file(
 
 
 def read_split_file(data: bytes, source: str) -> Table:
-    """Parse a split file; a malformed line raises InputError naming `source` and the line."""
+    """Parse a split file; a malformed line raises InputError naming `source` and the line.
+    The header must take `write_split_file`'s form, each ratio one `float` reads as finite."""
     lines = text_lines(data)
     n, header = lines[0] if lines else (1, "")
+    ratios = re.fullmatch(r"# seed=[0-9]+ ratios=([^,\s]+),([^,\s]+),([^,\s]+)", header)
     try:
-        if not header.startswith("# seed="):
-            raise ValueError(header)
-        seed_field, ratios_field = header[2:].split()[:2]
-        int(seed_field.split("=", 1)[1])  # checked for form only: nothing reads the seed or ratios
-        [float(x) for x in ratios_field.split("=", 1)[1].split(",")]
-    except (IndexError, ValueError):
-        raise InputError(
-            f"{source} line {n}: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}"
-        ) from None
+        if not (ratios and all(abs(float(r)) <= sys.float_info.max for r in ratios.groups())):
+            raise ValueError  # also nan
+    except ValueError:
+        raise InputError(f"{source} line {n}: expected '# seed=<n> ratios=<a>,<b>,<c>', "
+                         f"got {header!r}") from None
     return Table(source, "split for warning").state(id_lines(
         lines[1:], source, "id<TAB>split", 2,
         lambda f: _member(Split, f[1], "split must be train/val/test")))

@@ -2,12 +2,9 @@
 
 import hashlib
 import importlib.util
-import json
 from pathlib import Path
 
 from triagerl.cli import run_cli
-from triagerl.synthetic import demo_corpus
-from triagerl.warnings import write_label_sidecar
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,19 +53,8 @@ def sha256(path: Path) -> str:
 
 
 def write_demo_inputs(root: Path, n: int = 20) -> dict[str, Path]:
-    root.mkdir(parents=True, exist_ok=True)
-    report, labels, metadata = demo_corpus(n=n, seed=5)
-    paths = {
-        "report": root / "report.json",
-        "labels": root / "labels.txt",
-        "meta": root / "meta.json",
-        "config": root / "run.cfg",
-    }
-    paths["report"].write_bytes(json.dumps(report, indent=1).encode("utf-8"))
-    paths["labels"].write_bytes(write_label_sidecar(labels))
-    paths["meta"].write_bytes(json.dumps(metadata, indent=1).encode("utf-8"))
-    paths["config"].write_text(DEMO_CONFIG)
-    return paths
+    """The demo script's `n`-warning inputs under `root`, run with DEMO_CONFIG."""
+    return DEMO_SCRIPT.write_inputs(root, n, DEMO_CONFIG)
 
 
 def run_demo_pipeline(root: Path) -> dict[str, Path]:

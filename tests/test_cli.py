@@ -613,6 +613,17 @@ def with_first_id(wid, after=0):
     return edit
 
 
+def with_first_line(line):
+    """An edit that puts `line` in place of the first line of a file."""
+    return lambda text: line + text[text.index("\n"):]
+
+
+# Split file headers in a form `write_split_file` never writes.
+SPLIT_HEADERS_NOT_WRITTEN = ["# seed=5 foo=1.0", "# seed=5 ratios=nan",
+                             "# seed=-1 ratios=0.7,0.15,0.15", "# seed=5 ratios=0.7,0.15",
+                             "# seed=5 ratios=0.7,0.15,0.15 shuffled=yes"]
+
+
 def without_lines_holding(wid):
     """An edit that drops every line of a line file that holds `wid`."""
     return lambda text: "".join(line for line in text.splitlines(True) if wid not in line)
@@ -902,6 +913,16 @@ class TestMalformedInputs:
          "input error: {bad} line 1: warning id must be 16 lowercase hex digits, got 'x'\n"),
         ("report", "verdicts", with_first_id("true"), [], 3,
          "input error: {bad} line 1: warning id must be 16 lowercase hex digits, got 'true'\n"),
+        *[("evaluate", "splits", with_first_line(header), [], 3,
+           f"input error: {{bad}} line 1: expected '# seed=<n> ratios=<a>,<b>,<c>', got {header!r}\n")
+          for header in SPLIT_HEADERS_NOT_WRITTEN],
+        ("report", "verdicts", lambda t: "", [], 3, "input error: {bad}: no verdicts\n"),
+        ("evaluate", "checkpoint", lambda t: '"x"', [], 3,
+         "input error: {bad}: expected a JSON object, got str\n"),
+        ("evaluate", "checkpoint", lambda t: "[1,2]", [], 3,
+         "input error: {bad}: expected a JSON object, got list\n"),
+        ("evaluate", "features", with_first_line("[1, 2]"), [], 3,
+         "input error: {bad} line 1: expected a JSON object, got list\n"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -936,7 +957,9 @@ class TestMalformedInputs:
             "checkpoint-format-version-bool", "report-label-missing", "train-feature-row-missing",
             "evaluate-feature-row-missing", "importance-feature-row-missing",
             "triage-recorded-outcome-missing", "labels-id-true", "splits-id-x", "outcomes-id-x",
-            "verdicts-id-true"])
+            "verdicts-id-true", "split-header-key-unknown", "split-header-ratio-nan",
+            "split-header-seed-negative", "split-header-two-ratios", "split-header-text-after",
+            "verdicts-empty", "checkpoint-string", "checkpoint-list", "sidecar-line-list"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()

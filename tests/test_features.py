@@ -127,7 +127,7 @@ class TestManifest:
             extract_features([make_record(0)], {}, {make_record(0).id: 1}, "warnings")
 
     def test_export_lists_every_slot(self):
-        text = manifest_export()
+        text = manifest_export().decode()
         lines = text.strip().split("\n")
         assert len(lines) == 1 + len(MANIFEST)
         assert MANIFEST.digest in lines[0]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 
@@ -275,6 +276,27 @@ class TestStratifiedSplit:
         with pytest.raises(InputError, match="sum nan"):
             stratified_split(records, (float("nan"), 0.5, 0.5), seed=0)
 
+    def test_assignments_keep_their_pinned_bytes(self):
+        # 2,400 seeded record sets of 0-100 records, every third one of 3-9
+        # records (small enough that apportioning leaves a split empty and the
+        # repair moves records), with ids drawn with repeats so that an id can
+        # come again with either label. Every assignment, items in order,
+        # feeds one SHA-256, pinned so that a restated split must keep every
+        # assignment and its order.
+        rng = random.Random(3701)
+        triples = [(0.7, 0.15, 0.15), (0.98, 0.01, 0.01), (0.5, 0.25, 0.25),
+                   (1 / 3, 1 / 3, 1 / 3), (0.1, 0.1, 0.8), (0.01, 0.98, 0.01)]
+        digest = hashlib.sha256()
+        for k in range(2400):
+            n = rng.randrange(3, 10) if k % 3 == 0 else rng.randrange(101)
+            records = [make_record(rng.randrange(n), label=rng.choice(list(Label)))
+                       for _ in range(n)]
+            assignment = stratified_split(records, triples[k % 6], seed=rng.randrange(2**32))
+            digest.update("".join(f"{w}\t{s.value}\n" for w, s in assignment.items()).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "02da01c9d8fb2411d99240d242ec8abdaa0d141538d7c42b937b8d46baa4916b")
+
     @given(
         n_pos=st.integers(1, 40),
         n_neg=st.integers(1, 40),
@@ -437,6 +459,14 @@ class TestFileInterfaces:
     def test_a_line_with_too_few_fields_names_the_layout_before_its_id(self):
         with pytest.raises(InputError, match="^file line 4: expected 'id<TAB>a<TAB>b'$"):
             list(id_lines([(4, "true")], "file", "id<TAB>a<TAB>b", 2, lambda fields: fields))
+
+    def test_every_written_split_header_reads_back(self):
+        # Seeds below 2**64 and positive ratios from subnormal to about 9e307.
+        rng = random.Random(3702)
+        for _ in range(2000):
+            ratios = tuple(math.ldexp(1 - rng.random(), rng.randrange(-1000, 1024)) for _ in range(3))
+            data = write_split_file({AA: Split.TEST}, rng.randrange(2**64), ratios)
+            assert read_split_file(data, "split file") == {AA: Split.TEST}, data
 
     def test_split_file_round_trip(self):
         assignment = {AA: Split.TRAIN, BB: Split.VAL, CC: Split.TEST}
