@@ -96,65 +96,53 @@ class NormalizerStats:
     std: np.ndarray
 
 
-_CHECKERS = ("unsafe_dataflow", "send_sync_variance", "unsafe_destructor", "other")
-_LEVELS = tuple(level.value.lower() for level in Level)
-_OP_TYPES = (
-    "read_flow", "copy_flow", "write_flow", "vec_from_raw", "vec_set_len", "transmute",
-    "ptr_as_ref", "slice_unchecked", "slice_from_raw", "uninitialized", "other", "none",
-)
-_BYPASS = tuple(p.value for p in BugPattern)
-
-# Count features that carry a ln(1+x) companion slot.
-_MIR_PAIRED_COUNTS = (
-    "generic_param_count", "generic_nesting_depth", "lifetime_param_count",
-    "borrow_nesting_depth", "mut_borrow_count", "smart_pointer_count", "cyclomatic_complexity",
-    "loop_nesting_depth", "panic_path_count", "bypass_to_danger_distance", "unsafe_block_count",
-    "raw_pointer_count", "transmute_count", "closure_count", "match_arm_count",
-    "early_return_count", "fn_item_count", "block_depth_max",
-)
+# Count slots that carry a ln(1+x) companion "<name>_log", by family, in manifest order.
+LOG_PAIRED_COUNTS = {
+    Family.MIR_SEMANTIC: (
+        "generic_param_count", "generic_nesting_depth", "lifetime_param_count",
+        "borrow_nesting_depth", "mut_borrow_count", "smart_pointer_count", "cyclomatic_complexity",
+        "loop_nesting_depth", "panic_path_count", "bypass_to_danger_distance", "unsafe_block_count",
+        "raw_pointer_count", "transmute_count", "closure_count", "match_arm_count",
+        "early_return_count", "fn_item_count", "block_depth_max",
+    ),
+    Family.STRUCTURAL: ("lines_of_code", "parameter_count", "snippet_bytes", "package_loc"),
+    Family.ANALYSIS_SPECIFIC: ("cluster_size",),
+}
+# The one-hot groups: each prefix with its values, one slot "<prefix><value>" per value.
+ONE_HOT_GROUPS = {
+    "bypass_": tuple(p.value for p in BugPattern),
+    "checker_": ("unsafe_dataflow", "send_sync_variance", "unsafe_destructor", "other"),
+    "level_": tuple(level.value.lower() for level in Level),
+    "op_": ("read_flow", "copy_flow", "write_flow", "vec_from_raw", "vec_set_len", "transmute",
+            "ptr_as_ref", "slice_unchecked", "slice_from_raw", "uninitialized", "other", "none"),
+}
 _MIR_FLAGS = (
     "trait_bound_flag", "where_clause_flag", "raw_deref_flag", "unsafe_fn_flag",
     "static_mut_flag", "unsafe_trait_impl_flag", "union_field_flag", "drop_impl_flag", "ffi_flag",
 )
-_STRUCTURAL_PAIRED_COUNTS = ("lines_of_code", "parameter_count", "snippet_bytes", "package_loc")
 
 
 def _manifest_entries() -> tuple[FeatureEntry, ...]:
-    entries: list[FeatureEntry] = []
-
-    def add(name, family, kind):
-        entries.append(FeatureEntry(name, family, kind))
-
-    for name in _MIR_PAIRED_COUNTS:
-        add(name, Family.MIR_SEMANTIC, Kind.COUNT)
-        add(name + "_log", Family.MIR_SEMANTIC, Kind.LOG_SCALED)
-    for name in _MIR_FLAGS:
-        add(name, Family.MIR_SEMANTIC, Kind.FLAG)
-    add("borrow_ratio", Family.MIR_SEMANTIC, Kind.RATIO)
-    for cat in _BYPASS:
-        add(f"bypass_{cat}", Family.MIR_SEMANTIC, Kind.ONE_HOT)
-
-    add("download_count_log", Family.STRUCTURAL, Kind.LOG_SCALED)
-    add("unsafe_prevalence", Family.STRUCTURAL, Kind.RATIO)
-    add("public_api_flag", Family.STRUCTURAL, Kind.FLAG)
-    for name in _STRUCTURAL_PAIRED_COUNTS:
-        add(name, Family.STRUCTURAL, Kind.COUNT)
-        add(name + "_log", Family.STRUCTURAL, Kind.LOG_SCALED)
-    add("comment_density", Family.STRUCTURAL, Kind.RATIO)
-    add("metadata_imputed_flag", Family.STRUCTURAL, Kind.FLAG)
-    add("snippet_missing_flag", Family.STRUCTURAL, Kind.FLAG)
-
-    for c in _CHECKERS:
-        add(f"checker_{c}", Family.ANALYSIS_SPECIFIC, Kind.ONE_HOT)
-    for lv in _LEVELS:
-        add(f"level_{lv}", Family.ANALYSIS_SPECIFIC, Kind.ONE_HOT)
-    for op in _OP_TYPES:
-        add(f"op_{op}", Family.ANALYSIS_SPECIFIC, Kind.ONE_HOT)
-    add("op_type_present_flag", Family.ANALYSIS_SPECIFIC, Kind.FLAG)
-    add("cluster_size", Family.ANALYSIS_SPECIFIC, Kind.COUNT)
-    add("cluster_size_log", Family.ANALYSIS_SPECIFIC, Kind.LOG_SCALED)
-    add("clustered_flag", Family.ANALYSIS_SPECIFIC, Kind.FLAG)
-    return tuple(entries)
+    """The slots, family by family: each log-paired count is followed by its
+    companion, and a one-hot group's slots follow its values' order."""
+    paired = {family: [slot for name in names
+                       for slot in ((name, Kind.COUNT), (name + "_log", Kind.LOG_SCALED))]
+              for family, names in LOG_PAIRED_COUNTS.items()}
+    one_hot = {prefix: [(prefix + value, Kind.ONE_HOT) for value in values]
+               for prefix, values in ONE_HOT_GROUPS.items()}
+    families = (  # in `Family` order
+        [*paired[Family.MIR_SEMANTIC], *((name, Kind.FLAG) for name in _MIR_FLAGS),
+         ("borrow_ratio", Kind.RATIO), *one_hot["bypass_"]],
+        [("download_count_log", Kind.LOG_SCALED), ("unsafe_prevalence", Kind.RATIO),
+         ("public_api_flag", Kind.FLAG), *paired[Family.STRUCTURAL],
+         ("comment_density", Kind.RATIO), ("metadata_imputed_flag", Kind.FLAG),
+         ("snippet_missing_flag", Kind.FLAG)],
+        [*one_hot["checker_"], *one_hot["level_"], *one_hot["op_"],
+         ("op_type_present_flag", Kind.FLAG), *paired[Family.ANALYSIS_SPECIFIC],
+         ("clustered_flag", Kind.FLAG)],
+    )
+    return tuple(FeatureEntry(name, family, kind)
+                 for family, slots in zip(Family, families) for name, kind in slots)
 
 
 def _digest(version: int, entries: tuple[FeatureEntry, ...]) -> str:
@@ -600,7 +588,7 @@ def _op_slot(op_type: str | None) -> str:
     if op_type is None or not op_type.strip():
         return "none"
     norm = re.sub(r"(?<!^)(?=[A-Z])", "_", op_type.strip()).lower().replace(" ", "_")
-    return norm if norm in _OP_TYPES else "other"
+    return norm if norm in ONE_HOT_GROUPS["op_"] else "other"
 
 
 # math.log1p(k) for each integer count k below 4,096.
@@ -656,18 +644,18 @@ def extract_features(records: list[WarningRecord], metadata: dict[str, PackageMe
     columns["clustered_flag"] = columns["cluster_size"] > 1
     code, firsts = _distinct(records, _ANALYZER_FIELDS)
     columns["op_type_present_flag"] = np.array([r.op_type is not None for r in firsts])[code]
-    for prefix, vocabulary, picks in (
-        ("bypass_", _BYPASS, [classify_bug_pattern(r).value for r in firsts]),
-        ("checker_", _CHECKERS, [_checker_slot(r.analyzer) for r in firsts]),
-        ("level_", _LEVELS, [r.level.value.lower() for r in firsts]),
-        ("op_", _OP_TYPES, [_op_slot(r.op_type) for r in firsts]),
+    for prefix, picks in (
+        ("bypass_", [classify_bug_pattern(r).value for r in firsts]),
+        ("checker_", [_checker_slot(r.analyzer) for r in firsts]),
+        ("level_", [r.level.value.lower() for r in firsts]),
+        ("op_", [_op_slot(r.op_type) for r in firsts]),
     ):
         picks = np.array(picks)
-        columns.update((prefix + value, (picks == value)[code]) for value in vocabulary)
+        columns.update((prefix + value, (picks == value)[code]) for value in ONE_HOT_GROUPS[prefix])
     # ln(1 + x) companions by math.log1p, so each equals the scalar rule bit
     # for bit whatever numpy's own log1p does: from `_LOG1P` for an integer
     # count it holds, else once per distinct count.
-    paired = [name for name in _KINDS if name + "_log" in _KINDS]
+    paired = [name for names in LOG_PAIRED_COUNTS.values() for name in names]
     counts = np.column_stack([columns[name] for name in paired])
     k = np.clip(counts, 0, len(_LOG1P) - 1).astype(np.intp)
     logs = _LOG1P[k]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import MANIFEST, FeatureTable, Kind
+from .features import MANIFEST, ONE_HOT_GROUPS, FeatureTable, Kind
 from .warnings import (
     Dataset,
     Label,
@@ -22,11 +22,9 @@ from .warnings import (
 
 SIGNAL_FEATURE = "generic_param_count"
 
-_ONE_HOT_GROUPS = ("bypass_", "checker_", "level_", "op_")
 # The manifest slots of each one-hot group, in manifest order.
-_ONE_HOT_SLOTS = [[i for i, e in enumerate(MANIFEST.entries)
-                   if e.kind is Kind.ONE_HOT and e.name.startswith(prefix)]
-                  for prefix in _ONE_HOT_GROUPS]
+_ONE_HOT_SLOTS = [[MANIFEST.index_of(prefix + value) for value in values]
+                  for prefix, values in ONE_HOT_GROUPS.items()]
 
 
 def make_synthetic_warning(i: int, label: Label) -> WarningRecord:

@@ -13,15 +13,12 @@ import numpy as np
 
 from triagerl.errors import InputError
 from triagerl.features import (
-    _BYPASS,
-    _CHECKERS,
-    _LEVELS,
     _MIR_FLAGS,
-    _MIR_PAIRED_COUNTS,
-    _OP_TYPES,
-    _STRUCTURAL_PAIRED_COUNTS,
+    LOG_PAIRED_COUNTS,
     MANIFEST,
     MAX_SNIPPET_BYTES,
+    ONE_HOT_GROUPS,
+    Family,
     FeatureVector,
 )
 from triagerl.warnings import Level, classify_bug_pattern
@@ -222,7 +219,7 @@ def snippet_features(snippet):
 
 
 def _neutral_snippet_features():
-    feats = {name: 0.0 for name in _MIR_PAIRED_COUNTS}
+    feats = {name: 0.0 for name in LOG_PAIRED_COUNTS[Family.MIR_SEMANTIC]}
     feats.update({name: 0.0 for name in _MIR_FLAGS})
     feats.update(
         {
@@ -238,8 +235,8 @@ def _neutral_snippet_features():
     return feats
 
 
-def _one_hot(prefix, choices, selected):
-    return {f"{prefix}{c}": (1.0 if c == selected else 0.0) for c in choices}
+def _one_hot(prefix, selected):
+    return {f"{prefix}{c}": (1.0 if c == selected else 0.0) for c in ONE_HOT_GROUPS[prefix]}
 
 
 def _checker_slot(analyzer):
@@ -257,7 +254,7 @@ def _op_slot(op_type):
     if op_type is None or not op_type.strip():
         return "none"
     norm = re.sub(r"(?<!^)(?=[A-Z])", "_", op_type.strip()).lower().replace(" ", "_")
-    return norm if norm in _OP_TYPES else "other"
+    return norm if norm in ONE_HOT_GROUPS["op_"] else "other"
 
 
 def extract_features(record, meta=None, *, cluster_size=None):
@@ -292,16 +289,17 @@ def extract_features(record, meta=None, *, cluster_size=None):
     feats["clustered_flag"] = 1.0 if size > 1 else 0.0
     feats["op_type_present_flag"] = 0.0 if record.op_type is None else 1.0
 
-    feats.update(_one_hot("bypass_", _BYPASS, classify_bug_pattern(record).value))
-    feats.update(_one_hot("checker_", _CHECKERS, _checker_slot(record.analyzer)))
-    feats.update(_one_hot("level_", _LEVELS, {
+    feats.update(_one_hot("bypass_", classify_bug_pattern(record).value))
+    feats.update(_one_hot("checker_", _checker_slot(record.analyzer)))
+    feats.update(_one_hot("level_", {
         Level.ERROR: "error", Level.WARNING: "warning", Level.INFO: "info",
     }[record.level]))
-    feats.update(_one_hot("op_", _OP_TYPES, _op_slot(record.op_type)))
+    feats.update(_one_hot("op_", _op_slot(record.op_type)))
 
     # Fill ln(1+x) companions for every paired count.
-    for name in _MIR_PAIRED_COUNTS + _STRUCTURAL_PAIRED_COUNTS + ("cluster_size",):
-        feats[name + "_log"] = math.log1p(max(0.0, feats[name]))
+    for names in LOG_PAIRED_COUNTS.values():
+        for name in names:
+            feats[name + "_log"] = math.log1p(max(0.0, feats[name]))
 
     values = np.array([feats[e.name] for e in MANIFEST.entries], dtype=np.float64)
     return FeatureVector(values)

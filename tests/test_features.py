@@ -120,9 +120,14 @@ class TestManifest:
         assert _digest(MANIFEST.version, perturbed) != MANIFEST.digest
         assert build_manifest().digest == MANIFEST.digest
 
+    def test_digest_is_pinned(self):
+        # A restatement of the manifest that moves, renames or retypes a slot changes this.
+        assert MANIFEST.digest == "95d3c174d89b91cb"
+
     def test_a_column_without_a_slot_fails(self, monkeypatch):
         # A checker value the manifest has no slot for fills a column no slot reads.
-        monkeypatch.setattr(features_mod, "_CHECKERS", features_mod._CHECKERS + ("bogus",))
+        monkeypatch.setitem(features_mod.ONE_HOT_GROUPS, "checker_",
+                            features_mod.ONE_HOT_GROUPS["checker_"] + ("bogus",))
         with pytest.raises(AssertionError, match="checker_bogus"):
             extract_features([make_record(0)], {}, {make_record(0).id: 1}, "warnings")
 
