@@ -15,6 +15,12 @@ from triagerl.trainer import TrainConfig, train
 from triagerl.warnings import Split
 
 
+def shown(value, spec):
+    """`value` formatted by `spec`, or "undefined" for None (an F1 with no TP
+    call, the fuzz rate of an empty subclass), as the report file writes it."""
+    return "undefined" if value is None else format(value, spec)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=600)
@@ -42,16 +48,17 @@ def main():
 
     ambiguous = [p for p in preds if p.warning_id in ambiguous_ids]
     clear = [p for p in preds if p.warning_id not in ambiguous_ids]
-    rate_ambiguous = sum(p.fuzz_used for p in ambiguous) / len(ambiguous)
-    rate_clear = sum(p.fuzz_used for p in clear) / len(clear)
-
+    rate_ambiguous = sum(p.fuzz_used for p in ambiguous) / len(ambiguous) if ambiguous else None
+    rate_clear = sum(p.fuzz_used for p in clear) / len(clear) if clear else None
+    gain = (None if None in (report_fuzz.f1, report_masked.f1)
+            else 100 * (report_fuzz.f1 - report_masked.f1))
     print(f"test warnings: {len(records)} ({len(ambiguous)} ambiguous, {len(clear)} clear)")
-    print(f"fuzz rate ambiguous: {rate_ambiguous:.3f}")
-    print(f"fuzz rate clear:     {rate_clear:.3f}")
+    print(f"fuzz rate ambiguous: {shown(rate_ambiguous, '.3f')}")
+    print(f"fuzz rate clear:     {shown(rate_clear, '.3f')}")
     print(f"fuzz rate overall:   {report_fuzz.fuzz_invocation_rate:.3f}")
-    print(f"F1 with fuzzing:     {report_fuzz.f1:.4f}")
-    print(f"F1 fuzz masked:      {report_masked.f1:.4f}")
-    print(f"F1 gain from fuzzing: {100 * (report_fuzz.f1 - report_masked.f1):.1f} points")
+    print(f"F1 with fuzzing:     {shown(report_fuzz.f1, '.4f')}")
+    print(f"F1 fuzz masked:      {shown(report_masked.f1, '.4f')}")
+    print("F1 gain from fuzzing: " + ("undefined" if gain is None else f"{gain:.1f} points"))
 
 
 if __name__ == "__main__":

@@ -211,21 +211,19 @@ def _report_rows(args, cfg: RunConfig, records: list, source: str) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args, cfg: RunConfig) -> int:
+def cmd_ingest(args, cfg: RunConfig) -> None:
     records = _load(warn_mod.parse_report, args.report)
     _write(args.out, warn_mod.write_warning_store(records))
     print(f"ingested {len(records)} warnings")
-    return 0
 
 
-def cmd_split(args, cfg: RunConfig) -> int:
+def cmd_split(args, cfg: RunConfig) -> None:
     labeled = [r for r in _labeled_store(args) if r.label is not None]
     assignment = warn_mod.stratified_split(labeled, args.ratios, cfg.seed)
     _write(args.out, warn_mod.write_split_file(assignment, cfg.seed, args.ratios))
-    return 0
 
 
-def cmd_featurize(args, cfg: RunConfig) -> int:
+def cmd_featurize(args, cfg: RunConfig) -> None:
     records = _load(warn_mod.read_warning_store, args.warnings)
     ids = [r.id for r in records]
     if args.sidecar:
@@ -237,10 +235,9 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
     _write(args.out, features_mod.write_feature_sidecar(ids, table.rows_of(records)))
     if args.export_manifest:
         _write(args.export_manifest, manifest_export())
-    return 0
 
 
-def cmd_train(args, cfg: RunConfig) -> int:
+def cmd_train(args, cfg: RunConfig) -> None:
     dataset, table = _load_dataset(args)
     backend = _make_backend(cfg, args.warnings)
     log_lines: list[str] = []
@@ -250,10 +247,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
         _write(args.log, warn_mod.text_file(log_lines))
     best = max((h["val_f1"] for h in checkpoint.history), default=0.0)
     print(f"trained {len(checkpoint.history)} epochs, best val F1 {best:.4f}")
-    return 0
 
 
-def cmd_evaluate(args, cfg: RunConfig) -> int:
+def cmd_evaluate(args, cfg: RunConfig) -> None:
     checkpoint, records, table = _scored_split(args)
     backend = None if args.mask_fuzz else _make_backend(cfg, args.warnings)
     report, predictions = _play(args.checkpoint, evaluate_mod.evaluate_checkpoint, checkpoint,
@@ -261,10 +257,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     _write(args.out, metrics_mod.write_report(report))
     if args.verdicts:
         _write(args.verdicts, metrics_mod.write_verdicts(predictions))
-    return 0
 
 
-def cmd_triage(args, cfg: RunConfig) -> int:
+def cmd_triage(args, cfg: RunConfig) -> None:
     records = _load(warn_mod.parse_report, args.report)
     checkpoint = _load(load_checkpoint, args.checkpoint)
     raw = _report_rows(args, cfg, records, args.report)
@@ -275,10 +270,9 @@ def cmd_triage(args, cfg: RunConfig) -> int:
                    jobs=cfg.jobs)
     _write(args.out, metrics_mod.verdict_file([r.id for r in records], played.called,
                                               played.score, played.outcome))
-    return 0
 
 
-def cmd_fuzz_validate(args, cfg: RunConfig) -> int:
+def cmd_fuzz_validate(args, cfg: RunConfig) -> None:
     records = _load(warn_mod.read_warning_store, args.warnings)
     warn_mod.apply_labels(records, _load(warn_mod.read_label_sidecar, args.labels)
                           if args.labels else {})
@@ -288,23 +282,20 @@ def cmd_fuzz_validate(args, cfg: RunConfig) -> int:
     listed = [by_id[w] for w in ids]
     results = fuzz_mod.run_many(_make_backend(cfg, args.warnings), listed, cfg.jobs)
     _write(args.out, fuzz_mod.write_recorded_outcomes(dict(zip(ids, results))))
-    return 0
 
 
-def cmd_importance(args, cfg: RunConfig) -> int:
+def cmd_importance(args, cfg: RunConfig) -> None:
     checkpoint, records, table = _scored_split(args)
     results = _play(args.checkpoint, evaluate_mod.permutation_importance, checkpoint, records,
                     table, repeats=args.repeats, seed=cfg.seed)
     _write(args.out, evaluate_mod.write_importance(results))
-    return 0
 
 
-def cmd_report(args, cfg: RunConfig) -> int:
+def cmd_report(args, cfg: RunConfig) -> None:
     predictions = _load(metrics_mod.read_verdicts, args.verdicts)
     labels = _load(warn_mod.read_label_sidecar, args.labels)
     report = metrics_mod.compute_metrics(predictions, labels)
     _write(args.out, metrics_mod.write_report(report))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +397,8 @@ def run_cli(argv: list[str]) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args, _load_config(args))
+        args.func(args, _load_config(args))
+        return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

@@ -27,20 +27,16 @@ def param_layout(input_dim: int, hidden: tuple[int, int]) -> tuple[tuple[str, tu
 
 
 class PolicyParams:
-    """The network's parameters in one contiguous float64 vector, `flat`.
+    """The network's parameters in one contiguous float64 vector, `flat`,
+    which starts at zero.
 
     `w1 ... b_v` are reshaped views into `flat`, laid out by `param_layout`,
-    so writing through either one changes both. Without `flat` the buffer
-    starts at zero; a gradient is held the same way.
+    so writing through either one changes both. A gradient is held the same way.
     """
 
-    def __init__(self, input_dim: int, hidden_sizes: tuple[int, int], dropout_rate: float,
-                 flat: np.ndarray | None = None):
+    def __init__(self, input_dim: int, hidden_sizes: tuple[int, int], dropout_rate: float):
         layout = param_layout(input_dim, hidden_sizes)
-        size = sum(math.prod(shape) for _, shape in layout)
-        self.flat = np.zeros(size) if flat is None else np.ascontiguousarray(flat, dtype=np.float64)
-        if self.flat.shape != (size,):
-            raise ValueError(f"flat vector has shape {self.flat.shape}, expected ({size},)")
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
         self.input_dim = input_dim
         self.hidden_sizes = tuple(hidden_sizes)
         self.dropout_rate = dropout_rate
@@ -53,7 +49,9 @@ class PolicyParams:
         return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate)
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.input_dim, self.hidden_sizes, self.dropout_rate, self.flat.copy())
+        params = self.zeros_like()
+        params.flat[:] = self.flat
+        return params
 
 
 def init_params(input_dim: int, hidden: tuple[int, int] = HIDDEN_SIZES, *, dropout_rate: float,

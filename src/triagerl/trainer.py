@@ -569,14 +569,25 @@ def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
         input_dim, h1, h2 = doc["layer_dims"]
         if input_dim != STATE_DIM:
             raise ValueError(f"input dimension {input_dim} does not fit the manifest")
-        flat = np.concatenate([number_array(doc["weights"][name])
-                               for name, _ in param_layout(input_dim, (h1, h2))])
-        params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"], flat)
+        # Every weight is read and checked by the layout before the buffer is made.
+        layout = dict(param_layout(input_dim, (h1, h2)))
+        weights = {name: number_array(doc["weights"][name]) for name in layout}
+        for name in doc["weights"]:
+            if name not in layout:
+                raise ValueError(f"weights.{name}: the layout has no such weight")
+            if weights[name].shape != (math.prod(layout[name]),):
+                raise ValueError(f"weights.{name}: expected {math.prod(layout[name])} numbers, "
+                                 f"got {weights[name].size}")
+        params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"])
+        for name, shape in layout.items():
+            getattr(params, name)[:] = weights[name].reshape(shape)
         normalizer = NormalizerStats(number_array(stats["mean"]), number_array(stats["std"]))
         if normalizer.mean.shape != (len(MANIFEST),) or normalizer.std.shape != (len(MANIFEST),):
             raise ValueError(f"normalizer statistics must have {len(MANIFEST)} entries each")
-        if not all(np.isfinite(v).all() for v in (flat, normalizer.mean, normalizer.std)):
+        if not all(np.isfinite(v).all() for v in (params.flat, normalizer.mean, normalizer.std)):
             raise ValueError("weights and normalizer statistics must be finite")
+        if (normalizer.std < 0).any():
+            raise ValueError(f"normalizer std must be at least 0, got {normalizer.std.min()}")
         reward = {k: v for k, v in doc["reward_spec"].items() if k != "discount"}
         return PolicyCheckpoint(
             params=params,

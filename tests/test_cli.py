@@ -826,7 +826,7 @@ class TestMalformedInputs:
         ("train", "splits", lambda t: t.replace("\ttrain", "\tval"), [], 3,
          "input error: split 'train' has no records"),
         ("evaluate", "checkpoint", lambda t: re.sub(r'"b_v":\[[^]]*\]', '"b_v":[]', t), [], 3,
-         "{bad}: ValueError: flat vector has shape (57475,), expected (57476,)"),
+         "{bad}: ValueError: weights.b_v: expected 1 numbers, got 0"),
         ("fuzz-validate", "config",
          lambda t: with_keys(t, "backend = recorded\nrecorded_path = out\0comes.txt"), [], 3,
          "input error: input file cannot be read: 'out\\x00comes.txt': embedded null byte"),
@@ -923,6 +923,13 @@ class TestMalformedInputs:
          "input error: {bad}: expected a JSON object, got list\n"),
         ("evaluate", "features", with_first_line("[1, 2]"), [], 3,
          "input error: {bad} line 1: expected a JSON object, got list\n"),
+        ("triage", "checkpoint",
+         lambda t: re.sub(r',([^,\[\]]+)\],"b1":\[', r'],"b1":[\1,', t, count=1), [], 3,
+         "input error: {bad}: ValueError: weights.w1: expected 23808 numbers, got 23807\n"),
+        ("triage", "checkpoint", lambda t: t.replace('"weights":{', '"weights":{"w3":[0.0],', 1),
+         [], 3, "input error: {bad}: ValueError: weights.w3: the layout has no such weight\n"),
+        ("triage", "checkpoint", lambda t: re.sub(r'"std":\[[^,]+', '"std":[-1.0', t), [], 3,
+         "input error: {bad}: ValueError: normalizer std must be at least 0, got -1.0\n"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -959,7 +966,8 @@ class TestMalformedInputs:
             "triage-recorded-outcome-missing", "labels-id-true", "splits-id-x", "outcomes-id-x",
             "verdicts-id-true", "split-header-key-unknown", "split-header-ratio-nan",
             "split-header-seed-negative", "split-header-two-ratios", "split-header-text-after",
-            "verdicts-empty", "checkpoint-string", "checkpoint-list", "sidecar-line-list"])
+            "verdicts-empty", "checkpoint-string", "checkpoint-list", "sidecar-line-list",
+            "checkpoint-weight-moved", "checkpoint-weight-unknown", "checkpoint-std-negative"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
@@ -1290,6 +1298,19 @@ class TestExitCodes:
         code = run_cli(["ingest", "--report", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "analyzer" in capsys.readouterr().err
+
+    def test_an_empty_report_triages_to_no_verdicts_which_report_refuses(self, pipeline,
+                                                                          tmp_path, capsys):
+        # A report with no warnings has nothing to score: `triage` exits 0 and
+        # writes an empty verdicts file, and `report` on that file exits 3.
+        empty, verdicts = tmp_path / "empty.json", tmp_path / "verdicts.txt"
+        empty.write_text("[]")
+        assert run_cli(subcommand({**pipeline, "report": empty}, "triage", verdicts)) == 0
+        assert verdicts.read_bytes() == b""
+        argv = subcommand({**pipeline, "verdicts": verdicts}, "report", tmp_path / "report.txt")
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == f"input error: {verdicts}: no verdicts\n"
+        assert not (tmp_path / "report.txt").exists()
 
     def test_digest_mismatch_reports_both_digests(self, tmp_path, capsys):
         paths = run_demo_pipeline(tmp_path / "dm")

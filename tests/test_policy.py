@@ -1,5 +1,6 @@
 """Forward pass, and how the episode engine chooses actions from it."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from triagerl.env import TriageAction
+from triagerl.env import RewardSpec, TriageAction
+from triagerl.errors import InputError
+from triagerl.features import MANIFEST, NormalizerStats
 from triagerl.policy import (
     DEFAULT_DROPOUT,
     PolicyParams,
@@ -17,8 +20,9 @@ from triagerl.policy import (
     param_layout,
     softmax,
 )
-from triagerl.trainer import (FORWARD_BLOCK, STATE_DIM, TrainConfig, TrajectoryBatch,
-                              ppo_loss_and_grads)
+from triagerl.trainer import (FORWARD_BLOCK, STATE_DIM, PolicyCheckpoint, TrainConfig,
+                              TrajectoryBatch, load_checkpoint, ppo_loss_and_grads,
+                              save_checkpoint)
 from triagerl.warnings import Label
 
 from test_env import ForcedBackend, play
@@ -218,19 +222,27 @@ class TestDistributionProperties:
 
 class TestFlattening:
     def test_round_trip(self):
-        # The named arrays are views into `flat`, in layout order, row-major.
+        # The named arrays are views into `flat`, in layout order, row-major;
+        # a copy owns its own buffer.
         params = init_params(7, hidden=(5, 3), dropout_rate=0.1, seed=4)
         named = np.concatenate([getattr(params, name).ravel() for name, _ in param_layout(7, (5, 3))])
         assert np.array_equal(named, params.flat)
-        back = PolicyParams(7, (5, 3), 0.1, params.flat.copy())
+        back = params.copy()
         assert np.array_equal(back.w2, params.w2)
         back.flat[:] = 0.0
         assert not back.w1.any() and params.w1.any()
 
     def test_wrong_length_rejected(self):
-        params = init_params(7, hidden=(5, 3), dropout_rate=DEFAULT_DROPOUT, seed=4)
-        with pytest.raises(ValueError):
-            PolicyParams(7, (5, 3), 0.0, params.flat[:-1])
+        # The loader reads each weight by the layout: one number moved from
+        # the end of w1 to b1 leaves w1 short, and w1 is named.
+        params = init_params(STATE_DIM, hidden=(5, 3), dropout_rate=DEFAULT_DROPOUT, seed=4)
+        stats = NormalizerStats(mean=np.zeros(len(MANIFEST)), std=np.ones(len(MANIFEST)))
+        doc = json.loads(save_checkpoint(PolicyCheckpoint(params, stats, TrainConfig(),
+                                                          RewardSpec(), [])))
+        doc["weights"]["b1"].insert(0, doc["weights"]["w1"].pop())
+        with pytest.raises(InputError, match=rf"^ckpt: ValueError: weights.w1: expected "
+                                             rf"{STATE_DIM * 5} numbers, got {STATE_DIM * 5 - 1}$"):
+            load_checkpoint(json.dumps(doc).encode(), "ckpt")
 
     def test_init_bounds_follow_fan_sums(self):
         params = init_params(100, hidden=(50, 20), dropout_rate=DEFAULT_DROPOUT, seed=9)

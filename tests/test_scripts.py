@@ -17,6 +17,9 @@ from conftest import ROOT, load_script
     ("run_separable_experiment.py", ["--n", "60", "--epochs", "2"]),
     ("run_fuzz_value_experiment.py", ["--n", "60", "--epochs", "2"]),
     ("run_demo_pipeline.py", ["--n", "20"]),
+    # A masked play that calls nothing TP has no F1: it prints as undefined.
+    ("run_fuzz_value_experiment.py", ["--n", "40", "--epochs", "1", "--seed", "4"]),
+    ("run_fuzz_value_experiment.py", ["--n", "40", "--epochs", "1", "--seed", "5"]),
 ])
 def test_script_exits_0(script, args, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
