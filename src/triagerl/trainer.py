@@ -569,15 +569,17 @@ def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
         input_dim, h1, h2 = doc["layer_dims"]
         if input_dim != STATE_DIM:
             raise ValueError(f"input dimension {input_dim} does not fit the manifest")
-        # Every weight is read and checked by the layout before the buffer is made.
+        # Every weight is checked by the layout before the buffer is made, so
+        # layer dimensions that the weights do not fill allocate nothing.
         layout = dict(param_layout(input_dim, (h1, h2)))
         weights = {name: number_array(doc["weights"][name]) for name in layout}
         for name in doc["weights"]:
             if name not in layout:
                 raise ValueError(f"weights.{name}: the layout has no such weight")
-            if weights[name].shape != (math.prod(layout[name]),):
-                raise ValueError(f"weights.{name}: expected {math.prod(layout[name])} numbers, "
-                                 f"got {weights[name].size}")
+            size = math.prod(layout[name])
+            if weights[name].shape != (size,):
+                got = weights[name].size if weights[name].ndim else "a number outside a list"
+                raise ValueError(f"weights.{name}: expected {size} numbers, got {got}")
         params = PolicyParams(input_dim, (h1, h2), doc["dropout_rate"])
         for name, shape in layout.items():
             getattr(params, name)[:] = weights[name].reshape(shape)
