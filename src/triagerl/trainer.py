@@ -569,6 +569,8 @@ def load_checkpoint(data: bytes, source: str) -> PolicyCheckpoint:
         input_dim, h1, h2 = doc["layer_dims"]
         if input_dim != STATE_DIM:
             raise ValueError(f"input dimension {input_dim} does not fit the manifest")
+        if not all(type(h) is int and h > 0 for h in (h1, h2)):
+            raise ValueError(f"hidden sizes must be positive integers, got {[h1, h2]!r}")
         # Every weight is checked by the layout before the buffer is made, so
         # layer dimensions that the weights do not fill allocate nothing.
         layout = dict(param_layout(input_dim, (h1, h2)))

@@ -930,6 +930,9 @@ class TestMalformedInputs:
          [], 3, "input error: {bad}: ValueError: weights.w3: the layout has no such weight\n"),
         ("triage", "checkpoint", lambda t: re.sub(r'"std":\[[^,]+', '"std":[-1.0', t), [], 3,
          "input error: {bad}: ValueError: normalizer std must be at least 0, got -1.0\n"),
+        ("triage", "checkpoint",
+         lambda t: re.sub(r'"layer_dims":\[(\d+),\d+', r'"layer_dims":[\1,"x"', t), [], 3,
+         "input error: {bad}: ValueError: hidden sizes must be positive integers, got ['x', 128]\n"),
     ], ids=["dropout-range", "dropout-nan", "learning-rate-nan", "reward-nan", "budget-nan",
             "budget-inf", "ratios", "repeats", "one-train-record", "huge-loc", "float-loc-1e308",
             "learning-rate-diverges", "reward-diverges", "value-weight-negative",
@@ -967,7 +970,8 @@ class TestMalformedInputs:
             "verdicts-id-true", "split-header-key-unknown", "split-header-ratio-nan",
             "split-header-seed-negative", "split-header-two-ratios", "split-header-text-after",
             "verdicts-empty", "checkpoint-string", "checkpoint-list", "sidecar-line-list",
-            "checkpoint-weight-moved", "checkpoint-weight-unknown", "checkpoint-std-negative"])
+            "checkpoint-weight-moved", "checkpoint-weight-unknown", "checkpoint-std-negative",
+            "checkpoint-hidden-string"])
     def test_bad_value_exits_with_its_code(self, pipeline, tmp_path, capsys,
                                            command, name, edit, flags, code, named):
         data = edit(pipeline[name].read_text()).encode()
